@@ -5,18 +5,18 @@ COVER_MIN ?= 70
 BENCH_TOLERANCE ?= 0.25
 
 .PHONY: all ci build lint fmt-check vet repolint escapecheck \
-	lint-fix-baseline test test-debug test-cgoblas \
+	lint-fix-baseline test test-debug test-purego cross-arm64 test-cgoblas \
 	race bench bench-json bench-smoke cover cover-gate repro repro-paper \
 	e2e-ooc examples clean
 
 all: build vet test
 
 # Everything the CI workflow runs, in the same order: the lint job
-# (fmt-check + vet + repolint), the test job, the debugchecks smoke run,
-# the race job, the coverage gate, and the benchmark smoke gate. Green
-# here ⇒ green on CI (modulo runner noise on bench-smoke, which CI
-# loosens via BENCH_TOLERANCE).
-ci: lint build test test-debug test-cgoblas race cover-gate bench-smoke
+# (fmt-check + vet + repolint), the test job (with its debugchecks,
+# purego and arm64 cross-build steps), the race job, the coverage gate,
+# and the benchmark smoke gate. Green here ⇒ green on CI (modulo runner
+# noise on bench-smoke, which CI loosens via BENCH_TOLERANCE).
+ci: lint build test test-debug test-purego cross-arm64 test-cgoblas race cover-gate bench-smoke
 
 # Formatting, go vet, the repo-specific static analyzer, and the
 # compiler escape gate (DESIGN.md §7).
@@ -63,6 +63,16 @@ test:
 # (NaN/Inf scans at kernel boundaries, mat header guards).
 test-debug:
 	$(GO) test -tags debugchecks ./...
+
+# Re-run the kernel packages with the AVX2 assembly switched off, so the
+# pure-Go reference loops of internal/blas run on amd64 too.
+test-purego:
+	$(GO) test -tags purego ./internal/... . ./mat/
+
+# Vet and build for arm64, where only the Go kernels exist.
+cross-arm64:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # Build and test with the cgo BLAS backend compiled in: the "cgoblas"
 # backend name resolves to the real C kernels instead of the native

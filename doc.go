@@ -71,8 +71,9 @@
 //	f, err := tsqrcp.QRCP(a, &tsqrcp.Options{Backend: "mixed32"})
 //	names := tsqrcp.RegisteredBackends() // e.g. [cgoblas mixed32 native]
 //
-// Built-in backends: "native" (the default pure-Go kernels, bit-identical
-// to the pre-registry implementation), "mixed32" (float32 Gram
+// Built-in backends: "native" (the default Go kernels, bit-identical to
+// the pre-registry implementation; on amd64 their two hottest inner loops
+// run as AVX2 assembly with the same bits), "mixed32" (float32 Gram
 // accumulation — fast, but only accurate for well-conditioned inputs,
 // κ₂(A) ≲ 10³–10⁴), and "cgoblas" (a C-kernel binding compiled in with
 // the "cgoblas" build tag; without the tag the name resolves to a native

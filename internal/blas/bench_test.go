@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -103,6 +104,65 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 		b.StartTimer()
 		reportGFLOPS(b, flops)
 	})
+}
+
+// BenchmarkKernelVariants measures the AVX2 kernels ("simd") against the
+// Go reference loops they reproduce bit for bit ("generic") at the
+// ite-tall shape, 4096×64, on a width-1 engine: the quad SYRK through
+// GramFixed, the panel TRSM through TrsmRightUpperNoTrans, and the fused
+// pass that runs both. "simd" is skipped on builds and CPUs without the
+// assembly.
+func BenchmarkKernelVariants(b *testing.B) {
+	const m, n = 4096, 64
+	e := parallel.NewEngine(1)
+	a := benchDense(m, n)
+	rng := rand.New(rand.NewSource(2))
+	r := upperTriangular(rng, n)
+	perm := mat.Perm(rng.Perm(n))
+	work := mat.NewDense(m, n)
+	g := mat.NewDense(n, n)
+	syrkFlops := float64(m) * float64(n) * float64(n+1)
+	trsmFlops := float64(m) * float64(n) * float64(n)
+	kernels := []struct {
+		name  string
+		flops float64
+		run   func(b *testing.B)
+	}{
+		{"SyrkQuad", syrkFlops, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				GramFixed(e, g, a)
+			}
+		}},
+		{"TrsmPanel", trsmFlops, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				work.Copy(a)
+				b.StartTimer()
+				TrsmRightUpperNoTrans(e, work, r)
+			}
+		}},
+		{"PermTrsmGramFused", syrkFlops + trsmFlops, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				work.Copy(a)
+				b.StartTimer()
+				PermTrsmGramFused(e, work, perm, r, g)
+			}
+		}},
+	}
+	for _, k := range kernels {
+		b.Run(k.name+"/simd", func(b *testing.B) {
+			if !useAVX2 {
+				b.Skip("no AVX2 kernels in this build or on this CPU")
+			}
+			k.run(b)
+			reportGFLOPS(b, k.flops)
+		})
+		b.Run(k.name+"/generic", func(b *testing.B) {
+			withGoKernels(func() { k.run(b) })
+			reportGFLOPS(b, k.flops)
+		})
+	}
 }
 
 func BenchmarkGemmNN(b *testing.B) {

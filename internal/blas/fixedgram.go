@@ -75,7 +75,7 @@ func GramFixed(e *parallel.Engine, w *mat.Dense, a *mat.Dense) {
 		for si := 0; si < slots; si++ {
 			lo, hi := fusedSlotBounds(m, slots, si)
 			acc.Zero()
-			fusedSyrkRange(a, lo, hi, acc)
+			fusedSyrkCols(a, lo, hi, 0, n, acc)
 			addUpper(w, acc)
 		}
 		mat.PutWorkspace(acc)
@@ -93,7 +93,7 @@ func GramFixed(e *parallel.Engine, w *mat.Dense, a *mat.Dense) {
 			for si := tr.Lo; si < tr.Hi; si++ {
 				acc := mat.GetWorkspace(n, n, true)
 				lo, hi := fusedSlotBounds(m, slots, si)
-				fusedSyrkRange(a, lo, hi, acc)
+				fusedSyrkCols(a, lo, hi, 0, n, acc)
 				accs[si] = acc
 			}
 		}
@@ -226,60 +226,4 @@ func fusedSyrkColsParallel(e *parallel.Engine, b, acc *mat.Dense) {
 		}
 		fusedSyrkCols(b, 0, b.Rows, 2*pLo, iHi, acc)
 	})
-}
-
-// fusedSyrkCols is fusedSyrkRange restricted to accumulator output rows
-// [iLo, iHi): acc(i,j) += Σ_k B(k,i)·B(k,j) for iLo ≤ i < iHi, j ≥ i,
-// summed over rows [lo, hi) of B in the exact quad order of
-// fusedSyrkRange. iLo must be even (a row-pair boundary); iHi is even or
-// n. Restricting the output rows instead of the summation range is what
-// lets callers parallelize without changing any element's accumulation
-// order.
-//
-//repolint:hotpath
-func fusedSyrkCols(b *mat.Dense, lo, hi, iLo, iHi int, acc *mat.Dense) {
-	n := b.Cols
-	k := lo
-	for ; k+4 <= hi; k += 4 {
-		r0 := b.Data[k*b.Stride : k*b.Stride+n]
-		r1 := b.Data[(k+1)*b.Stride : (k+1)*b.Stride+n]
-		r2 := b.Data[(k+2)*b.Stride : (k+2)*b.Stride+n]
-		r3 := b.Data[(k+3)*b.Stride : (k+3)*b.Stride+n]
-		i := iLo
-		for ; i+2 <= iHi; i += 2 {
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			di1 := acc.Data[(i+1)*acc.Stride : (i+1)*acc.Stride+n]
-			v00, v10, v20, v30 := r0[i], r1[i], r2[i], r3[i]
-			v01, v11, v21, v31 := r0[i+1], r1[i+1], r2[i+1], r3[i+1]
-			di[i] += v00*v00 + v10*v10 + v20*v20 + v30*v30
-			di[i+1] += v00*v01 + v10*v11 + v20*v21 + v30*v31
-			di1[i+1] += v01*v01 + v11*v11 + v21*v21 + v31*v31
-			for j := i + 2; j < n; j++ {
-				w0, w1, w2, w3 := r0[j], r1[j], r2[j], r3[j]
-				di[j] += v00*w0 + v10*w1 + v20*w2 + v30*w3
-				di1[j] += v01*w0 + v11*w1 + v21*w2 + v31*w3
-			}
-		}
-		if i < iHi {
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
-			for j := i; j < n; j++ {
-				di[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
-			}
-		}
-	}
-	// Remainder summation rows: rank-1 accumulation.
-	for ; k < hi; k++ {
-		rk := b.Data[k*b.Stride : k*b.Stride+n]
-		for i := iLo; i < iHi; i++ {
-			v := rk[i]
-			if v == 0 {
-				continue
-			}
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			for j := i; j < n; j++ {
-				di[j] += v * rk[j]
-			}
-		}
-	}
 }

@@ -62,10 +62,11 @@ func fusedSlots(m int) int {
 // permute + TRSM + SYRK sequence.
 //
 // The per-row permute is elementwise identical to
-// mat.PermuteColsInPlace; the solve and Gram use panel-blocked kernels
-// tuned for the cache-resident micro-block, so B and G agree with the
-// unfused TrsmRightUpperNoTrans + Gram results to rounding (a few ULP),
-// not bitwise. What IS bitwise fixed is the engine-width independence:
+// mat.PermuteColsInPlace and the solve is TrsmRightUpperNoTrans's own
+// kernel, so B matches the unfused permute + TRSM bit for bit; G is
+// accumulated by the register-tiled SYRK and agrees with Gram to
+// rounding (a few ULP). What is bitwise fixed for both is the
+// engine-width independence:
 // G is accumulated through a fixed-shape reduction (fusedSlots(m) slots
 // reduced in ascending order) and every kernel's summation order is a
 // function of the slot bounds alone, so engines of any width produce
@@ -171,10 +172,10 @@ func fusedSlotBounds(m, slots, si int) (lo, hi int) {
 // fusedSlotRange streams rows [lo, hi) of B through the three fused
 // stages one micro-block at a time: gather the column permutation into
 // the block (tmp is an n-length scratch row), solve the block against R
-// with the panel-blocked fused TRSM, and accumulate the block's Gram
-// contribution into acc (upper triangle) with the register-tiled fused
-// SYRK. The micro-block grouping is anchored at lo, so the summation
-// order inside a slot is fixed by the slot boundaries alone.
+// with the panel-blocked TRSM, and accumulate the block's Gram
+// contribution into acc (upper triangle) with the register-tiled SYRK.
+// The micro-block grouping is anchored at lo, so the summation order
+// inside a slot is fixed by the slot boundaries alone.
 //
 //repolint:hotpath
 func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, tmp []float64) {
@@ -194,36 +195,40 @@ func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, 
 			}
 		}
 		fusedTrsmRange(b, r, q, qhi)
-		fusedSyrkRange(b, q, qhi, acc)
+		fusedSyrkCols(b, q, qhi, 0, n, acc)
 	}
 }
 
 // fusedTrsmRange solves rows [lo, hi) of B in place against the upper
-// triangular R: X := X·R⁻¹. Unlike the streaming trsmRightRange, the row
-// block here is already L1 resident, so the solve is panel blocked for
-// arithmetic intensity rather than for stream locality: for each 4-wide
-// column panel the 4×4 diagonal block is solved by substitution, then
-// the trailing columns receive one rank-4 update whose inner loop does
-// 32 flops per 12 memory operations across a 4-row quad. The panel walk
-// is identical for every row, so the result is a deterministic function
-// of (lo, hi) grouping — anchored at the micro-block start — and never
-// of the engine width.
+// triangular R: X := X·R⁻¹. It is the package's one right-side TRSM
+// kernel, used both on an L1-resident micro-block of the fused pass and
+// on streamed row ranges by TrsmRightUpperNoTrans. The solve is panel
+// blocked for arithmetic intensity: for each 4-wide column panel the 4×4
+// diagonal block is solved by substitution, then the trailing columns
+// receive one rank-4 update (trsmQuad) across a 4-row quad. Every row,
+// in a quad or among the 1–3 remainder rows, takes the same arithmetic —
+// reciprocal multiplies, the same panel walk, the same association — so
+// a row's bits never depend on how rows were grouped: not on (lo, hi),
+// and therefore not on the engine width.
 //
 //repolint:hotpath
 func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 	n := b.Cols
+	var v [16]float64
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		x0 := b.Data[i*b.Stride : i*b.Stride+n]
-		x1 := b.Data[(i+1)*b.Stride : (i+1)*b.Stride+n]
-		x2 := b.Data[(i+2)*b.Stride : (i+2)*b.Stride+n]
-		x3 := b.Data[(i+3)*b.Stride : (i+3)*b.Stride+n]
+		x := b.Data[i*b.Stride:]
+		x0 := x[:n]
+		x1 := x[b.Stride : b.Stride+n]
+		x2 := x[2*b.Stride : 2*b.Stride+n]
+		x3 := x[3*b.Stride : 3*b.Stride+n]
 		k0 := 0
 		for ; k0+4 <= n; k0 += 4 {
-			r0 := r.Data[k0*r.Stride : k0*r.Stride+n]
-			r1 := r.Data[(k0+1)*r.Stride : (k0+1)*r.Stride+n]
-			r2 := r.Data[(k0+2)*r.Stride : (k0+2)*r.Stride+n]
-			r3 := r.Data[(k0+3)*r.Stride : (k0+3)*r.Stride+n]
+			rq := r.Data[k0*r.Stride:]
+			r0 := rq[:n]
+			r1 := rq[r.Stride : r.Stride+n]
+			r2 := rq[2*r.Stride : 2*r.Stride+n]
+			r3 := rq[3*r.Stride : 3*r.Stride+n]
 			inv0 := 1 / r0[k0]
 			inv1 := 1 / r1[k0+1]
 			inv2 := 1 / r2[k0+2]
@@ -251,13 +256,8 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			v33 := (x3[k0+3] - v30*r0[k0+3] - v31*r1[k0+3] - v32*r2[k0+3]) * inv3
 			x3[k0], x3[k0+1], x3[k0+2], x3[k0+3] = v30, v31, v32, v33
 			// Rank-4 update of the trailing columns.
-			for j := k0 + 4; j < n; j++ {
-				w0, w1, w2, w3 := r0[j], r1[j], r2[j], r3[j]
-				x0[j] -= v00*w0 + v01*w1 + v02*w2 + v03*w3
-				x1[j] -= v10*w0 + v11*w1 + v12*w2 + v13*w3
-				x2[j] -= v20*w0 + v21*w1 + v22*w2 + v23*w3
-				x3[j] -= v30*w0 + v31*w1 + v32*w2 + v33*w3
-			}
+			v = [16]float64{v00, v01, v02, v03, v10, v11, v12, v13, v20, v21, v22, v23, v30, v31, v32, v33}
+			trsmQuad(x, b.Stride, rq, r.Stride, &v, k0+4, n)
 		}
 		// Remainder columns (n not a multiple of 4): plain substitution.
 		for k := k0; k < n; k++ {
@@ -277,7 +277,7 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			}
 		}
 	}
-	// Remainder rows: single-row panel solve with the same column walk.
+	// Remainder rows: one quad row's arithmetic, row by row.
 	for ; i < hi; i++ {
 		x := b.Data[i*b.Stride : i*b.Stride+n]
 		k0 := 0
@@ -286,10 +286,10 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			r1 := r.Data[(k0+1)*r.Stride : (k0+1)*r.Stride+n]
 			r2 := r.Data[(k0+2)*r.Stride : (k0+2)*r.Stride+n]
 			r3 := r.Data[(k0+3)*r.Stride : (k0+3)*r.Stride+n]
-			v0 := x[k0] / r0[k0]
-			v1 := (x[k0+1] - v0*r0[k0+1]) / r1[k0+1]
-			v2 := (x[k0+2] - v0*r0[k0+2] - v1*r1[k0+2]) / r2[k0+2]
-			v3 := (x[k0+3] - v0*r0[k0+3] - v1*r1[k0+3] - v2*r2[k0+3]) / r3[k0+3]
+			v0 := x[k0] * (1 / r0[k0])
+			v1 := (x[k0+1] - v0*r0[k0+1]) * (1 / r1[k0+1])
+			v2 := (x[k0+2] - v0*r0[k0+2] - v1*r1[k0+2]) * (1 / r2[k0+2])
+			v3 := (x[k0+3] - v0*r0[k0+3] - v1*r1[k0+3] - v2*r2[k0+3]) * (1 / r3[k0+3])
 			x[k0], x[k0+1], x[k0+2], x[k0+3] = v0, v1, v2, v3
 			for j := k0 + 4; j < n; j++ {
 				x[j] -= v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
@@ -297,7 +297,7 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 		}
 		for k := k0; k < n; k++ {
 			rk := r.Data[k*r.Stride : k*r.Stride+n]
-			v := x[k] / rk[k]
+			v := x[k] * (1 / rk[k])
 			x[k] = v
 			for j := k + 1; j < n; j++ {
 				x[j] -= v * rk[j]
@@ -306,52 +306,28 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 	}
 }
 
-// fusedSyrkRange accumulates the Gram contribution of rows [lo, hi) of B
-// into the upper triangle of acc: acc += BᵀB over that row range. The
-// summation rows are consumed in ascending quads and, within a quad, each
-// acc element receives one fused 4-term dot — the order is a function of
-// (lo, hi) alone, so any engine width reproduces the same bits. Output
-// rows are paired so the quad's four source rows are loaded once per two
-// accumulator rows: 32 flops per 8 memory operations in the inner loop,
-// versus 8 per 6 for the streaming syrkTile (which optimizes for DRAM
-// traffic the fused pass has already eliminated).
+// fusedSyrkCols accumulates the Gram contribution of rows [lo, hi) of B
+// into output rows [iLo, iHi) of acc's upper triangle:
+// acc(i,j) += Σ_k B(k,i)·B(k,j) for iLo ≤ i < iHi, j ≥ i. The summation
+// rows are consumed in ascending quads (syrkQuad) and, within a quad,
+// each acc element receives one 4-term dot; remainder rows follow as
+// rank-1 updates. The order is a function of (lo, hi) alone, so any
+// engine width reproduces the same bits. iLo must be even (a row-pair
+// boundary); iHi is even or n. Restricting the output rows instead of the
+// summation range is what lets callers parallelize without changing any
+// element's accumulation order.
 //
 //repolint:hotpath
-func fusedSyrkRange(b *mat.Dense, lo, hi int, acc *mat.Dense) {
+func fusedSyrkCols(b *mat.Dense, lo, hi, iLo, iHi int, acc *mat.Dense) {
 	n := b.Cols
 	k := lo
 	for ; k+4 <= hi; k += 4 {
-		r0 := b.Data[k*b.Stride : k*b.Stride+n]
-		r1 := b.Data[(k+1)*b.Stride : (k+1)*b.Stride+n]
-		r2 := b.Data[(k+2)*b.Stride : (k+2)*b.Stride+n]
-		r3 := b.Data[(k+3)*b.Stride : (k+3)*b.Stride+n]
-		i := 0
-		for ; i+2 <= n; i += 2 {
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			di1 := acc.Data[(i+1)*acc.Stride : (i+1)*acc.Stride+n]
-			v00, v10, v20, v30 := r0[i], r1[i], r2[i], r3[i]
-			v01, v11, v21, v31 := r0[i+1], r1[i+1], r2[i+1], r3[i+1]
-			di[i] += v00*v00 + v10*v10 + v20*v20 + v30*v30
-			di[i+1] += v00*v01 + v10*v11 + v20*v21 + v30*v31
-			di1[i+1] += v01*v01 + v11*v11 + v21*v21 + v31*v31
-			for j := i + 2; j < n; j++ {
-				w0, w1, w2, w3 := r0[j], r1[j], r2[j], r3[j]
-				di[j] += v00*w0 + v10*w1 + v20*w2 + v30*w3
-				di1[j] += v01*w0 + v11*w1 + v21*w2 + v31*w3
-			}
-		}
-		if i < n {
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
-			for j := i; j < n; j++ {
-				di[j] += v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
-			}
-		}
+		syrkQuad(acc.Data, acc.Stride, b.Data[k*b.Stride:], b.Stride, n, iLo, iHi)
 	}
 	// Remainder summation rows: rank-1 accumulation.
 	for ; k < hi; k++ {
 		rk := b.Data[k*b.Stride : k*b.Stride+n]
-		for i := 0; i < n; i++ {
+		for i := iLo; i < iHi; i++ {
 			v := rk[i]
 			if v == 0 {
 				continue

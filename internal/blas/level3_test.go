@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -184,6 +185,28 @@ func TestTrsmRightUpperNoTrans(t *testing.T) {
 			if !mat.EqualApprox(prod, orig, 1e-8) {
 				t.Fatalf("Trsm right m=%d n=%d: X·R != B", m, n)
 			}
+		}
+	}
+}
+
+// TestTrsmRightUpperNoTransDeterministicAcrossWidths: every row is solved
+// with the same arithmetic wherever the engine's row chunks fall, so
+// each width gives the same bits. The row counts are not multiples of
+// 4·width, so chunks end in 1–3 rows outside any 4-row quad.
+func TestTrsmRightUpperNoTransDeterministicAcrossWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, sh := range []struct{ m, n int }{{1001, 16}, {5003, 13}, {4099, 64}} {
+		b0 := randDense(rng, sh.m, sh.n)
+		r := randUpperWellCond(rng, sh.n)
+		var ref *mat.Dense
+		for _, w := range []int{1, 2, 3, 7} {
+			b := b0.Clone()
+			TrsmRightUpperNoTrans(parallel.NewEngine(w), b, r)
+			if ref == nil {
+				ref = b
+				continue
+			}
+			bitsEqualDense(t, fmt.Sprintf("m=%d n=%d width %d vs 1", sh.m, sh.n, w), b, ref)
 		}
 	}
 }

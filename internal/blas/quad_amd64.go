@@ -1,0 +1,51 @@
+//go:build amd64 && !purego && !(cgoblas && cgo)
+
+package blas
+
+// useAVX2 reports whether syrkQuad and trsmQuad run the AVX2 assembly:
+// the CPU has AVX2 and the OS saves the YMM registers. Detected once.
+var useAVX2 = cpuHasAVX2()
+
+// cpuHasAVX2 checks CPUID for AVX2 and XGETBV for OS support of the YMM
+// state.
+func cpuHasAVX2() bool
+
+// syrkQuadAVX2 is syrkQuadGo on raw row pointers: acc points at
+// accumulator row 0 and b at the quad's first row, strides in elements.
+//
+//go:noescape
+func syrkQuadAVX2(acc *float64, accStride int, b *float64, bStride int, n, iLo, iHi int)
+
+// trsmQuadAVX2 is trsmQuadGo on raw row pointers: x points at the quad's
+// first row and r at the first of the four panel rows of R.
+//
+//go:noescape
+func trsmQuadAVX2(x *float64, xStride int, r *float64, rStride int, v *[16]float64, j0, n int)
+
+// syrkQuad runs the quad SYRK update (see syrkQuadGo). The assembly does
+// no bounds checks, so it runs only when every element it touches is
+// provably inside acc and b; any other call goes to the Go loop, whose
+// bounds checks report it.
+//
+//repolint:hotpath
+func syrkQuad(acc []float64, accStride int, b []float64, bStride, n, iLo, iHi int) {
+	if useAVX2 && 0 <= iLo && iLo < iHi && iHi <= n && accStride >= 0 && bStride >= 0 &&
+		len(acc) >= (iHi-1)*accStride+n && len(b) >= 3*bStride+n {
+		syrkQuadAVX2(&acc[0], accStride, &b[0], bStride, n, iLo, iHi)
+		return
+	}
+	syrkQuadGo(acc, accStride, b, bStride, n, iLo, iHi)
+}
+
+// trsmQuad runs the rank-4 panel TRSM update (see trsmQuadGo), guarded
+// like syrkQuad.
+//
+//repolint:hotpath
+func trsmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
+	if useAVX2 && 0 <= j0 && j0 < n && xStride >= 0 && rStride >= 0 &&
+		len(x) >= 3*xStride+n && len(r) >= 3*rStride+n {
+		trsmQuadAVX2(&x[0], xStride, &r[0], rStride, v, j0, n)
+		return
+	}
+	trsmQuadGo(x, xStride, r, rStride, v, j0, n)
+}

@@ -1,0 +1,23 @@
+//go:build !amd64 || purego || (cgoblas && cgo)
+
+package blas
+
+// useAVX2 is false: this build has no assembly kernels. That is so off
+// amd64, under the purego tag, and when the cgo BLAS is compiled in
+// (cgoblas.go), since the go tool allows no Go assembly in a package
+// that uses cgo.
+var useAVX2 = false
+
+// syrkQuad runs the quad SYRK update (see syrkQuadGo).
+//
+//repolint:hotpath
+func syrkQuad(acc []float64, accStride int, b []float64, bStride, n, iLo, iHi int) {
+	syrkQuadGo(acc, accStride, b, bStride, n, iLo, iHi)
+}
+
+// trsmQuad runs the rank-4 panel TRSM update (see trsmQuadGo).
+//
+//repolint:hotpath
+func trsmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
+	trsmQuadGo(x, xStride, r, rStride, v, j0, n)
+}

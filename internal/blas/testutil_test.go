@@ -67,3 +67,12 @@ func naiveSyrkUpper(alpha float64, a *mat.Dense, beta float64, c *mat.Dense) {
 		}
 	}
 }
+
+// withGoKernels runs f with the assembly kernels switched off, so the Go
+// reference loops of quad.go run on every build and CPU.
+func withGoKernels(f func()) {
+	saved := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = saved }()
+	f()
+}

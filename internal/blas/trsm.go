@@ -15,12 +15,12 @@ func checkTriangular(r *mat.Dense, n int, who string) {
 }
 
 // TrsmRightUpperNoTrans computes B := B·R⁻¹ for upper triangular R. This is
-// the Q := A·R⁻¹ kernel of Cholesky QR (m·n² flops, Level 3): each row of B
-// is solved independently by forward substitution with contiguous row
-// access on R, and rows are distributed across cores. Every row is solved
-// with identical arithmetic regardless of partitioning, so the result is
-// bit-identical for every engine width — part of the determinism contract
-// of the CQRRPT path.
+// the Q := A·R⁻¹ kernel of Cholesky QR (m·n² flops, Level 3): rows of B are
+// solved independently by the panel-blocked fusedTrsmRange, the same
+// kernel the fused pass runs, and row ranges are distributed across
+// cores. Every row is solved with identical arithmetic regardless of
+// partitioning, so the result is bit-identical for every engine width —
+// part of the determinism contract of the CQRRPT path.
 //
 // Panics if R has a zero diagonal entry. The engine e bounds the parallel
 // width (nil selects the default engine).
@@ -43,61 +43,13 @@ func TrsmRightUpperNoTrans(e *parallel.Engine, b, r *mat.Dense) {
 func (nativeBackend) TrsmRightUpper(e *parallel.Engine, b, r *mat.Dense) {
 	n := b.Cols
 	if mulFlops(b.Rows, n, n) < gemmParallelFlops || e.Workers() == 1 {
-		trsmRightRange(b, r, 0, b.Rows)
+		fusedTrsmRange(b, r, 0, b.Rows)
 		return
 	}
 	minChunk := gemmParallelFlops / (mulFlops(n, n) + 1)
 	e.For(b.Rows, minChunk+1, func(lo, hi int) {
-		trsmRightRange(b, r, lo, hi)
+		fusedTrsmRange(b, r, lo, hi)
 	})
-}
-
-// trsmRightRange solves rows [lo, hi) of B := B·R⁻¹. Four B rows are
-// solved together so each R row streamed from cache feeds four independent
-// substitution chains (register blocking + ILP).
-//
-//repolint:hotpath
-func trsmRightRange(b, r *mat.Dense, lo, hi int) {
-	n := b.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		x0 := b.Data[i*b.Stride : i*b.Stride+n]
-		x1 := b.Data[(i+1)*b.Stride : (i+1)*b.Stride+n]
-		x2 := b.Data[(i+2)*b.Stride : (i+2)*b.Stride+n]
-		x3 := b.Data[(i+3)*b.Stride : (i+3)*b.Stride+n]
-		for k := 0; k < n; k++ {
-			rrow := r.Data[k*r.Stride : k*r.Stride+n]
-			inv := 1 / rrow[k]
-			v0 := x0[k] * inv
-			v1 := x1[k] * inv
-			v2 := x2[k] * inv
-			v3 := x3[k] * inv
-			x0[k], x1[k], x2[k], x3[k] = v0, v1, v2, v3
-			for j := k + 1; j < n; j++ {
-				rv := rrow[j]
-				x0[j] -= v0 * rv
-				x1[j] -= v1 * rv
-				x2[j] -= v2 * rv
-				x3[j] -= v3 * rv
-			}
-		}
-	}
-	// The tail rows use exactly the blocked path's arithmetic (reciprocal
-	// multiply, no zero-skip): a row's bits must not depend on whether it
-	// fell in a 4-block or a chunk tail, so the kernel's output is
-	// independent of how the rows were partitioned — and therefore of the
-	// engine width.
-	for ; i < hi; i++ {
-		x := b.Data[i*b.Stride : i*b.Stride+n]
-		for k := 0; k < n; k++ {
-			rrow := r.Data[k*r.Stride : k*r.Stride+n]
-			xk := x[k] * (1 / rrow[k])
-			x[k] = xk
-			for j := k + 1; j < n; j++ {
-				x[j] -= xk * rrow[j]
-			}
-		}
-	}
 }
 
 // TrsmLeftUpperTrans computes B := R⁻ᵀ·B for upper triangular R, i.e. it

@@ -12,9 +12,10 @@ import "os"
 var fuseDisabledEnv = os.Getenv("TSQRCP_NO_FUSE") != ""
 
 // FuseEnabled reports whether the fused streaming pass is in use: on by
-// default, off when TSQRCP_NO_FUSE is set in the environment. Algorithms
-// additionally fall back to the unfused path on iterations the fusion
-// does not cover (the first and last sweep) and whenever a custom
-// GramFunc is supplied (e.g. the distributed Allreduce Gram), whose
-// reduction the fused kernel cannot replicate.
+// default, off when TSQRCP_NO_FUSE is set in the environment. Every
+// pivoting pass but the last is fused with the next iteration's Gram; the
+// last one has no next Gram and runs unfused (the first Gram is a plain
+// Gram sweep, not a pivoting pass). Algorithms also run unfused whenever
+// a custom GramFunc is supplied (e.g. the distributed Allreduce Gram),
+// whose reduction the fused kernel cannot replicate.
 func FuseEnabled() bool { return !fuseDisabledEnv }

@@ -145,8 +145,9 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, maxIt
 			}
 			haveW = true
 		} else {
-			// First/last sweep or fusion off: the unfused sequence —
-			// permute the trailing columns of A, then A := A·R′⁻¹.
+			// Last pivoting pass (no next Gram to fuse with) or fusion
+			// off: the unfused sequence — permute the trailing columns
+			// of A, then A := A·R′⁻¹.
 			if err := sw.Pivot(k, pres.Perm, rp); err != nil {
 				return nil, err
 			}
