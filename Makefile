@@ -5,7 +5,7 @@ COVER_MIN ?= 70
 BENCH_TOLERANCE ?= 0.25
 
 .PHONY: all ci build lint fmt-check vet repolint escapecheck \
-	lint-fix-baseline test test-debug test-purego cross-arm64 test-cgoblas \
+	lint-fix-baseline test test-debug test-purego cross-arm64 \
 	race bench bench-json bench-smoke cover cover-gate repro repro-paper \
 	e2e-ooc examples clean
 
@@ -16,7 +16,7 @@ all: build vet test
 # purego and arm64 cross-build steps), the race job, the coverage gate,
 # and the benchmark smoke gate. Green here ⇒ green on CI (modulo runner
 # noise on bench-smoke, which CI loosens via BENCH_TOLERANCE).
-ci: lint build test test-debug test-purego cross-arm64 test-cgoblas race cover-gate bench-smoke
+ci: lint build test test-debug test-purego cross-arm64 race cover-gate bench-smoke
 
 # Formatting, go vet, the repo-specific static analyzer, and the
 # compiler escape gate (DESIGN.md §7).
@@ -38,13 +38,11 @@ vet:
 # float equality, rand hygiene, hot-path purity, slot-reduction
 # determinism, wire bounds, cancellation). Diagnostics print as
 # file:line:col: message [check]; suppress a finding with
-# //repolint:allow <check> — reason. Runs three build configurations so
-# the debugchecks assertion files and the cgo BLAS shim are analyzed
-# too. See DESIGN.md §7.
+# //repolint:allow <check> — reason. Runs two build configurations so
+# the debugchecks assertion files are analyzed too. See DESIGN.md §7.
 repolint:
 	$(GO) run ./cmd/repolint ./...
 	$(GO) run ./cmd/repolint -tags debugchecks ./...
-	$(GO) run ./cmd/repolint -tags cgoblas,cgo ./...
 
 # Compiler escape gate: //repolint:hotpath functions must not gain heap
 # escapes beyond the checked-in baseline (cmd/escapecheck/baseline.txt).
@@ -73,14 +71,6 @@ test-purego:
 cross-arm64:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
-
-# Build and test with the cgo BLAS backend compiled in: the "cgoblas"
-# backend name resolves to the real C kernels instead of the native
-# fallback alias, and the conformance suite runs against them. Requires
-# a C toolchain (CGO_ENABLED=1).
-test-cgoblas:
-	$(GO) build -tags cgoblas ./...
-	$(GO) test -tags cgoblas ./internal/blas/ . ./service/
 
 race:
 	$(GO) test -race -timeout 10m . ./internal/... ./mat/ ./dist/ ./service/

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/blas"
 	"repro/mat"
 )
 
@@ -70,18 +69,7 @@ func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Bat
 	if o != nil && o.Workers > 0 {
 		perProblem = o.Workers
 	}
-	pe := e.eng().WithContext(ctx).WithWorkers(perProblem)
-	// Resolve Options.Backend once up front: an unknown name fails the
-	// whole batch immediately instead of stamping the same error on every
-	// problem (each shard's QRCP re-resolves the name; by then it is known
-	// good).
-	if o != nil && o.Backend != "" {
-		var err error
-		if pe, err = blas.AttachBackend(pe, o.Backend); err != nil {
-			return results, err
-		}
-	}
-	shard := &Engine{pe: pe}
+	shard := &Engine{pe: e.eng().WithContext(ctx).WithWorkers(perProblem)}
 
 	var cursor atomic.Int64
 	var wg sync.WaitGroup

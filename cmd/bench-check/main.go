@@ -47,12 +47,8 @@ import (
 )
 
 type record struct {
-	Name  string `json:"name"`
-	Stage string `json:"stage,omitempty"`
-	// Backend is set on per-backend kernel rows: the registered compute
-	// backend (internal/blas) the kernel was dispatched through. Part of
-	// the row key, so each backend is gated against its own baseline.
-	Backend     string  `json:"backend,omitempty"`
+	Name        string  `json:"name"`
+	Stage       string  `json:"stage,omitempty"`
 	M           int     `json:"m"`
 	N           int     `json:"n"`
 	Iters       int     `json:"iters"`
@@ -84,8 +80,8 @@ type report struct {
 }
 
 type key struct {
-	name, stage, backend string
-	m, n                 int
+	name, stage string
+	m, n        int
 }
 
 // minCompareNs: ns-only rows below this baseline duration are skipped —
@@ -139,7 +135,7 @@ func validate(path string, rep *report) []string {
 		case r.ProblemsPerSec < 0:
 			bad("record %d (%s): negative problems_per_sec", i, r.Name)
 		}
-		k := key{r.Name, r.Stage, r.Backend, r.M, r.N}
+		k := key{r.Name, r.Stage, r.M, r.N}
 		if seen[k] {
 			bad("duplicate row %+v", k)
 		}
@@ -165,19 +161,16 @@ func tolerance() (float64, error) {
 func compare(base, cand *report, tol float64) (regressions []string, compared int) {
 	idx := make(map[key]record, len(base.Records))
 	for _, r := range base.Records {
-		idx[key{r.Name, r.Stage, r.Backend, r.M, r.N}] = r
+		idx[key{r.Name, r.Stage, r.M, r.N}] = r
 	}
 	for _, c := range cand.Records {
-		b, ok := idx[key{c.Name, c.Stage, c.Backend, c.M, c.N}]
+		b, ok := idx[key{c.Name, c.Stage, c.M, c.N}]
 		if !ok {
 			continue
 		}
 		label := c.Name
 		if c.Stage != "" {
 			label += "/" + c.Stage
-		}
-		if c.Backend != "" {
-			label += "[" + c.Backend + "]"
 		}
 		label = fmt.Sprintf("%s m=%d n=%d", label, c.M, c.N)
 		switch {
@@ -253,50 +246,6 @@ func cqrrptGates(path string, rep *report) []string {
 	}
 	for _, v := range metrics.ParityViolations(orth, resid, pq) {
 		bad("CQRRPT parity: %s", v)
-	}
-	return errs
-}
-
-// The absolute acceptance gate of the pluggable-backend layer: every
-// built-in backend name must carry rows for the three hot kernels at the
-// reference shape cmd/bench-kernels drives them at. A report missing a
-// backend row means the registry or the bench harness silently dropped a
-// backend — exactly the regression the per-backend rows exist to catch.
-// ("cgoblas" is always registered; in untagged builds its rows measure
-// the native fallback, so presence is build-independent.)
-const (
-	backendGateM = 10000
-	backendGateN = 64
-)
-
-var (
-	backendGateNames   = []string{"native", "mixed32", "cgoblas"}
-	backendGateKernels = []string{"Gram", "TrsmRight", "GemmNN"}
-)
-
-// backendGates checks that the candidate carries a throughput row for
-// every (built-in backend, hot kernel) pair at the gate shape. Returns
-// one message per missing or unusable row.
-func backendGates(path string, rep *report) []string {
-	var errs []string
-	bad := func(format string, args ...any) {
-		errs = append(errs, fmt.Sprintf("%s: %s", path, fmt.Sprintf(format, args...)))
-	}
-	rows := make(map[key]*record, len(rep.Records))
-	for i, r := range rep.Records {
-		rows[key{r.Name, r.Stage, r.Backend, r.M, r.N}] = &rep.Records[i]
-	}
-	for _, bk := range backendGateNames {
-		for _, kn := range backendGateKernels {
-			r, ok := rows[key{kn, "", bk, backendGateM, backendGateN}]
-			if !ok {
-				bad("missing %s[%s] row at m=%d n=%d", kn, bk, backendGateM, backendGateN)
-				continue
-			}
-			if r.GFLOPS <= 0 {
-				bad("%s[%s] at m=%d n=%d: non-positive GFLOP/s %g", kn, bk, backendGateM, backendGateN, r.GFLOPS)
-			}
-		}
 	}
 	return errs
 }
@@ -437,13 +386,6 @@ func main() {
 	// randomized path's speedup and accuracy parity, whatever the baseline
 	// recorded.
 	for _, msg := range cqrrptGates(*candidate, cand) {
-		fmt.Fprintln(os.Stderr, "bench-check: gate:", msg)
-		fatal = true
-	}
-	// Absolute backend gates: a row for every built-in compute backend ×
-	// hot kernel must be present — a silently dropped backend is a
-	// regression even when every surviving row is fast.
-	for _, msg := range backendGates(*candidate, cand) {
 		fmt.Fprintln(os.Stderr, "bench-check: gate:", msg)
 		fatal = true
 	}

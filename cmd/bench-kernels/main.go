@@ -27,7 +27,6 @@ import (
 	tsqrcp "repro"
 	"repro/internal/blas"
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/sketch"
 	"repro/internal/trace"
 	"repro/mat"
@@ -41,11 +40,7 @@ type record struct {
 	// attributes part of the parent Name's run to. Stage rows carry no
 	// allocation data and "Total" is the only row comparable to the
 	// whole-run entry.
-	Stage string `json:"stage,omitempty"`
-	// Backend is set on per-backend kernel rows only: the registered
-	// compute backend (internal/blas) the kernel was dispatched through.
-	// Rows without it ran on the default dispatch path.
-	Backend     string  `json:"backend,omitempty"`
+	Stage       string  `json:"stage,omitempty"`
 	M           int     `json:"m"`
 	N           int     `json:"n"`
 	Iters       int     `json:"iters"`
@@ -248,64 +243,6 @@ func main() {
 						blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, a, bb, 0, c)
 					}
 				}))
-		}
-	}
-
-	// Per-backend kernel rows: the same three hot kernels dispatched
-	// through each registered compute backend at one fixed tall-skinny
-	// shape. The shape matches the m=10000 rows above so a backend row is
-	// directly comparable to the default-dispatch row; the key (name,
-	// backend, m, n) is distinct, so bench-check gates each backend's
-	// throughput against its own baseline. In builds without the cgoblas
-	// tag the "cgoblas" rows measure the native fallback — the row is
-	// still emitted (the name is always registered), which keeps the row
-	// keys identical across build configurations.
-	{
-		const bkM, bkN = 10000, 64
-		a := randDense(rng, bkM, bkN)
-		r := upperTriangular(rng, bkN)
-		bb := randDense(rng, bkN, bkN)
-		w := mat.NewDense(bkN, bkN)
-		c := mat.NewDense(bkM, bkN)
-		work := mat.NewDense(bkM, bkN)
-		for _, name := range blas.Backends() {
-			e, err := blas.AttachBackend(parallel.NewEngine(0), name)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench-kernels:", err)
-				os.Exit(1)
-			}
-			gram := run("Gram/"+name, bkM, bkN, 2*float64(bkM)*float64(bkN)*float64(bkN),
-				func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						blas.Gram(e, w, a)
-					}
-				})
-			gram.Name, gram.Backend = "Gram", name
-			rep.Records = append(rep.Records, gram)
-
-			trsm := run("TrsmRight/"+name, bkM, bkN, float64(bkM)*float64(bkN)*float64(bkN),
-				func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						work.Copy(a)
-						b.StartTimer()
-						blas.TrsmRightUpperNoTrans(e, work, r)
-					}
-				})
-			trsm.Name, trsm.Backend = "TrsmRight", name
-			rep.Records = append(rep.Records, trsm)
-
-			gemm := run("GemmNN/"+name, bkM, bkN, 2*float64(bkM)*float64(bkN)*float64(bkN),
-				func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, a, bb, 0, c)
-					}
-				})
-			gemm.Name, gemm.Backend = "GemmNN", name
-			rep.Records = append(rep.Records, gemm)
 		}
 	}
 

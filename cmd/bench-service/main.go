@@ -38,13 +38,8 @@ import (
 // record/report mirror the shared BENCH_kernels.json layout
 // (bench/SCHEMA.md).
 type record struct {
-	Name  string `json:"name"`
-	Stage string `json:"stage,omitempty"`
-	// Backend must round-trip here: the merge re-marshals every record
-	// bench-kernels wrote, and dropping the field would strip the label
-	// off the per-backend kernel rows (collapsing them into duplicate
-	// keys).
-	Backend        string  `json:"backend,omitempty"`
+	Name           string  `json:"name"`
+	Stage          string  `json:"stage,omitempty"`
 	M              int     `json:"m"`
 	N              int     `json:"n"`
 	Iters          int     `json:"iters"`

@@ -42,9 +42,8 @@ func main() {
 	n := flag.Int("n", 64, "columns of the submitted matrix (single-job mode)")
 	seed := flag.Int64("seed", 1, "matrix generator seed")
 	decay := flag.Float64("decay", 1e-12, "grading sigma of the generated matrix — κ₂ of the leading block is 1/decay (single-job mode)")
-	rank := flag.Int("rank", 0, "numerical rank of the generated matrix, 0 = 4n/5 (single-job mode; use -rank n -decay 1e-2 with -backend mixed32, whose float32 Gram accumulation breaks down on rank-deficient or κ₂≳1e3-1e4 inputs)")
+	rank := flag.Int("rank", 0, "numerical rank of the generated matrix, 0 = 4n/5 (single-job mode)")
 	cqrrpt := flag.Bool("cqrrpt", false, "use the randomized CQRRPT strategy (single-job mode)")
-	backend := flag.String("backend", "", "compute backend for the job, e.g. native, mixed32, cgoblas (single-job mode; empty = server default)")
 	tenant := flag.String("tenant", "cli", "tenant identifier")
 	timeout := flag.Duration("timeout", 0, "job deadline (0 = none)")
 	flag.Parse()
@@ -91,12 +90,6 @@ func main() {
 		var opts *tsqrcp.Options
 		if *cqrrpt {
 			opts = &tsqrcp.Options{Strategy: tsqrcp.StrategyCQRRPT, Seed: uint64(*seed)}
-		}
-		if *backend != "" {
-			if opts == nil {
-				opts = &tsqrcp.Options{}
-			}
-			opts.Backend = *backend
 		}
 		start := time.Now()
 		f, err := c.Factor(context.Background(), service.Request{
@@ -211,75 +204,18 @@ func runSelftest(addr string) error {
 	}
 	fmt.Println("selftest: past-deadline job rejected with distinct deadline error")
 
-	// 3. Backend selection over the wire. An explicit "native" (and the
-	// "cgoblas" name, which aliases native in untagged builds and is a
-	// real C binding under -tags cgoblas) must be bit-identical to the
-	// default path; "mixed32" must serve the fp32-Gram pipeline on a
-	// well-conditioned matrix (κ₂ far below its ~10³–10⁴ breakdown
-	// threshold); an unregistered name must draw the distinct
-	// unknown-backend rejection.
-	a := testmat.Generate(rng, 900, 24, 19, 1e-10)
-	ref, err := tsqrcp.QRCP(a, nil)
-	if err != nil {
-		return fmt.Errorf("in-process reference: %w", err)
-	}
-	for _, backend := range []string{"native", "cgoblas"} {
-		opts := &tsqrcp.Options{Backend: backend}
-		f, err := c.Factor(context.Background(), service.Request{
-			Tenant: "selftest", A: a, Options: opts})
-		if err != nil {
-			return fmt.Errorf("backend %s: %w", backend, err)
-		}
-		want := ref
-		if backend == "cgoblas" {
-			// Under -tags cgoblas the C kernels legitimately round
-			// differently; compare against the in-process run of the same
-			// backend instead of the native reference.
-			if want, err = tsqrcp.QRCP(a, opts); err != nil {
-				return fmt.Errorf("in-process %s: %w", backend, err)
-			}
-		}
-		if err := equalFact(f, want); err != nil {
-			return fmt.Errorf("backend %s: served result differs from in-process result: %w", backend, err)
-		}
-	}
-	wc := testmat.Generate(rng, 600, 16, 16, 1e-2)
-	m32 := &tsqrcp.Options{Backend: "mixed32"}
-	wantM32, err := tsqrcp.QRCP(wc, m32)
-	if err != nil {
-		return fmt.Errorf("in-process mixed32: %w", err)
-	}
-	fM32, err := c.Factor(context.Background(), service.Request{
-		Tenant: "selftest", A: wc, Options: m32})
-	if err != nil {
-		return fmt.Errorf("backend mixed32: %w", err)
-	}
-	if err := equalFact(fM32, wantM32); err != nil {
-		return fmt.Errorf("backend mixed32: served result differs from in-process result: %w", err)
-	}
-	_, err = c.Factor(context.Background(), service.Request{
-		Tenant: "selftest", A: a, Options: &tsqrcp.Options{Backend: "no-such-backend"}})
-	if !errors.Is(err, service.ErrUnknownBackend) {
-		return fmt.Errorf("unknown-backend job returned %v, want ErrUnknownBackend", err)
-	}
-	if errors.Is(err, service.ErrInvalid) || errors.Is(err, service.ErrFailed) {
-		return fmt.Errorf("unknown-backend rejection %v is not distinct", err)
-	}
-	fmt.Println("selftest: backend selection served (native/cgoblas/mixed32) and unknown backend distinctly rejected")
-
-	// 4. The admission counters must reflect what just happened.
+	// 3. The admission counters must reflect what just happened.
 	st, err := c.Stats(context.Background())
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	// Admitted jobs: the shape mix, the past-deadline job, and the three
-	// backend jobs (the unknown-backend job is rejected before admission).
-	admitted := len(jobs) + 1 + 3
+	// Admitted jobs: the shape mix and the past-deadline job.
+	admitted := len(jobs) + 1
 	if st.Accepted < int64(admitted) {
 		return fmt.Errorf("server accepted %d jobs, want ≥ %d", st.Accepted, admitted)
 	}
-	if st.Completed < int64(len(jobs)+3) {
-		return fmt.Errorf("server completed %d jobs, want ≥ %d", st.Completed, len(jobs)+3)
+	if st.Completed < int64(len(jobs)) {
+		return fmt.Errorf("server completed %d jobs, want ≥ %d", st.Completed, len(jobs))
 	}
 	if st.DeadlineExceeded < 1 {
 		return fmt.Errorf("deadline_exceeded = %d, want ≥ 1", st.DeadlineExceeded)

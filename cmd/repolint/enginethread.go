@@ -47,11 +47,6 @@ func checkEngineThread(p *Pass) {
 	for _, file := range p.Pkg.TestFiles {
 		checkShimCallsSyntactic(p, file, parallelPath)
 	}
-	// cgo files (under -tags cgoblas,cgo) are parsed but not
-	// type-checked; screen them like test files.
-	for _, file := range p.Pkg.CgoFiles {
-		checkShimCallsSyntactic(p, file, parallelPath)
-	}
 }
 
 // checkShimCallsTyped flags typed calls to the default-engine shims.

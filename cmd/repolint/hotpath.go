@@ -20,10 +20,6 @@ package main
 //
 //	//repolint:hotpath
 //	body := func(lo, hi int) { … }
-//
-// cgo files (selected under -tags cgoblas,cgo) are parsed but not
-// type-checked; annotated functions there are screened syntactically by
-// selector package name.
 
 import (
 	"go/ast"
@@ -58,9 +54,6 @@ func checkHotPath(p *Pass) {
 				scanHotBody(p, file, "func literal", lit.Body)
 			}
 		}
-	}
-	for _, file := range p.Pkg.CgoFiles {
-		checkHotPathSyntactic(p, file)
 	}
 }
 
@@ -132,47 +125,6 @@ func annotatedFuncLits(fset *token.FileSet, body *ast.BlockStmt, annotated map[i
 		return true
 	})
 	return out
-}
-
-// checkHotPathSyntactic screens annotated functions in cgo files by
-// selector package name — no type information is available there.
-func checkHotPathSyntactic(p *Pass, file *ast.File) {
-	// Resolve which denied packages the file imports, under their local
-	// names.
-	denied := make(map[string]string)
-	for pkg := range hotpathDeniedPkgs {
-		if local := importName(file, pkg); local != "" && local != "." {
-			denied[local] = pkg
-		}
-	}
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || !isHotpathAnnotated(fd) {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" && len(call.Args) == 1 {
-				if _, isLit := call.Args[0].(*ast.BasicLit); !isLit {
-					p.reportf(file, call.Pos(), "hotpath function %s panics with a dynamically built message; use a constant string", fd.Name.Name)
-				}
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if pkg, banned := denied[id.Name]; banned {
-					p.reportf(file, call.Pos(), "hotpath function %s calls %s.%s, which allocates; hot-path kernels must stay allocation- and formatting-free", fd.Name.Name, pkg, sel.Sel.Name)
-				}
-			}
-			return true
-		})
-	}
 }
 
 // isHotpathAnnotated reports whether fd's doc comment carries the

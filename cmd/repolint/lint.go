@@ -41,7 +41,6 @@ var allChecks = []*check{
 	{"workspacebalance", "mat.GetWorkspace/GetFloats must reach PutWorkspace/PutFloats on every return path", checkWorkspaceBalance},
 	{"spanbalance", "trace.Region spans must reach .End() on every return path", checkSpanBalance},
 	{"enginethread", "kernel packages must thread *parallel.Engine, not the default-engine shims", checkEngineThread},
-	{"backendcall", "blas.Backend kernel methods may only be invoked inside internal/blas; everything else goes through the exported dispatchers", checkBackendCall},
 	{"floatcmp", "no ==/!= between computed floating-point operands", checkFloatCmp},
 	{"norand", "no global math/rand state outside testmat/ and _test.go files", checkNoRand},
 	{"hotpath", "//repolint:hotpath functions must not call fmt/log/errors/strconv or panic dynamically", checkHotPath},

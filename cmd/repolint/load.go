@@ -24,14 +24,13 @@ import (
 )
 
 // Pkg is one module-local package: its type-checked library files plus
-// the syntax (only) of its _test.go files and cgo files.
+// the syntax (only) of its _test.go files.
 type Pkg struct {
 	ImportPath string
 	Dir        string
 	Name       string
 	Files      []*ast.File // buildable non-test files, type-checked
 	TestFiles  []*ast.File // _test.go files, parsed but not type-checked
-	CgoFiles   []*ast.File // files importing "C", parsed but not type-checked
 	Types      *types.Package
 	Info       *types.Info
 }
@@ -59,7 +58,7 @@ func loadModule(root string) (*Module, []error) {
 }
 
 // loadModuleTags parses and type-checks every package under root.
-// Custom build tags (e.g. "debugchecks", "cgoblas") select tag-gated
+// Custom build tags (e.g. "debugchecks") select tag-gated
 // files exactly as `go build -tags` would. Returned errors are fatal
 // (parse failures, import cycles, type errors): the analyzers require
 // well-typed input.
@@ -200,13 +199,6 @@ func parseDir(mod *Module, root, modPath, dir string, tags map[string]bool) (*Pk
 			pkg.TestFiles = append(pkg.TestFiles, f)
 			continue
 		}
-		if importsC(f) {
-			// cgo files cannot be type-checked without running cgo;
-			// keep the syntax so the syntactic check variants still
-			// see them (like _test.go files).
-			pkg.CgoFiles = append(pkg.CgoFiles, f)
-			continue
-		}
 		if pkg.Name == "" {
 			pkg.Name = f.Name.Name
 		} else if pkg.Name != f.Name.Name {
@@ -250,16 +242,6 @@ func releaseTagSatisfied(tag string) bool {
 }
 
 var goReleaseVersion = regexp.MustCompile(`^go1\.(\d+)`)
-
-// importsC reports whether the file imports "C" (a cgo file).
-func importsC(f *ast.File) bool {
-	for _, spec := range f.Imports {
-		if spec.Path.Value == `"C"` {
-			return true
-		}
-	}
-	return false
-}
 
 // buildableFile evaluates the file's //go:build constraint (if any) for
 // host GOOS/GOARCH, gc, all go1.N release tags, and the given custom

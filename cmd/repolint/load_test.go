@@ -2,7 +2,7 @@ package main
 
 // Direct coverage for the loader and driver plumbing that the golden
 // harness only exercises indirectly: build-tag file selection, allow
-// suppression placement, findings ordering, and cgo file routing.
+// suppression placement, and findings ordering.
 
 import (
 	"go/ast"
@@ -25,8 +25,8 @@ func TestBuildableFileTags(t *testing.T) {
 		{"custom tag present", "//go:build debugchecks\n\npackage p\n", map[string]bool{"debugchecks": true}, true},
 		{"negated tag default", "//go:build !debugchecks\n\npackage p\n", nil, true},
 		{"negated tag set", "//go:build !debugchecks\n\npackage p\n", map[string]bool{"debugchecks": true}, false},
-		{"and of two tags, one set", "//go:build cgoblas && cgo\n\npackage p\n", map[string]bool{"cgoblas": true}, false},
-		{"and of two tags, both set", "//go:build cgoblas && cgo\n\npackage p\n", map[string]bool{"cgoblas": true, "cgo": true}, true},
+		{"and of two tags, one set", "//go:build cshim && cgo\n\npackage p\n", map[string]bool{"cshim": true}, false},
+		{"and of two tags, both set", "//go:build cshim && cgo\n\npackage p\n", map[string]bool{"cshim": true, "cgo": true}, true},
 		{"wrong GOOS", "//go:build plan9\n\npackage p\n", nil, false},
 		{"gc toolchain", "//go:build gc\n\npackage p\n", nil, true},
 		{"release floor", "//go:build go1.21\n\npackage p\n", nil, true},
@@ -118,26 +118,8 @@ func TestSortFindings(t *testing.T) {
 	}
 }
 
-func TestImportsC(t *testing.T) {
-	fset := token.NewFileSet()
-	cgo, err := parser.ParseFile(fset, "c.go", "package p\n\nimport \"C\"\n", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := parser.ParseFile(fset, "p.go", "package p\n\nimport \"fmt\"\n\nvar _ = fmt.Sprint\n", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !importsC(cgo) {
-		t.Error(`file importing "C" not detected`)
-	}
-	if importsC(plain) {
-		t.Error("plain import misdetected as cgo")
-	}
-}
-
-// writeTestModule lays down a module with one plain file, one
-// tag-gated file, and one cgo file gated behind the same tag.
+// writeTestModule lays down a module with one plain file and one
+// tag-gated file.
 func writeTestModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -150,15 +132,6 @@ package a
 
 // DebugOnly exists only under the debugchecks tag.
 func DebugOnly() int { return 2 }
-`,
-		"a/shim.go": `//go:build cgoblas && cgo
-
-package a
-
-import "C"
-
-// CgoShim is parsed (never type-checked) under the cgo tags.
-func CgoShim() {}
 `,
 	}
 	for name, src := range files {
@@ -191,8 +164,8 @@ func TestLoadModuleTagSelection(t *testing.T) {
 		t.Fatalf("default load: %v", errs)
 	}
 	pkg := find(mod)
-	if len(pkg.Files) != 1 || len(pkg.CgoFiles) != 0 {
-		t.Errorf("default config: %d files, %d cgo files; want 1, 0", len(pkg.Files), len(pkg.CgoFiles))
+	if len(pkg.Files) != 1 {
+		t.Errorf("default config: %d files; want 1", len(pkg.Files))
 	}
 
 	mod, errs = loadModuleTags(dir, map[string]bool{"debugchecks": true})
@@ -202,14 +175,5 @@ func TestLoadModuleTagSelection(t *testing.T) {
 	pkg = find(mod)
 	if len(pkg.Files) != 2 {
 		t.Errorf("debugchecks config: %d files; want 2 (debug.go selected)", len(pkg.Files))
-	}
-
-	mod, errs = loadModuleTags(dir, map[string]bool{"cgoblas": true, "cgo": true})
-	if len(errs) > 0 {
-		t.Fatalf("cgo load: %v", errs)
-	}
-	pkg = find(mod)
-	if len(pkg.Files) != 1 || len(pkg.CgoFiles) != 1 {
-		t.Errorf("cgo config: %d files, %d cgo files; want 1, 1 (shim.go routed to CgoFiles)", len(pkg.Files), len(pkg.CgoFiles))
 	}
 }

@@ -8,8 +8,6 @@
 //	spanbalance       trace.Region spans always reach .End()
 //	enginethread      kernel packages thread *parallel.Engine instead of
 //	                  touching the default-engine shims
-//	backendcall       blas.Backend kernel methods are invoked only inside
-//	                  internal/blas; callers use the exported dispatchers
 //	floatcmp          no ==/!= between computed floating-point values
 //	norand            no global math/rand state outside testmat/ and tests
 //	hotpath           //repolint:hotpath functions stay free of fmt/log/
@@ -25,7 +23,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/repolint [-tags cgoblas,cgo] [-json] ./...
+//	go run ./cmd/repolint [-tags debugchecks] [-json] ./...
 //
 // The package-pattern argument is accepted for familiarity but the tool
 // always analyzes the whole module containing the working directory.

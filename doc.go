@@ -61,25 +61,15 @@
 // derive one with Engine.WithWorkers) and pass per-call overrides through
 // Options.Workers.
 //
-// # Compute backends
+// # Kernels
 //
 // The hot kernels (Gram/SYRK, GEMM, triangular solve, and the fused
-// permute→TRSM→Gram pass) dispatch through a pluggable backend registry.
-// Options.Backend selects one by name for a call; RegisteredBackends
-// reports what this binary was built with:
-//
-//	f, err := tsqrcp.QRCP(a, &tsqrcp.Options{Backend: "mixed32"})
-//	names := tsqrcp.RegisteredBackends() // e.g. [cgoblas mixed32 native]
-//
-// Built-in backends: "native" (the default Go kernels, bit-identical to
-// the pre-registry implementation; on amd64 their two hottest inner loops
-// run as AVX2 assembly with the same bits), "mixed32" (float32 Gram
-// accumulation — fast, but only accurate for well-conditioned inputs,
-// κ₂(A) ≲ 10³–10⁴), and "cgoblas" (a C-kernel binding compiled in with
-// the "cgoblas" build tag; without the tag the name resolves to a native
-// fallback alias so selection code is portable). An empty Options.Backend
-// means "native". Unknown names return an error naming the backend; see
-// DESIGN.md §13 for the backend contract and accuracy envelopes.
+// permute→TRSM→Gram pass) are pure Go with one implementation each; on
+// amd64 their two hottest inner loops run as AVX2 assembly with the same
+// bits (build with -tags purego to run the Go loops). Every kernel that
+// sums over rows reduces through a fixed slot schedule that depends on
+// the row count alone, so every factorization is bit-identical for any
+// worker count.
 //
 // # Performance
 //
@@ -87,11 +77,9 @@
 // steady-state iterations of Ite-CholQR-CP (and CholeskyQR2's middle
 // sweeps) run their column permute, triangular solve, and next Gram
 // matrix as one fused streaming pass over the tall matrix, cutting DRAM
-// traffic for those sweeps by 2.5× (DESIGN.md §10). The fused and
-// unfused paths agree to ULP level and the fused Gram reduction is
-// bit-identical for every worker count; set the TSQRCP_NO_FUSE
-// environment variable (read once at process start) to force the unfused
-// sweeps for A/B measurements.
+// traffic for those sweeps by 2.5× (DESIGN.md §10). The fused pass
+// produces exactly the bits of the separate permute, solve and Gram
+// kernels; cmd/bench-kernels times the two side by side.
 //
 // Supporting packages:
 //

@@ -3,7 +3,6 @@ package tsqrcp
 import (
 	"context"
 
-	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -65,18 +64,13 @@ func (e *Engine) eng() *parallel.Engine {
 }
 
 // callEngine derives the internal engine for one call: the engine's own
-// width and context, narrowed to opts.Workers when set, dispatching the
-// hot kernels through opts.Backend when set. An unknown backend name is
-// an error naming the registered set.
-func (e *Engine) callEngine(opts *Options) (*parallel.Engine, error) {
+// width and context, narrowed to opts.Workers when set.
+func (e *Engine) callEngine(opts *Options) *parallel.Engine {
 	pe := e.eng()
 	if opts != nil && opts.Workers > 0 {
 		pe = pe.WithWorkers(opts.Workers)
 	}
-	if opts != nil && opts.Backend != "" {
-		return blas.AttachBackend(pe, opts.Backend)
-	}
-	return pe, nil
+	return pe
 }
 
 // QRCP computes the QR factorization with column pivoting of a tall-skinny
@@ -84,13 +78,11 @@ func (e *Engine) callEngine(opts *Options) (*parallel.Engine, error) {
 // Options.Strategy for the randomized CQRRPT alternative.
 // Returns the engine's context error if cancelled mid-factorization.
 func (e *Engine) QRCP(a *mat.Dense, opts *Options) (*Factorization, error) {
-	pe, err := e.callEngine(opts)
-	if err != nil {
-		return nil, err
-	}
+	pe := e.callEngine(opts)
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	var res *core.CPResult
+	var err error
 	if opts.strategy() == StrategyCQRRPT {
 		res, err = core.CQRRPT(pe, a, opts.tol(), opts.seed())
 	} else {
@@ -105,13 +97,8 @@ func (e *Engine) QRCP(a *mat.Dense, opts *Options) (*Factorization, error) {
 
 // HouseholderQRCP computes the pivoted factorization with the blocked
 // Householder baseline on this engine; see the package-level function.
-// The signature predates Options.Backend and has no error return, so an
-// unknown opts.Backend panics rather than being silently ignored.
 func (e *Engine) HouseholderQRCP(a *mat.Dense, opts *Options) *Factorization {
-	pe, err := e.callEngine(opts)
-	if err != nil {
-		panic(err)
-	}
+	pe := e.callEngine(opts)
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	res := core.HQRCP(pe, a)
@@ -121,10 +108,7 @@ func (e *Engine) HouseholderQRCP(a *mat.Dense, opts *Options) *Factorization {
 // QRCPTruncated computes a rank-k truncated pivoted QR factorization on
 // this engine; see the package-level function.
 func (e *Engine) QRCPTruncated(a *mat.Dense, k int, opts *Options) (*Factorization, error) {
-	pe, err := e.callEngine(opts)
-	if err != nil {
-		return nil, err
-	}
+	pe := e.callEngine(opts)
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	res, err := core.IteCholQRCPPartial(pe, a, opts.tol(), k)
@@ -138,7 +122,7 @@ func (e *Engine) QRCPTruncated(a *mat.Dense, k int, opts *Options) (*Factorizati
 // qrCall is the single entry point every unpivoted one-shot helper and
 // Engine method funnels through: it derives the engine's internal handle
 // and adapts the core result to the public QR shape, so engine scoping
-// (width, context, backend) is applied in exactly one place.
+// (width, context) is applied in exactly one place.
 func (e *Engine) qrCall(algo func(*parallel.Engine, *mat.Dense) (*core.QR, error), a *mat.Dense) (*QR, error) {
 	qr, err := algo(e.eng(), a)
 	if err != nil {

@@ -3,6 +3,7 @@ package tsqrcp
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -260,5 +261,57 @@ func TestFactorizationUnified(t *testing.T) {
 	}
 	if got := trunc.NumericalRank(1e-8); got != 6 {
 		t.Fatalf("truncated NumericalRank = %d, want 6", got)
+	}
+}
+
+// TestEngineOneShotsMatchPackageHelpers pins the one-shot consolidation:
+// every package-level unpivoted helper must be exactly its Engine-method
+// counterpart on the default engine. (The default engine is compared to
+// itself rather than to a narrowed one because TSQR's reduction tree
+// legitimately produces different bits at different widths.)
+func TestEngineOneShotsMatchPackageHelpers(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := testmat.Generate(rng, 300, 12, 12, 1e-4)
+	e := DefaultEngine()
+
+	type qrFn func() (*QR, error)
+	cases := []struct {
+		name      string
+		pkg, meth qrFn
+	}{
+		{"CholeskyQR", func() (*QR, error) { return CholeskyQR(a) }, func() (*QR, error) { return e.CholeskyQR(a) }},
+		{"CholeskyQR2", func() (*QR, error) { return CholeskyQR2(a) }, func() (*QR, error) { return e.CholeskyQR2(a) }},
+		{"ShiftedCholeskyQR3", func() (*QR, error) { return ShiftedCholeskyQR3(a) }, func() (*QR, error) { return e.ShiftedCholeskyQR3(a) }},
+		{"LUCholeskyQR2", func() (*QR, error) { return LUCholeskyQR2(a) }, func() (*QR, error) { return e.LUCholeskyQR2(a) }},
+		{"HouseholderQR", func() (*QR, error) { return HouseholderQR(a), nil }, func() (*QR, error) { return e.HouseholderQR(a), nil }},
+		{"TSQR", func() (*QR, error) { return TSQR(a), nil }, func() (*QR, error) { return e.TSQR(a), nil }},
+	}
+	for _, tc := range cases {
+		p, err := tc.pkg()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		m, err := tc.meth()
+		if err != nil {
+			t.Fatalf("%s (engine): %v", tc.name, err)
+		}
+		for _, pair := range []struct {
+			label     string
+			got, want *mat.Dense
+		}{{"Q", m.Q, p.Q}, {"R", m.R, p.R}} {
+			if pair.got.Rows != pair.want.Rows || pair.got.Cols != pair.want.Cols {
+				t.Fatalf("%s: %s shape mismatch", tc.name, pair.label)
+			}
+			for i := 0; i < pair.want.Rows; i++ {
+				for j := 0; j < pair.want.Cols; j++ {
+					g := pair.got.Data[i*pair.got.Stride+j]
+					w := pair.want.Data[i*pair.want.Stride+j]
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s: %s[%d,%d] differs between package helper and engine method",
+							tc.name, pair.label, i, j)
+					}
+				}
+			}
+		}
 	}
 }

@@ -49,8 +49,8 @@ func (o *FileOptions) opts() *Options {
 // §14). The returned Factorization carries R, Perm, Rank, and
 // Iterations; Q is nil — set FileOptions.QPath to stream it to disk.
 //
-// Only the default strategy (Ite-CholQR-CP) and the native compute
-// backend stream this way; other strategies/backends return an error.
+// Only the default strategy (Ite-CholQR-CP) streams this way; other
+// strategies return an error.
 // The trace layer reports the I/O side under the OOCRead stage and the
 // ooc_bytes_read / ooc_prefetch_stalls counters.
 func (e *Engine) QRCPFile(path string, opts *FileOptions) (*Factorization, error) {
@@ -58,13 +58,7 @@ func (e *Engine) QRCPFile(path string, opts *FileOptions) (*Factorization, error
 	if o.strategy() != StrategyIteCholQRCP {
 		return nil, fmt.Errorf("tsqrcp: QRCPFile supports only StrategyIteCholQRCP")
 	}
-	if o != nil && o.Backend != "" && o.Backend != "native" {
-		return nil, fmt.Errorf("tsqrcp: QRCPFile supports only the native backend, not %q", o.Backend)
-	}
-	pe, err := e.callEngine(o)
-	if err != nil {
-		return nil, err
-	}
+	pe := e.callEngine(o)
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	cfg := ooc.Config{Eps: o.tol()}

@@ -154,17 +154,11 @@ func TestQRCPFileBytesReadPerSweep(t *testing.T) {
 	}
 }
 
-// TestQRCPFileRejections covers the strategy/backend gates.
+// TestQRCPFileRejections covers the strategy gate and a missing file.
 func TestQRCPFileRejections(t *testing.T) {
 	path, _ := writeTestMatrix(t, 256, 8, 3)
 	if _, err := QRCPFile(path, &FileOptions{Options: Options{Strategy: StrategyCQRRPT}}); err == nil {
 		t.Fatal("CQRRPT strategy accepted")
-	}
-	if _, err := QRCPFile(path, &FileOptions{Options: Options{Backend: "mixed32"}}); err == nil {
-		t.Fatal("mixed32 backend accepted")
-	}
-	if _, err := QRCPFile(path, &FileOptions{Options: Options{Backend: "native"}}); err != nil {
-		t.Fatalf("native backend rejected: %v", err)
 	}
 	if _, err := QRCPFile(filepath.Join(t.TempDir(), "missing.tsqrmat"), nil); err == nil {
 		t.Fatal("missing file accepted")

@@ -109,7 +109,7 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 // BenchmarkKernelVariants measures the AVX2 kernels ("simd") against the
 // Go reference loops they reproduce bit for bit ("generic") at the
 // ite-tall shape, 4096×64, on a width-1 engine: the quad SYRK through
-// GramFixed, the panel TRSM through TrsmRightUpperNoTrans, and the fused
+// Gram, the panel TRSM through TrsmRightUpperNoTrans, and the fused
 // pass that runs both. "simd" is skipped on builds and CPUs without the
 // assembly.
 func BenchmarkKernelVariants(b *testing.B) {
@@ -130,7 +130,7 @@ func BenchmarkKernelVariants(b *testing.B) {
 	}{
 		{"SyrkQuad", syrkFlops, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				GramFixed(e, g, a)
+				Gram(e, g, a)
 			}
 		}},
 		{"TrsmPanel", trsmFlops, func(b *testing.B) {

@@ -63,15 +63,12 @@ func fusedSlots(m int) int {
 //
 // The per-row permute is elementwise identical to
 // mat.PermuteColsInPlace and the solve is TrsmRightUpperNoTrans's own
-// kernel, so B matches the unfused permute + TRSM bit for bit; G is
-// accumulated by the register-tiled SYRK and agrees with Gram to
-// rounding (a few ULP). What is bitwise fixed for both is the
-// engine-width independence:
-// G is accumulated through a fixed-shape reduction (fusedSlots(m) slots
-// reduced in ascending order) and every kernel's summation order is a
-// function of the slot bounds alone, so engines of any width produce
-// bit-identical B and G, keeping distributed ranks in lockstep. G is
-// fully symmetric on return, like Gram.
+// kernel, so B matches the unfused permute + TRSM bit for bit. G is
+// accumulated by Gram's kernel through the same fixed slot reduction
+// (reduceRows), and the micro-blocks keep its quad grouping, so G equals
+// Gram of the updated B bit for bit too. Neither depends on the engine
+// width, which keeps distributed ranks in lockstep. G is fully symmetric
+// on return, like Gram.
 //
 // Panics if R has a zero diagonal entry, if perm is non-nil with a
 // length other than B's column count, or if G is not n×n. The engine e
@@ -94,71 +91,27 @@ func PermTrsmGramFused(e *parallel.Engine, b *mat.Dense, perm mat.Perm, r, g *ma
 	if m == 0 || n == 0 {
 		return
 	}
-	bk := backendFor(e)
-	sp := trace.BackendRegion(trace.KernelFusedTrsmGram, bk.traceID)
+	sp := trace.Region(trace.KernelFusedTrsmGram)
 	defer sp.End()
-	trace.AddFlopsBackend(trace.KernelFusedTrsmGram, bk.traceID,
+	trace.AddFlops(trace.KernelFusedTrsmGram,
 		int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))
-	trace.AddBytesBackend(trace.KernelFusedTrsmGram, bk.traceID, 2*8*int64(m)*int64(n))
-	bk.impl.PermTrsmGram(e, b, perm, r, g)
+	trace.AddBytes(trace.KernelFusedTrsmGram, 2*8*int64(m)*int64(n))
+	reduceRows(e, m, mulFlops(2, m, n, n), g, true, rowJob{b: b, r: r, perm: perm}, fusedRows)
 	SymmetrizeFromUpper(g)
 }
 
-// PermTrsmGram is the native fused streaming pass: fixed-slot reduction,
-// micro-blocked gather + panel TRSM + register-tiled SYRK.
-func (nativeBackend) PermTrsmGram(e *parallel.Engine, b *mat.Dense, perm mat.Perm, r, g *mat.Dense) {
-	m, n := b.Rows, b.Cols
-	slots := fusedSlots(m)
-	w := e.Workers()
-	if w == 1 || slots == 1 || mulFlops(2, m, n, n) < gemmParallelFlops {
-		// Sequential path: one reusable accumulator, still reduced slot
-		// by slot in ascending order — the exact summation shape of the
-		// parallel path, so width 1 matches width k bit for bit. Slot
-		// bounds are computed arithmetically, and the gather scratch is a
-		// pooled 1×n Dense (PutFloats heap-escapes its header), keeping
-		// this path allocation free.
-		acc := mat.GetWorkspace(n, n, false)
-		tmp := mat.GetWorkspace(1, n, false)
-		for si := 0; si < slots; si++ {
-			lo, hi := fusedSlotBounds(m, slots, si)
-			acc.Zero()
-			fusedSlotRange(b, r, perm, lo, hi, acc, tmp.Data)
-			addUpper(g, acc)
-		}
-		mat.PutWorkspace(tmp)
-		mat.PutWorkspace(acc)
-		return
-	}
-
-	// Parallel path: workers claim contiguous slot subranges; every slot
-	// gets its own pooled accumulator, and the reduction into G walks the
-	// slots in ascending index order regardless of which worker filled
-	// them.
-	accs := make([]*mat.Dense, slots)
-	taskRanges := parallel.Split(slots, w, 1)
-	tasks := make([]func(), len(taskRanges))
-	for ti, tr := range taskRanges {
-		tasks[ti] = func() {
-			tmp := mat.GetWorkspace(1, n, false)
-			for si := tr.Lo; si < tr.Hi; si++ {
-				acc := mat.GetWorkspace(n, n, true)
-				lo, hi := fusedSlotBounds(m, slots, si)
-				fusedSlotRange(b, r, perm, lo, hi, acc, tmp.Data)
-				accs[si] = acc
-			}
-			mat.PutWorkspace(tmp)
-		}
-	}
-	e.Do(tasks...)
-	for _, acc := range accs {
-		addUpper(g, acc)
-		mat.PutWorkspace(acc)
-	}
+// fusedRows is the reduceRows kernel of PermTrsmGramFused. The gather
+// scratch is a pooled 1×n Dense (PutFloats heap-escapes its header),
+// keeping the width-1 path allocation free.
+func fusedRows(job rowJob, lo, hi int, acc *mat.Dense) {
+	tmp := mat.GetWorkspace(1, job.b.Cols, false)
+	fusedSlotRange(job.b, job.r, job.perm, lo, hi, acc, tmp.Data)
+	mat.PutWorkspace(tmp)
 }
 
 // fusedSlotBounds returns the half-open row range of slot si out of slots,
-// matching parallel.Split(m, slots, 1) exactly (which both paths relied on
-// historically) without allocating the range slice.
+// matching parallel.Split(m, slots, 1) exactly without allocating the
+// range slice.
 func fusedSlotBounds(m, slots, si int) (lo, hi int) {
 	chunk, rem := m/slots, m%slots
 	lo = si*chunk + min(si, rem)
@@ -336,17 +289,6 @@ func fusedSyrkCols(b *mat.Dense, lo, hi, iLo, iHi int, acc *mat.Dense) {
 			for j := i; j < n; j++ {
 				di[j] += v * rk[j]
 			}
-		}
-	}
-}
-
-// addUpper accumulates the upper triangle of src into dst.
-func addUpper(dst, src *mat.Dense) {
-	for i := 0; i < dst.Rows; i++ {
-		drow := dst.Data[i*dst.Stride : i*dst.Stride+dst.Cols]
-		srow := src.Data[i*src.Stride : i*src.Stride+src.Cols]
-		for j := i; j < dst.Cols; j++ {
-			drow[j] += srow[j]
 		}
 	}
 }

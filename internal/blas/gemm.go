@@ -22,16 +22,13 @@ const (
 	// gemmParallelFlops is the minimum multiply-add count before Gemm
 	// fans out across cores.
 	gemmParallelFlops = 1 << 16
-	// maxPrivateAcc bounds the size (in float64s) of per-worker private
-	// output accumulators used by the reduction-based Aᵀ·B path.
+	// maxPrivateAcc bounds the size (in float64s) of the per-slot
+	// output partials of the reduction-based Aᵀ·B path.
 	maxPrivateAcc = 1 << 22
 )
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C, where op is the identity
 // or transpose as selected by tA and tB. C must not alias A or B.
-// Validation, beta scaling, and trace attribution run here; the
-// accumulation dispatches to the compute backend carried by the engine
-// (nil or unlabeled engines use the native packed kernels).
 func Gemm(e *parallel.Engine, tA, tB Transpose, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
 	m, n, k := checkGemm(tA, tB, a, b, c)
 	if m == 0 || n == 0 {
@@ -43,15 +40,9 @@ func Gemm(e *parallel.Engine, tA, tB Transpose, alpha float64, a, b *mat.Dense, 
 	if alpha == 0 || k == 0 {
 		return
 	}
-	bk := backendFor(e)
-	sp := trace.BackendRegion(trace.KernelGemm, bk.traceID)
+	sp := trace.Region(trace.KernelGemm)
 	defer sp.End()
-	trace.AddFlopsBackend(trace.KernelGemm, bk.traceID, 2*int64(m)*int64(n)*int64(k))
-	bk.impl.GemmAcc(e, tA, tB, alpha, a, b, c)
-}
-
-// GemmAcc is the native C += alpha·op(A)·op(B) accumulation.
-func (nativeBackend) GemmAcc(e *parallel.Engine, tA, tB Transpose, alpha float64, a, b, c *mat.Dense) {
+	trace.AddFlops(trace.KernelGemm, 2*int64(m)*int64(n)*int64(k))
 	switch {
 	case tA == NoTrans && tB == NoTrans:
 		gemmNN(e, alpha, a, b, c)
@@ -188,46 +179,25 @@ func gemmNNPacked(alpha float64, a, b, c *mat.Dense, lo, hi int) {
 	}
 }
 
-// gemmTN: C += alpha·Aᵀ·B, the Gram-type product that dominates Cholesky QR.
-// The summation runs over the (long) row dimension of A and B, so the
-// parallel scheme splits rows across pool workers, each accumulating into
-// a pooled private m×n buffer, followed by a sequential reduction. For the
-// tall-skinny shapes in this library the buffer is a small n×n block, and
-// pooling makes the steady-state iteration loop allocation-free.
+// gemmTN: C += alpha·Aᵀ·B, the Gram-type product that dominates Cholesky
+// QR. The summation runs over the (long) row dimension of A and B, so it
+// goes through the fixed slot reduction (reduceRows) and is bit-identical
+// for every engine width. An output too large for per-slot partials
+// (more than maxPrivateAcc doubles) accumulates straight into C in one
+// pass, which is width-independent too.
 func gemmTN(e *parallel.Engine, alpha float64, a, b, c *mat.Dense) {
 	m, n := c.Rows, c.Cols // m = a.Cols
 	k := a.Rows
-	w := e.Workers()
-	if mulFlops(2, m, n, k) < gemmParallelFlops || w == 1 || mulFlops(m, n) > maxPrivateAcc {
+	if mulFlops(m, n) > maxPrivateAcc {
 		gemmTNRange(alpha, a, b, 0, k, c)
 		return
 	}
-	minChunk := gemmParallelFlops / (mulFlops(2, m, n) + 1)
-	ranges := parallel.Split(k, w, minChunk+1)
-	if len(ranges) <= 1 {
-		gemmTNRange(alpha, a, b, 0, k, c)
-		return
-	}
-	bufs := make([]*mat.Dense, len(ranges))
-	tasks := make([]func(), len(ranges))
-	for bi, r := range ranges {
-		tasks[bi] = func() {
-			buf := mat.GetWorkspace(m, n, true)
-			gemmTNRange(alpha, a, b, r.Lo, r.Hi, buf)
-			bufs[bi] = buf
-		}
-	}
-	e.Do(tasks...)
-	for _, buf := range bufs {
-		for i := 0; i < m; i++ {
-			crow := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-			brow := buf.Data[i*buf.Stride : i*buf.Stride+buf.Cols]
-			for j, v := range brow {
-				crow[j] += v
-			}
-		}
-		mat.PutWorkspace(buf)
-	}
+	reduceRows(e, k, mulFlops(2, m, n, k), c, false, rowJob{alpha: alpha, a: a, b: b}, gemmTNRows)
+}
+
+// gemmTNRows is gemmTN's reduceRows kernel.
+func gemmTNRows(job rowJob, lo, hi int, dst *mat.Dense) {
+	gemmTNRange(job.alpha, job.a, job.b, lo, hi, dst)
 }
 
 // gemmTNRange accumulates dst += alpha·A(lo:hi,:)ᵀ·B(lo:hi,:). Four

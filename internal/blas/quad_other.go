@@ -1,11 +1,9 @@
-//go:build !amd64 || purego || (cgoblas && cgo)
+//go:build !amd64 || purego
 
 package blas
 
 // useAVX2 is false: this build has no assembly kernels. That is so off
-// amd64, under the purego tag, and when the cgo BLAS is compiled in
-// (cgoblas.go), since the go tool allows no Go assembly in a package
-// that uses cgo.
+// amd64 and under the purego tag.
 var useAVX2 = false
 
 // syrkQuad runs the quad SYRK update (see syrkQuadGo).

@@ -16,12 +16,10 @@ const syrkJBlock = 256
 
 // SyrkUpperTrans computes the upper triangle of C = alpha·AᵀA + beta·C for
 // symmetric C (n×n) and A (m×n). Elements strictly below the diagonal of C
-// are left untouched. Validation, beta scaling, and trace attribution run
-// here; the accumulation dispatches to the compute backend carried by the
-// engine (nil or unlabeled engines use the native backend, whose
-// summation over the long dimension m is split across pool workers with
-// pooled private accumulators, exactly mirroring how the distributed
-// algorithm forms local Gram blocks before the Allreduce).
+// are left untouched. The summation over the m rows of A runs through
+// the fixed slot reduction (reduceRows), so the result is bit-identical
+// for every engine width; with fewer than 2·fusedMinSlotRows rows (every
+// trailing update of PotrfUpper) it accumulates straight into C.
 func SyrkUpperTrans(e *parallel.Engine, alpha float64, a *mat.Dense, beta float64, c *mat.Dense) {
 	n := a.Cols
 	if c.Rows != n || c.Cols != n {
@@ -36,48 +34,15 @@ func SyrkUpperTrans(e *parallel.Engine, alpha float64, a *mat.Dense, beta float6
 	if alpha == 0 || a.Rows == 0 || n == 0 {
 		return
 	}
-	bk := backendFor(e)
-	sp := trace.BackendRegion(trace.KernelSyrk, bk.traceID)
+	sp := trace.Region(trace.KernelSyrk)
 	defer sp.End()
-	trace.AddFlopsBackend(trace.KernelSyrk, bk.traceID, int64(a.Rows)*int64(n)*int64(n+1))
-	bk.impl.SyrkUpperAcc(e, alpha, a, c)
+	trace.AddFlops(trace.KernelSyrk, int64(a.Rows)*int64(n)*int64(n+1))
+	reduceRows(e, a.Rows, mulFlops(a.Rows, n, n), c, true, rowJob{alpha: alpha, a: a}, syrkRows)
 }
 
-// SyrkUpperAcc is the native upper(C) += alpha·AᵀA accumulation.
-func (nativeBackend) SyrkUpperAcc(e *parallel.Engine, alpha float64, a, c *mat.Dense) {
-	n := a.Cols
-	w := e.Workers()
-	flops := mulFlops(a.Rows, n, n) // ≈ m·n²
-	if flops < gemmParallelFlops || w == 1 {
-		syrkRange(alpha, a, 0, a.Rows, c)
-		return
-	}
-	minChunk := gemmParallelFlops / (mulFlops(n, n) + 1)
-	ranges := parallel.Split(a.Rows, w, minChunk+1)
-	if len(ranges) <= 1 {
-		syrkRange(alpha, a, 0, a.Rows, c)
-		return
-	}
-	bufs := make([]*mat.Dense, len(ranges))
-	tasks := make([]func(), len(ranges))
-	for bi, r := range ranges {
-		tasks[bi] = func() {
-			buf := mat.GetWorkspace(n, n, true)
-			syrkRange(alpha, a, r.Lo, r.Hi, buf)
-			bufs[bi] = buf
-		}
-	}
-	e.Do(tasks...)
-	for _, buf := range bufs {
-		for i := 0; i < n; i++ {
-			crow := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-			brow := buf.Data[i*buf.Stride : i*buf.Stride+buf.Cols]
-			for j := i; j < n; j++ {
-				crow[j] += brow[j]
-			}
-		}
-		mat.PutWorkspace(buf)
-	}
+// syrkRows is SyrkUpperTrans's reduceRows kernel.
+func syrkRows(job rowJob, lo, hi int, dst *mat.Dense) {
+	syrkRange(job.alpha, job.a, lo, hi, dst)
 }
 
 // syrkRange accumulates dst += alpha·A(lo:hi,:)ᵀ·A(lo:hi,:) (upper
@@ -134,15 +99,6 @@ func syrkTile(alpha float64, a *mat.Dense, j0, j1, lo, hi int, dst *mat.Dense) {
 			}
 		}
 	}
-}
-
-// Gram computes the full symmetric Gram matrix W = AᵀA: the upper triangle
-// via SyrkUpperTrans and the lower triangle by mirroring. This is the
-// kernel on line 1 of CholQR (Algorithm 2) and line 3 of Ite-CholQR-CP
-// (Algorithm 4).
-func Gram(e *parallel.Engine, w *mat.Dense, a *mat.Dense) {
-	SyrkUpperTrans(e, 1, a, 0, w)
-	SymmetrizeFromUpper(w)
 }
 
 // SymmetrizeFromUpper copies the strict upper triangle of w onto the strict

@@ -32,16 +32,9 @@ func TrsmRightUpperNoTrans(e *parallel.Engine, b, r *mat.Dense) {
 			panic(fmt.Sprintf("blas: TrsmRightUpperNoTrans singular R at diagonal %d", k))
 		}
 	}
-	bk := backendFor(e)
-	sp := trace.BackendRegion(trace.KernelTrsm, bk.traceID)
+	sp := trace.Region(trace.KernelTrsm)
 	defer sp.End()
-	trace.AddFlopsBackend(trace.KernelTrsm, bk.traceID, int64(b.Rows)*int64(n)*int64(n))
-	bk.impl.TrsmRightUpper(e, b, r)
-}
-
-// TrsmRightUpper is the native in-place B := B·R⁻¹ solve.
-func (nativeBackend) TrsmRightUpper(e *parallel.Engine, b, r *mat.Dense) {
-	n := b.Cols
+	trace.AddFlops(trace.KernelTrsm, int64(b.Rows)*int64(n)*int64(n))
 	if mulFlops(b.Rows, n, n) < gemmParallelFlops || e.Workers() == 1 {
 		fusedTrsmRange(b, r, 0, b.Rows)
 		return

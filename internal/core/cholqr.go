@@ -63,6 +63,9 @@ func cholQRInPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
 
 // defaultGram adapts the shared-memory Gram kernel to the GramFunc shape,
 // binding it to an engine so the width bound travels with the call.
+// blas.Gram's fixed slot schedule makes every in-core algorithm
+// bit-identical across engine widths and lets the out-of-core path
+// replay the same reduction panel by panel.
 func defaultGram(e *parallel.Engine) GramFunc {
 	return func(dst, a *mat.Dense) { blas.Gram(e, dst, a) }
 }
@@ -76,8 +79,8 @@ func CholQRInPlaceGram(e *parallel.Engine, a *mat.Dense, gram GramFunc) (*mat.De
 	sg := trace.Region(trace.StageGram)
 	gram(w, a)
 	sg.End()
-	// Stage attribution mirrors the wrapped kernel (SyrkUpperTrans
-	// computes the upper triangle only) so stage and kernel flop totals
+	// Stage attribution mirrors the wrapped kernel (Gram computes the
+	// upper triangle, then mirrors it) so stage and kernel flop totals
 	// reconcile in cmd/trace-report.
 	trace.AddFlops(trace.StageGram, int64(a.Rows)*int64(n)*int64(n+1))
 	if debugChecksEnabled {
@@ -100,40 +103,19 @@ func CholQRInPlaceGram(e *parallel.Engine, a *mat.Dense, gram GramFunc) (*mat.De
 
 // CholQR2InPlace overwrites a with the orthonormal factor of its thin QR
 // factorization (two Cholesky passes, as in CholQR2) and returns the
-// accumulated R. On breakdown the span of a's columns is unchanged (the
-// first failing pass leaves a untouched; a failure in the second pass
-// leaves the partially orthogonalized block, which spans the same space).
-//
-// When the fused streaming path is enabled (see FuseEnabled), the first
-// pass's TRSM and the second pass's Gram run as one fused row-block
-// sweep, saving three of the six full traversals of a.
-func CholQR2InPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
-	if FuseEnabled() {
-		return cholQR2InPlaceFused(e, a)
-	}
-	r1, err := cholQRInPlace(e, a)
-	if err != nil {
-		return nil, err
-	}
-	r2, err := cholQRInPlace(e, a)
-	if err != nil {
-		return nil, err
-	}
-	blas.TrmmLeftUpperNoTrans(r2, r1)
-	return r1, nil
-}
-
-// cholQR2InPlaceFused is CholQR2InPlace on the fused streaming path:
+// accumulated R. The first pass's TRSM and the second pass's Gram run as
+// one fused row-block sweep, saving three of the six full traversals of
+// a:
 //
 //	pass 1: W₁ = AᵀA, R₁ = chol(W₁)
 //	fused : A := A·R₁⁻¹ and W₂ = AᵀA in one row-block sweep
 //	pass 2: R₂ = chol(W₂), A := A·R₂⁻¹, R = R₂·R₁
 //
-// The second Cholesky still sees exactly the Gram of the updated A (to
-// ULP-level summation-order differences), so the breakdown semantics of
-// the unfused path are preserved: a first-pass failure leaves a
-// untouched, a second-pass failure leaves the once-orthogonalized block.
-func cholQR2InPlaceFused(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
+// The fused pass emits exactly the Gram of the updated A, so on
+// breakdown the span of a's columns is unchanged: a first-pass failure
+// leaves a untouched, a second-pass failure leaves the once-orthogonalized
+// block, which spans the same space.
+func CholQR2InPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
 	n := a.Cols
 	w := mat.NewDense(n, n)
 	sg := trace.Region(trace.StageGram)
@@ -220,7 +202,7 @@ func ShiftedCholQR3(e *parallel.Engine, a *mat.Dense) (*QR, error) {
 		}
 		// Shifted preconditioning pass: R₁ = chol(QᵀQ + s·I), Q := Q·R₁⁻¹.
 		w := mat.NewDense(n, n)
-		blas.SyrkUpperTrans(e, 1, q, 0, w)
+		blas.Gram(e, w, q)
 		// ‖A‖₂² ≤ ‖A‖_F² = trace(W), a cheap safe over-estimate.
 		normF2 := 0.0
 		for i := 0; i < n; i++ {

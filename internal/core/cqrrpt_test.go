@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,29 +62,40 @@ func TestCQRRPTAcrossConditioning(t *testing.T) {
 // bit-identical Q, R, and P on engines of every width.
 func TestCQRRPTDeterministicAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
-	a := testmat.Generate(rng, 20000, 24, 19, 1e-10)
-	var ref *CPResult
-	for _, w := range []int{1, 2, 8} {
-		e := parallel.NewEngine(w)
-		res, err := CQRRPT(e, a, DefaultPivotTol, 12345)
-		if err != nil {
-			t.Fatalf("width %d: %v", w, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !permEqual(res.Perm, ref.Perm) {
-			t.Fatalf("width %d: permutation differs from width 1:\n got %v\n ref %v", w, res.Perm, ref.Perm)
-		}
-		for i := range res.Q.Data {
-			if math.Float64bits(res.Q.Data[i]) != math.Float64bits(ref.Q.Data[i]) {
-				t.Fatalf("width %d: Q differs from width 1 at flat index %d", w, i)
+	// n ≥ 128 puts more than one 64-column panel into every Cholesky,
+	// whose trailing SYRK must reduce width-independently too.
+	for _, sh := range []struct{ m, n, rank int }{{20000, 24, 19}, {6000, 128, 102}, {6000, 160, 128}} {
+		a := testmat.Generate(rng, sh.m, sh.n, sh.rank, 1e-10)
+		var ref *CPResult
+		for _, w := range []int{1, 2, 8} {
+			e := parallel.NewEngine(w)
+			res, err := CQRRPT(e, a, DefaultPivotTol, 12345)
+			if err != nil {
+				t.Fatalf("%dx%d width %d: %v", sh.m, sh.n, w, err)
 			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			requireSameCP(t, fmt.Sprintf("%dx%d width %d", sh.m, sh.n, w), res, ref)
 		}
-		for i := range res.R.Data {
-			if math.Float64bits(res.R.Data[i]) != math.Float64bits(ref.R.Data[i]) {
-				t.Fatalf("width %d: R differs from width 1 at flat index %d", w, i)
+	}
+}
+
+// requireSameCP fails unless got and want carry the same pivots and
+// bit-identical Q and R.
+func requireSameCP(t *testing.T, label string, got, want *CPResult) {
+	t.Helper()
+	if !permEqual(got.Perm, want.Perm) {
+		t.Fatalf("%s: permutation differs:\n got %v\n ref %v", label, got.Perm, want.Perm)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want *mat.Dense
+	}{{"Q", got.Q, want.Q}, {"R", got.R, want.R}} {
+		for i := range f.got.Data {
+			if math.Float64bits(f.got.Data[i]) != math.Float64bits(f.want.Data[i]) {
+				t.Fatalf("%s: %s differs at flat index %d", label, f.name, i)
 			}
 		}
 	}
@@ -220,11 +232,6 @@ func TestCQRRPTStageKernelFlopAttributionReconciles(t *testing.T) {
 	byName := map[string]int64{}
 	byNameNs := map[string]int64{}
 	for _, row := range rep.Stages {
-		if row.Backend != "" {
-			// Per-backend rows are a breakdown of the aggregate kernel
-			// rows, not additional attribution.
-			continue
-		}
 		byName[row.Stage] = row.Flops
 		byNameNs[row.Stage] = row.TotalNs
 		if row.Stage == trace.StageTotal.String() {

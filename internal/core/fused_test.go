@@ -1,40 +1,14 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/blas"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/mat"
 	"repro/testmat"
 )
-
-// ulpClose asserts got matches want elementwise to a small relative
-// tolerance, with an absolute floor scaled by want's Frobenius norm (the
-// fused and unfused paths differ only in TRSM quad grouping and Gram
-// summation order, a few ULPs per element).
-func ulpClose(t *testing.T, name string, got, want *mat.Dense, relTol float64) {
-	t.Helper()
-	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("%s: shape %d×%d vs %d×%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
-	}
-	absFloor := relTol * want.FrobeniusNorm()
-	for i := 0; i < got.Rows; i++ {
-		for j := 0; j < got.Cols; j++ {
-			gv := got.Data[i*got.Stride+j]
-			wv := want.Data[i*want.Stride+j]
-			d := math.Abs(gv - wv)
-			scale := math.Max(math.Abs(gv), math.Abs(wv))
-			if d > relTol*scale && d > absFloor {
-				t.Fatalf("%s[%d,%d]: fused %v vs unfused %v (rel %g)",
-					name, i, j, gv, wv, d/scale)
-			}
-		}
-	}
-}
 
 func permEqual(a, b mat.Perm) bool {
 	if len(a) != len(b) {
@@ -49,31 +23,23 @@ func permEqual(a, b mat.Perm) bool {
 }
 
 // TestIteCholQRCPFusedMatchesUnfused is the end-to-end fused/unfused
-// equivalence contract: identical pivot sequence, identical iteration
-// structure, and Q/R agreeing to ULP-level tolerance, on both random
-// geometric-spectrum matrices and a graded Kahan-type matrix.
+// equivalence contract: the fused pass emits exactly the Gram of the
+// updated matrix, so both sequences give the same pivots, iterations and
+// Q/R bits, on random geometric-spectrum matrices and on a graded
+// Kahan-type matrix.
 func TestIteCholQRCPFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	// The fused pass perturbs each sweep by a few ULPs (TRSM quad grouping,
-	// Gram summation order); the forward difference of Q is then amplified
-	// by the condition of the intermediate triangular solves, so the Q
-	// tolerance scales with κ while R (protected by the final
-	// reorthogonalization) stays near roundoff. qTol 0 skips the
-	// elementwise Q check: at κ ≈ u⁻¹ the trailing columns of Q are
-	// directions of near-null-space vectors, conditioned like u·κ², and no
-	// elementwise bound is meaningful — the factorization contract
-	// (checkCP) still pins them down.
 	cases := []struct {
-		name       string
-		a          *mat.Dense
-		eps        float64
-		qTol, rTol float64
+		name string
+		a    *mat.Dense
+		eps  float64
 	}{
-		{"wellcond", testmat.GenerateWellConditioned(rng, 600, 24, 1e3), DefaultPivotTol, 1e-14, 1e-14},
-		{"k1e6", testmat.GenerateWellConditioned(rng, 1500, 32, 1e6), DefaultPivotTol, 1e-8, 1e-10},
-		{"k1e8", testmat.GenerateWellConditioned(rng, 900, 20, 1e8), DefaultPivotTol, 1e-4, 1e-9},
-		{"kahan", testmat.KahanTall(rng, 1200, 32, 1.1, 1e-10), 0.3, 1e-6, 1e-11},
-		{"geometric", testmat.Generate(rng, 1500, 32, 32, 1e-12), DefaultPivotTol, 0, 1e-5},
+		{"wellcond", testmat.GenerateWellConditioned(rng, 600, 24, 1e3), DefaultPivotTol},
+		{"k1e6", testmat.GenerateWellConditioned(rng, 1500, 32, 1e6), DefaultPivotTol},
+		{"k1e8", testmat.GenerateWellConditioned(rng, 900, 20, 1e8), DefaultPivotTol},
+		{"kahan", testmat.KahanTall(rng, 1200, 32, 1.1, 1e-10), 0.3},
+		{"geometric", testmat.Generate(rng, 1500, 32, 32, 1e-12), DefaultPivotTol},
+		{"wide", testmat.Generate(rng, 6000, 130, 100, 1e-12), DefaultPivotTol},
 	}
 	for _, tc := range cases {
 		// A multi-worker engine exercises the fused kernel's parallel
@@ -87,49 +53,11 @@ func TestIteCholQRCPFusedMatchesUnfused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s unfused: %v", tc.name, err)
 		}
-		if !permEqual(fused.Perm, unfused.Perm) {
-			t.Fatalf("%s: pivot sequences diverge\n fused   %v\n unfused %v",
-				tc.name, fused.Perm, unfused.Perm)
-		}
 		if fused.Iterations != unfused.Iterations {
 			t.Fatalf("%s: iterations %d vs %d", tc.name, fused.Iterations, unfused.Iterations)
 		}
-		if tc.qTol > 0 {
-			ulpClose(t, tc.name+" Q", fused.Q, unfused.Q, tc.qTol)
-		}
-		ulpClose(t, tc.name+" R", fused.R, unfused.R, tc.rTol)
+		requireSameCP(t, tc.name+" fused vs unfused", fused, unfused)
 		checkCP(t, tc.name+" fused", tc.a, fused, 1e-13, 1e-12)
-	}
-}
-
-// TestCholQR2FusedMatchesUnfused checks the CholeskyQR2 variant of the
-// fusion (first TRSM fused with the second Gram) against the plain
-// two-pass sequence.
-func TestCholQR2FusedMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := testmat.GenerateWellConditioned(rng, 800, 24, 1e6)
-
-	qf := a.Clone()
-	rf, err := cholQR2InPlaceFused(nil, qf)
-	if err != nil {
-		t.Fatalf("fused: %v", err)
-	}
-
-	qu := a.Clone()
-	r1, err := cholQRInPlace(nil, qu)
-	if err != nil {
-		t.Fatalf("unfused pass 1: %v", err)
-	}
-	r2, err := cholQRInPlace(nil, qu)
-	if err != nil {
-		t.Fatalf("unfused pass 2: %v", err)
-	}
-	blas.TrmmLeftUpperNoTrans(r2, r1)
-
-	ulpClose(t, "Q", qf, qu, 1e-10)
-	ulpClose(t, "R", rf, r1, 1e-10)
-	if e := orthogonality(qf); e > 1e-13 {
-		t.Fatalf("fused CholQR2 orthogonality %g", e)
 	}
 }
 
@@ -154,11 +82,6 @@ func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 		var stageFlops, kernelFlops, stageNs, kernelNs int64
 		byName := map[string]int64{}
 		for _, row := range rep.Stages {
-			if row.Backend != "" {
-				// Per-backend rows are a breakdown of the aggregate kernel
-				// rows, not additional attribution.
-				continue
-			}
 			byName[row.Stage] = row.Flops
 			if row.Stage == trace.StageTotal.String() {
 				continue

@@ -59,7 +59,7 @@ func IteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64) (*CPResult, erro
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCP needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	return iteCholQRCP(e, a, eps, DefaultMaxIterations, nil, fixedGram(e), FuseEnabled())
+	return iteCholQRCP(e, a, eps, DefaultMaxIterations, nil, defaultGram(e), true)
 }
 
 // IteCholQRCPGram runs Algorithm 4 with a pluggable Gram computation and
@@ -84,7 +84,7 @@ func IteCholQRCPTraced(e *parallel.Engine, a *mat.Dense, eps float64, trace Iter
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCP needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	return iteCholQRCP(e, a, eps, DefaultMaxIterations, trace, fixedGram(e), FuseEnabled())
+	return iteCholQRCP(e, a, eps, DefaultMaxIterations, trace, defaultGram(e), true)
 }
 
 // iteCholQRCP is the in-core entry point: it clones a into a resident

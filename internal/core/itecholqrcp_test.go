@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -303,9 +304,10 @@ func TestIteCholQRCPWidthInvariant(t *testing.T) {
 	// The fixed-order kernels make the whole factorization — Q, R,
 	// pivots, iteration count — bit-identical across engine widths.
 	// This is also what lets the out-of-core path compare against any
-	// in-core run regardless of parallelism.
+	// in-core run regardless of parallelism. n ≥ 128 adds Cholesky
+	// panels past the first 64 columns and wide Schur updates.
 	rng := rand.New(rand.NewSource(130))
-	for _, sh := range []struct{ m, n int }{{700, 12}, {5000, 24}} {
+	for _, sh := range []struct{ m, n int }{{700, 12}, {5000, 24}, {6000, 128}, {6000, 160}} {
 		a := testmat.Generate(rng, sh.m, sh.n, sh.n-sh.n/4, 1e-10)
 		var ref *CPResult
 		for _, w := range []int{1, 2, 3, 8} {
@@ -321,18 +323,7 @@ func TestIteCholQRCPWidthInvariant(t *testing.T) {
 				t.Fatalf("m=%d n=%d width %d: %d iterations, width 1 had %d",
 					sh.m, sh.n, w, res.Iterations, ref.Iterations)
 			}
-			for j, p := range res.Perm {
-				if p != ref.Perm[j] {
-					t.Fatalf("m=%d n=%d width %d: perm[%d]=%d, width 1 had %d",
-						sh.m, sh.n, w, j, p, ref.Perm[j])
-				}
-			}
-			if !mat.EqualApprox(res.R, ref.R, 0) {
-				t.Fatalf("m=%d n=%d width %d: R differs from width 1", sh.m, sh.n, w)
-			}
-			if !mat.EqualApprox(res.Q, ref.Q, 0) {
-				t.Fatalf("m=%d n=%d width %d: Q differs from width 1", sh.m, sh.n, w)
-			}
+			requireSameCP(t, fmt.Sprintf("m=%d n=%d width %d", sh.m, sh.n, w), res, ref)
 		}
 	}
 }

@@ -15,11 +15,9 @@ import (
 // exploits faster low-precision units on accelerators). The Cholesky
 // factorization and the triangular solve stay in double precision.
 //
-// The fp32 accumulation now lives in the "mixed32" compute backend
-// (internal/blas/mixed32.go): this routine attaches that backend to the
-// engine and runs the standard Gram → Cholesky → TRSM pipeline through
-// the ordinary blas entry points, so the mixed-precision path exercises
-// exactly the dispatch machinery callers reach via Options.Backend.
+// The fp32 accumulation is blas.Gram32, which rounds every partial sum to
+// float32 but reduces through the same width-invariant slot schedule as
+// blas.Gram.
 //
 // The accuracy consequence is the expected one: the orthogonality of Q is
 // limited by single-precision roundoff, ‖QᵀQ−I‖ ≈ u₃₂·κ₂(A)² with
@@ -30,19 +28,13 @@ func CholQRMixed(e *parallel.Engine, a *mat.Dense) (*QR, error) {
 	if m < n {
 		panic(fmt.Sprintf("core: CholQRMixed needs m ≥ n, got %d×%d", m, n))
 	}
-	me, err := blas.AttachBackend(e, "mixed32")
-	if err != nil {
-		return nil, err
-	}
 	w := mat.NewDense(n, n)
-	blas.Gram(me, w, a)
-	if err := lapack.PotrfUpper(me, w); err != nil {
+	blas.Gram32(e, w, a)
+	if err := lapack.PotrfUpper(e, w); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBreakdown, err)
 	}
 	lapack.ZeroLower(w)
 	q := a.Clone()
-	// The triangular solve stays in double precision (mixed32 delegates
-	// TRSM to the native float64 kernel).
-	blas.TrsmRightUpperNoTrans(me, q, w)
+	blas.TrsmRightUpperNoTrans(e, q, w)
 	return &QR{Q: q, R: w}, nil
 }

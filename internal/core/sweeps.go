@@ -20,8 +20,8 @@ import (
 // denseSweeper over a resident mat.Dense, and internal/ooc's file-backed
 // sweeper, which replays the identical kernel schedule one panel at a
 // time. Because the W-side is shared code and the A-side kernels commit
-// to a fixed summation shape (blas.GramFixed / the fused slot
-// reduction), both implementations produce bit-identical R, pivots, and
+// to a fixed summation shape (the slot reduction of blas.Gram and the
+// fused pass), both implementations produce bit-identical R, pivots, and
 // Q on the same input, across engine widths.
 //
 // Methods return an error instead of panicking because the file-backed
@@ -208,15 +208,6 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, maxIt
 	res.R = rTotal
 	res.Perm = perm
 	return res, nil
-}
-
-// fixedGram binds the fixed-schedule Gram kernel to an engine. Unlike
-// defaultGram (blas.Gram, whose summation shape follows the engine
-// width), blas.GramFixed commits to the fused pass's slot schedule, so
-// IteCholQRCP's results are bit-identical across engine widths and
-// match the out-of-core path's per-panel reduction.
-func fixedGram(e *parallel.Engine) GramFunc {
-	return func(dst, a *mat.Dense) { blas.GramFixed(e, dst, a) }
 }
 
 // denseSweeper is the in-core Sweeper: every sweep is one kernel call on

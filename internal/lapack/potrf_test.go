@@ -2,10 +2,12 @@ package lapack
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -42,6 +44,32 @@ func TestPotrfUpperReconstructs(t *testing.T) {
 		}
 		if !r.IsUpperTriangular(0) {
 			t.Fatalf("n=%d: R not upper triangular", n)
+		}
+	}
+}
+
+// TestPotrfUpperDeterministicAcrossWidths: the trailing SYRK updates
+// reduce over a fixed row partition, so the factor is bit-identical for
+// every engine width, also past one 64-column panel.
+func TestPotrfUpperDeterministicAcrossWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{128, 200} {
+		w := randSPD(rng, n)
+		var ref *mat.Dense
+		for _, width := range []int{1, 2, 3} {
+			r := w.Clone()
+			if err := PotrfUpper(parallel.NewEngine(width), r); err != nil {
+				t.Fatalf("n=%d width %d: %v", n, width, err)
+			}
+			if ref == nil {
+				ref = r
+				continue
+			}
+			for i := range r.Data {
+				if math.Float64bits(r.Data[i]) != math.Float64bits(ref.Data[i]) {
+					t.Fatalf("n=%d width %d: entry %d differs from width 1", n, width, i)
+				}
+			}
 		}
 	}
 }

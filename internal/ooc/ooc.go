@@ -66,9 +66,7 @@ type Result struct {
 // QRCP factorizes the binary-format matrix at path with Ite-CholQR-CP,
 // never holding more than two row panels of it in memory. Results are
 // bit-identical to the in-core core.IteCholQRCP on the same data. The
-// engine e bounds parallel width and carries cancellation; it must not
-// carry a non-native compute backend (the panel kernels are
-// native-only), which the tsqrcp layer rejects before calling here.
+// engine e bounds parallel width and carries cancellation.
 func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 	fm, err := mat.OpenBinary(path)
 	if err != nil {
@@ -123,7 +121,7 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = core.DefaultMaxIterations
 	}
-	res, err := core.IteCholQRCPSweeps(e, n, sw, cfg.Eps, maxIter, nil, core.FuseEnabled())
+	res, err := core.IteCholQRCPSweeps(e, n, sw, cfg.Eps, maxIter, nil, true)
 	if err != nil {
 		if sw.qw != nil {
 			sw.qw.Close()

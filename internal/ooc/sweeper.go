@@ -97,7 +97,7 @@ func (s *fileSweeper) cleanup() {
 // Gram computes w := AᵀA in one sequential read of the working matrix:
 // every panel accumulates into its slot's partial with the fixed-order
 // panel SYRK, and the partials reduce in ascending slot order — the
-// exact summation shape of blas.GramFixed, hence the same bits.
+// exact summation shape of blas.Gram, hence the same bits.
 func (s *fileSweeper) Gram(w *mat.Dense) error {
 	s.zeroAccs()
 	//repolint:hotpath

@@ -9,30 +9,24 @@ import (
 )
 
 // Engine is an explicit execution context for the parallel runtime: a
-// per-call parallel width bound, an optional context.Context for
-// cooperative cancellation, and an opaque compute-backend handle. The
-// width travels with the call instead of living in mutable global state,
-// so two factorizations running on engines with different widths
-// partition their work independently and race-free.
+// per-call parallel width bound and an optional context.Context for
+// cooperative cancellation. The width travels with the call instead of
+// living in mutable global state, so two factorizations running on
+// engines with different widths partition their work independently and
+// race-free.
 //
 // All engines share the persistent worker pool and the pooled workspaces
 // (mat.GetWorkspace/GetFloats); an engine only decides how many ways a
-// single region fans out and which kernel backend services it, so
-// creating one is free — it is three words — and engines are safe for
-// concurrent use by multiple goroutines.
+// single region fans out, so creating one is free — it is three words —
+// and engines are safe for concurrent use by multiple goroutines.
 //
 // The zero value and the nil pointer are both valid and mean "default
-// engine": the width is GOMAXPROCS, there is no cancellation, and
-// kernels use the default backend. Every kernel in internal/blas,
-// internal/lapack, internal/cholcp and internal/core accepts a nil
-// engine.
+// engine": the width is GOMAXPROCS and there is no cancellation. Every
+// kernel in internal/blas, internal/lapack, internal/cholcp and
+// internal/core accepts a nil engine.
 type Engine struct {
 	workers int
 	ctx     context.Context
-	// backend is the opaque compute-backend handle consumed by
-	// internal/blas (which this package cannot import without a cycle).
-	// nil selects the default backend.
-	backend any
 }
 
 // NewEngine returns an engine bounded to the given parallel width.
@@ -44,21 +38,20 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// WithContext returns a derived engine with the same width and backend
-// whose Err method reports the context's cancellation or deadline state.
+// WithContext returns a derived engine with the same width whose Err
+// method reports the context's cancellation or deadline state.
 // Algorithms check Err at stage boundaries, so cancellation is
 // cooperative: in-flight kernels finish, the next stage does not start.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
 	ne := &Engine{ctx: ctx}
 	if e != nil {
 		ne.workers = e.workers
-		ne.backend = e.backend
 	}
 	return ne
 }
 
-// WithWorkers returns a derived engine with the same context and backend
-// and the new width bound. n < 1 selects all available cores.
+// WithWorkers returns a derived engine with the same context and the new
+// width bound. n < 1 selects all available cores.
 func (e *Engine) WithWorkers(n int) *Engine {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
@@ -66,32 +59,8 @@ func (e *Engine) WithWorkers(n int) *Engine {
 	ne := &Engine{workers: n}
 	if e != nil {
 		ne.ctx = e.ctx
-		ne.backend = e.backend
 	}
 	return ne
-}
-
-// WithBackend returns a derived engine with the same width and context
-// carrying the given opaque compute-backend handle. The handle's type is
-// owned by internal/blas; this package only transports it so backend
-// selection can travel with the engine through every layer without an
-// import cycle. A nil handle selects the default backend.
-func (e *Engine) WithBackend(b any) *Engine {
-	ne := &Engine{backend: b}
-	if e != nil {
-		ne.workers = e.workers
-		ne.ctx = e.ctx
-	}
-	return ne
-}
-
-// Backend returns the engine's opaque compute-backend handle, nil for
-// the default backend. internal/blas type-asserts the result.
-func (e *Engine) Backend() any {
-	if e == nil {
-		return nil
-	}
-	return e.backend
 }
 
 // Workers reports the engine's parallel width bound. A nil or zero-width

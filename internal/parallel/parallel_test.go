@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -115,29 +116,23 @@ func TestEngineWidthBound(t *testing.T) {
 	}
 }
 
-func TestEngineBackendHandle(t *testing.T) {
-	type handle struct{ name string }
-	h := &handle{name: "x"}
-	var e *Engine
-	if e.Backend() != nil {
-		t.Fatal("nil engine must report a nil backend")
+func TestEngineDerivationsKeepWidthAndContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := NewEngine(2).WithContext(ctx)
+	if got := e.Workers(); got != 2 {
+		t.Fatalf("WithContext width = %d, want 2", got)
 	}
-	be := e.WithBackend(h)
-	if be.Backend() != any(h) {
-		t.Fatal("WithBackend did not carry the handle")
-	}
-	// Derivations preserve the handle alongside width and context.
-	if got := be.WithWorkers(3).Backend(); got != any(h) {
-		t.Fatal("WithWorkers dropped the backend handle")
-	}
-	if got := be.WithContext(nil).Backend(); got != any(h) { //nolint:staticcheck
-		t.Fatal("WithContext dropped the backend handle")
-	}
-	if got := be.WithWorkers(3).Workers(); got != 3 {
+	w := e.WithWorkers(3)
+	if got := w.Workers(); got != 3 {
 		t.Fatalf("WithWorkers width = %d, want 3", got)
 	}
-	if be.WithBackend(nil).Backend() != nil {
-		t.Fatal("WithBackend(nil) must clear the handle")
+	if w.Err() == nil {
+		t.Fatal("WithWorkers dropped the context")
+	}
+	var nilEngine *Engine
+	if got := nilEngine.WithWorkers(3).Workers(); got != 3 {
+		t.Fatalf("nil-engine WithWorkers width = %d, want 3", got)
 	}
 }
 

@@ -10,10 +10,6 @@ type StageStats struct {
 	// Kernel marks kernel-level rows, which nest inside stage rows and
 	// must not be added to them.
 	Kernel bool `json:"kernel,omitempty"`
-	// Backend labels per-backend kernel rows, which re-attribute the
-	// aggregate kernel rows by compute backend and must not be added to
-	// them. Empty for aggregate rows.
-	Backend string `json:"backend,omitempty"`
 	// Count is the number of closed spans.
 	Count int64 `json:"count"`
 	// TotalNs is the accumulated wall time in nanoseconds.
@@ -82,30 +78,6 @@ func Snapshot() Report {
 			st.GFLOPS = float64(st.Flops) / float64(st.TotalNs)
 		}
 		r.Stages = append(r.Stages, st)
-	}
-	// Backend-labeled kernel rows follow the aggregate rows, so
-	// Report.Stage(name) keeps resolving to the aggregate.
-	for id := 1; id <= int(backendCount.Load()); id++ {
-		name := BackendLabel(id)
-		for s := Stage(0); s < numStages; s++ {
-			a := &backendAccums[id-1][s]
-			st := StageStats{
-				Stage:   s.String(),
-				Kernel:  s.IsKernel(),
-				Backend: name,
-				Count:   a.count.Load(),
-				TotalNs: a.ns.Load(),
-				Flops:   a.flops.Load(),
-				Bytes:   a.bytes.Load(),
-			}
-			if st.Count == 0 && st.TotalNs == 0 && st.Flops == 0 && st.Bytes == 0 {
-				continue
-			}
-			if st.TotalNs > 0 && st.Flops > 0 {
-				st.GFLOPS = float64(st.Flops) / float64(st.TotalNs)
-			}
-			r.Stages = append(r.Stages, st)
-		}
 	}
 	for c := Counter(0); c < numCounters; c++ {
 		if v := counters[c].v.Load(); v != 0 {

@@ -30,7 +30,6 @@
 package trace
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -240,51 +239,6 @@ var (
 	workerBusy  [MaxTrackedWorkers]padInt64
 )
 
-// MaxBackends bounds the backend-label table: kernel spans may carry a
-// compute-backend label (internal/blas registers one per backend) so the
-// same kernel time is attributed a second way, per backend. Labels beyond
-// the bound fall back to unlabeled aggregation only.
-const MaxBackends = 8
-
-var (
-	backendMu     sync.Mutex
-	backendNames  [MaxBackends]string
-	backendCount  atomic.Int64
-	backendAccums [MaxBackends][numStages]accum
-)
-
-// RegisterBackendLabel interns a backend name for kernel-span attribution
-// and returns its label id (1-based; id 0 means "unlabeled" and is what a
-// full table returns). Registering the same name twice returns the same
-// id. Safe for concurrent use.
-func RegisterBackendLabel(name string) int {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	n := int(backendCount.Load())
-	for i := 0; i < n; i++ {
-		if backendNames[i] == name {
-			return i + 1
-		}
-	}
-	if n >= MaxBackends {
-		return 0
-	}
-	backendNames[n] = name
-	backendCount.Store(int64(n + 1))
-	return n + 1
-}
-
-// BackendLabel returns the name registered for a label id, "" for 0 or an
-// unknown id.
-func BackendLabel(id int) string {
-	if id < 1 || id > int(backendCount.Load()) {
-		return ""
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	return backendNames[id-1]
-}
-
 // Enabled reports whether tracing is currently on. The parallel runtime
 // and kernels gate their timing calls on this.
 func Enabled() bool { return enabled.Load() }
@@ -313,24 +267,14 @@ func Reset() {
 	for i := range workerBusy {
 		workerBusy[i].v.Store(0)
 	}
-	for b := range backendAccums {
-		for s := range backendAccums[b] {
-			a := &backendAccums[b][s]
-			a.ns.Store(0)
-			a.count.Store(0)
-			a.flops.Store(0)
-			a.bytes.Store(0)
-		}
-	}
 	windowStart.Store(time.Now().UnixNano())
 }
 
 // Span is an open region. The zero Span (returned when tracing is
 // disabled) is valid and End on it is a no-op.
 type Span struct {
-	start   time.Time
-	stage   Stage
-	backend int // 0 = unlabeled; 1-based backend label id otherwise
+	start time.Time
+	stage Stage
 }
 
 // Region opens a span on stage s. When tracing is disabled this is one
@@ -342,21 +286,8 @@ func Region(s Stage) Span {
 	return Span{start: time.Now(), stage: s}
 }
 
-// BackendRegion opens a kernel span on stage s carrying a backend label
-// id (from RegisterBackendLabel). The span's time and count accumulate
-// into both the aggregate stage table and the per-backend table, so the
-// aggregate rows stay additive while Snapshot can also break kernels down
-// by backend. id 0 behaves exactly like Region.
-func BackendRegion(s Stage, id int) Span {
-	if !enabled.Load() {
-		return Span{}
-	}
-	return Span{start: time.Now(), stage: s, backend: id}
-}
-
 // End closes the span, accumulating its duration and call count into the
-// stage table (and the backend table for labeled spans). Safe to call
-// from any goroutine.
+// stage table. Safe to call from any goroutine.
 func (sp Span) End() {
 	if sp.start.IsZero() {
 		return
@@ -365,11 +296,6 @@ func (sp Span) End() {
 	a := &stages[sp.stage]
 	a.ns.Add(d)
 	a.count.Add(1)
-	if sp.backend > 0 && sp.backend <= MaxBackends {
-		b := &backendAccums[sp.backend-1][sp.stage]
-		b.ns.Add(d)
-		b.count.Add(1)
-	}
 }
 
 // AddFlops attributes n floating-point operations to stage s.
@@ -383,30 +309,6 @@ func AddFlops(s Stage, n int64) {
 func AddBytes(s Stage, n int64) {
 	if enabled.Load() {
 		stages[s].bytes.Add(n)
-	}
-}
-
-// AddFlopsBackend attributes n flops to stage s in both the aggregate and
-// the backend-labeled table. id 0 degrades to AddFlops.
-func AddFlopsBackend(s Stage, id int, n int64) {
-	if !enabled.Load() {
-		return
-	}
-	stages[s].flops.Add(n)
-	if id > 0 && id <= MaxBackends {
-		backendAccums[id-1][s].flops.Add(n)
-	}
-}
-
-// AddBytesBackend attributes n bytes to stage s in both the aggregate and
-// the backend-labeled table. id 0 degrades to AddBytes.
-func AddBytesBackend(s Stage, id int, n int64) {
-	if !enabled.Load() {
-		return
-	}
-	stages[s].bytes.Add(n)
-	if id > 0 && id <= MaxBackends {
-		backendAccums[id-1][s].bytes.Add(n)
 	}
 }
 

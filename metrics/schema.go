@@ -11,7 +11,7 @@ import (
 // SchemaVersion identifies the shared record layout emitted by the bench
 // and report tools. Bump it whenever a field is added, renamed, or its
 // meaning changes; cmd/bench-check refuses to compare across versions.
-const SchemaVersion = "repro-metrics/7"
+const SchemaVersion = "repro-metrics/8"
 
 // Record is the one unified row shape for everything the repo measures:
 // timing breakdowns from internal/trace and accuracy metrics from this
@@ -35,15 +35,9 @@ type Record struct {
 // TraceRecords flattens a trace snapshot into the shared Record schema:
 // one "ns" row per stage/kernel with attributed time, one "gflops" row per
 // stage with flop attribution, and one "count" row per counter.
-// Backend-labeled kernel rows keep the stage string unique by carrying
-// the label as a "kernel/gemm[native]"-style suffix, so the (name, stage)
-// record key stays collision-free.
 func TraceRecords(name string, r trace.Report) []Record {
 	var out []Record
 	for _, s := range r.Stages {
-		if s.Backend != "" {
-			s.Stage = s.Stage + "[" + s.Backend + "]"
-		}
 		out = append(out, Record{Name: name, Stage: s.Stage, Value: float64(s.TotalNs), Unit: "ns"})
 		if s.GFLOPS > 0 {
 			out = append(out, Record{Name: name, Stage: s.Stage, Value: s.GFLOPS, Unit: "gflops"})
@@ -100,12 +94,8 @@ func WriteBreakdown(w io.Writer, r trace.Report) error {
 		if s.GFLOPS > 0 {
 			gf = fmt.Sprintf("%9.2f", s.GFLOPS)
 		}
-		label := s.Stage
-		if s.Backend != "" {
-			label = s.Stage + "[" + s.Backend + "]"
-		}
 		_, err := fmt.Fprintf(w, "%-16s %9.3fms %8d %6.1f%% %9s\n",
-			label, float64(s.TotalNs)/1e6, s.Count, 100*float64(s.TotalNs)/wall, gf)
+			s.Stage, float64(s.TotalNs)/1e6, s.Count, 100*float64(s.TotalNs)/wall, gf)
 		return err
 	}
 	for _, s := range r.Stages {

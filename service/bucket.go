@@ -23,7 +23,6 @@ type shapeKey struct {
 	zeroTol  bool
 	tolBits  uint64
 	seed     uint64
-	backend  string
 }
 
 // pendingJob is one admitted job waiting in a bucket or in flight.
@@ -142,7 +141,6 @@ func (b *bucketer) key(j *jobRequest) shapeKey {
 		zeroTol:  j.ZeroTol,
 		tolBits:  math.Float64bits(j.PivotTol),
 		seed:     j.Seed,
-		backend:  j.Backend,
 	}
 	if j.Strategy != tsqrcp.StrategyCQRRPT {
 		k.seed = 0

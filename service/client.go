@@ -21,12 +21,9 @@ type Request struct {
 	// A is the tall-skinny matrix to factor. It is serialized, not
 	// shared, so the caller may reuse it immediately.
 	A *mat.Dense
-	// Options select strategy, tolerance, seed, and compute backend
-	// exactly as for the in-process tsqrcp.QRCP; nil means defaults.
-	// Options.Backend travels on the wire and is validated at the
-	// server's admission gate (ErrUnknownBackend when the server does
-	// not have it registered). Options.Workers is local-engine state and
-	// does not travel.
+	// Options select strategy, tolerance and seed exactly as for the
+	// in-process tsqrcp.QRCP; nil means defaults. Options.Workers is
+	// local-engine state and does not travel.
 	Options *tsqrcp.Options
 	// Timeout is an explicit job deadline sent to the server. Zero
 	// derives the wire deadline from ctx's deadline instead; negative is
@@ -208,7 +205,6 @@ func (c *Client) Factor(ctx context.Context, req Request) (*tsqrcp.Factorization
 		job.ZeroTol = o.ZeroTol
 		job.Seed = o.Seed
 		job.PivotTol = o.PivotTol
-		job.Backend = o.Backend
 	}
 	job.A = req.A
 	c.w.send(encodeJob(job))

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	tsqrcp "repro"
@@ -29,8 +31,6 @@ import (
 //	float64  pivot tolerance (0 = DefaultPivotTol)
 //	uint32   m, uint32 n (tall-skinny: m ≥ n ≥ 1)
 //	m·n·8    row-major float64 matrix data
-//	uint16   backend length, then backend bytes
-//	         (present only when flags has flagHasBackend set)
 //
 // and a result body is
 //
@@ -44,14 +44,9 @@ import (
 // timestamp, so client and server clocks need not agree; the server
 // anchors it to the moment the frame is decoded.
 //
-// The backend field is the protocol's first optional extension and
-// doubles as its version gate. A new client talking to an old server
-// only diverges when it actually sets a backend: the old decoder stops
-// at the matrix data and reports the extension bytes as a clean
-// "trailing bytes" StatusInvalid rejection instead of misparsing them.
-// A new server rejects a backend name it does not have registered with
-// the distinct StatusUnknownBackend, so callers can tell "server too
-// old / backend not compiled in" from a malformed job.
+// A job that sets any flag bit other than flagZeroTol is rejected with
+// StatusInvalid before its matrix is read, so a future extension
+// announced by a flag bit fails cleanly on a server that predates it.
 
 const (
 	msgJob         = 1
@@ -62,17 +57,13 @@ const (
 
 const (
 	// flagZeroTol selects the ε = 0 P-Chol-CP variant (Options.ZeroTol).
+	// Bit 1 stays unassigned: it once announced a backend-name field, and
+	// reusing it would misparse frames from clients that still set it.
 	flagZeroTol = 1 << 0
-	// flagHasBackend marks a job frame that carries the optional backend
-	// field after the matrix data (Options.Backend).
-	flagHasBackend = 1 << 1
 )
 
 // MaxTenantLen bounds the tenant identifier.
 const MaxTenantLen = 128
-
-// MaxBackendLen bounds the backend name in a job frame.
-const MaxBackendLen = 64
 
 // DefaultMaxFrameBytes bounds a single frame (1 GiB fits an
 // m=2²⁴ × n=8 job or an m=2²¹ × n=64 response).
@@ -100,11 +91,8 @@ const (
 	StatusFailed
 	// StatusShuttingDown: the server is draining and admits no new jobs.
 	StatusShuttingDown
-	// StatusUnknownBackend: the job named a compute backend the server
-	// does not have registered. Distinct from StatusInvalid so callers
-	// can fall back to the default backend instead of treating the job
-	// as malformed.
-	StatusUnknownBackend
+	// Status 6 stays unassigned: it once meant "unknown backend", and an
+	// old client would misread a reuse of it.
 )
 
 func (s Status) String() string {
@@ -121,8 +109,6 @@ func (s Status) String() string {
 		return "factorization failed"
 	case StatusShuttingDown:
 		return "shutting down"
-	case StatusUnknownBackend:
-		return "unknown backend"
 	}
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
@@ -136,9 +122,6 @@ var (
 	ErrInvalid          = errors.New("service: invalid job")
 	ErrFailed           = errors.New("service: factorization failed")
 	ErrShuttingDown     = errors.New("service: server shutting down")
-	// ErrUnknownBackend reports a job that named a compute backend the
-	// server does not have registered (StatusUnknownBackend).
-	ErrUnknownBackend = errors.New("service: unknown compute backend")
 	// ErrServerClosed is returned by Serve after a graceful Shutdown.
 	ErrServerClosed = errors.New("service: server closed")
 )
@@ -157,8 +140,6 @@ func statusErr(st Status, msg string) error {
 		base = ErrFailed
 	case StatusShuttingDown:
 		base = ErrShuttingDown
-	case StatusUnknownBackend:
-		base = ErrUnknownBackend
 	default:
 		return fmt.Errorf("service: unknown status %d: %s", st, msg)
 	}
@@ -177,7 +158,6 @@ type jobRequest struct {
 	ZeroTol  bool
 	Seed     uint64
 	PivotTol float64
-	Backend  string // optional compute backend; "" = server default
 	A        *mat.Dense
 }
 
@@ -188,7 +168,6 @@ func (j *jobRequest) options() *tsqrcp.Options {
 		ZeroTol:  j.ZeroTol,
 		Strategy: j.Strategy,
 		Seed:     j.Seed,
-		Backend:  j.Backend,
 	}
 }
 
@@ -341,7 +320,7 @@ func (d *reader) rest() error {
 // encodeJob serializes a job frame payload.
 func encodeJob(j *jobRequest) []byte {
 	m, n := j.A.Rows, j.A.Cols
-	buf := make([]byte, 0, 1+8+2+len(j.Tenant)+8+1+1+8+8+4+4+m*n*8+2+len(j.Backend))
+	buf := make([]byte, 0, 1+8+2+len(j.Tenant)+8+1+1+8+8+4+4+m*n*8)
 	buf = append(buf, msgJob)
 	buf = binary.LittleEndian.AppendUint64(buf, j.ID)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(j.Tenant)))
@@ -352,22 +331,24 @@ func encodeJob(j *jobRequest) []byte {
 	if j.ZeroTol {
 		flags |= flagZeroTol
 	}
-	if j.Backend != "" {
-		flags |= flagHasBackend
-	}
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, j.Seed)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(j.PivotTol))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = appendDense(buf, j.A)
-	if j.Backend != "" {
-		// Optional extension field, deliberately last: an old server that
-		// predates it fails cleanly on the trailing bytes.
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(j.Backend)))
-		buf = append(buf, j.Backend...)
-	}
 	return buf
+}
+
+// flagBits names the set bits of a flags byte, e.g. "1, 3".
+func flagBits(flags uint8) string {
+	var names []string
+	for b := 0; b < 8; b++ {
+		if flags&(1<<b) != 0 {
+			names = append(names, strconv.Itoa(b))
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 // decodeJob parses a job payload (after the type byte) and validates it
@@ -390,6 +371,9 @@ func decodeJob(payload []byte, lim Limits) (*jobRequest, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if unknown := flags &^ flagZeroTol; unknown != 0 {
+		return nil, fmt.Errorf("service: job sets unknown flag bits %s", flagBits(unknown))
+	}
 	if j.Strategy != tsqrcp.StrategyIteCholQRCP && j.Strategy != tsqrcp.StrategyCQRRPT {
 		return nil, fmt.Errorf("service: unknown strategy %d", j.Strategy)
 	}
@@ -406,12 +390,6 @@ func decodeJob(payload []byte, lim Limits) (*jobRequest, error) {
 		return nil, fmt.Errorf("service: shape %dx%d exceeds server limits %dx%d", m, n, lim.MaxRows, lim.MaxCols)
 	}
 	j.A = d.dense(m, n)
-	if flags&flagHasBackend != 0 {
-		j.Backend = d.str(MaxBackendLen)
-		if d.err == nil && j.Backend == "" {
-			return nil, errors.New("service: backend flag set but backend name empty")
-		}
-	}
 	if err := d.rest(); err != nil {
 		return nil, err
 	}

@@ -120,7 +120,6 @@ func TestErrorResultRoundTrip(t *testing.T) {
 		StatusInvalid:          ErrInvalid,
 		StatusFailed:           ErrFailed,
 		StatusShuttingDown:     ErrShuttingDown,
-		StatusUnknownBackend:   ErrUnknownBackend,
 	} {
 		out, err := decodeResult(encodeResult(&jobResult{ID: 5, Status: st, Msg: "because"})[1:])
 		if err != nil {

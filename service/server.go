@@ -8,9 +8,6 @@
 //
 //   - graceful drain: once Shutdown begins, new jobs get
 //     StatusShuttingDown while queued and in-flight jobs finish;
-//   - backend gating: a job naming a compute backend this build does
-//     not have registered is rejected with StatusUnknownBackend before
-//     it costs an admission slot;
 //   - a bounded admission queue: at most MaxPending jobs are queued or
 //     in flight, and the excess is rejected immediately with
 //     StatusOverloaded (explicit backpressure, never unbounded
@@ -158,10 +155,6 @@ type Server struct {
 	pending  atomic.Int64 // admitted jobs not yet answered
 	draining atomic.Bool
 
-	// backends is the set of registered compute backends, snapshotted at
-	// New (registration is init-time only, so the set is static).
-	backends map[string]bool
-
 	mu      sync.Mutex
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
@@ -175,15 +168,11 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		baseCtx:  ctx,
-		cancel:   cancel,
-		backends: make(map[string]bool),
-		conns:    make(map[net.Conn]struct{}),
-		tenants:  make(map[string]int),
-	}
-	for _, name := range tsqrcp.RegisteredBackends() {
-		s.backends[name] = true
+		cfg:     cfg,
+		baseCtx: ctx,
+		cancel:  cancel,
+		conns:   make(map[net.Conn]struct{}),
+		tenants: make(map[string]int),
 	}
 	s.buckets = newBucketer(cfg.Engine, cfg.BatchSize, cfg.FlushInterval, ctx, &s.stats)
 	return s
@@ -393,14 +382,6 @@ func (s *Server) admit(job *jobRequest, w *connWriter, inflight *sync.WaitGroup)
 	}
 	if s.draining.Load() {
 		reject(StatusShuttingDown, "server is draining")
-		return
-	}
-	// Backend gate: a job naming a backend this build does not have
-	// registered gets the distinct StatusUnknownBackend (not
-	// StatusInvalid — the frame itself was well-formed) before it costs
-	// an admission slot.
-	if job.Backend != "" && !s.backends[job.Backend] {
-		reject(StatusUnknownBackend, fmt.Sprintf("backend %q not registered on this server", job.Backend))
 		return
 	}
 	// Bounded queue: reserve a slot or reject; never buffer beyond

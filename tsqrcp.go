@@ -3,7 +3,6 @@ package tsqrcp
 import (
 	"math"
 
-	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/mat"
 )
@@ -61,10 +60,9 @@ type Options struct {
 	// 0 inherits the engine's width (all available cores on the default
 	// engine). The bound is per-call state carried by an internal engine,
 	// so concurrent factorizations with different Workers values do not
-	// interfere. The steady-state iterations run on a fused streaming
-	// pass whose Gram reduction has a fixed shape, so its result does not
-	// depend on Workers (disable the fused pass with the TSQRCP_NO_FUSE
-	// environment variable to A/B its performance; see DESIGN.md §10).
+	// interfere. Every kernel that sums over rows reduces through a
+	// fixed slot schedule, so the result does not depend on Workers
+	// (DESIGN.md §10).
 	Workers int
 	// Strategy selects the pivoting algorithm; the zero value is
 	// StrategyIteCholQRCP.
@@ -74,17 +72,6 @@ type Options struct {
 	// bit-identical across engine widths and Workers settings. Ignored by
 	// deterministic strategies.
 	Seed uint64
-	// Backend selects the compute backend the call's hot dense kernels
-	// (Gram/SYRK, GEMM, TRSM, and the fused permute→TRSM→Gram pass)
-	// dispatch through. The zero value selects the default pure-Go
-	// "native" backend; RegisteredBackends lists what else this build
-	// offers — "mixed32" accumulates Gram matrices in float32 (fast,
-	// but only accurate for κ₂(A) ≲ 10³–10⁴), and "cgoblas" is a C
-	// binding that silently serves the native kernels in builds without
-	// the cgoblas build tag. An unregistered name is an error (or a
-	// panic from HouseholderQRCP, which predates this field and has no
-	// error return).
-	Backend string
 }
 
 func (o *Options) strategy() Strategy {
@@ -100,13 +87,6 @@ func (o *Options) seed() uint64 {
 	}
 	return o.Seed
 }
-
-// RegisteredBackends returns the sorted names of the compute backends
-// this build can dispatch to via Options.Backend. Always includes
-// "native" (the pure-Go default), "mixed32" (float32 Gram
-// accumulation), and "cgoblas" (the C binding when built with the
-// cgoblas tag, otherwise an alias for native).
-func RegisteredBackends() []string { return blas.Backends() }
 
 func (o *Options) tol() float64 {
 	if o == nil {
