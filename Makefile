@@ -90,10 +90,13 @@ bench-json:
 
 # The CI benchmark gate: reduced preset, schema validation, and a
 # GFLOP/s comparison against the committed baseline. bench-service rides
-# along so the absolute ServiceQRCP gate always has its rows.
+# along so the absolute ServiceQRCP gate always has its rows; bench-dist
+# runs the instrumented-communicator consumers (measured ranks, trace
+# replay) end to end.
 bench-smoke:
 	$(GO) run ./cmd/bench-kernels -quick -trace -e2e-m 4000 -o bench_candidate.json
 	$(GO) run ./cmd/bench-service -jobs 120 -o bench_candidate.json
+	$(GO) run ./cmd/bench-dist -table 3 -trace
 	BENCH_TOLERANCE=$(BENCH_TOLERANCE) \
 		$(GO) run ./cmd/bench-check -baseline BENCH_kernels.json -candidate bench_candidate.json
 

@@ -153,7 +153,7 @@ func PrintDistMeasured(w io.Writer, rows []DistMeasuredRow) {
 }
 
 // DistTraceExtrapolate runs distributed Ite-CholQR-CP for real at small
-// scale with a tracing communicator, then replays the captured collective
+// scale with an instrumented communicator, then replays the captured collective
 // timeline through the α-β machine model at each requested process count
 // — the trace-driven alternative to the closed-form model (computation
 // comes from measurement instead of a flop-rate guess; the collective
@@ -171,7 +171,7 @@ func DistTraceExtrapolate(seed int64, mMeasured, n, r int, sigma float64, pMeasu
 	var iteTrace, hqrTrace []dist.TraceEvent
 	var iteTail, hqrTail time.Duration
 	dist.Run(pMeasured, func(c dist.Comm) {
-		tc := dist.NewTraceComm(c)
+		tc := dist.Instrument(c)
 		if _, err := dist.IteCholQRCP(tc, blocks[c.Rank()], core.DefaultPivotTol); err != nil {
 			panic(err)
 		}
@@ -181,7 +181,7 @@ func DistTraceExtrapolate(seed int64, mMeasured, n, r int, sigma float64, pMeasu
 		}
 	})
 	dist.Run(pMeasured, func(c dist.Comm) {
-		tc := dist.NewTraceComm(c)
+		tc := dist.Instrument(c)
 		dist.HQRCP(tc, blocks[c.Rank()], layout, true)
 		if c.Rank() == 0 {
 			hqrTrace = tc.Trace()

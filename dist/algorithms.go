@@ -18,36 +18,47 @@ type QRCPResult struct {
 	Iterations int
 }
 
-// gramAllreduce builds the GramFunc for a communicator: each rank computes
-// its local Gram block W_p = A_pᵀA_p and the blocks are summed with the
-// single MPI_Allreduce per iteration that makes Ite-CholQR-CP
-// communication-avoiding (§III-D2).
-func gramAllreduce(comm Comm) core.GramFunc {
-	return func(dst, a *mat.Dense) {
-		blas.Gram(nil, dst, a)
-		if dst.Stride == dst.Cols {
-			allreduceTraced(comm, dst.Data[:dst.Rows*dst.Cols])
-			return
-		}
-		// Strided destination: pack, reduce, unpack.
-		buf := make([]float64, dst.Rows*dst.Cols)
-		for i := 0; i < dst.Rows; i++ {
-			copy(buf[i*dst.Cols:(i+1)*dst.Cols], dst.Data[i*dst.Stride:i*dst.Stride+dst.Cols])
-		}
-		allreduceTraced(comm, buf)
-		for i := 0; i < dst.Rows; i++ {
-			copy(dst.Data[i*dst.Stride:i*dst.Stride+dst.Cols], buf[i*dst.Cols:(i+1)*dst.Cols])
-		}
-	}
+// sweeper runs Ite-CholQR-CP's row sweeps on this rank's block: the
+// in-core sweeper does the local work, and every Gram it emits — plain
+// or out of the fused pass — is summed over the ranks with the single
+// Allreduce per sweep that makes Ite-CholQR-CP communication-avoiding
+// (§III-D2). The replicated steps of the driver loop are deterministic,
+// so all ranks stay in lockstep on the identical reduced bits.
+type sweeper struct {
+	*core.DenseSweeper
+	comm Comm
 }
 
-// allreduceTraced forwards to comm.AllreduceSum under the StageAllreduce
-// span, attributing the collective's wall time (including wait) and
-// payload to the breakdown. Per-rank Stats stay on InstrumentedComm; this
-// is the process-global view the trace reports aggregate.
-func allreduceTraced(comm Comm, buf []float64) {
+func newSweeper(comm Comm, aLocal *mat.Dense) sweeper {
+	return sweeper{DenseSweeper: core.NewDenseSweeper(nil, aLocal), comm: comm}
+}
+
+func (s sweeper) Gram(w *mat.Dense) error {
+	if err := s.DenseSweeper.Gram(w); err != nil {
+		return err
+	}
+	s.allreduce(w)
+	return nil
+}
+
+func (s sweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
+	if err := s.DenseSweeper.FusedPivot(perm, rp, w); err != nil {
+		return err
+	}
+	s.allreduce(w)
+	return nil
+}
+
+// allreduce sums the Gram matrix w over the ranks under the
+// StageAllreduce span, attributing the collective's wall time (including
+// wait) and payload to the breakdown. w is contiguous: the driver loop
+// and CholQR hand every Gram a compact buffer. Per-rank timelines stay on
+// InstrumentedComm; this is the process-global view the trace reports
+// aggregate.
+func (s sweeper) allreduce(w *mat.Dense) {
+	buf := w.Data[:w.Rows*w.Cols]
 	sp := trace.Region(trace.StageAllreduce)
-	comm.AllreduceSum(buf)
+	s.comm.AllreduceSum(buf)
 	sp.End()
 	trace.AddBytes(trace.StageAllreduce, int64(8*len(buf)))
 }
@@ -57,7 +68,23 @@ func allreduceTraced(comm Comm, buf []float64) {
 // aLocal is overwritten with the local block of Q; R is returned
 // replicated on every rank.
 func CholQR(comm Comm, aLocal *mat.Dense) (*mat.Dense, error) {
-	return core.CholQRInPlaceGram(nil, aLocal, gramAllreduce(comm))
+	r := mat.NewDense(aLocal.Cols, aLocal.Cols)
+	if err := core.CholQRSweep(nil, newSweeper(comm, aLocal), r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// iteCholQRCP runs the shared Ite-CholQR-CP driver loop on a copy of this
+// rank's block through the Allreduce sweeper, stopping at rankCap pivots.
+func iteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64, rankCap int) (*core.CPResult, error) {
+	sw := newSweeper(comm, aLocal.Clone())
+	res, err := core.IteCholQRCPSweeps(nil, aLocal.Cols, sw, eps, rankCap, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Q = sw.Q(res.Rank)
+	return res, nil
 }
 
 // IteCholQRCP computes the distributed QR factorization with column
@@ -65,12 +92,15 @@ func CholQR(comm Comm, aLocal *mat.Dense) (*mat.Dense, error) {
 // it with its local block; the pivoting decisions are made redundantly on
 // replicated Gram matrices, so the only communication is one Allreduce of
 // the n×n Gram matrix per iteration (plus one for the final
-// reorthogonalization pass) — O(1) collectives independent of n.
+// reorthogonalization pass) — O(1) collectives independent of n. The
+// row sweeps are the in-core ones, fused permute→TRSM→Gram pass
+// included, so with one rank the result is bit-identical to
+// core.IteCholQRCP.
 //
 // aLocal is not modified. The result's QLocal is this rank's block of Q;
 // R and Perm are replicated and identical on all ranks.
 func IteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64) (*QRCPResult, error) {
-	res, err := core.IteCholQRCPGram(nil, aLocal, eps, gramAllreduce(comm), nil)
+	res, err := core.FullRank(iteCholQRCP(comm, aLocal, eps, aLocal.Cols))
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +399,7 @@ func buildT(s *mat.Dense, tau []float64) *mat.Dense {
 // reorthogonalization — still O(1), and fewer iterations than the full
 // factorization when k ≪ n.
 func IteCholQRCPTruncated(comm Comm, aLocal *mat.Dense, eps float64, k int) (*TruncatedResult, error) {
-	res, err := core.IteCholQRCPPartialGram(nil, aLocal, eps, k, gramAllreduce(comm))
+	res, err := iteCholQRCP(comm, aLocal, eps, k)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,7 @@
 // interconnects. Here the substitute is:
 //
 //   - Comm, an MPI-like communicator interface with the one collective the
-//     algorithms need (Allreduce-sum) plus Barrier/Bcast;
+//     algorithms need, Allreduce-sum;
 //   - LocalGroup, an in-process implementation where each rank is a
 //     goroutine and collectives are deterministic shared-memory
 //     reductions — this preserves the *semantics* and the collective
@@ -21,10 +21,7 @@
 // row block A_p of the tall matrix.
 package dist
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Comm is the per-rank communicator handle, the minimal MPI subset the
 // tall-skinny algorithms need.
@@ -36,57 +33,7 @@ type Comm interface {
 	// AllreduceSum replaces buf on every rank with the element-wise sum
 	// of all ranks' buffers. All ranks must pass equal-length buffers.
 	AllreduceSum(buf []float64)
-	// Barrier blocks until every rank has entered it.
-	Barrier()
 }
-
-// Stats accumulates per-rank communication counters, the instrumentation
-// behind the comp./comm. breakdown of Table III.
-type Stats struct {
-	// CommTime is the wall time spent inside collectives, including wait.
-	CommTime time.Duration
-	// Collectives is the number of collective calls.
-	Collectives int
-	// Bytes is the total payload (one direction) of all collectives.
-	Bytes int64
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("comm=%v collectives=%d bytes=%d", s.CommTime, s.Collectives, s.Bytes)
-}
-
-// InstrumentedComm wraps a Comm and records Stats. Not safe for use from
-// multiple goroutines (each rank owns its wrapper, like an MPI rank).
-type InstrumentedComm struct {
-	Comm
-	stats Stats
-}
-
-// Instrument wraps c with counters.
-func Instrument(c Comm) *InstrumentedComm { return &InstrumentedComm{Comm: c} }
-
-// AllreduceSum forwards to the wrapped communicator, timing the call.
-func (ic *InstrumentedComm) AllreduceSum(buf []float64) {
-	start := time.Now()
-	ic.Comm.AllreduceSum(buf)
-	ic.stats.CommTime += time.Since(start)
-	ic.stats.Collectives++
-	ic.stats.Bytes += int64(8 * len(buf))
-}
-
-// Barrier forwards to the wrapped communicator, timing the call.
-func (ic *InstrumentedComm) Barrier() {
-	start := time.Now()
-	ic.Comm.Barrier()
-	ic.stats.CommTime += time.Since(start)
-	ic.stats.Collectives++
-}
-
-// Stats returns the counters accumulated so far.
-func (ic *InstrumentedComm) Stats() Stats { return ic.stats }
-
-// ResetStats clears the counters.
-func (ic *InstrumentedComm) ResetStats() { ic.stats = Stats{} }
 
 // Layout describes the 1-D block-row distribution of an m-row matrix over
 // P ranks (Eq. 2 of the paper). Rows are split into near-equal contiguous

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"repro/internal/blas"
-	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/mat"
 )
@@ -12,12 +11,11 @@ import (
 // aLocal is overwritten with the local Q block; the replicated R is
 // returned.
 func CholQR2(comm Comm, aLocal *mat.Dense) (*mat.Dense, error) {
-	gram := gramAllreduce(comm)
-	r1, err := core.CholQRInPlaceGram(nil, aLocal, gram)
+	r1, err := CholQR(comm, aLocal)
 	if err != nil {
 		return nil, err
 	}
-	r2, err := core.CholQRInPlaceGram(nil, aLocal, gram)
+	r2, err := CholQR(comm, aLocal)
 	if err != nil {
 		return nil, err
 	}

@@ -46,8 +46,6 @@ type localComm struct {
 func (c *localComm) Rank() int { return c.rank }
 func (c *localComm) Size() int { return c.g.p }
 
-func (c *localComm) Barrier() { c.g.barrier.await() }
-
 // AllreduceSum: every rank registers its buffer; after a barrier each rank
 // reduces a disjoint index range of the result (in fixed rank order, so
 // the floating-point sum is deterministic); after a second barrier every

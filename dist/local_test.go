@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestAllreduceSum(t *testing.T) {
@@ -66,14 +67,20 @@ func TestAllreduceRepeated(t *testing.T) {
 	})
 }
 
-func TestBarrier(t *testing.T) {
-	const p = 6
+func TestCyclicBarrier(t *testing.T) {
+	// No party passes a round before all have entered it, and the
+	// barrier is reusable across rounds.
+	const p, rounds = 6, 3
+	b := newCyclicBarrier(p)
 	var phase atomic.Int32
 	Run(p, func(c Comm) {
-		phase.Add(1)
-		c.Barrier()
-		if got := phase.Load(); got != p {
-			t.Errorf("rank %d passed barrier with phase %d", c.Rank(), got)
+		for round := 1; round <= rounds; round++ {
+			phase.Add(1)
+			b.await()
+			if got := phase.Load(); got != int32(round*p) {
+				t.Errorf("rank %d passed round %d with phase %d", c.Rank(), round, got)
+			}
+			b.await() // everyone has checked before the next round starts
 		}
 	})
 }
@@ -104,22 +111,28 @@ func TestNewLocalGroupValidation(t *testing.T) {
 func TestInstrumentedComm(t *testing.T) {
 	Run(2, func(c Comm) {
 		ic := Instrument(c)
-		buf := make([]float64, 50)
-		ic.AllreduceSum(buf)
-		ic.Barrier()
-		st := ic.Stats()
-		if st.Collectives != 2 {
-			t.Errorf("collectives = %d, want 2", st.Collectives)
+		ic.AllreduceSum(make([]float64, 50))
+		ic.AllreduceSum(make([]float64, 10))
+		tr := ic.Trace()
+		if len(tr) != 2 || tr[0].Bytes != 400 || tr[1].Bytes != 80 {
+			t.Errorf("trace %+v, want payloads 400 and 80 bytes", tr)
+			return
 		}
-		if st.Bytes != 400 {
-			t.Errorf("bytes = %d, want 400", st.Bytes)
+		// Stats is the sum of the timeline.
+		st := ic.Stats()
+		if st.Collectives != 2 || st.Bytes != 480 || st.CommTime != tr[0].CommTime+tr[1].CommTime {
+			t.Errorf("stats %+v do not sum trace %+v", st, tr)
 		}
 		if st.String() == "" {
 			t.Error("empty Stats string")
 		}
-		ic.ResetStats()
-		if ic.Stats().Collectives != 0 {
-			t.Error("ResetStats did not clear")
+		for _, ev := range tr {
+			if ev.CompBefore < 0 || ev.CommTime < 0 {
+				t.Errorf("negative segment in %+v", ev)
+			}
+		}
+		if ic.TailComp(time.Now()) < 0 {
+			t.Error("negative tail computation")
 		}
 	})
 }

@@ -5,59 +5,85 @@ import (
 	"time"
 )
 
-// TraceEvent records one collective operation: its payload and the local
-// computation time that preceded it.
+// TraceEvent records one collective operation: its payload, the local
+// computation time that preceded it, and the time spent inside it.
 type TraceEvent struct {
 	// Bytes is the collective's payload size (one direction).
 	Bytes int
 	// CompBefore is the local computation time since the previous
-	// collective (or since the trace started).
+	// collective (or since the wrapper was created).
 	CompBefore time.Duration
+	// CommTime is the wall time spent inside the collective, including
+	// wait.
+	CommTime time.Duration
 }
 
-// TraceComm wraps a Comm and records the full collective timeline of an
-// algorithm run — the trace-driven alternative to the closed-form cost
+// Stats sums a rank's collective timeline, the instrumentation behind
+// the comp./comm. breakdown of Table III.
+type Stats struct {
+	// CommTime is the wall time spent inside collectives, including wait.
+	CommTime time.Duration
+	// Collectives is the number of collective calls.
+	Collectives int
+	// Bytes is the total payload (one direction) of all collectives.
+	Bytes int64
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("comm=%v collectives=%d bytes=%d", s.CommTime, s.Collectives, s.Bytes)
+}
+
+// InstrumentedComm wraps a Comm and records the full collective timeline
+// of an algorithm run. Stats sums it; Trace and TailComp feed
+// ReplayTrace, the trace-driven alternative to the closed-form cost
 // model: run the real algorithm once at small scale, then replay the
-// captured trace through the α-β machine model at any process count.
-// Because the collective *sequence* of these algorithms is independent of
-// P (it depends only on m, n and the iteration count), the replay
+// captured timeline through the α-β machine model at any process count.
+// Because the collective *sequence* of these algorithms is independent
+// of P (it depends only on m, n and the iteration count), the replay
 // faithfully extrapolates both the computation (scaled by row share) and
-// the communication (re-priced per collective).
-type TraceComm struct {
+// the communication (re-priced per collective). Not safe for use from
+// multiple goroutines (each rank owns its wrapper, like an MPI rank).
+type InstrumentedComm struct {
 	Comm
 	events []TraceEvent
-	last   time.Time
+	last   time.Time // end of the previous collective
 }
 
-// NewTraceComm wraps c and starts the computation clock.
-func NewTraceComm(c Comm) *TraceComm {
-	return &TraceComm{Comm: c, last: time.Now()}
+// Instrument wraps c and starts the computation clock.
+func Instrument(c Comm) *InstrumentedComm {
+	return &InstrumentedComm{Comm: c, last: time.Now()}
 }
 
-// AllreduceSum records the event and forwards.
-func (tc *TraceComm) AllreduceSum(buf []float64) {
-	now := time.Now()
-	tc.events = append(tc.events, TraceEvent{
+// AllreduceSum forwards to the wrapped communicator and records the
+// event.
+func (ic *InstrumentedComm) AllreduceSum(buf []float64) {
+	start := time.Now()
+	ic.Comm.AllreduceSum(buf)
+	end := time.Now()
+	ic.events = append(ic.events, TraceEvent{
 		Bytes:      8 * len(buf),
-		CompBefore: now.Sub(tc.last),
+		CompBefore: start.Sub(ic.last),
+		CommTime:   end.Sub(start),
 	})
-	tc.Comm.AllreduceSum(buf)
-	tc.last = time.Now()
+	ic.last = end
 }
 
-// Barrier forwards without recording (the algorithms here do not use
-// bare barriers on their critical path).
-func (tc *TraceComm) Barrier() {
-	tc.Comm.Barrier()
-	tc.last = time.Now()
+// Stats returns the sum of the timeline recorded so far.
+func (ic *InstrumentedComm) Stats() Stats {
+	s := Stats{Collectives: len(ic.events)}
+	for _, ev := range ic.events {
+		s.CommTime += ev.CommTime
+		s.Bytes += int64(ev.Bytes)
+	}
+	return s
 }
 
 // Trace returns the recorded timeline.
-func (tc *TraceComm) Trace() []TraceEvent { return tc.events }
+func (ic *InstrumentedComm) Trace() []TraceEvent { return ic.events }
 
 // TailComp returns the computation time after the last collective up to
 // `end` (callers pass time.Now() right after the algorithm returns).
-func (tc *TraceComm) TailComp(end time.Time) time.Duration { return end.Sub(tc.last) }
+func (ic *InstrumentedComm) TailComp(end time.Time) time.Duration { return end.Sub(ic.last) }
 
 // ReplayTrace prices a recorded timeline on machine mc at process count
 // p, given the process count pMeasured the trace was captured with. The

@@ -9,7 +9,7 @@ import (
 	"repro/testmat"
 )
 
-func TestTraceCommRecordsTimeline(t *testing.T) {
+func TestInstrumentedCommRecordsTimeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	m, n := 400, 16
 	a := testmat.Generate(rng, m, n, 13, 1e-10)
@@ -17,7 +17,7 @@ func TestTraceCommRecordsTimeline(t *testing.T) {
 	blocks := scatter(a, l)
 	traces := make([][]TraceEvent, 4)
 	Run(4, func(c Comm) {
-		tc := NewTraceComm(c)
+		tc := Instrument(c)
 		if _, err := IteCholQRCP(tc, blocks[c.Rank()], core.DefaultPivotTol); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
@@ -80,7 +80,7 @@ func TestTraceDrivenVsClosedFormModel(t *testing.T) {
 	var tail time.Duration
 	var iters int
 	Run(2, func(c Comm) {
-		tc := NewTraceComm(c)
+		tc := Instrument(c)
 		res, err := IteCholQRCP(tc, blocks[c.Rank()], core.DefaultPivotTol)
 		if err != nil {
 			t.Errorf("%v", err)

@@ -52,14 +52,16 @@ func main() {
 		stats[c.Rank()] = ic.Stats()
 	})
 	tIte := time.Since(start)
+	iteStats := stats[0]
 
 	q := mat.NewDense(m, n)
 	for rk := 0; rk < p; rk++ {
 		lo, hi := layout.RowRange(rk)
 		q.Slice(lo, hi, 0, n).Copy(results[rk].QLocal)
 	}
-	fmt.Printf("Ite-CholQR-CP: %v, %d collectives (%d iterations + reortho)\n",
-		tIte.Round(time.Millisecond), stats[0].Collectives, results[0].Iterations)
+	fmt.Printf("Ite-CholQR-CP: %v, %d collectives (%d iterations + reortho), %d bytes, %v in collectives\n",
+		tIte.Round(time.Millisecond), iteStats.Collectives, results[0].Iterations,
+		iteStats.Bytes, iteStats.CommTime.Round(time.Microsecond))
 	fmt.Printf("  orthogonality %.2e, residual %.2e\n",
 		metrics.Orthogonality(q),
 		metrics.Residual(a, q, results[0].R, results[0].Perm))
@@ -77,10 +79,11 @@ func main() {
 		stats[c.Rank()] = ic.Stats()
 	})
 	tHQR := time.Since(start)
-	fmt.Printf("\nHQR-CP:        %v, %d collectives\n", tHQR.Round(time.Millisecond), stats[0].Collectives)
+	fmt.Printf("\nHQR-CP:        %v, %d collectives, %d bytes, %v in collectives\n",
+		tHQR.Round(time.Millisecond), stats[0].Collectives, stats[0].Bytes, stats[0].CommTime.Round(time.Microsecond))
 	agree := metrics.CountCorrectPrefix(results[0].Perm, hres[0].Perm)
 	fmt.Printf("  pivots agree with Ite-CholQR-CP for the %d essential positions: %v\n",
 		r, agree >= r)
 	fmt.Printf("\nspeedup %.1fx; collective count %d vs %d — the communication-avoiding property\n",
-		tHQR.Seconds()/tIte.Seconds(), stats[0].Collectives, 5)
+		tHQR.Seconds()/tIte.Seconds(), stats[0].Collectives, iteStats.Collectives)
 }

@@ -1,6 +1,7 @@
 package tsqrcp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -154,14 +155,29 @@ func TestQRCPFileBytesReadPerSweep(t *testing.T) {
 	}
 }
 
-// TestQRCPFileRejections covers the strategy gate and a missing file.
+// TestQRCPFileRejections covers the strategy gate, a missing file, and
+// an exactly rank-deficient matrix, which stalls as in-core.
 func TestQRCPFileRejections(t *testing.T) {
-	path, _ := writeTestMatrix(t, 256, 8, 3)
+	path, a := writeTestMatrix(t, 256, 8, 3)
 	if _, err := QRCPFile(path, &FileOptions{Options: Options{Strategy: StrategyCQRRPT}}); err == nil {
 		t.Fatal("CQRRPT strategy accepted")
 	}
 	if _, err := QRCPFile(filepath.Join(t.TempDir(), "missing.tsqrmat"), nil); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	// A zero last column: the pivots on the other columns are fixed,
+	// then the trailing block collapses.
+	for i := 0; i < a.Rows; i++ {
+		a.Set(i, a.Cols-1, 0)
+	}
+	if err := a.WriteBinaryFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := QRCP(a, nil); !errors.Is(err, ErrStall) {
+		t.Fatalf("in-core: err = %v, want ErrStall", err)
+	}
+	if _, err := QRCPFile(path, &FileOptions{QPath: filepath.Join(t.TempDir(), "q.tsqrmat")}); !errors.Is(err, ErrStall) {
+		t.Fatalf("file: err = %v, want ErrStall", err)
 	}
 }
 

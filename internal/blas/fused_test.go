@@ -207,24 +207,3 @@ func TestPermTrsmGramFusedDeterministicAcrossWidths(t *testing.T) {
 		}
 	}
 }
-
-// TestPermTrsmGramFusedSequentialAllocFree pins the pooled-workspace
-// invariant: once the pools are warm, the sequential fused pass performs
-// zero heap allocations.
-func TestPermTrsmGramFusedSequentialAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	e := parallel.NewEngine(1)
-	const m, n = 2000, 16
-	b := randDense(rng, m, n)
-	r := randUpperWellCond(rng, n)
-	perm := randPerm(rng, n)
-	g := mat.NewDense(n, n)
-	PermTrsmGramFused(e, b, perm, r, g) // warm the pools
-
-	allocs := testing.AllocsPerRun(5, func() {
-		PermTrsmGramFused(e, b, perm, r, g)
-	})
-	if allocs != 0 {
-		t.Fatalf("sequential fused pass allocates %v times per run, want 0", allocs)
-	}
-}

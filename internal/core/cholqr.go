@@ -50,55 +50,14 @@ func CholQR(e *parallel.Engine, a *mat.Dense) (*QR, error) {
 	return &QR{Q: q, R: r}, nil
 }
 
-// GramFunc computes dst := AᵀA for the (possibly distributed) matrix whose
-// local row block is a. The single-node implementation is blas.Gram; the
-// distributed one adds an Allreduce of the local Gram blocks. dst is fully
-// symmetric (both triangles populated).
-type GramFunc func(dst, a *mat.Dense)
-
-// cholQRInPlace overwrites a with Q and returns R.
+// cholQRInPlace overwrites a with Q and returns R: one CholQRSweep over
+// the in-core sweeper.
 func cholQRInPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
-	return CholQRInPlaceGram(e, a, defaultGram(e))
-}
-
-// defaultGram adapts the shared-memory Gram kernel to the GramFunc shape,
-// binding it to an engine so the width bound travels with the call.
-// blas.Gram's fixed slot schedule makes every in-core algorithm
-// bit-identical across engine widths and lets the out-of-core path
-// replay the same reduction panel by panel.
-func defaultGram(e *parallel.Engine) GramFunc {
-	return func(dst, a *mat.Dense) { blas.Gram(e, dst, a) }
-}
-
-// CholQRInPlaceGram is the CholQR kernel with a pluggable Gram-matrix
-// computation; it overwrites the (local block of) a with Q and returns the
-// replicated R. This is the entry point the distributed driver uses.
-func CholQRInPlaceGram(e *parallel.Engine, a *mat.Dense, gram GramFunc) (*mat.Dense, error) {
-	n := a.Cols
-	w := mat.NewDense(n, n)
-	sg := trace.Region(trace.StageGram)
-	gram(w, a)
-	sg.End()
-	// Stage attribution mirrors the wrapped kernel (Gram computes the
-	// upper triangle, then mirrors it) so stage and kernel flop totals
-	// reconcile in cmd/trace-report.
-	trace.AddFlops(trace.StageGram, int64(a.Rows)*int64(n)*int64(n+1))
-	if debugChecksEnabled {
-		debugCheckFinite("CholQR Gram matrix", w)
+	r := mat.NewDense(a.Cols, a.Cols)
+	if err := CholQRSweep(e, NewDenseSweeper(e, a), r); err != nil {
+		return nil, err
 	}
-	sc := trace.Region(trace.StageCholCP)
-	err := lapack.PotrfUpper(e, w)
-	sc.End()
-	trace.AddFlops(trace.StageCholCP, int64(n)*int64(n)*int64(n)/3)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBreakdown, err)
-	}
-	lapack.ZeroLower(w)
-	st := trace.Region(trace.StageTrsm)
-	blas.TrsmRightUpperNoTrans(e, a, w)
-	st.End()
-	trace.AddFlops(trace.StageTrsm, int64(a.Rows)*int64(n)*int64(n))
-	return w, nil
+	return r, nil
 }
 
 // CholQR2InPlace overwrites a with the orthonormal factor of its thin QR

@@ -104,7 +104,7 @@ func CQRRPT(e *parallel.Engine, a *mat.Dense, eps float64, seed uint64) (*CPResu
 		return res, err
 	}
 	trace.Inc(trace.CtrSketchFallbacks)
-	return iteCholQRCP(e, a, eps, DefaultMaxIterations, nil, defaultGram(e), true)
+	return FullRank(iteCholQRCP(e, a, eps, a.Cols, nil))
 }
 
 // cqrrptGaussianDomain separates the Gaussian retry's random stream from

@@ -22,6 +22,29 @@ func permEqual(a, b mat.Perm) bool {
 	return true
 }
 
+// unfusedSweeper is the reference the fused pass is checked against: its
+// FusedPivot runs the sweeps the fused kernel replaces — permute and
+// TRSM, then Gram — one after another.
+type unfusedSweeper struct{ *DenseSweeper }
+
+func (s unfusedSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
+	if err := s.Pivot(0, perm, rp); err != nil {
+		return err
+	}
+	return s.Gram(w)
+}
+
+// iteCholQRCPUnfused is iteCholQRCP over the unfused reference sweeper.
+func iteCholQRCPUnfused(e *parallel.Engine, a *mat.Dense, eps float64) (*CPResult, error) {
+	sw := unfusedSweeper{NewDenseSweeper(e, a.Clone())}
+	res, err := FullRank(IteCholQRCPSweeps(e, a.Cols, sw, eps, a.Cols, nil))
+	if err != nil {
+		return nil, err
+	}
+	res.Q = sw.Q(res.Rank)
+	return res, nil
+}
+
 // TestIteCholQRCPFusedMatchesUnfused is the end-to-end fused/unfused
 // equivalence contract: the fused pass emits exactly the Gram of the
 // updated matrix, so both sequences give the same pivots, iterations and
@@ -45,11 +68,11 @@ func TestIteCholQRCPFusedMatchesUnfused(t *testing.T) {
 		// A multi-worker engine exercises the fused kernel's parallel
 		// reduction path even on a single-core test machine.
 		e := parallel.NewEngine(4)
-		fused, err := iteCholQRCP(e, tc.a, tc.eps, DefaultMaxIterations, nil, defaultGram(e), true)
+		fused, err := IteCholQRCP(e, tc.a, tc.eps)
 		if err != nil {
 			t.Fatalf("%s fused: %v", tc.name, err)
 		}
-		unfused, err := iteCholQRCP(e, tc.a, tc.eps, DefaultMaxIterations, nil, defaultGram(e), false)
+		unfused, err := iteCholQRCPUnfused(e, tc.a, tc.eps)
 		if err != nil {
 			t.Fatalf("%s unfused: %v", tc.name, err)
 		}
@@ -66,17 +89,27 @@ func TestIteCholQRCPFusedMatchesUnfused(t *testing.T) {
 // kernels each stage wraps, so for n below the blocked-Potrf panel width
 // the stage and kernel flop totals agree exactly, and since every kernel
 // span nests inside a stage span, summed kernel time never exceeds summed
-// stage time.
+// stage time. The truncated run goes through the same driver loop, so it
+// reconciles too.
 func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := testmat.Generate(rng, 700, 28, 28, 1e-9)
-	for _, fuse := range []bool{false, true} {
+	cases := []struct {
+		name  string
+		fused bool // the run takes at least one fused pass
+		run   func() error
+	}{
+		{"unfused", false, func() error { _, err := iteCholQRCPUnfused(nil, a, DefaultPivotTol); return err }},
+		{"fused", true, func() error { _, err := IteCholQRCP(nil, a, DefaultPivotTol); return err }},
+		{"truncated", true, func() error { _, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, 20); return err }},
+	}
+	for _, tc := range cases {
 		trace.Reset()
 		trace.Enable()
-		_, err := iteCholQRCP(nil, a, DefaultPivotTol, DefaultMaxIterations, nil, defaultGram(nil), fuse)
+		err := tc.run()
 		trace.Disable()
 		if err != nil {
-			t.Fatalf("fuse=%v: %v", fuse, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		rep := trace.Snapshot()
 		var stageFlops, kernelFlops, stageNs, kernelNs int64
@@ -95,25 +128,23 @@ func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 			}
 		}
 		if stageFlops != kernelFlops {
-			t.Fatalf("fuse=%v: stage flops %d != kernel flops %d", fuse, stageFlops, kernelFlops)
+			t.Fatalf("%s: stage flops %d != kernel flops %d", tc.name, stageFlops, kernelFlops)
 		}
 		// Every SYRK in this configuration is a Gram sweep, so the Gram
 		// stage must mirror the syrk kernel exactly (the historical bug
 		// attributed 2mn² to the stage and mn(n+1) to the kernel).
 		if byName[trace.StageGram.String()] != byName[trace.KernelSyrk.String()] {
-			t.Fatalf("fuse=%v: StageGram flops %d != KernelSyrk flops %d",
-				fuse, byName[trace.StageGram.String()], byName[trace.KernelSyrk.String()])
+			t.Fatalf("%s: StageGram flops %d != KernelSyrk flops %d",
+				tc.name, byName[trace.StageGram.String()], byName[trace.KernelSyrk.String()])
 		}
-		if fuse {
-			fusedStage := byName[trace.StageFused.String()]
-			if fusedStage == 0 || fusedStage != byName[trace.KernelFusedTrsmGram.String()] {
-				t.Fatalf("StageFused flops %d != KernelFusedTrsmGram flops %d",
-					fusedStage, byName[trace.KernelFusedTrsmGram.String()])
-			}
+		fusedStage := byName[trace.StageFused.String()]
+		if fusedStage != byName[trace.KernelFusedTrsmGram.String()] || (fusedStage > 0) != tc.fused {
+			t.Fatalf("%s: StageFused flops %d, KernelFusedTrsmGram flops %d, want a fused pass: %v",
+				tc.name, fusedStage, byName[trace.KernelFusedTrsmGram.String()], tc.fused)
 		}
 		if kernelNs > stageNs {
-			t.Fatalf("fuse=%v: kernel time %d ns exceeds enclosing stage time %d ns",
-				fuse, kernelNs, stageNs)
+			t.Fatalf("%s: kernel time %d ns exceeds enclosing stage time %d ns",
+				tc.name, kernelNs, stageNs)
 		}
 	}
 	trace.Reset()

@@ -42,6 +42,11 @@ type CPResult struct {
 	// PivotIter[j] is the (0-based) iteration in which position j's pivot
 	// was fixed (Ite-CholQR-CP only). Used to reproduce Fig. 3.
 	PivotIter []int
+	// Rank is the number of pivots fixed (Ite-CholQR-CP only): n for a
+	// full factorization, fewer when a rank cap or a collapsed trailing
+	// block stopped the iteration. Q then has Rank columns and R has
+	// Rank rows.
+	Rank int
 }
 
 // IteCholQRCP computes the QR factorization with column pivoting of a tall
@@ -59,18 +64,7 @@ func IteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64) (*CPResult, erro
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCP needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	return iteCholQRCP(e, a, eps, DefaultMaxIterations, nil, defaultGram(e), true)
-}
-
-// IteCholQRCPGram runs Algorithm 4 with a pluggable Gram computation and
-// works on the local row block of a distributed matrix: every replicated
-// step (P-Chol-CP, triangular assembly, permutation accumulation) is
-// deterministic, so all ranks stay in lockstep as long as gram returns
-// identical bits everywhere — which an Allreduce guarantees. The fused
-// streaming path is never taken here: the custom gram owns the
-// reduction, so the permute, TRSM, and Gram sweeps stay separate.
-func IteCholQRCPGram(e *parallel.Engine, a *mat.Dense, eps float64, gram GramFunc, trace IterTrace) (*CPResult, error) {
-	return iteCholQRCP(e, a, eps, DefaultMaxIterations, trace, gram, false)
+	return FullRank(iteCholQRCP(e, a, eps, a.Cols, nil))
 }
 
 // IterTrace receives per-iteration state for instrumentation (used by the
@@ -84,26 +78,32 @@ func IteCholQRCPTraced(e *parallel.Engine, a *mat.Dense, eps float64, trace Iter
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCP needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	return iteCholQRCP(e, a, eps, DefaultMaxIterations, trace, defaultGram(e), true)
+	return FullRank(iteCholQRCP(e, a, eps, a.Cols, trace))
 }
 
-// iteCholQRCP is the in-core entry point: it clones a into a resident
-// working matrix, runs the shared sweep driver over the denseSweeper,
-// and attaches the working matrix (now Q) to the result. All algorithm
-// logic lives in IteCholQRCPSweeps so the out-of-core path replays the
+// iteCholQRCP is the in-core entry point: it runs the shared sweep
+// driver over a DenseSweeper on a working copy of a and attaches the
+// working matrix (now Q) to the result. All algorithm logic lives in
+// IteCholQRCPSweeps so the out-of-core and distributed paths replay the
 // exact same replicated steps.
-func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, maxIter int, iterCB IterTrace, gram GramFunc, fuse bool) (*CPResult, error) {
-	if eps < 0 || eps >= 1 {
-		panic(fmt.Sprintf("core: IteCholQRCP tolerance %g outside [0,1)", eps))
-	}
-	aw := a.Clone() // A^(i), updated in place; becomes Q
-	sw := &denseSweeper{e: e, a: aw, gram: gram}
-	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, maxIter, iterCB, fuse)
+func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int, iterCB IterTrace) (*CPResult, error) {
+	sw := NewDenseSweeper(e, a.Clone())
+	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, rankCap, iterCB)
 	if err != nil {
 		return nil, err
 	}
-	res.Q = aw
+	res.Q = sw.Q(res.Rank)
 	return res, nil
+}
+
+// FullRank passes a full-rank run through and reports one that a
+// collapsed trailing block stopped short of n pivots as ErrStall — the
+// contract of every untruncated Ite-CholQR-CP entry point.
+func FullRank(res *CPResult, err error) (*CPResult, error) {
+	if err == nil && res.Rank < len(res.Perm) {
+		return nil, ErrStall
+	}
+	return res, err
 }
 
 // applyTrailingPerm computes p := p·P″ where P″ = diag(I_k, tp):

@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/blas"
-	"repro/internal/cholcp"
-	"repro/internal/lapack"
 	"repro/internal/parallel"
 	"repro/mat"
 )
@@ -38,81 +35,9 @@ func IteCholQRCPPartial(e *parallel.Engine, a *mat.Dense, eps float64, targetRan
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCPPartial needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	return IteCholQRCPPartialGram(e, a, eps, targetRank, defaultGram(e))
-}
-
-// IteCholQRCPPartialGram is the truncated factorization with a pluggable
-// Gram computation; with an Allreduce-backed gram it runs on the local
-// row block of a distributed matrix (see dist.IteCholQRCPTruncated).
-func IteCholQRCPPartialGram(e *parallel.Engine, a *mat.Dense, eps float64, targetRank int, gram GramFunc) (*PartialResult, error) {
-	m, n := a.Rows, a.Cols
-	if targetRank < 1 || targetRank > n {
-		panic(fmt.Sprintf("core: target rank %d outside [1,%d]", targetRank, n))
-	}
-	if eps < 0 || eps >= 1 {
-		panic(fmt.Sprintf("core: tolerance %g outside [0,1)", eps))
-	}
-	aw := a.Clone()
-	rTotal := mat.Identity(n)
-	perm := mat.IdentityPerm(n)
-	w := mat.NewDense(n, n)
-
-	k := 0
-	iters := 0
-	for k < targetRank {
-		if iters >= DefaultMaxIterations {
-			return nil, ErrStall
-		}
-		// Cooperative cancellation at the iteration boundary.
-		if err := e.Err(); err != nil {
-			return nil, err
-		}
-		gram(w, aw)
-		rp := mat.NewDense(n, n)
-		if k > 0 {
-			r11 := rp.Slice(0, k, 0, k)
-			r11.Copy(w.Slice(0, k, 0, k))
-			if err := lapack.PotrfUpper(e, r11); err != nil {
-				return nil, fmt.Errorf("%w: fixed block lost definiteness: %v", ErrBreakdown, err)
-			}
-			lapack.ZeroLower(r11)
-			r12 := rp.Slice(0, k, k, n)
-			r12.Copy(w.Slice(0, k, k, n))
-			blas.TrsmLeftUpperTrans(r11, r12)
-			w22 := w.Slice(k, n, k, n)
-			blas.Gemm(e, blas.Trans, blas.NoTrans, -1, r12, r12, 1, w22)
-		}
-		pres := cholcp.PCholCPMax(e, w.Slice(k, n, k, n), eps, targetRank-k)
-		if pres.NPiv == 0 {
-			if k > 0 {
-				break // remaining columns are negligible: truncate here
-			}
-			return nil, ErrStall
-		}
-		mat.PermuteColsInPlaceEngine(e, aw.Slice(0, m, k, n), pres.Perm)
-		if k > 0 {
-			mat.PermuteColsInPlaceEngine(e, rp.Slice(0, k, k, n), pres.Perm)
-			mat.PermuteColsInPlaceEngine(e, rTotal.Slice(0, k, k, n), pres.Perm)
-		}
-		rp.Slice(k, n, k, n).Copy(pres.R)
-		blas.TrsmRightUpperNoTrans(e, aw, rp)
-		blas.TrmmLeftUpperNoTrans(rp, rTotal)
-		applyTrailingPerm(perm, k, pres.Perm)
-		k += pres.NPiv
-		iters++
-	}
-
-	// Reorthogonalize only the leading k columns and fold the correction
-	// into the first k rows of the accumulated R.
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
-	q1 := aw.Slice(0, m, 0, k).Clone()
-	rre, err := CholQRInPlaceGram(e, q1, gram)
+	res, err := iteCholQRCP(e, a, eps, targetRank, nil)
 	if err != nil {
 		return nil, err
 	}
-	r1 := rTotal.Slice(0, k, 0, n).Clone()
-	blas.TrmmLeftUpperNoTrans(rre, r1) // R₁ := R_reortho·R₁ (k×k times k×n)
-	return &PartialResult{Q: q1, R: r1, Perm: perm, Rank: k, Iterations: iters}, nil
+	return &PartialResult{Q: res.Q, R: res.R, Perm: res.Perm, Rank: res.Rank, Iterations: res.Iterations}, nil
 }

@@ -35,9 +35,6 @@ type Config struct {
 	// Eps is the P-Chol-CP tolerance ε ∈ [0, 1). Callers resolve their
 	// default before passing it down (tsqrcp uses Options.tol()).
 	Eps float64
-	// MaxIter bounds the pivoting iterations; 0 selects
-	// core.DefaultMaxIterations.
-	MaxIter int
 	// PanelRows is the requested resident panel height. It is floored to
 	// the micro-block grid (blas.FusedBlockRows) and bounded below by one
 	// micro-block; 0 auto-tunes from available memory (see autoPanelRows).
@@ -117,11 +114,7 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 		sw.qw = qw
 	}
 
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = core.DefaultMaxIterations
-	}
-	res, err := core.IteCholQRCPSweeps(e, n, sw, cfg.Eps, maxIter, nil, true)
+	res, err := core.IteCholQRCPSweeps(e, n, sw, cfg.Eps, n, nil)
 	if err != nil {
 		if sw.qw != nil {
 			sw.qw.Close()

@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/mat"
@@ -16,7 +17,7 @@ import (
 // every later sweep reads and rewrites scratch in place (the prefetcher
 // reads strictly ahead of the writer, so in-place is race-free). Each
 // method replays exactly the kernel sequence of the in-core
-// denseSweeper, panel by panel on the fused-kernel grid, which is what
+// DenseSweeper, panel by panel on the fused-kernel grid, which is what
 // makes the results bit-identical.
 type fileSweeper struct {
 	e     *parallel.Engine
@@ -97,8 +98,14 @@ func (s *fileSweeper) cleanup() {
 // Gram computes w := AᵀA in one sequential read of the working matrix:
 // every panel accumulates into its slot's partial with the fixed-order
 // panel SYRK, and the partials reduce in ascending slot order — the
-// exact summation shape of blas.Gram, hence the same bits.
+// exact summation shape of blas.Gram, hence the same bits. The file
+// path factors full rank only, so a Gram over fewer than n leading
+// columns — the reorthogonalization of a run whose trailing block
+// collapsed — is reported as core.ErrStall without the sweep.
 func (s *fileSweeper) Gram(w *mat.Dense) error {
+	if w.Rows != s.n {
+		return core.ErrStall
+	}
 	s.zeroAccs()
 	//repolint:hotpath
 	gramPanel := func(p panel, pd *mat.Dense) error {
