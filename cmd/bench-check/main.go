@@ -29,6 +29,11 @@
 // least serviceMinJobsPerSec jobs/sec end to end, and carry a coherent
 // latency distribution (0 < p50 ≤ p99).
 //
+// The traced end-to-end rows have a coverage gate: for every CQRRPT and
+// IteCholQRCP stage Total, the other stage rows of the same run must add
+// up to at least minStageCoverage of it, so no part of the run goes
+// unattributed.
+//
 // The out-of-core path has one too: the OOCQRCP rows must be present
 // with a positive streamed GB/s, and the PrefetchStallFraction metric
 // row must sit below 0.5 — the prefetch pipeline hiding at least half
@@ -302,6 +307,37 @@ func serviceGates(path string, rep *report) []string {
 	return errs
 }
 
+// minStageCoverage is the share of a traced run's Total that its stage
+// rows must cover.
+const minStageCoverage = 0.90
+
+// coverageGates checks every CQRRPT and IteCholQRCP stage Total row of
+// one report: the stage rows of the same (name, m, n) must sum to at
+// least minStageCoverage of it. Returns one message per violation.
+func coverageGates(path string, rep *report) []string {
+	type run struct {
+		name string
+		m, n int
+	}
+	covered := make(map[run]float64)
+	for _, r := range rep.Records {
+		if r.Stage != "" && r.Stage != "Total" && r.Unit == "" {
+			covered[run{r.Name, r.M, r.N}] += r.NsPerOp
+		}
+	}
+	var errs []string
+	for _, r := range rep.Records {
+		if r.Stage != "Total" || (r.Name != "CQRRPT" && r.Name != "IteCholQRCP") {
+			continue
+		}
+		if share := covered[run{r.Name, r.M, r.N}] / r.NsPerOp; !(share >= minStageCoverage) {
+			errs = append(errs, fmt.Sprintf("%s: %s m=%d n=%d: stage rows cover %.1f%% of Total, want at least %.0f%%",
+				path, r.Name, r.M, r.N, 100*share, 100*minStageCoverage))
+		}
+	}
+	return errs
+}
+
 // The absolute acceptance gate of the out-of-core path (ISSUE 10: the
 // prefetch pipeline must actually overlap I/O with compute). The gate
 // shape matches the fixed OOCQRCP pair cmd/bench-kernels emits, and the
@@ -398,6 +434,12 @@ func main() {
 	// The out-of-core gate: streamed GB/s present and the prefetch
 	// pipeline hiding at least half of the disk time.
 	for _, msg := range oocGates(*candidate, cand) {
+		fmt.Fprintln(os.Stderr, "bench-check: gate:", msg)
+		fatal = true
+	}
+	// The coverage gate: the traced CQRRPT and IteCholQRCP runs leave
+	// less than a tenth of their Total outside the stage rows.
+	for _, msg := range coverageGates(*candidate, cand) {
 		fmt.Fprintln(os.Stderr, "bench-check: gate:", msg)
 		fatal = true
 	}

@@ -281,3 +281,40 @@ func TestCompareGatesBatchThroughput(t *testing.T) {
 		t.Fatalf("want one problems/s regression, got %v", regs)
 	}
 }
+
+func coverageReport() *report {
+	return &report{
+		Schema: metrics.SchemaVersion,
+		Records: []record{
+			{Name: "IteCholQRCP", Stage: "Gram", M: 4000, N: 64, NsPerOp: 3e6},
+			{Name: "IteCholQRCP", Stage: "Fused", M: 4000, N: 64, NsPerOp: 6.5e6},
+			{Name: "IteCholQRCP", Stage: "Total", M: 4000, N: 64, NsPerOp: 1e7},
+			{Name: "CQRRPT", Stage: "Sketch", M: 20000, N: 64, NsPerOp: 9e6},
+			{Name: "CQRRPT", Stage: "Precond", M: 20000, N: 64, NsPerOp: 9e6},
+			{Name: "CQRRPT", Stage: "TRSM", M: 20000, N: 64, NsPerOp: 4e6},
+			{Name: "CQRRPT", Stage: "Total", M: 20000, N: 64, NsPerOp: 2.4e7},
+			// Metric rows and other algorithms are outside the gate.
+			{Name: "CQRRPTParity", Stage: "orthogonality", M: 20000, N: 64, Value: 1e-15, Unit: "ratio"},
+			{Name: "OOCQRCP", Stage: "Total", M: 200000, N: 64, NsPerOp: 1e9},
+		},
+	}
+}
+
+func TestCoverageGatesPass(t *testing.T) {
+	if errs := coverageGates("x.json", coverageReport()); len(errs) != 0 {
+		t.Fatalf("unexpected coverage violations: %v", errs)
+	}
+}
+
+// TestCoverageGatesFailsUnattributed drops the CQRRPT TRSM row, leaving
+// 75% of its Total covered, and zeroes a Total, which covers nothing.
+func TestCoverageGatesFailsUnattributed(t *testing.T) {
+	rep := coverageReport()
+	rep.Records = append(rep.Records[:5], rep.Records[6:]...)
+	rep.Records = append(rep.Records, record{Name: "IteCholQRCP", Stage: "Total", M: 100, N: 8})
+	errs := coverageGates("x.json", rep)
+	if len(errs) != 2 || !strings.Contains(errs[0], "CQRRPT m=20000 n=64: stage rows cover 75.0%") ||
+		!strings.Contains(errs[1], "IteCholQRCP m=100 n=8") {
+		t.Fatalf("want the CQRRPT and empty-Total violations, got %v", errs)
+	}
+}

@@ -6,6 +6,7 @@ package blas
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -110,8 +111,9 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 // Go reference loops they reproduce bit for bit ("generic") at the
 // ite-tall shape, 4096×64, on a width-1 engine: the quad SYRK through
 // Gram, the panel TRSM through TrsmRightUpperNoTrans, and the fused
-// pass that runs both. "simd" is skipped on builds and CPUs without the
-// assembly.
+// pass that runs both. The row scatter runs at the cqrrpt-vtall sketch
+// shape: 8192 rows of 32 columns, each added into 8 of 64 accumulator
+// rows. "simd" is skipped on builds and CPUs without the assembly.
 func BenchmarkKernelVariants(b *testing.B) {
 	const m, n = 4096, 64
 	e := parallel.NewEngine(1)
@@ -123,6 +125,16 @@ func BenchmarkKernelVariants(b *testing.B) {
 	g := mat.NewDense(n, n)
 	syrkFlops := float64(m) * float64(n) * float64(n+1)
 	trsmFlops := float64(m) * float64(n) * float64(n)
+	const sm, sn, sd, nnz = 8192, 32, 64, 8
+	src := benchDense(sm, sn)
+	acc := mat.NewDense(sd, sn)
+	targets := make([]int, sm*nnz)
+	weights := make([]float64, sm*nnz)
+	for i := range targets {
+		targets[i] = rng.Intn(sd)
+		weights[i] = float64(2*rng.Intn(2)-1) / math.Sqrt(nnz)
+	}
+	scatterFlops := 2 * float64(sm) * float64(sn) * float64(nnz)
 	kernels := []struct {
 		name  string
 		flops float64
@@ -147,6 +159,14 @@ func BenchmarkKernelVariants(b *testing.B) {
 				work.Copy(a)
 				b.StartTimer()
 				PermTrsmGramFused(e, work, perm, r, g)
+			}
+		}},
+		{"ScatterRows", scatterFlops, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for row := 0; row < sm; row++ {
+					ScatterRows(acc, src.Data[row*sn:(row+1)*sn],
+						targets[row*nnz:(row+1)*nnz], weights[row*nnz:(row+1)*nnz])
+				}
 			}
 		}},
 	}

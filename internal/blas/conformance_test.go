@@ -33,6 +33,7 @@ func TestKernelConformance(t *testing.T) {
 	t.Run("Syrk", testKernelSyrk)
 	t.Run("Trsm", testKernelTrsm)
 	t.Run("Fused", testKernelFused)
+	t.Run("Scatter", testKernelScatter)
 	t.Run("WidthDeterminism", testKernelWidthDeterminism)
 	t.Run("SequentialAllocFree", testKernelAllocFree)
 }
@@ -135,6 +136,41 @@ func testKernelFused(t *testing.T) {
 	}
 }
 
+// testKernelScatter checks ScatterRows on a strided view against the
+// elementwise reference bit for bit (both take one multiply and one add
+// per element, in target order), with repeated and unsorted targets and
+// widths on both sides of the 4- and 16-wide vector loops.
+func testKernelScatter(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 3, 16, 33, 64} {
+		acc := randDenseStrided(rng, 12, n)
+		want := acc.Clone()
+		row := make([]float64, n)
+		for j := range row {
+			row[j] = rng.NormFloat64()
+		}
+		targets := []int{7, 0, 11, 7, 3, 7}
+		weights := []float64{0.5, -0.5, 2, -1, 0.25, 1e-3}
+		ScatterRows(acc, row, targets, weights)
+		for k, tk := range targets {
+			for j, v := range row {
+				want.Set(tk, j, want.At(tk, j)+weights[k]*v)
+			}
+		}
+		sameBits(t, "ScatterRows", acc, want)
+	}
+	// A target past the view's last row panics even where the parent
+	// matrix's storage continues.
+	parent := mat.NewDense(6, 4)
+	view := parent.Slice(1, 4, 0, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScatterRows target past the view did not panic")
+		}
+	}()
+	ScatterRows(view, make([]float64, 4), []int{3}, []float64{1})
+}
+
 // testKernelWidthDeterminism checks the determinism contract: every
 // kernel that reduces over rows (Gram, SyrkUpperTrans, Gemm Aᵀ·B, the
 // fused pass) and the row-parallel TRSM is bit-identical across engine
@@ -205,6 +241,7 @@ func testKernelAllocFree(t *testing.T) {
 			{"Syrk", func() { SyrkUpperTrans(e, 1, a, 0, c) }},
 			{"Trsm", func() { TrsmRightUpperNoTrans(e, b, r) }},
 			{"Fused", func() { PermTrsmGramFused(e, b, perm, r, g) }},
+			{"Scatter", func() { ScatterRows(c, a.Data[:n], []int{3, 0, 3}, []float64{1, -1, 0.5}) }},
 		}
 		for _, k := range kernels {
 			k.run() // warm the pools

@@ -162,11 +162,24 @@ func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, 
 // in a quad or among the 1–3 remainder rows, takes the same arithmetic —
 // reciprocal multiplies, the same panel walk, the same association — so
 // a row's bits never depend on how rows were grouped: not on (lo, hi),
-// and therefore not on the engine width.
+// and therefore not on the engine width. The n diagonal reciprocals are
+// computed once per call, on the stack for n ≤ len(invBuf) and in a
+// pooled workspace beyond.
 //
 //repolint:hotpath
 func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 	n := b.Cols
+	var invBuf [128]float64
+	var ws *mat.Dense
+	inv := invBuf[:]
+	if n > len(invBuf) {
+		ws = mat.GetWorkspace(1, n, false)
+		inv = ws.Data
+	}
+	inv = inv[:n]
+	for k := range inv {
+		inv[k] = 1 / r.Data[k*r.Stride+k]
+	}
 	var v [16]float64
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -181,45 +194,39 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			r0 := rq[:n]
 			r1 := rq[r.Stride : r.Stride+n]
 			r2 := rq[2*r.Stride : 2*r.Stride+n]
-			r3 := rq[3*r.Stride : 3*r.Stride+n]
-			inv0 := 1 / r0[k0]
-			inv1 := 1 / r1[k0+1]
-			inv2 := 1 / r2[k0+2]
-			inv3 := 1 / r3[k0+3]
+			inv0, inv1, inv2, inv3 := inv[k0], inv[k0+1], inv[k0+2], inv[k0+3]
 			// Substitution on the 4×4 diagonal panel, one quad row at
-			// a time.
-			v00 := x0[k0] * inv0
-			v01 := (x0[k0+1] - v00*r0[k0+1]) * inv1
-			v02 := (x0[k0+2] - v00*r0[k0+2] - v01*r1[k0+2]) * inv2
-			v03 := (x0[k0+3] - v00*r0[k0+3] - v01*r1[k0+3] - v02*r2[k0+3]) * inv3
-			x0[k0], x0[k0+1], x0[k0+2], x0[k0+3] = v00, v01, v02, v03
-			v10 := x1[k0] * inv0
-			v11 := (x1[k0+1] - v10*r0[k0+1]) * inv1
-			v12 := (x1[k0+2] - v10*r0[k0+2] - v11*r1[k0+2]) * inv2
-			v13 := (x1[k0+3] - v10*r0[k0+3] - v11*r1[k0+3] - v12*r2[k0+3]) * inv3
-			x1[k0], x1[k0+1], x1[k0+2], x1[k0+3] = v10, v11, v12, v13
-			v20 := x2[k0] * inv0
-			v21 := (x2[k0+1] - v20*r0[k0+1]) * inv1
-			v22 := (x2[k0+2] - v20*r0[k0+2] - v21*r1[k0+2]) * inv2
-			v23 := (x2[k0+3] - v20*r0[k0+3] - v21*r1[k0+3] - v22*r2[k0+3]) * inv3
-			x2[k0], x2[k0+1], x2[k0+2], x2[k0+3] = v20, v21, v22, v23
-			v30 := x3[k0] * inv0
-			v31 := (x3[k0+1] - v30*r0[k0+1]) * inv1
-			v32 := (x3[k0+2] - v30*r0[k0+2] - v31*r1[k0+2]) * inv2
-			v33 := (x3[k0+3] - v30*r0[k0+3] - v31*r1[k0+3] - v32*r2[k0+3]) * inv3
-			x3[k0], x3[k0+1], x3[k0+2], x3[k0+3] = v30, v31, v32, v33
+			// a time, straight into v, the rank-4 update's panel.
+			v[0] = x0[k0] * inv0
+			v[1] = (x0[k0+1] - v[0]*r0[k0+1]) * inv1
+			v[2] = (x0[k0+2] - v[0]*r0[k0+2] - v[1]*r1[k0+2]) * inv2
+			v[3] = (x0[k0+3] - v[0]*r0[k0+3] - v[1]*r1[k0+3] - v[2]*r2[k0+3]) * inv3
+			x0[k0], x0[k0+1], x0[k0+2], x0[k0+3] = v[0], v[1], v[2], v[3]
+			v[4] = x1[k0] * inv0
+			v[5] = (x1[k0+1] - v[4]*r0[k0+1]) * inv1
+			v[6] = (x1[k0+2] - v[4]*r0[k0+2] - v[5]*r1[k0+2]) * inv2
+			v[7] = (x1[k0+3] - v[4]*r0[k0+3] - v[5]*r1[k0+3] - v[6]*r2[k0+3]) * inv3
+			x1[k0], x1[k0+1], x1[k0+2], x1[k0+3] = v[4], v[5], v[6], v[7]
+			v[8] = x2[k0] * inv0
+			v[9] = (x2[k0+1] - v[8]*r0[k0+1]) * inv1
+			v[10] = (x2[k0+2] - v[8]*r0[k0+2] - v[9]*r1[k0+2]) * inv2
+			v[11] = (x2[k0+3] - v[8]*r0[k0+3] - v[9]*r1[k0+3] - v[10]*r2[k0+3]) * inv3
+			x2[k0], x2[k0+1], x2[k0+2], x2[k0+3] = v[8], v[9], v[10], v[11]
+			v[12] = x3[k0] * inv0
+			v[13] = (x3[k0+1] - v[12]*r0[k0+1]) * inv1
+			v[14] = (x3[k0+2] - v[12]*r0[k0+2] - v[13]*r1[k0+2]) * inv2
+			v[15] = (x3[k0+3] - v[12]*r0[k0+3] - v[13]*r1[k0+3] - v[14]*r2[k0+3]) * inv3
+			x3[k0], x3[k0+1], x3[k0+2], x3[k0+3] = v[12], v[13], v[14], v[15]
 			// Rank-4 update of the trailing columns.
-			v = [16]float64{v00, v01, v02, v03, v10, v11, v12, v13, v20, v21, v22, v23, v30, v31, v32, v33}
 			trsmQuad(x, b.Stride, rq, r.Stride, &v, k0+4, n)
 		}
 		// Remainder columns (n not a multiple of 4): plain substitution.
 		for k := k0; k < n; k++ {
 			rk := r.Data[k*r.Stride : k*r.Stride+n]
-			inv := 1 / rk[k]
-			v0 := x0[k] * inv
-			v1 := x1[k] * inv
-			v2 := x2[k] * inv
-			v3 := x3[k] * inv
+			v0 := x0[k] * inv[k]
+			v1 := x1[k] * inv[k]
+			v2 := x2[k] * inv[k]
+			v3 := x3[k] * inv[k]
 			x0[k], x1[k], x2[k], x3[k] = v0, v1, v2, v3
 			for j := k + 1; j < n; j++ {
 				rv := rk[j]
@@ -239,10 +246,10 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			r1 := r.Data[(k0+1)*r.Stride : (k0+1)*r.Stride+n]
 			r2 := r.Data[(k0+2)*r.Stride : (k0+2)*r.Stride+n]
 			r3 := r.Data[(k0+3)*r.Stride : (k0+3)*r.Stride+n]
-			v0 := x[k0] * (1 / r0[k0])
-			v1 := (x[k0+1] - v0*r0[k0+1]) * (1 / r1[k0+1])
-			v2 := (x[k0+2] - v0*r0[k0+2] - v1*r1[k0+2]) * (1 / r2[k0+2])
-			v3 := (x[k0+3] - v0*r0[k0+3] - v1*r1[k0+3] - v2*r2[k0+3]) * (1 / r3[k0+3])
+			v0 := x[k0] * inv[k0]
+			v1 := (x[k0+1] - v0*r0[k0+1]) * inv[k0+1]
+			v2 := (x[k0+2] - v0*r0[k0+2] - v1*r1[k0+2]) * inv[k0+2]
+			v3 := (x[k0+3] - v0*r0[k0+3] - v1*r1[k0+3] - v2*r2[k0+3]) * inv[k0+3]
 			x[k0], x[k0+1], x[k0+2], x[k0+3] = v0, v1, v2, v3
 			for j := k0 + 4; j < n; j++ {
 				x[j] -= v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
@@ -250,12 +257,15 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 		}
 		for k := k0; k < n; k++ {
 			rk := r.Data[k*r.Stride : k*r.Stride+n]
-			v := x[k] * (1 / rk[k])
+			v := x[k] * inv[k]
 			x[k] = v
 			for j := k + 1; j < n; j++ {
 				x[j] -= v * rk[j]
 			}
 		}
+	}
+	if ws != nil {
+		mat.PutWorkspace(ws)
 	}
 }
 

@@ -130,6 +130,28 @@ func Ger(e *parallel.Engine, alpha float64, x, y []float64, a *mat.Dense) {
 	e.For(a.Rows, minChunk+1, body)
 }
 
+// ScatterRows adds weighted copies of row into rows of A:
+//
+//	A[t[k], :] += w[k]·row,   k = 0, 1, …, len(t)−1 in order,
+//
+// a Ger whose x is nonzero only at the target rows t, which may repeat.
+// It is the inner loop of both sketch embeddings (internal/sketch). Each
+// element takes one multiply and one add, so the AVX2 and Go forms give
+// the same bits. row holds A.Cols entries and w at least len(t); a target
+// outside [0, A.Rows) panics.
+//
+//repolint:hotpath
+func ScatterRows(a *mat.Dense, row []float64, t []int, w []float64) {
+	// Cap the storage at the last row, so a target past it panics even
+	// where a view's parent continues.
+	var data []float64
+	if a.Rows > 0 {
+		end := (a.Rows-1)*a.Stride + a.Cols
+		data = a.Data[:end:end]
+	}
+	scatterRows(data, a.Stride, row[:a.Cols], t, w[:len(t)])
+}
+
 // SyrUpper computes the upper triangle of W += alpha·x·xᵀ for symmetric W.
 // Only elements W[i][j] with j ≥ i are touched.
 func SyrUpper(alpha float64, x []float64, w *mat.Dense) {

@@ -1,15 +1,16 @@
 package blas
 
-// The two inner loops that hold the time of the fused kernel family,
-// written once in Go. These loops are the reference: on amd64 with AVX2
-// (and without the purego build tag) syrkQuad and trsmQuad run an
-// assembly version instead (quad_amd64.s), which must reproduce them bit
-// for bit. It does so by keeping their arithmetic exactly: every output
-// element gets the same separate multiplies and adds (no FMA), associated
-// the way Go evaluates the expressions below, ((a + b) + c) + d, and the
-// vector lanes run over independent output columns j, so a lane computes
-// precisely what one iteration of the j loop computes. Anything else
-// (another build, another CPU) runs these loops. See DESIGN.md §10.
+// The three inner loops that hold the time of the fused kernel family and
+// of the sparse sketch, written once in Go. These loops are the
+// reference: on amd64 with AVX2 (and without the purego build tag)
+// syrkQuad, trsmQuad and scatterRows run an assembly version instead
+// (quad_amd64.s), which must reproduce them bit for bit. It does so by
+// keeping their arithmetic exactly: every output element gets the same
+// separate multiplies and adds (no FMA), associated the way Go evaluates
+// the expressions below, ((a + b) + c) + d, and the vector lanes run over
+// independent output columns j, so a lane computes precisely what one
+// iteration of the j loop computes. Anything else (another build, another
+// CPU) runs these loops. See DESIGN.md §10.
 
 // syrkQuadGo accumulates the Gram contribution of one 4-row quad of B
 // into accumulator rows [iLo, iHi):
@@ -82,5 +83,27 @@ func trsmQuadGo(x []float64, xStride int, r []float64, rStride int, v *[16]float
 		x1[j] -= v10*w0 + v11*w1 + v12*w2 + v13*w3
 		x2[j] -= v20*w0 + v21*w1 + v22*w2 + v23*w3
 		x3[j] -= v30*w0 + v31*w1 + v32*w2 + v33*w3
+	}
+}
+
+// scatterRowsGo adds weighted copies of one row into accumulator rows:
+//
+//	acc[t[k]][j] += w[k]·row[j],   k = 0, 1, …, len(t)−1 in order, 0 ≤ j < len(row),
+//
+// with accumulator row t at acc[t·accStride:]. Repeated targets are
+// allowed; each takes its update in turn. One multiply and one add per
+// element, nothing to associate, so a vector lane over columns j computes
+// exactly what one iteration of the j loop computes. acc must not
+// overlap row.
+//
+//repolint:hotpath
+func scatterRowsGo(acc []float64, accStride int, row []float64, t []int, w []float64) {
+	n := len(row)
+	for k, tk := range t {
+		wk := w[k]
+		dst := acc[tk*accStride : tk*accStride+n]
+		for j, v := range row {
+			dst[j] += wk * v
+		}
 	}
 }

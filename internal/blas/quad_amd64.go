@@ -2,7 +2,8 @@
 
 package blas
 
-// useAVX2 reports whether syrkQuad and trsmQuad run the AVX2 assembly:
+// useAVX2 reports whether syrkQuad, trsmQuad and scatterRows run the
+// AVX2 assembly:
 // the CPU has AVX2 and the OS saves the YMM registers. Detected once.
 var useAVX2 = cpuHasAVX2()
 
@@ -21,6 +22,13 @@ func syrkQuadAVX2(acc *float64, accStride int, b *float64, bStride int, n, iLo, 
 //
 //go:noescape
 func trsmQuadAVX2(x *float64, xStride int, r *float64, rStride int, v *[16]float64, j0, n int)
+
+// scatterRowsAVX2 is scatterRowsGo on raw pointers: acc points at
+// accumulator row 0, row at the n source entries, and t and w at the
+// count targets and weights.
+//
+//go:noescape
+func scatterRowsAVX2(acc *float64, accStride int, row *float64, n int, t *int, w *float64, count int)
 
 // syrkQuad runs the quad SYRK update (see syrkQuadGo). The assembly does
 // no bounds checks, so it runs only when every element it touches is
@@ -48,4 +56,25 @@ func trsmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64
 		return
 	}
 	trsmQuadGo(x, xStride, r, rStride, v, j0, n)
+}
+
+// scatterRows runs the weighted row scatter (see scatterRowsGo), guarded
+// like syrkQuad: the assembly runs only when every target row lies inside
+// acc, so an out-of-range target reaches the Go loop's bounds checks.
+//
+//repolint:hotpath
+func scatterRows(acc []float64, accStride int, row []float64, t []int, w []float64) {
+	n := len(row)
+	if useAVX2 && n > 0 && len(t) > 0 && len(w) >= len(t) && accStride >= 0 && n <= len(acc) {
+		lo, hi := t[0], t[0]
+		for _, tk := range t[1:] {
+			lo, hi = min(lo, tk), max(hi, tk)
+		}
+		// hi·accStride + n ≤ len(acc), without overflowing the product.
+		if lo >= 0 && (accStride == 0 || hi <= (len(acc)-n)/accStride) {
+			scatterRowsAVX2(&acc[0], accStride, &row[0], n, &t[0], &w[0], len(t))
+			return
+		}
+	}
+	scatterRowsGo(acc, accStride, row, t, w)
 }

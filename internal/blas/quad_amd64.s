@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 forms of syrkQuadGo and trsmQuadGo (quad.go). They must agree with
-// the Go loops bit for bit, so each output element gets the Go loop's
-// arithmetic exactly: separate VMULPD/VADDPD/VSUBPD (never FMA), summed
-// ((p0 + p1) + p2) + p3 and then added to (subtracted from) the output,
-// with the four vector lanes over four independent output columns j.
+// AVX2 forms of syrkQuadGo, trsmQuadGo and scatterRowsGo (quad.go). They
+// must agree with the Go loops bit for bit, so each output element gets
+// the Go loop's arithmetic exactly: separate VMULPD/VADDPD/VSUBPD (never
+// FMA), summed ((p0 + p1) + p2) + p3 and then added to (subtracted from)
+// the output, with the four vector lanes over four independent output
+// columns j.
 // Columns left over from the 4-wide loop take the same steps in scalar
 // VEX form. Strides arrive in elements and are scaled to bytes.
 
@@ -322,5 +323,75 @@ trsmnext:
 	ADDQ $64, AX
 	DECQ BX
 	JNZ  trsmpair
+	VZEROUPPER
+	RET
+
+// func scatterRowsAVX2(acc *float64, accStride int, row *float64, n int, t *int, w *float64, count int)
+//
+// Registers: DI accumulator row 0, SI the source row, R10 and R11 the
+// next target and weight, BX the targets left, AX the target row, CX the
+// column j, DX n, R9 n-16, R12 n-4. Y8 holds the weight in every lane.
+// Each element gets w·row[j] (VMULPD) added to it (VADDPD); targets are
+// taken in order, so a repeated target sees the earlier update.
+TEXT ·scatterRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), DI
+	MOVQ accStride+8(FP), R8
+	SHLQ $3, R8
+	MOVQ row+16(FP), SI
+	MOVQ n+24(FP), DX
+	MOVQ t+32(FP), R10
+	MOVQ w+40(FP), R11
+	MOVQ count+48(FP), BX
+	LEAQ -16(DX), R9
+	LEAQ -4(DX), R12
+
+scatterrow:
+	MOVQ         (R10), AX
+	IMULQ        R8, AX
+	ADDQ         DI, AX
+	VBROADCASTSD (R11), Y8
+	XORQ         CX, CX
+
+scatter16:
+	CMPQ    CX, R9
+	JGT     scatter4
+	VMULPD  (SI)(CX*8), Y8, Y0
+	VMULPD  32(SI)(CX*8), Y8, Y1
+	VMULPD  64(SI)(CX*8), Y8, Y2
+	VMULPD  96(SI)(CX*8), Y8, Y3
+	VADDPD  (AX)(CX*8), Y0, Y0
+	VADDPD  32(AX)(CX*8), Y1, Y1
+	VADDPD  64(AX)(CX*8), Y2, Y2
+	VADDPD  96(AX)(CX*8), Y3, Y3
+	VMOVUPD Y0, (AX)(CX*8)
+	VMOVUPD Y1, 32(AX)(CX*8)
+	VMOVUPD Y2, 64(AX)(CX*8)
+	VMOVUPD Y3, 96(AX)(CX*8)
+	ADDQ    $16, CX
+	JMP     scatter16
+
+scatter4:
+	CMPQ    CX, R12
+	JGT     scatter1
+	VMULPD  (SI)(CX*8), Y8, Y0
+	VADDPD  (AX)(CX*8), Y0, Y0
+	VMOVUPD Y0, (AX)(CX*8)
+	ADDQ    $4, CX
+	JMP     scatter4
+
+scatter1:
+	CMPQ   CX, DX
+	JGE    scatternext
+	VMULSD (SI)(CX*8), X8, X0
+	VADDSD (AX)(CX*8), X0, X0
+	VMOVSD X0, (AX)(CX*8)
+	INCQ   CX
+	JMP    scatter1
+
+scatternext:
+	ADDQ $8, R10
+	ADDQ $8, R11
+	DECQ BX
+	JNZ  scatterrow
 	VZEROUPPER
 	RET

@@ -97,6 +97,79 @@ func TestTrsmQuadAVX2MatchesGo(t *testing.T) {
 	}
 }
 
+// scatterTestWeights holds the weights every scatter case draws from,
+// signed zeros and the IEEE specials among them.
+var scatterTestWeights = []float64{
+	0.5, -1.25, 1 / math.Sqrt(8), -1 / math.Sqrt(8), 0, math.Copysign(0, -1),
+	math.Inf(1), math.Inf(-1), math.NaN(), 3e300, -7e-310,
+}
+
+func TestScatterRowsAVX2MatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(74))
+	const rows = 9
+	targetSets := [][]int{
+		{0}, {8}, {5, 0, 8, 3}, {2, 2, 7, 2}, {8, 7, 6, 5, 4, 3, 2, 1, 0}, {4, 1, 4, 1, 0, 0},
+	}
+	for _, n := range quadTestNs {
+		for _, specials := range []bool{false, true} {
+			accStride := n + 5
+			acc0 := quadFill(rng, (rows-1)*accStride+n, specials)
+			row := quadFill(rng, n, specials)
+			if specials && n >= 3 {
+				row[0], row[1] = 0, math.Copysign(0, -1)
+			}
+			for _, ts := range targetSets {
+				w := make([]float64, len(ts))
+				for k := range w {
+					w[k] = scatterTestWeights[rng.Intn(len(scatterTestWeights))]
+				}
+				want := append([]float64(nil), acc0...)
+				scatterRowsGo(want, accStride, row, ts, w)
+				got := append([]float64(nil), acc0...)
+				scatterRowsAVX2(&got[0], accStride, &row[0], n, &ts[0], &w[0], len(ts))
+				requireSameBits(t, "scatterRows", got, want)
+				got = append(got[:0], acc0...)
+				scatterRows(got, accStride, row, ts, w)
+				requireSameBits(t, "scatterRows dispatch", got, want)
+			}
+		}
+	}
+}
+
+// TestScatterRowsOutOfBoundsFallsBack checks the dispatch guard: a target
+// row outside acc must reach the Go loop, whose bounds check panics,
+// instead of the assembly writing past the slice. A zero stride puts
+// every target on row 0.
+func TestScatterRowsOutOfBoundsFallsBack(t *testing.T) {
+	requireAVX2(t)
+	const n, rows = 8, 4
+	row := make([]float64, n)
+	for _, tc := range []struct {
+		name      string
+		accLen    int
+		accStride int
+		targets   []int
+		panics    bool
+	}{
+		{"past the last row", (rows-1)*n + n, n, []int{1, rows}, true},
+		{"negative target", rows * n, n, []int{-1, 2}, true},
+		{"last row short", (rows-1)*n + n - 1, n, []int{rows - 1}, true},
+		{"zero stride", n, 0, []int{0, 3, 3}, false},
+	} {
+		acc := make([]float64, tc.accLen)
+		w := make([]float64, len(tc.targets))
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			scatterRows(acc, tc.accStride, row, tc.targets, w)
+			return false
+		}()
+		if panicked != tc.panics {
+			t.Errorf("%s: panicked = %v, want %v", tc.name, panicked, tc.panics)
+		}
+	}
+}
+
 // TestFusedKernelsAVX2MatchGo runs the kernels built on the two entry
 // points on Slice'd views (Stride > Cols) whose row counts leave 1–3
 // rows after the last quad, once on the assembly and once on the Go

@@ -19,3 +19,10 @@ func syrkQuad(acc []float64, accStride int, b []float64, bStride, n, iLo, iHi in
 func trsmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
 	trsmQuadGo(x, xStride, r, rStride, v, j0, n)
 }
+
+// scatterRows runs the weighted row scatter (see scatterRowsGo).
+//
+//repolint:hotpath
+func scatterRows(acc []float64, accStride int, row []float64, t []int, w []float64) {
+	scatterRowsGo(acc, accStride, row, t, w)
+}

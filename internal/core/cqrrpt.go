@@ -128,7 +128,8 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 		d = m
 	}
 
-	// Sketch stage: SA := S·A plus the Householder QRCP of the d×n sketch.
+	// Sketch stage: SA := S·A, the Householder QRCP of the d×n sketch and
+	// the condition estimate of its R.
 	// Stage flop/byte attribution mirrors the wrapped kernels (sketch,
 	// geqp3) so stage and kernel totals reconcile in cmd/trace-report.
 	sa := mat.NewDense(d, n)
@@ -149,11 +150,11 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	trace.AddFlops(trace.StageSketch,
 		4*int64(d)*int64(n)*int64(n)-2*int64(d+n)*int64(n)*int64(n)+4*int64(n)*int64(n)*int64(n)/3)
 	rsk := lapack.ExtractR(sa)
-	ss.End()
-
 	// Guard: R_sk is about to be inverted against every row of A; reject
 	// the sketch if it is numerically (or exactly — κ̂ = +Inf) singular.
-	if cond := lapack.TrconUpper1(rsk); cond > CQRRPTCondGuard {
+	cond := lapack.TrconUpper1(rsk)
+	ss.End()
+	if cond > CQRRPTCondGuard {
 		return nil, fmt.Errorf("%w: sketch R condition estimate %.3g exceeds %.3g",
 			errSketchRejected, cond, CQRRPTCondGuard)
 	}
@@ -163,9 +164,11 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 
 	// Preconditioner application as one streaming pass over A:
 	// A_p := (A·P)·R_sk⁻¹ with W = A_pᵀA_p emitted in the same traversal.
+	// The stage also times the copy of A the pass works on; its flops and
+	// bytes mirror the fused kernel alone.
+	sp := trace.Region(trace.StagePrecond)
 	aw := a.Clone()
 	w := mat.NewDense(n, n)
-	sp := trace.Region(trace.StagePrecond)
 	blas.PermTrsmGramFused(e, aw, jpvt, rsk, w)
 	sp.End()
 	trace.AddFlops(trace.StagePrecond,
@@ -177,16 +180,20 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	}
 
 	// One CholQR on the preconditioned matrix: R_e = chol(W), Q = A_p·R_e⁻¹.
+	// The stage also times the condition estimate of R_e.
 	sc := trace.Region(trace.StageCholCP)
 	err := lapack.PotrfUpper(e, w)
+	var condRe float64
+	if err == nil {
+		lapack.ZeroLower(w)
+		condRe = lapack.TrconUpper1(w)
+	}
 	sc.End()
 	trace.AddFlops(trace.StageCholCP, int64(n)*int64(n)*int64(n)/3)
 	if err != nil {
 		return nil, fmt.Errorf("%w: preconditioned Gram lost definiteness: %v",
 			errSketchRejected, err)
 	}
-	lapack.ZeroLower(w)
-	condRe := lapack.TrconUpper1(w)
 
 	passes := 1
 	if condRe <= reorthCond {

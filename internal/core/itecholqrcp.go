@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/parallel"
+	"repro/internal/trace"
 	"repro/mat"
 )
 
@@ -87,7 +88,12 @@ func IteCholQRCPTraced(e *parallel.Engine, a *mat.Dense, eps float64, trace Iter
 // IteCholQRCPSweeps so the out-of-core and distributed paths replay the
 // exact same replicated steps.
 func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int, iterCB IterTrace) (*CPResult, error) {
-	sw := NewDenseSweeper(e, a.Clone())
+	// The working copy is the first Gram sweep's input; the Gram stage
+	// times it, so a traced run leaves none of its time unattributed.
+	sg := trace.Region(trace.StageGram)
+	b := a.Clone()
+	sg.End()
+	sw := NewDenseSweeper(e, b)
 	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, rankCap, iterCB)
 	if err != nil {
 		return nil, err

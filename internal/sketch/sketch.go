@@ -12,12 +12,19 @@
 // any width therefore produce bit-identical sketches for a fixed seed,
 // which makes the whole CQRRPT pipeline reproducible and keeps
 // distributed replicas in lockstep.
+//
+// Both kernels add their input rows through one loop, blas.ScatterRows:
+// per input row they draw the targets and weights from the row's stream,
+// then add the weighted row into those accumulator rows in one call. On amd64
+// that loop runs as AVX2 assembly bit-identical to its Go form, so the
+// sketch bits do not depend on the build or the CPU either.
 package sketch
 
 import (
 	"fmt"
 	"math"
 
+	"repro/internal/blas"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/mat"
@@ -191,81 +198,94 @@ func slotBounds(m, ns, si int) (lo, hi int) {
 // consumed in ascending order, so the summation order inside a slot is
 // fixed by the slot bounds alone.
 //
+// The (seed, i) stream is consumed as nnz targets (each redrawn until it
+// is new to the row) and then one sign draw per target, whose low bit
+// becomes the weight's sign bit. The row then goes to acc in one
+// blas.ScatterRows call.
+//
 //repolint:hotpath
 func sparseSlotRange(a *mat.Dense, lo, hi, d, nnz int, seed uint64, acc *mat.Dense) {
 	n := a.Cols
-	scale := 1 / math.Sqrt(float64(nnz))
-	// Row targets for one input row, drawn without replacement; nnz is a
-	// small constant (≤ DefaultNNZ) so the quadratic rejection scan and
-	// the stack buffer cost nothing.
-	var targets [64]int
-	if nnz > len(targets) {
+	scale := math.Float64bits(1 / math.Sqrt(float64(nnz)))
+	// Targets and weights of one input row; nnz is a small constant
+	// (DefaultNNZ), so the stack buffers cost nothing.
+	var targetBuf [64]int
+	var weightBuf [64]float64
+	if nnz > len(targetBuf) {
 		panic("sketch: nnz exceeds the sparse kernel's target buffer")
 	}
+	targets, weights := targetBuf[:nnz], weightBuf[:nnz]
 	for i := lo; i < hi; i++ {
 		src := rowSource(seed, i)
-		for t := 0; t < nnz; t++ {
+		// taken has bit r mod 64 set once a target r is drawn; only a
+		// set bit needs the scan of the targets drawn so far.
+		var taken uint64
+		for t := range targets {
 			for {
 				r := src.Intn(d)
-				dup := false
-				for u := 0; u < t; u++ {
-					if targets[u] == r {
-						dup = true
-						break
-					}
-				}
-				if !dup {
+				bit := uint64(1) << (uint(r) & 63)
+				if taken&bit == 0 || !contains(targets[:t], r) {
+					taken |= bit
 					targets[t] = r
 					break
 				}
 			}
 		}
-		row := a.Data[i*a.Stride : i*a.Stride+n]
-		for t := 0; t < nnz; t++ {
-			s := scale
-			if src.Uint64()&1 == 1 {
-				s = -scale
-			}
-			dst := acc.Data[targets[t]*acc.Stride : targets[t]*acc.Stride+n]
-			for j, v := range row {
-				dst[j] += s * v
-			}
+		for t := range weights {
+			weights[t] = math.Float64frombits(scale | src.Uint64()<<63)
 		}
+		blas.ScatterRows(acc, a.Data[i*a.Stride:i*a.Stride+n], targets, weights)
 	}
 }
+
+// contains reports whether r is one of the targets.
+//
+//repolint:hotpath
+func contains(targets []int, r int) bool {
+	for _, u := range targets {
+		if u == r {
+			return true
+		}
+	}
+	return false
+}
+
+// gaussianChunk is the number of Gaussian weights drawn before one
+// scatter. It is even, so a Box–Muller pair never straddles two chunks.
+const gaussianChunk = 64
 
 // gaussianSlotRange accumulates rows [lo, hi) of a into acc through the
 // dense Gaussian embedding: row i contributes the rank-1 update
 // g_i·a(i,:) with g_i the length-d N(0, 1/d) vector of the (seed, i)
 // stream. Gaussians are drawn by Box–Muller in pairs, in ascending target
 // order, so the draws and the summation order are fixed by the slot
-// bounds alone.
+// bounds alone. The weights of up to gaussianChunk consecutive targets
+// are drawn first and then scattered in one blas.ScatterRows call; every
+// accumulator element still takes one update per input row.
 //
 //repolint:hotpath
 func gaussianSlotRange(a *mat.Dense, lo, hi, d int, seed uint64, acc *mat.Dense) {
 	n := a.Cols
 	scale := 1 / math.Sqrt(float64(d))
+	var targets [gaussianChunk]int
+	var weights [gaussianChunk]float64
 	for i := lo; i < hi; i++ {
 		src := rowSource(seed, i)
 		row := a.Data[i*a.Stride : i*a.Stride+n]
-		for r := 0; r < d; r += 2 {
-			// Box–Muller: two independent normals from two uniforms.
-			u1 := float64(src.Uint64()>>11+1) * (1.0 / (1 << 53)) // (0,1]
-			u2 := src.Float64()
-			rad := math.Sqrt(-2 * math.Log(u1))
-			sin, cos := math.Sincos(2 * math.Pi * u2)
-			g0 := scale * rad * cos
-			dst := acc.Data[r*acc.Stride : r*acc.Stride+n]
-			for j, v := range row {
-				dst[j] += g0 * v
-			}
-			if r+1 < d {
-				g1 := scale * rad * sin
-				dst = acc.Data[(r+1)*acc.Stride : (r+1)*acc.Stride+n]
-				for j, v := range row {
-					dst[j] += g1 * v
+		for r0 := 0; r0 < d; r0 += gaussianChunk {
+			c := min(gaussianChunk, d-r0)
+			for r := 0; r < c; r += 2 {
+				// Box–Muller: two independent normals from two uniforms.
+				u1 := float64(src.Uint64()>>11+1) * (1.0 / (1 << 53)) // (0,1]
+				u2 := src.Float64()
+				rad := math.Sqrt(-2 * math.Log(u1))
+				sin, cos := math.Sincos(2 * math.Pi * u2)
+				targets[r], weights[r] = r0+r, scale*rad*cos
+				if r+1 < c {
+					targets[r+1], weights[r+1] = r0+r+1, scale*rad*sin
 				}
 			}
+			blas.ScatterRows(acc, row, targets[:c], weights[:c])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,22 +59,91 @@ func refSparse(sa, a *mat.Dense, nnz int, seed uint64) {
 	}
 }
 
-func TestApplySparseMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, sh := range []struct{ m, n, d, nnz int }{
-		{1, 1, 2, 1}, {7, 3, 6, 2}, {100, 8, 16, 4}, {1999, 24, 48, 8},
-	} {
-		a := randDense(rng, sh.m, sh.n)
-		sa := mat.NewDense(sh.d, sh.n)
-		ApplySparse(nil, sa, a, sh.nnz, 42)
-		ref := mat.NewDense(sh.d, sh.n)
-		refSparse(ref, a, sh.nnz, 42)
-		for i := range sa.Data {
-			if math.Float64bits(sa.Data[i]) != math.Float64bits(ref.Data[i]) {
-				t.Fatalf("m=%d n=%d d=%d nnz=%d: sketch differs from replayed reference at flat index %d: %v vs %v",
-					sh.m, sh.n, sh.d, sh.nnz, i, sa.Data[i], ref.Data[i])
+// refGaussian replays the Gaussian kernel's stream consumption row by
+// row in ascending order, one Box–Muller pair per two targets, each
+// target updated by a plain loop as soon as its weight is drawn.
+func refGaussian(sa, a *mat.Dense, seed uint64) {
+	d, n := sa.Rows, sa.Cols
+	sa.Zero()
+	scale := 1 / math.Sqrt(float64(d))
+	for i := 0; i < a.Rows; i++ {
+		src := rowSource(seed, i)
+		row := a.Data[i*a.Stride : i*a.Stride+n]
+		for r := 0; r < d; r += 2 {
+			u1 := float64(src.Uint64()>>11+1) * (1.0 / (1 << 53))
+			u2 := src.Float64()
+			rad := math.Sqrt(-2 * math.Log(u1))
+			sin, cos := math.Sincos(2 * math.Pi * u2)
+			g0 := scale * rad * cos
+			dst := sa.Data[r*sa.Stride : r*sa.Stride+n]
+			for j, v := range row {
+				dst[j] += g0 * v
+			}
+			if r+1 < d {
+				g1 := scale * rad * sin
+				dst = sa.Data[(r+1)*sa.Stride : (r+1)*sa.Stride+n]
+				for j, v := range row {
+					dst[j] += g1 * v
+				}
 			}
 		}
+	}
+}
+
+// sketchShapes are below the two-slot threshold (m < 2·sketchMinSlotRows),
+// where the replayed references take the kernels' summation order. They
+// cover widths on both sides of the 4- and 16-wide vector loops, d past
+// the 64-bit duplicate mask and the Gaussian chunk, odd d, and nnz = d.
+var sketchShapes = []struct{ m, n, d, nnz int }{
+	{1, 1, 2, 1}, {7, 3, 6, 2}, {100, 8, 16, 4}, {1999, 24, 48, 8},
+	{300, 1, 8, 8}, {300, 4, 7, 7}, {300, 5, 64, 64}, {300, 31, 62, 8},
+	{300, 32, 64, 8}, {300, 33, 130, 8}, {300, 64, 128, 8}, {4000, 64, 129, 3},
+}
+
+// stridedDense returns an m×n view with Stride > Cols and normal entries.
+func stridedDense(rng *rand.Rand, m, n int) *mat.Dense {
+	return randDense(rng, m+2, n+3).Slice(1, 1+m, 2, 2+n)
+}
+
+func requireSameSketch(t *testing.T, label string, got, want *mat.Dense) {
+	t.Helper()
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			g, w := got.At(i, j), want.At(i, j)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: sketch differs from replayed reference at (%d,%d): %v vs %v", label, i, j, g, w)
+			}
+		}
+	}
+}
+
+func TestApplySparseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sh := range sketchShapes {
+		for _, strided := range []bool{false, true} {
+			a := randDense(rng, sh.m, sh.n)
+			if strided {
+				a = stridedDense(rng, sh.m, sh.n)
+			}
+			sa := mat.NewDense(sh.d, sh.n)
+			ApplySparse(nil, sa, a, sh.nnz, 42)
+			ref := mat.NewDense(sh.d, sh.n)
+			refSparse(ref, a, sh.nnz, 42)
+			requireSameSketch(t, fmt.Sprintf("m=%d n=%d d=%d nnz=%d strided=%v",
+				sh.m, sh.n, sh.d, sh.nnz, strided), sa, ref)
+		}
+	}
+}
+
+func TestApplyGaussianMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, sh := range sketchShapes {
+		a := stridedDense(rng, min(sh.m, 500), sh.n)
+		sa := mat.NewDense(sh.d, sh.n)
+		ApplyGaussian(nil, sa, a, 43)
+		ref := mat.NewDense(sh.d, sh.n)
+		refGaussian(ref, a, 43)
+		requireSameSketch(t, fmt.Sprintf("m=%d n=%d d=%d", a.Rows, sh.n, sh.d), sa, ref)
 	}
 }
 
