@@ -1,6 +1,7 @@
 // Command bench-kernels measures the Level-3 kernels on the Ite-CholQR-CP
-// hot path (Gram, TRSM, GEMM, sparse-sign sketch) plus the end-to-end
-// factorizations — the iterated baseline, the randomized CQRRPT A/B pair
+// hot path (Gram, TRSM, GEMM, sparse-sign sketch) and the two GEMMs of
+// the Householder QRCP baseline, plus the end-to-end factorizations —
+// the iterated baseline, the randomized CQRRPT A/B pair
 // with its accuracy parity rows, and batch throughput — and writes the
 // results as JSON for regression tracking (`make bench-json`). The JSON
 // layout is documented in bench/SCHEMA.md and gated in CI by
@@ -244,6 +245,33 @@ func main() {
 					}
 				}))
 		}
+	}
+
+	// The two GEMM shapes of the Householder QRCP baseline, with its
+	// 32-column reflector panel V on a 10000×256 problem: Larfb's
+	// W = Vᵀ·C (Orgqr) and laqps's trailing update C −= V·Fᵀ (Geqp3).
+	// They draw from their own generator so the rows above and below keep
+	// their inputs.
+	{
+		const hm, hn, hk = 10000, 256, 32
+		hrng := rand.New(rand.NewSource(43))
+		v := randDense(hrng, hm, hk)
+		c := randDense(hrng, hm, hn)
+		w := mat.NewDense(hk, hn)
+		f := randDense(hrng, hn, hk)
+		flops := 2 * float64(hm) * float64(hn) * float64(hk)
+		rep.Records = append(rep.Records, run("GemmTN", hm, hn, flops, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, v, c, 0, w)
+			}
+		}))
+		rep.Records = append(rep.Records, run("GemmNT", hm, hn, flops, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				blas.Gemm(nil, blas.NoTrans, blas.Trans, -1, v, f, 1, c)
+			}
+		}))
 	}
 
 	for _, n := range ns {

@@ -42,30 +42,33 @@ func TestKernelConformance(t *testing.T) {
 // the elementwise references: differences are rounding-order noise.
 const kernelTol = 1e-10
 
-// testKernelGemm checks all four transpose combinations against the
-// elementwise reference, sized past gemmParallelFlops so the parallel
-// paths engage.
+// testKernelGemm checks the three supported transpose combinations
+// against the elementwise reference, sized past gemmParallelFlops so the
+// parallel paths engage, on shapes whose m and k leave 1–3 rows and
+// summation rows past the last quad (k = 263 also crosses kBlock).
 func testKernelGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	e := parallel.NewEngine(4)
-	const m, n, k = 150, 40, 60
-	for _, tc := range []struct{ tA, tB Transpose }{
-		{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans},
-	} {
-		ar, ac, br, bc := m, k, k, n
-		if tc.tA == Trans {
-			ar, ac = k, m
+	for _, sh := range []struct{ m, n, k int }{{150, 40, 60}, {151, 37, 263}, {7, 5, 3}} {
+		m, n, k := sh.m, sh.n, sh.k
+		for _, tc := range []struct{ tA, tB Transpose }{
+			{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans},
+		} {
+			ar, ac, br, bc := m, k, k, n
+			if tc.tA == Trans {
+				ar, ac = k, m
+			}
+			if tc.tB == Trans {
+				br, bc = n, k
+			}
+			a := randDenseStrided(rng, ar, ac)
+			b := randDenseStrided(rng, br, bc)
+			c := randDense(rng, m, n)
+			want := c.Clone()
+			Gemm(e, tc.tA, tc.tB, 1.5, a, b, 0.5, c)
+			naiveGemm(tc.tA, tc.tB, 1.5, a, b, 0.5, want)
+			checkULPClose(t, "C", c, want, 1e-12*float64(k))
 		}
-		if tc.tB == Trans {
-			br, bc = n, k
-		}
-		a := randDenseStrided(rng, ar, ac)
-		b := randDenseStrided(rng, br, bc)
-		c := randDense(rng, m, n)
-		want := c.Clone()
-		Gemm(e, tc.tA, tc.tB, 1.5, a, b, 0.5, c)
-		naiveGemm(tc.tA, tc.tB, 1.5, a, b, 0.5, want)
-		checkULPClose(t, "C", c, want, 1e-12*float64(k))
 	}
 }
 
@@ -80,8 +83,8 @@ func testKernelSyrk(t *testing.T) {
 	a := randDenseStrided(rng, m, n)
 	c := randDense(rng, n, n)
 	want := c.Clone()
-	SyrkUpperTrans(e, 2, a, 0.25, c)
-	naiveSyrkUpper(2, a, 0.25, want)
+	SyrkUpperTrans(e, a, c)
+	naiveSyrkUpper(-1, a, 1, want)
 	bound := kernelTol * float64(m)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
@@ -172,27 +175,35 @@ func testKernelScatter(t *testing.T) {
 }
 
 // testKernelWidthDeterminism checks the determinism contract: every
-// kernel that reduces over rows (Gram, SyrkUpperTrans, Gemm Aᵀ·B, the
-// fused pass) and the row-parallel TRSM is bit-identical across engine
-// widths.
+// kernel that reduces over rows (Gram, SyrkUpperTrans, Gemm Aᵀ·B,
+// Gemv Aᵀ·x, the fused pass) and the row-parallel ones (Gemm A·B and
+// A·Bᵀ, TRSM) are bit-identical across engine widths.
 func testKernelWidthDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const m, n = 8192, 24 // several slots, parallel paths engaged
 	a0 := randDense(rng, m, n)
 	b0 := randDense(rng, m, n)
+	sq := randDense(rng, n, n)
+	x := b0.Data[:m]
 	r := randUpperWellCond(rng, n)
 	perm := randPerm(rng, n)
 
-	type result struct{ gram, gemm, syrk, trsm, fusedB, fusedG *mat.Dense }
+	type result struct{ gram, gemmTN, gemmNN, gemmNT, gemv, syrk, trsm, fusedB, fusedG *mat.Dense }
 	run := func(w int) result {
 		e := parallel.NewEngine(w)
 		var res result
 		res.gram = mat.NewDense(n, n)
 		Gram(e, res.gram, a0)
-		res.gemm = mat.NewDense(n, n)
-		Gemm(e, Trans, NoTrans, 1, a0, b0, 0, res.gemm)
+		res.gemmTN = mat.NewDense(n, n)
+		Gemm(e, Trans, NoTrans, 1, a0, b0, 0, res.gemmTN)
+		res.gemmNN = b0.Clone()
+		Gemm(e, NoTrans, NoTrans, -1.5, a0, sq, 1, res.gemmNN)
+		res.gemmNT = b0.Clone()
+		Gemm(e, NoTrans, Trans, 0.75, a0, sq, 1, res.gemmNT)
+		res.gemv = mat.NewDense(1, n)
+		Gemv(e, Trans, 1.25, a0, x, 0, res.gemv.Data)
 		res.syrk = mat.NewDense(n, n)
-		SyrkUpperTrans(e, 1, a0, 0, res.syrk)
+		SyrkUpperTrans(e, a0, res.syrk)
 		res.trsm = b0.Clone()
 		TrsmRightUpperNoTrans(e, res.trsm, r)
 		res.fusedB = b0.Clone()
@@ -205,7 +216,10 @@ func testKernelWidthDeterminism(t *testing.T) {
 	for _, w := range []int{2, 3, 8} {
 		got := run(w)
 		sameBits(t, "Gram", got.gram, ref.gram)
-		sameBits(t, "Gemm", got.gemm, ref.gemm)
+		sameBits(t, "Gemm TN", got.gemmTN, ref.gemmTN)
+		sameBits(t, "Gemm NN", got.gemmNN, ref.gemmNN)
+		sameBits(t, "Gemm NT", got.gemmNT, ref.gemmNT)
+		sameBits(t, "Gemv T", got.gemv, ref.gemv)
 		sameBits(t, "Syrk", got.syrk, ref.syrk)
 		sameBits(t, "Trsm", got.trsm, ref.trsm)
 		sameBits(t, "Fused.B", got.fusedB, ref.fusedB)
@@ -238,7 +252,8 @@ func testKernelAllocFree(t *testing.T) {
 			{"Gram", func() { Gram(e, g, a) }},
 			{"Gram32", func() { Gram32(e, g, a) }},
 			{"Gemm", func() { Gemm(e, Trans, NoTrans, 1, a, b, 0, c) }},
-			{"Syrk", func() { SyrkUpperTrans(e, 1, a, 0, c) }},
+			{"Syrk", func() { SyrkUpperTrans(e, a, c) }},
+			{"GemvT", func() { Gemv(e, Trans, 1, a, b.Data[:m], 0, c.Data[:n]) }},
 			{"Trsm", func() { TrsmRightUpperNoTrans(e, b, r) }},
 			{"Fused", func() { PermTrsmGramFused(e, b, perm, r, g) }},
 			{"Scatter", func() { ScatterRows(c, a.Data[:n], []int{3, 0, 3}, []float64{1, -1, 0.5}) }},

@@ -158,7 +158,7 @@ func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, 
 // on streamed row ranges by TrsmRightUpperNoTrans. The solve is panel
 // blocked for arithmetic intensity: for each 4-wide column panel the 4×4
 // diagonal block is solved by substitution, then the trailing columns
-// receive one rank-4 update (trsmQuad) across a 4-row quad. Every row,
+// receive one rank-4 update (gemmQuad) across a 4-row quad. Every row,
 // in a quad or among the 1–3 remainder rows, takes the same arithmetic —
 // reciprocal multiplies, the same panel walk, the same association — so
 // a row's bits never depend on how rows were grouped: not on (lo, hi),
@@ -218,7 +218,7 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 			v[15] = (x3[k0+3] - v[12]*r0[k0+3] - v[13]*r1[k0+3] - v[14]*r2[k0+3]) * inv3
 			x3[k0], x3[k0+1], x3[k0+2], x3[k0+3] = v[12], v[13], v[14], v[15]
 			// Rank-4 update of the trailing columns.
-			trsmQuad(x, b.Stride, rq, r.Stride, &v, k0+4, n)
+			gemmQuad(x, b.Stride, rq, r.Stride, &v, k0+4, n)
 		}
 		// Remainder columns (n not a multiple of 4): plain substitution.
 		for k := k0; k < n; k++ {
@@ -242,18 +242,16 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 		x := b.Data[i*b.Stride : i*b.Stride+n]
 		k0 := 0
 		for ; k0+4 <= n; k0 += 4 {
-			r0 := r.Data[k0*r.Stride : k0*r.Stride+n]
-			r1 := r.Data[(k0+1)*r.Stride : (k0+1)*r.Stride+n]
-			r2 := r.Data[(k0+2)*r.Stride : (k0+2)*r.Stride+n]
-			r3 := r.Data[(k0+3)*r.Stride : (k0+3)*r.Stride+n]
+			rq := r.Data[k0*r.Stride:]
+			r0 := rq[:n]
+			r1 := rq[r.Stride : r.Stride+n]
+			r2 := rq[2*r.Stride : 2*r.Stride+n]
 			v0 := x[k0] * inv[k0]
 			v1 := (x[k0+1] - v0*r0[k0+1]) * inv[k0+1]
 			v2 := (x[k0+2] - v0*r0[k0+2] - v1*r1[k0+2]) * inv[k0+2]
 			v3 := (x[k0+3] - v0*r0[k0+3] - v1*r1[k0+3] - v2*r2[k0+3]) * inv[k0+3]
 			x[k0], x[k0+1], x[k0+2], x[k0+3] = v0, v1, v2, v3
-			for j := k0 + 4; j < n; j++ {
-				x[j] -= v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
-			}
+			gemmQuadRow(x, rq, r.Stride, v0, v1, v2, v3, k0+4, n)
 		}
 		for k := k0; k < n; k++ {
 			rk := r.Data[k*r.Stride : k*r.Stride+n]

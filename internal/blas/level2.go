@@ -53,51 +53,30 @@ func gemvN(e *parallel.Engine, alpha float64, a *mat.Dense, x []float64, beta fl
 	e.For(a.Rows, minChunk+1, body)
 }
 
+// gemvT: y = alpha·Aᵀ·x + beta·y. The summation runs over the rows of A,
+// so it goes through the fixed slot reduction (reduceRows) with y as a
+// pooled 1×n partial and is bit-identical for every engine width.
 func gemvT(e *parallel.Engine, alpha float64, a *mat.Dense, x []float64, beta float64, y []float64) {
-	for j := range y {
-		y[j] *= beta
+	acc := mat.GetWorkspace(1, len(y), false)
+	for j, v := range y {
+		acc.Data[j] = beta * v
 	}
-	if a.Rows*a.Cols < gemvParallelThreshold || e.Workers() == 1 {
-		for i := 0; i < a.Rows; i++ {
-			xi := alpha * x[i]
-			if xi == 0 {
-				continue
-			}
-			row := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-			for j, v := range row {
-				y[j] += xi * v
-			}
+	reduceRows(e, a.Rows, mulFlops(2, a.Rows, a.Cols), acc, false, rowJob{alpha: alpha, a: a, x: x}, gemvTRows)
+	copy(y, acc.Data)
+	mat.PutWorkspace(acc)
+}
+
+// gemvTRows is gemvT's reduceRows kernel: dst += alpha·x(lo:hi)ᵀ·A(lo:hi,:).
+func gemvTRows(job rowJob, lo, hi int, dst *mat.Dense) {
+	a, y := job.a, dst.Data[:dst.Cols]
+	for i := lo; i < hi; i++ {
+		xi := job.alpha * job.x[i]
+		if xi == 0 {
+			continue
 		}
-		return
-	}
-	// Parallel over row blocks with pooled per-block private accumulators,
-	// then a sequential reduction (y is short: len == a.Cols).
-	minChunk := gemvParallelThreshold / (a.Cols + 1)
-	ranges := e.Split(a.Rows, minChunk+1)
-	acc := make([][]float64, len(ranges))
-	tasks := make([]func(), len(ranges))
-	for bi, r := range ranges {
-		tasks[bi] = func() {
-			buf := mat.GetFloats(a.Cols, true)
-			for i := r.Lo; i < r.Hi; i++ {
-				xi := alpha * x[i]
-				if xi == 0 {
-					continue
-				}
-				row := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-				for j, v := range row {
-					buf[j] += xi * v
-				}
-			}
-			acc[bi] = buf
+		for j, v := range a.Data[i*a.Stride : i*a.Stride+a.Cols] {
+			y[j] += xi * v
 		}
-	}
-	e.Do(tasks...)
-	for _, buf := range acc {
-		for j, v := range buf {
-			y[j] += v
-		}
-		mat.PutFloats(buf)
 	}
 }
 

@@ -2,6 +2,7 @@ package blas
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func TestGemmAllTransCombos(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	combos := []struct{ tA, tB Transpose }{
-		{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans},
+		{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans},
 	}
 	shapes := []struct{ m, n, k int }{
 		{1, 1, 1}, {3, 4, 5}, {7, 2, 9}, {16, 16, 16}, {5, 31, 2},
@@ -78,6 +79,53 @@ func TestGemmDimensionPanics(t *testing.T) {
 	mustPanicB(t, func() {
 		Gemm(nil, NoTrans, NoTrans, 1, mat.NewDense(2, 3), mat.NewDense(3, 2), 0, mat.NewDense(3, 2))
 	})
+	// Aᵀ·Bᵀ is not supported.
+	mustPanicB(t, func() {
+		Gemm(nil, Trans, Trans, 1, mat.NewDense(3, 2), mat.NewDense(2, 3), 0, mat.NewDense(2, 2))
+	})
+}
+
+// TestGemmZeroBlockNotSkipped pins the one way the quad kernel differs
+// from exact zero-skipping: a 4×4 block of A that is all zero still
+// multiplies its rows of B. On finite B that can only flip the sign of a
+// zero in C; an Inf or NaN in B turns the entries it meets into NaN.
+func TestGemmZeroBlockNotSkipped(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	// Every row of B holds cols[j] in column j.
+	b := mat.NewDense(4, 5)
+	cols := []float64{1, -2, math.Inf(1), math.NaN(), 0}
+	for l := 0; l < 4; l++ {
+		for j, v := range cols {
+			b.Set(l, j, v)
+		}
+	}
+	for _, tA := range []Transpose{NoTrans, Trans} {
+		a := mat.NewDense(4, 4) // all zero; Aᵀ too
+		c := mat.NewDense(4, 5)
+		for i := range c.Data {
+			c.Data[i] = negZero
+		}
+		c.Set(3, 0, 7)
+		want := c.Clone()
+		Gemm(nil, tA, NoTrans, 1, a, b, 1, c)
+		for i := 0; i < 4; i++ {
+			for j, bj := range cols {
+				got, old := c.At(i, j), want.At(i, j)
+				switch {
+				case math.IsInf(bj, 0) || math.IsNaN(bj):
+					if !math.IsNaN(got) {
+						t.Fatalf("tA=%v (%d,%d): 0·%v gave %v, want NaN", tA, i, j, bj, got)
+					}
+				case old == 0:
+					if got != 0 {
+						t.Fatalf("tA=%v (%d,%d): zero became %v", tA, i, j, got)
+					}
+				case math.Float64bits(got) != math.Float64bits(old):
+					t.Fatalf("tA=%v (%d,%d): %v changed to %v", tA, i, j, old, got)
+				}
+			}
+		}
+	}
 }
 
 func TestGemmLargeParallelTall(t *testing.T) {
@@ -118,14 +166,15 @@ func TestSyrkUpperTrans(t *testing.T) {
 			a := randDenseStrided(rng, m, n)
 			c := randDenseStrided(rng, n, n)
 			want := c.Clone()
-			naiveSyrkUpper(1.5, a, 0.5, want)
-			SyrkUpperTrans(nil, 1.5, a, 0.5, c)
-			// Compare upper triangles; lower must be untouched.
+			naiveSyrkUpper(-1, a, 1, want)
+			SyrkUpperTrans(nil, a, c)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					got, exp := c.At(i, j), want.At(i, j)
 					if j < i {
-						exp = c.At(i, j) // untouched: compare with itself trivially
+						if got != exp {
+							t.Fatalf("Syrk m=%d n=%d modified lower (%d,%d)", m, n, i, j)
+						}
 						continue
 					}
 					if d := got - exp; d > 1e-9 || d < -1e-9 {
@@ -143,7 +192,7 @@ func TestSyrkLowerUntouched(t *testing.T) {
 	c := mat.NewDense(4, 4)
 	c.Set(2, 0, 123)
 	c.Set(3, 1, -7)
-	SyrkUpperTrans(nil, 1, a, 0, c)
+	SyrkUpperTrans(nil, a, c)
 	if c.At(2, 0) != 123 || c.At(3, 1) != -7 {
 		t.Fatal("SyrkUpperTrans modified the strict lower triangle")
 	}

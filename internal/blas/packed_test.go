@@ -9,10 +9,10 @@ import (
 	"repro/mat"
 )
 
-// Tests for the packed/tiled Level-3 paths: shapes are chosen to straddle
-// the tile boundaries (kBlock, nBlock, ttIBlock, syrkJBlock) so full tiles,
-// ragged edge tiles, and the single-tile fast path are all exercised, with
-// strided views to verify packing is stride-correct.
+// Tests for the tiled Level-3 paths: GEMM shapes straddle the kBlock
+// summation tile, so full tiles, the ragged last tile and the single-tile
+// case all run, on strided views; the SYRK runs at widths past 256
+// columns.
 
 func matsClose(t *testing.T, got, want *mat.Dense, tol float64, label string) {
 	t.Helper()
@@ -29,13 +29,15 @@ func matsClose(t *testing.T, got, want *mat.Dense, tol float64, label string) {
 	}
 }
 
+// TestGemmNNPackedWideN runs A·B, and A·Bᵀ on its packed Bᵀ, across the
+// kBlock boundary, on wide outputs.
 func TestGemmNNPackedWideN(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// n > nBlock triggers the packed j×k-tiled path; k straddles kBlock.
 	for _, sh := range []struct{ m, k, n int }{
-		{37, kBlock + 13, nBlock + 21},
-		{5, 3, nBlock + 1},
-		{11, kBlock, 2*nBlock + 7},
+		{37, kBlock + 13, 277},
+		{5, 3, 257},
+		{11, kBlock, 519},
+		{6, 2*kBlock + 3, 9},
 	} {
 		a := randDenseStrided(rng, sh.m, sh.k)
 		b := randDenseStrided(rng, sh.k, sh.n)
@@ -43,48 +45,26 @@ func TestGemmNNPackedWideN(t *testing.T) {
 		want := c.Clone()
 		Gemm(nil, NoTrans, NoTrans, 1.5, a, b, 0.5, c)
 		naiveGemm(NoTrans, NoTrans, 1.5, a, b, 0.5, want)
-		matsClose(t, c, want, 1e-12*float64(sh.k), "gemmNN packed")
-	}
-}
+		matsClose(t, c, want, 1e-12*float64(sh.k), "gemm NN")
 
-func TestGemmTTPackedTiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, sh := range []struct{ m, k, n int }{
-		{ttIBlock + 5, kBlock + 9, 17}, // ragged i and l tiles
-		{3, 2, 4},                      // tiny: single partial tile
-		{2 * ttIBlock, kBlock, 33},     // exact tile multiples
-	} {
-		a := randDenseStrided(rng, sh.k, sh.m) // op(A) = Aᵀ is m×k
-		b := randDenseStrided(rng, sh.n, sh.k) // op(B) = Bᵀ is k×n
-		c := randDense(rng, sh.m, sh.n)
-		want := c.Clone()
-		Gemm(nil, Trans, Trans, -0.75, a, b, 1, c)
-		naiveGemm(Trans, Trans, -0.75, a, b, 1, want)
-		matsClose(t, c, want, 1e-12*float64(sh.k), "gemmTT packed")
+		bt := randDenseStrided(rng, sh.n, sh.k)
+		c = randDense(rng, sh.m, sh.n)
+		want = c.Clone()
+		Gemm(nil, NoTrans, Trans, -0.75, a, bt, 1, c)
+		naiveGemm(NoTrans, Trans, -0.75, a, bt, 1, want)
+		matsClose(t, c, want, 1e-12*float64(sh.k), "gemm NT")
 	}
-}
-
-func TestGemmTTParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m, k, n := 150, 130, 120 // 2·m·n·k > gemmParallelFlops
-	a := randDense(rng, k, m)
-	b := randDense(rng, n, k)
-	c1 := randDense(rng, m, n)
-	c2 := c1.Clone()
-	Gemm(parallel.NewEngine(4), Trans, Trans, 1, a, b, 1, c1)
-	Gemm(parallel.NewEngine(1), Trans, Trans, 1, a, b, 1, c2)
-	matsClose(t, c1, c2, 1e-13*float64(k), "gemmTT parallel vs sequential")
 }
 
 func TestSyrkWideNBlockedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, n := range []int{syrkJBlock + 1, syrkJBlock + 37} {
+	for _, n := range []int{257, 293} {
 		m := 19 // small m keeps the naive reference cheap
 		a := randDenseStrided(rng, m, n)
 		c := randDense(rng, n, n)
 		want := c.Clone()
-		SyrkUpperTrans(nil, 2, a, 0.25, c)
-		naiveSyrkUpper(2, a, 0.25, want)
+		SyrkUpperTrans(nil, a, c)
+		naiveSyrkUpper(-1, a, 1, want)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				g, w := c.At(i, j), want.At(i, j)
@@ -104,15 +84,19 @@ func TestSyrkWideNBlockedPath(t *testing.T) {
 	}
 }
 
+// TestSyrkWideNParallelMatchesSequential: on one reduction slot (400
+// rows) and on several (4500), every width gives the same bits.
 func TestSyrkWideNParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m, n := 400, syrkJBlock+13
-	a := randDense(rng, m, n)
-	c1 := mat.NewDense(n, n)
-	c2 := mat.NewDense(n, n)
-	SyrkUpperTrans(parallel.NewEngine(4), 1, a, 0, c1)
-	SyrkUpperTrans(parallel.NewEngine(1), 1, a, 0, c2)
-	matsClose(t, c1, c2, 1e-13*float64(m), "syrk parallel vs sequential")
+	const n = 269
+	for _, m := range []int{400, 4500} {
+		a := randDense(rng, m, n)
+		c1 := mat.NewDense(n, n)
+		c2 := mat.NewDense(n, n)
+		SyrkUpperTrans(parallel.NewEngine(4), a, c1)
+		SyrkUpperTrans(parallel.NewEngine(1), a, c2)
+		sameBits(t, "syrk parallel vs sequential", c1, c2)
+	}
 }
 
 // TestMulFlopsSaturates: the threshold helper must clamp instead of

@@ -1,16 +1,16 @@
 package blas
 
-// The three inner loops that hold the time of the fused kernel family and
-// of the sparse sketch, written once in Go. These loops are the
-// reference: on amd64 with AVX2 (and without the purego build tag)
-// syrkQuad, trsmQuad and scatterRows run an assembly version instead
-// (quad_amd64.s), which must reproduce them bit for bit. It does so by
-// keeping their arithmetic exactly: every output element gets the same
-// separate multiplies and adds (no FMA), associated the way Go evaluates
-// the expressions below, ((a + b) + c) + d, and the vector lanes run over
-// independent output columns j, so a lane computes precisely what one
-// iteration of the j loop computes. Anything else (another build, another
-// CPU) runs these loops. See DESIGN.md §10.
+// The three inner loops that hold the time of every GEMM, SYRK and
+// right-side TRSM and of the sparse sketch, written once in Go. These
+// loops are the reference: on amd64 with AVX2 (and without the purego
+// build tag) syrkQuad, gemmQuad and scatterRows run an assembly version
+// instead (quad_amd64.s), which must reproduce them bit for bit. It does
+// so by keeping their arithmetic exactly: every output element gets the
+// same separate multiplies and adds (no FMA), associated the way Go
+// evaluates the expressions below, ((a + b) + c) + d, and the vector
+// lanes run over independent output columns j, so a lane computes
+// precisely what one iteration of the j loop computes. Anything else
+// (another build, another CPU) runs these loops. See DESIGN.md §10.
 
 // syrkQuadGo accumulates the Gram contribution of one 4-row quad of B
 // into accumulator rows [iLo, iHi):
@@ -53,18 +53,18 @@ func syrkQuadGo(acc []float64, accStride int, b []float64, bStride, n, iLo, iHi 
 	}
 }
 
-// trsmQuadGo is the rank-4 trailing update of the panel TRSM for one
-// 4-row quad of X:
+// gemmQuadGo is the rank-4 update of one 4-row quad of X:
 //
 //	x[s][j] -= ((v[4s]·w0 + v[4s+1]·w1) + v[4s+2]·w2) + v[4s+3]·w3,   j0 ≤ j < n,
 //
-// with wt = R[t][j] for the four panel rows of R held in r at stride
-// rStride, and x the quad's four rows at stride xStride. v holds the
-// quad's solved 4×4 diagonal panel, row by row. 32 flops per 12 memory
-// operations.
+// with wt = R[t][j] for the four rows of R held in r at stride rStride,
+// and x the quad's four rows at stride xStride. v holds a 4×4 block row
+// by row: the quad's solved diagonal panel in the panel TRSM, and −alpha
+// times a block of A (or Aᵀ) in GEMM, where subtracting the negated
+// product adds exactly alpha·A·B. 32 flops per 12 memory operations.
 //
 //repolint:hotpath
-func trsmQuadGo(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
+func gemmQuadGo(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
 	x0 := x[:n]
 	x1 := x[xStride : xStride+n]
 	x2 := x[2*xStride : 2*xStride+n]
@@ -83,6 +83,25 @@ func trsmQuadGo(x []float64, xStride int, r []float64, rStride int, v *[16]float
 		x1[j] -= v10*w0 + v11*w1 + v12*w2 + v13*w3
 		x2[j] -= v20*w0 + v21*w1 + v22*w2 + v23*w3
 		x3[j] -= v30*w0 + v31*w1 + v32*w2 + v33*w3
+	}
+}
+
+// gemmQuadRow is one row of gemmQuadGo,
+//
+//	x[j] -= ((v0·w0 + v1·w1) + v2·w2) + v3·w3,   j0 ≤ j < n,
+//
+// for the 1–3 rows past a kernel's last quad, so they take the quad rows'
+// arithmetic exactly.
+//
+//repolint:hotpath
+func gemmQuadRow(x, r []float64, rStride int, v0, v1, v2, v3 float64, j0, n int) {
+	x = x[:n]
+	r0 := r[:n]
+	r1 := r[rStride : rStride+n]
+	r2 := r[2*rStride : 2*rStride+n]
+	r3 := r[3*rStride : 3*rStride+n]
+	for j := j0; j < n; j++ {
+		x[j] -= v0*r0[j] + v1*r1[j] + v2*r2[j] + v3*r3[j]
 	}
 }
 

@@ -2,7 +2,7 @@
 
 package blas
 
-// useAVX2 reports whether syrkQuad, trsmQuad and scatterRows run the
+// useAVX2 reports whether syrkQuad, gemmQuad and scatterRows run the
 // AVX2 assembly:
 // the CPU has AVX2 and the OS saves the YMM registers. Detected once.
 var useAVX2 = cpuHasAVX2()
@@ -17,11 +17,11 @@ func cpuHasAVX2() bool
 //go:noescape
 func syrkQuadAVX2(acc *float64, accStride int, b *float64, bStride int, n, iLo, iHi int)
 
-// trsmQuadAVX2 is trsmQuadGo on raw row pointers: x points at the quad's
-// first row and r at the first of the four panel rows of R.
+// gemmQuadAVX2 is gemmQuadGo on raw row pointers: x points at the quad's
+// first row and r at the first of the four rows of R.
 //
 //go:noescape
-func trsmQuadAVX2(x *float64, xStride int, r *float64, rStride int, v *[16]float64, j0, n int)
+func gemmQuadAVX2(x *float64, xStride int, r *float64, rStride int, v *[16]float64, j0, n int)
 
 // scatterRowsAVX2 is scatterRowsGo on raw pointers: acc points at
 // accumulator row 0, row at the n source entries, and t and w at the
@@ -45,17 +45,17 @@ func syrkQuad(acc []float64, accStride int, b []float64, bStride, n, iLo, iHi in
 	syrkQuadGo(acc, accStride, b, bStride, n, iLo, iHi)
 }
 
-// trsmQuad runs the rank-4 panel TRSM update (see trsmQuadGo), guarded
+// gemmQuad runs the rank-4 quad update (see gemmQuadGo), guarded
 // like syrkQuad.
 //
 //repolint:hotpath
-func trsmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
+func gemmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
 	if useAVX2 && 0 <= j0 && j0 < n && xStride >= 0 && rStride >= 0 &&
 		len(x) >= 3*xStride+n && len(r) >= 3*rStride+n {
-		trsmQuadAVX2(&x[0], xStride, &r[0], rStride, v, j0, n)
+		gemmQuadAVX2(&x[0], xStride, &r[0], rStride, v, j0, n)
 		return
 	}
-	trsmQuadGo(x, xStride, r, rStride, v, j0, n)
+	gemmQuadGo(x, xStride, r, rStride, v, j0, n)
 }
 
 // scatterRows runs the weighted row scatter (see scatterRowsGo), guarded

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 forms of syrkQuadGo, trsmQuadGo and scatterRowsGo (quad.go). They
+// AVX2 forms of syrkQuadGo, gemmQuadGo and scatterRowsGo (quad.go). They
 // must agree with the Go loops bit for bit, so each output element gets
 // the Go loop's arithmetic exactly: separate VMULPD/VADDPD/VSUBPD (never
 // FMA), summed ((p0 + p1) + p2) + p3 and then added to (subtracted from)
@@ -225,13 +225,13 @@ syrkdone:
 	VZEROUPPER
 	RET
 
-// func trsmQuadAVX2(x *float64, xStride int, r *float64, rStride int, v *[16]float64, j0, n int)
+// func gemmQuadAVX2(x *float64, xStride int, r *float64, rStride int, v *[16]float64, j0, n int)
 //
-// Registers: R10–R13 the four panel rows of R, DI and SI the pair of X
+// Registers: R10–R13 the four rows of R, DI and SI the pair of X
 // rows being updated, AX the pair's 8 entries of v, CX the column j,
 // DX n, R9 n-4, BX the pairs left. Y8–Y11 hold v[4s..4s+3] for the
 // first row of the pair and Y12–Y15 for the second, in every lane.
-TEXT ·trsmQuadAVX2(SB), NOSPLIT, $0-56
+TEXT ·gemmQuadAVX2(SB), NOSPLIT, $0-56
 	MOVQ x+0(FP), DI
 	MOVQ xStride+8(FP), R8
 	SHLQ $3, R8
@@ -246,7 +246,7 @@ TEXT ·trsmQuadAVX2(SB), NOSPLIT, $0-56
 	LEAQ -4(DX), R9
 	MOVQ $2, BX
 
-trsmpair:
+gemmpair:
 	LEAQ (DI)(R8*1), SI
 	VBROADCASTSD 0(AX), Y8
 	VBROADCASTSD 8(AX), Y9
@@ -258,9 +258,9 @@ trsmpair:
 	VBROADCASTSD 56(AX), Y15
 	MOVQ j0+40(FP), CX
 
-trsmvec:
+gemmvec:
 	CMPQ CX, R9
-	JGT  trsmtail
+	JGT  gemmtail
 	VMOVUPD (R10)(CX*8), Y0
 	VMOVUPD (R11)(CX*8), Y1
 	VMOVUPD (R12)(CX*8), Y2
@@ -286,11 +286,11 @@ trsmvec:
 	VSUBPD  Y6, Y7, Y7
 	VMOVUPD Y7, (SI)(CX*8)
 	ADDQ    $4, CX
-	JMP     trsmvec
+	JMP     gemmvec
 
-trsmtail:
+gemmtail:
 	CMPQ   CX, DX
-	JGE    trsmnext
+	JGE    gemmnext
 	VMOVSD (R10)(CX*8), X0
 	VMOVSD (R11)(CX*8), X1
 	VMOVSD (R12)(CX*8), X2
@@ -316,13 +316,13 @@ trsmtail:
 	VSUBSD X6, X7, X7
 	VMOVSD X7, (SI)(CX*8)
 	INCQ   CX
-	JMP    trsmtail
+	JMP    gemmtail
 
-trsmnext:
+gemmnext:
 	LEAQ (DI)(R8*2), DI
 	ADDQ $64, AX
 	DECQ BX
-	JNZ  trsmpair
+	JNZ  gemmpair
 	VZEROUPPER
 	RET
 

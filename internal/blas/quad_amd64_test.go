@@ -3,6 +3,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,7 +77,7 @@ func TestSyrkQuadAVX2MatchesGo(t *testing.T) {
 	}
 }
 
-func TestTrsmQuadAVX2MatchesGo(t *testing.T) {
+func TestGemmQuadAVX2MatchesGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(72))
 	for _, n := range quadTestNs {
@@ -88,10 +89,10 @@ func TestTrsmQuadAVX2MatchesGo(t *testing.T) {
 			copy(v[:], quadFill(rng, 16, specials))
 			for j0 := 0; j0 <= n; j0++ {
 				want := append([]float64(nil), x0...)
-				trsmQuadGo(want, xStride, r, rStride, &v, j0, n)
+				gemmQuadGo(want, xStride, r, rStride, &v, j0, n)
 				got := append([]float64(nil), x0...)
-				trsmQuadAVX2(&got[0], xStride, &r[0], rStride, &v, j0, n)
-				requireSameBits(t, "trsmQuad", got, want)
+				gemmQuadAVX2(&got[0], xStride, &r[0], rStride, &v, j0, n)
+				requireSameBits(t, "gemmQuad", got, want)
 			}
 		}
 	}
@@ -170,10 +171,12 @@ func TestScatterRowsOutOfBoundsFallsBack(t *testing.T) {
 	}
 }
 
-// TestFusedKernelsAVX2MatchGo runs the kernels built on the two entry
-// points on Slice'd views (Stride > Cols) whose row counts leave 1–3
-// rows after the last quad, once on the assembly and once on the Go
-// loops.
+// TestFusedKernelsAVX2MatchGo runs the kernels built on the quad entry
+// points (the panel TRSM, the Gram accumulation, Gemm A·B, Aᵀ·B and
+// A·Bᵀ, and SyrkUpperTrans) on Slice'd views (Stride > Cols) whose row
+// counts leave 1–3 rows after the last quad, once on the assembly and
+// once on the Go loops. With specials set the inputs also hold signed
+// zeros.
 func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(73))
@@ -182,24 +185,54 @@ func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 			for _, specials := range []bool{false, true} {
 				big := mat.NewDense(m+2, n+3)
 				copy(big.Data, quadFill(rng, len(big.Data), specials))
+				if specials {
+					for i := 0; i < len(big.Data); i += 7 {
+						big.Data[i] = math.Copysign(0, float64(i%2)-0.5)
+					}
+				}
 				b := big.Slice(1, 1+m, 2, 2+n)
 				r := randUpperWellCond(rng, n)
 
-				solve := func() *mat.Dense {
-					x := b.Clone()
-					fusedTrsmRange(x, r, 0, m)
-					return x
+				for _, k := range []struct {
+					name string
+					run  func() *mat.Dense
+				}{
+					{"fusedTrsmRange", func() *mat.Dense {
+						x := b.Clone()
+						fusedTrsmRange(x, r, 0, m)
+						return x
+					}},
+					{"fusedSyrkCols", func() *mat.Dense {
+						acc := mat.NewDense(n, n)
+						fusedSyrkCols(b, 0, m, 0, n, acc)
+						return acc
+					}},
+					{"Gemm NN", func() *mat.Dense {
+						c := b.Clone()
+						Gemm(nil, NoTrans, NoTrans, -1.25, b, r, 1, c)
+						return c
+					}},
+					{"Gemm TN", func() *mat.Dense {
+						c := r.Clone()
+						Gemm(nil, Trans, NoTrans, -1.25, b, b, 1, c)
+						return c
+					}},
+					{"Gemm NT", func() *mat.Dense {
+						c := mat.NewDense(m, m)
+						Gemm(nil, NoTrans, Trans, -1.25, b, b, 1, c)
+						return c
+					}},
+					{"SyrkUpperTrans", func() *mat.Dense {
+						c := r.Clone()
+						SyrkUpperTrans(nil, b, c)
+						return c
+					}},
+				} {
+					got := k.run()
+					var want *mat.Dense
+					withGoKernels(func() { want = k.run() })
+					requireSameBits(t, fmt.Sprintf("%s m=%d n=%d", k.name, m, n), got.Data, want.Data)
 				}
-				gram := func() *mat.Dense {
-					acc := mat.NewDense(n, n)
-					fusedSyrkCols(b, 0, m, 0, n, acc)
-					return acc
-				}
-				gotX, gotG := solve(), gram()
-				var wantX, wantG *mat.Dense
-				withGoKernels(func() { wantX, wantG = solve(), gram() })
-				requireSameBits(t, "fusedTrsmRange", gotX.Data, wantX.Data)
-				requireSameBits(t, "fusedSyrkCols", gotG.Data, wantG.Data)
 			}
 		}
 	}

@@ -13,11 +13,11 @@ func syrkQuad(acc []float64, accStride int, b []float64, bStride, n, iLo, iHi in
 	syrkQuadGo(acc, accStride, b, bStride, n, iLo, iHi)
 }
 
-// trsmQuad runs the rank-4 panel TRSM update (see trsmQuadGo).
+// gemmQuad runs the rank-4 quad update (see gemmQuadGo).
 //
 //repolint:hotpath
-func trsmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
-	trsmQuadGo(x, xStride, r, rStride, v, j0, n)
+func gemmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
+	gemmQuadGo(x, xStride, r, rStride, v, j0, n)
 }
 
 // scatterRows runs the weighted row scatter (see scatterRowsGo).

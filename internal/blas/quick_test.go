@@ -12,11 +12,14 @@ import (
 )
 
 func TestQuickGemmMatchesNaive(t *testing.T) {
-	f := func(seed int64, mRaw, nRaw, kRaw uint8, tA, tB bool, alphaRaw, betaRaw int8) bool {
+	f := func(seed int64, mRaw, nRaw, kRaw, opRaw uint8, alphaRaw, betaRaw int8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + int(mRaw)%20
 		n := 1 + int(nRaw)%20
 		k := 1 + int(kRaw)%20
+		// A·B, Aᵀ·B or A·Bᵀ: Gemm does not support Aᵀ·Bᵀ.
+		op := opRaw % 3
+		tA, tB := op == 1, op == 2
 		alpha := float64(alphaRaw) / 16
 		beta := float64(betaRaw) / 16
 		ar, ac := m, k
@@ -41,17 +44,15 @@ func TestQuickGemmMatchesNaive(t *testing.T) {
 }
 
 func TestQuickSyrkMatchesNaive(t *testing.T) {
-	f := func(seed int64, mRaw, nRaw uint8, alphaRaw, betaRaw int8) bool {
+	f := func(seed int64, mRaw, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + int(mRaw)%40
 		n := 1 + int(nRaw)%12
-		alpha := float64(alphaRaw) / 16
-		beta := float64(betaRaw) / 16
 		a := randDenseStrided(rng, m, n)
 		c := randDenseStrided(rng, n, n)
 		want := c.Clone()
-		naiveSyrkUpper(alpha, a, beta, want)
-		SyrkUpperTrans(nil, alpha, a, beta, c)
+		naiveSyrkUpper(-1, a, 1, want)
+		SyrkUpperTrans(nil, a, c)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				d := c.At(i, j) - want.At(i, j)

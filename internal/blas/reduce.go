@@ -11,6 +11,7 @@ import (
 type rowJob struct {
 	alpha   float64
 	a, b, r *mat.Dense
+	x       []float64
 	perm    mat.Perm
 }
 
@@ -21,8 +22,8 @@ type rowKernel func(job rowJob, lo, hi int, dst *mat.Dense)
 
 // reduceRows is the package's one reduction over a summation dimension
 // of length k: it computes C += Σ kernel(job, rows) for every kernel
-// that sums over rows (Gram, SYRK, Aᵀ·B, the fused pass). The k rows are
-// cut into fusedSlots(k) slots, a function of k alone; every slot
+// that sums over rows (Gram, SYRK, Aᵀ·B, Aᵀ·x, the fused pass). The k
+// rows are cut into fusedSlots(k) slots, a function of k alone; every slot
 // accumulates into its own partial, and the partials reduce into C in
 // ascending slot order (upper triangle only when upper is set). Engine
 // width only decides how many slots run at once, so every width produces

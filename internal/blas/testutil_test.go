@@ -54,7 +54,7 @@ func naiveGemm(tA, tB Transpose, alpha float64, a, b *mat.Dense, beta float64, c
 	}
 }
 
-// naiveUpper builds the upper triangle of alpha·AᵀA + beta·C.
+// naiveSyrkUpper builds the upper triangle of alpha·AᵀA + beta·C.
 func naiveSyrkUpper(alpha float64, a *mat.Dense, beta float64, c *mat.Dense) {
 	n := a.Cols
 	for i := 0; i < n; i++ {

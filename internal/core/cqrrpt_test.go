@@ -63,8 +63,10 @@ func TestCQRRPTAcrossConditioning(t *testing.T) {
 func TestCQRRPTDeterministicAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	// n ≥ 128 puts more than one 64-column panel into every Cholesky,
-	// whose trailing SYRK must reduce width-independently too.
-	for _, sh := range []struct{ m, n, rank int }{{20000, 24, 19}, {6000, 128, 102}, {6000, 160, 128}} {
+	// whose trailing SYRK must reduce width-independently too. At n = 256
+	// the 512-row sketch spans several Geqp3 panels, whose Aᵀ·x
+	// column updates must reduce width-independently as well.
+	for _, sh := range []struct{ m, n, rank int }{{20000, 24, 19}, {6000, 128, 102}, {6000, 160, 128}, {6000, 256, 205}} {
 		a := testmat.Generate(rng, sh.m, sh.n, sh.rank, 1e-10)
 		var ref *CPResult
 		for _, w := range []int{1, 2, 8} {

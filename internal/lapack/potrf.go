@@ -41,7 +41,7 @@ func PotrfUpper(e *parallel.Engine, a *mat.Dense) error {
 			a12 := a.Slice(k, k+kb, k+kb, n)
 			blas.TrsmLeftUpperTrans(akk, a12)
 			a22 := a.Slice(k+kb, n, k+kb, n)
-			blas.SyrkUpperTrans(e, -1, a12, 1, a22)
+			blas.SyrkUpperTrans(e, a12, a22)
 		}
 	}
 	return nil

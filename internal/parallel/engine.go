@@ -180,10 +180,3 @@ func (e *Engine) Do(tasks ...func()) {
 	wg.Wait()
 	wgPool.Put(wg)
 }
-
-// Split partitions [0, n) into at most Workers() near-equal contiguous
-// ranges of at least minChunk indices each — the partition a reduction
-// kernel pairs with Do and per-range private accumulators.
-func (e *Engine) Split(n, minChunk int) []Range {
-	return Split(n, e.Workers(), minChunk)
-}

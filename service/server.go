@@ -428,13 +428,16 @@ func (s *Server) admit(job *jobRequest, w *connWriter, inflight *sync.WaitGroup)
 				case StatusFailed:
 					s.stats.failed.Add(1)
 				}
-				w.send(encodeResult(res))
+				// Release the job's admission slots before its answer
+				// goes out, so a client that has its answer sees Stats
+				// without it.
 				s.mu.Lock()
 				if s.tenants[tenant]--; s.tenants[tenant] <= 0 {
 					delete(s.tenants, tenant)
 				}
 				s.mu.Unlock()
 				s.pending.Add(-1)
+				w.send(encodeResult(res))
 				inflight.Done()
 				s.jobs.Done()
 			})
