@@ -1,6 +1,7 @@
 // Command bench-kernels measures the Level-3 kernels on the Ite-CholQR-CP
-// hot path (Gram, TRSM, GEMM, sparse-sign sketch) and the two GEMMs of
-// the Householder QRCP baseline, plus the end-to-end factorizations —
+// hot path (Gram, TRSM, GEMM, sparse-sign sketch), read against a
+// single-core FMA peak probe, and the two GEMMs of the Householder QRCP
+// baseline, plus the end-to-end factorizations —
 // the iterated baseline, the randomized CQRRPT A/B pair
 // with its accuracy parity rows, and batch throughput — and writes the
 // results as JSON for regression tracking (`make bench-json`). The JSON
@@ -65,6 +66,11 @@ type record struct {
 	// compared to the baseline.
 	Value float64 `json:"value,omitempty"`
 	Unit  string  `json:"unit,omitempty"`
+	// PctPeak is set on the Level-3 kernel rows: the flops the kernel
+	// executes per second as a percentage of the FMAPeak row times
+	// GOMAXPROCS, the ceiling of the cores the default engine runs on.
+	// Informational, never gated.
+	PctPeak float64 `json:"pct_peak,omitempty"`
 }
 
 type report struct {
@@ -207,22 +213,49 @@ func main() {
 	}
 	rng := rand.New(rand.NewSource(42))
 
+	// The machine ceiling: one core's fma throughput from an assembly
+	// loop of 12 independent chains, recorded as a metric row (never
+	// compared against the baseline) where the assembly runs.
+	var peak float64
+	if blas.FMAPeak(1) {
+		const steps = 1 << 16
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				blas.FMAPeak(steps)
+			}
+		})
+		peak = 96 * steps / float64(res.NsPerOp())
+		rep.Records = append(rep.Records, record{
+			Name: "FMAPeak", M: 1, N: 12, Iters: res.N, Value: peak, Unit: "GFLOP/s",
+		})
+		fmt.Fprintf(os.Stderr, "%-24s %60.2f GFLOP/s on one core\n", "FMAPeak", peak)
+	}
+	// atPeak sets pct_peak from the flops the kernel executes per op,
+	// which differs from the row's gflops only for Gram (the row counts
+	// the full 2·m·n² product, the SYRK computes its upper triangle).
+	atPeak := func(r record, flops float64) record {
+		if peak > 0 {
+			r.PctPeak = 100 * flops / r.NsPerOp / (peak * float64(runtime.GOMAXPROCS(0)))
+		}
+		return r
+	}
+
 	for _, m := range ms {
 		for _, n := range ns {
 			a := randDense(rng, m, n)
 			w := mat.NewDense(n, n)
-			rep.Records = append(rep.Records, run(
+			rep.Records = append(rep.Records, atPeak(run(
 				"Gram", m, n, 2*float64(m)*float64(n)*float64(n),
 				func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						blas.Gram(nil, w, a)
 					}
-				}))
+				}), float64(m)*float64(n)*float64(n+1)))
 
 			r := upperTriangular(rng, n)
 			work := mat.NewDense(m, n)
-			rep.Records = append(rep.Records, run(
+			rep.Records = append(rep.Records, atPeak(run(
 				"TrsmRight", m, n, float64(m)*float64(n)*float64(n),
 				func(b *testing.B) {
 					b.ReportAllocs()
@@ -232,18 +265,18 @@ func main() {
 						b.StartTimer()
 						blas.TrsmRightUpperNoTrans(nil, work, r)
 					}
-				}))
+				}), float64(m)*float64(n)*float64(n)))
 
 			bb := randDense(rng, n, n)
 			c := mat.NewDense(m, n)
-			rep.Records = append(rep.Records, run(
+			rep.Records = append(rep.Records, atPeak(run(
 				"GemmNN", m, n, 2*float64(m)*float64(n)*float64(n),
 				func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, a, bb, 0, c)
 					}
-				}))
+				}), 2*float64(m)*float64(n)*float64(n)))
 		}
 	}
 
@@ -260,18 +293,18 @@ func main() {
 		w := mat.NewDense(hk, hn)
 		f := randDense(hrng, hn, hk)
 		flops := 2 * float64(hm) * float64(hn) * float64(hk)
-		rep.Records = append(rep.Records, run("GemmTN", hm, hn, flops, func(b *testing.B) {
+		rep.Records = append(rep.Records, atPeak(run("GemmTN", hm, hn, flops, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, v, c, 0, w)
 			}
-		}))
-		rep.Records = append(rep.Records, run("GemmNT", hm, hn, flops, func(b *testing.B) {
+		}), flops))
+		rep.Records = append(rep.Records, atPeak(run("GemmNT", hm, hn, flops, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blas.Gemm(nil, blas.NoTrans, blas.Trans, -1, v, f, 1, c)
 			}
-		}))
+		}), flops))
 	}
 
 	for _, n := range ns {
@@ -324,7 +357,7 @@ func main() {
 			}
 		})
 		fused.Gbps = 16 * float64(fusedM) * float64(fusedN) / fused.NsPerOp
-		rep.Records = append(rep.Records, fused)
+		rep.Records = append(rep.Records, atPeak(fused, flops))
 
 		unfused := run("PermTrsmGramUnfused", fusedM, fusedN, flops, func(b *testing.B) {
 			b.ReportAllocs()

@@ -51,6 +51,7 @@ type record struct {
 	ProblemsPerSec float64 `json:"problems_per_sec,omitempty"`
 	Value          float64 `json:"value,omitempty"`
 	Unit           string  `json:"unit,omitempty"`
+	PctPeak        float64 `json:"pct_peak,omitempty"`
 }
 
 type report struct {

@@ -65,10 +65,12 @@
 //
 // The hot kernels (Gram/SYRK, GEMM, triangular solve, the fused
 // permute→TRSM→Gram pass, and the sketch's row scatter) are pure Go with
-// one implementation each. GEMM, SYRK and the right-side TRSM run their
-// rank-4 steps on one of two quad loops; on amd64 those two and the row
-// scatter run as AVX2 assembly with the same bits (build with -tags
-// purego to run the Go loops). Every kernel that sums over rows reduces
+// one implementation each. GEMM, SYRK and the right-side TRSM run on two
+// register-tiled kernels, and every output element is one fused
+// multiply-add chain over its summation index in ascending order; on
+// amd64 with AVX2 and FMA the tiles and the row scatter run as assembly
+// with the same bits (build with -tags purego to run the Go loops).
+// Every kernel that sums over rows reduces
 // through a fixed slot schedule that depends on the row count alone, so
 // every factorization is bit-identical for any worker count.
 //

@@ -90,6 +90,39 @@ func TestQRCPFileBitIdenticalToInCore(t *testing.T) {
 	}
 }
 
+// TestQRCPFileOffGridPanels cuts panels at heights that are no multiple
+// of any tile or micro-block: every Level-3 element is one fma chain over
+// its slot's rows, so any cut inside a slot reproduces the in-core Q, R
+// and Perm bit for bit.
+func TestQRCPFileOffGridPanels(t *testing.T) {
+	const m, n = 5000, 24
+	path, a := writeTestMatrix(t, m, n, 43)
+	ref, err := QRCP(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range []int{100, 517} {
+		for _, wk := range []int{1, 2} {
+			qPath := filepath.Join(t.TempDir(), "q.tsqrmat")
+			got, err := NewEngine(wk).QRCPFile(path, &FileOptions{PanelRows: pr, QPath: qPath})
+			if err != nil {
+				t.Fatalf("panel=%d width=%d: %v", pr, wk, err)
+			}
+			for j, v := range got.Perm {
+				if v != ref.Perm[j] {
+					t.Fatalf("panel=%d width=%d: perm[%d]=%d, want %d", pr, wk, j, v, ref.Perm[j])
+				}
+			}
+			sameBits(t, "R", got.R, ref.R)
+			q, err := mat.ReadBinaryFile(qPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "Q", q, ref.Q)
+		}
+	}
+}
+
 // TestQRCPFileWidthOneMatrix covers the degenerate widths the panel
 // kernels' register tiles must still handle.
 func TestQRCPFileNarrowWidths(t *testing.T) {

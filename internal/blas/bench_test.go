@@ -109,9 +109,9 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 
 // BenchmarkKernelVariants measures the AVX2 kernels ("simd") against the
 // Go reference loops they reproduce bit for bit ("generic") at the
-// ite-tall shape, 4096×64, on a width-1 engine: the quad SYRK through
-// Gram, the panel TRSM through TrsmRightUpperNoTrans, and the fused
-// pass that runs both. The row scatter runs at the cqrrpt-vtall sketch
+// ite-tall shape, 4096×64, on a width-1 engine: the tiled SYRK through
+// Gram, the left-looking TRSM through TrsmRightUpperNoTrans, and the
+// fused pass that runs both. The row scatter runs at the cqrrpt-vtall sketch
 // shape: 8192 rows of 32 columns, each added into 8 of 64 accumulator
 // rows. "simd" is skipped on builds and CPUs without the assembly.
 func BenchmarkKernelVariants(b *testing.B) {

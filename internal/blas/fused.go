@@ -20,8 +20,7 @@ import (
 const (
 	// fusedBlockRows is the micro-block height: one block of B rows is
 	// gathered, solved, and Gram-accumulated while it stays cache
-	// resident. Must be a multiple of the 4-row register quad so the
-	// quad grouping inside a slot is independent of the block loop.
+	// resident. It sets locality only, never bits.
 	fusedBlockRows = 64
 	// fusedMaxSlots is the fixed fan-out of the deterministic Gram
 	// reduction: the row range is partitioned into at most this many
@@ -65,10 +64,11 @@ func fusedSlots(m int) int {
 // mat.PermuteColsInPlace and the solve is TrsmRightUpperNoTrans's own
 // kernel, so B matches the unfused permute + TRSM bit for bit. G is
 // accumulated by Gram's kernel through the same fixed slot reduction
-// (reduceRows), and the micro-blocks keep its quad grouping, so G equals
-// Gram of the updated B bit for bit too. Neither depends on the engine
-// width, which keeps distributed ranks in lockstep. G is fully symmetric
-// on return, like Gram.
+// (reduceRows), each element's chain running over the slot's rows in
+// order whatever the micro-blocks, so G equals Gram of the updated B bit
+// for bit too. Neither depends on the engine width, which keeps
+// distributed ranks in lockstep. G is fully symmetric on return, like
+// Gram.
 //
 // Panics if R has a zero diagonal entry, if perm is non-nil with a
 // length other than B's column count, or if G is not n×n. The engine e
@@ -125,10 +125,10 @@ func fusedSlotBounds(m, slots, si int) (lo, hi int) {
 // fusedSlotRange streams rows [lo, hi) of B through the three fused
 // stages one micro-block at a time: gather the column permutation into
 // the block (tmp is an n-length scratch row), solve the block against R
-// with the panel-blocked TRSM, and accumulate the block's Gram
+// with the left-looking TRSM, and accumulate the block's Gram
 // contribution into acc (upper triangle) with the register-tiled SYRK.
-// The micro-block grouping is anchored at lo, so the summation order
-// inside a slot is fixed by the slot boundaries alone.
+// The blocks only set locality: each acc element's chain runs over the
+// slot's rows in order, fixed by the slot bounds alone.
 //
 //repolint:hotpath
 func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, tmp []float64) {
@@ -155,16 +155,14 @@ func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, 
 // fusedTrsmRange solves rows [lo, hi) of B in place against the upper
 // triangular R: X := X·R⁻¹. It is the package's one right-side TRSM
 // kernel, used both on an L1-resident micro-block of the fused pass and
-// on streamed row ranges by TrsmRightUpperNoTrans. The solve is panel
-// blocked for arithmetic intensity: for each 4-wide column panel the 4×4
-// diagonal block is solved by substitution, then the trailing columns
-// receive one rank-4 update (gemmQuad) across a 4-row quad. Every row,
-// in a quad or among the 1–3 remainder rows, takes the same arithmetic —
-// reciprocal multiplies, the same panel walk, the same association — so
-// a row's bits never depend on how rows were grouped: not on (lo, hi),
-// and therefore not on the engine width. The n diagonal reciprocals are
-// computed once per call, on the stack for n ≤ len(invBuf) and in a
-// pooled workspace beyond.
+// on streamed row ranges by TrsmRightUpperNoTrans. It is left-looking:
+// for each 4-row block and each column tile [j0, j0+nc), one trsmTile
+// call applies every term from the solved columns t < j0 and then solves
+// the tile's diagonal block, continuing the same chains. Every element is
+// the chain of quad.go, so its bits never depend on how rows were
+// grouped: not on (lo, hi), and therefore not on the engine width. The n
+// diagonal reciprocals are computed once per call, on the stack for
+// n ≤ len(invBuf) and in a pooled workspace beyond.
 //
 //repolint:hotpath
 func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
@@ -180,86 +178,13 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 	for k := range inv {
 		inv[k] = 1 / r.Data[k*r.Stride+k]
 	}
-	var v [16]float64
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+	for i := lo; i < hi; i += 4 {
+		mr := min(4, hi-i)
 		x := b.Data[i*b.Stride:]
-		x0 := x[:n]
-		x1 := x[b.Stride : b.Stride+n]
-		x2 := x[2*b.Stride : 2*b.Stride+n]
-		x3 := x[3*b.Stride : 3*b.Stride+n]
-		k0 := 0
-		for ; k0+4 <= n; k0 += 4 {
-			rq := r.Data[k0*r.Stride:]
-			r0 := rq[:n]
-			r1 := rq[r.Stride : r.Stride+n]
-			r2 := rq[2*r.Stride : 2*r.Stride+n]
-			inv0, inv1, inv2, inv3 := inv[k0], inv[k0+1], inv[k0+2], inv[k0+3]
-			// Substitution on the 4×4 diagonal panel, one quad row at
-			// a time, straight into v, the rank-4 update's panel.
-			v[0] = x0[k0] * inv0
-			v[1] = (x0[k0+1] - v[0]*r0[k0+1]) * inv1
-			v[2] = (x0[k0+2] - v[0]*r0[k0+2] - v[1]*r1[k0+2]) * inv2
-			v[3] = (x0[k0+3] - v[0]*r0[k0+3] - v[1]*r1[k0+3] - v[2]*r2[k0+3]) * inv3
-			x0[k0], x0[k0+1], x0[k0+2], x0[k0+3] = v[0], v[1], v[2], v[3]
-			v[4] = x1[k0] * inv0
-			v[5] = (x1[k0+1] - v[4]*r0[k0+1]) * inv1
-			v[6] = (x1[k0+2] - v[4]*r0[k0+2] - v[5]*r1[k0+2]) * inv2
-			v[7] = (x1[k0+3] - v[4]*r0[k0+3] - v[5]*r1[k0+3] - v[6]*r2[k0+3]) * inv3
-			x1[k0], x1[k0+1], x1[k0+2], x1[k0+3] = v[4], v[5], v[6], v[7]
-			v[8] = x2[k0] * inv0
-			v[9] = (x2[k0+1] - v[8]*r0[k0+1]) * inv1
-			v[10] = (x2[k0+2] - v[8]*r0[k0+2] - v[9]*r1[k0+2]) * inv2
-			v[11] = (x2[k0+3] - v[8]*r0[k0+3] - v[9]*r1[k0+3] - v[10]*r2[k0+3]) * inv3
-			x2[k0], x2[k0+1], x2[k0+2], x2[k0+3] = v[8], v[9], v[10], v[11]
-			v[12] = x3[k0] * inv0
-			v[13] = (x3[k0+1] - v[12]*r0[k0+1]) * inv1
-			v[14] = (x3[k0+2] - v[12]*r0[k0+2] - v[13]*r1[k0+2]) * inv2
-			v[15] = (x3[k0+3] - v[12]*r0[k0+3] - v[13]*r1[k0+3] - v[14]*r2[k0+3]) * inv3
-			x3[k0], x3[k0+1], x3[k0+2], x3[k0+3] = v[12], v[13], v[14], v[15]
-			// Rank-4 update of the trailing columns.
-			gemmQuad(x, b.Stride, rq, r.Stride, &v, k0+4, n)
-		}
-		// Remainder columns (n not a multiple of 4): plain substitution.
-		for k := k0; k < n; k++ {
-			rk := r.Data[k*r.Stride : k*r.Stride+n]
-			v0 := x0[k] * inv[k]
-			v1 := x1[k] * inv[k]
-			v2 := x2[k] * inv[k]
-			v3 := x3[k] * inv[k]
-			x0[k], x1[k], x2[k], x3[k] = v0, v1, v2, v3
-			for j := k + 1; j < n; j++ {
-				rv := rk[j]
-				x0[j] -= v0 * rv
-				x1[j] -= v1 * rv
-				x2[j] -= v2 * rv
-				x3[j] -= v3 * rv
-			}
-		}
-	}
-	// Remainder rows: one quad row's arithmetic, row by row.
-	for ; i < hi; i++ {
-		x := b.Data[i*b.Stride : i*b.Stride+n]
-		k0 := 0
-		for ; k0+4 <= n; k0 += 4 {
-			rq := r.Data[k0*r.Stride:]
-			r0 := rq[:n]
-			r1 := rq[r.Stride : r.Stride+n]
-			r2 := rq[2*r.Stride : 2*r.Stride+n]
-			v0 := x[k0] * inv[k0]
-			v1 := (x[k0+1] - v0*r0[k0+1]) * inv[k0+1]
-			v2 := (x[k0+2] - v0*r0[k0+2] - v1*r1[k0+2]) * inv[k0+2]
-			v3 := (x[k0+3] - v0*r0[k0+3] - v1*r1[k0+3] - v2*r2[k0+3]) * inv[k0+3]
-			x[k0], x[k0+1], x[k0+2], x[k0+3] = v0, v1, v2, v3
-			gemmQuadRow(x, rq, r.Stride, v0, v1, v2, v3, k0+4, n)
-		}
-		for k := k0; k < n; k++ {
-			rk := r.Data[k*r.Stride : k*r.Stride+n]
-			v := x[k] * inv[k]
-			x[k] = v
-			for j := k + 1; j < n; j++ {
-				x[j] -= v * rk[j]
-			}
+		for j0 := 0; j0 < n; {
+			nc := tileWidth(n - j0)
+			trsmTile(x, b.Stride, mr, r.Data, r.Stride, inv, j0, nc)
+			j0 += nc
 		}
 	}
 	if ws != nil {
@@ -269,33 +194,25 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 
 // fusedSyrkCols accumulates the Gram contribution of rows [lo, hi) of B
 // into output rows [iLo, iHi) of acc's upper triangle:
-// acc(i,j) += Σ_k B(k,i)·B(k,j) for iLo ≤ i < iHi, j ≥ i. The summation
-// rows are consumed in ascending quads (syrkQuad) and, within a quad,
-// each acc element receives one 4-term dot; remainder rows follow as
-// rank-1 updates. The order is a function of (lo, hi) alone, so any
-// engine width reproduces the same bits. iLo must be even (a row-pair
-// boundary); iHi is even or n. Restricting the output rows instead of the
-// summation range is what lets callers parallelize without changing any
-// element's accumulation order.
+// acc(i,j) = fma(B(t,i), B(t,j), acc(i,j)) for t = lo, …, hi−1 in order,
+// iLo ≤ i < iHi, j ≥ i. The rows are taken fusedBlockRows at a time so a
+// block of B stays in L1 while every 4-row output tile (tileTN) runs
+// over it; a tile on the diagonal leaves the strict lower triangle
+// alone. Restricting the output rows instead of the summation range is
+// what lets callers parallelize without changing any element's chain.
 //
 //repolint:hotpath
 func fusedSyrkCols(b *mat.Dense, lo, hi, iLo, iHi int, acc *mat.Dense) {
 	n := b.Cols
-	k := lo
-	for ; k+4 <= hi; k += 4 {
-		syrkQuad(acc.Data, acc.Stride, b.Data[k*b.Stride:], b.Stride, n, iLo, iHi)
-	}
-	// Remainder summation rows: rank-1 accumulation.
-	for ; k < hi; k++ {
-		rk := b.Data[k*b.Stride : k*b.Stride+n]
-		for i := iLo; i < iHi; i++ {
-			v := rk[i]
-			if v == 0 {
-				continue
-			}
-			di := acc.Data[i*acc.Stride : i*acc.Stride+n]
-			for j := i; j < n; j++ {
-				di[j] += v * rk[j]
+	for q := lo; q < hi; q += fusedBlockRows {
+		k := min(fusedBlockRows, hi-q)
+		bq := b.Data[q*b.Stride:]
+		for i0 := iLo; i0 < iHi; i0 += 4 {
+			mr := min(4, iHi-i0)
+			for j0 := i0; j0 < n; {
+				nc := tileWidth(n - j0)
+				tileTN(acc.Data[i0*acc.Stride+j0:], acc.Stride, bq[i0:], b.Stride, bq[j0:], b.Stride, k, mr, nc, j0 == i0)
+				j0 += nc
 			}
 		}
 	}

@@ -7,9 +7,10 @@ import (
 )
 
 const (
-	// kBlock is the tile height along the summation dimension of gemmNN:
-	// one tile of B rows stays resident in L2 while every row quad of C
-	// takes its updates from it.
+	// kBlock is the tile height along the summation dimension of the
+	// GEMMs: one tile of B rows stays resident in L2 while every 4-row
+	// block of C takes its updates from it, and one block of packed A
+	// (4·kBlock entries) fits on the stack.
 	kBlock = 256
 	// gemmParallelFlops is the minimum multiply-add count before Gemm
 	// fans out across cores.
@@ -20,8 +21,8 @@ const (
 )
 
 // Gemm computes C = alpha·op(A)·op(B) + beta·C, where op is the identity
-// or transpose as selected by tA and tB. C must not alias A or B. Its
-// rank-4 steps run on the quad kernel (gemmQuad). Aᵀ·Bᵀ is not
+// or transpose as selected by tA and tB. C must not alias A or B. It runs
+// on the tile kernels (tileNN, tileTN). Aᵀ·Bᵀ is not
 // supported: no caller needs it, and Gemm panics on it.
 func Gemm(e *parallel.Engine, tA, tB Transpose, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
 	if tA == Trans && tB == Trans {
@@ -81,47 +82,30 @@ func gemmNN(e *parallel.Engine, alpha float64, a, b, c *mat.Dense) {
 }
 
 // gemmNNRange updates rows [lo, hi) of C += alpha·A·B. For each kBlock
-// tile of the summation dimension, every 4-row quad of C takes one
-// rank-4 update (gemmQuad) per four rows of B, with v = −alpha times A's
-// 4×4 block: negation is exact, so subtracting (−alpha·A)·B adds exactly
-// alpha·A·B. The 1–3 rows past the last quad take the same 4-term
-// updates one row at a time (gemmQuadRow), and the 1–3 summation rows
-// past the last B quad follow as rank-1 updates.
+// tile of the summation dimension, each 4-row block of C packs
+// v = −alpha times its rows of A on the stack and runs tileNN across the
+// columns: negation is exact, so every element takes
+// c = fma(alpha·a, b, c) over t in ascending order.
 //
 //repolint:hotpath
 func gemmNNRange(alpha float64, a, b, c *mat.Dense, lo, hi int) {
 	n, k := c.Cols, a.Cols
-	var v [16]float64
+	var v [4 * kBlock]float64
 	for l0 := 0; l0 < k; l0 += kBlock {
-		l1 := min(l0+kBlock, k)
-		l4 := l0 + (l1-l0)&^3
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			for l := l0; l < l4; l += 4 {
-				for s := 0; s < 4; s++ {
-					aq := a.Data[(i+s)*a.Stride+l : (i+s)*a.Stride+l+4]
-					v[4*s], v[4*s+1] = -(alpha * aq[0]), -(alpha * aq[1])
-					v[4*s+2], v[4*s+3] = -(alpha * aq[2]), -(alpha * aq[3])
+		kc := min(kBlock, k-l0)
+		for i := lo; i < hi; i += 4 {
+			mr := min(4, hi-i)
+			for s := 0; s < mr; s++ {
+				arow := a.Data[(i+s)*a.Stride+l0 : (i+s)*a.Stride+l0+kc]
+				vs := v[s*kBlock : s*kBlock+kc]
+				for t, av := range arow {
+					vs[t] = -(alpha * av)
 				}
-				gemmQuad(c.Data[i*c.Stride:], c.Stride, b.Data[l*b.Stride:], b.Stride, &v, 0, n)
 			}
-		}
-		for ; i < hi; i++ {
-			arow := a.Data[i*a.Stride : i*a.Stride+k]
-			crow := c.Data[i*c.Stride : i*c.Stride+n]
-			for l := l0; l < l4; l += 4 {
-				gemmQuadRow(crow, b.Data[l*b.Stride:], b.Stride,
-					-(alpha * arow[l]), -(alpha * arow[l+1]), -(alpha * arow[l+2]), -(alpha * arow[l+3]), 0, n)
-			}
-		}
-		for l := l4; l < l1; l++ {
-			brow := b.Data[l*b.Stride : l*b.Stride+n]
-			for i := lo; i < hi; i++ {
-				av := alpha * a.Data[i*a.Stride+l]
-				crow := c.Data[i*c.Stride : i*c.Stride+n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+			for j0 := 0; j0 < n; {
+				nc := tileWidth(n - j0)
+				tileNN(c.Data[i*c.Stride+j0:], c.Stride, v[:], kBlock, b.Data[l0*b.Stride+j0:], b.Stride, kc, mr, nc)
+				j0 += nc
 			}
 		}
 	}
@@ -148,44 +132,30 @@ func gemmTNRows(job rowJob, lo, hi int, dst *mat.Dense) {
 	gemmTNRange(job.alpha, job.a, job.b, lo, hi, dst)
 }
 
-// gemmTNRange accumulates dst += alpha·A(lo:hi,:)ᵀ·B(lo:hi,:) like
-// gemmNNRange: for each quad of summation rows, every 4-row quad of dst
-// takes one rank-4 update (gemmQuad) with v = −alpha times Aᵀ's 4×4
-// block, the 1–3 dst rows past the last quad take it one row at a time,
-// and the 1–3 summation rows past the last quad follow as rank-1 updates.
+// gemmTNRange accumulates dst += alpha·A(lo:hi,:)ᵀ·B(lo:hi,:): for each
+// kBlock tile of summation rows, each 4-row block of dst packs alpha
+// times its columns of A on the stack and runs tileTN across the
+// columns, so every element takes dst = fma(alpha·a, b, dst) over the
+// rows in ascending order.
 //
 //repolint:hotpath
 func gemmTNRange(alpha float64, a, b *mat.Dense, lo, hi int, dst *mat.Dense) {
 	m, n := dst.Rows, dst.Cols
-	var v [16]float64
-	l := lo
-	for ; l+4 <= hi; l += 4 {
-		a0 := a.Data[l*a.Stride : l*a.Stride+m]
-		a1 := a.Data[(l+1)*a.Stride : (l+1)*a.Stride+m]
-		a2 := a.Data[(l+2)*a.Stride : (l+2)*a.Stride+m]
-		a3 := a.Data[(l+3)*a.Stride : (l+3)*a.Stride+m]
-		bq := b.Data[l*b.Stride:]
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			for s := 0; s < 4; s++ {
-				v[4*s], v[4*s+1] = -(alpha * a0[i+s]), -(alpha * a1[i+s])
-				v[4*s+2], v[4*s+3] = -(alpha * a2[i+s]), -(alpha * a3[i+s])
+	var v [kBlock * 4]float64
+	for l0 := lo; l0 < hi; l0 += kBlock {
+		kc := min(kBlock, hi-l0)
+		for i := 0; i < m; i += 4 {
+			mr := min(4, m-i)
+			for t := 0; t < kc; t++ {
+				arow := a.Data[(l0+t)*a.Stride+i : (l0+t)*a.Stride+i+mr]
+				for s, av := range arow {
+					v[4*t+s] = alpha * av
+				}
 			}
-			gemmQuad(dst.Data[i*dst.Stride:], dst.Stride, bq, b.Stride, &v, 0, n)
-		}
-		for ; i < m; i++ {
-			gemmQuadRow(dst.Data[i*dst.Stride:], bq, b.Stride,
-				-(alpha * a0[i]), -(alpha * a1[i]), -(alpha * a2[i]), -(alpha * a3[i]), 0, n)
-		}
-	}
-	for ; l < hi; l++ {
-		arow := a.Data[l*a.Stride : l*a.Stride+m]
-		brow := b.Data[l*b.Stride : l*b.Stride+n]
-		for i, av := range arow {
-			av *= alpha
-			drow := dst.Data[i*dst.Stride : i*dst.Stride+n]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			for j0 := 0; j0 < n; {
+				nc := tileWidth(n - j0)
+				tileTN(dst.Data[i*dst.Stride+j0:], dst.Stride, v[:], 4, b.Data[l0*b.Stride+j0:], b.Stride, kc, mr, nc, false)
+				j0 += nc
 			}
 		}
 	}

@@ -10,20 +10,14 @@ import (
 )
 
 // Gram and its panel-granular faces. Gram's floating-point summation
-// order is a function of the row count alone, and the panel entry points
+// order is a function of the row count alone: every element is one fma
+// chain over the rows of its slot, in order. The panel entry points
 // (GramPanelAcc, FusedPanelPivot, ReduceGramSlots) let an out-of-core
-// driver replay exactly the same order one resident panel at a time. The
-// schedule helpers (FusedSlots, FusedSlotBounds, FusedBlockRows) export
-// the slot/micro-block grid so callers outside this package can cut
-// panels only at positions the in-core kernels would have visited anyway
-// — the whole bit-identity story of internal/ooc rests on these
-// boundaries (DESIGN.md §14).
-
-// FusedBlockRows is the micro-block height of the fused streaming
-// kernels. Out-of-core panel boundaries must fall on this grid (relative
-// to their slot's lower bound) for the per-panel kernels to reproduce the
-// in-core summation order bit for bit.
-const FusedBlockRows = fusedBlockRows
+// driver replay exactly the same order one resident panel at a time, and
+// the schedule helpers (FusedSlots, FusedSlotBounds) export the slot
+// partition. A panel may be cut at any row inside a slot, so long as
+// panels never straddle a slot bound and are fed in ascending order —
+// the whole bit-identity story of internal/ooc (DESIGN.md §14).
 
 // FusedSlots reports the fixed reduction fan-out the row-summation
 // kernels use for an m-row pass — a function of m alone, never of the
@@ -40,8 +34,9 @@ func FusedSlotBounds(m, slots, si int) (lo, hi int) {
 // kernel on line 1 of CholQR (Algorithm 2) and line 3 of Ite-CholQR-CP
 // (Algorithm 4). Rows are partitioned into FusedSlots(m) slots
 // (reduceRows); each slot accumulates with the register-tiled SYRK
-// (syrkQuad) in ascending quad order, and the per-slot partials reduce
-// into W in ascending slot order. Every engine width therefore produces
+// (fusedSyrkCols on tileTN), one fma chain per element over the slot's
+// rows in order, and the per-slot partials reduce into W in ascending
+// slot order. Every engine width therefore produces
 // bit-identical W.
 func Gram(e *parallel.Engine, w *mat.Dense, a *mat.Dense) {
 	gram(e, w, a, gramRows, "Gram")
@@ -158,17 +153,16 @@ func getFloats32(n int) *[]float32 {
 }
 
 // GramPanelAcc accumulates acc += PᵀP (upper triangle only) for a
-// resident row panel P, in exactly the summation order Gram uses
-// for the same rows: ascending 4-row quads anchored at the panel's first
-// row, remainder rows last. Parallelism partitions the accumulator's
-// output rows (at even row-pair boundaries), never the summation
-// dimension, so the per-element accumulation order — and hence every bit
-// of acc — is independent of the engine width.
+// resident row panel P, continuing each element's chain over the
+// panel's rows in order, exactly as Gram does for the same rows.
+// Parallelism partitions the accumulator's output rows, never the
+// summation dimension, so every bit of acc is independent of the engine
+// width.
 //
-// An out-of-core Gram sweep calls this once per panel with the panel's
-// slot accumulator, then reduces the slot accumulators with
-// ReduceGramSlots. Bit-identity with Gram requires the panel to
-// start on its slot's FusedBlockRows grid (schedule contract above).
+// An out-of-core Gram sweep calls this once per panel, in row order,
+// with the panel's slot accumulator, then reduces the slot accumulators
+// with ReduceGramSlots; the result is Gram's bit for bit wherever the
+// panels are cut inside their slots.
 func GramPanelAcc(e *parallel.Engine, panel, acc *mat.Dense) {
 	n := panel.Cols
 	if acc.Rows != n || acc.Cols != n {
@@ -188,12 +182,11 @@ func GramPanelAcc(e *parallel.Engine, panel, acc *mat.Dense) {
 // resident row panel: every row of the panel is column-gathered through
 // perm (nil means identity), solved in place against the upper
 // triangular R, and accumulated into acc += PᵀP (upper triangle). It is
-// the panel-granular form of PermTrsmGramFused's slot kernel: the
-// micro-block grid anchors at the panel's first row, so a panel cut on
-// its slot's FusedBlockRows grid reproduces the in-core pass bit for
-// bit. The permute+TRSM stage parallelizes over micro-blocks (rows are
-// independent); the Gram stage partitions accumulator output rows like
-// GramPanelAcc. The caller validates R (see PermTrsmGramFused) once per
+// the panel-granular form of PermTrsmGramFused's slot kernel, so panels
+// fed in row order reproduce the in-core pass bit for bit wherever they
+// are cut inside their slots. The permute+TRSM stage parallelizes over
+// micro-blocks (rows are independent); the Gram stage partitions
+// accumulator output rows like GramPanelAcc. The caller validates R (see PermTrsmGramFused) once per
 // sweep, not per panel.
 func FusedPanelPivot(e *parallel.Engine, panel *mat.Dense, perm mat.Perm, r, acc *mat.Dense) {
 	rows, n := panel.Rows, panel.Cols
@@ -213,10 +206,9 @@ func FusedPanelPivot(e *parallel.Engine, panel *mat.Dense, perm mat.Perm, r, acc
 		int64(rows)*int64(n)*int64(n)+int64(rows)*int64(n)*int64(n+1))
 	trace.AddBytes(trace.KernelFusedTrsmGram, 2*8*int64(rows)*int64(n))
 
-	// Stage 1 — permute + TRSM, parallel over micro-blocks. Each block's
-	// rows are gathered and solved exactly as fusedSlotRange would: the
-	// quad grouping anchors at the block start, so the result per row is a
-	// function of the grid alone, never of which worker ran the block.
+	// Stage 1 — permute + TRSM, parallel over micro-blocks. Each row is
+	// gathered and solved exactly as fusedSlotRange would, whichever
+	// worker ran its block.
 	blocks := (rows + fusedBlockRows - 1) / fusedBlockRows
 	e.For(blocks, 1, func(bLo, bHi int) {
 		tmp := mat.GetWorkspace(1, n, false)
@@ -256,23 +248,18 @@ func ReduceGramSlots(w *mat.Dense, accs []*mat.Dense) {
 	SymmetrizeFromUpper(w)
 }
 
-// fusedSyrkColsParallel partitions acc's output rows at even row-pair
-// boundaries and runs fusedSyrkCols on each partition: every acc element
-// still receives its updates in ascending summation-quad order, so the
-// result is bit-identical for every partition — and therefore for every
-// engine width.
+// fusedSyrkColsParallel partitions acc's output rows into 4-row blocks
+// and runs fusedSyrkCols on each partition: every acc element still
+// takes its chain over the rows of b in order, so the result is
+// bit-identical for every partition — and therefore for every engine
+// width.
 func fusedSyrkColsParallel(e *parallel.Engine, b, acc *mat.Dense) {
 	n := b.Cols
-	pairs := (n + 1) / 2
 	if e.Workers() == 1 || mulFlops(b.Rows, n, n) < gemmParallelFlops {
 		fusedSyrkCols(b, 0, b.Rows, 0, n, acc)
 		return
 	}
-	e.For(pairs, 1, func(pLo, pHi int) {
-		iHi := 2 * pHi
-		if iHi > n {
-			iHi = n
-		}
-		fusedSyrkCols(b, 0, b.Rows, 2*pLo, iHi, acc)
+	e.For((n+3)/4, 1, func(pLo, pHi int) {
+		fusedSyrkCols(b, 0, b.Rows, 4*pLo, min(4*pHi, n), acc)
 	})
 }

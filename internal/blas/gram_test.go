@@ -26,16 +26,12 @@ func bitsEqualDense(t *testing.T, label string, got, want *mat.Dense) {
 	}
 }
 
-// gridPanels cuts [0,m) into the fused-kernel panel grid: each slot
-// split at step-multiples of its own lower bound — the same schedule
-// the out-of-core sweeps use.
+// gridPanels cuts [0,m) into panels of step rows that never straddle a
+// slot: each slot split at step-multiples of its own lower bound — the
+// same schedule the out-of-core sweeps use.
 type gridPanel struct{ lo, hi, slot int }
 
 func gridPanels(m, step int) []gridPanel {
-	step -= step % FusedBlockRows
-	if step < FusedBlockRows {
-		step = FusedBlockRows
-	}
 	slots := FusedSlots(m)
 	var ps []gridPanel
 	for si := 0; si < slots; si++ {
@@ -133,8 +129,8 @@ func TestGram32SinglePrecision(t *testing.T) {
 	}
 }
 
-// TestGramPanelAccMatchesGram: accumulating panel-by-panel on the slot
-// grid and reducing the per-slot partials reproduces Gram bit for bit —
+// TestGramPanelAccMatchesGram: accumulating panel-by-panel inside the
+// slots, at any panel height, and reducing the per-slot partials reproduces Gram bit for bit —
 // the Gram half of the out-of-core bit-identity contract.
 func TestGramPanelAccMatchesGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -143,7 +139,7 @@ func TestGramPanelAccMatchesGram(t *testing.T) {
 		a := randDense(rng, sh.m, sh.n)
 		want := mat.NewDense(sh.n, sh.n)
 		Gram(e, want, a)
-		for _, step := range []int{64, 192, 1 << 20} {
+		for _, step := range []int{37, 64, 100, 192, 517, 1 << 20} {
 			accs := make([]*mat.Dense, FusedSlots(sh.m))
 			for i := range accs {
 				accs[i] = mat.NewDense(sh.n, sh.n)
@@ -159,7 +155,7 @@ func TestGramPanelAccMatchesGram(t *testing.T) {
 }
 
 // TestFusedPanelPivotMatchesFused: the panelled permute→TRSM→Gram pass
-// on the slot grid reproduces PermTrsmGramFused bit for bit, in both
+// inside the slots, at any panel height, reproduces PermTrsmGramFused bit for bit, in both
 // the transformed matrix and the Gram accumulator — the fused half of
 // the out-of-core bit-identity contract.
 func TestFusedPanelPivotMatchesFused(t *testing.T) {
@@ -174,7 +170,7 @@ func TestFusedPanelPivotMatchesFused(t *testing.T) {
 		gWant := mat.NewDense(sh.n, sh.n)
 		PermTrsmGramFused(e, bWant, perm, r, gWant)
 
-		for _, step := range []int{64, 192, 1 << 20} {
+		for _, step := range []int{37, 64, 100, 192, 517, 1 << 20} {
 			b := b0.Clone()
 			accs := make([]*mat.Dense, FusedSlots(sh.m))
 			for i := range accs {

@@ -115,8 +115,8 @@ func Ger(e *parallel.Engine, alpha float64, x, y []float64, a *mat.Dense) {
 //
 // a Ger whose x is nonzero only at the target rows t, which may repeat.
 // It is the inner loop of both sketch embeddings (internal/sketch). Each
-// element takes one multiply and one add, so the AVX2 and Go forms give
-// the same bits. row holds A.Cols entries and w at least len(t); a target
+// element takes one fused multiply-add, fma(w[k], row[j], A[t[k], j]), so
+// the AVX2 and Go forms give the same bits. row holds A.Cols entries and w at least len(t); a target
 // outside [0, A.Rows) panics.
 //
 //repolint:hotpath

@@ -85,9 +85,8 @@ func TestGemmDimensionPanics(t *testing.T) {
 	})
 }
 
-// TestGemmZeroBlockNotSkipped pins the one way the quad kernel differs
-// from exact zero-skipping: a 4×4 block of A that is all zero still
-// multiplies its rows of B. On finite B that can only flip the sign of a
+// TestGemmZeroBlockNotSkipped pins that no product is skipped for a zero
+// factor: a block of A that is all zero still multiplies its rows of B. On finite B that can only flip the sign of a
 // zero in C; an Inf or NaN in B turns the entries it meets into NaN.
 func TestGemmZeroBlockNotSkipped(t *testing.T) {
 	negZero := math.Copysign(0, -1)

@@ -13,8 +13,8 @@ import (
 
 // The differential test of the AVX2 kernels: each assembly entry point,
 // and each kernel built on it, must reproduce the Go reference loops bit
-// for bit (NaN matching any NaN), on every width class of the 4-wide
-// vector loop and its scalar tail, on strided views, and on inputs
+// for bit (NaN matching any NaN), on every tile width and the ragged
+// columns the Go loop takes over, on strided views, and on inputs
 // holding ±Inf and NaN.
 
 var quadTestNs = []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 63, 64, 65, 129}
@@ -39,10 +39,6 @@ func quadFill(rng *rand.Rand, count int, specials bool) []float64 {
 	return s
 }
 
-func sameFloatBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
 func requireSameBits(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	for i := range want {
@@ -53,46 +49,72 @@ func requireSameBits(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-func TestSyrkQuadAVX2MatchesGo(t *testing.T) {
+// tileCases are the tile widths the assembly takes, plus ragged ones
+// whose 1–3 last columns the dispatchers hand to the Go loop.
+var tileCases = []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15}
+
+func TestTileTNAVX2MatchesGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(71))
-	for _, n := range quadTestNs {
-		for _, specials := range []bool{false, true} {
-			bStride, accStride := n+3, n+5
-			b := quadFill(rng, 3*bStride+n, specials)
-			acc0 := quadFill(rng, (n-1)*accStride+n, specials)
-			for iLo := 0; iLo < n; iLo += 2 {
-				for _, iHi := range []int{iLo + 1, iLo + 2, iLo + 4, n} {
-					if iHi > n || (iHi%2 != 0 && iHi != n) {
-						continue
-					}
-					want := append([]float64(nil), acc0...)
-					syrkQuadGo(want, accStride, b, bStride, n, iLo, iHi)
-					got := append([]float64(nil), acc0...)
-					syrkQuadAVX2(&got[0], accStride, &b[0], bStride, n, iLo, iHi)
-					requireSameBits(t, "syrkQuad", got, want)
+	for _, nc := range tileCases {
+		for _, k := range []int{1, 2, 3, 7, 64} {
+			for _, specials := range []bool{false, true} {
+				lda, ldb, ldc := 4+3, nc+2, nc+5
+				a := quadFill(rng, (k-1)*lda+4, specials)
+				b := quadFill(rng, (k-1)*ldb+nc, specials)
+				c0 := quadFill(rng, 3*ldc+nc, specials)
+				for _, upper := range []bool{false, true} {
+					want := append([]float64(nil), c0...)
+					tileTNGo(want, ldc, a, lda, b, ldb, k, 4, nc, upper)
+					got := append([]float64(nil), c0...)
+					tileTN(got, ldc, a, lda, b, ldb, k, 4, nc, upper)
+					requireSameBits(t, fmt.Sprintf("tileTN nc=%d k=%d upper=%v", nc, k, upper), got, want)
 				}
 			}
 		}
 	}
 }
 
-func TestGemmQuadAVX2MatchesGo(t *testing.T) {
+func TestTileNNAVX2MatchesGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(72))
+	for _, nc := range tileCases {
+		for _, k := range []int{1, 2, 3, 7, 64} {
+			for _, specials := range []bool{false, true} {
+				ldv, ldb, ldc := k+3, nc+2, nc+5
+				v := quadFill(rng, 3*ldv+k, specials)
+				b := quadFill(rng, (k-1)*ldb+nc, specials)
+				c0 := quadFill(rng, 3*ldc+nc, specials)
+				want := append([]float64(nil), c0...)
+				tileNNGo(want, ldc, v, ldv, b, ldb, k, 4, nc)
+				got := append([]float64(nil), c0...)
+				tileNN(got, ldc, v, ldv, b, ldb, k, 4, nc)
+				requireSameBits(t, fmt.Sprintf("tileNN nc=%d k=%d", nc, k), got, want)
+			}
+		}
+	}
+}
+
+func TestTrsmTileAVX2MatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(75))
 	for _, n := range quadTestNs {
 		for _, specials := range []bool{false, true} {
-			xStride, rStride := n+2, n+7
-			x0 := quadFill(rng, 3*xStride+n, specials)
-			r := quadFill(rng, 3*rStride+n, specials)
-			var v [16]float64
-			copy(v[:], quadFill(rng, 16, specials))
-			for j0 := 0; j0 <= n; j0++ {
-				want := append([]float64(nil), x0...)
-				gemmQuadGo(want, xStride, r, rStride, &v, j0, n)
-				got := append([]float64(nil), x0...)
-				gemmQuadAVX2(&got[0], xStride, &r[0], rStride, &v, j0, n)
-				requireSameBits(t, "gemmQuad", got, want)
+			ldx := n + 3
+			x0 := quadFill(rng, 3*ldx+n, specials)
+			r := randUpperWellCond(rng, n)
+			inv := make([]float64, n)
+			for k := range inv {
+				inv[k] = 1 / r.At(k, k)
+			}
+			want := append([]float64(nil), x0...)
+			got := append([]float64(nil), x0...)
+			for j0 := 0; j0 < n; {
+				nc := tileWidth(n - j0)
+				trsmColsGo(want, ldx, 4, r.Data, r.Stride, inv, j0, j0+nc)
+				trsmTile(got, ldx, 4, r.Data, r.Stride, inv, j0, nc)
+				requireSameBits(t, fmt.Sprintf("trsmTile n=%d j0=%d", n, j0), got, want)
+				j0 += nc
 			}
 		}
 	}
@@ -171,11 +193,11 @@ func TestScatterRowsOutOfBoundsFallsBack(t *testing.T) {
 	}
 }
 
-// TestFusedKernelsAVX2MatchGo runs the kernels built on the quad entry
-// points (the panel TRSM, the Gram accumulation, Gemm A·B, Aᵀ·B and
-// A·Bᵀ, and SyrkUpperTrans) on Slice'd views (Stride > Cols) whose row
-// counts leave 1–3 rows after the last quad, once on the assembly and
-// once on the Go loops. With specials set the inputs also hold signed
+// TestFusedKernelsAVX2MatchGo runs the kernels built on the tiles (the
+// left-looking TRSM, the Gram accumulation, Gemm A·B, Aᵀ·B and A·Bᵀ, and
+// SyrkUpperTrans) on Slice'd views (Stride > Cols) whose row counts leave
+// 1–3 rows after the last 4-row block, once on the assembly and once on
+// the Go loops. With specials set the inputs also hold signed
 // zeros.
 func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 	requireAVX2(t)

@@ -6,18 +6,28 @@ package blas
 // amd64 and under the purego tag.
 var useAVX2 = false
 
-// syrkQuad runs the quad SYRK update (see syrkQuadGo).
+// FMAPeak reports false: this build has no assembly loop to measure.
+func FMAPeak(iters int) bool { return false }
+
+// tileTN runs the Aᵀ·B tile (see tileTNGo).
 //
 //repolint:hotpath
-func syrkQuad(acc []float64, accStride int, b []float64, bStride, n, iLo, iHi int) {
-	syrkQuadGo(acc, accStride, b, bStride, n, iLo, iHi)
+func tileTN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, k, mr, nc int, upper bool) {
+	tileTNGo(c, ldc, a, lda, b, ldb, k, mr, nc, upper)
 }
 
-// gemmQuad runs the rank-4 quad update (see gemmQuadGo).
+// tileNN runs the A·B tile (see tileNNGo).
 //
 //repolint:hotpath
-func gemmQuad(x []float64, xStride int, r []float64, rStride int, v *[16]float64, j0, n int) {
-	gemmQuadGo(x, xStride, r, rStride, v, j0, n)
+func tileNN(c []float64, ldc int, v []float64, ldv int, b []float64, ldb int, k, mr, nc int) {
+	tileNNGo(c, ldc, v, ldv, b, ldb, k, mr, nc)
+}
+
+// trsmTile solves columns [j0, j0+nc) of mr rows of X (see trsmColsGo).
+//
+//repolint:hotpath
+func trsmTile(x []float64, ldx, mr int, r []float64, ldr int, inv []float64, j0, nc int) {
+	trsmColsGo(x, ldx, mr, r, ldr, inv, j0, j0+nc)
 }
 
 // scatterRows runs the weighted row scatter (see scatterRowsGo).

@@ -11,7 +11,7 @@ import (
 // SyrkUpperTrans computes the upper triangle of C −= AᵀA for symmetric C
 // (n×n) and A (m×n): the trailing update of the blocked Cholesky
 // (PotrfUpper). Elements strictly below the diagonal of C are left
-// untouched. It runs Gram's kernel (gramRows, on the quad SYRK) through
+// untouched. It runs Gram's kernel (gramRows, on tileTN) through
 // the fixed slot reduction (reduceRows) on the negated upper triangle and
 // negates it back. Negation is exact and rounding is symmetric in sign,
 // so −(−C + AᵀA) has exactly the bits of C − AᵀA accumulated directly,

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/mat"
@@ -75,4 +76,10 @@ func withGoKernels(f func()) {
 	useAVX2 = false
 	defer func() { useAVX2 = saved }()
 	f()
+}
+
+// sameFloatBits reports whether a and b have the same bits, any NaN
+// matching any NaN.
+func sameFloatBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }

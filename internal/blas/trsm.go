@@ -16,7 +16,7 @@ func checkTriangular(r *mat.Dense, n int, who string) {
 
 // TrsmRightUpperNoTrans computes B := B·R⁻¹ for upper triangular R. This is
 // the Q := A·R⁻¹ kernel of Cholesky QR (m·n² flops, Level 3): rows of B are
-// solved independently by the panel-blocked fusedTrsmRange, the same
+// solved independently by the left-looking fusedTrsmRange, the same
 // kernel the fused pass runs, and row ranges are distributed across
 // cores. Every row is solved with identical arithmetic regardless of
 // partitioning, so the result is bit-identical for every engine width —

@@ -8,12 +8,12 @@
 // flight while the engine computes on the current one. The resident set
 // is two panel buffers plus n×n replicated state, independent of m.
 //
-// Panel boundaries are cut on the fused kernels' slot/micro-block grid
-// (blas.FusedSlots / blas.FusedBlockRows), which makes every
-// floating-point summation land in the same order as the in-core
-// kernels: QRCP here returns bit-identical R, pivots, and Q to the
-// in-core tsqrcp.Engine.QRCP on the same data, for every panel size and
-// engine width. See DESIGN.md §14 for the resident-set and disk-traffic
+// Panels never straddle a slot of the fused kernels' row reduction
+// (blas.FusedSlots / blas.FusedSlotBounds) and are fed in row order,
+// which makes every floating-point summation land in the same order as
+// the in-core kernels: QRCP here returns bit-identical R, pivots, and Q
+// to the in-core tsqrcp.Engine.QRCP on the same data, for every panel
+// size and engine width. See DESIGN.md §14 for the resident-set and disk-traffic
 // model.
 package ooc
 
@@ -35,9 +35,8 @@ type Config struct {
 	// Eps is the P-Chol-CP tolerance ε ∈ [0, 1). Callers resolve their
 	// default before passing it down (tsqrcp uses Options.tol()).
 	Eps float64
-	// PanelRows is the requested resident panel height. It is floored to
-	// the micro-block grid (blas.FusedBlockRows) and bounded below by one
-	// micro-block; 0 auto-tunes from available memory (see autoPanelRows).
+	// PanelRows is the requested resident panel height, capped at the
+	// row count; 0 auto-tunes from available memory (see autoPanelRows).
 	// The panel size never affects the result bits, only the resident set
 	// and I/O granularity.
 	PanelRows int
@@ -56,7 +55,7 @@ type Config struct {
 // panel height the run used.
 type Result struct {
 	*core.CPResult
-	// PanelRows is the resident panel height after auto-tuning/flooring.
+	// PanelRows is the resident panel height after auto-tuning and capping.
 	PanelRows int
 }
 
@@ -79,16 +78,10 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 	if panelRows <= 0 {
 		panelRows = autoPanelRows(n)
 	}
-	panelRows -= panelRows % blas.FusedBlockRows
-	if panelRows < blas.FusedBlockRows {
-		panelRows = blas.FusedBlockRows
-	}
 	// No panel can be taller than the matrix: clamp so the two resident
 	// buffers never outweigh a small input (the auto-tuned height is
 	// sized for matrices that dwarf memory, not 20k-row files).
-	if ceil := m + (blas.FusedBlockRows-m%blas.FusedBlockRows)%blas.FusedBlockRows; panelRows > ceil {
-		panelRows = ceil
-	}
+	panelRows = min(panelRows, m)
 
 	sw := &fileSweeper{
 		e:          e,

@@ -18,20 +18,17 @@ type panel struct {
 	slot   int
 }
 
-// panelSchedule cuts m rows into panels that respect the fused kernels'
-// summation grid: each of blas.FusedSlots(m) slots is split at
-// FusedBlockRows multiples relative to the slot's own lower bound. Both
-// grids are what the in-core kernels anchor their 4-row quads and
-// micro-blocks to, so per-panel kernel calls reproduce the in-core
-// floating-point summation order exactly — the entire bit-identity
-// contract of this package (DESIGN.md §14). Panels are emitted in
-// ascending row order (slots are contiguous), so a sweep is one strictly
-// sequential traversal of the file.
+// panelSchedule cuts m rows into panels of at most panelRows rows that
+// never straddle a slot of the fused kernels' row reduction: each of
+// blas.FusedSlots(m) slots is split on its own. Every Level-3 element is
+// one fma chain over its slot's rows in order, so per-panel kernel calls
+// fed in row order reproduce the in-core floating-point summation order
+// exactly, wherever the cuts inside a slot fall — the entire
+// bit-identity contract of this package (DESIGN.md §14). Panels are
+// emitted in ascending row order (slots are contiguous), so a sweep is
+// one strictly sequential traversal of the file.
 func panelSchedule(m, panelRows int) []panel {
-	step := panelRows - panelRows%blas.FusedBlockRows
-	if step < blas.FusedBlockRows {
-		step = blas.FusedBlockRows
-	}
+	step := max(panelRows, 1)
 	slots := blas.FusedSlots(m)
 	ps := make([]panel, 0, slots*((m/slots)/step+2))
 	for si := 0; si < slots; si++ {
@@ -70,13 +67,7 @@ const (
 func autoPanelRows(n int) int {
 	budget := memBudget() / autotuneMemFraction
 	rows := budget / (2 * 8 * int64(n))
-	if rows < blas.FusedBlockRows {
-		return blas.FusedBlockRows
-	}
-	if rows > autotuneMaxPanelRows {
-		rows = autotuneMaxPanelRows
-	}
-	return int(rows) - int(rows)%blas.FusedBlockRows
+	return int(min(max(rows, 1), autotuneMaxPanelRows))
 }
 
 // memBudget returns the tightest known bound on usable memory in bytes.

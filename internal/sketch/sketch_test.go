@@ -53,7 +53,7 @@ func refSparse(sa, a *mat.Dense, nnz int, seed uint64) {
 			}
 			dst := sa.Data[targets[t]*sa.Stride : targets[t]*sa.Stride+n]
 			for j, v := range row {
-				dst[j] += s * v
+				dst[j] = math.FMA(s, v, dst[j])
 			}
 		}
 	}
@@ -61,7 +61,7 @@ func refSparse(sa, a *mat.Dense, nnz int, seed uint64) {
 
 // refGaussian replays the Gaussian kernel's stream consumption row by
 // row in ascending order, one Box–Muller pair per two targets, each
-// target updated by a plain loop as soon as its weight is drawn.
+// target updated by a plain fma loop as soon as its weight is drawn.
 func refGaussian(sa, a *mat.Dense, seed uint64) {
 	d, n := sa.Rows, sa.Cols
 	sa.Zero()
@@ -77,13 +77,13 @@ func refGaussian(sa, a *mat.Dense, seed uint64) {
 			g0 := scale * rad * cos
 			dst := sa.Data[r*sa.Stride : r*sa.Stride+n]
 			for j, v := range row {
-				dst[j] += g0 * v
+				dst[j] = math.FMA(g0, v, dst[j])
 			}
 			if r+1 < d {
 				g1 := scale * rad * sin
 				dst = sa.Data[(r+1)*sa.Stride : (r+1)*sa.Stride+n]
 				for j, v := range row {
-					dst[j] += g1 * v
+					dst[j] = math.FMA(g1, v, dst[j])
 				}
 			}
 		}
