@@ -214,21 +214,23 @@ func main() {
 	rng := rand.New(rand.NewSource(42))
 
 	// The machine ceiling: one core's fma throughput from an assembly
-	// loop of 12 independent chains, recorded as a metric row (never
-	// compared against the baseline) where the assembly runs.
+	// loop of 12 independent chains on the widest registers the tiles
+	// run, recorded as a metric row (never compared against the
+	// baseline) whose stage names the width, where the assembly runs.
 	var peak float64
-	if blas.FMAPeak(1) {
+	if lanes := blas.FMAPeak(1); lanes > 0 {
 		const steps = 1 << 16
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				blas.FMAPeak(steps)
 			}
 		})
-		peak = 96 * steps / float64(res.NsPerOp())
+		peak = float64(24*lanes*steps) / float64(res.NsPerOp())
+		width := map[int]string{4: "ymm", 8: "zmm"}[lanes]
 		rep.Records = append(rep.Records, record{
-			Name: "FMAPeak", M: 1, N: 12, Iters: res.N, Value: peak, Unit: "GFLOP/s",
+			Name: "FMAPeak", Stage: width, M: 1, N: 12, Iters: res.N, Value: peak, Unit: "GFLOP/s",
 		})
-		fmt.Fprintf(os.Stderr, "%-24s %60.2f GFLOP/s on one core\n", "FMAPeak", peak)
+		fmt.Fprintf(os.Stderr, "%-24s %60.2f GFLOP/s on one core\n", "FMAPeak/"+width, peak)
 	}
 	// atPeak sets pct_peak from the flops the kernel executes per op,
 	// which differs from the row's gflops only for Gram (the row counts

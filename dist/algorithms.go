@@ -76,9 +76,10 @@ func CholQR(comm Comm, aLocal *mat.Dense) (*mat.Dense, error) {
 }
 
 // iteCholQRCP runs the shared Ite-CholQR-CP driver loop on a copy of this
-// rank's block through the Allreduce sweeper, stopping at rankCap pivots.
+// rank's block (see core.NewDenseSweeperCopy) through the Allreduce
+// sweeper, stopping at rankCap pivots.
 func iteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64, rankCap int) (*core.CPResult, error) {
-	sw := newSweeper(comm, aLocal.Clone())
+	sw := sweeper{DenseSweeper: core.NewDenseSweeperCopy(nil, aLocal), comm: comm}
 	res, err := core.IteCholQRCPSweeps(nil, aLocal.Cols, sw, eps, rankCap, nil)
 	if err != nil {
 		return nil, err

@@ -68,8 +68,9 @@
 // one implementation each. GEMM, SYRK and the right-side TRSM run on two
 // register-tiled kernels, and every output element is one fused
 // multiply-add chain over its summation index in ascending order; on
-// amd64 with AVX2 and FMA the tiles and the row scatter run as assembly
-// with the same bits (build with -tags purego to run the Go loops).
+// amd64 the tiles run as AVX-512 or AVX2+FMA assembly, picked from CPUID
+// at start-up, and the row scatter as AVX2+FMA assembly, all with the
+// same bits (build with -tags purego to run the Go loops).
 // Every kernel that sums over rows reduces
 // through a fixed slot schedule that depends on the row count alone, so
 // every factorization is bit-identical for any worker count.

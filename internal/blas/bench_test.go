@@ -178,6 +178,13 @@ func BenchmarkKernelVariants(b *testing.B) {
 			k.run(b)
 			reportGFLOPS(b, k.flops)
 		})
+		b.Run(k.name+"/avx2", func(b *testing.B) {
+			if !useAVX512 {
+				b.Skip("no AVX-512 kernels in this build or on this CPU: simd is avx2")
+			}
+			withAVX2Kernels(func() { k.run(b) })
+			reportGFLOPS(b, k.flops)
+		})
 		b.Run(k.name+"/generic", func(b *testing.B) {
 			withGoKernels(func() { k.run(b) })
 			reportGFLOPS(b, k.flops)

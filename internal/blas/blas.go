@@ -5,8 +5,9 @@
 // It plays the role of the vendor BLAS (Intel MKL, Fujitsu SSL2) in the
 // paper's reference implementation. The performance property that matters
 // for reproducing the paper is preserved: Level-3 kernels (Gemm, Syrk,
-// Trsm) run on register-tiled fused multiply-add kernels (quad.go) and
-// are parallel across cores, while Level-2
+// Trsm) run on register-tiled fused multiply-add kernels (quad.go; on
+// amd64 AVX-512 or AVX2 assembly with the Go loops' bits, picked from
+// CPUID at start-up) and are parallel across cores, while Level-2
 // kernels (Gemv, Ger) stream the whole matrix through memory once per call
 // and are bandwidth-bound. Cholesky-QR-type algorithms spend ~all their
 // time in Level 3; Householder QRCP spends half its flops in Level 2 —

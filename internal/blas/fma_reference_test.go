@@ -324,3 +324,20 @@ func checkGramZeroTimesInf(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelPath logs which tiles this machine runs — zmm, ymm or the Go
+// loops; CI prints it, so a runner without AVX-512 shows in its log —
+// and checks that FMAPeak measures the width of those tiles.
+func TestKernelPath(t *testing.T) {
+	path, lanes := "go (the Go loops)", 0
+	switch {
+	case useAVX512:
+		path, lanes = "zmm (AVX-512 tiles)", 8
+	case useAVX2:
+		path, lanes = "ymm (AVX2+FMA tiles)", 4
+	}
+	t.Logf("kernel path: %s", path)
+	if got := FMAPeak(1); got != lanes {
+		t.Fatalf("FMAPeak ran %d lanes, want %d for the %s path", got, lanes, path)
+	}
+}

@@ -74,8 +74,21 @@ func fusedSlots(m int) int {
 // length other than B's column count, or if G is not n×n. The engine e
 // bounds the parallel width (nil selects the default engine).
 func PermTrsmGramFused(e *parallel.Engine, b *mat.Dense, perm mat.Perm, r, g *mat.Dense) {
+	PermTrsmGramFusedInto(e, b, b, perm, r, g)
+}
+
+// PermTrsmGramFusedInto is PermTrsmGramFused out of place: it leaves B
+// alone and writes (B·P)·R⁻¹ to dst, which has B's shape and is B itself
+// or does not overlap it, and G := dstᵀdst. Each row block is gathered
+// from B straight into dst, so a caller that needs a working copy of B
+// gets it from this pass instead of a sweep of its own; the bits are
+// those of the in-place pass.
+func PermTrsmGramFusedInto(e *parallel.Engine, dst, b *mat.Dense, perm mat.Perm, r, g *mat.Dense) {
 	m, n := b.Rows, b.Cols
 	checkTriangular(r, n, "PermTrsmGramFused")
+	if dst.Rows != m || dst.Cols != n {
+		panic(fmt.Sprintf("blas: PermTrsmGramFused dst %d×%d, want %d×%d", dst.Rows, dst.Cols, m, n))
+	}
 	if g.Rows != n || g.Cols != n {
 		panic(fmt.Sprintf("blas: PermTrsmGramFused G %d×%d, want %d×%d", g.Rows, g.Cols, n, n))
 	}
@@ -96,17 +109,55 @@ func PermTrsmGramFused(e *parallel.Engine, b *mat.Dense, perm mat.Perm, r, g *ma
 	trace.AddFlops(trace.KernelFusedTrsmGram,
 		int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))
 	trace.AddBytes(trace.KernelFusedTrsmGram, 2*8*int64(m)*int64(n))
-	reduceRows(e, m, mulFlops(2, m, n, n), g, true, rowJob{b: b, r: r, perm: perm}, fusedRows)
+	reduceRows(e, m, mulFlops(2, m, n, n), g, true, rowJob{a: dst, b: b, r: r, perm: perm}, fusedRows)
 	SymmetrizeFromUpper(g)
 }
 
-// fusedRows is the reduceRows kernel of PermTrsmGramFused. The gather
-// scratch is a pooled 1×n Dense (PutFloats heap-escapes its header),
-// keeping the width-1 path allocation free.
+// fusedRows is the reduceRows kernel of PermTrsmGramFusedInto: job.b is
+// the source, job.a the destination. The gather scratch is a pooled 1×n
+// Dense (PutFloats heap-escapes its header), keeping the width-1 path
+// allocation free.
 func fusedRows(job rowJob, lo, hi int, acc *mat.Dense) {
 	tmp := mat.GetWorkspace(1, job.b.Cols, false)
-	fusedSlotRange(job.b, job.r, job.perm, lo, hi, acc, tmp.Data)
+	fusedSlotRange(job.a, job.b, job.r, job.perm, lo, hi, acc, tmp.Data)
 	mat.PutWorkspace(tmp)
+}
+
+// gatherRows sets rows [lo, hi) of dst to the same rows of src with
+// their columns taken through the permutation perm,
+// dst(i, j) = src(i, perm[j]) (nil perm: the identity); dst is src or
+// does not overlap it. The leading columns perm leaves in place
+// (perm[j] = j for j < p0, the pivots an Ite-CholQR-CP sweep has already
+// fixed) are copied out of place and skipped in place, where the rest of
+// each row goes through the scratch row tmp (n long).
+//
+//repolint:hotpath
+func gatherRows(dst, src *mat.Dense, perm mat.Perm, lo, hi int, tmp []float64) {
+	n := dst.Cols
+	p0 := 0
+	for p0 < len(perm) && perm[p0] == p0 {
+		p0++
+	}
+	if perm == nil {
+		p0 = n
+	}
+	inPlace := dst == src
+	if inPlace && p0 == n {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		d := dst.Data[i*dst.Stride : i*dst.Stride+n]
+		s := src.Data[i*src.Stride : i*src.Stride+n]
+		if inPlace {
+			copy(tmp[p0:n], s[p0:])
+			s = tmp
+		} else {
+			copy(d[:p0], s)
+		}
+		for j := p0; j < n; j++ {
+			d[j] = s[perm[j]]
+		}
+	}
 }
 
 // fusedSlotBounds returns the half-open row range of slot si out of slots,
@@ -122,33 +173,23 @@ func fusedSlotBounds(m, slots, si int) (lo, hi int) {
 	return lo, hi
 }
 
-// fusedSlotRange streams rows [lo, hi) of B through the three fused
+// fusedSlotRange streams rows [lo, hi) of src through the three fused
 // stages one micro-block at a time: gather the column permutation into
-// the block (tmp is an n-length scratch row), solve the block against R
-// with the left-looking TRSM, and accumulate the block's Gram
-// contribution into acc (upper triangle) with the register-tiled SYRK.
-// The blocks only set locality: each acc element's chain runs over the
-// slot's rows in order, fixed by the slot bounds alone.
+// the block of dst (gatherRows; tmp is an n-length scratch row), solve
+// the block against R with the left-looking TRSM, and accumulate the
+// block's Gram contribution into acc (upper triangle) with the
+// register-tiled SYRK. The blocks only set locality: each acc element's
+// chain runs over the slot's rows in order, fixed by the slot bounds
+// alone.
 //
 //repolint:hotpath
-func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, tmp []float64) {
-	n := b.Cols
+func fusedSlotRange(dst, src, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, tmp []float64) {
+	n := dst.Cols
 	for q := lo; q < hi; q += fusedBlockRows {
-		qhi := q + fusedBlockRows
-		if qhi > hi {
-			qhi = hi
-		}
-		if perm != nil {
-			for i := q; i < qhi; i++ {
-				row := b.Data[i*b.Stride : i*b.Stride+n]
-				copy(tmp, row)
-				for j, v := range perm {
-					row[j] = tmp[v]
-				}
-			}
-		}
-		fusedTrsmRange(b, r, q, qhi)
-		fusedSyrkCols(b, q, qhi, 0, n, acc)
+		qhi := min(q+fusedBlockRows, hi)
+		gatherRows(dst, src, perm, q, qhi, tmp)
+		fusedTrsmRange(dst, r, q, qhi)
+		fusedSyrkCols(dst, q, qhi, 0, n, acc)
 	}
 }
 
@@ -156,13 +197,13 @@ func fusedSlotRange(b, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, 
 // triangular R: X := X·R⁻¹. It is the package's one right-side TRSM
 // kernel, used both on an L1-resident micro-block of the fused pass and
 // on streamed row ranges by TrsmRightUpperNoTrans. It is left-looking:
-// for each 4-row block and each column tile [j0, j0+nc), one trsmTile
-// call applies every term from the solved columns t < j0 and then solves
-// the tile's diagonal block, continuing the same chains. Every element is
-// the chain of quad.go, so its bits never depend on how rows were
-// grouped: not on (lo, hi), and therefore not on the engine width. The n
-// diagonal reciprocals are computed once per call, on the stack for
-// n ≤ len(invBuf) and in a pooled workspace beyond.
+// for each block of tileRows rows and each column tile [j0, j0+nc), one
+// trsmTile call applies every term from the solved columns t < j0 and
+// then solves the tile's diagonal block, continuing the same chains.
+// Every element is the chain of quad.go, so its bits never depend on how
+// rows were grouped: not on (lo, hi), and therefore not on the engine
+// width. The n diagonal reciprocals are computed once per call, on the
+// stack for n ≤ len(invBuf) and in a pooled workspace beyond.
 //
 //repolint:hotpath
 func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
@@ -178,8 +219,9 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 	for k := range inv {
 		inv[k] = 1 / r.Data[k*r.Stride+k]
 	}
-	for i := lo; i < hi; i += 4 {
-		mr := min(4, hi-i)
+	rows := tileRows()
+	for i := lo; i < hi; i += rows {
+		mr := min(rows, hi-i)
 		x := b.Data[i*b.Stride:]
 		for j0 := 0; j0 < n; {
 			nc := tileWidth(n - j0)
@@ -196,19 +238,19 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 // into output rows [iLo, iHi) of acc's upper triangle:
 // acc(i,j) = fma(B(t,i), B(t,j), acc(i,j)) for t = lo, …, hi−1 in order,
 // iLo ≤ i < iHi, j ≥ i. The rows are taken fusedBlockRows at a time so a
-// block of B stays in L1 while every 4-row output tile (tileTN) runs
-// over it; a tile on the diagonal leaves the strict lower triangle
+// block of B stays in L1 while every output tile (tileTN, tileRows rows)
+// runs over it; a tile on the diagonal leaves the strict lower triangle
 // alone. Restricting the output rows instead of the summation range is
 // what lets callers parallelize without changing any element's chain.
 //
 //repolint:hotpath
 func fusedSyrkCols(b *mat.Dense, lo, hi, iLo, iHi int, acc *mat.Dense) {
-	n := b.Cols
+	n, rows := b.Cols, tileRows()
 	for q := lo; q < hi; q += fusedBlockRows {
 		k := min(fusedBlockRows, hi-q)
 		bq := b.Data[q*b.Stride:]
-		for i0 := iLo; i0 < iHi; i0 += 4 {
-			mr := min(4, iHi-i0)
+		for i0 := iLo; i0 < iHi; i0 += rows {
+			mr := min(rows, iHi-i0)
 			for j0 := i0; j0 < n; {
 				nc := tileWidth(n - j0)
 				tileTN(acc.Data[i0*acc.Stride+j0:], acc.Stride, bq[i0:], b.Stride, bq[j0:], b.Stride, k, mr, nc, j0 == i0)

@@ -126,6 +126,42 @@ func TestPermTrsmGramFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestPermTrsmGramFusedIntoMatchesInPlace: the out-of-place pass leaves
+// its source alone and gives the bits of the in-place pass and of the
+// unfused sweeps, for permutations that fix a leading block of columns
+// (the gather skips it in place and copies it out of place), for nil,
+// and on strided views.
+func TestPermTrsmGramFusedIntoMatchesInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	e := parallel.NewEngine(2)
+	for _, sh := range []struct{ m, n int }{{1, 1}, {65, 8}, {257, 16}, {4113, 32}} {
+		for _, p0 := range []int{-1, 0, 1, sh.n / 2, sh.n} {
+			var perm mat.Perm
+			if p0 >= 0 {
+				perm = mat.IdentityPerm(sh.n)
+				for j, v := range randPerm(rng, sh.n-p0) {
+					perm[p0+j] = p0 + v
+				}
+			}
+			b := randDenseStrided(rng, sh.m, sh.n)
+			r := randUpperWellCond(rng, sh.n)
+			orig := b.Clone()
+			dst := randDenseStrided(rng, sh.m, sh.n)
+			g := mat.NewDense(sh.n, sh.n)
+			PermTrsmGramFusedInto(e, dst, b, perm, r, g)
+			bitsEqualDense(t, "source", b, orig)
+
+			bRef, gRef := b.Clone(), mat.NewDense(sh.n, sh.n)
+			refPermTrsmGram(e, bRef, perm, r, gRef)
+			bitsEqualDense(t, "dst", dst, bRef)
+			bitsEqualDense(t, "G", g, gRef)
+			PermTrsmGramFused(e, b, perm, r, g)
+			bitsEqualDense(t, "in place", b, bRef)
+			bitsEqualDense(t, "in-place G", g, gRef)
+		}
+	}
+}
+
 func TestPermTrsmGramFusedNilPermIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := parallel.NewEngine(2)

@@ -8,9 +8,9 @@ import (
 
 const (
 	// kBlock is the tile height along the summation dimension of the
-	// GEMMs: one tile of B rows stays resident in L2 while every 4-row
+	// GEMMs: one tile of B rows stays resident in L2 while every row
 	// block of C takes its updates from it, and one block of packed A
-	// (4·kBlock entries) fits on the stack.
+	// (maxTileRows·kBlock entries, 16 KiB) fits on the stack.
 	kBlock = 256
 	// gemmParallelFlops is the minimum multiply-add count before Gemm
 	// fans out across cores.
@@ -82,19 +82,20 @@ func gemmNN(e *parallel.Engine, alpha float64, a, b, c *mat.Dense) {
 }
 
 // gemmNNRange updates rows [lo, hi) of C += alpha·A·B. For each kBlock
-// tile of the summation dimension, each 4-row block of C packs
-// v = −alpha times its rows of A on the stack and runs tileNN across the
-// columns: negation is exact, so every element takes
+// tile of the summation dimension, each block of tileRows rows of C
+// packs v = −alpha times its rows of A on the stack and runs tileNN
+// across the columns: negation is exact, so every element takes
 // c = fma(alpha·a, b, c) over t in ascending order.
 //
 //repolint:hotpath
 func gemmNNRange(alpha float64, a, b, c *mat.Dense, lo, hi int) {
 	n, k := c.Cols, a.Cols
-	var v [4 * kBlock]float64
+	var v [maxTileRows * kBlock]float64
+	rows := tileRows()
 	for l0 := 0; l0 < k; l0 += kBlock {
 		kc := min(kBlock, k-l0)
-		for i := lo; i < hi; i += 4 {
-			mr := min(4, hi-i)
+		for i := lo; i < hi; i += rows {
+			mr := min(rows, hi-i)
 			for s := 0; s < mr; s++ {
 				arow := a.Data[(i+s)*a.Stride+l0 : (i+s)*a.Stride+l0+kc]
 				vs := v[s*kBlock : s*kBlock+kc]
@@ -133,28 +134,29 @@ func gemmTNRows(job rowJob, lo, hi int, dst *mat.Dense) {
 }
 
 // gemmTNRange accumulates dst += alpha·A(lo:hi,:)ᵀ·B(lo:hi,:): for each
-// kBlock tile of summation rows, each 4-row block of dst packs alpha
-// times its columns of A on the stack and runs tileTN across the
-// columns, so every element takes dst = fma(alpha·a, b, dst) over the
-// rows in ascending order.
+// kBlock tile of summation rows, each block of tileRows rows of dst
+// packs alpha times its columns of A on the stack and runs tileTN
+// across the columns, so every element takes dst = fma(alpha·a, b, dst)
+// over the rows in ascending order.
 //
 //repolint:hotpath
 func gemmTNRange(alpha float64, a, b *mat.Dense, lo, hi int, dst *mat.Dense) {
 	m, n := dst.Rows, dst.Cols
-	var v [kBlock * 4]float64
+	var v [kBlock * maxTileRows]float64
+	rows := tileRows()
 	for l0 := lo; l0 < hi; l0 += kBlock {
 		kc := min(kBlock, hi-l0)
-		for i := 0; i < m; i += 4 {
-			mr := min(4, m-i)
+		for i := 0; i < m; i += rows {
+			mr := min(rows, m-i)
 			for t := 0; t < kc; t++ {
 				arow := a.Data[(l0+t)*a.Stride+i : (l0+t)*a.Stride+i+mr]
 				for s, av := range arow {
-					v[4*t+s] = alpha * av
+					v[rows*t+s] = alpha * av
 				}
 			}
 			for j0 := 0; j0 < n; {
 				nc := tileWidth(n - j0)
-				tileTN(dst.Data[i*dst.Stride+j0:], dst.Stride, v[:], 4, b.Data[l0*b.Stride+j0:], b.Stride, kc, mr, nc, false)
+				tileTN(dst.Data[i*dst.Stride+j0:], dst.Stride, v[:], rows, b.Data[l0*b.Stride+j0:], b.Stride, kc, mr, nc, false)
 				j0 += nc
 			}
 		}

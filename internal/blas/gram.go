@@ -214,19 +214,8 @@ func FusedPanelPivot(e *parallel.Engine, panel *mat.Dense, perm mat.Perm, r, acc
 		tmp := mat.GetWorkspace(1, n, false)
 		for bi := bLo; bi < bHi; bi++ {
 			q := bi * fusedBlockRows
-			qhi := q + fusedBlockRows
-			if qhi > rows {
-				qhi = rows
-			}
-			if perm != nil {
-				for i := q; i < qhi; i++ {
-					row := panel.Data[i*panel.Stride : i*panel.Stride+n]
-					copy(tmp.Data, row)
-					for j, v := range perm {
-						row[j] = tmp.Data[v]
-					}
-				}
-			}
+			qhi := min(q+fusedBlockRows, rows)
+			gatherRows(panel, panel, perm, q, qhi, tmp.Data)
 			fusedTrsmRange(panel, r, q, qhi)
 		}
 		mat.PutWorkspace(tmp)
@@ -248,7 +237,7 @@ func ReduceGramSlots(w *mat.Dense, accs []*mat.Dense) {
 	SymmetrizeFromUpper(w)
 }
 
-// fusedSyrkColsParallel partitions acc's output rows into 4-row blocks
+// fusedSyrkColsParallel partitions acc's output rows into tile-row blocks
 // and runs fusedSyrkCols on each partition: every acc element still
 // takes its chain over the rows of b in order, so the result is
 // bit-identical for every partition — and therefore for every engine
@@ -259,7 +248,8 @@ func fusedSyrkColsParallel(e *parallel.Engine, b, acc *mat.Dense) {
 		fusedSyrkCols(b, 0, b.Rows, 0, n, acc)
 		return
 	}
-	e.For((n+3)/4, 1, func(pLo, pHi int) {
-		fusedSyrkCols(b, 0, b.Rows, 4*pLo, min(4*pHi, n), acc)
+	rows := tileRows()
+	e.For((n+rows-1)/rows, 1, func(pLo, pHi int) {
+		fusedSyrkCols(b, 0, b.Rows, rows*pLo, min(rows*pHi, n), acc)
 	})
 }

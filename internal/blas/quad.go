@@ -14,15 +14,35 @@ import "math"
 // and the row scatter is one fma per element. Loads and stores are
 // exact, so an element's bits depend only on where its chain starts
 // (the slot partition of reduceRows) and never on tile shapes, row
-// grouping or blocking. On amd64 with AVX2 and FMA (and without the
-// purego build tag) the tiles run register-tiled assembly instead
-// (quad_amd64.s), which performs the same chains; anything else runs
-// these loops. See DESIGN.md §10.
+// grouping or blocking. On amd64 (without the purego build tag) the
+// tiles run register-tiled assembly instead (quad_amd64.s), which
+// performs the same chains: 8-row zmm tiles up to 24 columns wide where
+// the CPU has AVX512F and AVX512VL and the OS saves the ZMM state, else
+// 4-row ymm tiles up to 12 wide where it has AVX2 and FMA, chosen once
+// at start-up. Anything else runs these loops. See DESIGN.md §10.
+
+// tileRows is the row count of a tile: 8 on the zmm tiles, 4 otherwise.
+// maxTileRows bounds it, for the drivers' packed operands.
+func tileRows() int {
+	if useAVX512 {
+		return 8
+	}
+	return 4
+}
+
+const maxTileRows = 8
 
 // tileWidth is the column count of the next tile when rem columns are
-// left: 12 (three vectors), except that 16 splits as 8 + 8 so no tile is
-// narrower than two vectors.
+// left: at most three vectors, 24 on the zmm tiles and 12 otherwise, and
+// no sliver at the end: on zmm a rest of 25–32 columns splits as 16 +
+// the rest (at least nine), on ymm 16 as 8 + 8.
 func tileWidth(rem int) int {
+	if useAVX512 {
+		if rem > 24 && rem <= 32 {
+			return 16
+		}
+		return min(rem, 24)
+	}
 	if rem == 16 {
 		return 8
 	}

@@ -11,6 +11,33 @@ var useAVX2 = cpuHasAVX2()
 // the YMM state.
 func cpuHasAVX2() bool
 
+// useAVX512 reports whether the tiles run their AVX-512 forms: on top of
+// useAVX2, the CPU has AVX512F and AVX512VL and the OS saves the opmask
+// and ZMM registers. Detected once.
+var useAVX512 = useAVX2 && cpuHasAVX512()
+
+// cpuHasAVX512 checks CPUID for AVX512F and AVX512VL and XGETBV for OS
+// support of the opmask and ZMM state.
+func cpuHasAVX512() bool
+
+// tileTNAVX512 is tileTNGo on raw pointers for an 8-row tile,
+// 1 ≤ nc ≤ 24 and k ≥ 1.
+//
+//go:noescape
+func tileTNAVX512(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, k, nc int, upper bool)
+
+// tileNNAVX512 is tileNNGo on raw pointers for an 8-row tile,
+// 1 ≤ nc ≤ 24 and k ≥ 1.
+//
+//go:noescape
+func tileNNAVX512(c *float64, ldc int, v *float64, ldv int, b *float64, ldb int, k, nc int)
+
+// trsmTileAVX512 is trsmColsGo on raw pointers for eight rows and
+// columns [j0, j0+nc), 1 ≤ nc ≤ 24: x points at row 0, column 0.
+//
+//go:noescape
+func trsmTileAVX512(x *float64, ldx int, r *float64, ldr int, inv *float64, j0, nc int)
+
 // tileTNAVX2 is tileTNGo on raw pointers for a 4-row tile, nc ∈ {4, 8, 12}
 // and k ≥ 1.
 //
@@ -36,75 +63,97 @@ func trsmTileAVX2(x *float64, ldx int, r *float64, ldr int, inv *float64, j0, nc
 //go:noescape
 func scatterRowsAVX2(acc *float64, accStride int, row *float64, n int, t *int, w *float64, count int)
 
-// fmaPeakAVX2 runs iters ≥ 1 steps of the FMAPeak loop.
+// fmaPeakAVX2 and fmaPeakAVX512 run iters ≥ 1 steps of the FMAPeak
+// loop on ymm and zmm registers.
 //
 //go:noescape
 func fmaPeakAVX2(iters int)
 
-// FMAPeak runs iters steps of 12 independent 4-wide fma chains, 96 flops
-// a step, on the calling goroutine: the single-core ceiling the
-// assembly tiles are read against. It reports false, running nothing,
-// where the tiles do not run (see useAVX2).
-func FMAPeak(iters int) bool {
-	if !useAVX2 || iters < 1 {
-		return false
+//go:noescape
+func fmaPeakAVX512(iters int)
+
+// FMAPeak runs iters steps of 12 independent fma chains on the calling
+// goroutine, on the widest registers the tiles run (see useAVX512):
+// the single-core ceiling the assembly tiles are read against. It
+// reports the lanes of one chain, 8 on zmm and 4 on ymm, so a step is
+// 24·lanes flops; where the tiles do not run (see useAVX2) it reports 0
+// and runs nothing.
+func FMAPeak(iters int) (lanes int) {
+	switch {
+	case iters < 1 || !useAVX2:
+		return 0
+	case useAVX512:
+		fmaPeakAVX512(iters)
+		return 8
+	default:
+		fmaPeakAVX2(iters)
+		return 4
 	}
-	fmaPeakAVX2(iters)
-	return true
 }
 
-// The dispatchers run the assembly on a 4-row tile's first nc&^3
-// columns, and only when every element it touches is provably inside
-// the slices; the Go loop takes the 1–3 columns left and any other call,
-// and its bounds checks report a bad one. Both perform the same chains,
-// so the split changes no bit.
+// The dispatchers run the zmm kernel on a whole 8-row tile of up to 24
+// columns, else the ymm kernel on a 4-row tile's first nc&^3 columns, at
+// most 12 a call, and either only when every element it touches is
+// provably inside the slices; the Go loop takes the 1–3 columns the ymm
+// kernel leaves and any other call (ragged rows at the end of a range
+// among them), and its bounds checks report a bad one. All of them
+// perform the same chains, so the split changes no bit.
 
 // tileTN runs the Aᵀ·B tile (see tileTNGo).
 //
 //repolint:hotpath
 func tileTN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, k, mr, nc int, upper bool) {
-	n4 := nc &^ 3
-	if useAVX2 && mr == 4 && k > 0 && n4 > 0 && n4 <= 12 && ldc >= 0 && lda >= 0 && ldb >= 0 &&
-		len(c) >= 3*ldc+n4 && len(a) >= (k-1)*lda+4 && len(b) >= (k-1)*ldb+n4 {
+	if useAVX512 && mr == 8 && k > 0 && nc > 0 && nc <= 24 && ldc >= 0 && lda >= 0 && ldb >= 0 &&
+		len(c) >= 7*ldc+nc && len(a) >= (k-1)*lda+8 && len(b) >= (k-1)*ldb+nc {
+		tileTNAVX512(&c[0], ldc, &a[0], lda, &b[0], ldb, k, nc, upper)
+		return
+	}
+	for n4 := min(nc&^3, 12); useAVX2 && mr == 4 && k > 0 && n4 > 0 && ldc >= 0 && lda >= 0 && ldb >= 0 &&
+		len(c) >= 3*ldc+n4 && len(a) >= (k-1)*lda+4 && len(b) >= (k-1)*ldb+n4; n4 = min(nc&^3, 12) {
 		tileTNAVX2(&c[0], ldc, &a[0], lda, &b[0], ldb, k, n4, upper)
-		if n4 == nc {
-			return
-		}
 		c, b, nc, upper = c[n4:], b[n4:], nc-n4, false
 	}
-	tileTNGo(c, ldc, a, lda, b, ldb, k, mr, nc, upper)
+	if nc > 0 {
+		tileTNGo(c, ldc, a, lda, b, ldb, k, mr, nc, upper)
+	}
 }
 
 // tileNN runs the A·B tile (see tileNNGo).
 //
 //repolint:hotpath
 func tileNN(c []float64, ldc int, v []float64, ldv int, b []float64, ldb int, k, mr, nc int) {
-	n4 := nc &^ 3
-	if useAVX2 && mr == 4 && k > 0 && n4 > 0 && n4 <= 12 && ldc >= 0 && ldv >= 0 && ldb >= 0 &&
-		len(c) >= 3*ldc+n4 && len(v) >= 3*ldv+k && len(b) >= (k-1)*ldb+n4 {
+	if useAVX512 && mr == 8 && k > 0 && nc > 0 && nc <= 24 && ldc >= 0 && ldv >= 0 && ldb >= 0 &&
+		len(c) >= 7*ldc+nc && len(v) >= 7*ldv+k && len(b) >= (k-1)*ldb+nc {
+		tileNNAVX512(&c[0], ldc, &v[0], ldv, &b[0], ldb, k, nc)
+		return
+	}
+	for n4 := min(nc&^3, 12); useAVX2 && mr == 4 && k > 0 && n4 > 0 && ldc >= 0 && ldv >= 0 && ldb >= 0 &&
+		len(c) >= 3*ldc+n4 && len(v) >= 3*ldv+k && len(b) >= (k-1)*ldb+n4; n4 = min(nc&^3, 12) {
 		tileNNAVX2(&c[0], ldc, &v[0], ldv, &b[0], ldb, k, n4)
-		if n4 == nc {
-			return
-		}
 		c, b, nc = c[n4:], b[n4:], nc-n4
 	}
-	tileNNGo(c, ldc, v, ldv, b, ldb, k, mr, nc)
+	if nc > 0 {
+		tileNNGo(c, ldc, v, ldv, b, ldb, k, mr, nc)
+	}
 }
 
 // trsmTile solves columns [j0, j0+nc) of mr rows of X (see trsmColsGo).
 //
 //repolint:hotpath
 func trsmTile(x []float64, ldx, mr int, r []float64, ldr int, inv []float64, j0, nc int) {
-	n4 := nc &^ 3
-	if j1 := j0 + n4; useAVX2 && mr == 4 && n4 > 0 && n4 <= 12 && j0 >= 0 && ldx >= 0 && ldr >= 0 &&
-		len(x) >= 3*ldx+j1 && len(r) >= (j1-1)*ldr+j1 && len(inv) >= j1 {
-		trsmTileAVX2(&x[0], ldx, &r[0], ldr, &inv[0], j0, n4)
-		j0, nc = j1, nc-n4
-		if nc == 0 {
-			return
-		}
+	if j1 := j0 + nc; useAVX512 && mr == 8 && nc > 0 && nc <= 24 && j0 >= 0 && ldx >= 0 && ldr >= 0 &&
+		len(x) >= 7*ldx+j1 && len(r) >= (j1-1)*ldr+j1 && len(inv) >= j1 {
+		trsmTileAVX512(&x[0], ldx, &r[0], ldr, &inv[0], j0, nc)
+		return
 	}
-	trsmColsGo(x, ldx, mr, r, ldr, inv, j0, j0+nc)
+	for n4 := min(nc&^3, 12); useAVX2 && mr == 4 && n4 > 0 && j0 >= 0 && ldx >= 0 && ldr >= 0 &&
+		len(x) >= 3*ldx+j0+n4 && len(r) >= (j0+n4-1)*ldr+j0+n4 && len(inv) >= j0+n4; n4 = min(nc&^3, 12) {
+		trsmTileAVX2(&x[0], ldx, &r[0], ldr, &inv[0], j0, n4)
+		j0, nc = j0+n4, nc-n4
+	}
+	if nc > 0 {
+		trsmColsGo(x, ldx, mr, r, ldr, inv, j0, j0+nc)
+	}
 }
 
 // scatterRows runs the weighted row scatter (see scatterRowsGo), guarded

@@ -11,11 +11,12 @@ import (
 	"repro/mat"
 )
 
-// The differential test of the AVX2 kernels: each assembly entry point,
-// and each kernel built on it, must reproduce the Go reference loops bit
-// for bit (NaN matching any NaN), on every tile width and the ragged
-// columns the Go loop takes over, on strided views, and on inputs
-// holding ±Inf and NaN.
+// The differential test of the assembly kernels: each AVX2 and AVX-512
+// entry point, and each kernel built on them, must reproduce the Go
+// reference loops bit for bit (NaN matching any NaN), on every tile
+// width and the ragged columns, on strided views, and on inputs holding
+// ±Inf and NaN. The AVX2 tests force the ymm tiles (withAVX2Kernels), so
+// they cover them on CPUs that run the zmm tiles too.
 
 var quadTestNs = []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 63, 64, 65, 129}
 
@@ -23,6 +24,13 @@ func requireAVX2(t *testing.T) {
 	t.Helper()
 	if !useAVX2 {
 		t.Skip("CPU without AVX2: the Go loops run on this machine")
+	}
+}
+
+func requireAVX512(t *testing.T) {
+	t.Helper()
+	if !useAVX512 {
+		t.Skip("CPU without AVX512F/AVX512VL (or OS without ZMM state): the zmm tiles do not run on this machine")
 	}
 }
 
@@ -43,15 +51,17 @@ func requireSameBits(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if !sameFloatBits(got[i], want[i]) {
-			t.Fatalf("%s: element %d: AVX2 %v (%#x), Go %v (%#x)", label, i,
+			t.Fatalf("%s: element %d: assembly %v (%#x), Go %v (%#x)", label, i,
 				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
 
-// tileCases are the tile widths the assembly takes, plus ragged ones
-// whose 1–3 last columns the dispatchers hand to the Go loop.
-var tileCases = []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15}
+// tileCases are the tile widths the ymm assembly takes, ragged ones
+// whose 1–3 last columns the dispatchers hand to the Go loop, and the
+// wider ones of the zmm tiles, which the ymm dispatch takes 12 columns a
+// call.
+var tileCases = []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 23, 24}
 
 func TestTileTNAVX2MatchesGo(t *testing.T) {
 	requireAVX2(t)
@@ -67,7 +77,7 @@ func TestTileTNAVX2MatchesGo(t *testing.T) {
 					want := append([]float64(nil), c0...)
 					tileTNGo(want, ldc, a, lda, b, ldb, k, 4, nc, upper)
 					got := append([]float64(nil), c0...)
-					tileTN(got, ldc, a, lda, b, ldb, k, 4, nc, upper)
+					withAVX2Kernels(func() { tileTN(got, ldc, a, lda, b, ldb, k, 4, nc, upper) })
 					requireSameBits(t, fmt.Sprintf("tileTN nc=%d k=%d upper=%v", nc, k, upper), got, want)
 				}
 			}
@@ -88,7 +98,7 @@ func TestTileNNAVX2MatchesGo(t *testing.T) {
 				want := append([]float64(nil), c0...)
 				tileNNGo(want, ldc, v, ldv, b, ldb, k, 4, nc)
 				got := append([]float64(nil), c0...)
-				tileNN(got, ldc, v, ldv, b, ldb, k, 4, nc)
+				withAVX2Kernels(func() { tileNN(got, ldc, v, ldv, b, ldb, k, 4, nc) })
 				requireSameBits(t, fmt.Sprintf("tileNN nc=%d k=%d", nc, k), got, want)
 			}
 		}
@@ -107,14 +117,125 @@ func TestTrsmTileAVX2MatchesGo(t *testing.T) {
 			for k := range inv {
 				inv[k] = 1 / r.At(k, k)
 			}
-			want := append([]float64(nil), x0...)
-			got := append([]float64(nil), x0...)
-			for j0 := 0; j0 < n; {
-				nc := tileWidth(n - j0)
-				trsmColsGo(want, ldx, 4, r.Data, r.Stride, inv, j0, j0+nc)
-				trsmTile(got, ldx, 4, r.Data, r.Stride, inv, j0, nc)
-				requireSameBits(t, fmt.Sprintf("trsmTile n=%d j0=%d", n, j0), got, want)
-				j0 += nc
+			for _, wide := range []bool{false, true} {
+				want := append([]float64(nil), x0...)
+				got := append([]float64(nil), x0...)
+				withAVX2Kernels(func() {
+					for j0 := 0; j0 < n; {
+						nc := tileWidth(n - j0)
+						if wide {
+							nc = min(n-j0, 24)
+						}
+						trsmColsGo(want, ldx, 4, r.Data, r.Stride, inv, j0, j0+nc)
+						trsmTile(got, ldx, 4, r.Data, r.Stride, inv, j0, nc)
+						requireSameBits(t, fmt.Sprintf("trsmTile n=%d j0=%d nc=%d", n, j0, nc), got, want)
+						j0 += nc
+					}
+				})
+			}
+		}
+	}
+}
+
+// zmmTileCases are column counts of the zmm tiles, from a single lane to
+// three full vectors; the ragged ones take a masked last vector.
+var zmmTileCases = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 23, 24}
+
+// requireLowerUntouched checks that an upper tile left the entries below
+// its diagonal (row s, column j < s) of the 8-row tile at c as they were.
+func requireLowerUntouched(t *testing.T, label string, got, c0 []float64, ldc, nc int) {
+	t.Helper()
+	for s := 1; s < 8; s++ {
+		for j := 0; j < min(s, nc); j++ {
+			if i := s*ldc + j; !sameFloatBits(got[i], c0[i]) {
+				t.Fatalf("%s: upper tile wrote C[%d][%d] below the diagonal", label, s, j)
+			}
+		}
+	}
+}
+
+func TestTileTNAVX512MatchesGo(t *testing.T) {
+	requireAVX512(t)
+	rng := rand.New(rand.NewSource(76))
+	for _, nc := range zmmTileCases {
+		for _, k := range []int{1, 2, 3, 7, 64} {
+			for _, specials := range []bool{false, true} {
+				lda, ldb, ldc := 8+3, nc+2, nc+5
+				a := quadFill(rng, (k-1)*lda+8, specials)
+				b := quadFill(rng, (k-1)*ldb+nc, specials)
+				c0 := quadFill(rng, 7*ldc+nc, specials)
+				for _, upper := range []bool{false, true} {
+					label := fmt.Sprintf("tileTN nc=%d k=%d upper=%v", nc, k, upper)
+					want := append([]float64(nil), c0...)
+					tileTNGo(want, ldc, a, lda, b, ldb, k, 8, nc, upper)
+					got := append([]float64(nil), c0...)
+					tileTNAVX512(&got[0], ldc, &a[0], lda, &b[0], ldb, k, nc, upper)
+					requireSameBits(t, label, got, want)
+					if upper {
+						requireLowerUntouched(t, label, got, c0, ldc, nc)
+					}
+					got = append(got[:0], c0...)
+					tileTN(got, ldc, a, lda, b, ldb, k, 8, nc, upper)
+					requireSameBits(t, label+" dispatch", got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestTileNNAVX512MatchesGo(t *testing.T) {
+	requireAVX512(t)
+	rng := rand.New(rand.NewSource(77))
+	for _, nc := range zmmTileCases {
+		for _, k := range []int{1, 2, 3, 7, 64} {
+			for _, specials := range []bool{false, true} {
+				ldv, ldb, ldc := k+3, nc+2, nc+5
+				v := quadFill(rng, 7*ldv+k, specials)
+				b := quadFill(rng, (k-1)*ldb+nc, specials)
+				c0 := quadFill(rng, 7*ldc+nc, specials)
+				label := fmt.Sprintf("tileNN nc=%d k=%d", nc, k)
+				want := append([]float64(nil), c0...)
+				tileNNGo(want, ldc, v, ldv, b, ldb, k, 8, nc)
+				got := append([]float64(nil), c0...)
+				tileNNAVX512(&got[0], ldc, &v[0], ldv, &b[0], ldb, k, nc)
+				requireSameBits(t, label, got, want)
+				got = append(got[:0], c0...)
+				tileNN(got, ldc, v, ldv, b, ldb, k, 8, nc)
+				requireSameBits(t, label+" dispatch", got, want)
+			}
+		}
+	}
+}
+
+// TestTrsmTileAVX512MatchesGo solves eight rows tile by tile, the tiles
+// cut by tileWidth and, separately, all 24 columns wide, so every width
+// meets every offset j0 the ragged n give.
+func TestTrsmTileAVX512MatchesGo(t *testing.T) {
+	requireAVX512(t)
+	rng := rand.New(rand.NewSource(78))
+	for _, n := range append(quadTestNs, 23, 24, 25, 40, 48) {
+		for _, specials := range []bool{false, true} {
+			ldx := n + 3
+			x0 := quadFill(rng, 7*ldx+n, specials)
+			r := randUpperWellCond(rng, n)
+			inv := make([]float64, n)
+			for k := range inv {
+				inv[k] = 1 / r.At(k, k)
+			}
+			for _, width := range []func(rem int) int{tileWidth, func(rem int) int { return min(rem, 24) }} {
+				want := append([]float64(nil), x0...)
+				got := append([]float64(nil), x0...)
+				viaDispatch := append([]float64(nil), x0...)
+				for j0 := 0; j0 < n; {
+					nc := width(n - j0)
+					label := fmt.Sprintf("trsmTile n=%d j0=%d nc=%d", n, j0, nc)
+					trsmColsGo(want, ldx, 8, r.Data, r.Stride, inv, j0, j0+nc)
+					trsmTileAVX512(&got[0], ldx, &r.Data[0], r.Stride, &inv[0], j0, nc)
+					requireSameBits(t, label, got, want)
+					trsmTile(viaDispatch, ldx, 8, r.Data, r.Stride, inv, j0, nc)
+					requireSameBits(t, label+" dispatch", viaDispatch, want)
+					j0 += nc
+				}
 			}
 		}
 	}
@@ -196,9 +317,9 @@ func TestScatterRowsOutOfBoundsFallsBack(t *testing.T) {
 // TestFusedKernelsAVX2MatchGo runs the kernels built on the tiles (the
 // left-looking TRSM, the Gram accumulation, Gemm A·B, Aᵀ·B and A·Bᵀ, and
 // SyrkUpperTrans) on Slice'd views (Stride > Cols) whose row counts leave
-// 1–3 rows after the last 4-row block, once on the assembly and once on
-// the Go loops. With specials set the inputs also hold signed
-// zeros.
+// ragged rows after the last 4- and 8-row blocks, on the default tiles
+// (zmm where they run), on the ymm tiles and on the Go loops. With
+// specials set the inputs also hold signed zeros.
 func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(73))
@@ -251,9 +372,12 @@ func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 					}},
 				} {
 					got := k.run()
-					var want *mat.Dense
+					var want, gotAVX2 *mat.Dense
 					withGoKernels(func() { want = k.run() })
-					requireSameBits(t, fmt.Sprintf("%s m=%d n=%d", k.name, m, n), got.Data, want.Data)
+					withAVX2Kernels(func() { gotAVX2 = k.run() })
+					label := fmt.Sprintf("%s m=%d n=%d", k.name, m, n)
+					requireSameBits(t, label, got.Data, want.Data)
+					requireSameBits(t, label+" ymm", gotAVX2.Data, want.Data)
 				}
 			}
 		}

@@ -2,12 +2,12 @@
 
 package blas
 
-// useAVX2 is false: this build has no assembly kernels. That is so off
-// amd64 and under the purego tag.
-var useAVX2 = false
+// useAVX2 and useAVX512 are false: this build has no assembly kernels.
+// That is so off amd64 and under the purego tag.
+var useAVX2, useAVX512 = false, false
 
-// FMAPeak reports false: this build has no assembly loop to measure.
-func FMAPeak(iters int) bool { return false }
+// FMAPeak reports 0: this build has no assembly loop to measure.
+func FMAPeak(iters int) (lanes int) { return 0 }
 
 // tileTN runs the Aᵀ·B tile (see tileTNGo).
 //

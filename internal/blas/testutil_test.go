@@ -72,9 +72,18 @@ func naiveSyrkUpper(alpha float64, a *mat.Dense, beta float64, c *mat.Dense) {
 // withGoKernels runs f with the assembly kernels switched off, so the Go
 // reference loops of quad.go run on every build and CPU.
 func withGoKernels(f func()) {
-	saved := useAVX2
-	useAVX2 = false
-	defer func() { useAVX2 = saved }()
+	saved, saved512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = false, false
+	defer func() { useAVX2, useAVX512 = saved, saved512 }()
+	f()
+}
+
+// withAVX2Kernels runs f with the AVX-512 tiles switched off, so the
+// AVX2 tiles run on CPUs that have both.
+func withAVX2Kernels(f func()) {
+	saved := useAVX512
+	useAVX512 = false
+	defer func() { useAVX512 = saved }()
 	f()
 }
 

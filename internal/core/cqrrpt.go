@@ -163,13 +163,13 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	}
 
 	// Preconditioner application as one streaming pass over A:
-	// A_p := (A·P)·R_sk⁻¹ with W = A_pᵀA_p emitted in the same traversal.
-	// The stage also times the copy of A the pass works on; its flops and
-	// bytes mirror the fused kernel alone.
+	// A_p := (A·P)·R_sk⁻¹ with W = A_pᵀA_p emitted in the same traversal,
+	// written to a fresh matrix so A is read, never modified. Flops and
+	// bytes mirror the fused kernel.
 	sp := trace.Region(trace.StagePrecond)
-	aw := a.Clone()
+	aw := mat.NewDense(m, n)
 	w := mat.NewDense(n, n)
-	blas.PermTrsmGramFused(e, aw, jpvt, rsk, w)
+	blas.PermTrsmGramFusedInto(e, aw, a, jpvt, rsk, w)
 	sp.End()
 	trace.AddFlops(trace.StagePrecond,
 		int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))

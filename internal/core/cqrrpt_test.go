@@ -148,6 +148,63 @@ func TestCQRRPTExactRankDeficientFallsBack(t *testing.T) {
 	trace.Reset()
 }
 
+// TestCQRRPTDoesNotModifyInput: the sketch, the preconditioning pass
+// and the iterated fallback all read A in place, and none may write it —
+// on the sparse path, the Gaussian attempt, the reorthogonalized attempt
+// and the fallback a sketch-rejected input takes, for a compact matrix
+// and a strided view.
+func TestCQRRPTDoesNotModifyInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(122))
+	// graded has columns scaled from 1 down to 1e-30 and then mixed: its
+	// sketches fail the condition guard, the iterated path factors it.
+	graded := mat.NewDense(400, 6)
+	for i := 0; i < graded.Rows; i++ {
+		for j := 0; j < graded.Cols; j++ {
+			graded.Set(i, j, math.Pow(10, -6*float64(j))*rng.NormFloat64())
+		}
+	}
+	for j := 1; j < graded.Cols; j++ {
+		for i := 0; i < graded.Rows; i++ {
+			graded.Set(i, j, graded.At(i, j)+0.5*graded.At(i, j-1))
+		}
+	}
+	big := testmat.Generate(rng, 302, 17, 12, 1e-8)
+	for _, a := range []*mat.Dense{testmat.Generate(rng, 300, 12, 10, 1e-6), big.Slice(1, 301, 2, 14)} {
+		for _, tc := range []struct {
+			name      string
+			a         *mat.Dense
+			fallbacks int64
+			run       func(a *mat.Dense) (*CPResult, error)
+		}{
+			{"sparse", a, 0, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(nil, a, DefaultPivotTol, 1) }},
+			{"gaussian", a, 0, func(a *mat.Dense) (*CPResult, error) {
+				return cqrrptAttempt(nil, a, SketchGaussian, 1, CQRRPTReorthCond)
+			}},
+			{"reorthogonalized", a, 0, func(a *mat.Dense) (*CPResult, error) {
+				return cqrrptAttempt(parallel.NewEngine(2), a, SketchSparse, 1, 0)
+			}},
+			{"fallback", graded, 2, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(nil, a, DefaultPivotTol, 1) }},
+		} {
+			orig := tc.a.Clone()
+			trace.Reset()
+			trace.Enable()
+			res, err := tc.run(tc.a)
+			trace.Disable()
+			fallbacks := trace.Snapshot().Counters[trace.CtrSketchFallbacks.String()]
+			trace.Reset()
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if fallbacks != tc.fallbacks {
+				t.Fatalf("%s: %d sketch fallbacks, want %d", tc.name, fallbacks, tc.fallbacks)
+			}
+			if res.Q == tc.a || !mat.EqualApprox(tc.a, orig, 0) {
+				t.Fatalf("%s: input modified", tc.name)
+			}
+		}
+	}
+}
+
 func TestCQRRPTAttemptRejectsSingularSketch(t *testing.T) {
 	a := mat.NewDense(200, 3)
 	for i := 0; i < a.Rows; i++ {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/parallel"
-	"repro/internal/trace"
 	"repro/mat"
 )
 
@@ -83,17 +82,13 @@ func IteCholQRCPTraced(e *parallel.Engine, a *mat.Dense, eps float64, trace Iter
 }
 
 // iteCholQRCP is the in-core entry point: it runs the shared sweep
-// driver over a DenseSweeper on a working copy of a and attaches the
-// working matrix (now Q) to the result. All algorithm logic lives in
-// IteCholQRCPSweeps so the out-of-core and distributed paths replay the
-// exact same replicated steps.
+// driver over a DenseSweeper on a copy of a (the first Gram reads a
+// itself, the first writing sweep fills the working matrix) and
+// attaches the working matrix (now Q) to the result. All algorithm
+// logic lives in IteCholQRCPSweeps so the out-of-core and distributed
+// paths replay the exact same replicated steps.
 func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int, iterCB IterTrace) (*CPResult, error) {
-	// The working copy is the first Gram sweep's input; the Gram stage
-	// times it, so a traced run leaves none of its time unattributed.
-	sg := trace.Region(trace.StageGram)
-	b := a.Clone()
-	sg.End()
-	sw := NewDenseSweeper(e, b)
+	sw := NewDenseSweeperCopy(e, a)
 	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, rankCap, iterCB)
 	if err != nil {
 		return nil, err

@@ -237,7 +237,9 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 // the resident working matrix, which becomes Q.
 type DenseSweeper struct {
 	e *parallel.Engine
-	a *mat.Dense
+	// a is the working matrix; nil until the first sweep that writes,
+	// while the sweeps read src.
+	a, src *mat.Dense
 }
 
 // NewDenseSweeper returns the in-core sweeper over the working matrix a,
@@ -246,29 +248,60 @@ func NewDenseSweeper(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
 	return &DenseSweeper{e: e, a: a}
 }
 
+// NewDenseSweeperCopy returns the in-core sweeper over a copy of a,
+// which it never writes. The sweeps read a until the first one that
+// writes, which gathers a straight into a fresh working matrix: the
+// copy takes no sweep of its own.
+func NewDenseSweeperCopy(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
+	return &DenseSweeper{e: e, src: a}
+}
+
+// work returns the working matrix, copying the source on a first write
+// that gathers nothing.
+func (s *DenseSweeper) work() *mat.Dense {
+	if s.a == nil {
+		s.a, s.src = s.src.Clone(), nil
+	}
+	return s.a
+}
+
+// cur returns the matrix the next sweep reads.
+func (s *DenseSweeper) cur() *mat.Dense {
+	if s.a == nil {
+		return s.src
+	}
+	return s.a
+}
+
 // Q returns the orthonormal factor after a run of rank k: the working
 // matrix itself when k spans all its columns, otherwise a compact copy
 // of its leading k columns.
 func (s *DenseSweeper) Q(k int) *mat.Dense {
-	if k == s.a.Cols {
-		return s.a
+	a := s.work()
+	if k == a.Cols {
+		return a
 	}
-	return s.a.Slice(0, s.a.Rows, 0, k).Clone()
+	return a.Slice(0, a.Rows, 0, k).Clone()
 }
 
 func (s *DenseSweeper) Gram(w *mat.Dense) error {
-	m, k := s.a.Rows, w.Rows
+	a := s.cur()
+	m, k := a.Rows, w.Rows
 	sg := trace.Region(trace.StageGram)
-	blas.Gram(s.e, w, s.a.Slice(0, m, 0, k))
+	blas.Gram(s.e, w, a.Slice(0, m, 0, k))
 	sg.End()
 	trace.AddFlops(trace.StageGram, int64(m)*int64(k)*int64(k+1))
 	return nil
 }
 
 func (s *DenseSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
-	m, n := s.a.Rows, s.a.Cols
+	src := s.cur()
+	m, n := src.Rows, src.Cols
 	sf := trace.Region(trace.StageFused)
-	blas.PermTrsmGramFused(s.e, s.a, perm, rp, w)
+	if s.a == nil {
+		s.a, s.src = mat.NewDense(m, n), nil
+	}
+	blas.PermTrsmGramFusedInto(s.e, s.a, src, perm, rp, w)
 	sf.End()
 	trace.AddFlops(trace.StageFused,
 		int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))
@@ -277,9 +310,16 @@ func (s *DenseSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 }
 
 func (s *DenseSweeper) Pivot(k int, tp mat.Perm, rp *mat.Dense) error {
-	m, n := s.a.Rows, s.a.Cols
+	src := s.cur()
+	m, n := src.Rows, src.Cols
 	ss := trace.Region(trace.StageSwap)
-	mat.PermuteColsInPlaceEngine(s.e, s.a.Slice(0, m, k, n), tp)
+	if s.a == nil {
+		s.a, s.src = mat.NewDense(m, n), nil
+		s.a.Slice(0, m, 0, k).Copy(src.Slice(0, m, 0, k))
+		mat.PermuteCols(s.a.Slice(0, m, k, n), src.Slice(0, m, k, n), tp)
+	} else {
+		mat.PermuteColsInPlaceEngine(s.e, s.a.Slice(0, m, k, n), tp)
+	}
 	ss.End()
 	st := trace.Region(trace.StageTrsm)
 	blas.TrsmRightUpperNoTrans(s.e, s.a, rp)
@@ -289,9 +329,10 @@ func (s *DenseSweeper) Pivot(k int, tp mat.Perm, rp *mat.Dense) error {
 }
 
 func (s *DenseSweeper) Finish(r *mat.Dense) error {
-	m, k := s.a.Rows, r.Rows
+	a := s.work()
+	m, k := a.Rows, r.Rows
 	st := trace.Region(trace.StageTrsm)
-	blas.TrsmRightUpperNoTrans(s.e, s.a.Slice(0, m, 0, k), r)
+	blas.TrsmRightUpperNoTrans(s.e, a.Slice(0, m, 0, k), r)
 	st.End()
 	trace.AddFlops(trace.StageTrsm, int64(m)*int64(k)*int64(k))
 	return nil
