@@ -34,6 +34,15 @@
 // up to at least minStageCoverage of it, so no part of the run goes
 // unattributed.
 //
+// The n×n tail has a share gate on the baseline: in every traced
+// IteCholQRCP run at n = 256 it records, the CholCP and Trmm stage rows
+// together must stay within 15% of its Total, so the replicated n×n
+// work cannot creep back to the scalar loops' 36% in a refreshed
+// baseline. It reads the baseline, whose shape and host the bound was
+// measured on, and not the CI candidate: the tail runs mostly on one
+// core while the sweeps scale with the runner's cores, so the share
+// there depends on the runner.
+//
 // The out-of-core path has one too: the OOCQRCP rows must be present
 // with a positive streamed GB/s, and the PrefetchStallFraction metric
 // row must sit below 0.5 — the prefetch pipeline hiding at least half
@@ -338,6 +347,38 @@ func coverageGates(path string, rep *report) []string {
 	return errs
 }
 
+// The n×n tail gate: CholCP + Trmm against Total in the traced
+// IteCholQRCP runs at tailGateN columns, where the n×n work that every
+// distributed rank repeats weighs most.
+const (
+	tailGateN    = 256
+	tailMaxShare = 0.15
+)
+
+// tailGates checks every traced IteCholQRCP run at n = tailGateN in one
+// report: its CholCP and Trmm stage rows must add up to at most
+// tailMaxShare of its Total. Returns one message per violation; a
+// report without such a run has nothing to gate.
+func tailGates(path string, rep *report) []string {
+	tail := make(map[int]float64)
+	for _, r := range rep.Records {
+		if r.Name == "IteCholQRCP" && r.N == tailGateN && r.Unit == "" && (r.Stage == "CholCP" || r.Stage == "Trmm") {
+			tail[r.M] += r.NsPerOp
+		}
+	}
+	var errs []string
+	for _, r := range rep.Records {
+		if r.Name != "IteCholQRCP" || r.N != tailGateN || r.Stage != "Total" {
+			continue
+		}
+		if share := tail[r.M] / r.NsPerOp; !(share <= tailMaxShare) {
+			errs = append(errs, fmt.Sprintf("%s: %s m=%d n=%d: CholCP + Trmm take %.1f%% of Total, want at most %.0f%%",
+				path, r.Name, r.M, r.N, 100*share, 100*tailMaxShare))
+		}
+	}
+	return errs
+}
+
 // The absolute acceptance gate of the out-of-core path (ISSUE 10: the
 // prefetch pipeline must actually overlap I/O with compute). The gate
 // shape matches the fixed OOCQRCP pair cmd/bench-kernels emits, and the
@@ -428,6 +469,12 @@ func main() {
 	// And the absolute service-layer gate: the served jobs/sec floor with
 	// a coherent latency distribution attached.
 	for _, msg := range serviceGates(*candidate, cand) {
+		fmt.Fprintln(os.Stderr, "bench-check: gate:", msg)
+		fatal = true
+	}
+	// The n×n tail gate, on the baseline: CholCP + Trmm within 15% of
+	// the traced IteCholQRCP Total at n = 256.
+	for _, msg := range tailGates(*baseline, base) {
 		fmt.Fprintln(os.Stderr, "bench-check: gate:", msg)
 		fatal = true
 	}

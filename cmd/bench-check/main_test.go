@@ -318,3 +318,42 @@ func TestCoverageGatesFailsUnattributed(t *testing.T) {
 		t.Fatalf("want the CQRRPT and empty-Total violations, got %v", errs)
 	}
 }
+
+func tailReport() *report {
+	return &report{
+		Schema: metrics.SchemaVersion,
+		Records: []record{
+			{Name: "IteCholQRCP", Stage: "Gram", M: 4000, N: 256, NsPerOp: 1.6e7},
+			{Name: "IteCholQRCP", Stage: "CholCP", M: 4000, N: 256, NsPerOp: 3.6e6},
+			{Name: "IteCholQRCP", Stage: "Trmm", M: 4000, N: 256, NsPerOp: 2.7e6},
+			{Name: "IteCholQRCP", Stage: "Total", M: 4000, N: 256, NsPerOp: 6.8e7},
+			{Name: "IteCholQRCP", Stage: "CholCP", M: 10000, N: 256, NsPerOp: 3.5e6},
+			{Name: "IteCholQRCP", Stage: "Trmm", M: 10000, N: 256, NsPerOp: 2.4e6},
+			{Name: "IteCholQRCP", Stage: "Total", M: 10000, N: 256, NsPerOp: 9.2e7},
+			// Other widths and algorithms are outside the gate.
+			{Name: "IteCholQRCP", Stage: "CholCP", M: 10000, N: 64, NsPerOp: 9e6},
+			{Name: "IteCholQRCP", Stage: "Total", M: 10000, N: 64, NsPerOp: 1e7},
+			{Name: "CQRRPT", Stage: "CholCP", M: 10000, N: 256, NsPerOp: 9e7},
+			{Name: "CQRRPT", Stage: "Total", M: 10000, N: 256, NsPerOp: 1e8},
+		},
+	}
+}
+
+func TestTailGatesPass(t *testing.T) {
+	if errs := tailGates("x.json", tailReport()); len(errs) != 0 {
+		t.Fatalf("unexpected tail-share violations: %v", errs)
+	}
+}
+
+// TestTailGatesFailsScalarTail restores the scalar loops' stage rows at
+// 10000×256 (37.6% of Total) and zeroes the 4000×256 Total.
+func TestTailGatesFailsScalarTail(t *testing.T) {
+	rep := tailReport()
+	rep.Records[4].NsPerOp, rep.Records[5].NsPerOp, rep.Records[6].NsPerOp = 1.63e7, 3.66e7, 1.406e8
+	rep.Records[3].NsPerOp = 0
+	errs := tailGates("x.json", rep)
+	if len(errs) != 2 || !strings.Contains(errs[0], "m=4000 n=256") ||
+		!strings.Contains(errs[1], "m=10000 n=256: CholCP + Trmm take 37.6% of Total") {
+		t.Fatalf("want the 4000×256 and 10000×256 violations, got %v", errs)
+	}
+}

@@ -167,11 +167,7 @@ func gemmTNRange(alpha float64, a, b *mat.Dense, lo, hi int, dst *mat.Dense) {
 // into a pooled workspace.
 func gemmNT(e *parallel.Engine, alpha float64, a, b, c *mat.Dense) {
 	bt := mat.GetWorkspace(b.Cols, b.Rows, false)
-	for j := 0; j < b.Rows; j++ {
-		for l, bv := range b.Data[j*b.Stride : j*b.Stride+b.Cols] {
-			bt.Data[l*bt.Stride+j] = bv
-		}
-	}
+	transposeInto(bt, b)
 	gemmNN(e, alpha, a, bt, c)
 	mat.PutWorkspace(bt)
 }

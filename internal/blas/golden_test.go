@@ -16,10 +16,11 @@ import (
 )
 
 // The golden kernel hashes: FNV-64a of the output bits of Gram,
-// TrsmRightUpperNoTrans, PermTrsmGramFused and Gemm NN/TN on fixed
-// inputs, checked into testdata. Every build must reproduce them — the
-// assembly, the purego Go loops, and other architectures, whose Go loops
-// run the same explicit math.FMA chains. The inputs come from integer
+// TrsmRightUpperNoTrans, PermTrsmGramFused, Gemm NN/TN,
+// TrmmLeftUpperNoTrans and TrsmLeftUpperTrans on fixed inputs, checked
+// into testdata. Every build must reproduce them — the assembly, the
+// purego Go loops, and other architectures, whose Go loops run the same
+// explicit math.FMA chains. The inputs come from integer
 // arithmetic and exact scalings only, so they too are the same bits
 // everywhere. A change that moves a kernel's bits must regenerate the
 // file on purpose:
@@ -109,6 +110,16 @@ func goldenHashes() [][2]string {
 	ct := goldenDense(&state, 21, 33)
 	Gemm(e, Trans, NoTrans, 0.75, at, bt, 1, ct)
 	add("GemmTN/4907x21x33", ct)
+
+	ar := goldenUpper(&state, 130)
+	br := goldenDense(&state, 130, 147)
+	TrmmLeftUpperNoTrans(ar, br)
+	add("TrmmLeftUpperNoTrans/130x147", br)
+
+	rl := goldenUpper(&state, 130)
+	bl := goldenDense(&state, 130, 147)
+	TrsmLeftUpperTrans(rl, bl)
+	add("TrsmLeftUpperTrans/130x147", bl)
 	return out
 }
 

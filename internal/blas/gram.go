@@ -164,18 +164,26 @@ func getFloats32(n int) *[]float32 {
 // with ReduceGramSlots; the result is Gram's bit for bit wherever the
 // panels are cut inside their slots.
 func GramPanelAcc(e *parallel.Engine, panel, acc *mat.Dense) {
-	n := panel.Cols
-	if acc.Rows != n || acc.Cols != n {
-		panic(fmt.Sprintf("blas: GramPanelAcc acc %d×%d, want %d×%d", acc.Rows, acc.Cols, n, n))
-	}
-	if panel.Rows == 0 || n == 0 {
-		return
-	}
 	sp := trace.Region(trace.KernelSyrk)
 	defer sp.End()
 	trace.AddFlops(trace.KernelSyrk,
-		int64(panel.Rows)*int64(n)*int64(n+1))
-	fusedSyrkColsParallel(e, panel, acc)
+		int64(panel.Rows)*int64(panel.Cols)*int64(panel.Cols+1))
+	SyrkUpperAcc(e, panel, acc)
+}
+
+// SyrkUpperAcc is GramPanelAcc without its trace span: acc += AᵀA on the
+// upper triangle, each element's chain continued over A's rows in order,
+// bit-identical for every engine width. It is for kernels that count
+// these flops in their own trace row, as P-Chol-CP does with its blocked
+// downdate.
+func SyrkUpperAcc(e *parallel.Engine, a, acc *mat.Dense) {
+	n := a.Cols
+	if acc.Rows != n || acc.Cols != n {
+		panic(fmt.Sprintf("blas: SyrkUpperAcc acc %d×%d, want %d×%d", acc.Rows, acc.Cols, n, n))
+	}
+	if a.Rows > 0 && n > 0 {
+		fusedSyrkColsParallel(e, a, acc)
+	}
 }
 
 // FusedPanelPivot applies the fused permute→TRSM→Gram pass to one

@@ -2,14 +2,14 @@ package blas
 
 import "math"
 
-// The inner loops that hold the time of every GEMM, SYRK and right-side
-// TRSM and of the sparse sketch, written once in Go. They fix the
-// package's one rounding rule: every Level-3 output element is a single
-// fused multiply-add chain over its summation index t, in ascending
-// order,
+// The inner loops that hold the time of every GEMM, SYRK, TRMM, B·R⁻¹
+// and R⁻ᵀ·B solve and of the sparse sketch, written once in Go. They
+// fix the package's one rounding rule: every Level-3 output element is
+// a single fused multiply-add chain over its summation index t, in
+// ascending order,
 //
-//	Gram, SYRK, Aᵀ·B:   c = fma(a[t][i], b[t][j], c)
-//	A·B, right TRSM:     c = fma(−v[i][t], b[t][j], c),   then x[j] = c·(1/R[j][j])
+//	Gram, SYRK, Aᵀ·B:          c = fma(a[t][i], b[t][j], c)
+//	A·B, TRMM, B·R⁻¹, R⁻ᵀ·B:   c = fma(−v[i][t], b[t][j], c),   then x = c·(1/R[j][j]) for a solve
 //
 // and the row scatter is one fma per element. Loads and stores are
 // exact, so an element's bits depend only on where its chain starts

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/blas"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/mat"
@@ -51,6 +52,23 @@ func PCholCP(e *parallel.Engine, w *mat.Dense, eps float64) Result {
 
 // PCholCPMax is PCholCP with an additional cap on the number of pivots
 // factored, used by truncated QRCP to stop exactly at the requested rank.
+//
+// It is blocked the way LAPACK's DPSTRF is. The trailing diagonal d is
+// kept up to date after every pivot, d[l] = fma(−R[k][l], R[k][l], d[l]),
+// and the pivot choice, the ε rule (Eq. 5) and breakdown read only d.
+// Pivot row k is formed left-looking within its block of pcholcpBlock
+// pivots starting at k₀, from the trailing matrix S as of the block's
+// start:
+//
+//	R[k][j] = fma(−R[t][k], R[t][j], R[k][j]),   R[k][j] = S[k][j], t = k₀, …, k−1,   then R[k][j]·(1/R[k][k]).
+//
+// The block's downdate of S is one SYRK on its nb×(n−k) panel of R,
+// touching S's upper triangle only (S is stored negated, so it is
+// blas.SyrkUpperAcc: SyrkUpperTrans's bits without its two negations).
+// It runs once the next block's first pivot is chosen, so only when one
+// follows; its diagonal chains are d's. When n − k₀ ≤ pcholcpBlock no
+// SYRK runs: that is the unblocked form. The SYRK partitions output
+// rows only, so the result is bit-identical for every engine width.
 func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Result {
 	if w.Rows != w.Cols {
 		panic(fmt.Sprintf("cholcp: PCholCP on %d×%d", w.Rows, w.Cols))
@@ -64,21 +82,31 @@ func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Resul
 	}
 	sp := trace.Region(trace.KernelPCholCP)
 	defer sp.End()
-	work := w.Clone()
+	neg := mat.GetWorkspace(n, n, false) // −S, upper triangle
+	dws := mat.GetWorkspace(1, n, false)
+	d := dws.Data[:n]
+	for i := 0; i < n; i++ {
+		wi := w.Data[i*w.Stride+i : i*w.Stride+n]
+		for j, wv := range wi {
+			neg.Data[i*neg.Stride+i+j] = -wv
+		}
+		d[i] = wi[0]
+	}
 	r := mat.NewDense(n, n)
 	perm := mat.IdentityPerm(n)
 	res := Result{R: r, Perm: perm}
 
 	var w11 float64 // diagonal of the first pivot (the paper's W(1,1))
+	k0 := 0         // first pivot of the current block
 	for k := 0; k < maxPiv; k++ {
 		// Select the largest remaining diagonal.
 		p := k
 		for l := k + 1; l < n; l++ {
-			if work.At(l, l) > work.At(p, p) {
+			if d[l] > d[p] {
 				p = l
 			}
 		}
-		wpp := work.At(p, p)
+		wpp := d[p]
 		if k == 0 {
 			w11 = wpp
 		}
@@ -92,48 +120,74 @@ func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Resul
 			break
 		}
 		if p != k {
-			symSwap(work, k, p)
-			r.SwapCols(k, p) // only rows < k are populated; full swap is safe
+			symSwapUpper(neg, k, p)
+			for t := 0; t < k; t++ { // rows ≥ k of R are still zero
+				rt := r.Data[t*r.Stride:]
+				rt[k], rt[p] = rt[p], rt[k]
+			}
 			perm.Swap(k, p)
+			d[k], d[p] = d[p], d[k]
 		}
-		rkk := math.Sqrt(work.At(k, k))
-		r.Set(k, k, rkk)
-		inv := 1 / rkk
-		rrow := r.Data[k*r.Stride : k*r.Stride+n]
-		wrow := work.Data[k*work.Stride : k*work.Stride+n]
-		for j := k + 1; j < n; j++ {
-			rrow[j] = wrow[j] * inv
+		if k == k0+pcholcpBlock {
+			// The last block's rows are final: downdate S by them,
+			// −S += R(k₀:k, k:)ᵀ·R(k₀:k, k:).
+			blas.SyrkUpperAcc(e, r.Slice(k0, k, k, n), neg.Slice(k, n, k, n))
+			k0 = k
 		}
-		// Trailing symmetric rank-1 downdate:
-		// W(k+1:, k+1:) −= R(k, k+1:)ᵀ·R(k, k+1:). Rows are independent,
-		// so wide trailing blocks fan out across the engine's workers
-		// (bitwise deterministic regardless of the partition).
-		downdate := func(lo, hi int) {
-			for i := k + 1 + lo; i < k+1+hi; i++ {
-				ri := rrow[i]
-				if ri == 0 {
-					continue
-				}
-				wi := work.Data[i*work.Stride : i*work.Stride+n]
-				for j := k + 1; j < n; j++ {
-					wi[j] -= ri * rrow[j]
-				}
+		rkk := math.Sqrt(d[k])
+		r.Data[k*r.Stride+k] = rkk
+		row := r.Data[k*r.Stride+k+1 : k*r.Stride+n]
+		for j, sv := range neg.Data[k*neg.Stride+k+1 : k*neg.Stride+n] {
+			row[j] = -sv
+		}
+		for t := k0; t < k; t++ {
+			c := -r.Data[t*r.Stride+k]
+			rt := r.Data[t*r.Stride+k+1 : t*r.Stride+n]
+			for j, rv := range rt {
+				row[j] = math.FMA(c, rv, row[j])
 			}
 		}
-		if rem := n - k - 1; rem*rem >= downdateParallelElems {
-			e.For(rem, downdateMinRows, downdate)
-		} else {
-			downdate(0, rem)
+		inv := 1 / rkk
+		dk := d[k+1:]
+		for j := range row {
+			row[j] *= inv
+			dk[j] = math.FMA(-row[j], row[j], dk[j])
 		}
 		res.NPiv = k + 1
 	}
+	mat.PutWorkspace(neg)
+	mat.PutWorkspace(dws)
 	// Pad the unfactored trailing block with the identity (line 14).
 	for k := res.NPiv; k < n; k++ {
 		r.Set(k, k, 1)
 	}
 	trace.Add(trace.CtrPivotsFixed, int64(res.NPiv))
-	trace.AddFlops(trace.KernelPCholCP, int64(res.NPiv)*int64(n)*int64(n)/3)
+	trace.AddFlops(trace.KernelPCholCP, Flops(n, res.NPiv))
 	return res
+}
+
+// pcholcpBlock is nb, the pivots per block of PCholCPMax: the summation
+// length of its SYRK, which runs on the register tiles, and one more
+// than the most terms of a pivot row's chain, a Go loop. 8 read fastest
+// of {4, 8, 16, 32} at n = 64–256 (EXPERIMENTS.md).
+const pcholcpBlock = 8
+
+// Flops is the flop count PCholCPMax executes on an n×n W when it fixes
+// nPiv pivots, which its kernel row records and the stage rows that wrap
+// it add: pivot k of the block starting at k₀ takes 2·(k−k₀) for its
+// chain terms and 3 for the scaling and the diagonal fma per trailing
+// column, plus its square root; the SYRK at the start of each later
+// block kb takes nb·(n−kb)·(n−kb+1), counted as Gram counts.
+func Flops(n, nPiv int) int64 {
+	var f int64
+	for k := 0; k < nPiv; k++ {
+		k0 := k - k%pcholcpBlock
+		f += (2*int64(k-k0)+3)*int64(n-k-1) + 1
+		if k > 0 && k == k0 {
+			f += int64(pcholcpBlock) * int64(n-k) * int64(n-k+1)
+		}
+	}
+	return f
 }
 
 // CholCP runs the classical Cholesky factorization with complete pivoting
@@ -141,18 +195,18 @@ func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Resul
 // semidefiniteness is lost to roundoff. Equivalent to PCholCP(e, w, 0).
 func CholCP(e *parallel.Engine, w *mat.Dense) Result { return PCholCP(e, w, 0) }
 
-// downdateParallelElems is the minimum trailing-block element count
-// before the rank-1 downdate fans out across cores, and downdateMinRows
-// the smallest per-worker row grain; below these the dispatch overhead
-// exceeds the memory traffic it hides.
-const (
-	downdateParallelElems = 1 << 15
-	downdateMinRows       = 64
-)
-
-// symSwap applies the symmetric permutation that exchanges index k and p
-// of a full (mirrored) symmetric matrix: rows k,p and columns k,p.
-func symSwap(w *mat.Dense, k, p int) {
-	w.SwapRows(k, p)
-	w.SwapCols(k, p)
+// symSwapUpper applies the symmetric permutation that exchanges index k
+// and p > k to the trailing matrix S[k:, k:] of which only the upper
+// triangle is stored, LAPACK DPSTRF's three-part swap: the diagonal, the
+// two rows right of p, and row k between k and p against column p.
+func symSwapUpper(s *mat.Dense, k, p int) {
+	n, ld := s.Cols, s.Stride
+	d := s.Data
+	d[k*ld+k], d[p*ld+p] = d[p*ld+p], d[k*ld+k]
+	for j := p + 1; j < n; j++ {
+		d[k*ld+j], d[p*ld+j] = d[p*ld+j], d[k*ld+j]
+	}
+	for j := k + 1; j < p; j++ {
+		d[k*ld+j], d[j*ld+p] = d[j*ld+p], d[k*ld+j]
+	}
 }

@@ -234,7 +234,7 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 		sm2 := trace.Region(trace.StageTrmm)
 		blas.TrmmLeftUpperNoTrans(w2, w)
 		sm2.End()
-		trace.AddFlops(trace.StageTrmm, int64(n)*int64(n)*int64(n))
+		trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(n, n))
 		passes = 2
 	}
 
@@ -242,7 +242,7 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	sm := trace.Region(trace.StageTrmm)
 	blas.TrmmLeftUpperNoTrans(w, rsk)
 	sm.End()
-	trace.AddFlops(trace.StageTrmm, int64(n)*int64(n)*int64(n))
+	trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(n, n))
 	if debugChecksEnabled {
 		debugCheckFinite("CQRRPT orthonormal factor", aw)
 		debugCheckFinite("CQRRPT triangular factor", rsk)

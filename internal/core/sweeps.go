@@ -141,14 +141,14 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 			// level so cmd/trace-report stage and kernel totals reconcile.
 			trace.AddFlops(trace.StageCholCP,
 				int64(k)*int64(k)*int64(k)/3+ // PotrfUpper
-					int64(k)*int64(k)*int64(n-k)+ // TrsmLeftUpperTrans
+					blas.TrsmLeftFlops(k, n-k)+ // TrsmLeftUpperTrans
 					2*int64(n-k)*int64(n-k)*int64(k)) // Gemm
 		}
 
 		// Line 7: P-Chol-CP on the trailing Schur complement, capped at
 		// the pivots still missing from the rank cap.
 		pres := cholcp.PCholCPMax(e, w.Slice(k, n, k, n), eps, rankCap-k)
-		trace.AddFlops(trace.StageCholCP, int64(pres.NPiv)*int64(n-k)*int64(n-k)/3)
+		trace.AddFlops(trace.StageCholCP, cholcp.Flops(n-k, pres.NPiv))
 		sc.End()
 		kNew := pres.NPiv
 		if kNew == 0 {
@@ -195,7 +195,7 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 		}
 		blas.TrmmLeftUpperNoTrans(rp, rTotal)
 		sm.End()
-		trace.AddFlops(trace.StageTrmm, int64(n)*int64(n)*int64(n))
+		trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(n, n))
 
 		// Lines 13–14: accumulate the permutation P := P·P″.
 		for j := 0; j < kNew; j++ {
@@ -226,7 +226,7 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 	sm := trace.Region(trace.StageTrmm)
 	blas.TrmmLeftUpperNoTrans(wk, rk) // R := R_reortho·R
 	sm.End()
-	trace.AddFlops(trace.StageTrmm, int64(k)*int64(k)*int64(n))
+	trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(k, n))
 	res.R = rk
 	res.Perm = perm
 	res.Rank = k

@@ -11,7 +11,7 @@ import (
 // SchemaVersion identifies the shared record layout emitted by the bench
 // and report tools. Bump it whenever a field is added, renamed, or its
 // meaning changes; cmd/bench-check refuses to compare across versions.
-const SchemaVersion = "repro-metrics/10"
+const SchemaVersion = "repro-metrics/11"
 
 // Record is the one unified row shape for everything the repo measures:
 // timing breakdowns from internal/trace and accuracy metrics from this
