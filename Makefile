@@ -79,24 +79,20 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Kernel regression numbers (Gram/TRSM/GEMM + end-to-end IteCholQRCP,
-# with per-stage trace rows) as JSON, then the service-layer rows
-# (jobs/sec + latency quantiles) merged into the same file, for diffing
-# against the committed BENCH_kernels.json. Schema: bench/SCHEMA.md.
+# Kernel regression numbers (Gram/TRSM/GEMM, end-to-end IteCholQRCP with
+# per-stage trace rows, and the service-layer jobs/sec + latency
+# quantiles) as JSON, for diffing against the committed
+# BENCH_kernels.json. Schema: bench/SCHEMA.md.
 bench-json:
-	$(GO) run ./cmd/bench-kernels -trace -o BENCH_kernels.json
-	$(GO) run ./cmd/bench-service -o BENCH_kernels.json
-	@echo "wrote BENCH_kernels.json"
+	$(GO) run ./cmd/bench-kernels -o BENCH_kernels.json
 
 # The CI benchmark gate: reduced preset, schema validation, and a
-# GFLOP/s comparison against the committed baseline. bench-service rides
-# along so the absolute ServiceQRCP gate always has its rows; bench-dist
+# GFLOP/s comparison against the committed baseline. report -fig t3
 # runs the instrumented-communicator consumers (measured ranks, trace
 # replay) end to end.
 bench-smoke:
-	$(GO) run ./cmd/bench-kernels -quick -trace -e2e-m 4000 -o bench_candidate.json
-	$(GO) run ./cmd/bench-service -jobs 120 -o bench_candidate.json
-	$(GO) run ./cmd/bench-dist -table 3 -trace
+	$(GO) run ./cmd/bench-kernels -quick -o bench_candidate.json
+	$(GO) run ./cmd/report -fig t3 -trace
 	BENCH_TOLERANCE=$(BENCH_TOLERANCE) \
 		$(GO) run ./cmd/bench-check -baseline BENCH_kernels.json -candidate bench_candidate.json
 

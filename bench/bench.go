@@ -2,9 +2,9 @@
 // table and figure of the paper's evaluation (§III-C preliminary
 // experiments and §IV performance evaluation). Each figure has a driver
 // returning structured rows and a printer that emits the same series the
-// paper plots. The cmd/accuracy, cmd/bench-single and cmd/bench-dist
-// tools are thin wrappers over this package; the repository-root
-// bench_test.go exposes the same drivers as testing.B benchmarks.
+// paper plots. cmd/report runs them, one figure per -fig value (the
+// values are listed in DESIGN.md §8); the repository-root bench_test.go
+// exposes the same drivers as testing.B benchmarks.
 //
 // Paper-scale parameters are provided as package constants; every driver
 // also accepts scaled-down shapes so the full suite can run on a laptop.

@@ -169,6 +169,19 @@ func PrintFig1a(w io.Writer, recs []PivotRecord) {
 	fmt.Fprintf(w, "  correct prefix: %d, computed: %d of %d\n", first, computed, len(recs))
 }
 
+// PrintFig1b writes one Fig. 1(b)-style outcome strip per condition
+// number.
+func PrintFig1b(w io.Writer, rows []Fig1bRow) {
+	fmt.Fprintln(w, "Fig 1(b): Chol-CP pivot outcomes across condition numbers")
+	for _, row := range rows {
+		fmt.Fprintf(w, "  κ=%-8.0e ", row.Kappa)
+		for _, rec := range row.Records {
+			fmt.Fprintf(w, "%s", rec.Outcome)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
 // PrintFig1c writes the Fig. 1(c)-style reliability histogram.
 func PrintFig1c(w io.Writer, st Fig1cStats) {
 	fmt.Fprintf(w, "Fig 1(c): pivot outcome by |r_ii/r_11| decade over %d matrices\n", st.Matrices)

@@ -1,10 +1,11 @@
 package tsqrcp
 
 // One testing.B benchmark per table/figure of the paper's evaluation.
-// Sizes are scaled to laptop budgets; pass the full paper sizes through
-// cmd/accuracy, cmd/bench-single and cmd/bench-dist (-paper). The mapping
-// to the paper's experiments is in DESIGN.md §4; measured-vs-paper values
-// are recorded in EXPERIMENTS.md.
+// Sizes are scaled to laptop budgets; cmd/report -paper runs the paper's
+// sizes. The mapping to the paper's experiments is in DESIGN.md §8;
+// measured-vs-paper values are recorded in EXPERIMENTS.md. To profile a
+// figure's sweep, run its benchmark with -cpuprofile, e.g.
+// go test -run '^$' -bench BenchmarkFig4 -cpuprofile cpu.out .
 
 import (
 	"fmt"
@@ -253,19 +254,15 @@ func BenchmarkAblationEps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHQRCPBlocking — blocked (DGEQP3-style) vs unblocked
-// (DGEQPF-style) Householder QRCP, the Level-3 blocking ablation the
-// paper discusses in §II-C.
+// BenchmarkAblationHQRCPBlocking — the blocked (DGEQP3-style) Householder
+// QRCP whose Level-3 blocking the paper discusses in §II-C. Its unblocked
+// DGEQPF-style counterpart is a test oracle of internal/lapack, no longer
+// a library routine, so the ablation times the blocked leg alone.
 func BenchmarkAblationHQRCPBlocking(b *testing.B) {
 	a := benchMatrix(8000, 64, 51, 1e-12)
 	b.Run("Geqp3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.HQRCP(nil, a)
-		}
-	})
-	b.Run("Geqpf", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.HQRCPUnblocked(nil, a)
 		}
 	})
 }

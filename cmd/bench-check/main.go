@@ -25,7 +25,7 @@
 // its accuracy certificate attached.
 //
 // The service layer has the analogous absolute gate: the ServiceQRCP
-// rows (cmd/bench-service) at the smoke shape must be present, show at
+// rows (cmd/bench-kernels) at the smoke shape must be present, show at
 // least serviceMinJobsPerSec jobs/sec end to end, and carry a coherent
 // latency distribution (0 < p50 ≤ p99).
 //
@@ -50,7 +50,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -59,39 +58,6 @@ import (
 
 	"repro/metrics"
 )
-
-type record struct {
-	Name        string  `json:"name"`
-	Stage       string  `json:"stage,omitempty"`
-	M           int     `json:"m"`
-	N           int     `json:"n"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	GFLOPS      float64 `json:"gflops"`
-	// Gbps is the effective DRAM rate of the memory-bound fused-kernel
-	// comparison rows (PermTrsmGram*). Informational: those rows carry
-	// flop attribution and are gated on GFLOP/s.
-	Gbps float64 `json:"gbps,omitempty"`
-	// ProblemsPerSec is set on batch rows (QRCPBatch): completed
-	// factorizations per second; gated like GFLOP/s (higher is better).
-	ProblemsPerSec float64 `json:"problems_per_sec,omitempty"`
-	// Value/Unit are set on accuracy metric rows only (CQRRPTParity):
-	// Stage names the metric, Value its dimensionless measurement. Metric
-	// rows carry no timing and are gated against absolute thresholds
-	// (metrics.CQRRPT*Tol), not against the baseline.
-	Value float64 `json:"value,omitempty"`
-	Unit  string  `json:"unit,omitempty"`
-}
-
-type report struct {
-	Schema     string   `json:"schema"`
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"go_version"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Records    []record `json:"records"`
-}
 
 type key struct {
 	name, stage string
@@ -102,20 +68,8 @@ type key struct {
 // they are dominated by timer and scheduler noise on CI runners.
 const minCompareNs = 1e6
 
-func load(path string) (*report, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep report
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &rep, nil
-}
-
 // validate checks the structural invariants the schema documents.
-func validate(path string, rep *report) []string {
+func validate(path string, rep *metrics.File) []string {
 	var errs []string
 	bad := func(format string, args ...any) {
 		errs = append(errs, fmt.Sprintf("%s: %s", path, fmt.Sprintf(format, args...)))
@@ -172,8 +126,8 @@ func tolerance() (float64, error) {
 
 // compare returns one message per regression and the number of row pairs
 // actually gated.
-func compare(base, cand *report, tol float64) (regressions []string, compared int) {
-	idx := make(map[key]record, len(base.Records))
+func compare(base, cand *metrics.File, tol float64) (regressions []string, compared int) {
+	idx := make(map[key]metrics.Record, len(base.Records))
 	for _, r := range base.Records {
 		idx[key{r.Name, r.Stage, r.M, r.N}] = r
 	}
@@ -228,12 +182,12 @@ const (
 // report: wall-clock speedup over the iterated baseline at the reference
 // shape, and the accuracy parity certificate. Returns one message per
 // violation; missing rows are violations, not skips.
-func cqrrptGates(path string, rep *report) []string {
+func cqrrptGates(path string, rep *metrics.File) []string {
 	var errs []string
 	bad := func(format string, args ...any) {
 		errs = append(errs, fmt.Sprintf("%s: %s", path, fmt.Sprintf(format, args...)))
 	}
-	var cq, ite *record
+	var cq, ite *metrics.Record
 	parity := make(map[string]float64)
 	for i, r := range rep.Records {
 		switch {
@@ -266,7 +220,7 @@ func cqrrptGates(path string, rep *report) []string {
 
 // The absolute acceptance gate of the service layer (ROADMAP: the
 // network front door must not squander the engine's batch throughput).
-// The gate shape is the first shape cmd/bench-service drives — the
+// The gate shape is the first service shape cmd/bench-kernels drives — the
 // smoke preset — and the jobs/sec floor is deliberately conservative:
 // it catches a serialization bug (batching disabled, one dispatch per
 // job, a lock convoy on the admission path), not machine variance.
@@ -282,12 +236,12 @@ const (
 // coherent (0 < p50 ≤ p99). Returns one message per violation; missing
 // rows are violations, not skips — a throughput claim without its
 // latency distribution attached is not admissible.
-func serviceGates(path string, rep *report) []string {
+func serviceGates(path string, rep *metrics.File) []string {
 	var errs []string
 	bad := func(format string, args ...any) {
 		errs = append(errs, fmt.Sprintf("%s: %s", path, fmt.Sprintf(format, args...)))
 	}
-	var thr, p50, p99 *record
+	var thr, p50, p99 *metrics.Record
 	for i, r := range rep.Records {
 		if r.Name != "ServiceQRCP" || r.M != serviceGateM || r.N != serviceGateN {
 			continue
@@ -323,7 +277,7 @@ const minStageCoverage = 0.90
 // coverageGates checks every CQRRPT and IteCholQRCP stage Total row of
 // one report: the stage rows of the same (name, m, n) must sum to at
 // least minStageCoverage of it. Returns one message per violation.
-func coverageGates(path string, rep *report) []string {
+func coverageGates(path string, rep *metrics.File) []string {
 	type run struct {
 		name string
 		m, n int
@@ -359,7 +313,7 @@ const (
 // report: its CholCP and Trmm stage rows must add up to at most
 // tailMaxShare of its Total. Returns one message per violation; a
 // report without such a run has nothing to gate.
-func tailGates(path string, rep *report) []string {
+func tailGates(path string, rep *metrics.File) []string {
 	tail := make(map[int]float64)
 	for _, r := range rep.Records {
 		if r.Name == "IteCholQRCP" && r.N == tailGateN && r.Unit == "" && (r.Stage == "CholCP" || r.Stage == "Trmm") {
@@ -394,12 +348,12 @@ const (
 // the OOCQRCP streaming row must be present with a positive streamed
 // GB/s, and its PrefetchStallFraction metric row must sit under the
 // ceiling. Missing rows are violations, not skips.
-func oocGates(path string, rep *report) []string {
+func oocGates(path string, rep *metrics.File) []string {
 	var errs []string
 	bad := func(format string, args ...any) {
 		errs = append(errs, fmt.Sprintf("%s: %s", path, fmt.Sprintf(format, args...)))
 	}
-	var thr, stall *record
+	var thr, stall *metrics.Record
 	for i, r := range rep.Records {
 		if r.Name != "OOCQRCP" || r.M != oocGateM || r.N != oocGateN {
 			continue
@@ -439,12 +393,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := load(*baseline)
+	base, err := metrics.LoadFile(*baseline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench-check:", err)
 		os.Exit(2)
 	}
-	cand, err := load(*candidate)
+	cand, err := metrics.LoadFile(*candidate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench-check:", err)
 		os.Exit(2)

@@ -1,17 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/metrics"
 )
 
-func sampleReport() *report {
-	return &report{
-		Schema: metrics.SchemaVersion,
-		Records: []record{
+func sampleReport() *metrics.File {
+	return &metrics.File{
+		Header: metrics.Header{Schema: metrics.SchemaVersion},
+		Records: []metrics.Record{
 			{Name: "Gram", M: 10000, N: 64, NsPerOp: 5e6, GFLOPS: 16.0},
 			{Name: "TrsmRight", M: 10000, N: 64, NsPerOp: 6e6, GFLOPS: 7.0},
 			{Name: "IteCholQRCP", M: 10000, N: 64, NsPerOp: 8e7},
@@ -40,9 +43,9 @@ func TestValidateCatchesSchemaDrift(t *testing.T) {
 func TestValidateCatchesBadRows(t *testing.T) {
 	rep := sampleReport()
 	rep.Records = append(rep.Records,
-		record{Name: "", M: 1, N: 1, NsPerOp: 1},
-		record{Name: "Neg", M: 10, N: 5, NsPerOp: -3},
-		record{Name: "Gram", M: 10000, N: 64, NsPerOp: 5e6}, // duplicate key
+		metrics.Record{Name: "", M: 1, N: 1, NsPerOp: 1},
+		metrics.Record{Name: "Neg", M: 10, N: 5, NsPerOp: -3},
+		metrics.Record{Name: "Gram", M: 10000, N: 64, NsPerOp: 5e6}, // duplicate key
 	)
 	errs := validate("x.json", rep)
 	if len(errs) != 3 {
@@ -129,7 +132,7 @@ func TestToleranceEnv(t *testing.T) {
 
 func TestCompareRequiresOverlap(t *testing.T) {
 	base := sampleReport()
-	cand := &report{Schema: metrics.SchemaVersion, Records: []record{
+	cand := &metrics.File{Header: metrics.Header{Schema: metrics.SchemaVersion}, Records: []metrics.Record{
 		{Name: "Other", M: 1, N: 1, NsPerOp: 1, GFLOPS: 1},
 	}}
 	if _, compared := compare(base, cand, 0.25); compared != 0 {
@@ -139,10 +142,10 @@ func TestCompareRequiresOverlap(t *testing.T) {
 
 // cqrrptReport returns a report satisfying the absolute CQRRPT gates: a
 // 2× A/B pair at the reference shape plus in-tolerance parity rows.
-func cqrrptReport() *report {
-	return &report{
-		Schema: metrics.SchemaVersion,
-		Records: []record{
+func cqrrptReport() *metrics.File {
+	return &metrics.File{
+		Header: metrics.Header{Schema: metrics.SchemaVersion},
+		Records: []metrics.Record{
 			{Name: "CQRRPT", M: cqrrptGateM, N: cqrrptGateN, NsPerOp: 4e9},
 			{Name: "IteCholQRCP", M: cqrrptGateM, N: cqrrptGateN, NsPerOp: 8e9},
 			{Name: "CQRRPTParity", Stage: "orthogonality", M: 20000, N: 64, Value: 5e-15, Unit: "ratio"},
@@ -161,8 +164,8 @@ func TestValidateAcceptsMetricRows(t *testing.T) {
 func TestValidateCatchesBadMetricRows(t *testing.T) {
 	rep := cqrrptReport()
 	rep.Records = append(rep.Records,
-		record{Name: "CQRRPTParity", Stage: "nan", M: 1, N: 1, Value: math.NaN(), Unit: "ratio"},
-		record{Name: "CQRRPTParity", Stage: "neg", M: 1, N: 1, Value: -1, Unit: "ratio"},
+		metrics.Record{Name: "CQRRPTParity", Stage: "nan", M: 1, N: 1, Value: math.NaN(), Unit: "ratio"},
+		metrics.Record{Name: "CQRRPTParity", Stage: "neg", M: 1, N: 1, Value: -1, Unit: "ratio"},
 	)
 	if errs := validate("x.json", rep); len(errs) != 2 {
 		t.Fatalf("want 2 metric-row errors, got %v", errs)
@@ -208,10 +211,10 @@ func TestCQRRPTGatesMissingRows(t *testing.T) {
 // serviceReport returns a report satisfying the absolute service gate:
 // a ServiceQRCP throughput row over the jobs/sec floor at the gate shape
 // with coherent latency quantile rows attached.
-func serviceReport() *report {
-	return &report{
-		Schema: metrics.SchemaVersion,
-		Records: []record{
+func serviceReport() *metrics.File {
+	return &metrics.File{
+		Header: metrics.Header{Schema: metrics.SchemaVersion},
+		Records: []metrics.Record{
 			{Name: "ServiceQRCP", M: serviceGateM, N: serviceGateN, Iters: 400,
 				NsPerOp: 2e7, ProblemsPerSec: 150.0},
 			{Name: "ServiceQRCP", Stage: "latency_p50", M: serviceGateM, N: serviceGateN,
@@ -282,10 +285,10 @@ func TestCompareGatesBatchThroughput(t *testing.T) {
 	}
 }
 
-func coverageReport() *report {
-	return &report{
-		Schema: metrics.SchemaVersion,
-		Records: []record{
+func coverageReport() *metrics.File {
+	return &metrics.File{
+		Header: metrics.Header{Schema: metrics.SchemaVersion},
+		Records: []metrics.Record{
 			{Name: "IteCholQRCP", Stage: "Gram", M: 4000, N: 64, NsPerOp: 3e6},
 			{Name: "IteCholQRCP", Stage: "Fused", M: 4000, N: 64, NsPerOp: 6.5e6},
 			{Name: "IteCholQRCP", Stage: "Total", M: 4000, N: 64, NsPerOp: 1e7},
@@ -311,7 +314,7 @@ func TestCoverageGatesPass(t *testing.T) {
 func TestCoverageGatesFailsUnattributed(t *testing.T) {
 	rep := coverageReport()
 	rep.Records = append(rep.Records[:5], rep.Records[6:]...)
-	rep.Records = append(rep.Records, record{Name: "IteCholQRCP", Stage: "Total", M: 100, N: 8})
+	rep.Records = append(rep.Records, metrics.Record{Name: "IteCholQRCP", Stage: "Total", M: 100, N: 8})
 	errs := coverageGates("x.json", rep)
 	if len(errs) != 2 || !strings.Contains(errs[0], "CQRRPT m=20000 n=64: stage rows cover 75.0%") ||
 		!strings.Contains(errs[1], "IteCholQRCP m=100 n=8") {
@@ -319,10 +322,10 @@ func TestCoverageGatesFailsUnattributed(t *testing.T) {
 	}
 }
 
-func tailReport() *report {
-	return &report{
-		Schema: metrics.SchemaVersion,
-		Records: []record{
+func tailReport() *metrics.File {
+	return &metrics.File{
+		Header: metrics.Header{Schema: metrics.SchemaVersion},
+		Records: []metrics.Record{
 			{Name: "IteCholQRCP", Stage: "Gram", M: 4000, N: 256, NsPerOp: 1.6e7},
 			{Name: "IteCholQRCP", Stage: "CholCP", M: 4000, N: 256, NsPerOp: 3.6e6},
 			{Name: "IteCholQRCP", Stage: "Trmm", M: 4000, N: 256, NsPerOp: 2.7e6},
@@ -355,5 +358,32 @@ func TestTailGatesFailsScalarTail(t *testing.T) {
 	if len(errs) != 2 || !strings.Contains(errs[0], "m=4000 n=256") ||
 		!strings.Contains(errs[1], "m=10000 n=256: CholCP + Trmm take 37.6% of Total") {
 		t.Fatalf("want the 4000×256 and 10000×256 violations, got %v", errs)
+	}
+}
+
+// TestCommittedBaselineSelfCheck decodes the committed baseline into the
+// shared row type, refusing any field it does not declare, and gates it
+// against itself the way bench-check -baseline X -candidate X does.
+func TestCommittedBaselineSelfCheck(t *testing.T) {
+	const path = "../../BENCH_kernels.json"
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.DisallowUnknownFields()
+	var rep metrics.File
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("%s does not decode into metrics.File: %v", path, err)
+	}
+	errs := validate(path, &rep)
+	for _, gate := range []func(string, *metrics.File) []string{cqrrptGates, serviceGates, tailGates, oocGates, coverageGates} {
+		errs = append(errs, gate(path, &rep)...)
+	}
+	if len(errs) != 0 {
+		t.Fatalf("baseline fails its own checks: %v", errs)
+	}
+	if regs, compared := compare(&rep, &rep, 0.25); len(regs) != 0 || compared == 0 {
+		t.Fatalf("baseline against itself: %d rows compared, regressions %v", compared, regs)
 	}
 }

@@ -4,27 +4,34 @@
 // probe, and the two GEMMs of the Householder QRCP
 // baseline, plus the end-to-end factorizations —
 // the iterated baseline, the randomized CQRRPT A/B pair
-// with its accuracy parity rows, and batch throughput — and writes the
+// with its accuracy parity rows, batch throughput, the out-of-core path
+// and the QRCP service on a loopback server — and writes the
 // results as JSON for regression tracking (`make bench-json`). The JSON
 // layout is documented in bench/SCHEMA.md and gated in CI by
 // cmd/bench-check.
 //
 // Each entry records ns/op, B/op, allocs/op and GFLOP/s so both throughput
 // regressions and allocation regressions in the iteration loop are visible
-// in a single diff of BENCH_kernels.json. With -trace the end-to-end runs
-// are additionally broken down into per-stage rows (Gram, CholCP, TRSM,
+// in a single diff of BENCH_kernels.json. The end-to-end runs are
+// additionally broken down into per-stage rows (Gram, CholCP, TRSM,
 // Swap, Trmm) via internal/trace.
+//
+// Usage:
+//
+//	go run ./cmd/bench-kernels -o BENCH_kernels.json   # the committed baseline
+//	go run ./cmd/bench-kernels -quick -o new.json      # the CI smoke preset
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,53 +43,9 @@ import (
 	"repro/internal/trace"
 	"repro/mat"
 	"repro/metrics"
+	"repro/service"
 	"repro/testmat"
 )
-
-type record struct {
-	Name string `json:"name"`
-	// Stage is set on -trace rows only: the algorithm stage this row
-	// attributes part of the parent Name's run to. Stage rows carry no
-	// allocation data and "Total" is the only row comparable to the
-	// whole-run entry.
-	Stage       string  `json:"stage,omitempty"`
-	M           int     `json:"m"`
-	N           int     `json:"n"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	GFLOPS      float64 `json:"gflops"`
-	// Gbps is the effective DRAM traffic rate (attributed bytes moved per
-	// wall-clock nanosecond ≡ GB/s), set on the memory-bound fused-kernel
-	// comparison rows only. It makes the point of the fusion visible in
-	// the JSON: the fused row moves 16·m·n bytes where the unfused
-	// sequence moves 40·m·n, at similar GB/s.
-	Gbps float64 `json:"gbps,omitempty"`
-	// ProblemsPerSec is set on batch rows only: factorizations completed
-	// per second across the whole batch.
-	ProblemsPerSec float64 `json:"problems_per_sec,omitempty"`
-	// Value/Unit are set on accuracy metric rows only (CQRRPTParity): the
-	// measured dimensionless metric named by Stage. Metric rows carry no
-	// timing data (ns_per_op is 0) and are gated against absolute
-	// thresholds (metrics.CQRRPT*Tol) by cmd/bench-check rather than
-	// compared to the baseline.
-	Value float64 `json:"value,omitempty"`
-	Unit  string  `json:"unit,omitempty"`
-	// PctPeak is set on the Level-3 kernel rows: the flops the kernel
-	// executes per second as a percentage of the FMAPeak row times
-	// GOMAXPROCS, the ceiling of the cores the default engine runs on.
-	// Informational, never gated.
-	PctPeak float64 `json:"pct_peak,omitempty"`
-}
-
-type report struct {
-	Schema     string   `json:"schema"`
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"go_version"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Records    []record `json:"records"`
-}
 
 // benchRuns is the number of testing.Benchmark runs behind each row,
 // each of benchTime, of which the row records the one with the median
@@ -104,7 +67,7 @@ func setBenchTime(d string) error {
 	return flag.CommandLine.Set("test.benchtime", d)
 }
 
-func run(name string, m, n int, flops float64, bench func(b *testing.B)) record {
+func run(name string, m, n int, flops float64, bench func(b *testing.B)) metrics.Record {
 	results := make([]testing.BenchmarkResult, benchRuns)
 	for i := range results {
 		results[i] = testing.Benchmark(bench)
@@ -116,7 +79,7 @@ func run(name string, m, n int, flops float64, bench func(b *testing.B)) record 
 	if ns > 0 && flops > 0 {
 		gflops = flops / ns // flop/ns == GFLOP/s
 	}
-	r := record{
+	r := metrics.Record{
 		Name:        name,
 		M:           m,
 		N:           n,
@@ -158,7 +121,7 @@ const batchSize = 32
 // NsPerOp is the stage's median attributed time over the reps runs, so
 // neither one stalled run nor one pause outside every stage decides a
 // gated row, and stage rows for one shape sum to ≈ the Total row.
-func stageRows(name string, m, n, reps int, one func() error) []record {
+func stageRows(name string, m, n, reps int, one func() error) []metrics.Record {
 	runs := make([]trace.Report, reps)
 	for i := range runs {
 		trace.Reset()
@@ -174,7 +137,7 @@ func stageRows(name string, m, n, reps int, one func() error) []record {
 		trace.Disable()
 	}
 
-	var out []record
+	var out []metrics.Record
 	add := func(stage string) {
 		var sts []trace.StageStats
 		for _, r := range runs {
@@ -188,7 +151,7 @@ func stageRows(name string, m, n, reps int, one func() error) []record {
 		sort.Slice(sts, func(i, j int) bool { return sts[i].TotalNs < sts[j].TotalNs })
 		st := sts[len(sts)/2]
 		ns := float64(st.TotalNs)
-		r := record{
+		r := metrics.Record{
 			Name:    name,
 			Stage:   stage,
 			M:       m,
@@ -208,11 +171,15 @@ func stageRows(name string, m, n, reps int, one func() error) []record {
 	return out
 }
 
+// fail reports err and ends the run with exit status 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "bench-kernels:", err)
+	os.Exit(1)
+}
+
 func main() {
 	out := flag.String("o", "BENCH_kernels.json", "output JSON path")
-	quick := flag.Bool("quick", false, "skip the m=1e5 shapes (fast smoke run)")
-	e2eM := flag.Int("e2e-m", 10000, "row count for the end-to-end IteCholQRCP entries")
-	traced := flag.Bool("trace", false, "add per-stage breakdown rows for the end-to-end entries")
+	quick := flag.Bool("quick", false, "the CI smoke preset: no m=1e5 shapes, end-to-end rows at m=4000, 120 service jobs per shape")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	rtracePath := flag.String("runtime-trace", "", "write a runtime/trace execution trace to this file")
@@ -229,15 +196,11 @@ func main() {
 	}
 	defer stopProf()
 
-	ms := []int{10000, 100000}
+	ms, e2eM, serviceJobs := []int{10000, 100000}, 10000, 400
 	if *quick {
-		ms = []int{10000}
+		ms, e2eM, serviceJobs = []int{10000}, 4000, 120
 	}
 	ns := []int{64, 128, 256}
-	if *e2eM < ns[len(ns)-1] {
-		fmt.Fprintf(os.Stderr, "bench-kernels: -e2e-m must be at least %d (tall-skinny: m ≥ n), got %d\n", ns[len(ns)-1], *e2eM)
-		os.Exit(2)
-	}
 	// Fail on an unwritable output path now, not after minutes of benchmarks.
 	if f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "bench-kernels:", err)
@@ -246,12 +209,7 @@ func main() {
 		f.Close()
 	}
 
-	rep := report{
-		Schema:     metrics.SchemaVersion,
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	rep := metrics.File{Header: metrics.NewHeader()}
 	rng := rand.New(rand.NewSource(42))
 
 	// The machine ceiling: one core's fma throughput from an assembly
@@ -268,7 +226,7 @@ func main() {
 		})
 		peak = float64(24*lanes*steps) / float64(res.NsPerOp())
 		width := map[int]string{4: "ymm", 8: "zmm"}[lanes]
-		rep.Records = append(rep.Records, record{
+		rep.Records = append(rep.Records, metrics.Record{
 			Name: "FMAPeak", Stage: width, M: 1, N: 12, Iters: res.N, Value: peak, Unit: "GFLOP/s",
 		})
 		fmt.Fprintf(os.Stderr, "%-24s %60.2f GFLOP/s on one core\n", "FMAPeak/"+width, peak)
@@ -278,7 +236,7 @@ func main() {
 	// full 2·m·n² product, the SYRK computes its upper triangle), Trmm
 	// (n·(n+1)·n against the row's n³) and PCholCP (its SYRKs count as
 	// Gram does).
-	atPeak := func(r record, flops float64) record {
+	atPeak := func(r metrics.Record, flops float64) metrics.Record {
 		if peak > 0 {
 			r.PctPeak = 100 * flops / r.NsPerOp / (peak * float64(runtime.GOMAXPROCS(0)))
 		}
@@ -395,7 +353,7 @@ func main() {
 	}
 
 	for _, n := range ns {
-		m := *e2eM
+		m := e2eM
 		a := testmat.Generate(rng, m, n, (n*4)/5, 1e-12)
 		rep.Records = append(rep.Records, run(
 			"IteCholQRCP", m, n, 0,
@@ -408,12 +366,10 @@ func main() {
 					}
 				}
 			}))
-		if *traced {
-			rep.Records = append(rep.Records, stageRows("IteCholQRCP", m, n, 3, func() error {
-				_, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol)
-				return err
-			})...)
-		}
+		rep.Records = append(rep.Records, stageRows("IteCholQRCP", m, n, 3, func() error {
+			_, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol)
+			return err
+		})...)
 	}
 
 	// Fused permute→TRSM→Gram pass vs the separate three-sweep sequence on
@@ -465,7 +421,7 @@ func main() {
 
 	// CQRRPT A/B: the randomized-preconditioning path against the fused
 	// iterated baseline on the very tall reference shape, plus the sketch
-	// kernel on its own. The shape is fixed (not derived from -e2e-m) so
+	// kernel on its own. The shape is fixed (not derived from -quick) so
 	// the quick CI smoke run produces the same row keys as the committed
 	// baseline — cmd/bench-check gates the pair's wall-clock ratio at
 	// ≥ 1.3× on every run (see bench/SCHEMA.md).
@@ -532,26 +488,24 @@ func main() {
 		resid := metrics.Residual(a, res.Q, res.R, res.Perm)
 		pq := metrics.PivotQuality(res.R, ref.R, pRank)
 		for _, pr := range metrics.ParityRecords("CQRRPTParity", orth, resid, pq) {
-			rep.Records = append(rep.Records, record{
+			rep.Records = append(rep.Records, metrics.Record{
 				Name: pr.Name, Stage: pr.Stage, M: pM, N: pN, Iters: 1,
 				Value: pr.Value, Unit: "ratio",
 			})
 			fmt.Fprintf(os.Stderr, "%-24s m=%-7d n=%-4d %12.3g\n",
 				pr.Name+"/"+pr.Stage, pM, pN, pr.Value)
 		}
-		if *traced {
-			rep.Records = append(rep.Records, stageRows("CQRRPT", pM, pN, 3, func() error {
-				_, err := core.CQRRPT(nil, a, core.DefaultPivotTol, 42)
-				return err
-			})...)
-		}
+		rep.Records = append(rep.Records, stageRows("CQRRPT", pM, pN, 3, func() error {
+			_, err := core.CQRRPT(nil, a, core.DefaultPivotTol, 42)
+			return err
+		})...)
 	}
 
 	// Batch serving throughput: batchSize independent tall-skinny problems
 	// sharded across the persistent pool by Engine.QRCPBatch. The gated
 	// figure is problems/sec — the serving-shaped metric — rather than
 	// GFLOP/s, which rewards big matrices over fast turnaround.
-	// The shape is fixed (not derived from -e2e-m) so the quick CI smoke
+	// The shape is fixed (not derived from -quick) so the quick CI smoke
 	// run produces rows with the same key as the committed baseline and
 	// bench-check actually gates them.
 	const batchM = 1000
@@ -581,75 +535,195 @@ func main() {
 		rep.Records = append(rep.Records, r)
 	}
 
-	// Out-of-core streaming factorization: the matrix lives in a temp
-	// file and QRCPFile streams it panel-by-panel with prefetch overlap.
-	// Two rows are gated: gbps is the streamed disk traffic rate
-	// (ooc_bytes_read per wall-clock nanosecond — the figure of merit for
-	// an I/O-overlapped sweep), and the PrefetchStallFraction metric row
-	// is the share of wall-clock the compute side spent blocked waiting
-	// for its next panel — < 0.5 means the pipeline hides at least half
-	// the disk time (gated absolutely by cmd/bench-check, like the parity
-	// rows). The shape is fixed so the quick CI smoke run produces the
-	// same row keys as the committed baseline.
-	{
-		const oocM, oocN = 200_000, 64
-		const oocReps = 3
-		a := testmat.Generate(rng, oocM, oocN, (oocN*4)/5, 1e-12)
-		f, err := os.CreateTemp("", "bench-ooc-*.tsqrmat")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-kernels:", err)
-			os.Exit(1)
-		}
-		oocPath := f.Name()
-		f.Close()
-		if err := a.WriteBinaryFile(oocPath); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-kernels:", err)
-			os.Exit(1)
-		}
-		a = nil
-
-		trace.Reset()
-		trace.Enable()
-		start := time.Now()
-		for i := 0; i < oocReps; i++ {
-			if _, err := tsqrcp.QRCPFile(oocPath, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "OOCQRCP:", err)
-				os.Exit(1)
-			}
-		}
-		wallNs := time.Since(start).Nanoseconds()
-		snap := trace.Snapshot()
-		trace.Disable()
-		os.Remove(oocPath)
-
-		ooc := record{
-			Name:    "OOCQRCP",
-			M:       oocM,
-			N:       oocN,
-			Iters:   oocReps,
-			NsPerOp: float64(wallNs) / oocReps,
-			Gbps:    float64(snap.Counters["ooc_bytes_read"]) / float64(wallNs),
-		}
-		rep.Records = append(rep.Records, ooc)
-		stallFrac := float64(snap.Counters["ooc_prefetch_stall_ns"]) / float64(wallNs)
-		rep.Records = append(rep.Records, record{
-			Name: "OOCQRCP", Stage: "PrefetchStallFraction",
-			M: oocM, N: oocN, Iters: oocReps,
-			Value: stallFrac, Unit: "ratio",
-		})
-		fmt.Fprintf(os.Stderr, "%-24s m=%-7d n=%-4d %12.0f ns/op %24s %8.2f GB/s streamed, stall %.3f\n",
-			"OOCQRCP", oocM, oocN, ooc.NsPerOp, "", ooc.Gbps, stallFrac)
-	}
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
+	oocRecs, err := oocRows(rng)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	rep.Records = append(rep.Records, oocRecs...)
+
+	// The service layer end to end: an in-process qrcpd on a loopback
+	// port, driven by concurrent pipelined clients. The smoke-gate shape
+	// first (bench-check's absolute jobs/sec floor reads it), then a wider
+	// shape for the latency/batching profile; the shapes are fixed so the
+	// quick CI smoke run produces the same row keys as the committed
+	// baseline.
+	srv := service.New(service.Config{BatchSize: serviceBatch, FlushInterval: serviceFlush})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fail(err)
+	}
+	//repolint:allow ctxcancel — benchmark harness; Shutdown below closes the listener and ends Serve
+	go srv.Serve(ln)
+	for _, sh := range []struct{ m, n int }{{1000, 32}, {2000, 64}} {
+		recs, err := serviceRows(ln.Addr().String(), sh.m, sh.n, serviceJobs)
+		if err != nil {
+			fail(err)
+		}
+		rep.Records = append(rep.Records, recs...)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	srv.Shutdown(ctx)
+	cancel()
+
+	if err := rep.Write(*out); err != nil {
+		fail(err)
 	}
 	fmt.Fprintln(os.Stderr, "wrote", *out)
+}
+
+// oocRows times the out-of-core streaming factorization: the matrix
+// lives in a temp file and QRCPFile streams it panel-by-panel with
+// prefetch overlap. Two rows are gated: gbps is the streamed disk
+// traffic rate (ooc_bytes_read per wall-clock nanosecond — the figure of
+// merit for an I/O-overlapped sweep), and the PrefetchStallFraction
+// metric row is the share of wall-clock the compute side spent blocked
+// waiting for its next panel — < 0.5 means the pipeline hides at least
+// half the disk time (gated absolutely by cmd/bench-check, like the
+// parity rows). The shape is fixed so the quick CI smoke run produces
+// the same row keys as the committed baseline. The temp file is removed
+// on every return.
+func oocRows(rng *rand.Rand) ([]metrics.Record, error) {
+	const oocM, oocN = 200_000, 64
+	const oocReps = 3
+	a := testmat.Generate(rng, oocM, oocN, (oocN*4)/5, 1e-12)
+	f, err := os.CreateTemp("", "bench-ooc-*.tsqrmat")
+	if err != nil {
+		return nil, err
+	}
+	oocPath := f.Name()
+	f.Close()
+	defer os.Remove(oocPath)
+	if err := a.WriteBinaryFile(oocPath); err != nil {
+		return nil, err
+	}
+
+	trace.Reset()
+	trace.Enable()
+	defer trace.Disable()
+	start := time.Now()
+	for i := 0; i < oocReps; i++ {
+		if _, err := tsqrcp.QRCPFile(oocPath, nil); err != nil {
+			return nil, fmt.Errorf("OOCQRCP: %w", err)
+		}
+	}
+	wallNs := time.Since(start).Nanoseconds()
+	snap := trace.Snapshot()
+
+	ooc := metrics.Record{
+		Name:    "OOCQRCP",
+		M:       oocM,
+		N:       oocN,
+		Iters:   oocReps,
+		NsPerOp: float64(wallNs) / oocReps,
+		Gbps:    float64(snap.Counters["ooc_bytes_read"]) / float64(wallNs),
+	}
+	stallFrac := float64(snap.Counters["ooc_prefetch_stall_ns"]) / float64(wallNs)
+	fmt.Fprintf(os.Stderr, "%-24s m=%-7d n=%-4d %12.0f ns/op %24s %8.2f GB/s streamed, stall %.3f\n",
+		"OOCQRCP", oocM, oocN, ooc.NsPerOp, "", ooc.Gbps, stallFrac)
+	return []metrics.Record{ooc, {
+		Name: "OOCQRCP", Stage: "PrefetchStallFraction",
+		M: oocM, N: oocN, Iters: oocReps,
+		Value: stallFrac, Unit: "ratio",
+	}}, nil
+}
+
+// The served loopback setup: serviceClients concurrent connections to a
+// server that flushes a bucket when serviceBatch jobs fill it or
+// serviceFlush passes.
+const (
+	serviceClients = 8
+	serviceBatch   = 32
+	serviceFlush   = 2 * time.Millisecond
+)
+
+// serviceRows drives one (m, n) shape on the qrcpd at addr with
+// serviceClients connections until jobs jobs completed, each row from
+// that single run:
+//
+//	{Name: "ServiceQRCP", m, n}                   jobs/sec (problems_per_sec) + mean latency (ns_per_op)
+//	{Name: "ServiceQRCP", Stage: "latency_p50"}   p50 latency (ns_per_op)
+//	{Name: "ServiceQRCP", Stage: "latency_p99"}   p99 latency (ns_per_op)
+func serviceRows(addr string, m, n, jobs int) ([]metrics.Record, error) {
+	rng := rand.New(rand.NewSource(42))
+	// One canonical matrix per shape: serving-identical jobs is the
+	// bucketing best case and keeps the measurement about the service
+	// layer, not generator variance.
+	a := testmat.Generate(rng, m, n, (n*4)/5, 1e-12)
+
+	conns := make([]*service.Client, serviceClients)
+	for i := range conns {
+		c, err := service.Dial(addr)
+		if err != nil {
+			return nil, fmt.Errorf("dial %s: %w", addr, err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+
+	// Warmup: populate engine workspace pools and warm the buckets.
+	warm := min(jobs/10+1, 16)
+	for i := 0; i < warm; i++ {
+		if _, err := conns[i%serviceClients].Factor(context.Background(), service.Request{Tenant: "bench", A: a}); err != nil {
+			return nil, fmt.Errorf("warmup: %w", err)
+		}
+	}
+
+	latencies := make([]time.Duration, jobs)
+	var next int
+	var mu sync.Mutex
+	var firstErr error
+	var wg sync.WaitGroup
+	start := time.Now()
+	for _, c := range conns {
+		wg.Add(1)
+		go func(c *service.Client) {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				i := next
+				if i >= jobs || firstErr != nil {
+					mu.Unlock()
+					return
+				}
+				next++
+				mu.Unlock()
+				t0 := time.Now()
+				_, err := c.Factor(context.Background(), service.Request{Tenant: "bench", A: a})
+				if err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
+				}
+				latencies[i] = time.Since(t0)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	wall := time.Since(start)
+
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	quantile := func(q float64) float64 {
+		return float64(latencies[int(q*float64(len(latencies)-1))])
+	}
+	var sum time.Duration
+	for _, l := range latencies {
+		sum += l
+	}
+	mean := float64(sum) / float64(jobs)
+	jobsPerSec := float64(jobs) / wall.Seconds()
+	p50, p99 := quantile(0.50), quantile(0.99)
+
+	fmt.Fprintf(os.Stderr, "%-24s m=%-7d n=%-4d %10.1f jobs/s  p50 %8.2fms  p99 %8.2fms  mean %8.2fms  (%d jobs, %d clients)\n",
+		"ServiceQRCP", m, n, jobsPerSec, p50/1e6, p99/1e6, mean/1e6, jobs, serviceClients)
+	return []metrics.Record{
+		{Name: "ServiceQRCP", M: m, N: n, Iters: jobs, NsPerOp: mean, ProblemsPerSec: jobsPerSec},
+		{Name: "ServiceQRCP", Stage: "latency_p50", M: m, N: n, Iters: jobs, NsPerOp: p50},
+		{Name: "ServiceQRCP", Stage: "latency_p99", M: m, N: n, Iters: jobs, NsPerOp: p99},
+	}, nil
 }

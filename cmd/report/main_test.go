@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -97,5 +99,86 @@ func TestDashes(t *testing.T) {
 	}
 	if d := dashes(0); d != "" {
 		t.Errorf("dashes(0) = %q", d)
+	}
+}
+
+// TestFigureTableMatchesDesign reads the experiment index of DESIGN.md
+// (§8): every row must name exactly one report -fig value, that value
+// must be in the figure table, and every figure must appear in the index.
+func TestFigureTableMatchesDesign(t *testing.T) {
+	buf, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(buf)
+	start := strings.Index(doc, "\n## 8.")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no §8")
+	}
+	sec := doc[start+1:]
+	if end := strings.Index(sec, "\n## "); end >= 0 {
+		sec = sec[:end]
+	}
+	figRe := regexp.MustCompile("`report -fig ([0-9a-z]+)`")
+	named := map[string]bool{}
+	rows := 0
+	for _, line := range strings.Split(sec, "\n") {
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| ID ") {
+			continue
+		}
+		rows++
+		m := figRe.FindAllStringSubmatch(line, -1)
+		if len(m) != 1 {
+			t.Errorf("§8 row names %d report -fig values, want 1: %s", len(m), line)
+			continue
+		}
+		if _, err := selectFigures(m[0][1]); err != nil {
+			t.Errorf("§8 row: %v", err)
+		}
+		named[m[0][1]] = true
+	}
+	if rows == 0 {
+		t.Fatal("§8 has no table rows")
+	}
+	for _, f := range figures {
+		if !named[f.key] {
+			t.Errorf("figure %q is not named in DESIGN.md §8", f.key)
+		}
+	}
+}
+
+func TestSelectFigures(t *testing.T) {
+	all, err := selectFigures("all")
+	if err != nil || len(all) != len(figures) {
+		t.Fatalf("all: %d figures, %v", len(all), err)
+	}
+	if one, err := selectFigures("t3"); err != nil || len(one) != 1 || one[0].key != "t3" {
+		t.Fatalf("t3: %v, %v", one, err)
+	}
+	for _, bad := range []string{"", "5", "9", "1A", "t3 "} {
+		if _, err := selectFigures(bad); err == nil {
+			t.Errorf("-fig %q should be rejected", bad)
+		}
+	}
+}
+
+type failingWriter struct{ writes int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	f.writes++
+	return 0, errors.New("no space left on device")
+}
+
+// TestStickyWriterKeepsFirstError checks that a failed write is neither
+// lost nor followed by further writes.
+func TestStickyWriterKeepsFirstError(t *testing.T) {
+	fw := &failingWriter{}
+	w := &stickyWriter{w: fw}
+	writeReport(w, nil, 1, false, false)
+	if w.err == nil || !strings.Contains(w.err.Error(), "no space") {
+		t.Fatalf("err = %v, want the write error", w.err)
+	}
+	if fw.writes != 1 {
+		t.Fatalf("%d writes reached the failing writer, want 1", fw.writes)
 	}
 }

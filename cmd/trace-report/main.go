@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
-	"time"
 
 	tsqrcp "repro"
 	"repro/internal/trace"
@@ -35,13 +33,10 @@ import (
 
 // output is the self-contained JSON document trace-report writes.
 type output struct {
-	Schema     string           `json:"schema"`
-	Date       string           `json:"date"`
-	GoVersion  string           `json:"go_version"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Config     config           `json:"config"`
-	Trace      trace.Report     `json:"trace"`
-	Records    []metrics.Record `json:"records"`
+	metrics.Header
+	Config  config           `json:"config"`
+	Trace   trace.Report     `json:"trace"`
+	Records []metrics.Record `json:"records"`
 }
 
 type config struct {
@@ -156,10 +151,7 @@ func main() {
 	}
 
 	doc := output{
-		Schema:     metrics.SchemaVersion,
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Header: metrics.NewHeader(),
 		Config: config{
 			Algo: *algo, M: *m, N: *n, R: *r,
 			Sigma: *sigma, Eps: *eps, Reps: *reps, Seed: *seed,

@@ -2,7 +2,7 @@
 // (CholQR, CholeskyQR2, shifted CholeskyQR3) for unpivoted tall-skinny QR,
 // the proposed Ite-CholQR-CP algorithm for QR with column pivoting
 // (Algorithm 4), and the conventional Householder QRCP baseline
-// (Algorithm 1, via the LAPACK-style Geqpf/Geqp3 + Orgqr substrate).
+// (Algorithm 1, via the LAPACK-style Geqp3 + Orgqr substrate).
 package core
 
 import (

@@ -14,18 +14,6 @@ import (
 // of Q (DORGQR). This is the single-node baseline of the paper's
 // evaluation.
 func HQRCP(e *parallel.Engine, a *mat.Dense) *CPResult {
-	return hqrcp(e, a, lapack.Geqp3)
-}
-
-// HQRCPUnblocked is HQRCP with the unblocked Level-2 factorization
-// (DGEQPF structure). It selects identical pivots; only the blocking of
-// the trailing-matrix updates differs. Kept for the blocked-vs-unblocked
-// ablation benchmark.
-func HQRCPUnblocked(e *parallel.Engine, a *mat.Dense) *CPResult {
-	return hqrcp(e, a, lapack.Geqpf)
-}
-
-func hqrcp(e *parallel.Engine, a *mat.Dense, factor func(*parallel.Engine, *mat.Dense, []float64, mat.Perm)) *CPResult {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("core: HQRCP needs a tall matrix, got %d×%d", m, n))
@@ -33,7 +21,7 @@ func hqrcp(e *parallel.Engine, a *mat.Dense, factor func(*parallel.Engine, *mat.
 	fac := a.Clone()
 	tau := make([]float64, n)
 	jpvt := make(mat.Perm, n)
-	factor(e, fac, tau, jpvt)
+	lapack.Geqp3(e, fac, tau, jpvt)
 	r := lapack.ExtractR(fac)
 	lapack.Orgqr(e, fac, tau)
 	return &CPResult{Q: fac, R: r, Perm: jpvt}

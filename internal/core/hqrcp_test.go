@@ -18,29 +18,6 @@ func TestHQRCPContract(t *testing.T) {
 	}
 }
 
-func TestHQRCPBlockedMatchesUnblocked(t *testing.T) {
-	// Pivot choices are only well defined within the numerical rank:
-	// beyond it the downdated norms are roundoff noise and the blocked
-	// and unblocked variants may (like LAPACK's DGEQP3 vs DGEQPF) order
-	// the negligible tail differently.
-	rng := rand.New(rand.NewSource(122))
-	const r = 33
-	a := testmat.Generate(rng, 250, 40, r, 1e-8)
-	b := HQRCP(nil, a)
-	u := HQRCPUnblocked(nil, a)
-	for j := 0; j < r; j++ {
-		if b.Perm[j] != u.Perm[j] {
-			t.Fatalf("blocked vs unblocked pivots differ at %d (< rank %d): %v vs %v",
-				j, r, b.Perm[:r], u.Perm[:r])
-		}
-	}
-	rb := b.R.Slice(0, r, 0, r)
-	ru := u.R.Slice(0, r, 0, r)
-	if !mat.EqualApprox(rb, ru, 1e-9*b.R.MaxAbs()) {
-		t.Fatal("blocked vs unblocked leading R blocks differ")
-	}
-}
-
 func TestHQRCPNoQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	a := testmat.Generate(rng, 150, 12, 10, 1e-6)

@@ -21,8 +21,9 @@ const qp3Block = 32
 // even so roughly half the flops remain in Level-2 form — which is why
 // Cholesky-QR-type methods win on tall-skinny problems.
 //
-// Outputs follow Geqpf: reflectors + R in a, scales in tau, and jpvt maps
-// position j to the original column index. The engine e bounds the
+// On return a holds R in its upper triangle and the reflectors below, tau
+// the reflector scales, and jpvt (length n, overwritten) maps position j
+// to the original column index: (A·P)(:, j) = A(:, jpvt[j]). The engine e bounds the
 // parallel width (nil selects the default engine).
 func Geqp3(e *parallel.Engine, a *mat.Dense, tau []float64, jpvt mat.Perm) {
 	Geqp3Partial(e, a, tau, jpvt, min(a.Rows, a.Cols))
@@ -212,4 +213,31 @@ func (st *qp3State) laqps(j0, jb int) (kb int) {
 		}
 	}
 	return kb
+}
+
+// tol3z is the LAPACK threshold (√ε) that decides when the incremental
+// column-norm downdate has lost too much accuracy and the norm must be
+// recomputed — the Drmač–Bujanović safeguard against wrong pivots.
+var tol3z = math.Sqrt(mat.Eps)
+
+// partialColNorm returns the 2-norm of column j of a below row i0,
+// scaled against overflow.
+func partialColNorm(a *mat.Dense, i0, j int) float64 {
+	scale, ssq := 0.0, 1.0
+	for i := i0; i < a.Rows; i++ {
+		v := a.Data[i*a.Stride+j]
+		if v == 0 {
+			continue
+		}
+		av := math.Abs(v)
+		if scale < av {
+			r := scale / av
+			ssq = 1 + ssq*r*r
+			scale = av
+		} else {
+			r := av / scale
+			ssq += r * r
+		}
+	}
+	return scale * math.Sqrt(ssq)
 }

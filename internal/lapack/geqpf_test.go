@@ -8,13 +8,9 @@ import (
 	"repro/mat"
 )
 
-// tol3z is the LAPACK threshold (√ε) that decides when the incremental
-// column-norm downdate has lost too much accuracy and the norm must be
-// recomputed — the Drmač–Bujanović safeguard against wrong pivots.
-var tol3z = math.Sqrt(mat.Eps)
-
 // Geqpf computes the QR factorization with column pivoting A·P = Q·R using
-// unblocked Level-2 Householder transformations (DGEQPF). This is the
+// unblocked Level-2 Householder transformations (DGEQPF). It is the
+// test oracle for Geqp3, which must choose the same pivots. This is the
 // conventional greedy algorithm of the paper's Algorithm 1: at each step
 // the remaining column of maximum 2-norm is swapped in, eliminated, and
 // the trailing column norms are downdated (with explicit recomputation
@@ -95,24 +91,4 @@ func downdateNorms(a *mat.Dense, row, lo, hi int, vn1, vn2 []float64) {
 			vn1[l] *= math.Sqrt(temp)
 		}
 	}
-}
-
-func partialColNorm(a *mat.Dense, i0, j int) float64 {
-	scale, ssq := 0.0, 1.0
-	for i := i0; i < a.Rows; i++ {
-		v := a.Data[i*a.Stride+j]
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			r := scale / av
-			ssq = 1 + ssq*r*r
-			scale = av
-		} else {
-			r := av / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }

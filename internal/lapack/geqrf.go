@@ -102,7 +102,7 @@ func Orgqr(e *parallel.Engine, a *mat.Dense, tau []float64) {
 	}
 }
 
-// ExtractR copies the upper triangular factor out of a Geqrf/Geqpf/Geqp3
+// ExtractR copies the upper triangular factor out of a Geqrf/Geqp3
 // result into a fresh n×n matrix (for m ≥ n).
 func ExtractR(a *mat.Dense) *mat.Dense {
 	n := a.Cols

@@ -4,7 +4,6 @@
 //
 //   - PotrfUpper         — DPOTRF: blocked Cholesky factorization
 //   - Geqrf / Orgqr      — DGEQRF/DORGQR: blocked Householder QR, explicit Q
-//   - Geqpf              — DGEQPF: Level-2 QR with column pivoting
 //   - Geqp3              — DGEQP3: blocked, BLAS-3 QR with column pivoting
 //   - JacobiSVDValues    — singular values via one-sided Jacobi (metrics)
 //

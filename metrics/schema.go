@@ -1,9 +1,14 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
 	"sort"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -13,23 +18,98 @@ import (
 // meaning changes; cmd/bench-check refuses to compare across versions.
 const SchemaVersion = "repro-metrics/11"
 
-// Record is the one unified row shape for everything the repo measures:
-// timing breakdowns from internal/trace and accuracy metrics from this
-// package share it, so downstream tooling (cmd/bench-check, plot scripts)
-// parses a single schema.
+// Record is the one row shape for everything the repo measures: the
+// rows of BENCH_kernels.json (bench/SCHEMA.md), timing breakdowns from
+// internal/trace and the accuracy metrics of this package. Every field
+// past Stage is omitted from JSON when zero, so each kind of row writes
+// only the fields it sets, and a missing field reads back as zero.
 type Record struct {
 	// Name identifies what was measured, e.g. "IteCholQRCP" or
 	// "orthogonality".
 	Name string `json:"name"`
 	// Stage is set on timing rows that attribute part of a run to one
 	// algorithm stage (Gram, CholCP, TRSM, Swap, Trmm, Allreduce) or to a
-	// kernel (kernel/gemm, ...). Empty for whole-run and accuracy rows.
+	// kernel (kernel/gemm, ...), and on metric rows to name the metric.
+	// Empty for whole-run rows.
 	Stage string `json:"stage,omitempty"`
+	// M and N are the problem shape (rows × columns) of a bench row.
+	M int `json:"m,omitempty"`
+	N int `json:"n,omitempty"`
+	// Iters is the testing.B iteration count of a bench row, or the
+	// number of runs behind a stage or out-of-core row.
+	Iters int `json:"iters,omitempty"`
+	// NsPerOp, BytesPerOp and AllocsPerOp are a timed bench row's wall
+	// time, allocated bytes and allocations per operation.
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// GFLOPS is the attributed flop rate of a bench row.
+	GFLOPS float64 `json:"gflops,omitempty"`
+	// Gbps is the effective traffic rate (bytes per nanosecond ≡ GB/s)
+	// of the memory-bound and streaming rows.
+	Gbps float64 `json:"gbps,omitempty"`
+	// ProblemsPerSec is the throughput of the batch and service rows.
+	ProblemsPerSec float64 `json:"problems_per_sec,omitempty"`
 	// Value is the measurement in Unit.
-	Value float64 `json:"value"`
+	Value float64 `json:"value,omitempty"`
 	// Unit is the measurement unit: "ns", "gflops", "count", "bytes", or
-	// "" for dimensionless accuracy ratios.
+	// "" for dimensionless accuracy ratios. In a bench File a row with a
+	// Unit is a metric row ("ratio", "GFLOP/s"), one without a timed row.
 	Unit string `json:"unit,omitempty"`
+	// PctPeak is the executed flop rate of a Level-3 kernel row as a
+	// percentage of the FMAPeak row times GOMAXPROCS.
+	PctPeak float64 `json:"pct_peak,omitempty"`
+}
+
+// Header stamps a document the bench tools write with the schema
+// version and the run's date, Go version and GOMAXPROCS.
+type Header struct {
+	Schema     string `json:"schema"`
+	Date       string `json:"date"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// NewHeader returns the header of a run starting now.
+func NewHeader() Header {
+	return Header{
+		Schema:     SchemaVersion,
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
+// File is one BENCH_kernels.json document: a header and its rows.
+type File struct {
+	Header
+	Records []Record `json:"records"`
+}
+
+// LoadFile reads a File from path. A field the schema does not declare
+// is an error, so a writer and a reader of the format cannot drift apart
+// unnoticed.
+func LoadFile(path string) (*File, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.DisallowUnknownFields()
+	var f File
+	if err := dec.Decode(&f); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &f, nil
+}
+
+// Write writes f to path as indented JSON.
+func (f *File) Write(path string) error {
+	buf, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // TraceRecords flattens a trace snapshot into the shared Record schema:

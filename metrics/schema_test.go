@@ -130,3 +130,37 @@ func TestTraceRecordsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	f := &File{Header: NewHeader(), Records: []Record{
+		{Name: "Gram", M: 10000, N: 64, Iters: 9, NsPerOp: 5e6, GFLOPS: 16, PctPeak: 20},
+		{Name: "CQRRPTParity", Stage: "residual", M: 20000, N: 64, Iters: 1, Value: 3e-16, Unit: "ratio"},
+	}}
+	if err := f.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Header != f.Header || len(back.Records) != len(f.Records) {
+		t.Fatalf("round trip: %+v != %+v", back, f)
+	}
+	for i := range f.Records {
+		if back.Records[i] != f.Records[i] {
+			t.Errorf("record %d: %+v != %+v", i, back.Records[i], f.Records[i])
+		}
+	}
+}
+
+func TestLoadFileRejectsUnknownFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	doc := `{"schema": "` + SchemaVersion + `", "records": [{"name": "Gram", "m": 1, "n": 1, "backend": "go"}]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), "backend") {
+		t.Fatalf("want an unknown-field error naming backend, got %v", err)
+	}
+}
