@@ -3,20 +3,22 @@
 GO ?= go
 COVER_MIN ?= 70
 BENCH_TOLERANCE ?= 0.25
+FUZZTIME ?= 10s
 
 .PHONY: all ci build lint fmt-check vet repolint escapecheck \
 	lint-fix-baseline test test-debug test-purego cross-arm64 \
-	race bench bench-json bench-smoke cover cover-gate repro repro-paper \
-	e2e-ooc examples clean
+	race fuzz bench bench-json bench-smoke cover cover-gate repro \
+	repro-paper e2e-ooc examples clean
 
 all: build vet test
 
 # Everything the CI workflow runs, in the same order: the lint job
 # (fmt-check + vet + repolint), the test job (with its debugchecks,
-# purego and arm64 cross-build steps), the race job, the coverage gate,
-# and the benchmark smoke gate. Green here ⇒ green on CI (modulo runner
-# noise on bench-smoke, which CI loosens via BENCH_TOLERANCE).
-ci: lint build test test-debug test-purego cross-arm64 race cover-gate bench-smoke
+# purego and arm64 cross-build steps), the race job, the fuzz job, the
+# coverage gate, and the benchmark smoke gate. Green here ⇒ green on CI
+# (modulo runner noise on bench-smoke, which CI loosens via
+# BENCH_TOLERANCE).
+ci: lint build test test-debug test-purego cross-arm64 race fuzz cover-gate bench-smoke
 
 # Formatting, go vet, the repo-specific static analyzer, and the
 # compiler escape gate (DESIGN.md §7).
@@ -35,11 +37,11 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific invariants (workspace/span balance, engine threading,
-# float equality, rand hygiene, hot-path purity, slot-reduction
-# determinism, wire bounds, cancellation). Diagnostics print as
-# file:line:col: message [check]; suppress a finding with
-# //repolint:allow <check> — reason. Runs two build configurations so
-# the debugchecks assertion files are analyzed too. See DESIGN.md §7.
+# float equality, rand hygiene, hot-path purity, cancellation).
+# Diagnostics print as file:line:col: message [check]; suppress a
+# finding with //repolint:allow <check> — reason. Runs two build
+# configurations so the debugchecks assertion files are analyzed too.
+# See DESIGN.md §7.
 repolint:
 	$(GO) run ./cmd/repolint ./...
 	$(GO) run ./cmd/repolint -tags debugchecks ./...
@@ -74,6 +76,19 @@ cross-arm64:
 
 race:
 	$(GO) test -race -timeout 10m . ./internal/... ./mat/ ./dist/ ./service/
+
+# Fuzz every decoder of untrusted bytes for FUZZTIME each, one target
+# per go test run (Go fuzzes one target at a time). The seed corpora in
+# each package's testdata/fuzz/<Name> also run under plain go test; a
+# failing input the fuzzer finds is written there as a new seed.
+FUZZ_TARGETS := service:FuzzDecodeJob service:FuzzDecodeResult \
+	service:FuzzReadFrame mat:FuzzReadBinary mat:FuzzRead
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz ./$${t%%:*} $${t##*:} for $(FUZZTIME)"; \
+		$(GO) test ./$${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" \
+			-fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # One benchmark per paper figure/table plus the ablations.
 bench:

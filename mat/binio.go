@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"unsafe"
 )
 
@@ -154,11 +155,23 @@ func (m *Dense) WriteBinary(w io.Writer) error {
 }
 
 // ReadBinary parses a matrix in the binary format from r. The header is
-// fully validated before the payload allocation is sized from it, and a
-// stream shorter than the header promises is rejected. Trailing bytes
-// are left unread (streams may carry framing); use ReadBinaryFile for
-// exact-size enforcement.
+// fully validated first, and the payload grows as bytes arrive, so
+// memory tracks what the stream delivered rather than what its header
+// claims; a stream shorter than the header promises is rejected.
+// Trailing bytes are left unread (streams may carry framing); use
+// ReadBinaryFile for exact-size enforcement.
 func ReadBinary(r io.Reader) (*Dense, error) {
+	return readBinary(r, false)
+}
+
+// binaryGrowStart is the payload capacity, in values, that an unsized
+// read starts from before doubling.
+const binaryGrowStart = 1 << 12
+
+// readBinary implements ReadBinary. With sized set, the caller has
+// checked the header against the input's length, and the payload is
+// allocated once.
+func readBinary(r io.Reader, sized bool) (*Dense, error) {
 	var h [BinaryHeaderSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return nil, fmt.Errorf("mat: reading binary header: %w", err)
@@ -167,19 +180,26 @@ func ReadBinary(r io.Reader) (*Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := make([]float64, rows*cols)
-	if hostLittleEndian {
-		if _, err := io.ReadFull(r, float64Bytes(data)); err != nil {
-			return nil, fmt.Errorf("mat: binary payload truncated (%d×%d): %w", rows, cols, err)
-		}
-		return NewDenseData(rows, cols, data), nil
+	total := rows * cols
+	start := total
+	if !sized {
+		start = min(total, binaryGrowStart)
 	}
-	buf := make([]byte, 8*cols)
-	for i := 0; i < rows; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("mat: binary payload truncated at row %d (%d×%d): %w", i, rows, cols, err)
+	data := make([]float64, 0, start)
+	for len(data) < total {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, min(len(data), total-len(data)))
 		}
-		decodeFloat64s(data[i*cols:(i+1)*cols], buf)
+		lo := len(data)
+		data = data[:min(cap(data), total)]
+		seg := data[lo:]
+		if _, err := io.ReadFull(r, float64Bytes(seg)); err != nil {
+			return nil, fmt.Errorf("mat: binary payload truncated at value %d of %d (%d×%d): %w", lo, total, rows, cols, err)
+		}
+		if !hostLittleEndian {
+			// Each value's little-endian bytes sit in its own slot.
+			decodeFloat64s(seg, float64Bytes(seg))
+		}
 	}
 	return NewDenseData(rows, cols, data), nil
 }
@@ -208,7 +228,7 @@ func ReadBinaryFile(path string) (*Dense, error) {
 	if err := checkBinarySize(f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	m, err := ReadBinary(bufio.NewReaderSize(f, 1<<20))
+	m, err := readBinary(f, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

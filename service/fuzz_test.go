@@ -1,0 +1,109 @@
+package service
+
+// Fuzz targets for the decoders of bytes read off the network. Each
+// checks, on every input:
+//
+//   - the decoder returns: no panic, no hang;
+//   - an accepted input satisfies the protocol's bounds and re-encodes
+//     to exactly the bytes the decoder consumed;
+//   - the decoder allocates at most fuzzAllocFactor bytes per input byte
+//     plus fuzzAllocSlack, so a hostile length field never chooses the
+//     allocation size (DESIGN.md §12).
+//
+// The seed corpora under testdata/fuzz/<Name> hold valid frames and the
+// hostile ones; plain `go test` runs them, `make fuzz` fuzzes from them.
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+)
+
+const (
+	fuzzAllocFactor = 4
+	fuzzAllocSlack  = 256 << 10
+
+	// fuzzMaxFrame is readFrame's size limit under fuzzing.
+	fuzzMaxFrame = 1 << 12
+)
+
+// fuzzLimits keeps accepted jobs small, so the fuzzer explores headers
+// rather than megabytes of matrix data.
+var fuzzLimits = Limits{MaxRows: 64, MaxCols: 8, MaxFrameBytes: fuzzMaxFrame}
+
+// allocBytes returns the bytes allocated while fn ran (the TotalAlloc
+// delta).
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkAllocBound fails t when a decoder's allocation outgrew its input.
+func checkAllocBound(t *testing.T, what string, alloc uint64, inputLen int) {
+	t.Helper()
+	if limit := uint64(fuzzAllocFactor*inputLen + fuzzAllocSlack); alloc > limit {
+		t.Fatalf("%s allocated %d bytes for a %d-byte input (bound %d)", what, alloc, inputLen, limit)
+	}
+}
+
+func FuzzDecodeJob(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var j *jobRequest
+		var err error
+		alloc := allocBytes(func() { j, err = decodeJob(payload, fuzzLimits) })
+		checkAllocBound(t, "decodeJob", alloc, len(payload))
+		if err != nil {
+			return
+		}
+		if len(j.Tenant) > MaxTenantLen || j.A.Rows > fuzzLimits.MaxRows || j.A.Cols > fuzzLimits.MaxCols || j.A.Rows < j.A.Cols {
+			t.Fatalf("accepted a job outside the protocol bounds: tenant of %d bytes, shape %dx%d", len(j.Tenant), j.A.Rows, j.A.Cols)
+		}
+		if enc := encodeJob(j)[1:]; !bytes.Equal(enc, payload) {
+			t.Fatalf("accepted job re-encodes to %x, input was %x", enc, payload)
+		}
+	})
+}
+
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var r *jobResult
+		var err error
+		alloc := allocBytes(func() { r, err = decodeResult(payload) })
+		checkAllocBound(t, "decodeResult", alloc, len(payload))
+		if err != nil {
+			return
+		}
+		if r.Status == StatusOK && !r.Perm.IsValid() {
+			t.Fatalf("accepted a result whose perm %v is not a permutation", r.Perm)
+		}
+		if enc := encodeResult(r)[1:]; !bytes.Equal(enc, payload) {
+			t.Fatalf("accepted result re-encodes to %x, input was %x", enc, payload)
+		}
+	})
+}
+
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		src := bytes.NewReader(in)
+		var payload []byte
+		var err error
+		alloc := allocBytes(func() { payload, err = readFrame(src, fuzzMaxFrame) })
+		checkAllocBound(t, "readFrame", alloc, len(in))
+		if err != nil {
+			return
+		}
+		if len(payload) > fuzzMaxFrame {
+			t.Fatalf("accepted a %d-byte frame over the %d-byte limit", len(payload), fuzzMaxFrame)
+		}
+		var enc bytes.Buffer
+		if err := writeFrame(&enc, payload); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := in[:len(in)-src.Len()]; !bytes.Equal(enc.Bytes(), consumed) {
+			t.Fatalf("accepted frame re-encodes to %x, consumed %x", enc.Bytes(), consumed)
+		}
+	})
+}

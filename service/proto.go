@@ -450,6 +450,9 @@ func decodeResult(payload []byte) (*jobResult, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if !r.Perm.IsValid() {
+		return nil, fmt.Errorf("service: result perm is not a permutation of %d columns", n)
+	}
 	if m < n || (len(payload)-d.off)/8 < m*n {
 		return nil, fmt.Errorf("service: implausible result height %d", m)
 	}
