@@ -13,9 +13,9 @@ FUZZTIME ?= 10s
 all: build vet test
 
 # Everything the CI workflow runs, in the same order: the lint job
-# (fmt-check + vet + repolint), the test job (with its debugchecks,
-# purego and arm64 cross-build steps), the race job, the fuzz job, the
-# coverage gate, and the benchmark smoke gate. Green here ⇒ green on CI
+# (fmt-check + vet + repolint + escapecheck), the test job (with its
+# debugchecks, purego and arm64 cross-build steps), the race job, the
+# fuzz job, the coverage gate, and the benchmark smoke gate. Green here ⇒ green on CI
 # (modulo runner noise on bench-smoke, which CI loosens via
 # BENCH_TOLERANCE).
 ci: lint build test test-debug test-purego cross-arm64 race fuzz cover-gate bench-smoke
@@ -37,17 +37,17 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific invariants (workspace/span balance, engine threading,
-# float equality, rand hygiene, hot-path purity, cancellation).
-# Diagnostics print as file:line:col: message [check]; suppress a
-# finding with //repolint:allow <check> — reason. Runs two build
-# configurations so the debugchecks assertion files are analyzed too.
-# See DESIGN.md §7.
+# float equality, rand hygiene, cancellation) over the files a plain
+# go build compiles. Diagnostics print as file:line:col: message [check];
+# suppress a finding with //repolint:allow <check> — reason. See
+# DESIGN.md §7.
 repolint:
 	$(GO) run ./cmd/repolint ./...
-	$(GO) run ./cmd/repolint -tags debugchecks ./...
 
-# Compiler escape gate: //repolint:hotpath functions must not gain heap
-# escapes beyond the checked-in baseline (cmd/escapecheck/baseline.txt).
+# Compiler escape gate, the one gate for hot-path purity:
+# //repolint:hotpath functions and annotated function literals must not
+# gain heap escapes beyond the checked-in baseline
+# (cmd/escapecheck/baseline.txt).
 escapecheck:
 	$(GO) run ./cmd/escapecheck
 

@@ -1,12 +1,27 @@
 // Command escapecheck gates heap escapes in hot-path kernels on the
-// compiler's own escape analysis.
+// compiler's own escape analysis. It is the one gate for the
+// //repolint:hotpath annotation: functions on the Gram/TRSM/GEMM inner
+// loops must not allocate.
 //
 // The repo's "0 allocs/op" claims for the Gram/TRSM/GEMM inner loops are
 // bench observations; this tool turns them into a source-level CI gate.
-// It parses every non-test Go file in the module for functions annotated
-// //repolint:hotpath, replays `go build -gcflags=-m=1 ./...` to collect
-// the compiler's escape diagnostics, and fails when an annotated
-// function carries an escape that is not in the checked-in baseline.
+// It parses every non-test Go file in the module for the annotation,
+// replays `go build -gcflags=-m=1 ./...` to collect the compiler's
+// escape diagnostics, and fails when an annotated function carries an
+// escape that is not in the checked-in baseline. The annotation takes
+// two forms: on a function's doc comment, or on the line directly above
+// a statement that binds a function literal inside a cold function,
+//
+//	//repolint:hotpath
+//	gramPanel := func(p panel, pd *mat.Dense) error { … }
+//
+// which gates that literal alone, recorded as Enclosing.gramPanel.
+//
+// Formatting and error construction show up as escapes: a
+// fmt.Sprintf, fmt.Errorf, errors.New or strconv call, or a panic with a
+// non-constant value, boxes or allocates its operands. The one blind
+// spot is a call that escapes nothing, such as log.Printf with a
+// constant format and no arguments.
 //
 // Records are normalized to file + function + message — no line numbers
 // — so unrelated edits to a file do not churn the baseline. Known,
@@ -149,16 +164,29 @@ func hotpathRanges(root string) ([]funcRange, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !annotated(fd) {
-				continue
-			}
+		marks := hotpathLines(fset, f)
+		span := func(name string, n ast.Node) {
 			out = append(out, funcRange{
 				file: rel,
-				name: fd.Name.Name,
-				from: fset.Position(fd.Pos()).Line,
-				to:   fset.Position(fd.End()).Line,
+				name: name,
+				from: fset.Position(n.Pos()).Line,
+				to:   fset.Position(n.End()).Line,
+			})
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if annotated(fd) {
+				span(fd.Name.Name, fd)
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if name := annotatedLiteral(n); name != "" && marks[fset.Position(n.Pos()).Line-1] {
+					span(fd.Name.Name+"."+name, n)
+				}
+				return true
 			})
 		}
 		return nil
@@ -177,6 +205,44 @@ func annotated(fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// hotpathLines indexes the lines of f that carry a //repolint:hotpath
+// comment: the statement form of the annotation sits on the line above
+// `x := func…` inside an otherwise cold function.
+func hotpathLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	marks := make(map[int]bool)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if strings.HasPrefix(strings.TrimSpace(c.Text), "//repolint:hotpath") {
+				marks[fset.Position(c.Pos()).Line] = true
+			}
+		}
+	}
+	return marks
+}
+
+// annotatedLiteral returns the name n binds a function literal to, for
+// `x := func…`, `x = func…` and `var x = func…`, or "" for any other
+// node.
+func annotatedLiteral(n ast.Node) string {
+	var lhs, rhs []ast.Expr
+	switch st := n.(type) {
+	case *ast.AssignStmt:
+		lhs, rhs = st.Lhs, st.Rhs
+	case *ast.ValueSpec:
+		if len(st.Names) == 1 {
+			lhs, rhs = []ast.Expr{st.Names[0]}, st.Values
+		}
+	}
+	if len(lhs) != 1 || len(rhs) != 1 {
+		return ""
+	}
+	id, ok := lhs[0].(*ast.Ident)
+	if _, lit := ast.Unparen(rhs[0]).(*ast.FuncLit); !ok || !lit {
+		return ""
+	}
+	return id.Name
 }
 
 // buildDiagnostics replays the compiler's escape analysis for every

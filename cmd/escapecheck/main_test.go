@@ -105,6 +105,47 @@ func Cold() {}
 	}
 }
 
+// TestHotpathRangesStatementForm checks the statement form of the
+// annotation: a //repolint:hotpath line directly above `x := func…` or
+// `var x = func…` inside a cold function gates that literal alone.
+func TestHotpathRangesStatementForm(t *testing.T) {
+	dir := t.TempDir()
+	src := `package k
+
+func Cold(xs []float64) float64 {
+	s := 0.0
+	//repolint:hotpath
+	add := func(v float64) {
+		s += v
+	}
+	//repolint:hotpath
+	var twice = func(v float64) float64 {
+		return 2 * v
+	}
+	plain := func() {}
+	for _, v := range xs {
+		add(twice(v))
+	}
+	plain()
+	return s
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "k.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := hotpathRanges(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []funcRange{
+		{file: "k.go", name: "Cold.add", from: 6, to: 8},
+		{file: "k.go", name: "Cold.twice", from: 10, to: 12},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("hotpathRanges:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 func TestBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.txt")
 	records := []string{

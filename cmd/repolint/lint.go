@@ -42,7 +42,6 @@ var allChecks = []*check{
 	{"enginethread", checkEngineThread},
 	{"floatcmp", checkFloatCmp},
 	{"norand", checkNoRand},
-	{"hotpath", checkHotPath},
 	{"ctxcancel", checkCtxCancel},
 }
 
@@ -222,23 +221,4 @@ func usesObject(info *types.Info, n ast.Node, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// importName returns the local name the file binds path to, or "" when
-// the file does not import path. A dot import returns ".".
-func importName(file *ast.File, path string) string {
-	for _, spec := range file.Imports {
-		p := strings.Trim(spec.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if spec.Name != nil {
-			return spec.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
 }

@@ -1,36 +1,34 @@
 package main
 
 // Module loading without golang.org/x/tools: walk the module tree, parse
-// every buildable file, topologically sort the module-local import graph,
-// and type-check each package with go/types. Standard-library imports are
-// resolved by the stdlib source importer (go/importer "source" mode), so
-// the tool runs with nothing but the Go toolchain's own GOROOT.
+// every non-test file go/build selects for this host (build.Default,
+// the same file set as a plain `go build`), topologically sort the
+// module-local import graph, and type-check each package with go/types.
+// Standard-library imports are resolved by the stdlib source importer
+// (go/importer "source" mode), so the tool runs with nothing but the Go
+// toolchain's own GOROOT.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Pkg is one module-local package: its type-checked library files plus
-// the syntax (only) of its _test.go files.
+// Pkg is one module-local package: its type-checked library files.
 type Pkg struct {
 	ImportPath string
 	Dir        string
 	Name       string
 	Files      []*ast.File // buildable non-test files, type-checked
-	TestFiles  []*ast.File // _test.go files, parsed but not type-checked
 	Types      *types.Package
 	Info       *types.Info
 }
@@ -51,18 +49,10 @@ type Module struct {
 	FuncPkg   map[*types.Func]*Pkg
 }
 
-// loadModule parses and type-checks every package under root with the
-// default build configuration (no custom tags).
+// loadModule parses and type-checks every package under root. Returned
+// errors are fatal (parse failures, import cycles, type errors): the
+// analyzers require well-typed input.
 func loadModule(root string) (*Module, []error) {
-	return loadModuleTags(root, nil)
-}
-
-// loadModuleTags parses and type-checks every package under root.
-// Custom build tags (e.g. "debugchecks") select tag-gated
-// files exactly as `go build -tags` would. Returned errors are fatal
-// (parse failures, import cycles, type errors): the analyzers require
-// well-typed input.
-func loadModuleTags(root string, tags map[string]bool) (*Module, []error) {
 	modPath, err := readModulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, []error{err}
@@ -88,7 +78,7 @@ func loadModuleTags(root string, tags map[string]bool) (*Module, []error) {
 				return filepath.SkipDir // nested module
 			}
 		}
-		pkg, perrs := parseDir(mod, root, modPath, path, tags)
+		pkg, perrs := parseDir(mod, root, modPath, path)
 		errs = append(errs, perrs...)
 		if pkg != nil {
 			byPath[pkg.ImportPath] = pkg
@@ -158,9 +148,10 @@ func (mod *Module) indexFuncDecls() {
 	}
 }
 
-// parseDir parses one directory into a Pkg, honoring //go:build
-// constraints. Directories without buildable Go files yield nil.
-func parseDir(mod *Module, root, modPath, dir string, tags map[string]bool) (*Pkg, []error) {
+// parseDir parses one directory's non-test files into a Pkg, selected
+// by build.Default.MatchFile (file-name GOOS/GOARCH suffixes and
+// //go:build lines). Directories without buildable Go files yield nil.
+func parseDir(mod *Module, root, modPath, dir string) (*Pkg, []error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, []error{err}
@@ -178,25 +169,21 @@ func parseDir(mod *Module, root, modPath, dir string, tags map[string]bool) (*Pk
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		if !match {
 			continue
 		}
 		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
+		f, err := parser.ParseFile(mod.Fset, full, nil, parser.ParseComments)
 		if err != nil {
 			errs = append(errs, err)
-			continue
-		}
-		if !buildableFile(src, tags) {
-			continue
-		}
-		f, err := parser.ParseFile(mod.Fset, full, src, parser.ParseComments)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") {
-			pkg.TestFiles = append(pkg.TestFiles, f)
 			continue
 		}
 		if pkg.Name == "" {
@@ -214,66 +201,6 @@ func parseDir(mod *Module, root, modPath, dir string, tags map[string]bool) (*Pk
 		return nil, nil
 	}
 	return pkg, nil
-}
-
-var goReleaseTag = regexp.MustCompile(`^go1\.(\d+)$`)
-
-// releaseTagSatisfied reports whether a go1.N build tag is met by the
-// running toolchain. Development toolchains (runtime.Version() not of the
-// form go1.N[.M]) satisfy every release tag.
-func releaseTagSatisfied(tag string) bool {
-	m := goReleaseTag.FindStringSubmatch(tag)
-	if m == nil {
-		return false
-	}
-	want, err := strconv.Atoi(m[1])
-	if err != nil {
-		return false
-	}
-	v := goReleaseVersion.FindStringSubmatch(runtime.Version())
-	if v == nil {
-		return true
-	}
-	have, err := strconv.Atoi(v[1])
-	if err != nil {
-		return true
-	}
-	return want <= have
-}
-
-var goReleaseVersion = regexp.MustCompile(`^go1\.(\d+)`)
-
-// buildableFile evaluates the file's //go:build constraint (if any) for
-// host GOOS/GOARCH, gc, all go1.N release tags, and the given custom
-// tags — with a nil tag set, debugchecks-gated files are excluded
-// exactly as in a plain `go build`.
-func buildableFile(src []byte, tags map[string]bool) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			return true
-		}
-		return expr.Eval(func(tag string) bool {
-			if tags[tag] {
-				return true
-			}
-			switch tag {
-			case runtime.GOOS, runtime.GOARCH, "gc":
-				return true
-			case "unix":
-				return runtime.GOOS == "linux" || runtime.GOOS == "darwin"
-			}
-			return releaseTagSatisfied(tag)
-		})
-	}
-	return true
 }
 
 // readModulePath extracts the module path from a go.mod file.

@@ -1,8 +1,8 @@
 package main
 
 // Direct coverage for the loader and driver plumbing that the golden
-// harness only exercises indirectly: build-tag file selection, allow
-// suppression placement, and findings ordering.
+// harness only exercises indirectly: file selection, allow suppression
+// placement, and findings ordering.
 
 import (
 	"go/ast"
@@ -13,39 +13,13 @@ import (
 	"testing"
 )
 
-func TestBuildableFileTags(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		tags map[string]bool
-		want bool
-	}{
-		{"no constraint", "package p\n", nil, true},
-		{"custom tag absent", "//go:build debugchecks\n\npackage p\n", nil, false},
-		{"custom tag present", "//go:build debugchecks\n\npackage p\n", map[string]bool{"debugchecks": true}, true},
-		{"negated tag default", "//go:build !debugchecks\n\npackage p\n", nil, true},
-		{"negated tag set", "//go:build !debugchecks\n\npackage p\n", map[string]bool{"debugchecks": true}, false},
-		{"and of two tags, one set", "//go:build cshim && cgo\n\npackage p\n", map[string]bool{"cshim": true}, false},
-		{"and of two tags, both set", "//go:build cshim && cgo\n\npackage p\n", map[string]bool{"cshim": true, "cgo": true}, true},
-		{"wrong GOOS", "//go:build plan9\n\npackage p\n", nil, false},
-		{"gc toolchain", "//go:build gc\n\npackage p\n", nil, true},
-		{"release floor", "//go:build go1.21\n\npackage p\n", nil, true},
-		{"future release", "//go:build go1.99\n\npackage p\n", nil, false},
-	}
-	for _, c := range cases {
-		if got := buildableFile([]byte(c.src), c.tags); got != c.want {
-			t.Errorf("%s: buildableFile = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestCollectAllowsPlacement(t *testing.T) {
 	src := `package p
 
 //repolint:allow floatcmp — constant comparison below
 var a = 1.0 == 1.0
 
-var b = computed() //repolint:allow floatcmp,hotpath — same-line form
+var b = computed() //repolint:allow floatcmp,norand — same-line form
 
 //repolint:allow all
 var c = computed()
@@ -62,7 +36,7 @@ func computed() bool { return false }
 	if !allows[3]["floatcmp"] {
 		t.Errorf("line-above comment not indexed at its own line: %v", allows)
 	}
-	if !allows[6]["floatcmp"] || !allows[6]["hotpath"] {
+	if !allows[6]["floatcmp"] || !allows[6]["norand"] {
 		t.Errorf("same-line multi-check comment not indexed: %v", allows[6])
 	}
 	if !allows[8]["all"] {
@@ -87,11 +61,11 @@ func computed() bool { return false }
 	if p.allowedAt(f, 5) {
 		t.Error("line 5 has no adjacent allow comment and must not be suppressed")
 	}
-	hot := &Pass{Mod: p.Mod, check: &check{name: "hotpath"}, allows: map[*ast.File]map[int]map[string]bool{}}
-	if hot.allowedAt(f, 4) {
-		t.Error("line-above comment names only floatcmp; hotpath must not be suppressed")
+	other := &Pass{Mod: p.Mod, check: &check{name: "norand"}, allows: map[*ast.File]map[int]map[string]bool{}}
+	if other.allowedAt(f, 4) {
+		t.Error("line-above comment names only floatcmp; norand must not be suppressed")
 	}
-	if !hot.allowedAt(f, 9) {
+	if !other.allowedAt(f, 9) {
 		t.Error("allow-all must suppress every check on the line below")
 	}
 }
@@ -118,8 +92,9 @@ func TestSortFindings(t *testing.T) {
 	}
 }
 
-// writeTestModule lays down a module with one plain file and one
-// tag-gated file.
+// writeTestModule lays down a module whose package has one plain file
+// and three that a plain `go build` leaves out: a tag-gated file, a file
+// whose name restricts it to another GOOS, and a test file.
 func writeTestModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -133,6 +108,9 @@ package a
 // DebugOnly exists only under the debugchecks tag.
 func DebugOnly() int { return 2 }
 `,
+		"a/a_plan9.go":  "package a\n\n// Plan9Only exists only on plan9.\nfunc Plan9Only() int { return 3 }\n",
+		"a/a_test.go":   "package a\n\nfunc helper() int { return undefined }\n",
+		"a/_ignored.go": "package ignored\n",
 	}
 	for name, src := range files {
 		path := filepath.Join(dir, name)
@@ -146,34 +124,19 @@ func DebugOnly() int { return 2 }
 	return dir
 }
 
+// TestLoadModuleTagSelection checks that the loader selects files as go
+// build does: the tag-gated, other-GOOS, _-prefixed and test files stay
+// out, so the package type-checks from a.go alone.
 func TestLoadModuleTagSelection(t *testing.T) {
-	dir := writeTestModule(t)
-
-	find := func(mod *Module) *Pkg {
-		for _, p := range mod.Pkgs {
-			if p.ImportPath == "tagmod/a" {
-				return p
-			}
-		}
-		t.Fatal("package tagmod/a not loaded")
-		return nil
-	}
-
-	mod, errs := loadModule(dir)
+	mod, errs := loadModule(writeTestModule(t))
 	if len(errs) > 0 {
-		t.Fatalf("default load: %v", errs)
+		t.Fatalf("load: %v", errs)
 	}
-	pkg := find(mod)
-	if len(pkg.Files) != 1 {
-		t.Errorf("default config: %d files; want 1", len(pkg.Files))
+	if len(mod.Pkgs) != 1 || mod.Pkgs[0].ImportPath != "tagmod/a" {
+		t.Fatalf("loaded %d packages; want tagmod/a alone", len(mod.Pkgs))
 	}
-
-	mod, errs = loadModuleTags(dir, map[string]bool{"debugchecks": true})
-	if len(errs) > 0 {
-		t.Fatalf("debugchecks load: %v", errs)
-	}
-	pkg = find(mod)
-	if len(pkg.Files) != 2 {
-		t.Errorf("debugchecks config: %d files; want 2 (debug.go selected)", len(pkg.Files))
+	files := mod.Pkgs[0].Files
+	if len(files) != 1 || filepath.Base(mod.Fset.File(files[0].Pos()).Name()) != "a.go" {
+		t.Errorf("selected %d files; want a.go alone", len(files))
 	}
 }

@@ -6,25 +6,29 @@
 //	workspacebalance  pooled workspaces (mat.GetWorkspace/GetFloats) are
 //	                  released on every return path
 //	spanbalance       trace.Region spans always reach .End()
-//	enginethread      kernel packages thread *parallel.Engine instead of
-//	                  touching the default-engine shims
+//	enginethread      exported kernels that fan out accept a
+//	                  *parallel.Engine
 //	floatcmp          no ==/!= between computed floating-point values
 //	norand            no global math/rand state outside testmat/ and tests
-//	hotpath           //repolint:hotpath functions stay free of fmt/log/
-//	                  errors/strconv calls and dynamic panics
 //	ctxcancel         panel/sweep loops and service accept loops observe
 //	                  cancellation once per iteration; go statements carry
 //	                  a context or engine
 //
+// Each rule has one gate. Rules another tool already enforces are not
+// repeated here: cmd/escapecheck gates //repolint:hotpath functions on
+// the compiler's escape analysis, and internal/parallel offers no
+// package-level For, Do or width knob for a kernel to call.
+//
 // Usage:
 //
-//	go run ./cmd/repolint [-tags debugchecks] ./...
+//	go run ./cmd/repolint ./...
 //
 // The package-pattern argument is accepted for familiarity but the tool
-// always analyzes the whole module containing the working directory.
-// -tags selects tag-gated files exactly as `go build -tags` would.
-// Diagnostics print as file:line:col: message [check]; the exit status
-// is 1 when findings exist, 2 on load/type-check errors, 0 otherwise.
+// always analyzes the whole module containing the working directory. It
+// reads the non-test files go/build selects for this host, the same set
+// a plain `go build` compiles. Diagnostics print as
+// file:line:col: message [check]; the exit status is 1 when findings
+// exist, 2 on load/type-check errors, 0 otherwise.
 //
 // A finding is suppressed by a comment on the same line or the line
 // directly above:
@@ -42,10 +46,8 @@ import (
 )
 
 func main() {
-	tagsFlag := flag.String("tags", "", "comma-separated build tags, as in go build -tags")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repolint [-tags t1,t2] [./...]\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "usage: repolint [./...]\n")
 	}
 	flag.Parse()
 
@@ -60,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	mod, errs := loadModuleTags(root, parseTags(*tagsFlag))
+	mod, errs := loadModule(root)
 	if len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintln(os.Stderr, "repolint: load:", e)
@@ -76,20 +78,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// parseTags splits the -tags flag into a build-tag set.
-func parseTags(spec string) map[string]bool {
-	if spec == "" {
-		return nil
-	}
-	tags := make(map[string]bool)
-	for _, t := range strings.Split(spec, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			tags[t] = true
-		}
-	}
-	return tags
 }
 
 // findModuleRoot walks up from dir to the nearest directory holding go.mod.

@@ -66,8 +66,8 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
-// collectWants indexes every // want comment in the fixture module
-// (library and test files alike) by file:line.
+// collectWants indexes every // want comment in the fixture module by
+// file:line.
 func collectWants(t *testing.T, mod *Module) map[string][]*wantExpect {
 	t.Helper()
 	wants := make(map[string][]*wantExpect)
@@ -92,9 +92,6 @@ func collectWants(t *testing.T, mod *Module) map[string][]*wantExpect {
 	}
 	for _, pkg := range mod.Pkgs {
 		for _, f := range pkg.Files {
-			add(f)
-		}
-		for _, f := range pkg.TestFiles {
 			add(f)
 		}
 	}

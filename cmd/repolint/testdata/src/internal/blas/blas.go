@@ -1,6 +1,6 @@
-// Package blas seeds enginethread violations: it sits at the guarded
-// import path repro/internal/blas, calls a default-engine shim, and
-// exports a kernel that fans out without accepting an engine.
+// Package blas seeds an enginethread violation: it sits at the guarded
+// import path repro/internal/blas and exports a kernel that fans out
+// without accepting an engine.
 package blas
 
 import "repro/internal/parallel"
@@ -15,14 +15,6 @@ func Scale(x []float64, alpha float64) { // want "exported kernel Scale uses the
 			x[i] *= alpha
 		}
 	})
-}
-
-func setGlobalWidth(n int) {
-	parallel.SetMaxWorkers(n) // want "call to default-engine shim parallel.SetMaxWorkers"
-}
-
-func readGlobalWidth() int {
-	return parallel.MaxWorkers() // want "call to default-engine shim parallel.MaxWorkers"
 }
 
 // Axpy threads the engine explicitly, so it is not flagged even though

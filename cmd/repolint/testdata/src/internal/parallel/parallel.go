@@ -1,7 +1,6 @@
 // Package parallel stubs the execution-engine API of the real
 // repro/internal/parallel package: the Engine type the enginethread check
-// wants threaded, and the default-engine shims it bans from kernel
-// packages.
+// wants threaded.
 package parallel
 
 // Engine bounds the parallel width of the calls it is passed to.
@@ -39,27 +38,7 @@ func (e *Engine) Do(tasks ...func()) {
 	}
 }
 
-// SetMaxWorkers mutates the process-global default width (a shim the
-// enginethread check flags inside kernel packages).
-func SetMaxWorkers(n int) { _ = n }
-
-// MaxWorkers reads the process-global default width (also a shim).
-func MaxWorkers() int { return 1 }
-
-// For is the package-level default-engine shim.
-func For(n, minGrain int, body func(lo, hi int)) {
-	_ = minGrain
-	body(0, n)
-}
-
-// Do is the package-level default-engine shim.
-func Do(tasks ...func()) {
-	for _, t := range tasks {
-		t()
-	}
-}
-
-// Split is allowed everywhere: its width is an explicit argument.
+// Split takes its width as an explicit argument.
 func Split(n, parts int) []int {
 	_ = parts
 	return []int{0, n}

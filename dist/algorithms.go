@@ -80,7 +80,7 @@ func CholQR(comm Comm, aLocal *mat.Dense) (*mat.Dense, error) {
 // sweeper, stopping at rankCap pivots.
 func iteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64, rankCap int) (*core.CPResult, error) {
 	sw := sweeper{DenseSweeper: core.NewDenseSweeperCopy(nil, aLocal), comm: comm}
-	res, err := core.IteCholQRCPSweeps(nil, aLocal.Cols, sw, eps, rankCap, nil)
+	res, err := core.IteCholQRCPSweeps(nil, aLocal.Cols, sw, eps, rankCap)
 	if err != nil {
 		return nil, err
 	}

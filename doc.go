@@ -55,17 +55,11 @@
 // Worker bounds are per-engine (and per-call via Options.Workers), never
 // process-global, so any number of engines can run concurrently.
 //
-// Migration note: the deprecated process-global width shim
-// parallel.SetMaxWorkers/MaxWorkers has been removed. Code that called it
-// should construct an engine of the desired width with NewEngine (or
-// derive one with Engine.WithWorkers) and pass per-call overrides through
-// Options.Workers.
-//
 // # Kernels
 //
 // The hot kernels (Gram/SYRK, GEMM, triangular solve, the fused
-// permute→TRSM→Gram pass, and the sketch's row scatter) are pure Go with
-// one implementation each. GEMM, SYRK and the right-side TRSM run on two
+// permute→TRSM→Gram pass, and the sketch's row scatter) have one
+// implementation each. GEMM, SYRK and the right-side TRSM run on two
 // register-tiled kernels, and every output element is one fused
 // multiply-add chain over its summation index in ascending order; on
 // amd64 the tiles run as AVX-512 or AVX2+FMA assembly, picked from CPUID

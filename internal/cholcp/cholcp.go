@@ -77,8 +77,8 @@ func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Resul
 	if maxPiv > n {
 		maxPiv = n
 	}
-	if debugChecksEnabled {
-		debugCheckFinite("PCholCP input W", w)
+	if mat.DebugChecks {
+		mat.CheckFinite("cholcp", "PCholCP input W", w)
 	}
 	sp := trace.Region(trace.KernelPCholCP)
 	defer sp.End()

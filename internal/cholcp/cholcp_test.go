@@ -399,7 +399,7 @@ func TestPCholCPBlockedMatchesUnblocked(t *testing.T) {
 
 	// NaN on the diagonal or off it (the debugchecks build rejects
 	// non-finite input up front).
-	if !debugChecksEnabled {
+	if !mat.DebugChecks {
 		for _, c := range []struct{ i, j int }{{0, 0}, {13, 13}, {3, 27}, {20, 21}} {
 			w := gram(rng, 80, 30, nil)
 			w.Set(c.i, c.j, math.NaN())

@@ -81,8 +81,8 @@ func CholQR2InPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
 	blas.Gram(e, w, a)
 	sg.End()
 	trace.AddFlops(trace.StageGram, int64(a.Rows)*int64(n)*int64(n+1))
-	if debugChecksEnabled {
-		debugCheckFinite("CholQR Gram matrix", w)
+	if mat.DebugChecks {
+		mat.CheckFinite("core", "CholQR Gram matrix", w)
 	}
 	sc := trace.Region(trace.StageCholCP)
 	err := lapack.PotrfUpper(e, w)
@@ -103,8 +103,8 @@ func CholQR2InPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
 	trace.AddFlops(trace.StageFused,
 		int64(a.Rows)*int64(n)*int64(n)+int64(a.Rows)*int64(n)*int64(n+1))
 	trace.AddBytes(trace.StageFused, 2*8*int64(a.Rows)*int64(n))
-	if debugChecksEnabled {
-		debugCheckFinite("CholQR Gram matrix", w2)
+	if mat.DebugChecks {
+		mat.CheckFinite("core", "CholQR Gram matrix", w2)
 	}
 
 	sc2 := trace.Region(trace.StageCholCP)

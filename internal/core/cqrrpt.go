@@ -104,7 +104,7 @@ func CQRRPT(e *parallel.Engine, a *mat.Dense, eps float64, seed uint64) (*CPResu
 		return res, err
 	}
 	trace.Inc(trace.CtrSketchFallbacks)
-	return FullRank(iteCholQRCP(e, a, eps, a.Cols, nil))
+	return FullRank(iteCholQRCP(e, a, eps, a.Cols))
 }
 
 // cqrrptGaussianDomain separates the Gaussian retry's random stream from
@@ -174,9 +174,9 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	trace.AddFlops(trace.StagePrecond,
 		int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))
 	trace.AddBytes(trace.StagePrecond, 2*8*int64(m)*int64(n))
-	if debugChecksEnabled {
-		debugCheckFinite("CQRRPT preconditioned matrix", aw)
-		debugCheckFinite("CQRRPT preconditioned Gram matrix", w)
+	if mat.DebugChecks {
+		mat.CheckFinite("core", "CQRRPT preconditioned matrix", aw)
+		mat.CheckFinite("core", "CQRRPT preconditioned Gram matrix", w)
 	}
 
 	// One CholQR on the preconditioned matrix: R_e = chol(W), Q = A_p·R_e⁻¹.
@@ -243,9 +243,9 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	blas.TrmmLeftUpperNoTrans(w, rsk)
 	sm.End()
 	trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(n, n))
-	if debugChecksEnabled {
-		debugCheckFinite("CQRRPT orthonormal factor", aw)
-		debugCheckFinite("CQRRPT triangular factor", rsk)
+	if mat.DebugChecks {
+		mat.CheckFinite("core", "CQRRPT orthonormal factor", aw)
+		mat.CheckFinite("core", "CQRRPT triangular factor", rsk)
 	}
 	return &CPResult{Q: aw, R: rsk, Perm: jpvt, Iterations: passes}, nil
 }

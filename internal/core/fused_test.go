@@ -37,7 +37,7 @@ func (s unfusedSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 // iteCholQRCPUnfused is iteCholQRCP over the unfused reference sweeper.
 func iteCholQRCPUnfused(e *parallel.Engine, a *mat.Dense, eps float64) (*CPResult, error) {
 	sw := unfusedSweeper{NewDenseSweeper(e, a.Clone())}
-	res, err := FullRank(IteCholQRCPSweeps(e, a.Cols, sw, eps, a.Cols, nil))
+	res, err := FullRank(IteCholQRCPSweeps(e, a.Cols, sw, eps, a.Cols))
 	if err != nil {
 		return nil, err
 	}

@@ -64,21 +64,7 @@ func IteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64) (*CPResult, erro
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCP needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	return FullRank(iteCholQRCP(e, a, eps, a.Cols, nil))
-}
-
-// IterTrace receives per-iteration state for instrumentation (used by the
-// experiment harness to reproduce Fig. 3). It is called after each
-// pivoting iteration with the iteration index, the number of new pivots,
-// and the permutation accumulated so far.
-type IterTrace func(iter, newPivots int, perm mat.Perm)
-
-// IteCholQRCPTraced is IteCholQRCP with a per-iteration callback.
-func IteCholQRCPTraced(e *parallel.Engine, a *mat.Dense, eps float64, trace IterTrace) (*CPResult, error) {
-	if a.Rows < a.Cols {
-		panic(fmt.Sprintf("core: IteCholQRCP needs a tall matrix, got %d×%d", a.Rows, a.Cols))
-	}
-	return FullRank(iteCholQRCP(e, a, eps, a.Cols, trace))
+	return FullRank(iteCholQRCP(e, a, eps, a.Cols))
 }
 
 // iteCholQRCP is the in-core entry point: it runs the shared sweep
@@ -87,9 +73,9 @@ func IteCholQRCPTraced(e *parallel.Engine, a *mat.Dense, eps float64, trace Iter
 // attaches the working matrix (now Q) to the result. All algorithm
 // logic lives in IteCholQRCPSweeps so the out-of-core and distributed
 // paths replay the exact same replicated steps.
-func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int, iterCB IterTrace) (*CPResult, error) {
+func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int) (*CPResult, error) {
 	sw := NewDenseSweeperCopy(e, a)
-	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, rankCap, iterCB)
+	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, rankCap)
 	if err != nil {
 		return nil, err
 	}

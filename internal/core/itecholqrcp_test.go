@@ -139,31 +139,6 @@ func TestIteCholQRCPIterationCount(t *testing.T) {
 	}
 }
 
-func TestIteCholQRCPTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(116))
-	a := testmat.Generate(rng, 300, 16, 13, 1e-12)
-	var iters []int
-	var counts []int
-	res, err := IteCholQRCPTraced(nil, a, 1e-5, func(it, kNew int, perm mat.Perm) {
-		iters = append(iters, it)
-		counts = append(counts, kNew)
-		if !perm.IsValid() {
-			t.Fatalf("trace got invalid perm at iter %d", it)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iters) != res.Iterations {
-		t.Fatalf("trace called %d times, want %d", len(iters), res.Iterations)
-	}
-	for i, c := range counts {
-		if c != res.PivotCounts[i] {
-			t.Fatalf("trace counts %v != result counts %v", counts, res.PivotCounts)
-		}
-	}
-}
-
 func TestIteCholQRCPFullRankNoGap(t *testing.T) {
 	// n = r (no trailing roundoff directions), moderately conditioned.
 	rng := rand.New(rand.NewSource(117))
@@ -251,7 +226,7 @@ func mustPanicC(t *testing.T, f func()) {
 
 func TestIteCholQRCPNaNInputFailsCleanly(t *testing.T) {
 	// Non-finite input must produce an error, never a hang or panic.
-	if debugChecksEnabled {
+	if mat.DebugChecks {
 		t.Skip("debugchecks converts the graceful non-finite error path into a deliberate panic")
 	}
 	rng := rand.New(rand.NewSource(128))

@@ -35,7 +35,7 @@ func IteCholQRCPPartial(e *parallel.Engine, a *mat.Dense, eps float64, targetRan
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCPPartial needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	res, err := iteCholQRCP(e, a, eps, targetRank, nil)
+	res, err := iteCholQRCP(e, a, eps, targetRank)
 	if err != nil {
 		return nil, err
 	}

@@ -59,8 +59,8 @@ func CholQRSweep(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 	if err := sw.Gram(w); err != nil {
 		return err
 	}
-	if debugChecksEnabled {
-		debugCheckFinite("CholQR Gram matrix", w)
+	if mat.DebugChecks {
+		mat.CheckFinite("core", "CholQR Gram matrix", w)
 	}
 	k := w.Rows
 	sc := trace.Region(trace.StageCholCP)
@@ -85,7 +85,7 @@ func CholQRSweep(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 // rankCap = n and treat Rank < n as ErrStall. Returns a CPResult without
 // Q — the sweeper owns the working matrix, so the caller attaches (or
 // streams) Q itself.
-func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankCap int, iterCB IterTrace) (*CPResult, error) {
+func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankCap int) (*CPResult, error) {
 	if eps < 0 || eps >= 1 {
 		panic(fmt.Sprintf("core: IteCholQRCP tolerance %g outside [0,1)", eps))
 	}
@@ -206,9 +206,6 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 		k += kNew
 		res.Iterations = iter + 1
 		res.PivotCounts = append(res.PivotCounts, kNew)
-		if iterCB != nil {
-			iterCB(iter, kNew, perm.Clone())
-		}
 	}
 
 	// Line 17: reorthogonalization by one plain CholQR pass over the k

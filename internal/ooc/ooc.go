@@ -107,7 +107,7 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 		sw.qw = qw
 	}
 
-	res, err := core.IteCholQRCPSweeps(e, n, sw, cfg.Eps, n, nil)
+	res, err := core.IteCholQRCPSweeps(e, n, sw, cfg.Eps, n)
 	if err != nil {
 		if sw.qw != nil {
 			sw.qw.Close()

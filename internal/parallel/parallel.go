@@ -18,11 +18,6 @@ import (
 	"repro/internal/trace"
 )
 
-// The process-global SetMaxWorkers/MaxWorkers width knob is gone: width
-// is engine-scoped (NewEngine / Engine.WithWorkers), and the default
-// engine's width is simply GOMAXPROCS. The worker pool sizes itself to
-// GOMAXPROCS-1 (see pool.go).
-
 // Range describes a half-open index interval [Lo, Hi).
 type Range struct {
 	Lo, Hi int
@@ -71,12 +66,6 @@ func clampParts(n, parts, minChunk int) int {
 	return parts
 }
 
-// For runs body(lo, hi) over a partition of [0, n) on the default engine:
-// up to GOMAXPROCS ways of parallelism. See Engine.For for the contract.
-func For(n, minChunk int, body func(lo, hi int)) {
-	(*Engine)(nil).For(n, minChunk, body)
-}
-
 // runInline executes one chunk on the calling goroutine, attributing its
 // busy time to utilization slot 0 when tracing is enabled.
 func runInline(body func(lo, hi int), lo, hi int) {
@@ -100,10 +89,4 @@ func runInlineTask(fn func()) {
 		return
 	}
 	fn()
-}
-
-// Do runs each task concurrently on the default engine and waits for all
-// of them. See Engine.Do for the contract.
-func Do(tasks ...func()) {
-	(*Engine)(nil).Do(tasks...)
 }

@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// defaultEngine is the nil engine: GOMAXPROCS wide, no cancellation.
+var defaultEngine *Engine
+
 func TestSplitCoversRange(t *testing.T) {
 	cases := []struct {
 		n, parts, minChunk int
@@ -70,7 +73,7 @@ func TestSplitProperty(t *testing.T) {
 func TestForVisitsEveryIndexOnce(t *testing.T) {
 	const n = 10007
 	var hits [n]int32
-	For(n, 1, func(lo, hi int) {
+	defaultEngine.For(n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -84,7 +87,7 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 
 func TestForSmallRunsInline(t *testing.T) {
 	calls := 0
-	For(3, 100, func(lo, hi int) {
+	defaultEngine.For(3, 100, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 3 {
 			t.Fatalf("got [%d,%d), want [0,3)", lo, hi)
@@ -96,7 +99,7 @@ func TestForSmallRunsInline(t *testing.T) {
 }
 
 func TestForZero(t *testing.T) {
-	For(0, 1, func(lo, hi int) { t.Fatal("body must not run for n=0") })
+	defaultEngine.For(0, 1, func(lo, hi int) { t.Fatal("body must not run for n=0") })
 }
 
 func TestEngineWidthBound(t *testing.T) {
@@ -138,7 +141,7 @@ func TestEngineDerivationsKeepWidthAndContext(t *testing.T) {
 
 func TestDo(t *testing.T) {
 	var sum int64
-	Do(
+	defaultEngine.Do(
 		func() { atomic.AddInt64(&sum, 1) },
 		func() { atomic.AddInt64(&sum, 10) },
 		func() { atomic.AddInt64(&sum, 100) },
@@ -146,8 +149,8 @@ func TestDo(t *testing.T) {
 	if sum != 111 {
 		t.Fatalf("sum = %d, want 111", sum)
 	}
-	Do() // must not panic
-	Do(func() { atomic.AddInt64(&sum, 1) })
+	defaultEngine.Do() // must not panic
+	defaultEngine.Do(func() { atomic.AddInt64(&sum, 1) })
 	if sum != 112 {
 		t.Fatalf("sum = %d, want 112", sum)
 	}

@@ -131,7 +131,7 @@ func TestDoTasksTrulyConcurrent(t *testing.T) {
 // the pool limit across many regions.
 func TestWorkerReuse(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		For(1<<12, 1, func(lo, hi int) {})
+		defaultEngine.For(1<<12, 1, func(lo, hi int) {})
 	}
 	spawned, idle := poolStats()
 	if limit := runtime.GOMAXPROCS(0) - 1; spawned > limit {

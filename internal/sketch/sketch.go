@@ -85,8 +85,8 @@ func ApplySparse(e *parallel.Engine, sa, a *mat.Dense, nnz int, seed uint64) {
 	trace.AddFlops(trace.KernelSketch, 2*int64(m)*int64(n)*int64(nnz))
 	trace.AddBytes(trace.KernelSketch, 8*int64(m)*int64(n))
 	apply(e, sa, a, kernelArgs{gaussian: false, nnz: nnz, seed: seed})
-	if debugChecksEnabled {
-		debugCheckFinite("sparse-sign sketch output", sa)
+	if mat.DebugChecks {
+		mat.CheckFinite("sketch", "sparse-sign sketch output", sa)
 	}
 }
 
@@ -106,8 +106,8 @@ func ApplyGaussian(e *parallel.Engine, sa, a *mat.Dense, seed uint64) {
 	trace.AddFlops(trace.KernelSketch, 2*int64(d)*int64(m)*int64(n))
 	trace.AddBytes(trace.KernelSketch, 8*int64(m)*int64(n))
 	apply(e, sa, a, kernelArgs{gaussian: true, seed: seed})
-	if debugChecksEnabled {
-		debugCheckFinite("Gaussian sketch output", sa)
+	if mat.DebugChecks {
+		mat.CheckFinite("sketch", "Gaussian sketch output", sa)
 	}
 }
 

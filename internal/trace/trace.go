@@ -157,23 +157,6 @@ const (
 	// guard rejected the sketch preconditioner (the run retried with the
 	// Gaussian sketch or fell back to the iterated path).
 	CtrSketchFallbacks
-	// CtrServeAccepted counts jobs admitted by the service front door
-	// (queued into a bucket; they later resolve to a completed, failed, or
-	// deadline-exceeded response).
-	CtrServeAccepted
-	// CtrServeRejectedQueue counts jobs rejected by the service because
-	// the bounded admission queue was full (backpressure, not buffering).
-	CtrServeRejectedQueue
-	// CtrServeRejectedTenant counts jobs rejected because the requesting
-	// tenant had exhausted its engine-width budget.
-	CtrServeRejectedTenant
-	// CtrServeDeadline counts served jobs that missed their deadline:
-	// expired while queued, cancelled mid-factorization through the engine
-	// context, or completed after the deadline had already passed.
-	CtrServeDeadline
-	// CtrServeBatches counts bucket flushes dispatched through
-	// Engine.QRCPBatch (each flush is one batch of same-shape jobs).
-	CtrServeBatches
 	// CtrOOCBytesRead counts payload bytes read from disk by the
 	// out-of-core path (input file + scratch re-reads). One full Gram
 	// sweep over an m×n file-backed matrix adds exactly 8·m·n, so
@@ -198,8 +181,6 @@ var counterNames = [numCounters]string{
 	"iterations", "pivots_fixed", "eps_exits", "breakdowns",
 	"workspace_gets", "workspace_misses", "worker_dispatches", "worker_inline_chunks",
 	"sketch_fallbacks",
-	"serve_accepted", "serve_rejected_queue", "serve_rejected_tenant",
-	"serve_deadline_exceeded", "serve_batches",
 	"ooc_bytes_read", "ooc_panels_read", "ooc_prefetch_stalls",
 	"ooc_prefetch_stall_ns",
 }

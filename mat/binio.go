@@ -161,17 +161,6 @@ func (m *Dense) WriteBinary(w io.Writer) error {
 // Trailing bytes are left unread (streams may carry framing); use
 // ReadBinaryFile for exact-size enforcement.
 func ReadBinary(r io.Reader) (*Dense, error) {
-	return readBinary(r, false)
-}
-
-// binaryGrowStart is the payload capacity, in values, that an unsized
-// read starts from before doubling.
-const binaryGrowStart = 1 << 12
-
-// readBinary implements ReadBinary. With sized set, the caller has
-// checked the header against the input's length, and the payload is
-// allocated once.
-func readBinary(r io.Reader, sized bool) (*Dense, error) {
 	var h [BinaryHeaderSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return nil, fmt.Errorf("mat: reading binary header: %w", err)
@@ -180,11 +169,19 @@ func readBinary(r io.Reader, sized bool) (*Dense, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readPayload(r, rows, cols, min(rows*cols, binaryGrowStart))
+}
+
+// binaryGrowStart is the payload capacity, in values, that an unsized
+// read starts from before doubling.
+const binaryGrowStart = 1 << 12
+
+// readPayload reads the rows×cols values that follow a validated header,
+// into a buffer that starts at start values and doubles as bytes arrive.
+// A caller that has checked the header against the input's length
+// passes start = rows·cols, so the payload is allocated once.
+func readPayload(r io.Reader, rows, cols, start int) (*Dense, error) {
 	total := rows * cols
-	start := total
-	if !sized {
-		start = min(total, binaryGrowStart)
-	}
 	data := make([]float64, 0, start)
 	for len(data) < total {
 		if len(data) == cap(data) {
@@ -225,10 +222,11 @@ func ReadBinaryFile(path string) (*Dense, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if err := checkBinarySize(f); err != nil {
+	rows, cols, err := checkBinarySize(f)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	m, err := readBinary(f, true)
+	m, err := readPayload(f, rows, cols, rows*cols)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -314,24 +312,25 @@ func (w *BinaryWriter) Close() error {
 	return nil
 }
 
-// checkBinarySize validates f's header against its on-disk size without
-// consuming the reader position.
-func checkBinarySize(f *os.File) error {
+// checkBinarySize reads the header of the freshly opened f, validates
+// it against the file's size and returns the dimensions; f is left
+// positioned at the payload.
+func checkBinarySize(f *os.File) (rows, cols int, err error) {
 	var h [BinaryHeaderSize]byte
-	if _, err := f.ReadAt(h[:], 0); err != nil {
-		return fmt.Errorf("mat: reading binary header: %w", err)
+	if _, err := io.ReadFull(f, h[:]); err != nil {
+		return 0, 0, fmt.Errorf("mat: reading binary header: %w", err)
 	}
-	rows, cols, err := parseBinaryHeader(h[:])
+	rows, cols, err = parseBinaryHeader(h[:])
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	want := int64(BinaryHeaderSize) + binaryPayloadBytes(rows, cols)
 	if fi.Size() != want {
-		return fmt.Errorf("mat: file size %d does not match header (%d×%d wants %d)", fi.Size(), rows, cols, want)
+		return 0, 0, fmt.Errorf("mat: file size %d does not match header (%d×%d wants %d)", fi.Size(), rows, cols, want)
 	}
-	return nil
+	return rows, cols, nil
 }

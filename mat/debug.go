@@ -1,8 +1,8 @@
 // Sanitizer-style runtime assertions, compiled in only with the
 // `debugchecks` build tag (see debugchecks_on.go / debugchecks_off.go).
-// In normal builds debugChecksEnabled is a false constant, every guard
-// below sits behind `if debugChecksEnabled`, and the compiler removes the
-// calls entirely — the hot path pays nothing.
+// In normal builds DebugChecks is a false constant, every guard sits
+// behind `if DebugChecks` — here and in the kernel packages — and the
+// compiler removes the calls entirely: the hot path pays nothing.
 
 package mat
 
@@ -29,10 +29,24 @@ func FirstNonFinite(m *Dense) (i, j int, found bool) {
 	return 0, 0, false
 }
 
+// CheckFinite panics when m holds a NaN or ±Inf, with a message that
+// names the calling package (pkg), the checked value (what) and the
+// first bad element. It is the debugchecks sanitizer at kernel
+// boundaries: in production builds a non-finite Gram matrix or sketch
+// flows on and surfaces as a breakdown or stall (or garbage pivots);
+// under the tag the run stops at the first boundary that saw the bad
+// value, which pins the origin of the corruption. Callers gate it
+// behind DebugChecks.
+func CheckFinite(pkg, what string, m *Dense) {
+	if i, j, found := FirstNonFinite(m); found {
+		panic(fmt.Sprintf("%s: debugchecks: %s contains non-finite value at (%d,%d)", pkg, what, i, j))
+	}
+}
+
 // debugCheckHeader panics when m's header is internally inconsistent: a
 // negative dimension, a stride narrower than the column count, or a
 // backing slice too short to hold the last row. Callers gate it behind
-// debugChecksEnabled.
+// DebugChecks.
 func (m *Dense) debugCheckHeader(ctx string) {
 	if m.Rows < 0 || m.Cols < 0 {
 		panic(fmt.Sprintf("mat: debugchecks: %s on %d×%d matrix (negative dimension)", ctx, m.Rows, m.Cols))

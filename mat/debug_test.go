@@ -63,3 +63,16 @@ func TestFirstNonFinite(t *testing.T) {
 		t.Fatalf("FirstNonFinite = (%d,%d,%v), want (0,3,true)", i, j, found)
 	}
 }
+
+func TestCheckFiniteMessage(t *testing.T) {
+	m := NewDense(2, 3)
+	CheckFinite("core", "Gram matrix", m) // finite: no panic
+	m.Set(1, 0, math.Inf(1))
+	defer func() {
+		want := "core: debugchecks: Gram matrix contains non-finite value at (1,0)"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+	}()
+	CheckFinite("core", "Gram matrix", m)
+}

@@ -2,7 +2,7 @@
 
 package mat
 
-// debugChecksEnabled gates the sanitizer assertions in debug.go. In
-// normal builds it is a false constant, so every guarded check is
-// eliminated at compile time.
-const debugChecksEnabled = false
+// DebugChecks gates the sanitizer assertions in this package and in the
+// kernel packages that import it. In normal builds it is a false
+// constant, so every guarded check is eliminated at compile time.
+const DebugChecks = false

@@ -2,7 +2,7 @@
 
 package mat
 
-// debugChecksEnabled gates the sanitizer assertions in debug.go. Build
-// with `-tags debugchecks` to turn header-consistency guards and the
-// non-finite scans on.
-const debugChecksEnabled = true
+// DebugChecks gates the sanitizer assertions in this package and in the
+// kernel packages that import it. Build with `-tags debugchecks` to turn
+// the header-consistency guards and the non-finite scans on.
+const DebugChecks = true

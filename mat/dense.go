@@ -101,7 +101,7 @@ func (m *Dense) SetCol(j int, src []float64) {
 // Slice returns a view of rows [i0,i1) and columns [j0,j1). The view shares
 // storage with m; writes through either are visible in both.
 func (m *Dense) Slice(i0, i1, j0, j1 int) *Dense {
-	if debugChecksEnabled {
+	if DebugChecks {
 		m.debugCheckHeader("Slice")
 	}
 	if i0 < 0 || i1 < i0 || i1 > m.Rows || j0 < 0 || j1 < j0 || j1 > m.Cols {
@@ -132,7 +132,7 @@ func (m *Dense) Clone() *Dense {
 
 // Copy copies src into m; dimensions must match exactly.
 func (m *Dense) Copy(src *Dense) {
-	if debugChecksEnabled {
+	if DebugChecks {
 		m.debugCheckHeader("Copy dst")
 		src.debugCheckHeader("Copy src")
 	}

@@ -28,16 +28,7 @@ func OpenBinary(path string) (*FileMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkBinarySize(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	var h [BinaryHeaderSize]byte
-	if _, err := f.ReadAt(h[:], 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	rows, cols, err := parseBinaryHeader(h[:])
+	rows, cols, err := checkBinarySize(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)

@@ -37,7 +37,9 @@ func textSizeHint(r io.Reader) int64 {
 
 func readSized(r io.Reader, sizeHint int64) (*Dense, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	// No initial buffer: the scanner starts at 4 KiB and doubles up to
+	// the 64 MiB line cap, so a small input costs a small buffer.
+	sc.Buffer(nil, 1<<26)
 	var data []float64
 	rows, cols := 0, -1
 	for sc.Scan() {

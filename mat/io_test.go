@@ -43,6 +43,35 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadSmallInputAllocatesLittle checks that the text reader's line
+// buffer tracks the input: a 2×2 matrix must not pay for a buffer sized
+// for the 64 MiB line cap.
+func TestReadSmallInputAllocatesLittle(t *testing.T) {
+	in := "1 2\n3 4\n"
+	var err error
+	alloc := allocBytes(func() { _, err = Read(strings.NewReader(in)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc >= 64<<10 {
+		t.Fatalf("Read of a %d-byte input allocated %d bytes, want < 64 KiB", len(in), alloc)
+	}
+}
+
+// TestReadLongLine checks that the line buffer grows past its small
+// start for a row far wider than 4 KiB.
+func TestReadLongLine(t *testing.T) {
+	const cols = 100000
+	line := strings.Repeat("1.5 ", cols)
+	m, err := Read(strings.NewReader(line + "\n" + line + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rows != 2 || m.Cols != cols || m.At(1, cols-1) != 1.5 {
+		t.Fatalf("parsed %d×%d", m.Rows, m.Cols)
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	m := NewDense(7, 5)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	tsqrcp "repro"
-	"repro/internal/trace"
 	"repro/mat"
 )
 
@@ -247,7 +246,6 @@ func (b *bucketer) spawn(key shapeKey, jobs []*pendingJob) {
 func (b *bucketer) run(key shapeKey, jobs []*pendingJob) {
 	defer b.dispatch.Done()
 	b.stats.batches.Add(1)
-	trace.Inc(trace.CtrServeBatches)
 
 	// Admission-queue deadline check: a job whose deadline passed while
 	// it waited in the bucket is rejected without compute.
@@ -327,6 +325,5 @@ func (b *bucketer) run(key shapeKey, jobs []*pendingJob) {
 // expire delivers a deadline-exceeded result.
 func (b *bucketer) expire(j *pendingJob) {
 	b.stats.deadline.Add(1)
-	trace.Inc(trace.CtrServeDeadline)
 	j.deliver(&jobResult{ID: j.req.ID, Status: StatusDeadlineExceeded, Msg: "deadline exceeded before a result was produced"})
 }

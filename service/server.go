@@ -18,11 +18,9 @@
 //   - per-job deadlines, propagated into the engine's cooperative
 //     cancellation (Engine.WithContext) through the batch context.
 //
-// Every decision increments both a server-local Stats counter and the
-// matching internal/trace counter (serve_accepted,
-// serve_rejected_queue, serve_rejected_tenant, serve_deadline_exceeded,
-// serve_batches), so a -trace run of cmd/qrcpd shows the service and
-// kernel layers in one breakdown. See DESIGN.md §12.
+// Every decision increments one server-local counter, read through
+// Server.Stats (cmd/qrcpd prints it on exit); internal/trace covers the
+// kernel layers underneath. See DESIGN.md §12.
 package service
 
 import (
@@ -37,7 +35,6 @@ import (
 	"time"
 
 	tsqrcp "repro"
-	"repro/internal/trace"
 )
 
 // Config parameterizes a Server. The zero value of every field selects
@@ -389,7 +386,6 @@ func (s *Server) admit(job *jobRequest, w *connWriter, inflight *sync.WaitGroup)
 	if s.pending.Add(1) > int64(s.cfg.MaxPending) {
 		s.pending.Add(-1)
 		s.stats.rejectedQueue.Add(1)
-		trace.Inc(trace.CtrServeRejectedQueue)
 		reject(StatusOverloaded, fmt.Sprintf("admission queue full (%d pending)", s.cfg.MaxPending))
 		return
 	}
@@ -399,7 +395,6 @@ func (s *Server) admit(job *jobRequest, w *connWriter, inflight *sync.WaitGroup)
 		s.mu.Unlock()
 		s.pending.Add(-1)
 		s.stats.rejectedTenant.Add(1)
-		trace.Inc(trace.CtrServeRejectedTenant)
 		reject(StatusOverloaded, fmt.Sprintf("tenant %q over its width budget (%d)", job.Tenant, s.cfg.TenantWidth))
 		return
 	}
@@ -407,7 +402,6 @@ func (s *Server) admit(job *jobRequest, w *connWriter, inflight *sync.WaitGroup)
 	s.mu.Unlock()
 
 	s.stats.accepted.Add(1)
-	trace.Inc(trace.CtrServeAccepted)
 	s.jobs.Add(1)
 	inflight.Add(1)
 
