@@ -47,7 +47,8 @@ repolint:
 # Compiler escape gate, the one gate for hot-path purity:
 # //repolint:hotpath functions and annotated function literals must not
 # gain heap escapes beyond the checked-in baseline
-# (cmd/escapecheck/baseline.txt).
+# (cmd/escapecheck/baseline.txt). It compiles the host build and the
+# -tags purego build, so the Go fallback tiles are gated too.
 escapecheck:
 	$(GO) run ./cmd/escapecheck
 

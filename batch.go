@@ -11,9 +11,8 @@ import (
 
 // BatchOptions control QRCPBatch.
 type BatchOptions struct {
-	// Options apply to every problem in the batch. Options.Workers, when
-	// set, bounds the width of each individual factorization; when zero,
-	// the engine's width is divided evenly among the concurrent shards.
+	// Options apply to every problem in the batch; the engine's width
+	// is divided evenly among the concurrent shards.
 	Options
 	// Concurrency is the number of problems factored at once. 0 selects
 	// min(len(problems), engine width): small batches get one shard per
@@ -35,8 +34,7 @@ type BatchResult struct {
 // many-small-matrices serving workload — by sharding them across the
 // persistent worker pool. Problems are claimed dynamically (an atomic
 // cursor, so a slow problem never blocks the rest of the batch) and each
-// factorization runs with 1/Concurrency of the engine's width unless
-// Options.Workers pins a per-problem width explicitly.
+// factorization runs with 1/Concurrency of the engine's width.
 //
 // Errors are per-problem: one singular or invalid matrix does not abort
 // its neighbors, it just sets results[i].Err. Cancellation is
@@ -66,9 +64,6 @@ func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Bat
 	}
 	conc = min(conc, len(problems))
 	perProblem := max(1, width/conc)
-	if o != nil && o.Workers > 0 {
-		perProblem = o.Workers
-	}
 	shard := &Engine{pe: e.eng().WithContext(ctx).WithWorkers(perProblem)}
 
 	var cursor atomic.Int64

@@ -7,10 +7,13 @@
 // bench observations; this tool turns them into a source-level CI gate.
 // It parses every non-test Go file in the module for the annotation,
 // replays `go build -gcflags=-m=1 ./...` to collect the compiler's
-// escape diagnostics, and fails when an annotated function carries an
-// escape that is not in the checked-in baseline. The annotation takes
-// two forms: on a function's doc comment, or on the line directly above
-// a statement that binds a function literal inside a cold function,
+// escape diagnostics — once for the host and once with -tags purego,
+// which compiles the Go fallback loops in place of the amd64 assembly —
+// and fails when an annotated function carries an escape that is not in
+// the checked-in baseline, or sits in a file neither build compiles.
+// The annotation takes two forms: on a function's doc comment, or on the
+// line directly above a statement that binds a function literal inside a
+// cold function,
 //
 //	//repolint:hotpath
 //	gramPanel := func(p panel, pd *mat.Dense) error { … }
@@ -42,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
@@ -71,6 +75,9 @@ func main() {
 func run(root, baseline string, update bool) error {
 	ranges, err := hotpathRanges(root)
 	if err != nil {
+		return err
+	}
+	if err := checkCompiled(root, ranges); err != nil {
 		return err
 	}
 	out, err := buildDiagnostics(root)
@@ -245,17 +252,58 @@ func annotatedLiteral(n ast.Node) string {
 	return id.Name
 }
 
-// buildDiagnostics replays the compiler's escape analysis for every
-// module package. The diagnostics come back from the build cache when
-// nothing changed, so repeated runs are cheap.
-func buildDiagnostics(root string) (string, error) {
-	cmd := exec.Command("go", "build", "-gcflags=-m=1", "./...")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return "", fmt.Errorf("go build -gcflags=-m=1 failed: %v\n%s", err, out)
+// buildTags are the build configurations the gate compiles, as -tags
+// values: the host's, and purego, which swaps the amd64 assembly for the
+// Go fallback loops.
+var buildTags = []string{"", "purego"}
+
+// checkCompiled fails, naming the file, when an annotated function sits
+// in a file that no configuration of buildTags compiles: its escapes
+// would never reach the gate. File selection is go/build's, as the go
+// command's.
+func checkCompiled(root string, ranges []funcRange) error {
+	done := make(map[string]bool)
+	for _, r := range ranges {
+		if done[r.file] {
+			continue
+		}
+		done[r.file] = true
+		path := filepath.Join(root, filepath.FromSlash(r.file))
+		compiled := false
+		for _, tags := range buildTags {
+			ctx := build.Default
+			if tags != "" {
+				ctx.BuildTags = append([]string{tags}, ctx.BuildTags...)
+			}
+			ok, err := ctx.MatchFile(filepath.Dir(path), filepath.Base(path))
+			if err != nil {
+				return err
+			}
+			compiled = compiled || ok
+		}
+		if !compiled {
+			return fmt.Errorf("%s: //repolint:hotpath function %s is compiled by no gated build (host, -tags purego)", r.file, r.name)
+		}
 	}
-	return string(out), nil
+	return nil
+}
+
+// buildDiagnostics replays the compiler's escape analysis for every
+// module package under each of buildTags and merges the outputs. The
+// diagnostics come back from the build cache when nothing changed, so
+// repeated runs are cheap.
+func buildDiagnostics(root string) (string, error) {
+	var all strings.Builder
+	for _, tags := range buildTags {
+		cmd := exec.Command("go", "build", "-tags="+tags, "-gcflags=-m=1", "./...")
+		cmd.Dir = root
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			return "", fmt.Errorf("go build -tags=%q -gcflags=-m=1 failed: %v\n%s", tags, err, out)
+		}
+		all.Write(out)
+	}
+	return all.String(), nil
 }
 
 var diagRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.+)$`)

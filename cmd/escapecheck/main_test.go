@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -143,6 +144,42 @@ func Cold(xs []float64) float64 {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("hotpathRanges:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestCheckCompiled: an annotated file that only the purego build
+// compiles passes, and one that no gated build compiles is an error
+// naming the file.
+func TestCheckCompiled(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"fallback.go": "//go:build purego\n\npackage k\n\n//repolint:hotpath\nfunc fallback() {}\n",
+		"orphan.go":   "//go:build neverbuilt\n\npackage k\n\n//repolint:hotpath\nfunc orphan() {}\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranges, err := hotpathRanges(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ranges) != 2 {
+		t.Fatalf("expected 2 annotated functions, got %v", ranges)
+	}
+	for _, r := range ranges {
+		err := checkCompiled(dir, []funcRange{r})
+		switch r.file {
+		case "fallback.go":
+			if err != nil {
+				t.Errorf("purego-only file rejected: %v", err)
+			}
+		case "orphan.go":
+			if err == nil || !strings.Contains(err.Error(), "orphan.go") {
+				t.Errorf("uncompiled file: got %v, want an error naming orphan.go", err)
+			}
+		}
 	}
 }
 

@@ -11,10 +11,12 @@ import (
 
 // QRCPResult is the per-rank output of a distributed pivoted QR
 // factorization: the local row block of Q plus the replicated R and P.
+// A truncated factorization of rank k has an m_loc×k QLocal and a k×n R.
 type QRCPResult struct {
 	QLocal     *mat.Dense
 	R          *mat.Dense
 	Perm       mat.Perm
+	Rank       int // the number of columns factored: n unless truncated
 	Iterations int
 }
 
@@ -92,11 +94,11 @@ func iteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64, rankCap int) (*core.
 // pivoting by Algorithm 4 on the 1-D block-row layout. Every rank calls
 // it with its local block; the pivoting decisions are made redundantly on
 // replicated Gram matrices, so the only communication is one Allreduce of
-// the n×n Gram matrix per iteration (plus one for the final
-// reorthogonalization pass) — O(1) collectives independent of n. The
-// row sweeps are the in-core ones, fused permute→TRSM→Gram pass
-// included, so with one rank the result is bit-identical to
-// core.IteCholQRCP.
+// the n×n Gram matrix per Gram: the first, then one per iteration out of
+// the fused pass, the last of which is the reorthogonalization Gram —
+// Iterations+1 collectives, O(1) independent of n. The row sweeps are
+// the in-core ones, fused permute→TRSM→Gram pass included, so with one
+// rank the result is bit-identical to core.IteCholQRCP.
 //
 // aLocal is not modified. The result's QLocal is this rank's block of Q;
 // R and Perm are replicated and identical on all ranks.
@@ -105,7 +107,7 @@ func IteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64) (*QRCPResult, error)
 	if err != nil {
 		return nil, err
 	}
-	return &QRCPResult{QLocal: res.Q, R: res.R, Perm: res.Perm, Iterations: res.Iterations}, nil
+	return qrcpResult(res), nil
 }
 
 // HQRCP computes the distributed QR factorization with column pivoting by
@@ -296,7 +298,7 @@ func HQRCP(comm Comm, aLocal *mat.Dense, layout Layout, formQ bool) *QRCPResult 
 		}
 	}
 
-	res := &QRCPResult{R: r, Perm: perm}
+	res := &QRCPResult{R: r, Perm: perm, Rank: n}
 	if formQ {
 		res.QLocal = formQDist(comm, a, tau, layout, rowLo)
 	}
@@ -396,23 +398,20 @@ func buildT(s *mat.Dense, tau []float64) *mat.Dense {
 // IteCholQRCPTruncated computes a distributed rank-k truncated pivoted QR
 // on the 1-D block-row layout: the pivoting iterations stop once k pivots
 // are fixed and only the leading block is reorthogonalized. Collectives:
-// one Gram Allreduce per iteration plus one k×k Gram for the
-// reorthogonalization — still O(1), and fewer iterations than the full
-// factorization when k ≪ n.
-func IteCholQRCPTruncated(comm Comm, aLocal *mat.Dense, eps float64, k int) (*TruncatedResult, error) {
+// one Gram Allreduce per iteration, the last pass's a k×k Gram that
+// doubles as the reorthogonalization Gram (when the trailing block
+// collapses first, the reorthogonalization reuses the leading block of
+// the last n×n Gram) — Iterations+1 in all, still O(1), and fewer
+// iterations than the full factorization when k ≪ n.
+func IteCholQRCPTruncated(comm Comm, aLocal *mat.Dense, eps float64, k int) (*QRCPResult, error) {
 	res, err := iteCholQRCP(comm, aLocal, eps, k)
 	if err != nil {
 		return nil, err
 	}
-	return &TruncatedResult{QLocal: res.Q, R: res.R, Perm: res.Perm,
-		Rank: res.Rank, Iterations: res.Iterations}, nil
+	return qrcpResult(res), nil
 }
 
-// TruncatedResult is the per-rank output of a distributed truncated QRCP.
-type TruncatedResult struct {
-	QLocal     *mat.Dense // this rank's m_loc×k block of Q₁
-	R          *mat.Dense // replicated k×n
-	Perm       mat.Perm   // replicated
-	Rank       int
-	Iterations int
+// qrcpResult adapts the driver's result to the per-rank shape.
+func qrcpResult(res *core.CPResult) *QRCPResult {
+	return &QRCPResult{QLocal: res.Q, R: res.R, Perm: res.Perm, Rank: res.Rank, Iterations: res.Iterations}
 }

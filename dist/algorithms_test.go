@@ -228,9 +228,10 @@ func TestDistHQRCPUnevenRows(t *testing.T) {
 
 func TestDistCollectiveCounts(t *testing.T) {
 	// The CA property: Ite-CholQR-CP needs exactly one n×n Gram
-	// Allreduce per sweep — one per pivoting iteration plus the
-	// reorthogonalization — independent of n, HQR-CP needs Ω(n). The
-	// distributed run takes the in-core fused permute→TRSM→Gram pass.
+	// Allreduce per Gram — the first plus one per pivoting iteration,
+	// the last of which is the reorthogonalization Gram — independent
+	// of n, HQR-CP needs Ω(n). The distributed run takes the in-core
+	// fused permute→TRSM→Gram pass.
 	rng := rand.New(rand.NewSource(136))
 	m, n := 160, 16
 	a := testmat.Generate(rng, m, n, 13, 1e-12)
@@ -285,6 +286,34 @@ func TestDistCollectiveCounts(t *testing.T) {
 	if hqrColl < 3*n {
 		t.Fatalf("HQR-CP used %d collectives, want ≥ 3n = %d", hqrColl, 3*n)
 	}
+
+	// Collapse: with a zero column the trailing block collapses before
+	// the rank cap n, and the reorthogonalization reuses the leading
+	// block of the last fused pass's Gram — no extra collective.
+	z := a.Clone()
+	for i := 0; i < m; i++ {
+		z.Set(i, 5, 0)
+	}
+	blocks = scatter(z, l)
+	var rank int
+	iteTrace = nil
+	Run(4, func(c Comm) {
+		ic := Instrument(c)
+		res, err := IteCholQRCPTruncated(ic, blocks[c.Rank()], core.DefaultPivotTol, n)
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+			return
+		}
+		if c.Rank() == 0 {
+			iteTrace, iters, rank = ic.Trace(), res.Iterations, res.Rank
+		}
+	})
+	if rank != n-1 {
+		t.Fatalf("zero column: rank %d, want %d", rank, n-1)
+	}
+	if len(iteTrace) != iters+1 {
+		t.Fatalf("collapse: %d collectives, want iterations+1 = %d", len(iteTrace), iters+1)
+	}
 }
 
 func TestDistIteCholQRCPTruncated(t *testing.T) {
@@ -298,7 +327,7 @@ func TestDistIteCholQRCPTruncated(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		l := Layout{M: m, P: p}
 		blocks := scatter(a, l)
-		results := make([]*TruncatedResult, p)
+		results := make([]*QRCPResult, p)
 		Run(p, func(c Comm) {
 			res, err := IteCholQRCPTruncated(c, blocks[c.Rank()], core.DefaultPivotTol, k)
 			if err != nil {

@@ -41,5 +41,5 @@ func QRThenQRCP(comm Comm, aLocal *mat.Dense) *QRCPResult {
 	lapack.Orgqr(nil, r0, tau) // r0 is now the n×n Q₁
 	qLocal := mat.NewDense(aLocal.Rows, n)
 	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, q0, r0, 0, qLocal)
-	return &QRCPResult{QLocal: qLocal, R: r, Perm: jpvt}
+	return &QRCPResult{QLocal: qLocal, R: r, Perm: jpvt, Rank: n}
 }

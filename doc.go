@@ -52,7 +52,7 @@
 //
 //	results, err := e.QRCPBatch(ctx, problems, nil)
 //
-// Worker bounds are per-engine (and per-call via Options.Workers), never
+// Worker bounds are per-engine (NewEngine, Engine.WithWorkers), never
 // process-global, so any number of engines can run concurrently.
 //
 // # Kernels

@@ -63,22 +63,12 @@ func (e *Engine) eng() *parallel.Engine {
 	return e.pe
 }
 
-// callEngine derives the internal engine for one call: the engine's own
-// width and context, narrowed to opts.Workers when set.
-func (e *Engine) callEngine(opts *Options) *parallel.Engine {
-	pe := e.eng()
-	if opts != nil && opts.Workers > 0 {
-		pe = pe.WithWorkers(opts.Workers)
-	}
-	return pe
-}
-
 // QRCP computes the QR factorization with column pivoting of a tall-skinny
 // matrix on this engine; see the package-level QRCP for the algorithm and
 // Options.Strategy for the randomized CQRRPT alternative.
 // Returns the engine's context error if cancelled mid-factorization.
 func (e *Engine) QRCP(a *mat.Dense, opts *Options) (*Factorization, error) {
-	pe := e.callEngine(opts)
+	pe := e.eng()
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	var res *core.CPResult
@@ -97,8 +87,9 @@ func (e *Engine) QRCP(a *mat.Dense, opts *Options) (*Factorization, error) {
 
 // HouseholderQRCP computes the pivoted factorization with the blocked
 // Householder baseline on this engine; see the package-level function.
+// opts is ignored: DGEQP3 has no tolerance, strategy or seed.
 func (e *Engine) HouseholderQRCP(a *mat.Dense, opts *Options) *Factorization {
-	pe := e.callEngine(opts)
+	pe := e.eng()
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	res := core.HQRCP(pe, a)
@@ -108,7 +99,7 @@ func (e *Engine) HouseholderQRCP(a *mat.Dense, opts *Options) *Factorization {
 // QRCPTruncated computes a rank-k truncated pivoted QR factorization on
 // this engine; see the package-level function.
 func (e *Engine) QRCPTruncated(a *mat.Dense, k int, opts *Options) (*Factorization, error) {
-	pe := e.callEngine(opts)
+	pe := e.eng()
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	res, err := core.IteCholQRCPPartial(pe, a, opts.tol(), k)

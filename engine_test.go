@@ -148,8 +148,9 @@ func TestQRCPBatchOptions(t *testing.T) {
 		testmat.Generate(rng, 200, 10, 8, 1e-6),
 		testmat.Generate(rng, 200, 10, 8, 1e-6),
 	}
+	// Width 2 over 2 concurrent problems: each factorization runs at width 1.
 	opts := &BatchOptions{
-		Options:     Options{PivotTol: 1e-4, Workers: 1},
+		Options:     Options{PivotTol: 1e-4},
 		Concurrency: 2,
 	}
 	results, err := NewEngine(2).QRCPBatch(context.Background(), problems, opts)
@@ -251,8 +252,7 @@ func TestFactorizationUnified(t *testing.T) {
 		t.Fatalf("full Reconstruct error %g", maxErr)
 	}
 
-	var trunc *TruncatedFactorization // alias: same type, same surface
-	trunc, err = QRCPTruncated(a, 6, nil)
+	trunc, err := QRCPTruncated(a, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func (e *Engine) QRCPFile(path string, opts *FileOptions) (*Factorization, error
 	if o.strategy() != StrategyIteCholQRCP {
 		return nil, fmt.Errorf("tsqrcp: QRCPFile supports only StrategyIteCholQRCP")
 	}
-	pe := e.callEngine(o)
+	pe := e.eng()
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
 	cfg := ooc.Config{Eps: o.tol()}

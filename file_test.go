@@ -146,10 +146,10 @@ func TestQRCPFileNarrowWidths(t *testing.T) {
 }
 
 // TestQRCPFileBytesReadPerSweep pins the disk-traffic model: the
-// factorization performs exactly Iterations+2 full sequential reads of
-// the matrix without Q (initial Gram + one fused sweep per remaining
-// iteration + reorthogonalization Gram), +1 more with Q streaming, and
-// the ooc_bytes_read counter proves it.
+// factorization performs exactly Iterations+1 full sequential reads of
+// the matrix without Q (initial Gram + one fused sweep per iteration,
+// the last of which emits the reorthogonalization Gram), +1 more with Q
+// streaming, and the ooc_bytes_read counter proves it.
 func TestQRCPFileBytesReadPerSweep(t *testing.T) {
 	const m, n = 4200, 16
 	path, _ := writeTestMatrix(t, m, n, 7)
@@ -164,10 +164,10 @@ func TestQRCPFileBytesReadPerSweep(t *testing.T) {
 	}
 	rep := trace.Snapshot()
 	read := rep.Counters["ooc_bytes_read"]
-	want := int64(got.Iterations+2) * sweepBytes
+	want := int64(got.Iterations+1) * sweepBytes
 	if read != want {
 		t.Fatalf("ooc_bytes_read=%d, want %d (%d iterations ⇒ %d sweeps)",
-			read, want, got.Iterations, got.Iterations+2)
+			read, want, got.Iterations, got.Iterations+1)
 	}
 
 	trace.Reset()
@@ -182,7 +182,7 @@ func TestQRCPFileBytesReadPerSweep(t *testing.T) {
 	}
 	rep = trace.Snapshot()
 	read = rep.Counters["ooc_bytes_read"]
-	want = int64(got.Iterations+3) * sweepBytes
+	want = int64(got.Iterations+2) * sweepBytes
 	if read != want {
 		t.Fatalf("with Q: ooc_bytes_read=%d, want %d", read, want)
 	}

@@ -71,8 +71,8 @@ func fusedSlots(m int) int {
 // Gram.
 //
 // Panics if R has a zero diagonal entry, if perm is non-nil with a
-// length other than B's column count, or if G is not n×n. The engine e
-// bounds the parallel width (nil selects the default engine).
+// length other than B's column count, or if G is not k×k with k ≤ n. The
+// engine e bounds the parallel width (nil selects the default engine).
 func PermTrsmGramFused(e *parallel.Engine, b *mat.Dense, perm mat.Perm, r, g *mat.Dense) {
 	PermTrsmGramFusedInto(e, b, b, perm, r, g)
 }
@@ -83,14 +83,20 @@ func PermTrsmGramFused(e *parallel.Engine, b *mat.Dense, perm mat.Perm, r, g *ma
 // from B straight into dst, so a caller that needs a working copy of B
 // gets it from this pass instead of a sweep of its own; the bits are
 // those of the in-place pass.
+//
+// G may be k×k for any k ≤ n: it then receives the Gram of dst's leading
+// k columns, bit for bit the leading block of the n×n G and Gram of
+// those columns, for m·k(k+1) Gram flops instead of m·n(n+1). The last
+// pivoting pass of a truncated Ite-CholQR-CP emits its
+// reorthogonalization Gram this way.
 func PermTrsmGramFusedInto(e *parallel.Engine, dst, b *mat.Dense, perm mat.Perm, r, g *mat.Dense) {
 	m, n := b.Rows, b.Cols
 	checkTriangular(r, n, "PermTrsmGramFused")
 	if dst.Rows != m || dst.Cols != n {
 		panic(fmt.Sprintf("blas: PermTrsmGramFused dst %d×%d, want %d×%d", dst.Rows, dst.Cols, m, n))
 	}
-	if g.Rows != n || g.Cols != n {
-		panic(fmt.Sprintf("blas: PermTrsmGramFused G %d×%d, want %d×%d", g.Rows, g.Cols, n, n))
+	if g.Rows != g.Cols || g.Rows > n {
+		panic(fmt.Sprintf("blas: PermTrsmGramFused G %d×%d, want k×k with k ≤ %d", g.Rows, g.Cols, n))
 	}
 	if perm != nil && len(perm) != n {
 		panic(fmt.Sprintf("blas: PermTrsmGramFused perm length %d != cols %d", len(perm), n))
@@ -106,8 +112,9 @@ func PermTrsmGramFusedInto(e *parallel.Engine, dst, b *mat.Dense, perm mat.Perm,
 	}
 	sp := trace.Region(trace.KernelFusedTrsmGram)
 	defer sp.End()
+	k := g.Rows
 	trace.AddFlops(trace.KernelFusedTrsmGram,
-		int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))
+		int64(m)*int64(n)*int64(n)+int64(m)*int64(k)*int64(k+1))
 	trace.AddBytes(trace.KernelFusedTrsmGram, 2*8*int64(m)*int64(n))
 	reduceRows(e, m, mulFlops(2, m, n, n), g, true, rowJob{a: dst, b: b, r: r, perm: perm}, fusedRows)
 	SymmetrizeFromUpper(g)
@@ -177,19 +184,19 @@ func fusedSlotBounds(m, slots, si int) (lo, hi int) {
 // stages one micro-block at a time: gather the column permutation into
 // the block of dst (gatherRows; tmp is an n-length scratch row), solve
 // the block against R with the left-looking TRSM, and accumulate the
-// block's Gram contribution into acc (upper triangle) with the
-// register-tiled SYRK. The blocks only set locality: each acc element's
-// chain runs over the slot's rows in order, fixed by the slot bounds
-// alone.
+// Gram contribution of the block's leading k = acc.Cols columns into acc
+// (upper triangle) with the register-tiled SYRK. The blocks only set
+// locality: each acc element's chain runs over the slot's rows in order,
+// fixed by the slot bounds alone.
 //
 //repolint:hotpath
 func fusedSlotRange(dst, src, r *mat.Dense, perm mat.Perm, lo, hi int, acc *mat.Dense, tmp []float64) {
-	n := dst.Cols
+	k := acc.Cols
 	for q := lo; q < hi; q += fusedBlockRows {
 		qhi := min(q+fusedBlockRows, hi)
 		gatherRows(dst, src, perm, q, qhi, tmp)
 		fusedTrsmRange(dst, r, q, qhi)
-		fusedSyrkCols(dst, q, qhi, 0, n, acc)
+		fusedSyrkCols(dst, q, qhi, 0, k, acc)
 	}
 }
 
@@ -234,18 +241,19 @@ func fusedTrsmRange(b, r *mat.Dense, lo, hi int) {
 	}
 }
 
-// fusedSyrkCols accumulates the Gram contribution of rows [lo, hi) of B
-// into output rows [iLo, iHi) of acc's upper triangle:
-// acc(i,j) = fma(B(t,i), B(t,j), acc(i,j)) for t = lo, …, hi−1 in order,
-// iLo ≤ i < iHi, j ≥ i. The rows are taken fusedBlockRows at a time so a
-// block of B stays in L1 while every output tile (tileTN, tileRows rows)
-// runs over it; a tile on the diagonal leaves the strict lower triangle
-// alone. Restricting the output rows instead of the summation range is
-// what lets callers parallelize without changing any element's chain.
+// fusedSyrkCols accumulates the Gram contribution of rows [lo, hi) of B's
+// leading acc.Cols columns into output rows [iLo, iHi) of acc's upper
+// triangle: acc(i,j) = fma(B(t,i), B(t,j), acc(i,j)) for t = lo, …, hi−1
+// in order, iLo ≤ i < iHi, i ≤ j < acc.Cols. The rows are taken
+// fusedBlockRows at a time so a block of B stays in L1 while every
+// output tile (tileTN, tileRows rows) runs over it; a tile on the
+// diagonal leaves the strict lower triangle alone. Restricting the output
+// rows instead of the summation range is what lets callers parallelize
+// without changing any element's chain.
 //
 //repolint:hotpath
 func fusedSyrkCols(b *mat.Dense, lo, hi, iLo, iHi int, acc *mat.Dense) {
-	n, rows := b.Cols, tileRows()
+	n, rows := acc.Cols, tileRows()
 	for q := lo; q < hi; q += fusedBlockRows {
 		k := min(fusedBlockRows, hi-q)
 		bq := b.Data[q*b.Stride:]

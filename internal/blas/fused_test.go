@@ -243,3 +243,36 @@ func TestPermTrsmGramFusedDeterministicAcrossWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestPermTrsmGramFusedLeadingGram: with a k×k G the fused pass emits
+// the Gram of the updated B's leading k columns, bit for bit the leading
+// block of the n×n G and Gram of those columns, at every engine width and
+// through a multi-slot reduction; B is unchanged by the narrower G. A G
+// wider than B or not square panics.
+func TestPermTrsmGramFusedLeadingGram(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const m, n = 3*fusedMinSlotRows + 77, 20
+	if fusedSlots(m) < 3 {
+		t.Fatalf("m=%d gives %d slots, want several", m, fusedSlots(m))
+	}
+	b0 := randDenseStrided(rng, m, n)
+	r := randUpperWellCond(rng, n)
+	perm := randPerm(rng, n)
+	for _, w := range []int{1, 2, 8} {
+		e := parallel.NewEngine(w)
+		bFull, gFull := b0.Clone(), mat.NewDense(n, n)
+		PermTrsmGramFused(e, bFull, perm, r, gFull)
+		for _, k := range []int{1, 5, n - 1} {
+			b, g := b0.Clone(), mat.NewDense(k, k)
+			PermTrsmGramFused(e, b, perm, r, g)
+			bitsEqualDense(t, "B", b, bFull)
+			bitsEqualDense(t, "G vs leading block", g, gFull.Slice(0, k, 0, k))
+			gRef := mat.NewDense(k, k)
+			Gram(e, gRef, b.Slice(0, m, 0, k))
+			bitsEqualDense(t, "G vs Gram", g, gRef)
+		}
+	}
+	b := b0.Clone()
+	mustPanicB(t, func() { PermTrsmGramFused(nil, b, perm, r, mat.NewDense(n+1, n+1)) })
+	mustPanicB(t, func() { PermTrsmGramFused(nil, b, perm, r, mat.NewDense(5, 6)) })
+}

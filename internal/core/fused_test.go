@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/mat"
@@ -23,14 +24,14 @@ func permEqual(a, b mat.Perm) bool {
 }
 
 // unfusedSweeper is the reference the fused pass is checked against: its
-// FusedPivot runs the sweeps the fused kernel replaces — permute and
-// TRSM, then Gram — one after another.
+// FusedPivot runs the sweeps the fused kernel replaces — permute, TRSM,
+// then Gram — one after another, each a direct kernel call.
 type unfusedSweeper struct{ *DenseSweeper }
 
 func (s unfusedSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
-	if err := s.Pivot(0, perm, rp); err != nil {
-		return err
-	}
+	a := s.a
+	mat.PermuteColsInPlaceEngine(s.e, a, perm)
+	blas.TrsmRightUpperNoTrans(s.e, a, rp)
 	return s.Gram(w)
 }
 
@@ -89,24 +90,25 @@ func TestIteCholQRCPFusedMatchesUnfused(t *testing.T) {
 // kernels each stage wraps, so for n below the blocked-Potrf panel width
 // the stage and kernel flop totals agree exactly, and since every kernel
 // span nests inside a stage span, summed kernel time never exceeds summed
-// stage time. The truncated run goes through the same driver loop, so it
-// reconciles too.
+// stage time. Every pivoting pass is fused: one Gram sweep, then I fused
+// passes whose last emits the k×k reorthogonalization Gram, so the
+// fused flops are I·mn² + (I−1)·mn(n+1) + mk(k+1). The truncated run
+// goes through the same driver loop, so it reconciles too.
 func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := testmat.Generate(rng, 700, 28, 28, 1e-9)
+	m, n := int64(a.Rows), int64(a.Cols)
 	cases := []struct {
-		name  string
-		fused bool // the run takes at least one fused pass
-		run   func() error
+		name string
+		run  func() (*CPResult, error)
 	}{
-		{"unfused", false, func() error { _, err := iteCholQRCPUnfused(nil, a, DefaultPivotTol); return err }},
-		{"fused", true, func() error { _, err := IteCholQRCP(nil, a, DefaultPivotTol); return err }},
-		{"truncated", true, func() error { _, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, 20); return err }},
+		{"full", func() (*CPResult, error) { return IteCholQRCP(nil, a, DefaultPivotTol) }},
+		{"truncated", func() (*CPResult, error) { return IteCholQRCPPartial(nil, a, DefaultPivotTol, 20) }},
 	}
 	for _, tc := range cases {
 		trace.Reset()
 		trace.Enable()
-		err := tc.run()
+		res, err := tc.run()
 		trace.Disable()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -130,17 +132,19 @@ func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 		if stageFlops != kernelFlops {
 			t.Fatalf("%s: stage flops %d != kernel flops %d", tc.name, stageFlops, kernelFlops)
 		}
-		// Every SYRK in this configuration is a Gram sweep, so the Gram
-		// stage must mirror the syrk kernel exactly (the historical bug
-		// attributed 2mn² to the stage and mn(n+1) to the kernel).
-		if byName[trace.StageGram.String()] != byName[trace.KernelSyrk.String()] {
-			t.Fatalf("%s: StageGram flops %d != KernelSyrk flops %d",
-				tc.name, byName[trace.StageGram.String()], byName[trace.KernelSyrk.String()])
+		// The one Gram sweep is the only SYRK, so the Gram stage must
+		// mirror the syrk kernel exactly (the historical bug attributed
+		// 2mn² to the stage and mn(n+1) to the kernel).
+		if got := byName[trace.StageGram.String()]; got != m*n*(n+1) || got != byName[trace.KernelSyrk.String()] {
+			t.Fatalf("%s: StageGram flops %d, KernelSyrk flops %d, want one Gram: %d",
+				tc.name, got, byName[trace.KernelSyrk.String()], m*n*(n+1))
 		}
+		it, k := int64(res.Iterations), int64(res.Rank)
+		want := it*m*n*n + (it-1)*m*n*(n+1) + m*k*(k+1)
 		fusedStage := byName[trace.StageFused.String()]
-		if fusedStage != byName[trace.KernelFusedTrsmGram.String()] || (fusedStage > 0) != tc.fused {
-			t.Fatalf("%s: StageFused flops %d, KernelFusedTrsmGram flops %d, want a fused pass: %v",
-				tc.name, fusedStage, byName[trace.KernelFusedTrsmGram.String()], tc.fused)
+		if fusedStage != want || fusedStage != byName[trace.KernelFusedTrsmGram.String()] {
+			t.Fatalf("%s: StageFused flops %d, KernelFusedTrsmGram flops %d, want %d (%d iterations, rank %d)",
+				tc.name, fusedStage, byName[trace.KernelFusedTrsmGram.String()], want, it, k)
 		}
 		if kernelNs > stageNs {
 			t.Fatalf("%s: kernel time %d ns exceeds enclosing stage time %d ns",

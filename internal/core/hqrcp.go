@@ -47,7 +47,7 @@ func HQRCPNoQ(e *parallel.Engine, a *mat.Dense) *CPResult {
 // A·P ≈ Q₁·R₁ (Q₁ m×k, R₁ k×n) by stopping DGEQP3 after k pivots — the
 // conventional-baseline counterpart of IteCholQRCPPartial for the
 // low-rank comparison of §V.
-func HQRCPTruncated(e *parallel.Engine, a *mat.Dense, k int) *PartialResult {
+func HQRCPTruncated(e *parallel.Engine, a *mat.Dense, k int) *CPResult {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(fmt.Sprintf("core: HQRCPTruncated needs a tall matrix, got %d×%d", m, n))
@@ -65,7 +65,7 @@ func HQRCPTruncated(e *parallel.Engine, a *mat.Dense, k int) *PartialResult {
 	}
 	q1 := fac.Slice(0, m, 0, k).Clone()
 	lapack.Orgqr(e, q1, tau)
-	return &PartialResult{Q: q1, R: r1, Perm: jpvt, Rank: k}
+	return &CPResult{Q: q1, R: r1, Perm: jpvt, Rank: k}
 }
 
 func min(a, b int) int {

@@ -34,7 +34,7 @@ type CPResult struct {
 	Perm mat.Perm
 	// Iterations is the number of pivoting iterations performed
 	// (Ite-CholQR-CP only; the final reorthogonalization pass is not
-	// counted). The total Gram/TRSM sweep count is Iterations+1.
+	// counted). The factorization computes Iterations+1 Gram matrices.
 	Iterations int
 	// PivotCounts[i] is the number of pivots fixed in iteration i
 	// (Ite-CholQR-CP only).
@@ -42,10 +42,10 @@ type CPResult struct {
 	// PivotIter[j] is the (0-based) iteration in which position j's pivot
 	// was fixed (Ite-CholQR-CP only). Used to reproduce Fig. 3.
 	PivotIter []int
-	// Rank is the number of pivots fixed (Ite-CholQR-CP only): n for a
-	// full factorization, fewer when a rank cap or a collapsed trailing
-	// block stopped the iteration. Q then has Rank columns and R has
-	// Rank rows.
+	// Rank is the number of columns factored (Ite-CholQR-CP and the
+	// truncated factorizations only): n for a full factorization, fewer
+	// when a rank cap or a collapsed trailing block stopped the
+	// iteration. Q then has Rank columns and R has Rank rows.
 	Rank int
 }
 

@@ -30,18 +30,16 @@ import (
 // implementation can fail on I/O; the in-core sweeper never errors.
 type Sweeper interface {
 	// Gram computes w := AₖᵀAₖ (full symmetric) for the leading
-	// k = w.Rows columns Aₖ = A[:, :k] — Algorithm 4 line 3 (k = n) and
-	// the reorthogonalization pass's Gram (k = the rank reached).
+	// k = w.Rows columns Aₖ = A[:, :k]: Algorithm 4 line 3 (k = n) and
+	// the Gram of every unpivoted CholQR pass.
 	Gram(w *mat.Dense) error
-	// FusedPivot applies the steady-state fused pass: A := (A·P)·R′⁻¹
-	// with the next iteration's w := AᵀA streamed out of the same row
-	// traversal (lines 8–11 fused with the next line 3). perm is the
-	// full-width column permutation; rp the assembled R′.
+	// FusedPivot applies one pivoting pass: A := (A·P)·R′⁻¹ with
+	// w := AₖᵀAₖ of the updated A streamed out of the same row
+	// traversal (lines 8–11 fused with the next line 3, or on the last
+	// pass with line 17's reorthogonalization Gram). perm is the
+	// full-width column permutation; rp the assembled R′; w is k×k and
+	// compact, k ≤ n.
 	FusedPivot(perm mat.Perm, rp, w *mat.Dense) error
-	// Pivot is the unfused form of lines 8–11 used on the final pivoting
-	// iteration, which has no next Gram to fuse with: permute the
-	// trailing columns [k, n) of A by tp, then solve A := A·R′⁻¹.
-	Pivot(k int, tp mat.Perm, rp *mat.Dense) error
 	// Finish applies the reorthogonalization TRSM Aₖ := Aₖ·r⁻¹ on the
 	// leading k = r.Rows columns, which turns them into Q. Implementations
 	// that do not materialize Q (the out-of-core sweeper without a Q
@@ -51,14 +49,20 @@ type Sweeper interface {
 }
 
 // CholQRSweep runs one plain CholQR pass (Algorithm 2) over the leading
-// k = w.Rows columns of the sweeper's matrix: w := AₖᵀAₖ, w := chol(w)
-// (upper triangle, lower zeroed), Aₖ := Aₖ·w⁻¹. It is the
-// reorthogonalization tail of IteCholQRCPSweeps and the whole of every
-// unpivoted CholQR pass, in-core and distributed.
+// k = w.Rows columns of the sweeper's matrix: w := AₖᵀAₖ, then
+// cholFinish. It is the whole of every unpivoted CholQR pass, in-core
+// and distributed.
 func CholQRSweep(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 	if err := sw.Gram(w); err != nil {
 		return err
 	}
+	return cholFinish(e, sw, w)
+}
+
+// cholFinish is the tail of a CholQR pass on the Gram w of the leading
+// k = w.Rows columns: w := chol(w) (upper triangle, lower zeroed), then
+// Aₖ := Aₖ·w⁻¹ through sw.Finish.
+func cholFinish(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 	if mat.DebugChecks {
 		mat.CheckFinite("core", "CholQR Gram matrix", w)
 	}
@@ -78,13 +82,15 @@ func CholQRSweep(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 // all Gram-matrix-side work (Cholesky on the fixed block, P-Chol-CP,
 // triangular accumulation, permutation bookkeeping) happens here on
 // n-sized replicated state, while each m-sized row traversal is
-// delegated to sw. The loop stops once rankCap ∈ [1, n] pivots are
-// fixed, or earlier when the trailing block collapses below the pivot
-// tolerance; either way only the k fixed columns are reorthogonalized,
-// and the result has Rank k, a k×n R and Perm. Full-rank callers pass
-// rankCap = n and treat Rank < n as ErrStall. Returns a CPResult without
-// Q — the sweeper owns the working matrix, so the caller attaches (or
-// streams) Q itself.
+// delegated to sw: one Gram, one FusedPivot per iteration, then one
+// Finish, so A is read for a Gram Iterations+1 times. The loop stops
+// once rankCap ∈ [1, n] pivots are fixed, or earlier when the trailing
+// block collapses below the pivot tolerance; either way only the k fixed
+// columns are reorthogonalized, on the k×k Gram the last pivoting pass
+// emitted, and the result has Rank k, a k×n R and Perm. Full-rank
+// callers pass rankCap = n and treat Rank < n as ErrStall. Returns a
+// CPResult without Q — the sweeper owns the working matrix, so the
+// caller attaches (or streams) Q itself.
 func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankCap int) (*CPResult, error) {
 	if eps < 0 || eps >= 1 {
 		panic(fmt.Sprintf("core: IteCholQRCP tolerance %g outside [0,1)", eps))
@@ -166,24 +172,22 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 		ss.End()
 		// Line 10: assemble R′ = [R₁₁ R₁₂; 0 R₂₂].
 		rp.Slice(k, n, k, n).Copy(pres.R)
-		if k+kNew < rankCap {
-			// Steady state: another pivoting iteration follows, so lines
-			// 8–11 fuse with the next iteration's line 3 in one traversal.
-			for j := 0; j < k; j++ {
-				fullPerm[j] = j
-			}
-			for j, v := range pres.Perm {
-				fullPerm[k+j] = k + v
-			}
-			if err := sw.FusedPivot(fullPerm, rp, w); err != nil {
-				return nil, err
-			}
-		} else {
-			// Last pivoting pass, no next Gram to fuse with: permute the
-			// trailing columns of A, then A := A·R′⁻¹.
-			if err := sw.Pivot(k, pres.Perm, rp); err != nil {
-				return nil, err
-			}
+		// Lines 8–11 fused with the next Gram in one traversal: the next
+		// iteration's line 3 W := AᵀA, or, once the rank cap is reached,
+		// line 17's reorthogonalization Gram of the k+kNew fixed columns,
+		// compact in w's leading storage as an Allreduce needs.
+		for j := 0; j < k; j++ {
+			fullPerm[j] = j
+		}
+		for j, v := range pres.Perm {
+			fullPerm[k+j] = k + v
+		}
+		next := w
+		if kf := k + kNew; kf == rankCap {
+			next = mat.NewDenseData(kf, kf, w.Data[:kf*kf])
+		}
+		if err := sw.FusedPivot(fullPerm, rp, next); err != nil {
+			return nil, err
 		}
 
 		// Line 12 with the conjugation of Eq. (14): the accumulated R's
@@ -209,14 +213,23 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 	}
 
 	// Line 17: reorthogonalization by one plain CholQR pass over the k
-	// fixed columns — Gram, Cholesky, and the final TRSM that produces Q
-	// (delegated to the sweeper, which may skip it when Q is not
-	// materialized) — folded into their k rows of the accumulated R.
+	// fixed columns — Cholesky of the Gram the last pivoting pass
+	// emitted, and the final TRSM that produces Q (delegated to the
+	// sweeper, which may skip it when Q is not materialized) — folded
+	// into their k rows of the accumulated R.
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
-	wk := mat.NewDenseData(k, k, w.Data[:k*k]) // contiguous k×k, as an Allreduce needs
-	if err := CholQRSweep(e, sw, wk); err != nil {
+	if k < rankCap {
+		// The trailing block collapsed: the last pass emitted the n×n
+		// Gram, whose leading k×k block the Schur update and P-Chol-CP
+		// (which write only w[k:, k:]) left intact. Compact it in place.
+		for i := 1; i < k; i++ {
+			copy(w.Data[i*k:i*k+k], w.Data[i*n:i*n+k])
+		}
+	}
+	wk := mat.NewDenseData(k, k, w.Data[:k*k])
+	if err := cholFinish(e, sw, wk); err != nil {
 		return nil, err
 	}
 	rk := rTotal.Slice(0, k, 0, n)
@@ -234,8 +247,8 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 // the resident working matrix, which becomes Q.
 type DenseSweeper struct {
 	e *parallel.Engine
-	// a is the working matrix; nil until the first sweep that writes,
-	// while the sweeps read src.
+	// a is the working matrix; nil until the first FusedPivot, while the
+	// sweeps read src.
 	a, src *mat.Dense
 }
 
@@ -246,20 +259,12 @@ func NewDenseSweeper(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
 }
 
 // NewDenseSweeperCopy returns the in-core sweeper over a copy of a,
-// which it never writes. The sweeps read a until the first one that
-// writes, which gathers a straight into a fresh working matrix: the
-// copy takes no sweep of its own.
+// which it never writes. The sweeps read a until the first FusedPivot,
+// which gathers a straight into a fresh working matrix: the copy takes
+// no sweep of its own. It serves IteCholQRCPSweeps, whose every
+// pivoting pass is a FusedPivot, so one has run before Finish or Q.
 func NewDenseSweeperCopy(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
 	return &DenseSweeper{e: e, src: a}
-}
-
-// work returns the working matrix, copying the source on a first write
-// that gathers nothing.
-func (s *DenseSweeper) work() *mat.Dense {
-	if s.a == nil {
-		s.a, s.src = s.src.Clone(), nil
-	}
-	return s.a
 }
 
 // cur returns the matrix the next sweep reads.
@@ -274,7 +279,7 @@ func (s *DenseSweeper) cur() *mat.Dense {
 // matrix itself when k spans all its columns, otherwise a compact copy
 // of its leading k columns.
 func (s *DenseSweeper) Q(k int) *mat.Dense {
-	a := s.work()
+	a := s.a
 	if k == a.Cols {
 		return a
 	}
@@ -300,33 +305,15 @@ func (s *DenseSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 	}
 	blas.PermTrsmGramFusedInto(s.e, s.a, src, perm, rp, w)
 	sf.End()
+	k := w.Rows
 	trace.AddFlops(trace.StageFused,
-		int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))
+		int64(m)*int64(n)*int64(n)+int64(m)*int64(k)*int64(k+1))
 	trace.AddBytes(trace.StageFused, 2*8*int64(m)*int64(n))
 	return nil
 }
 
-func (s *DenseSweeper) Pivot(k int, tp mat.Perm, rp *mat.Dense) error {
-	src := s.cur()
-	m, n := src.Rows, src.Cols
-	ss := trace.Region(trace.StageSwap)
-	if s.a == nil {
-		s.a, s.src = mat.NewDense(m, n), nil
-		s.a.Slice(0, m, 0, k).Copy(src.Slice(0, m, 0, k))
-		mat.PermuteCols(s.a.Slice(0, m, k, n), src.Slice(0, m, k, n), tp)
-	} else {
-		mat.PermuteColsInPlaceEngine(s.e, s.a.Slice(0, m, k, n), tp)
-	}
-	ss.End()
-	st := trace.Region(trace.StageTrsm)
-	blas.TrsmRightUpperNoTrans(s.e, s.a, rp)
-	st.End()
-	trace.AddFlops(trace.StageTrsm, int64(m)*int64(n)*int64(n))
-	return nil
-}
-
 func (s *DenseSweeper) Finish(r *mat.Dense) error {
-	a := s.work()
+	a := s.a
 	m, k := a.Rows, r.Rows
 	st := trace.Region(trace.StageTrsm)
 	blas.TrsmRightUpperNoTrans(s.e, a.Slice(0, m, 0, k), r)

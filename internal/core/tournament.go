@@ -106,7 +106,7 @@ func playoff(e *parallel.Engine, a *mat.Dense, cols []int, k int) []int {
 // the front, and completes a rank-k truncated factorization with an
 // unpivoted QR of the winner columns: A·P ≈ Q₁·R₁ as in QRCPTruncated,
 // but with CA-RRQR pivot quality instead of greedy pivots.
-func TournamentQRCP(e *parallel.Engine, a *mat.Dense, k, groupCols int) (*PartialResult, error) {
+func TournamentQRCP(e *parallel.Engine, a *mat.Dense, k, groupCols int) (*CPResult, error) {
 	m, n := a.Rows, a.Cols
 	perm := TournamentPivots(e, a, k, groupCols)
 	ap := mat.NewDense(m, n)
@@ -122,5 +122,5 @@ func TournamentQRCP(e *parallel.Engine, a *mat.Dense, k, groupCols int) (*Partia
 		coupling := r1.Slice(0, k, k, n)
 		blas.Gemm(e, blas.Trans, blas.NoTrans, 1, qr.Q, rest, 0, coupling)
 	}
-	return &PartialResult{Q: qr.Q, R: r1, Perm: perm, Rank: k}, nil
+	return &CPResult{Q: qr.Q, R: r1, Perm: perm, Rank: k}, nil
 }

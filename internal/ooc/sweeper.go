@@ -98,14 +98,9 @@ func (s *fileSweeper) cleanup() {
 // Gram computes w := AᵀA in one sequential read of the working matrix:
 // every panel accumulates into its slot's partial with the fixed-order
 // panel SYRK, and the partials reduce in ascending slot order — the
-// exact summation shape of blas.Gram, hence the same bits. The file
-// path factors full rank only, so a Gram over fewer than n leading
-// columns — the reorthogonalization of a run whose trailing block
-// collapsed — is reported as core.ErrStall without the sweep.
+// exact summation shape of blas.Gram, hence the same bits. The driver
+// calls it once, at n×n, before the first pivoting pass.
 func (s *fileSweeper) Gram(w *mat.Dense) error {
-	if w.Rows != s.n {
-		return core.ErrStall
-	}
 	s.zeroAccs()
 	//repolint:hotpath
 	gramPanel := func(p panel, pd *mat.Dense) error {
@@ -123,10 +118,11 @@ func (s *fileSweeper) Gram(w *mat.Dense) error {
 	return nil
 }
 
-// FusedPivot runs the steady-state fused pass out of core: one
-// sequential read of A^(i), the permute→TRSM→Gram panel kernel, and one
-// sequential write of A^(i+1) to scratch, with the next W reduced from
-// the slot partials.
+// FusedPivot runs a pivoting pass out of core: one sequential read of
+// A^(i), the permute→TRSM→Gram panel kernel, and one sequential write of
+// A^(i+1) to scratch, with the next W — on the last pass the
+// reorthogonalization Gram — reduced from the slot partials. The file
+// path factors full rank only, so w is always n×n.
 func (s *fileSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 	// Parity with blas.PermTrsmGramFused, which rejects a singular R up
 	// front instead of streaming Infs into the working matrix.
@@ -158,32 +154,16 @@ func (s *fileSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 	return nil
 }
 
-// Pivot is the unfused permute+TRSM sweep: read, transform, write.
-func (s *fileSweeper) Pivot(k int, tp mat.Perm, rp *mat.Dense) error {
-	if err := s.ensureScratch(); err != nil {
-		return err
-	}
-	err := s.runSweep(s.src(), func(p panel, pd *mat.Dense) error {
-		ss := trace.Region(trace.StageSwap)
-		mat.PermuteColsInPlaceEngine(s.e, pd.Slice(0, pd.Rows, k, s.n), tp)
-		ss.End()
-		st := trace.Region(trace.StageTrsm)
-		blas.TrsmRightUpperNoTrans(s.e, pd, rp)
-		st.End()
-		return s.writePanel(pd, p)
-	})
-	if err != nil {
-		return err
-	}
-	s.onScratch = true
-	trace.AddFlops(trace.StageTrsm, int64(s.m)*int64(s.n)*int64(s.n))
-	return nil
-}
-
 // Finish streams the reorthogonalization TRSM into the Q destination;
 // with no destination the sweep is skipped — R and the pivots are
-// already final, saving a full read+write of the matrix.
+// already final, saving a full read+write of the matrix. The file path
+// factors full rank only, so fewer than n fixed columns — a run whose
+// trailing block collapsed — is reported as core.ErrStall without
+// reading the file.
 func (s *fileSweeper) Finish(r *mat.Dense) error {
+	if r.Rows < s.n {
+		return core.ErrStall
+	}
 	if s.qw == nil {
 		return nil
 	}

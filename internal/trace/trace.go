@@ -46,17 +46,19 @@ const (
 	// factor/eliminate (lines 4–6), P-Chol-CP on the Schur complement
 	// (line 7), and the plain Potrf of CholQR passes.
 	StageCholCP
-	// StageTrsm is A := A·R′⁻¹ (line 11 + the reorthogonalization TRSM).
+	// StageTrsm is a TRSM sweep outside the fused pass: the
+	// reorthogonalization TRSM that produces Q, and CholQR's.
 	StageTrsm
-	// StageSwap is the column permutation of A and the coupling block
-	// (lines 8–9) — the paper's "column swaps".
+	// StageSwap is the column permutation of the coupling block
+	// (lines 8–9) — the paper's "column swaps"; A's own permutation
+	// rides in the fused pass.
 	StageSwap
 	// StageTrmm is the accumulation R := R′·R and permutation bookkeeping.
 	StageTrmm
 	// StageFused is the fused permute→TRSM→Gram streaming pass: one
 	// row-block traversal that replaces a StageSwap + StageTrsm pair plus
-	// the next iteration's StageGram on the steady-state Ite-CholQR-CP
-	// path (and CholeskyQR2's first TRSM + second Gram).
+	// the following StageGram on every Ite-CholQR-CP pivoting pass (and
+	// CholeskyQR2's first TRSM + second Gram).
 	StageFused
 	// StageSketch is the randomized embedding pass of the CQRRPT path:
 	// SA := S·A for the sparse-sign (or Gaussian fallback) sketch, plus

@@ -22,8 +22,7 @@ type Request struct {
 	// shared, so the caller may reuse it immediately.
 	A *mat.Dense
 	// Options select strategy, tolerance and seed exactly as for the
-	// in-process tsqrcp.QRCP; nil means defaults. Options.Workers is
-	// local-engine state and does not travel.
+	// in-process tsqrcp.QRCP; nil means defaults.
 	Options *tsqrcp.Options
 	// Timeout is an explicit job deadline sent to the server. Zero
 	// derives the wire deadline from ctx's deadline instead; negative is

@@ -37,13 +37,13 @@ func TestQRCPStrategyCQRRPT(t *testing.T) {
 
 // TestQRCPStrategyCQRRPTWorkersInvariant pins the public determinism
 // contract: for a fixed Seed the CQRRPT result does not depend on the
-// Workers bound.
+// engine width.
 func TestQRCPStrategyCQRRPTWorkersInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	a := testmat.Generate(rng, 6000, 24, 19, 1e-8)
 	var ref *Factorization
 	for _, w := range []int{1, 3, 8} {
-		f, err := QRCP(a, &Options{Strategy: StrategyCQRRPT, Seed: 7, Workers: w})
+		f, err := NewEngine(w).QRCP(a, &Options{Strategy: StrategyCQRRPT, Seed: 7})
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}

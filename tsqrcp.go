@@ -56,20 +56,12 @@ type Options struct {
 	// can diverge from Householder QRCP. Provided for experimentation;
 	// production callers should keep ε at DefaultPivotTol.
 	ZeroTol bool
-	// Workers bounds the parallel width of this call's dense kernels;
-	// 0 inherits the engine's width (all available cores on the default
-	// engine). The bound is per-call state carried by an internal engine,
-	// so concurrent factorizations with different Workers values do not
-	// interfere. Every kernel that sums over rows reduces through a
-	// fixed slot schedule, so the result does not depend on Workers
-	// (DESIGN.md §10).
-	Workers int
 	// Strategy selects the pivoting algorithm; the zero value is
 	// StrategyIteCholQRCP.
 	Strategy Strategy
 	// Seed seeds the randomized embedding of StrategyCQRRPT. For a fixed
 	// Seed the factorization is a deterministic function of the input —
-	// bit-identical across engine widths and Workers settings. Ignored by
+	// bit-identical across engine widths. Ignored by
 	// deterministic strategies.
 	Seed uint64
 }
@@ -127,10 +119,6 @@ type Factorization struct {
 	// (0 for the Householder baseline).
 	Iterations int
 }
-
-// TruncatedFactorization is the historical name for a rank-k truncated
-// result; full and truncated factorizations now share one shape.
-type TruncatedFactorization = Factorization
 
 // NumericalRank estimates the numerical rank from the diagonal of R: the
 // number of leading diagonals with |R(j,j)| > tol·|R(0,0)|. With tol ≤ 0

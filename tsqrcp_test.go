@@ -37,11 +37,11 @@ func TestQRCPPublicAPI(t *testing.T) {
 func TestQRCPOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(152))
 	a := testmat.Generate(rng, 200, 10, 8, 1e-6)
-	f1, err := QRCP(a, &Options{PivotTol: 1e-4, Workers: 1})
+	f1, err := NewEngine(1).QRCP(a, &Options{PivotTol: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := QRCP(a, &Options{PivotTol: 1e-4, Workers: 2})
+	f2, err := NewEngine(2).QRCP(a, &Options{PivotTol: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
