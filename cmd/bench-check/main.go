@@ -44,7 +44,7 @@
 // there depends on the runner.
 //
 // The out-of-core path has one too: the OOCQRCP rows must be present
-// with a positive streamed GB/s, and the PrefetchStallFraction metric
+// with a positive gbps (input bytes factored per ns), and the PrefetchStallFraction metric
 // row must sit below 0.5 — the prefetch pipeline hiding at least half
 // of the disk time behind compute.
 package main
@@ -345,9 +345,9 @@ const (
 )
 
 // oocGates checks the out-of-core acceptance criteria on one report:
-// the OOCQRCP streaming row must be present with a positive streamed
-// GB/s, and its PrefetchStallFraction metric row must sit under the
-// ceiling. Missing rows are violations, not skips.
+// the OOCQRCP streaming row must be present with a positive gbps, and
+// its PrefetchStallFraction metric row must sit under the ceiling.
+// Missing rows are violations, not skips.
 func oocGates(path string, rep *metrics.File) []string {
 	var errs []string
 	bad := func(format string, args ...any) {
@@ -368,7 +368,7 @@ func oocGates(path string, rep *metrics.File) []string {
 	if thr == nil {
 		bad("missing OOCQRCP streaming row at m=%d n=%d", oocGateM, oocGateN)
 	} else if thr.Gbps <= 0 {
-		bad("OOCQRCP at m=%d n=%d: non-positive streamed GB/s %g", oocGateM, oocGateN, thr.Gbps)
+		bad("OOCQRCP at m=%d n=%d: non-positive gbps %g", oocGateM, oocGateN, thr.Gbps)
 	}
 	if stall == nil {
 		bad("missing OOCQRCP PrefetchStallFraction row at m=%d n=%d", oocGateM, oocGateN)

@@ -54,9 +54,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("%s: %d×%d float64 (%d bytes payload), mmap=%v\n",
-			flag.Arg(0), fm.Rows(), fm.Cols(),
-			8*int64(fm.Rows())*int64(fm.Cols()), fm.Mapped())
+		fmt.Printf("%s: %d×%d float64 (%d bytes payload)\n",
+			flag.Arg(0), fm.Rows(), fm.Cols(), 8*int64(fm.Rows())*int64(fm.Cols()))
 		fm.Close()
 	default:
 		if flag.NArg() != 2 {

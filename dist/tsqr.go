@@ -2,6 +2,7 @@ package dist
 
 import (
 	"repro/internal/blas"
+	"repro/internal/core"
 	"repro/internal/lapack"
 	"repro/mat"
 )
@@ -24,7 +25,7 @@ func TSQR(comm Comm, aLocal *mat.Dense) *mat.Dense {
 	rank := comm.Rank()
 
 	// Local QR of the row block.
-	local := HouseholderThin(aLocal.Clone())
+	local := core.HouseholderQR(nil, aLocal)
 
 	// Allgather the per-rank R factors: each rank writes its R into its
 	// segment of a zero buffer; the sum is the concatenation.
@@ -46,20 +47,4 @@ func TSQR(comm Comm, aLocal *mat.Dense) *mat.Dense {
 	qs := stack.Slice(rank*n, (rank+1)*n, 0, n)
 	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, local.Q, qs, 0, aLocal)
 	return r
-}
-
-// HouseholderThin computes an explicit thin QR of a (in place for Q) and
-// returns both factors; a small helper shared by the TSQR leaves.
-func HouseholderThin(a *mat.Dense) *QRPair {
-	n := a.Cols
-	tau := make([]float64, n)
-	lapack.Geqrf(nil, a, tau)
-	r := lapack.ExtractR(a)
-	lapack.Orgqr(nil, a, tau)
-	return &QRPair{Q: a, R: r}
-}
-
-// QRPair bundles the two factors of a thin QR factorization.
-type QRPair struct {
-	Q, R *mat.Dense
 }

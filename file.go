@@ -21,7 +21,7 @@ type FileOptions struct {
 	// reorthogonalization sweep's TRSM is skipped — one fewer full
 	// read+write of the matrix when only R and the pivots are needed.
 	QPath string
-	// ScratchDir hosts the 8·m·n-byte working scratch file; empty
+	// ScratchDir hosts the m×n binary-format working scratch file; empty
 	// selects the OS temp dir. The file is removed before returning.
 	ScratchDir string
 }

@@ -4,17 +4,16 @@
 // many off-diagonal blocks by low-rank factorization, each one a
 // rank-revealing QR of a tall-skinny or short-wide block).
 //
-// The structure is the classical one: binary cluster trees over the
-// source and target points, a block cluster tree with the η-admissibility
-// condition, dense storage for small inadmissible leaves and truncated
-// pivoted-QR factors U·V for admissible blocks. Build handles sorted 1-D
-// point sets; BuildND handles point clouds in any dimension with
-// bounding-box clusters (widest-dimension bisection).
+// The structure is the classical one: binary bounding-box cluster trees
+// over the source and target points (widest-dimension bisection), a
+// block cluster tree with the η-admissibility condition, dense storage
+// for small inadmissible leaves and truncated pivoted-QR factors U·V for
+// admissible blocks. BuildND handles point clouds in any dimension;
+// Build is its 1-D form over sorted points.
 package hmatrix
 
 import (
 	"fmt"
-	"math"
 
 	"repro/mat"
 )
@@ -56,190 +55,68 @@ func (o *Options) tol() float64 {
 	return o.Tol
 }
 
-// cluster is one node of a (contiguous-range) cluster tree over sorted
-// points.
-type cluster struct {
-	lo, hi      int // index range [lo, hi)
-	xmin, xmax  float64
-	left, right *cluster
-}
-
-func (c *cluster) size() int     { return c.hi - c.lo }
-func (c *cluster) diam() float64 { return c.xmax - c.xmin }
-func (c *cluster) leaf() bool    { return c.left == nil }
-func (c *cluster) mid() float64  { return 0.5 * (c.xmin + c.xmax) }
-func dist(a, b *cluster) float64 {
-	if a.xmax < b.xmin {
-		return b.xmin - a.xmax
-	}
-	if b.xmax < a.xmin {
-		return a.xmin - b.xmax
-	}
-	return 0
-}
-
-// buildCluster recursively bisects the (sorted) point range.
-func buildCluster(pts []float64, lo, hi, leafSize int) *cluster {
-	c := &cluster{lo: lo, hi: hi, xmin: pts[lo], xmax: pts[hi-1]}
-	if hi-lo <= leafSize {
-		return c
-	}
-	// Geometric bisection at the midpoint of the bounding interval, with
-	// a cardinality fallback when all points fall on one side.
-	mid := c.mid()
-	split := lo
-	for split < hi && pts[split] <= mid {
-		split++
-	}
-	if split == lo || split == hi {
-		split = (lo + hi) / 2
-	}
-	c.left = buildCluster(pts, lo, split, leafSize)
-	c.right = buildCluster(pts, split, hi, leafSize)
-	return c
-}
-
-// block is one node of the block cluster tree.
-type block struct {
-	row, col *cluster
-	// Exactly one of the following three is populated.
-	dense    *mat.Dense // inadmissible leaf
-	u, v     *mat.Dense // admissible low-rank block: u (rows×k), v (k×cols)
-	children []*block   // subdivided block
-}
-
-// HMatrix is a compressed kernel matrix K[i][j] = k(x_i, y_j) for sorted
-// point sets x (rows) and y (columns).
-type HMatrix struct {
-	root       *block
-	rows, cols int
-	tol        float64
-}
-
-// Build compresses the kernel matrix over the given source (rows) and
-// target (columns) points. Both slices must be sorted ascending.
+// Build compresses the kernel matrix K[i][j] = k(xs[i], ys[j]) over 1-D
+// source (rows) and target (columns) points, on the N-D builder with
+// one-coordinate points. Both slices must be sorted ascending; the
+// cluster trees then keep the given order, so MatVec needs no
+// permutation.
 func Build(xs, ys []float64, k Kernel, opts *Options) (*HMatrix, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		panic("hmatrix: empty point set")
 	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			panic("hmatrix: xs not sorted")
-		}
-	}
-	for i := 1; i < len(ys); i++ {
-		if ys[i] < ys[i-1] {
-			panic("hmatrix: ys not sorted")
-		}
-	}
-	h := &HMatrix{rows: len(xs), cols: len(ys), tol: opts.tol()}
-	rt := buildCluster(xs, 0, len(xs), opts.leafSize())
-	ct := buildCluster(ys, 0, len(ys), opts.leafSize())
-	var err error
-	h.root, err = buildBlock(rt, ct, xs, ys, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-func admissible(r, c *cluster, eta float64) bool {
-	d := dist(r, c)
-	if d <= 0 {
-		return false
-	}
-	m := math.Min(r.diam(), c.diam())
-	return m <= eta*d
-}
-
-func buildBlock(r, c *cluster, xs, ys []float64, k Kernel, opts *Options) (*block, error) {
-	b := &block{row: r, col: c}
-	switch {
-	case admissible(r, c, opts.eta()):
-		if err := b.compress(xs, ys, k, opts.tol()); err != nil {
-			return nil, err
-		}
-	case r.leaf() || c.leaf():
-		b.dense = evalBlock(r, c, xs, ys, k)
-	default:
-		for _, rc := range []*cluster{r.left, r.right} {
-			for _, cc := range []*cluster{c.left, c.right} {
-				child, err := buildBlock(rc, cc, xs, ys, k, opts)
-				if err != nil {
-					return nil, err
-				}
-				b.children = append(b.children, child)
+	for _, pts := range [][]float64{xs, ys} {
+		for i := 1; i < len(pts); i++ {
+			if pts[i] < pts[i-1] {
+				panic("hmatrix: points not sorted")
 			}
 		}
 	}
-	return b, nil
+	return build(xs, ys, points1D(xs), points1D(ys), k, opts)
 }
 
-func evalBlock(r, c *cluster, xs, ys []float64, k Kernel) *mat.Dense {
-	m := mat.NewDense(r.size(), c.size())
-	for i := r.lo; i < r.hi; i++ {
-		row := m.Row(i - r.lo)
-		for j := c.lo; j < c.hi; j++ {
-			row[j-c.lo] = k(xs[i], ys[j])
-		}
+// points1D views each coordinate as a one-coordinate point.
+func points1D(xs []float64) [][]float64 {
+	pts := make([][]float64, len(xs))
+	for i := range xs {
+		pts[i] = xs[i : i+1 : i+1]
 	}
-	return m
+	return pts
 }
 
-// compress builds the dense block and factors it with pivoted QR,
-// truncating at the relative tolerance (see compressDense in nd.go;
-// wide blocks are factored through their tall transpose).
-func (b *block) compress(xs, ys []float64, k Kernel, tol float64) error {
-	dense := evalBlock(b.row, b.col, xs, ys, k)
-	return compressDense(dense, tol, &b.u, &b.v)
+// HMatrix is a compressed kernel matrix over d-dimensional point sets.
+// Internally rows and columns are in cluster-tree order; MatVec
+// operates in the original point ordering.
+type HMatrix struct {
+	root       *block
+	rows, cols int
+	// rowIdx and colIdx map a tree position to the original index; nil
+	// when the tree order is the original order.
+	rowIdx, colIdx []int
 }
+
+// HMatrixND is HMatrix under the name BuildND's callers know.
+type HMatrixND = HMatrix
 
 // MatVec computes dst = K·x for a length-cols vector, in O(storage) time.
 func (h *HMatrix) MatVec(dst, x []float64) {
 	if len(dst) != h.rows || len(x) != h.cols {
 		panic(fmt.Sprintf("hmatrix: MatVec dims dst[%d], x[%d] for %d×%d", len(dst), len(x), h.rows, h.cols))
 	}
-	for i := range dst {
-		dst[i] = 0
+	xp, dp := x, dst
+	if h.colIdx != nil {
+		xp = make([]float64, h.cols)
+		for p, orig := range h.colIdx {
+			xp[p] = x[orig]
+		}
 	}
-	h.root.matvec(dst, x)
-}
-
-func (b *block) matvec(dst, x []float64) {
-	switch {
-	case b.dense != nil:
-		d := b.dense
-		for i := 0; i < d.Rows; i++ {
-			row := d.Data[i*d.Stride : i*d.Stride+d.Cols]
-			s := 0.0
-			for j, v := range row {
-				s += v * x[b.col.lo+j]
-			}
-			dst[b.row.lo+i] += s
-		}
-	case b.u != nil:
-		k := b.u.Cols
-		tmp := make([]float64, k)
-		for l := 0; l < k; l++ {
-			row := b.v.Data[l*b.v.Stride : l*b.v.Stride+b.v.Cols]
-			s := 0.0
-			for j, v := range row {
-				s += v * x[b.col.lo+j]
-			}
-			tmp[l] = s
-		}
-		for i := 0; i < b.u.Rows; i++ {
-			row := b.u.Data[i*b.u.Stride : i*b.u.Stride+k]
-			s := 0.0
-			for l, v := range row {
-				s += v * tmp[l]
-			}
-			dst[b.row.lo+i] += s
-		}
-	default:
-		for _, c := range b.children {
-			c.matvec(dst, x)
-		}
+	if h.rowIdx != nil {
+		dp = make([]float64, h.rows)
+	} else {
+		clear(dst)
+	}
+	h.root.matvec(dp, xp)
+	for p, orig := range h.rowIdx {
+		dst[orig] = dp[p]
 	}
 }
 
@@ -262,24 +139,6 @@ func (h *HMatrix) Stats() Stats {
 	st := Stats{DenseFloats: h.rows * h.cols}
 	h.root.stats(&st)
 	return st
-}
-
-func (b *block) stats(st *Stats) {
-	switch {
-	case b.dense != nil:
-		st.DenseBlocks++
-		st.StoredFloats += b.dense.Rows * b.dense.Cols
-	case b.u != nil:
-		st.LowRankBlocks++
-		st.StoredFloats += b.u.Rows*b.u.Cols + b.v.Rows*b.v.Cols
-		if b.u.Cols > st.MaxRank {
-			st.MaxRank = b.u.Cols
-		}
-	default:
-		for _, c := range b.children {
-			c.stats(st)
-		}
-	}
 }
 
 // Dense materializes the compressed matrix (testing/diagnostics only).

@@ -77,6 +77,67 @@ func TestHMatrixMatVecAccuracy(t *testing.T) {
 	}
 }
 
+// TestHMatrixRepeatedPoints: every point twice makes each admissible
+// block exactly rank deficient (equal row pairs), which Cholesky-based
+// QRCP reports as a breakdown; the compression must still succeed and
+// stay accurate.
+func TestHMatrixRepeatedPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(276))
+	pts := sortedPoints(rng, 200)
+	xs := make([]float64, 0, 2*len(pts))
+	for _, p := range pts {
+		xs = append(xs, p, p)
+	}
+	const tol = 1e-8
+	h, err := Build(xs, xs, invKernel, &Options{Tol: tol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Stats().LowRankBlocks == 0 {
+		t.Fatal("no admissible blocks compressed")
+	}
+	dense := denseKernel(xs, xs, invKernel)
+	x := make([]float64, len(xs))
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	got := make([]float64, len(xs))
+	h.MatVec(got, x)
+	num, den := 0.0, 0.0
+	for i := range got {
+		want := 0.0
+		for j := range x {
+			want += dense.At(i, j) * x[j]
+		}
+		num += (got[i] - want) * (got[i] - want)
+		den += want * want
+	}
+	if rel := math.Sqrt(num / den); rel > 100*tol {
+		t.Fatalf("matvec error %g", rel)
+	}
+}
+
+// TestHMatrixSortedMatVecNoPermutation: on sorted 1-D points the tree
+// order is the input order, so MatVec allocates nothing beyond one rank-
+// sized temporary per low-rank block — no gathered input, no scattered
+// output.
+func TestHMatrixSortedMatVecNoPermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(277))
+	xs := sortedPoints(rng, 1000)
+	h, err := Build(xs, xs, logKernel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.rowIdx != nil || h.colIdx != nil {
+		t.Fatal("sorted points produced a non-identity tree order")
+	}
+	x, dst := make([]float64, len(xs)), make([]float64, len(xs))
+	allocs := testing.AllocsPerRun(5, func() { h.MatVec(dst, x) })
+	if lr := h.Stats().LowRankBlocks; allocs > float64(lr) {
+		t.Fatalf("MatVec made %v allocations, want ≤ %d (one per low-rank block)", allocs, lr)
+	}
+}
+
 func TestHMatrixCompresses(t *testing.T) {
 	rng := rand.New(rand.NewSource(272))
 	n := 600

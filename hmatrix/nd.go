@@ -1,6 +1,7 @@
 package hmatrix
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -11,18 +12,18 @@ import (
 // KernelND evaluates the interaction between two d-dimensional points.
 type KernelND func(x, y []float64) float64
 
-// ndCluster is a node of a bounding-box cluster tree over a permuted
+// cluster is a node of a bounding-box cluster tree over a permuted
 // index range of the point set.
-type ndCluster struct {
+type cluster struct {
 	lo, hi      int // range into the permutation array
 	bmin, bmax  []float64
-	left, right *ndCluster
+	left, right *cluster
 }
 
-func (c *ndCluster) size() int  { return c.hi - c.lo }
-func (c *ndCluster) leaf() bool { return c.left == nil }
+func (c *cluster) size() int  { return c.hi - c.lo }
+func (c *cluster) leaf() bool { return c.left == nil }
 
-func (c *ndCluster) diam() float64 {
+func (c *cluster) diam() float64 {
 	s := 0.0
 	for d := range c.bmin {
 		e := c.bmax[d] - c.bmin[d]
@@ -31,7 +32,7 @@ func (c *ndCluster) diam() float64 {
 	return math.Sqrt(s)
 }
 
-func ndDist(a, b *ndCluster) float64 {
+func dist(a, b *cluster) float64 {
 	s := 0.0
 	for d := range a.bmin {
 		gap := 0.0
@@ -45,11 +46,11 @@ func ndDist(a, b *ndCluster) float64 {
 	return math.Sqrt(s)
 }
 
-// buildNDCluster recursively splits the index range along the widest
+// buildCluster recursively splits the index range along the widest
 // bounding-box dimension, permuting idx in place.
-func buildNDCluster(pts [][]float64, idx []int, lo, hi, leafSize int) *ndCluster {
+func buildCluster(pts [][]float64, idx []int, lo, hi, leafSize int) *cluster {
 	dims := len(pts[0])
-	c := &ndCluster{lo: lo, hi: hi, bmin: make([]float64, dims), bmax: make([]float64, dims)}
+	c := &cluster{lo: lo, hi: hi, bmin: make([]float64, dims), bmax: make([]float64, dims)}
 	for d := 0; d < dims; d++ {
 		c.bmin[d] = math.Inf(1)
 		c.bmax[d] = math.Inf(-1)
@@ -79,8 +80,8 @@ func buildNDCluster(pts [][]float64, idx []int, lo, hi, leafSize int) *ndCluster
 	if split == lo || split == hi {
 		split = (lo + hi) / 2
 	}
-	c.left = buildNDCluster(pts, idx, lo, split, leafSize)
-	c.right = buildNDCluster(pts, idx, split, hi, leafSize)
+	c.left = buildCluster(pts, idx, lo, split, leafSize)
+	c.right = buildCluster(pts, idx, split, hi, leafSize)
 	return c
 }
 
@@ -104,26 +105,18 @@ func partitionIdx(pts [][]float64, idx []int, lo, hi, dim int, mid float64) int 
 	return i
 }
 
-// ndBlock mirrors block for the d-dimensional tree.
-type ndBlock struct {
-	row, col *ndCluster
-	dense    *mat.Dense
-	u, v     *mat.Dense
-	children []*ndBlock
-}
-
-// HMatrixND is a compressed kernel matrix over d-dimensional point sets.
-// Internally rows and columns are permuted by the cluster trees; MatVec
-// operates in the original point ordering.
-type HMatrixND struct {
-	root           *ndBlock
-	rows, cols     int
-	rowIdx, colIdx []int // permutation: internal position → original index
+// block is one node of the block cluster tree.
+type block struct {
+	row, col *cluster
+	// Exactly one of the following three is populated.
+	dense    *mat.Dense // inadmissible leaf
+	u, v     *mat.Dense // admissible low-rank block: u (rows×k), v (k×cols)
+	children []*block   // subdivided block
 }
 
 // BuildND compresses the kernel matrix K[i][j] = k(xs[i], ys[j]) over
 // d-dimensional point sets (all points must share a dimension ≥ 1).
-func BuildND(xs, ys [][]float64, k KernelND, opts *Options) (*HMatrixND, error) {
+func BuildND(xs, ys [][]float64, k KernelND, opts *Options) (*HMatrix, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		panic("hmatrix: empty point set")
 	}
@@ -141,17 +134,25 @@ func BuildND(xs, ys [][]float64, k KernelND, opts *Options) (*HMatrixND, error) 
 			panic("hmatrix: inconsistent point dimensions")
 		}
 	}
-	h := &HMatrixND{rows: len(xs), cols: len(ys)}
-	h.rowIdx = identityIdx(len(xs))
-	h.colIdx = identityIdx(len(ys))
-	rt := buildNDCluster(xs, h.rowIdx, 0, len(xs), opts.leafSize())
-	ct := buildNDCluster(ys, h.colIdx, 0, len(ys), opts.leafSize())
-	var err error
-	h.root, err = buildNDBlock(rt, ct, xs, ys, h.rowIdx, h.colIdx, k, opts)
+	return build(xs, ys, xs, ys, k, opts)
+}
+
+// build clusters the points xpts and ypts and compresses the kernel k
+// over the point values xs and ys, indexed like the points. Build passes
+// its coordinates as float64 values, so that each entry costs one
+// kernel call in 1-D too.
+func build[P any](xs, ys []P, xpts, ypts [][]float64, k func(x, y P) float64, opts *Options) (*HMatrix, error) {
+	ridx, cidx := identityIdx(len(xpts)), identityIdx(len(ypts))
+	rt := buildCluster(xpts, ridx, 0, len(xpts), opts.leafSize())
+	ct := buildCluster(ypts, cidx, 0, len(ypts), opts.leafSize())
+	eval := func(r, c *cluster) *mat.Dense {
+		return evalBlock(xs, ys, ridx[r.lo:r.hi], cidx[c.lo:c.hi], k)
+	}
+	root, err := buildBlock(rt, ct, eval, opts)
 	if err != nil {
 		return nil, err
 	}
-	return h, nil
+	return &HMatrix{root: root, rows: len(xs), cols: len(ys), rowIdx: nilIfIdentity(ridx), colIdx: nilIfIdentity(cidx)}, nil
 }
 
 func identityIdx(n int) []int {
@@ -162,28 +163,38 @@ func identityIdx(n int) []int {
 	return idx
 }
 
-func ndAdmissible(r, c *ndCluster, eta float64) bool {
-	d := ndDist(r, c)
+// nilIfIdentity drops a tree order that is the original order, so
+// MatVec skips its gather or scatter.
+func nilIfIdentity(idx []int) []int {
+	for i, v := range idx {
+		if i != v {
+			return idx
+		}
+	}
+	return nil
+}
+
+func admissible(r, c *cluster, eta float64) bool {
+	d := dist(r, c)
 	if d <= 0 {
 		return false
 	}
 	return math.Min(r.diam(), c.diam()) <= eta*d
 }
 
-func buildNDBlock(r, c *ndCluster, xs, ys [][]float64, ridx, cidx []int, k KernelND, opts *Options) (*ndBlock, error) {
-	b := &ndBlock{row: r, col: c}
+func buildBlock(r, c *cluster, eval func(r, c *cluster) *mat.Dense, opts *Options) (*block, error) {
+	b := &block{row: r, col: c}
 	switch {
-	case ndAdmissible(r, c, opts.eta()):
-		dense := evalNDBlock(r, c, xs, ys, ridx, cidx, k)
-		if err := compressDense(dense, opts.tol(), &b.u, &b.v); err != nil {
+	case admissible(r, c, opts.eta()):
+		if err := compressDense(eval(r, c), opts.tol(), &b.u, &b.v); err != nil {
 			return nil, err
 		}
 	case r.leaf() || c.leaf():
-		b.dense = evalNDBlock(r, c, xs, ys, ridx, cidx, k)
+		b.dense = eval(r, c)
 	default:
-		for _, rc := range []*ndCluster{r.left, r.right} {
-			for _, cc := range []*ndCluster{c.left, c.right} {
-				child, err := buildNDBlock(rc, cc, xs, ys, ridx, cidx, k, opts)
+		for _, rc := range []*cluster{r.left, r.right} {
+			for _, cc := range []*cluster{c.left, c.right} {
+				child, err := buildBlock(rc, cc, eval, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -194,70 +205,48 @@ func buildNDBlock(r, c *ndCluster, xs, ys [][]float64, ridx, cidx []int, k Kerne
 	return b, nil
 }
 
-func evalNDBlock(r, c *ndCluster, xs, ys [][]float64, ridx, cidx []int, k KernelND) *mat.Dense {
-	m := mat.NewDense(r.size(), c.size())
-	for i := 0; i < r.size(); i++ {
-		x := xs[ridx[r.lo+i]]
-		row := m.Row(i)
-		for j := 0; j < c.size(); j++ {
-			row[j] = k(x, ys[cidx[c.lo+j]])
+// evalBlock evaluates the kernel on the given row and column points.
+func evalBlock[P any](xs, ys []P, rows, cols []int, k func(x, y P) float64) *mat.Dense {
+	m := mat.NewDense(len(rows), len(cols))
+	for i, p := range rows {
+		x, row := xs[p], m.Row(i)[:len(cols)]
+		for j, q := range cols {
+			row[j] = k(x, ys[q])
 		}
 	}
 	return m
 }
 
-// compressDense factors a dense block into U·V at the given tolerance
-// (shared by the 1-D and N-D builders).
+// compressDense factors a dense block into U·V at the given tolerance;
+// wide blocks are factored through their tall transpose.
 func compressDense(dense *mat.Dense, tol float64, u, v **mat.Dense) error {
-	m, n := dense.Rows, dense.Cols
-	if m >= n {
-		f, err := tsqrcp.QRCP(dense, nil)
-		if err != nil {
-			return fmt.Errorf("hmatrix: block (%d×%d): %w", m, n, err)
-		}
-		rank := f.NumericalRank(tol)
-		if rank == 0 {
-			rank = 1
-		}
-		*u = f.Q.Slice(0, m, 0, rank).Clone()
-		rp := f.R.Slice(0, rank, 0, n)
-		*v = mat.NewDense(rank, n)
-		mat.PermuteCols(*v, rp, f.Perm.Inverse())
-		return nil
+	tall := dense
+	if dense.Rows < dense.Cols {
+		tall = dense.T()
 	}
-	f, err := tsqrcp.QRCP(dense.T(), nil)
+	f, err := tsqrcp.QRCP(tall, nil)
+	if errors.Is(err, tsqrcp.ErrBreakdown) || errors.Is(err, tsqrcp.ErrStall) {
+		// Exactly rank-deficient blocks (repeated points give equal rows
+		// or columns) can defeat the Cholesky-based QRCP; Householder
+		// QRCP factors them regardless.
+		f, err = tsqrcp.HouseholderQRCP(tall, nil), nil
+	}
 	if err != nil {
-		return fmt.Errorf("hmatrix: block (%d×%d): %w", m, n, err)
+		return fmt.Errorf("hmatrix: block (%d×%d): %w", dense.Rows, dense.Cols, err)
 	}
-	rank := f.NumericalRank(tol)
-	if rank == 0 {
-		rank = 1
+	rank := max(f.NumericalRank(tol), 1)
+	rperm := mat.NewDense(rank, tall.Cols)
+	mat.PermuteCols(rperm, f.R.Slice(0, rank, 0, tall.Cols), f.Perm.Inverse())
+	q := f.Q.Slice(0, tall.Rows, 0, rank)
+	if tall == dense {
+		*u, *v = q.Clone(), rperm
+	} else {
+		*u, *v = rperm.T(), q.T()
 	}
-	rp := f.R.Slice(0, rank, 0, m)
-	rperm := mat.NewDense(rank, m)
-	mat.PermuteCols(rperm, rp, f.Perm.Inverse())
-	*u = rperm.T()
-	*v = f.Q.Slice(0, n, 0, rank).T()
 	return nil
 }
 
-// MatVec computes dst = K·x in the original point ordering.
-func (h *HMatrixND) MatVec(dst, x []float64) {
-	if len(dst) != h.rows || len(x) != h.cols {
-		panic(fmt.Sprintf("hmatrix: MatVec dims dst[%d], x[%d] for %d×%d", len(dst), len(x), h.rows, h.cols))
-	}
-	xp := make([]float64, h.cols)
-	for p, orig := range h.colIdx {
-		xp[p] = x[orig]
-	}
-	dp := make([]float64, h.rows)
-	h.root.matvec(dp, xp)
-	for p, orig := range h.rowIdx {
-		dst[orig] = dp[p]
-	}
-}
-
-func (b *ndBlock) matvec(dst, x []float64) {
+func (b *block) matvec(dst, x []float64) {
 	switch {
 	case b.dense != nil:
 		d := b.dense
@@ -295,14 +284,7 @@ func (b *ndBlock) matvec(dst, x []float64) {
 	}
 }
 
-// Stats reports storage for the N-D compression.
-func (h *HMatrixND) Stats() Stats {
-	st := Stats{DenseFloats: h.rows * h.cols}
-	h.root.stats(&st)
-	return st
-}
-
-func (b *ndBlock) stats(st *Stats) {
+func (b *block) stats(st *Stats) {
 	switch {
 	case b.dense != nil:
 		st.DenseBlocks++

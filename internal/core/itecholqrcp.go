@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/parallel"
 	"repro/mat"
@@ -47,6 +48,32 @@ type CPResult struct {
 	// when a rank cap or a collapsed trailing block stopped the
 	// iteration. Q then has Rank columns and R has Rank rows.
 	Rank int
+}
+
+// NumericalRank estimates the numerical rank of a pivoted factorization
+// from the diagonal of its R: the number of leading diagonals with
+// |R(j,j)| > tol·|R(0,0)|. With tol ≤ 0 a default of n·u is used.
+func NumericalRank(r *mat.Dense, tol float64) int {
+	n := r.Rows
+	if n == 0 {
+		return 0
+	}
+	lead := math.Abs(r.At(0, 0))
+	if lead == 0 {
+		return 0
+	}
+	if tol <= 0 {
+		tol = float64(n) * mat.Eps
+	}
+	k := 0
+	for j := 0; j < n; j++ {
+		if math.Abs(r.At(j, j)) > tol*lead {
+			k = j + 1
+		} else {
+			break
+		}
+	}
+	return k
 }
 
 // IteCholQRCP computes the QR factorization with column pivoting of a tall

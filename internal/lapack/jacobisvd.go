@@ -1,23 +1,65 @@
 package lapack
 
 import (
+	"cmp"
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/mat"
 )
 
-// JacobiSVDValues returns the singular values of a (m×n, m ≥ n) in
-// descending order, computed by one-sided Jacobi rotations on a copy.
-// One-sided Jacobi is slow but extremely accurate even for tiny singular
-// values, which is exactly what the accuracy experiments (κ₂(R₁₁),
-// ‖R₂₂‖₂ in Fig. 2) need.
+// JacobiSVD computes the thin SVD a = U·diag(s)·Vᵀ of a tall matrix
+// (m ≥ n) by one-sided Jacobi: the columns of a working copy are rotated
+// until they are mutually orthogonal; their norms are the singular
+// values (descending, ties in column order), the normalized columns
+// form U, and the accumulated rotations give V.
+func JacobiSVD(a *mat.Dense) (u *mat.Dense, s []float64, v *mat.Dense) {
+	m, n := a.Rows, a.Cols
+	if m < n {
+		panic(fmt.Sprintf("lapack: JacobiSVD needs m ≥ n, got %d×%d", m, n))
+	}
+	w := a.Clone()
+	z := mat.Identity(n)
+	jacobiRotate(w, z)
+	order, s := descendingNorms(w)
+	u = mat.NewDense(m, n)
+	v = mat.NewDense(n, n)
+	for j, p := range order {
+		inv := 0.0
+		if s[j] > 0 {
+			inv = 1 / s[j]
+		}
+		for i := 0; i < m; i++ {
+			u.Set(i, j, w.At(i, p)*inv)
+		}
+		for i := 0; i < n; i++ {
+			v.Set(i, j, z.At(i, p))
+		}
+	}
+	return u, s, v
+}
+
+// JacobiSVDValues returns the singular values of a in descending order,
+// computed by one-sided Jacobi rotations on a copy. One-sided Jacobi is
+// slow but extremely accurate even for tiny singular values, which is
+// exactly what the accuracy experiments (κ₂(R₁₁), ‖R₂₂‖₂ in Fig. 2)
+// need.
 func JacobiSVDValues(a *mat.Dense) []float64 {
 	if a.Rows < a.Cols {
 		// Work on the transpose; singular values are shared.
 		return JacobiSVDValues(a.T())
 	}
 	w := a.Clone()
+	jacobiRotate(w, nil)
+	_, s := descendingNorms(w)
+	return s
+}
+
+// jacobiRotate applies one-sided Jacobi sweeps to the columns of w until
+// every pair is orthogonal to working precision (or 60 sweeps pass). When
+// z is non-nil each rotation is also applied to its columns.
+func jacobiRotate(w, z *mat.Dense) {
 	m, n := w.Rows, w.Cols
 	const (
 		maxSweeps = 60
@@ -49,11 +91,9 @@ func JacobiSVDValues(a *mat.Dense) []float64 {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					vp := w.Data[i*w.Stride+p]
-					vq := w.Data[i*w.Stride+q]
-					w.Data[i*w.Stride+p] = c*vp - s*vq
-					w.Data[i*w.Stride+q] = s*vp + c*vq
+				rotateCols(w, p, q, c, s)
+				if z != nil {
+					rotateCols(z, p, q, c, s)
 				}
 			}
 		}
@@ -61,12 +101,35 @@ func JacobiSVDValues(a *mat.Dense) []float64 {
 			break
 		}
 	}
-	sv := make([]float64, n)
-	for j := 0; j < n; j++ {
-		sv[j] = w.ColNorm2(j)
+}
+
+// rotateCols replaces columns p and q of x by c·x_p − s·x_q and
+// s·x_p + c·x_q.
+func rotateCols(x *mat.Dense, p, q int, c, s float64) {
+	for i := 0; i < x.Rows; i++ {
+		vp := x.Data[i*x.Stride+p]
+		vq := x.Data[i*x.Stride+q]
+		x.Data[i*x.Stride+p] = c*vp - s*vq
+		x.Data[i*x.Stride+q] = s*vp + c*vq
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(sv)))
-	return sv
+}
+
+// descendingNorms returns w's column norms in descending order and the
+// column each came from; equal norms keep their column order.
+func descendingNorms(w *mat.Dense) (order []int, norms []float64) {
+	n := w.Cols
+	all := make([]float64, n)
+	order = make([]int, n)
+	for j := range all {
+		all[j] = w.ColNorm2(j)
+		order[j] = j
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(all[b], all[a]) })
+	norms = make([]float64, n)
+	for j, p := range order {
+		norms[j] = all[p]
+	}
+	return order, norms
 }
 
 // Cond2 returns the 2-norm condition number σ_max/σ_min of a. It returns

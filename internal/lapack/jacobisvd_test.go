@@ -108,3 +108,45 @@ func randomOrtho(rng *rand.Rand, m, n int) *mat.Dense {
 	Orgqr(nil, g, tau)
 	return g
 }
+
+// TestJacobiSVDFactors: the thin SVD reconstructs its input, its factors
+// are orthonormal, and its values are JacobiSVDValues' bits — both run
+// the same rotation loop, JacobiSVD only accumulating V on the side.
+func TestJacobiSVDFactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	m, n := 40, 9
+	a := mat.NewDense(m, n)
+	for i := range a.Data {
+		a.Data[i] = rng.NormFloat64()
+	}
+	a.Slice(0, m, 5, 6).Copy(a.Slice(0, m, 2, 3)) // a repeated column: σ = 0 once
+	u, s, v := JacobiSVD(a)
+	vals := JacobiSVDValues(a)
+	for j := range s {
+		if math.Float64bits(s[j]) != math.Float64bits(vals[j]) {
+			t.Fatalf("s[%d] = %g, JacobiSVDValues %g", j, s[j], vals[j])
+		}
+	}
+	us := u.Clone()
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			us.Set(i, j, us.At(i, j)*s[j])
+		}
+	}
+	rec := mat.NewDense(m, n)
+	blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, us, v, 0, rec)
+	if !mat.EqualApprox(rec, a, 1e-12) {
+		t.Fatal("U·diag(s)·Vᵀ does not reconstruct a")
+	}
+	vtv := mat.NewDense(n, n)
+	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, v, v, 0, vtv)
+	if !mat.EqualApprox(vtv, mat.Identity(n), 1e-13) {
+		t.Fatal("V is not orthogonal")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wide input accepted")
+		}
+	}()
+	JacobiSVD(a.T())
+}

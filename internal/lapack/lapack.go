@@ -5,7 +5,8 @@
 //   - PotrfUpper         — DPOTRF: blocked Cholesky factorization
 //   - Geqrf / Orgqr      — DGEQRF/DORGQR: blocked Householder QR, explicit Q
 //   - Geqp3              — DGEQP3: blocked, BLAS-3 QR with column pivoting
-//   - JacobiSVDValues    — singular values via one-sided Jacobi (metrics)
+//   - JacobiSVD          — thin SVD via one-sided Jacobi (subspace.RandSVD)
+//   - JacobiSVDValues    — its singular values alone (metrics)
 //
 // Everything is built on the kernels in internal/blas and runs on
 // row-major mat.Dense values.

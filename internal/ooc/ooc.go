@@ -7,6 +7,8 @@
 // with a double-buffered prefetch goroutine keeping the next panel in
 // flight while the engine computes on the current one. The resident set
 // is two panel buffers plus n×n replicated state, independent of m.
+// The input and the scratch file are both binary-format mat.FileMatrix
+// files, and every panel moves by one positioned read or write.
 //
 // Panels never straddle a slot of the fused kernels' row reduction
 // (blas.FusedSlots / blas.FusedSlotBounds) and are fed in row order,
@@ -45,8 +47,9 @@ type Config struct {
 	// empty the final TRSM sweep is skipped entirely — R and the pivots
 	// are already final without it.
 	QPath string
-	// ScratchDir hosts the working-matrix scratch file (8·m·n bytes);
-	// empty selects the OS temp dir. The file is removed on return.
+	// ScratchDir hosts the working-matrix scratch file, an m×n
+	// binary-format matrix; empty selects the OS temp dir. The file is
+	// removed on return.
 	ScratchDir string
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -81,6 +82,19 @@ func TestQRCPCancellation(t *testing.T) {
 	}
 }
 
+// TestQRCPRemovesScratch: a run that writes scratch leaves its
+// ScratchDir as it found it.
+func TestQRCPRemovesScratch(t *testing.T) {
+	path := writeBin(t, 2000, 8)
+	dir := t.TempDir()
+	if _, err := QRCP(parallel.NewEngine(2), path, Config{PanelRows: 128, ScratchDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("scratch dir holds %v after QRCP (err %v)", left, err)
+	}
+}
+
 // TestRunSweepReadErrorPropagates: a panel read failing mid-sweep (the
 // scratch file is shorter than the schedule expects) aborts the sweep
 // with the I/O error instead of wedging the pipeline, and runSweep still
@@ -101,11 +115,11 @@ func TestRunSweepReadErrorPropagates(t *testing.T) {
 	}
 	defer s.cleanup()
 	// Shrink scratch below one full matrix: some panel read must fail.
-	if err := s.scratch.Truncate(8 * int64(m/2) * int64(n)); err != nil {
+	if err := os.Truncate(s.scratchName, mat.BinaryHeaderSize+8*int64(m/2)*int64(n)); err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
-	err := s.runSweep(rawSource{f: s.scratch, cols: n}, func(p panel, pd *mat.Dense) error {
+	err := s.runSweep(s.scratch, func(p panel, pd *mat.Dense) error {
 		seen++
 		return nil
 	})
@@ -117,9 +131,9 @@ func TestRunSweepReadErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestRawSourceRoundTrip: the headerless scratch source reads back what
-// the sweeper's writePanel layout stores.
-func TestRawSourceRoundTrip(t *testing.T) {
+// TestScratchRoundTrip: the scratch file reads back what the sweeper's
+// writePanel stores, and is itself a valid binary-format matrix.
+func TestScratchRoundTrip(t *testing.T) {
 	const m, n = 130, 5
 	s := &fileSweeper{m: m, n: n}
 	s.scratchDir = t.TempDir()
@@ -138,9 +152,8 @@ func TestRawSourceRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := rawSource{f: s.scratch, cols: n}
 	got := mat.NewDense(m, n)
-	nb, err := src.readPanel(got, 0, m)
+	nb, err := s.scratch.ReadRows(got, 0, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,5 +164,12 @@ func TestRawSourceRoundTrip(t *testing.T) {
 		if a.Data[i] != got.Data[i] {
 			t.Fatalf("scratch round trip differs at %d", i)
 		}
+	}
+	file, err := mat.ReadBinaryFile(s.scratchName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mat.EqualApprox(file, a, 0) {
+		t.Fatal("scratch file does not decode as the written matrix")
 	}
 }

@@ -2,56 +2,11 @@ package ooc
 
 import (
 	"fmt"
-	"os"
 	"time"
-	"unsafe"
 
 	"repro/internal/trace"
 	"repro/mat"
 )
-
-// source serves row panels of the current working matrix into a
-// caller-provided packed buffer, returning the payload bytes read.
-type source interface {
-	readPanel(dst *mat.Dense, lo, hi int) (int64, error)
-}
-
-// fileSource reads the immutable input file (mmap or pread, whichever
-// mat.FileMatrix negotiated).
-type fileSource struct{ fm *mat.FileMatrix }
-
-func (s fileSource) readPanel(dst *mat.Dense, lo, hi int) (int64, error) {
-	return s.fm.ReadRows(dst, lo, hi)
-}
-
-// rawSource reads the headerless scratch file: raw host-order float64
-// rows, row-major. Scratch never leaves the process, so no byte-order
-// translation is ever needed.
-type rawSource struct {
-	f    *os.File
-	cols int
-}
-
-func (s rawSource) readPanel(dst *mat.Dense, lo, hi int) (int64, error) {
-	nvals := (hi - lo) * s.cols
-	off := 8 * int64(lo) * int64(s.cols)
-	if _, err := s.f.ReadAt(f64Bytes(dst.Data[:nvals]), off); err != nil {
-		return 0, fmt.Errorf("ooc: reading scratch rows [%d,%d): %w", lo, hi, err)
-	}
-	return int64(8) * int64(nvals), nil
-}
-
-// f64Bytes is the raw byte view of a float64 slice (host byte order) —
-// used only for the process-private scratch file. It sits on every
-// panel read and write of every sweep, so it must stay allocation-free.
-//
-//repolint:hotpath
-func f64Bytes(s []float64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
-}
 
 // prefetched is one filled panel hand-off from the reader goroutine.
 type prefetched struct {
@@ -72,9 +27,9 @@ type prefetched struct {
 // the pipeline hides the disk.
 //
 // runSweep returns only after the reader goroutine has exited, so
-// callers may close or unmap the source immediately afterwards on any
-// path, including errors and cancellation.
-func (s *fileSweeper) runSweep(src source, fn func(p panel, pd *mat.Dense) error) error {
+// callers may close the source immediately afterwards on any path,
+// including errors and cancellation.
+func (s *fileSweeper) runSweep(src *mat.FileMatrix, fn func(p panel, pd *mat.Dense) error) error {
 	e := s.e
 	free := make(chan *mat.Dense, 2)
 	free <- s.bufs[0]
@@ -84,7 +39,7 @@ func (s *fileSweeper) runSweep(src source, fn func(p panel, pd *mat.Dense) error
 	defer func() {
 		close(done)
 		// Drain until the reader's deferred close: its exit is what makes
-		// unmapping/closing the source safe for the caller.
+		// closing the source safe for the caller.
 		for range out {
 		}
 	}()
@@ -109,7 +64,7 @@ func (s *fileSweeper) runSweep(src source, fn func(p panel, pd *mat.Dense) error
 			}
 			view := buf.Slice(0, p.hi-p.lo, 0, s.n)
 			sp := trace.Region(trace.StageOOCRead)
-			nb, err := src.readPanel(view, p.lo, p.hi)
+			nb, err := src.ReadRows(view, p.lo, p.hi)
 			sp.End()
 			trace.Add(trace.CtrOOCBytesRead, nb)
 			trace.Inc(trace.CtrOOCPanelsRead)

@@ -3,6 +3,7 @@ package ooc
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -26,39 +27,44 @@ type fileSweeper struct {
 	bufs  [2]*mat.Dense // double-buffered panel storage, panelRows×n each
 	accs  []*mat.Dense  // per-slot Gram partials, n×n each
 
-	in         *mat.FileMatrix // immutable input
-	scratch    *os.File        // working matrix once written; lazily created
-	scratchDir string
-	onScratch  bool // the current A^(i) lives in scratch, not in
+	in          *mat.FileMatrix // immutable input
+	scratch     *mat.FileMatrix // working matrix once written; lazily created
+	scratchName string
+	scratchDir  string
+	onScratch   bool // the current A^(i) lives in scratch, not in
 
 	qw *mat.BinaryWriter // streaming Q destination; nil skips Finish
 }
 
-// src returns the source currently holding A^(i).
-func (s *fileSweeper) src() source {
+// src returns the file currently holding A^(i).
+func (s *fileSweeper) src() *mat.FileMatrix {
 	if s.onScratch {
-		return rawSource{f: s.scratch, cols: s.n}
+		return s.scratch
 	}
-	return fileSource{fm: s.in}
+	return s.in
 }
 
-// ensureScratch creates the 8·m·n-byte scratch file on first need. The
-// name is unlinked by cleanup, not on close, so crashes leave at most
-// one stale temp file.
+// ensureScratch creates the m×n binary-format scratch file on first
+// need, as a fresh file in a private temp directory: ext4 writes a file
+// that was truncated to zero back to disk when it is closed, so reusing
+// an existing name would cost a full write of the scratch per run. The
+// directory is removed by cleanup, not on close, so crashes leave at
+// most one stale temp directory.
 func (s *fileSweeper) ensureScratch() error {
 	if s.scratch != nil {
 		return nil
 	}
-	f, err := os.CreateTemp(s.scratchDir, "tsqrcp-ooc-*.scratch")
+	dir, err := os.MkdirTemp(s.scratchDir, "tsqrcp-ooc-*")
 	if err != nil {
 		return fmt.Errorf("ooc: creating scratch: %w", err)
 	}
-	if err := f.Truncate(8 * int64(s.m) * int64(s.n)); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("ooc: sizing scratch: %w", err)
+	name := filepath.Join(dir, "scratch.tsqrmat")
+	fm, err := mat.CreateBinary(name, s.m, s.n)
+	if err != nil {
+		os.RemoveAll(dir)
+		return fmt.Errorf("ooc: creating scratch: %w", err)
 	}
-	s.scratch = f
+	s.scratch, s.scratchName = fm, name
 	return nil
 }
 
@@ -67,13 +73,11 @@ func (s *fileSweeper) ensureScratch() error {
 // the byte counter tracks reads only, so the one-sequential-read-per-
 // sweep invariant stays auditable.
 func (s *fileSweeper) writePanel(pd *mat.Dense, p panel) error {
-	nvals := (p.hi - p.lo) * s.n
-	off := 8 * int64(p.lo) * int64(s.n)
 	sp := trace.Region(trace.StageOOCRead)
-	_, err := s.scratch.WriteAt(f64Bytes(pd.Data[:nvals]), off)
+	err := s.scratch.WriteRows(pd, p.lo)
 	sp.End()
 	if err != nil {
-		return fmt.Errorf("ooc: writing scratch rows [%d,%d): %w", p.lo, p.hi, err)
+		return fmt.Errorf("ooc: scratch: %w", err)
 	}
 	return nil
 }
@@ -88,9 +92,8 @@ func (s *fileSweeper) zeroAccs() {
 // are owned by QRCP.
 func (s *fileSweeper) cleanup() {
 	if s.scratch != nil {
-		name := s.scratch.Name()
 		s.scratch.Close()
-		os.Remove(name)
+		os.RemoveAll(filepath.Dir(s.scratchName))
 		s.scratch = nil
 	}
 }

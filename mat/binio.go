@@ -21,10 +21,11 @@ import (
 //	24      8     reserved, must be zero
 //	32      8·r·c payload: float64 values, little-endian, row-major
 //
-// The payload offset (32) is a multiple of 8, so a page-aligned mmap of
-// the file yields an 8-aligned float64 view of the data. The format is
-// defined little-endian; on big-endian hosts readers fall back to
-// explicit decoding.
+// Row i starts at byte 32 + 8·i·cols, so a row panel is one positioned
+// read or write. Every float64 payload in the repository — these files,
+// the out-of-core scratch file and the service wire — goes through the
+// little-endian codec below; on little-endian hosts it is a plain copy
+// of the values' own bytes.
 const (
 	binaryMagic = "TSQRMAT1"
 	// BinaryHeaderSize is the size in bytes of the binary format header
@@ -39,8 +40,7 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// float64Bytes returns the raw byte view of s without copying. Valid
-// only on little-endian hosts (the format's byte order).
+// float64Bytes returns the raw byte view of s without copying.
 func float64Bytes(s []float64) []byte {
 	if len(s) == 0 {
 		return nil
@@ -48,20 +48,21 @@ func float64Bytes(s []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
 }
 
-// bytesFloat64s reinterprets an 8-aligned little-endian byte slice as
-// float64s without copying. Valid only on little-endian hosts.
-func bytesFloat64s(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
+// AppendFloat64s appends the little-endian encoding of src to dst.
+func AppendFloat64s(dst []byte, src []float64) []byte {
+	if hostLittleEndian {
+		return append(dst, float64Bytes(src)...)
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
-		panic("mat: misaligned float64 byte view")
+	for _, v := range src {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
+	return dst
 }
 
-// decodeFloat64s decodes len(dst) little-endian float64s from src.
-func decodeFloat64s(dst []float64, src []byte) {
+// DecodeFloat64s fills dst from the little-endian float64s at the start
+// of src, which must hold at least 8·len(dst) bytes. src may be dst's
+// own memory.
+func DecodeFloat64s(dst []float64, src []byte) {
 	if hostLittleEndian {
 		copy(float64Bytes(dst), src)
 		return
@@ -71,14 +72,21 @@ func decodeFloat64s(dst []float64, src []byte) {
 	}
 }
 
-// encodeFloat64s encodes src as little-endian float64s into dst.
-func encodeFloat64s(dst []byte, src []float64) {
+// littleEndianBytes returns the little-endian bytes of s: s's own memory
+// on a little-endian host, elsewhere an encoding kept in *buf.
+func littleEndianBytes(s []float64, buf *[]byte) []byte {
 	if hostLittleEndian {
-		copy(dst, float64Bytes(src))
-		return
+		return float64Bytes(s)
 	}
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	*buf = AppendFloat64s((*buf)[:0], s)
+	return *buf
+}
+
+// fromLittleEndian decodes, in place, values whose bytes were read
+// straight into s.
+func fromLittleEndian(s []float64) {
+	if !hostLittleEndian {
+		DecodeFloat64s(s, float64Bytes(s))
 	}
 }
 
@@ -121,37 +129,22 @@ func parseBinaryHeader(h []byte) (rows, cols int, err error) {
 	return int(r), int(c), nil
 }
 
-// binaryPayloadBytes returns the payload size of an r×c matrix. Callers
+// binaryFileSize returns the size of an r×c binary-format file. Callers
 // must have validated the dimensions via parseBinaryHeader first.
-func binaryPayloadBytes(rows, cols int) int64 {
-	return 8 * int64(rows) * int64(cols)
+func binaryFileSize(rows, cols int) int64 {
+	return BinaryHeaderSize + 8*int64(rows)*int64(cols)
 }
 
 // WriteBinary emits m in the binary matrix format.
 func (m *Dense) WriteBinary(w io.Writer) error {
-	h := binaryHeader(m.Rows, m.Cols)
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(h[:]); err != nil {
+	bw, err := newBinaryWriter(w, m.Rows, m.Cols)
+	if err != nil {
 		return err
 	}
-	var scratch []byte
-	if !hostLittleEndian {
-		scratch = make([]byte, 8*m.Cols)
+	if err := bw.WriteRows(m); err != nil {
+		return err
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		if hostLittleEndian {
-			if _, err := bw.Write(float64Bytes(row)); err != nil {
-				return err
-			}
-			continue
-		}
-		encodeFloat64s(scratch, row)
-		if _, err := bw.Write(scratch); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return bw.bw.Flush()
 }
 
 // ReadBinary parses a matrix in the binary format from r. The header is
@@ -169,20 +162,8 @@ func ReadBinary(r io.Reader) (*Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readPayload(r, rows, cols, min(rows*cols, binaryGrowStart))
-}
-
-// binaryGrowStart is the payload capacity, in values, that an unsized
-// read starts from before doubling.
-const binaryGrowStart = 1 << 12
-
-// readPayload reads the rows×cols values that follow a validated header,
-// into a buffer that starts at start values and doubles as bytes arrive.
-// A caller that has checked the header against the input's length
-// passes start = rows·cols, so the payload is allocated once.
-func readPayload(r io.Reader, rows, cols, start int) (*Dense, error) {
 	total := rows * cols
-	data := make([]float64, 0, start)
+	data := make([]float64, 0, min(total, binaryGrowStart))
 	for len(data) < total {
 		if len(data) == cap(data) {
 			data = slices.Grow(data, min(len(data), total-len(data)))
@@ -193,13 +174,14 @@ func readPayload(r io.Reader, rows, cols, start int) (*Dense, error) {
 		if _, err := io.ReadFull(r, float64Bytes(seg)); err != nil {
 			return nil, fmt.Errorf("mat: binary payload truncated at value %d of %d (%d×%d): %w", lo, total, rows, cols, err)
 		}
-		if !hostLittleEndian {
-			// Each value's little-endian bytes sit in its own slot.
-			decodeFloat64s(seg, float64Bytes(seg))
-		}
+		fromLittleEndian(seg)
 	}
 	return NewDenseData(rows, cols, data), nil
 }
+
+// binaryGrowStart is the payload capacity, in values, that ReadBinary
+// starts from before doubling.
+const binaryGrowStart = 1 << 12
 
 // WriteBinaryFile writes m in the binary matrix format to path.
 func (m *Dense) WriteBinaryFile(path string) error {
@@ -217,35 +199,41 @@ func (m *Dense) WriteBinaryFile(path string) error {
 // ReadBinaryFile reads a binary-format matrix from path, additionally
 // enforcing that the file size matches the header exactly.
 func ReadBinaryFile(path string) (*Dense, error) {
-	f, err := os.Open(path)
+	fm, err := OpenBinary(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	rows, cols, err := checkBinarySize(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	m, err := readPayload(f, rows, cols, rows*cols)
-	if err != nil {
+	defer fm.Close()
+	m := NewDense(fm.rows, fm.cols)
+	if _, err := fm.ReadRows(m, 0, fm.rows); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, nil
 }
 
-// BinaryWriter streams a binary-format matrix to disk one row panel at
-// a time, so a writer never needs the full matrix resident — the
-// out-of-core path streams Q through this. Rows must arrive in order;
-// Close fails if the promised row count was not delivered, leaving no
-// ambiguity about a partially written file (the header is written first
-// and is only trustworthy once Close returns nil).
+// BinaryWriter streams a binary-format matrix one row panel at a time,
+// so a writer never needs the full matrix resident — the out-of-core
+// path streams Q through this. Rows must arrive in order; Close fails
+// if the promised row count was not delivered, leaving no ambiguity
+// about a partially written file (the header is written first and is
+// only trustworthy once Close returns nil).
 type BinaryWriter struct {
-	f       *os.File
+	f       *os.File // nil when Dense.WriteBinary streams to a caller's writer
 	bw      *bufio.Writer
 	rows    int
 	cols    int
-	written int // rows written so far
-	scratch []byte
+	written int    // rows written so far
+	scratch []byte // encoded row on big-endian hosts
+}
+
+// newBinaryWriter writes the header of a rows×cols matrix to w.
+func newBinaryWriter(w io.Writer, rows, cols int) (*BinaryWriter, error) {
+	bw := &BinaryWriter{bw: bufio.NewWriterSize(w, 1<<20), rows: rows, cols: cols}
+	h := binaryHeader(rows, cols)
+	if _, err := bw.bw.Write(h[:]); err != nil {
+		return nil, err
+	}
+	return bw, nil
 }
 
 // NewBinaryWriterFile creates path and starts a binary-format matrix of
@@ -258,15 +246,12 @@ func NewBinaryWriterFile(path string, rows, cols int) (*BinaryWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &BinaryWriter{f: f, bw: bufio.NewWriterSize(f, 1<<20), rows: rows, cols: cols}
-	h := binaryHeader(rows, cols)
-	if _, err := w.bw.Write(h[:]); err != nil {
+	w, err := newBinaryWriter(f, rows, cols)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if !hostLittleEndian {
-		w.scratch = make([]byte, 8*cols)
-	}
+	w.f = f
 	return w, nil
 }
 
@@ -281,15 +266,8 @@ func (w *BinaryWriter) WriteRows(src *Dense) error {
 	}
 	for i := 0; i < src.Rows; i++ {
 		row := src.Data[i*src.Stride : i*src.Stride+src.Cols]
-		if hostLittleEndian {
-			if _, err := w.bw.Write(float64Bytes(row)); err != nil {
-				return err
-			}
-		} else {
-			encodeFloat64s(w.scratch, row)
-			if _, err := w.bw.Write(w.scratch); err != nil {
-				return err
-			}
+		if _, err := w.bw.Write(littleEndianBytes(row, &w.scratch)); err != nil {
+			return err
 		}
 	}
 	w.written += src.Rows
@@ -313,8 +291,7 @@ func (w *BinaryWriter) Close() error {
 }
 
 // checkBinarySize reads the header of the freshly opened f, validates
-// it against the file's size and returns the dimensions; f is left
-// positioned at the payload.
+// it against the file's size and returns the dimensions.
 func checkBinarySize(f *os.File) (rows, cols int, err error) {
 	var h [BinaryHeaderSize]byte
 	if _, err := io.ReadFull(f, h[:]); err != nil {
@@ -328,8 +305,7 @@ func checkBinarySize(f *os.File) (rows, cols int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	want := int64(BinaryHeaderSize) + binaryPayloadBytes(rows, cols)
-	if fi.Size() != want {
+	if want := binaryFileSize(rows, cols); fi.Size() != want {
 		return 0, 0, fmt.Errorf("mat: file size %d does not match header (%d×%d wants %d)", fi.Size(), rows, cols, want)
 	}
 	return rows, cols, nil

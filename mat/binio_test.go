@@ -235,6 +235,97 @@ func TestFileMatrixReadRows(t *testing.T) {
 	}
 }
 
+// TestFileMatrixWriteRows: CreateBinary makes a valid zero matrix of
+// the promised shape, and panels written out of order at their row
+// offsets read back exactly.
+func TestFileMatrixWriteRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := binTestMatrix(rng, 23, 4)
+	path := filepath.Join(t.TempDir(), "rw.tsqrmat")
+	fm, err := CreateBinary(path, 23, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fm.Close()
+	zero, err := ReadBinaryFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBinBits(t, NewDense(23, 4), zero)
+	for _, r := range [][2]int{{10, 23}, {0, 3}, {3, 10}} {
+		if err := fm.WriteRows(a.Slice(r[0], r[1], 0, 4).Clone(), r[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := NewDense(23, 4)
+	if _, err := fm.ReadRows(got, 0, 23); err != nil {
+		t.Fatal(err)
+	}
+	sameBinBits(t, a, got)
+	if err := fm.WriteRows(NewDense(2, 4), 22); err == nil {
+		t.Error("past-the-end panel accepted")
+	}
+	if err := fm.WriteRows(a.Slice(0, 2, 0, 3), 0); err == nil {
+		t.Error("wrong-width panel accepted")
+	}
+	if _, err := CreateBinary(filepath.Join(t.TempDir(), "z.tsqrmat"), 0, 4); err == nil {
+		t.Error("zero-row matrix accepted")
+	}
+}
+
+// TestBigEndianCodecPaths runs every payload path with the host treated
+// as big-endian, so the explicit little-endian encoding and the in-place
+// decode are exercised on every host, and checks that they produce and
+// accept the same bytes as the native path.
+func TestBigEndianCodecPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := binTestMatrix(rng, 9, 5)
+	var native bytes.Buffer
+	if err := a.WriteBinary(&native); err != nil {
+		t.Fatal(err)
+	}
+	hostLittleEndian = !hostLittleEndian
+	defer func() { hostLittleEndian = !hostLittleEndian }()
+
+	var swapped bytes.Buffer
+	if err := a.WriteBinary(&swapped); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(native.Bytes(), swapped.Bytes()) {
+		t.Fatal("explicit encoding differs from the native bytes")
+	}
+	got, err := ReadBinary(bytes.NewReader(native.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBinBits(t, a, got)
+	dec := make([]float64, 9*5)
+	DecodeFloat64s(dec, native.Bytes()[BinaryHeaderSize:])
+	sameBinBits(t, a, NewDenseData(9, 5, dec))
+
+	path := filepath.Join(t.TempDir(), "be.tsqrmat")
+	fm, err := CreateBinary(path, 9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fm.Close()
+	if err := fm.WriteRows(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	back := NewDense(9, 5)
+	if _, err := fm.ReadRows(back, 0, 9); err != nil {
+		t.Fatal(err)
+	}
+	sameBinBits(t, a, back)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, native.Bytes()) {
+		t.Fatal("file written through WriteRows differs from WriteBinary's bytes")
+	}
+}
+
 func TestBinaryWriterContract(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.tsqrmat")

@@ -5,20 +5,17 @@ import (
 	"os"
 )
 
-// FileMatrix is a read-only view of a binary-format matrix on disk. It
-// serves row panels into caller-provided buffers — the whole matrix is
-// never resident. On platforms with mmap support the payload is mapped
-// and panel reads are memcpys through the page cache; elsewhere (or when
-// mapping fails) reads fall back to positioned pread calls, so the type
-// works identically everywhere. FileMatrix is safe for concurrent
-// ReadRows calls: the mapping is immutable and pread carries its own
-// file offset.
+// FileMatrix is a binary-format matrix on disk that serves row panels
+// into, and takes them from, caller-provided buffers — the whole matrix
+// is never resident. Every panel is one positioned read (pread) or
+// write (pwrite) of the panel's payload bytes straight into or out of
+// the buffer's memory, decoded in place on big-endian hosts. FileMatrix
+// is safe for concurrent ReadRows and WriteRows calls on disjoint rows:
+// each call carries its own file offset.
 type FileMatrix struct {
-	f      *os.File
-	rows   int
-	cols   int
-	mapped []byte    // whole-file mapping; nil on the pread path
-	data   []float64 // zero-copy payload view; nil unless mapped on a little-endian host
+	f    *os.File
+	rows int
+	cols int
 }
 
 // OpenBinary opens a binary-format matrix file for panel reads. The
@@ -33,21 +30,29 @@ func OpenBinary(path string) (*FileMatrix, error) {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	fm := &FileMatrix{f: f, rows: rows, cols: cols}
-	if mmapSupported {
-		size := int64(BinaryHeaderSize) + binaryPayloadBytes(rows, cols)
-		if b, err := mmapFile(f, size); err == nil {
-			fm.mapped = b
-			if hostLittleEndian {
-				// Payload offset 32 keeps the page-aligned mapping
-				// 8-aligned, so the view is valid.
-				fm.data = bytesFloat64s(b[BinaryHeaderSize:])
-			}
-		}
-		// A failed mmap (exotic filesystem, address-space pressure) is
-		// not an error: the pread path serves the same bytes.
+	return &FileMatrix{f: f, rows: rows, cols: cols}, nil
+}
+
+// CreateBinary creates (or truncates) path as a zero rows×cols
+// binary-format matrix open for panel reads and writes.
+func CreateBinary(path string, rows, cols int) (*FileMatrix, error) {
+	if rows <= 0 || cols <= 0 {
+		return nil, fmt.Errorf("mat: cannot create empty %d×%d binary matrix", rows, cols)
 	}
-	return fm, nil
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o666)
+	if err != nil {
+		return nil, err
+	}
+	h := binaryHeader(rows, cols)
+	if _, err := f.Write(h[:]); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Truncate(binaryFileSize(rows, cols)); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &FileMatrix{f: f, rows: rows, cols: cols}, nil
 }
 
 // Rows returns the number of rows in the on-disk matrix.
@@ -56,60 +61,47 @@ func (fm *FileMatrix) Rows() int { return fm.rows }
 // Cols returns the number of columns in the on-disk matrix.
 func (fm *FileMatrix) Cols() int { return fm.cols }
 
-// Mapped reports whether the payload is served from a memory mapping
-// (as opposed to positioned reads).
-func (fm *FileMatrix) Mapped() bool { return fm.mapped != nil }
+// panel checks that the packed buffer d fits rows [lo, hi) and returns
+// its values and their byte offset in the file.
+func (fm *FileMatrix) panel(d *Dense, lo, hi int) ([]float64, int64, error) {
+	if lo < 0 || hi < lo || hi > fm.rows {
+		return nil, 0, fmt.Errorf("mat: row panel [%d,%d) out of range for %d rows", lo, hi, fm.rows)
+	}
+	if d.Rows != hi-lo || d.Cols != fm.cols || d.Stride != d.Cols {
+		return nil, 0, fmt.Errorf("mat: panel buffer %d×%d (stride %d) does not fit rows [%d,%d) of %d cols",
+			d.Rows, d.Cols, d.Stride, lo, hi, fm.cols)
+	}
+	return d.Data[:(hi-lo)*fm.cols], BinaryHeaderSize + 8*int64(lo)*int64(fm.cols), nil
+}
 
 // ReadRows fills dst with rows [lo, hi) of the on-disk matrix. dst must
 // be a packed (hi-lo)×cols matrix (Stride == Cols). Returns the number
 // of payload bytes transferred from the file.
 func (fm *FileMatrix) ReadRows(dst *Dense, lo, hi int) (int64, error) {
-	if lo < 0 || hi < lo || hi > fm.rows {
-		return 0, fmt.Errorf("mat: row panel [%d,%d) out of range for %d rows", lo, hi, fm.rows)
+	vals, off, err := fm.panel(dst, lo, hi)
+	if err != nil || len(vals) == 0 {
+		return 0, err
 	}
-	if dst.Rows != hi-lo || dst.Cols != fm.cols || dst.Stride != dst.Cols {
-		return 0, fmt.Errorf("mat: panel buffer %d×%d (stride %d) does not fit rows [%d,%d) of %d cols",
-			dst.Rows, dst.Cols, dst.Stride, lo, hi, fm.cols)
+	if _, err := fm.f.ReadAt(float64Bytes(vals), off); err != nil {
+		return 0, fmt.Errorf("mat: reading rows [%d,%d): %w", lo, hi, err)
 	}
-	if hi == lo {
-		return 0, nil
-	}
-	nvals := (hi - lo) * fm.cols
-	nbytes := int64(8) * int64(nvals)
-	off := int64(BinaryHeaderSize) + 8*int64(lo)*int64(fm.cols)
-	switch {
-	case fm.data != nil:
-		copy(dst.Data[:nvals], fm.data[lo*fm.cols:hi*fm.cols])
-	case fm.mapped != nil:
-		// Mapped but big-endian host: decode from the mapping.
-		decodeFloat64s(dst.Data[:nvals], fm.mapped[off:off+nbytes])
-	case hostLittleEndian:
-		// pread straight into the destination's byte view.
-		if _, err := fm.f.ReadAt(float64Bytes(dst.Data[:nvals]), off); err != nil {
-			return 0, fmt.Errorf("mat: reading rows [%d,%d): %w", lo, hi, err)
-		}
-	default:
-		buf := make([]byte, nbytes)
-		if _, err := fm.f.ReadAt(buf, off); err != nil {
-			return 0, fmt.Errorf("mat: reading rows [%d,%d): %w", lo, hi, err)
-		}
-		decodeFloat64s(dst.Data[:nvals], buf)
-	}
-	return nbytes, nil
+	fromLittleEndian(vals)
+	return 8 * int64(len(vals)), nil
 }
 
-// Close unmaps the payload (if mapped) and closes the file. The
-// FileMatrix must not be used afterwards.
-func (fm *FileMatrix) Close() error {
-	var errM error
-	if fm.mapped != nil {
-		errM = munmap(fm.mapped)
-		fm.mapped = nil
-		fm.data = nil
+// WriteRows stores src as rows [lo, lo+src.Rows) of the on-disk matrix.
+// src must be a packed matrix (Stride == Cols) of the file's width.
+func (fm *FileMatrix) WriteRows(src *Dense, lo int) error {
+	vals, off, err := fm.panel(src, lo, lo+src.Rows)
+	if err != nil || len(vals) == 0 {
+		return err
 	}
-	errC := fm.f.Close()
-	if errM != nil {
-		return errM
+	var buf []byte
+	if _, err := fm.f.WriteAt(littleEndianBytes(vals, &buf), off); err != nil {
+		return fmt.Errorf("mat: writing rows [%d,%d): %w", lo, lo+src.Rows, err)
 	}
-	return errC
+	return nil
 }
+
+// Close closes the file. The FileMatrix must not be used afterwards.
+func (fm *FileMatrix) Close() error { return fm.f.Close() }

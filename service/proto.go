@@ -220,13 +220,8 @@ func readFrame(r io.Reader, maxBytes int) ([]byte, error) {
 
 // appendDense appends m's rows (row-major, stride-compacted) to buf.
 func appendDense(buf []byte, m *mat.Dense) []byte {
-	var tmp [8]byte
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-			buf = append(buf, tmp[:]...)
-		}
+		buf = mat.AppendFloat64s(buf, m.Data[i*m.Stride:i*m.Stride+m.Cols])
 	}
 	return buf
 }
@@ -300,9 +295,7 @@ func (d *reader) dense(r, c int) *mat.Dense {
 		return nil
 	}
 	m := mat.NewDense(r, c)
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	mat.DecodeFloat64s(m.Data, b)
 	return m
 }
 

@@ -109,7 +109,7 @@ func (b *BasisBuilder) Append(x *mat.Dense) (added int, err error) {
 		if err2 != nil {
 			return 0, nil
 		}
-		rank = rankFromR(res.R)
+		rank = core.NumericalRank(res.R, 1e-12)
 		kept = res.Q
 	}
 	if rank == 0 {

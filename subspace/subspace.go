@@ -147,7 +147,7 @@ func orthonormalize(x *mat.Dense, rng *rand.Rand) error {
 	for attempt := 0; attempt < 8; attempt++ {
 		res, err := core.IteCholQRCP(nil, x, core.DefaultPivotTol)
 		if err == nil {
-			rank := rankFromR(res.R)
+			rank := core.NumericalRank(res.R, 1e-12)
 			x.Copy(res.Q)
 			if rank == x.Cols {
 				return nil
@@ -174,34 +174,6 @@ func orthonormalize(x *mat.Dense, rng *rand.Rand) error {
 		}
 	}
 	return fmt.Errorf("subspace: could not orthonormalize iterate block")
-}
-
-func rankFromR(r *mat.Dense) int {
-	n := r.Rows
-	if n == 0 {
-		return 0
-	}
-	lead := r.At(0, 0)
-	if lead < 0 {
-		lead = -lead
-	}
-	if lead == 0 {
-		return 0
-	}
-	tol := 1e-12 * lead
-	k := 0
-	for j := 0; j < n; j++ {
-		d := r.At(j, j)
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			k = j + 1
-		} else {
-			break
-		}
-	}
-	return k
 }
 
 func symmetrize(t *mat.Dense) {

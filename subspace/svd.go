@@ -2,10 +2,10 @@ package subspace
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/blas"
+	"repro/internal/lapack"
 	"repro/mat"
 )
 
@@ -39,97 +39,9 @@ func RandSVD(a *mat.Dense, k, power int, rng *rand.Rand) (*SVDResult, error) {
 	b := mat.NewDense(k, n)
 	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, q, a, 0, b)
 	// Small exact SVD of Bᵀ (n×k, tall): Bᵀ = V·S·U_Bᵀ.
-	v, s, ub := thinSVD(b.T())
+	v, s, ub := lapack.JacobiSVD(b.T())
 	// U = Q·U_B.
 	u := mat.NewDense(m, k)
 	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, q, ub, 0, u)
 	return &SVDResult{U: u, S: s, V: v}, nil
-}
-
-// thinSVD computes the full thin SVD X = W·diag(s)·Zᵀ of a tall matrix X
-// (m ≥ n) by one-sided Jacobi: rotate the columns of a working copy until
-// they are mutually orthogonal; their norms are the singular values, the
-// normalized columns form W, and the accumulated rotations give Z.
-func thinSVD(x *mat.Dense) (w *mat.Dense, s []float64, z *mat.Dense) {
-	m, n := x.Rows, x.Cols
-	work := x.Clone()
-	z = mat.Identity(n)
-	const (
-		maxSweeps = 60
-		tol       = 1e-15
-	)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		rotated := false
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				var app, aqq, apq float64
-				for i := 0; i < m; i++ {
-					vp := work.Data[i*work.Stride+p]
-					vq := work.Data[i*work.Stride+q]
-					app += vp * vp
-					aqq += vq * vq
-					apq += vp * vq
-				}
-				if math.Abs(apq) <= tol*math.Sqrt(app*aqq) || apq == 0 {
-					continue
-				}
-				rotated = true
-				zeta := (aqq - app) / (2 * apq)
-				var t float64
-				if zeta >= 0 {
-					t = 1 / (zeta + math.Sqrt(1+zeta*zeta))
-				} else {
-					t = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				sn := c * t
-				for i := 0; i < m; i++ {
-					vp := work.Data[i*work.Stride+p]
-					vq := work.Data[i*work.Stride+q]
-					work.Data[i*work.Stride+p] = c*vp - sn*vq
-					work.Data[i*work.Stride+q] = sn*vp + c*vq
-				}
-				for i := 0; i < n; i++ {
-					vp := z.Data[i*z.Stride+p]
-					vq := z.Data[i*z.Stride+q]
-					z.Data[i*z.Stride+p] = c*vp - sn*vq
-					z.Data[i*z.Stride+q] = sn*vp + c*vq
-				}
-			}
-		}
-		if !rotated {
-			break
-		}
-	}
-	// Sort by column norm descending; normalize.
-	type pair struct {
-		norm float64
-		idx  int
-	}
-	ps := make([]pair, n)
-	for j := 0; j < n; j++ {
-		ps[j] = pair{work.ColNorm2(j), j}
-	}
-	for i := 1; i < n; i++ { // insertion sort, n is small
-		for j := i; j > 0 && ps[j].norm > ps[j-1].norm; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-	w = mat.NewDense(m, n)
-	zOut := mat.NewDense(n, n)
-	s = make([]float64, n)
-	for j, p := range ps {
-		s[j] = p.norm
-		inv := 0.0
-		if p.norm > 0 {
-			inv = 1 / p.norm
-		}
-		for i := 0; i < m; i++ {
-			w.Set(i, j, work.At(i, p.idx)*inv)
-		}
-		for i := 0; i < n; i++ {
-			zOut.Set(i, j, z.At(i, p.idx))
-		}
-	}
-	return w, s, zOut
 }

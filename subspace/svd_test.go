@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/lapack"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -88,7 +89,7 @@ func TestRandSVDNearOptimalError(t *testing.T) {
 func TestThinSVDSmall(t *testing.T) {
 	// Exact small case: singular values of a diagonal-ish matrix.
 	x := mat.NewDenseData(3, 2, []float64{3, 0, 0, 4, 0, 0})
-	w, s, z := thinSVD(x)
+	w, s, z := lapack.JacobiSVD(x)
 	if math.Abs(s[0]-4) > 1e-14 || math.Abs(s[1]-3) > 1e-14 {
 		t.Fatalf("s = %v, want [4 3]", s)
 	}
@@ -104,7 +105,7 @@ func TestThinSVDSmall(t *testing.T) {
 		}
 	}
 	if !mat.EqualApprox(rec, x, 1e-13) {
-		t.Fatal("thinSVD reconstruction failed")
+		t.Fatal("JacobiSVD reconstruction failed")
 	}
 }
 

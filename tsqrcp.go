@@ -1,8 +1,6 @@
 package tsqrcp
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/mat"
 )
@@ -124,26 +122,7 @@ type Factorization struct {
 // number of leading diagonals with |R(j,j)| > tol·|R(0,0)|. With tol ≤ 0
 // a default of n·u is used.
 func (f *Factorization) NumericalRank(tol float64) int {
-	n := f.R.Rows
-	if n == 0 {
-		return 0
-	}
-	lead := math.Abs(f.R.At(0, 0))
-	if lead == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		tol = float64(n) * mat.Eps
-	}
-	k := 0
-	for j := 0; j < n; j++ {
-		if math.Abs(f.R.At(j, j)) > tol*lead {
-			k = j + 1
-		} else {
-			break
-		}
-	}
-	return k
+	return core.NumericalRank(f.R, tol)
 }
 
 // Reconstruct returns Q·R·Pᵀ ≈ A: the original matrix (up to rounding)
