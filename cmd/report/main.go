@@ -150,7 +150,9 @@ var figures = []figure{
 		bench.PrintTable3(w, dist.OBCX, bench.DistM, distIters, table3s, table3n)
 	}},
 	{"cmp", secCmp, func(w io.Writer, seed int64, s sizes) {
-		bench.PrintComparators(w, bench.Comparators(seed, 4*s.m, min(s.n, 32), min(s.r, 26), 1e-8, s.reps))
+		bench.PrintComparators(w, bench.Comparators(seed,
+			bench.PivotedCase{M: 4 * s.m, N: min(s.n, 32), R: min(s.r, 26), Sigma: 1e-8},
+			bench.UnpivotedCase{M: 5 * s.m, N: 50, Kappas: []float64{1e2, 1e6, 1e10, 1e14}}, s.reps))
 	}},
 }
 

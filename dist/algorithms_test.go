@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -202,27 +203,83 @@ func TestDistHQRCPNoQ(t *testing.T) {
 	}
 }
 
-func TestDistHQRCPUnevenRows(t *testing.T) {
-	// m not divisible by P exercises the general layout path.
+// TestDistUnevenRows: layouts whose rank blocks are uneven (m not a
+// multiple of P) or shorter than n (30×12 at P = 3, ten rows a rank)
+// factor like the in-core routines through every entry point: the same
+// pivots, Q orthonormal, and R reproducing A·P (the truncated R matching
+// the in-core truncated R, since a rank-k factor of a full-rank A leaves
+// a σ_(k+1) residual).
+func TestDistUnevenRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(135))
-	m, n := 101, 7
-	a := testmat.GenerateWellConditioned(rng, m, n, 50)
-	l := Layout{M: m, P: 4}
-	blocks := scatter(a, l)
-	results := make([]*QRCPResult, 4)
-	Run(4, func(c Comm) {
-		results[c.Rank()] = HQRCP(c, blocks[c.Rank()], l, true)
-	})
-	qblocks := make([]*mat.Dense, 4)
-	for r := 0; r < 4; r++ {
-		qblocks[r] = results[r].QLocal
-	}
-	q := gather(qblocks, l)
-	if e := metrics.Orthogonality(q); e > 1e-12 {
-		t.Fatalf("orthogonality %g", e)
-	}
-	if res := metrics.Residual(a, q, results[0].R, results[0].Perm); res > 1e-12 {
-		t.Fatalf("residual %g", res)
+	for _, tc := range []struct{ m, n, p int }{{101, 7, 4}, {30, 12, 3}} {
+		a := testmat.GenerateWellConditioned(rng, tc.m, tc.n, 50)
+		l := Layout{M: tc.m, P: tc.p}
+		k := tc.n / 2
+		ite, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trunc, err := core.IteCholQRCPPartial(nil, a, core.DefaultPivotTol, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chol, err := core.CholQR(nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range []struct {
+			name string
+			run  func(c Comm, aLocal *mat.Dense) (*QRCPResult, error)
+			want *core.CPResult
+		}{
+			{"IteCholQRCP", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
+				return IteCholQRCP(c, b, core.DefaultPivotTol)
+			}, ite},
+			{"IteCholQRCPTruncated", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
+				return IteCholQRCPTruncated(c, b, core.DefaultPivotTol, k)
+			}, trunc},
+			{"HQRCP", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
+				return HQRCP(c, b, l, true), nil
+			}, core.HQRCP(nil, a)},
+			{"CholQR", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
+				r, err := CholQR(c, b)
+				return &QRCPResult{QLocal: b, R: r, Perm: mat.IdentityPerm(tc.n), Rank: tc.n}, err
+			}, &core.CPResult{Q: chol.Q, R: chol.R, Perm: mat.IdentityPerm(tc.n), Rank: tc.n}},
+		} {
+			label := fmt.Sprintf("%s %d×%d P=%d", ep.name, tc.m, tc.n, tc.p)
+			blocks := scatter(a, l)
+			results := make([]*QRCPResult, tc.p)
+			Run(tc.p, func(c Comm) {
+				res, err := ep.run(c, blocks[c.Rank()])
+				if err != nil {
+					t.Errorf("%s rank %d: %v", label, c.Rank(), err)
+					return
+				}
+				results[c.Rank()] = res
+			})
+			qblocks := make([]*mat.Dense, tc.p)
+			for r, res := range results {
+				if res == nil {
+					t.FailNow()
+				}
+				qblocks[r] = res.QLocal
+			}
+			got := results[0]
+			if !metrics.AllCorrect(got.Perm, ep.want.Perm, got.Rank) {
+				t.Fatalf("%s: pivots differ from in-core:\n dist %v\n core %v", label, got.Perm, ep.want.Perm)
+			}
+			q := gather(qblocks, l)
+			if e := metrics.Orthogonality(q); e > 1e-12 {
+				t.Fatalf("%s: orthogonality %g", label, e)
+			}
+			if got.Rank < tc.n {
+				if !mat.EqualApprox(got.R, ep.want.R, 1e-10*ep.want.R.MaxAbs()) {
+					t.Fatalf("%s: truncated R differs from in-core", label)
+				}
+			} else if res := metrics.Residual(a, q, got.R, got.Perm); res > 1e-12 {
+				t.Fatalf("%s: residual %g", label, res)
+			}
+		}
 	}
 }
 

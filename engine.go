@@ -138,28 +138,17 @@ func (e *Engine) ShiftedCholeskyQR3(a *mat.Dense) (*QR, error) {
 	return e.qrCall(core.ShiftedCholQR3, a)
 }
 
-// LUCholeskyQR2 computes the thin QR factorization by LU-Cholesky QR on
-// this engine; see the package-level LUCholeskyQR2.
-func (e *Engine) LUCholeskyQR2(a *mat.Dense) (*QR, error) { return e.qrCall(core.LUCholQR2, a) }
-
 // HouseholderQR computes the thin QR factorization by blocked
 // Householder reflections on this engine; see the package-level
 // HouseholderQR.
 func (e *Engine) HouseholderQR(a *mat.Dense) *QR {
-	qr, _ := e.qrCall(infallible(core.HouseholderQR), a)
+	qr, _ := e.qrCall(core.Infallible(core.HouseholderQR), a)
 	return qr
 }
 
 // TSQR computes the thin QR factorization by the communication-avoiding
 // reduction tree on this engine; see the package-level TSQR.
 func (e *Engine) TSQR(a *mat.Dense) *QR {
-	qr, _ := e.qrCall(infallible(core.TSQR), a)
+	qr, _ := e.qrCall(core.Infallible(core.TSQR), a)
 	return qr
-}
-
-// infallible adapts an error-free core algorithm to qrCall's signature.
-func infallible(algo func(*parallel.Engine, *mat.Dense) *core.QR) func(*parallel.Engine, *mat.Dense) (*core.QR, error) {
-	return func(pe *parallel.Engine, a *mat.Dense) (*core.QR, error) {
-		return algo(pe, a), nil
-	}
 }

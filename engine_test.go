@@ -282,7 +282,6 @@ func TestEngineOneShotsMatchPackageHelpers(t *testing.T) {
 		{"CholeskyQR", func() (*QR, error) { return CholeskyQR(a) }, func() (*QR, error) { return e.CholeskyQR(a) }},
 		{"CholeskyQR2", func() (*QR, error) { return CholeskyQR2(a) }, func() (*QR, error) { return e.CholeskyQR2(a) }},
 		{"ShiftedCholeskyQR3", func() (*QR, error) { return ShiftedCholeskyQR3(a) }, func() (*QR, error) { return e.ShiftedCholeskyQR3(a) }},
-		{"LUCholeskyQR2", func() (*QR, error) { return LUCholeskyQR2(a) }, func() (*QR, error) { return e.LUCholeskyQR2(a) }},
 		{"HouseholderQR", func() (*QR, error) { return HouseholderQR(a), nil }, func() (*QR, error) { return e.HouseholderQR(a), nil }},
 		{"TSQR", func() (*QR, error) { return TSQR(a), nil }, func() (*QR, error) { return e.TSQR(a), nil }},
 	}

@@ -250,7 +250,6 @@ func testKernelAllocFree(t *testing.T) {
 			run   func()
 		}{
 			{"Gram", func() { Gram(e, g, a) }},
-			{"Gram32", func() { Gram32(e, g, a) }},
 			{"Gemm", func() { Gemm(e, Trans, NoTrans, 1, a, b, 0, c) }},
 			{"Syrk", func() { SyrkUpperTrans(e, a, c) }},
 			{"GemvT", func() { Gemv(e, Trans, 1, a, b.Data[:m], 0, c.Data[:n]) }},

@@ -2,7 +2,6 @@ package blas
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -39,15 +38,9 @@ func FusedSlotBounds(m, slots, si int) (lo, hi int) {
 // slot order. Every engine width therefore produces
 // bit-identical W.
 func Gram(e *parallel.Engine, w *mat.Dense, a *mat.Dense) {
-	gram(e, w, a, gramRows, "Gram")
-}
-
-// gram runs one of the Gram kernels through reduceRows into the zeroed
-// W and mirrors the upper triangle.
-func gram(e *parallel.Engine, w, a *mat.Dense, kernel rowKernel, who string) {
 	m, n := a.Rows, a.Cols
 	if w.Rows != n || w.Cols != n {
-		panic(fmt.Sprintf("blas: %s W %d×%d, want %d×%d", who, w.Rows, w.Cols, n, n))
+		panic(fmt.Sprintf("blas: Gram W %d×%d, want %d×%d", w.Rows, w.Cols, n, n))
 	}
 	w.Zero()
 	if m == 0 || n == 0 {
@@ -56,100 +49,13 @@ func gram(e *parallel.Engine, w, a *mat.Dense, kernel rowKernel, who string) {
 	sp := trace.Region(trace.KernelSyrk)
 	defer sp.End()
 	trace.AddFlops(trace.KernelSyrk, int64(m)*int64(n)*int64(n+1))
-	reduceRows(e, m, mulFlops(m, n, n), w, true, rowJob{a: a}, kernel)
+	reduceRows(e, m, mulFlops(m, n, n), w, true, rowJob{a: a}, gramRows)
 	SymmetrizeFromUpper(w)
 }
 
 // gramRows is Gram's reduceRows kernel.
 func gramRows(job rowJob, lo, hi int, acc *mat.Dense) {
 	fusedSyrkCols(job.a, lo, hi, 0, job.a.Cols, acc)
-}
-
-// Gram32 computes W = AᵀA like Gram, but accumulates in single
-// precision: every partial sum is rounded to float32, as in the
-// mixed-precision Cholesky QR of Yamazaki, Tomov and Dongarra (the
-// paper's reference [10]). Each slot accumulates in a float32 scratch
-// and the slot partials reduce in float64 through the same fixed slot
-// reduction as Gram, so the result is bit-identical across engine
-// widths. It exists for that comparator's accuracy study, not for speed.
-func Gram32(e *parallel.Engine, w *mat.Dense, a *mat.Dense) {
-	gram(e, w, a, gram32Rows, "Gram32")
-}
-
-// gram32Rows is Gram32's reduceRows kernel: it accumulates the upper
-// triangle of the Gram contribution of rows [lo, hi) in a float32
-// scratch, then adds it to acc.
-func gram32Rows(job rowJob, lo, hi int, acc *mat.Dense) {
-	n := job.a.Cols
-	p := getFloats32(n * n)
-	syrk32Range(job.a, lo, hi, *p)
-	for i := 0; i < n; i++ {
-		arow := acc.Data[i*acc.Stride : i*acc.Stride+n]
-		srow := (*p)[i*n : i*n+n]
-		for j := i; j < n; j++ {
-			arow[j] += float64(srow[j])
-		}
-	}
-	floats32Pool.Put(p)
-}
-
-// syrk32Range accumulates the float32 Gram contribution of rows [lo, hi)
-// of A into the n×n row-major upper triangle of acc. Summation rows are
-// consumed in ascending quads anchored at lo, so the order is a function
-// of the slot bounds alone.
-//
-//repolint:hotpath
-func syrk32Range(a *mat.Dense, lo, hi int, acc []float32) {
-	n := a.Cols
-	l := lo
-	for ; l+4 <= hi; l += 4 {
-		r0 := a.Data[l*a.Stride : l*a.Stride+n]
-		r1 := a.Data[(l+1)*a.Stride : (l+1)*a.Stride+n]
-		r2 := a.Data[(l+2)*a.Stride : (l+2)*a.Stride+n]
-		r3 := a.Data[(l+3)*a.Stride : (l+3)*a.Stride+n]
-		for i := 0; i < n; i++ {
-			v0 := float32(r0[i])
-			v1 := float32(r1[i])
-			v2 := float32(r2[i])
-			v3 := float32(r3[i])
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			row := acc[i*n : i*n+n]
-			for j := i; j < n; j++ {
-				row[j] += v0*float32(r0[j]) + v1*float32(r1[j]) +
-					v2*float32(r2[j]) + v3*float32(r3[j])
-			}
-		}
-	}
-	for ; l < hi; l++ {
-		rk := a.Data[l*a.Stride : l*a.Stride+n]
-		for i := 0; i < n; i++ {
-			v := float32(rk[i])
-			if v == 0 {
-				continue
-			}
-			row := acc[i*n : i*n+n]
-			for j := i; j < n; j++ {
-				row[j] += v * float32(rk[j])
-			}
-		}
-	}
-}
-
-// floats32Pool recycles Gram32's float32 scratch so the width-1 path
-// stays allocation free after warm-up.
-var floats32Pool sync.Pool
-
-// getFloats32 returns a zeroed pooled float32 slice of length n.
-func getFloats32(n int) *[]float32 {
-	if p, ok := floats32Pool.Get().(*[]float32); ok && cap(*p) >= n {
-		*p = (*p)[:n]
-		clear(*p)
-		return p
-	}
-	s := make([]float32, n)
-	return &s
 }
 
 // GramPanelAcc accumulates acc += PᵀP (upper triangle only) for a

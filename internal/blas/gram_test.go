@@ -76,55 +76,20 @@ func TestGramMatchesReference(t *testing.T) {
 }
 
 // TestGramDeterministicAcrossWidths: the fixed summation order is the
-// whole point — every engine width produces identical bits, for Gram and
-// for its single-precision form.
+// whole point — every engine width produces identical bits.
 func TestGramDeterministicAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, sh := range []struct{ m, n int }{{1000, 8}, {8192, 32}, {50000, 16}} {
 		a := randDense(rng, sh.m, sh.n)
-		for _, gram := range []struct {
-			name string
-			fn   func(e *parallel.Engine, w, a *mat.Dense)
-		}{{"Gram", Gram}, {"Gram32", Gram32}} {
-			var ref *mat.Dense
-			for _, w := range []int{1, 2, 3, 8} {
-				got := mat.NewDense(sh.n, sh.n)
-				gram.fn(parallel.NewEngine(w), got, a)
-				if ref == nil {
-					ref = got
-					continue
-				}
-				bitsEqualDense(t, gram.name, got, ref)
+		var ref *mat.Dense
+		for _, w := range []int{1, 2, 3, 8} {
+			got := mat.NewDense(sh.n, sh.n)
+			Gram(parallel.NewEngine(w), got, a)
+			if ref == nil {
+				ref = got
+				continue
 			}
-		}
-	}
-}
-
-// TestGram32SinglePrecision: Gram32 carries float32 accumulation error —
-// within single-precision roundoff of the float64 Gram, but not equal to
-// it.
-func TestGram32SinglePrecision(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	const m, n = 5000, 12
-	a := randDense(rng, m, n)
-	want := mat.NewDense(n, n)
-	Gram(nil, want, a)
-	got := mat.NewDense(n, n)
-	Gram32(nil, got, a)
-	var maxDiff float64
-	for i := range want.Data {
-		maxDiff = math.Max(maxDiff, math.Abs(got.Data[i]-want.Data[i]))
-	}
-	// Entries are sums of m unit-scale products: float32 roundoff is
-	// about 6e-8·m in absolute terms.
-	if maxDiff == 0 || maxDiff > 1e-4*m {
-		t.Fatalf("max |Gram32 − Gram| = %g, want in (0, %g]", maxDiff, 1e-4*float64(m))
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			if got.At(i, j) != got.At(j, i) {
-				t.Fatalf("Gram32 not symmetric at (%d,%d)", i, j)
-			}
+			bitsEqualDense(t, "Gram", got, ref)
 		}
 	}
 }

@@ -1,58 +1,34 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"math/rand"
-
 	"repro/internal/blas"
 	"repro/internal/lapack"
 	"repro/internal/parallel"
 	"repro/mat"
 )
 
-// InnerQR selects the unpivoted QR kernel used inside the comparator
-// algorithms of §V.
-type InnerQR int
-
-const (
-	// InnerCholQR2 uses CholeskyQR2 (fails for κ₂ ≳ 1e8).
-	InnerCholQR2 InnerQR = iota
-	// InnerShiftedCholQR3 uses shifted CholeskyQR3 (any κ₂).
-	InnerShiftedCholQR3
-	// InnerTSQR uses the Householder reduction tree (any κ₂).
-	InnerTSQR
-	// InnerHouseholder uses plain blocked Householder QR.
-	InnerHouseholder
-)
-
-func runInnerQR(e *parallel.Engine, kind InnerQR, a *mat.Dense) (*QR, error) {
-	switch kind {
-	case InnerCholQR2:
-		return CholQR2(e, a)
-	case InnerShiftedCholQR3:
-		return ShiftedCholQR3(e, a)
-	case InnerTSQR:
-		return TSQR(e, a), nil
-	case InnerHouseholder:
-		return HouseholderQR(e, a), nil
-	default:
-		panic(fmt.Sprintf("core: unknown inner QR kind %d", kind))
+// Infallible adapts an error-free QR (TSQR, HouseholderQR) to the
+// signature of the fallible ones, for callers that take either, such as
+// QRThenQRCP.
+func Infallible(qr func(*parallel.Engine, *mat.Dense) *QR) func(*parallel.Engine, *mat.Dense) (*QR, error) {
+	return func(e *parallel.Engine, a *mat.Dense) (*QR, error) {
+		return qr(e, a), nil
 	}
 }
 
 // QRThenQRCP is the comparator approach of Cunha, Becker and Patterson
 // (the paper's reference [30], discussed in §V): first an unpivoted
-// tall-skinny QR A = Q₀·R₀ with a fast CA algorithm, then a small
-// Householder QRCP of the n×n factor, R₀·P = Q₁·R. The result
-// A·P = (Q₀·Q₁)·R is a full QRCP with the same pivots as HQR-CP.
+// tall-skinny QR A = Q₀·R₀ with a fast CA algorithm (inner, e.g.
+// ShiftedCholQR3 or Infallible(TSQR)), then a small Householder QRCP of
+// the n×n factor, R₀·P = Q₁·R. The result A·P = (Q₀·Q₁)·R is a full QRCP
+// with the same pivots as HQR-CP.
 //
 // The structural drawback the paper points out: the *entire* unpivoted
 // QR must finish before the first pivot is known, so — unlike
 // Ite-CholQR-CP — this approach cannot truncate early for low-rank work.
-func QRThenQRCP(e *parallel.Engine, a *mat.Dense, inner InnerQR) (*CPResult, error) {
+func QRThenQRCP(e *parallel.Engine, a *mat.Dense, inner func(*parallel.Engine, *mat.Dense) (*QR, error)) (*CPResult, error) {
 	n := a.Cols
-	qr0, err := runInnerQR(e, inner, a)
+	qr0, err := inner(e, a)
 	if err != nil {
 		return nil, err
 	}
@@ -66,49 +42,4 @@ func QRThenQRCP(e *parallel.Engine, a *mat.Dense, inner InnerQR) (*CPResult, err
 	q := mat.NewDense(a.Rows, n)
 	blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, qr0.Q, fac, 0, q)
 	return &CPResult{Q: q, R: r, Perm: jpvt}, nil
-}
-
-// RandQRCPOversample is the default sketch oversampling of RandQRCP.
-const RandQRCPOversample = 8
-
-// RandQRCP is a sketch-based randomized QRCP in the Duersch–Gu /
-// Martinsson family the paper surveys in §V: a Gaussian sketch
-// B = Ω·A (d×n with d = n + oversampling) is small enough that its
-// Householder QRCP is cheap; its pivot sequence is adopted wholesale,
-// the columns of A are permuted once, and a fast unpivoted QR of A·P
-// finishes the factorization.
-//
-// Randomized pivots are good for low-rank approximation quality but are
-// not guaranteed to match HQR-CP's greedy sequence — the accuracy caveat
-// the paper raises when declining to adopt randomized methods as its
-// baseline.
-func RandQRCP(e *parallel.Engine, a *mat.Dense, rng *rand.Rand, inner InnerQR) (*CPResult, error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		panic(fmt.Sprintf("core: RandQRCP needs m ≥ n, got %d×%d", m, n))
-	}
-	d := n + RandQRCPOversample
-	if d > m {
-		d = m
-	}
-	// Sketch B = Ω·A with Ω d×m Gaussian, scaled for unbiased norms.
-	omega := mat.NewDense(d, m)
-	scale := 1 / math.Sqrt(float64(d))
-	for i := range omega.Data {
-		omega.Data[i] = scale * rng.NormFloat64()
-	}
-	b := mat.NewDense(d, n)
-	blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, omega, a, 0, b)
-	// Pivots from the small sketch.
-	tau := make([]float64, min(d, n))
-	jpvt := make(mat.Perm, n)
-	lapack.Geqp3(e, b, tau, jpvt)
-	// One bulk permutation of A, then a fast unpivoted QR.
-	ap := mat.NewDense(m, n)
-	mat.PermuteCols(ap, a, jpvt)
-	qr, err := runInnerQR(e, inner, ap)
-	if err != nil {
-		return nil, err
-	}
-	return &CPResult{Q: qr.Q, R: qr.R, Perm: jpvt}, nil
 }

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -56,15 +56,18 @@ func TestQRThenQRCPMatchesHQRCPPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(163))
 	// Full-rank κ₂=1e6 matrix so even the CholQR2 inner kernel is usable;
 	// the rank-deficient case is covered by the robust-inner test below.
-	for _, inner := range []InnerQR{InnerCholQR2, InnerTSQR, InnerHouseholder} {
+	for _, inner := range []struct {
+		name string
+		qr   func(*parallel.Engine, *mat.Dense) (*QR, error)
+	}{{"CholQR2", CholQR2}, {"TSQR", Infallible(TSQR)}, {"HouseholderQR", Infallible(HouseholderQR)}} {
 		a := testmat.Generate(rng, 2000, 24, 24, 1e-6)
 		ref := HQRCP(nil, a)
-		res, err := QRThenQRCP(nil, a, inner)
+		res, err := QRThenQRCP(nil, a, inner.qr)
 		if err != nil {
-			t.Fatalf("inner=%d: %v", inner, err)
+			t.Fatalf("inner=%s: %v", inner.name, err)
 		}
 		if !metrics.AllCorrect(res.Perm, ref.Perm, 24) {
-			t.Fatalf("inner=%d: pivots differ:\n got %v\n ref %v", inner, res.Perm, ref.Perm)
+			t.Fatalf("inner=%s: pivots differ:\n got %v\n ref %v", inner.name, res.Perm, ref.Perm)
 		}
 		checkCP(t, "qr-then-qrcp", a, res, 1e-12, 1e-12)
 	}
@@ -74,127 +77,18 @@ func TestQRThenQRCPIllConditionedNeedsRobustInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(164))
 	a := testmat.Generate(rng, 3000, 16, 16, 1e-13)
 	// CholQR2 inner breaks down...
-	if _, err := QRThenQRCP(nil, a, InnerCholQR2); err == nil {
+	if _, err := QRThenQRCP(nil, a, CholQR2); err == nil {
 		t.Log("CholQR2 inner unexpectedly survived κ=1e13")
 	}
 	// ...shifted CholQR3 and TSQR handle it.
-	for _, inner := range []InnerQR{InnerShiftedCholQR3, InnerTSQR} {
-		res, err := QRThenQRCP(nil, a, inner)
+	for _, inner := range []struct {
+		name string
+		qr   func(*parallel.Engine, *mat.Dense) (*QR, error)
+	}{{"ShiftedCholQR3", ShiftedCholQR3}, {"TSQR", Infallible(TSQR)}} {
+		res, err := QRThenQRCP(nil, a, inner.qr)
 		if err != nil {
-			t.Fatalf("inner=%d: %v", inner, err)
+			t.Fatalf("inner=%s: %v", inner.name, err)
 		}
 		checkCP(t, "qr-then-qrcp-ill", a, res, 1e-12, 1e-12)
 	}
-}
-
-func TestRandQRCPLowRankQuality(t *testing.T) {
-	// Randomized pivots need not equal HQR-CP's, but the rank-revealing
-	// quality must hold: leading block well conditioned, trailing block
-	// small.
-	rng := rand.New(rand.NewSource(165))
-	m, n, r := 3000, 24, 10
-	a := testmat.Generate(rng, m, n, r, 1e-3)
-	res, err := RandQRCP(nil, a, rng, InnerHouseholder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Perm.IsValid() {
-		t.Fatalf("invalid perm %v", res.Perm)
-	}
-	if e := metrics.Orthogonality(res.Q); e > 1e-13 {
-		t.Fatalf("orthogonality %g", e)
-	}
-	if rr := metrics.Residual(a, res.Q, res.R, res.Perm); rr > 1e-13 {
-		t.Fatalf("residual %g", rr)
-	}
-	// Rank-revealing quality: σ_min(R₁₁) within a modest factor of σ_r.
-	sv := lapack.JacobiSVDValues(res.R.Slice(0, r, 0, r))
-	if sv[r-1] < 1e-3/50 {
-		t.Fatalf("σ_min(R₁₁) = %g, want ≳ σ_r = 1e-3", sv[r-1])
-	}
-	if nr := metrics.NormR22(res.R, r); nr > 1e-10 {
-		t.Fatalf("‖R₂₂‖₂ = %g for rank-%d matrix", nr, r)
-	}
-}
-
-func TestRandQRCPSmallMatrix(t *testing.T) {
-	// d = n + oversample capped at m.
-	rng := rand.New(rand.NewSource(166))
-	a := testmat.GenerateWellConditioned(rng, 10, 8, 100)
-	res, err := RandQRCP(nil, a, rng, InnerHouseholder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCP(t, "rand-small", a, res, 1e-13, 1e-13)
-}
-
-func TestRandQRCPPanicsOnWide(t *testing.T) {
-	rng := rand.New(rand.NewSource(167))
-	mustPanicC(t, func() { RandQRCP(nil, mat.NewDense(3, 5), rng, InnerHouseholder) }) //nolint:errcheck
-}
-
-func TestRunInnerQRUnknownPanics(t *testing.T) {
-	mustPanicC(t, func() { runInnerQR(nil, InnerQR(99), mat.NewDense(4, 2)) }) //nolint:errcheck
-}
-
-func TestLUCholQR2(t *testing.T) {
-	rng := rand.New(rand.NewSource(168))
-	for _, cond := range []float64{1e2, 1e8, 1e13} {
-		a := testmat.GenerateWellConditioned(rng, 800, 20, cond)
-		qr, err := LUCholQR2(nil, a)
-		if err != nil {
-			t.Fatalf("κ=%g: %v", cond, err)
-		}
-		if e := metrics.Orthogonality(qr.Q); e > 1e-13 {
-			t.Fatalf("κ=%g: orthogonality %g", cond, e)
-		}
-		if res := metrics.Residual(a, qr.Q, qr.R, mat.IdentityPerm(20)); res > 1e-12 {
-			t.Fatalf("κ=%g: residual %g", cond, res)
-		}
-		if !qr.R.IsUpperTriangular(0) {
-			t.Fatal("R not upper triangular")
-		}
-	}
-}
-
-func TestLUCholQR2ExactlySingular(t *testing.T) {
-	a := mat.NewDense(10, 3)
-	if _, err := LUCholQR2(nil, a); err == nil {
-		t.Fatal("zero matrix must error")
-	}
-	mustPanicC(t, func() { LUCholQR2(nil, mat.NewDense(2, 5)) }) //nolint:errcheck
-}
-
-func TestRandCholQR(t *testing.T) {
-	rng := rand.New(rand.NewSource(169))
-	for _, cond := range []float64{1e2, 1e9, 1e13} {
-		a := testmat.GenerateWellConditioned(rng, 1200, 16, cond)
-		qr, err := RandCholQR(nil, a, rng)
-		if err != nil {
-			t.Fatalf("κ=%g: %v", cond, err)
-		}
-		if e := metrics.Orthogonality(qr.Q); e > 1e-13 {
-			t.Fatalf("κ=%g: orthogonality %g", cond, e)
-		}
-		if res := metrics.Residual(a, qr.Q, qr.R, mat.IdentityPerm(16)); res > 1e-12 {
-			t.Fatalf("κ=%g: residual %g", cond, res)
-		}
-		if !qr.R.IsUpperTriangular(0) {
-			t.Fatal("R not upper triangular")
-		}
-	}
-}
-
-func TestRandCholQRSmallM(t *testing.T) {
-	// d = 2n capped at m.
-	rng := rand.New(rand.NewSource(170))
-	a := testmat.GenerateWellConditioned(rng, 12, 10, 100)
-	qr, err := RandCholQR(nil, a, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := metrics.Orthogonality(qr.Q); e > 1e-13 {
-		t.Fatalf("orthogonality %g", e)
-	}
-	mustPanicC(t, func() { RandCholQR(nil, mat.NewDense(3, 5), rng) }) //nolint:errcheck
 }

@@ -103,68 +103,3 @@ func TestStrongRRQRPanics(t *testing.T) {
 	mustPanicC(t, func() { StrongRRQR(nil, a, 3, 1) })                  //nolint:errcheck
 	mustPanicC(t, func() { StrongRRQR(nil, mat.NewDense(3, 5), 2, 2) }) //nolint:errcheck
 }
-
-func TestTournamentPivotsValidPerm(t *testing.T) {
-	rng := rand.New(rand.NewSource(224))
-	a := testmat.Generate(rng, 200, 24, 24, 1e-4)
-	for _, group := range []int{4, 6, 8, 24} {
-		perm := TournamentPivots(nil, a, 8, group)
-		if !perm.IsValid() {
-			t.Fatalf("group=%d: invalid perm %v", group, perm)
-		}
-	}
-	// groupCols defaulting.
-	if p := TournamentPivots(nil, a, 8, 0); !p.IsValid() {
-		t.Fatal("default groupCols: invalid perm")
-	}
-}
-
-func TestTournamentPivotQuality(t *testing.T) {
-	// The tournament winners must span the dominant subspace: σ_min of
-	// the selected k columns within a modest factor of σ_k(A).
-	rng := rand.New(rand.NewSource(225))
-	m, n, k := 400, 24, 8
-	a := testmat.Generate(rng, m, n, n, 1e-6)
-	perm := TournamentPivots(nil, a, k, 6)
-	sel := mat.NewDense(m, k)
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			sel.Set(i, j, a.At(i, perm[j]))
-		}
-	}
-	svSel := lapack.JacobiSVDValues(sel)
-	svAll := lapack.JacobiSVDValues(a)
-	if svSel[k-1] < svAll[k-1]/100 {
-		t.Fatalf("tournament selection degenerate: σ_min(sel) = %g, σ_k(A) = %g",
-			svSel[k-1], svAll[k-1])
-	}
-}
-
-func TestTournamentQRCPTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(226))
-	m, n, r := 300, 20, 9
-	a := testmat.Generate(rng, m, n, r, 1e-3)
-	res, err := TournamentQRCP(nil, a, r, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rank != r {
-		t.Fatalf("rank %d, want %d", res.Rank, r)
-	}
-	if e := metrics.Orthogonality(res.Q); e > 1e-13 {
-		t.Fatalf("orthogonality %g", e)
-	}
-	ap := mat.NewDense(m, n)
-	mat.PermuteCols(ap, a, res.Perm)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
-	if rel := ap.FrobeniusNorm() / a.FrobeniusNorm(); rel > 1e-10 {
-		t.Fatalf("truncated residual %g for exact-rank matrix", rel)
-	}
-}
-
-func TestTournamentPanics(t *testing.T) {
-	a := mat.NewDense(10, 5)
-	mustPanicC(t, func() { TournamentPivots(nil, a, 0, 2) })
-	mustPanicC(t, func() { TournamentPivots(nil, a, 6, 2) })
-	mustPanicC(t, func() { TournamentPivots(nil, mat.NewDense(2, 5), 3, 2) })
-}

@@ -95,29 +95,6 @@ func TestQuickGeqp3DiagonalDominance(t *testing.T) {
 	}
 }
 
-func TestQuickGetrfRoundTrip(t *testing.T) {
-	f := func(seed int64, mRaw, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + int(nRaw)%30
-		m := n + int(mRaw)%50
-		a := randMat(rng, m, n)
-		fac := a.Clone()
-		ipiv := make([]int, n)
-		if err := Getrf(nil, fac, ipiv); err != nil {
-			return false
-		}
-		l, u := ExtractLU(fac)
-		pa := a.Clone()
-		ApplyIpiv(pa, ipiv, true)
-		lu := mat.NewDense(m, n)
-		blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, l, u, 0, lu)
-		return mat.EqualApprox(lu, pa, 1e-10*(1+a.MaxAbs())) && l.MaxAbs() <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickJacobiSVDInvariants(t *testing.T) {
 	f := func(seed int64, mRaw, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/blas"
 	"repro/internal/parallel"
@@ -70,15 +72,59 @@ func writeBin(t *testing.T, m, n int) string {
 }
 
 // TestQRCPCancellation: a cancelled engine context surfaces as the
-// context error, with the prefetch goroutine joined and scratch removed
-// before QRCP returns (the deferred cleanup path).
+// context error, with the prefetch goroutine joined and the scratch
+// directory removed before QRCP returns (the deferred cleanup path).
+// The context is cancelled once before the run, when no scratch exists
+// yet, and once mid-run, as soon as the scratch directory appears in
+// ScratchDir. The file is tall, the panels short and Q is written, so
+// the pivoting pass that creates the scratch and the Q sweep after it
+// are still streaming when the cancellation lands. The partial Q file
+// goes too.
 func TestQRCPCancellation(t *testing.T) {
-	path := writeBin(t, 2000, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e := parallel.NewEngine(2).WithContext(ctx)
-	if _, err := QRCP(e, path, Config{PanelRows: 128}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, tc := range []struct {
+		name     string
+		m        int
+		midSweep bool
+	}{{"before start", 2000, false}, {"after scratch appears", 200000, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeBin(t, tc.m, 8)
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// watched reports whether the watcher saw the scratch
+			// directory under its name before it cancelled.
+			watched := make(chan bool, 1)
+			if tc.midSweep {
+				go func() {
+					for ctx.Err() == nil {
+						if ents, _ := os.ReadDir(dir); len(ents) > 0 {
+							cancel()
+							watched <- strings.HasPrefix(ents[0].Name(), "tsqrcp-ooc-")
+							return
+						}
+						time.Sleep(20 * time.Microsecond)
+					}
+					watched <- false
+				}()
+			} else {
+				cancel()
+			}
+			e := parallel.NewEngine(2).WithContext(ctx)
+			qPath := filepath.Join(t.TempDir(), "q.tsqrmat")
+			cfg := Config{PanelRows: 128, ScratchDir: dir, QPath: qPath}
+			if _, err := QRCP(e, path, cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if _, err := os.Stat(qPath); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("partial Q file left behind (stat err %v)", err)
+			}
+			if tc.midSweep && !<-watched {
+				t.Fatal("the scratch directory never appeared under its tsqrcp-ooc-* name")
+			}
+			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+				t.Fatalf("scratch dir holds %v after a cancelled QRCP (err %v)", left, err)
+			}
+		})
 	}
 }
 

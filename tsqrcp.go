@@ -209,13 +209,6 @@ func TSQR(a *mat.Dense) *QR {
 	return DefaultEngine().TSQR(a)
 }
 
-// LUCholeskyQR2 computes the thin QR factorization by LU-Cholesky QR
-// (Terao–Ozaki–Ogita): an LU factorization with partial pivoting
-// preconditions the matrix so Cholesky QR succeeds for any κ₂(A).
-func LUCholeskyQR2(a *mat.Dense) (*QR, error) {
-	return DefaultEngine().LUCholeskyQR2(a)
-}
-
 // StrongRRQR computes a strong rank-revealing QR factorization at rank k
 // in the Gu–Eisenstat sense: after the greedy pivoting, column
 // interchanges continue until σ_min(R₁₁) ≥ σ_k/√(1+f²k(n−k)) and

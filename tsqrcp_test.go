@@ -172,7 +172,7 @@ func TestMulIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestPublicTSQRAndLUCholeskyQR2(t *testing.T) {
+func TestPublicTSQRAndShiftedCholeskyQR3(t *testing.T) {
 	rng := rand.New(rand.NewSource(158))
 	a := testmat.GenerateWellConditioned(rng, 400, 12, 1e12)
 	for _, tc := range []struct {
@@ -180,7 +180,7 @@ func TestPublicTSQRAndLUCholeskyQR2(t *testing.T) {
 		run  func() (*QR, error)
 	}{
 		{"TSQR", func() (*QR, error) { return TSQR(a), nil }},
-		{"LUCholeskyQR2", func() (*QR, error) { return LUCholeskyQR2(a) }},
+		{"ShiftedCholeskyQR3", func() (*QR, error) { return ShiftedCholeskyQR3(a) }},
 	} {
 		qr, err := tc.run()
 		if err != nil {
