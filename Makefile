@@ -78,12 +78,13 @@ cross-arm64:
 race:
 	$(GO) test -race -timeout 10m . ./internal/... ./mat/ ./dist/ ./service/
 
-# Fuzz every decoder of untrusted bytes for FUZZTIME each, one target
-# per go test run (Go fuzzes one target at a time). The seed corpora in
-# each package's testdata/fuzz/<Name> also run under plain go test; a
-# failing input the fuzzer finds is written there as a new seed.
+# Fuzz every decoder of untrusted bytes, and QRCP on rank-deficient
+# input, for FUZZTIME each, one target per go test run (Go fuzzes one
+# target at a time). The seed corpora in each package's
+# testdata/fuzz/<Name> also run under plain go test; a failing input the
+# fuzzer finds is written there as a new seed.
 FUZZ_TARGETS := service:FuzzDecodeJob service:FuzzDecodeResult \
-	service:FuzzReadFrame mat:FuzzReadBinary mat:FuzzRead
+	service:FuzzReadFrame mat:FuzzReadBinary mat:FuzzRead .:FuzzQRCPRank
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz ./$${t%%:*} $${t##*:} for $(FUZZTIME)"; \

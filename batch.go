@@ -24,9 +24,11 @@ type BatchOptions struct {
 type BatchResult struct {
 	// F is the factorization, nil if the problem failed or was skipped.
 	F *Factorization
-	// Err is the per-problem error: ErrStall/ErrBreakdown for a numerical
+	// Err is the per-problem error: ErrBreakdown for a numerical
 	// failure, ctx.Err() for problems not finished before cancellation,
 	// or a wrapped panic message for invalid inputs (e.g. a wide matrix).
+	// A rank-deficient problem is not an error: F.Rank says how many
+	// columns were factored.
 	Err error
 }
 

@@ -85,10 +85,10 @@ func Comparators(seed int64, pc PivotedCase, uc UnpivotedCase, repeats int) []Co
 	}
 	for _, m := range []method{
 		{"Ite-CholQR-CP", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.IteCholQRCP(nil, a, core.DefaultPivotTol)
+			return core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
 		}},
 		{"Ite-CholQR-CP k=r", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.IteCholQRCPPartial(nil, a, core.DefaultPivotTol, r)
+			return core.IteCholQRCP(nil, a, core.DefaultPivotTol, r)
 		}},
 		{"HQR-CP", func(a *mat.Dense) (*core.CPResult, error) { return core.HQRCP(nil, a), nil }},
 		{"QR+QRCP(TSQR)", func(a *mat.Dense) (*core.CPResult, error) {

@@ -24,7 +24,9 @@ type MethodAccuracy struct {
 	Resid   float64 // ‖AΠ−QR‖_F/‖A‖_F       — Fig. 2(b)
 	CondR11 float64 // κ₂(R₁₁)               — Fig. 2(c)
 	NormR22 float64 // ‖R₂₂‖₂                — Fig. 2(d)
-	Failed  bool    // algorithm broke down / stalled
+	Rank    int     // columns factored; below r, (c) and (d) are unset
+	Short   bool    // Rank < r: the run stopped short of R₁₁
+	Failed  bool    // algorithm broke down
 }
 
 // Fig2 reproduces the accuracy comparison of Fig. 2: for each σ it runs
@@ -36,31 +38,39 @@ func Fig2(seed int64, m, n, r int, sigmas []float64) []MethodAccuracy {
 	for _, sigma := range sigmas {
 		a := generate(rng, m, n, r, sigma)
 		ref := core.HQRCP(nil, a)
-		rows = append(rows, accuracyRow(sigma, "HQR-CP", a, ref, r, false))
-		if res, err := core.IteCholQRCP(nil, a, 1e-5); err == nil {
-			rows = append(rows, accuracyRow(sigma, "Ite-CholQR-CP(1e-5)", a, res, r, false))
-		} else {
-			rows = append(rows, MethodAccuracy{Sigma: sigma, Method: "Ite-CholQR-CP(1e-5)", Failed: true})
-		}
-		if res, err := core.IteCholQRCP(nil, a, 0); err == nil {
-			rows = append(rows, accuracyRow(sigma, "Ite-CholQR-CP(0)", a, res, r, false))
-		} else {
-			rows = append(rows, MethodAccuracy{Sigma: sigma, Method: "Ite-CholQR-CP(0)", Failed: true})
+		rows = append(rows, accuracyRow(sigma, "HQR-CP", a, ref, r))
+		for _, ite := range []struct {
+			method string
+			eps    float64
+		}{{"Ite-CholQR-CP(1e-5)", 1e-5}, {"Ite-CholQR-CP(0)", 0}} {
+			res, err := core.IteCholQRCP(nil, a, ite.eps, n)
+			if err != nil {
+				rows = append(rows, MethodAccuracy{Sigma: sigma, Method: ite.method, Failed: true})
+				continue
+			}
+			rows = append(rows, accuracyRow(sigma, ite.method, a, res, r))
 		}
 	}
 	return rows
 }
 
-func accuracyRow(sigma float64, method string, a *mat.Dense, res *core.CPResult, r int, failed bool) MethodAccuracy {
-	return MethodAccuracy{
-		Sigma:   sigma,
-		Method:  method,
-		Orth:    metrics.Orthogonality(res.Q),
-		Resid:   metrics.Residual(a, res.Q, res.R, res.Perm),
-		CondR11: metrics.CondR11(res.R, r),
-		NormR22: metrics.NormR22(res.R, r),
-		Failed:  failed,
+// accuracyRow scores one factorization; κ₂(R₁₁) and ‖R₂₂‖₂ need at
+// least r rows of R, so a run that stopped at a lower rank reports it
+// instead.
+func accuracyRow(sigma float64, method string, a *mat.Dense, res *core.CPResult, r int) MethodAccuracy {
+	row := MethodAccuracy{
+		Sigma:  sigma,
+		Method: method,
+		Orth:   metrics.Orthogonality(res.Q),
+		Resid:  metrics.Residual(a, res.Q, res.R, res.Perm),
+		Rank:   res.R.Rows,
+		Short:  res.R.Rows < r,
 	}
+	if !row.Short {
+		row.CondR11 = metrics.CondR11(res.R, r)
+		row.NormR22 = metrics.NormR22(res.R, r)
+	}
+	return row
 }
 
 // PrintFig2 writes the four metric series.
@@ -71,6 +81,11 @@ func PrintFig2(w io.Writer, rows []MethodAccuracy) {
 	for _, r := range rows {
 		if r.Failed {
 			fmt.Fprintf(w, "  %-9.0e %-22s %12s\n", r.Sigma, r.Method, "FAILED")
+			continue
+		}
+		if r.Short {
+			fmt.Fprintf(w, "  %-9.0e %-22s %12.2e %12.2e %25s\n",
+				r.Sigma, r.Method, r.Orth, r.Resid, fmt.Sprintf("stopped at rank %d", r.Rank))
 			continue
 		}
 		fmt.Fprintf(w, "  %-9.0e %-22s %12.2e %12.2e %12.2e %12.2e\n",
@@ -87,6 +102,7 @@ type Fig3Row struct {
 	Outcomes   []metrics.PivotOutcome // length r (essential positions only)
 	PivotIter  []int
 	Iterations int
+	Rank       int // columns factored; positions from Rank on are not computed
 	Failed     bool
 }
 
@@ -99,7 +115,7 @@ func Fig3(seed int64, m, n, r int, sigmas []float64, eps float64) []Fig3Row {
 	for _, sigma := range sigmas {
 		a := generate(rng, m, n, r, sigma)
 		ref := core.HQRCPNoQ(nil, a)
-		res, err := core.IteCholQRCP(nil, a, eps)
+		res, err := core.IteCholQRCP(nil, a, eps, n)
 		if err != nil {
 			rows = append(rows, Fig3Row{Sigma: sigma, Eps: eps, Failed: true})
 			continue
@@ -107,9 +123,10 @@ func Fig3(seed int64, m, n, r int, sigmas []float64, eps float64) []Fig3Row {
 		rows = append(rows, Fig3Row{
 			Sigma:      sigma,
 			Eps:        eps,
-			Outcomes:   metrics.ClassifyPivots(res.Perm, ref.Perm, n, r),
-			PivotIter:  res.PivotIter[:r],
+			Outcomes:   metrics.ClassifyPivots(res.Perm, ref.Perm, res.Rank, r),
+			PivotIter:  res.PivotIter[:min(r, res.Rank)],
 			Iterations: res.Iterations,
+			Rank:       res.Rank,
 		})
 	}
 	return rows
@@ -128,6 +145,9 @@ func PrintFig3(w io.Writer, rows []Fig3Row) {
 		fmt.Fprintf(w, "  σ=%-8.0e iters=%d  ", r.Sigma, r.Iterations)
 		for _, o := range r.Outcomes {
 			fmt.Fprintf(w, "%s", o)
+		}
+		if r.Rank < len(r.Outcomes) {
+			fmt.Fprintf(w, "  stopped at rank %d", r.Rank)
 		}
 		fmt.Fprintln(w)
 	}

@@ -45,7 +45,7 @@ func timeOneShape(seed int64, m int, nr NR, sigma float64, repeats int) TimingRo
 	a := testmat.Generate(rng, m, nr.N, nr.R, sigma)
 	var iters int
 	tIte := bestOf(repeats, func() {
-		res, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol)
+		res, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
 		if err != nil {
 			panic(fmt.Sprintf("bench: Ite-CholQR-CP failed on m=%d n=%d: %v", m, nr.N, err))
 		}
@@ -103,7 +103,7 @@ func AblationEps(seed int64, m, n, r int, sigma float64, epss []float64) []Ablat
 	var rows []AblationEpsRow
 	for _, eps := range epss {
 		start := time.Now()
-		res, err := core.IteCholQRCP(nil, a, eps)
+		res, err := core.IteCholQRCP(nil, a, eps, a.Cols)
 		elapsed := time.Since(start)
 		if err != nil {
 			rows = append(rows, AblationEpsRow{Eps: eps, Failed: true, Time: elapsed})

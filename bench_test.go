@@ -94,7 +94,7 @@ func BenchmarkFig4SingleNode(b *testing.B) {
 		a := benchMatrix(sh.m, sh.n, sh.r, 1e-12)
 		b.Run(fmt.Sprintf("IteCholQRCP/m=%d/n=%d", sh.m, sh.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol); err != nil {
+				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -120,7 +120,7 @@ func BenchmarkIteCholQRCP(b *testing.B) {
 		b.Run(fmt.Sprintf("m=%d/n=%d", sh.m, sh.n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol); err != nil {
+				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -246,7 +246,7 @@ func BenchmarkAblationEps(b *testing.B) {
 	for _, eps := range []float64{1e-2, 1e-5, 1e-8} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, eps); err != nil {
+				if _, err := core.IteCholQRCP(nil, a, eps, a.Cols); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -273,14 +273,14 @@ func BenchmarkAblationTruncated(b *testing.B) {
 	a := benchMatrix(10000, 64, 51, 1e-12)
 	b.Run("Full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol); err != nil {
+			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Rank8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IteCholQRCPPartial(nil, a, core.DefaultPivotTol, 8); err != nil {
+			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, 8); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -298,7 +298,7 @@ func BenchmarkComparatorQRCP(b *testing.B) {
 	a := benchMatrix(10000, 32, 26, 1e-12)
 	b.Run("IteCholQRCP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol); err != nil {
+			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -360,14 +360,14 @@ func main() {
 			func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol); err != nil {
+					if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
 						fmt.Fprintln(os.Stderr, "IteCholQRCP:", err)
 						os.Exit(1)
 					}
 				}
 			}))
 		rep.Records = append(rep.Records, stageRows("IteCholQRCP", m, n, 3, func() error {
-			_, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol)
+			_, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
 			return err
 		})...)
 	}
@@ -458,7 +458,7 @@ func main() {
 		ite := run("IteCholQRCP", cqM, cqN, 0, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol); err != nil {
+				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
 					fmt.Fprintln(os.Stderr, "IteCholQRCP:", err)
 					os.Exit(1)
 				}

@@ -11,12 +11,12 @@ import (
 
 // QRCPResult is the per-rank output of a distributed pivoted QR
 // factorization: the local row block of Q plus the replicated R and P.
-// A truncated factorization of rank k has an m_loc×k QLocal and a k×n R.
+// A factorization of rank k has an m_loc×k QLocal and a k×n R.
 type QRCPResult struct {
 	QLocal     *mat.Dense
 	R          *mat.Dense
 	Perm       mat.Perm
-	Rank       int // the number of columns factored: n unless truncated
+	Rank       int // the number of columns factored: n unless the trailing block collapsed
 	Iterations int
 }
 
@@ -29,10 +29,6 @@ type QRCPResult struct {
 type sweeper struct {
 	*core.DenseSweeper
 	comm Comm
-}
-
-func newSweeper(comm Comm, aLocal *mat.Dense) sweeper {
-	return sweeper{DenseSweeper: core.NewDenseSweeper(nil, aLocal), comm: comm}
 }
 
 func (s sweeper) Gram(w *mat.Dense) error {
@@ -54,7 +50,7 @@ func (s sweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 // allreduce sums the Gram matrix w over the ranks under the
 // StageAllreduce span, attributing the collective's wall time (including
 // wait) and payload to the breakdown. w is contiguous: the driver loop
-// and CholQR hand every Gram a compact buffer. Per-rank timelines stay on
+// hands every Gram a compact buffer. Per-rank timelines stay on
 // InstrumentedComm; this is the process-global view the trace reports
 // aggregate.
 func (s sweeper) allreduce(w *mat.Dense) {
@@ -65,49 +61,30 @@ func (s sweeper) allreduce(w *mat.Dense) {
 	trace.AddBytes(trace.StageAllreduce, int64(8*len(buf)))
 }
 
-// CholQR computes the distributed thin QR factorization of the matrix
-// whose local row block on this rank is aLocal (1-D block-row layout).
-// aLocal is overwritten with the local block of Q; R is returned
-// replicated on every rank.
-func CholQR(comm Comm, aLocal *mat.Dense) (*mat.Dense, error) {
-	r := mat.NewDense(aLocal.Cols, aLocal.Cols)
-	if err := core.CholQRSweep(nil, newSweeper(comm, aLocal), r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// iteCholQRCP runs the shared Ite-CholQR-CP driver loop on a copy of this
-// rank's block (see core.NewDenseSweeperCopy) through the Allreduce
-// sweeper, stopping at rankCap pivots.
-func iteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64, rankCap int) (*core.CPResult, error) {
-	sw := sweeper{DenseSweeper: core.NewDenseSweeperCopy(nil, aLocal), comm: comm}
-	res, err := core.IteCholQRCPSweeps(nil, aLocal.Cols, sw, eps, rankCap)
-	if err != nil {
-		return nil, err
-	}
-	res.Q = sw.Q(res.Rank)
-	return res, nil
-}
-
 // IteCholQRCP computes the distributed QR factorization with column
 // pivoting by Algorithm 4 on the 1-D block-row layout. Every rank calls
 // it with its local block; the pivoting decisions are made redundantly on
 // replicated Gram matrices, so the only communication is one Allreduce of
 // the n×n Gram matrix per Gram: the first, then one per iteration out of
 // the fused pass, the last of which is the reorthogonalization Gram —
-// Iterations+1 collectives, O(1) independent of n. The row sweeps are
-// the in-core ones, fused permute→TRSM→Gram pass included, so with one
-// rank the result is bit-identical to core.IteCholQRCP.
+// Iterations+1 collectives, O(1) independent of n. When the trailing
+// block collapses, the reorthogonalization reuses the leading block of
+// the last n×n Gram: no extra collective. The row sweeps are the in-core
+// ones, fused permute→TRSM→Gram pass included, run on a copy of this
+// rank's block (see core.NewDenseSweeperCopy), so with one rank the
+// result is bit-identical to core.IteCholQRCP.
 //
-// aLocal is not modified. The result's QLocal is this rank's block of Q;
-// R and Perm are replicated and identical on all ranks.
+// aLocal is not modified. The result's QLocal is this rank's block of Q,
+// with Rank columns; R (Rank×n), Perm and Rank are replicated and
+// identical on all ranks.
 func IteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64) (*QRCPResult, error) {
-	res, err := core.FullRank(iteCholQRCP(comm, aLocal, eps, aLocal.Cols))
+	sw := sweeper{DenseSweeper: core.NewDenseSweeperCopy(nil, aLocal), comm: comm}
+	res, err := core.IteCholQRCPSweeps(nil, aLocal.Cols, sw, eps, aLocal.Cols)
 	if err != nil {
 		return nil, err
 	}
-	return qrcpResult(res), nil
+	return &QRCPResult{QLocal: sw.Q(res.Rank), R: res.R, Perm: res.Perm,
+		Rank: res.Rank, Iterations: res.Iterations}, nil
 }
 
 // HQRCP computes the distributed QR factorization with column pivoting by
@@ -393,25 +370,4 @@ func buildT(s *mat.Dense, tau []float64) *mat.Dense {
 		}
 	}
 	return t
-}
-
-// IteCholQRCPTruncated computes a distributed rank-k truncated pivoted QR
-// on the 1-D block-row layout: the pivoting iterations stop once k pivots
-// are fixed and only the leading block is reorthogonalized. Collectives:
-// one Gram Allreduce per iteration, the last pass's a k×k Gram that
-// doubles as the reorthogonalization Gram (when the trailing block
-// collapses first, the reorthogonalization reuses the leading block of
-// the last n×n Gram) — Iterations+1 in all, still O(1), and fewer
-// iterations than the full factorization when k ≪ n.
-func IteCholQRCPTruncated(comm Comm, aLocal *mat.Dense, eps float64, k int) (*QRCPResult, error) {
-	res, err := iteCholQRCP(comm, aLocal, eps, k)
-	if err != nil {
-		return nil, err
-	}
-	return qrcpResult(res), nil
-}
-
-// qrcpResult adapts the driver's result to the per-rank shape.
-func qrcpResult(res *core.CPResult) *QRCPResult {
-	return &QRCPResult{QLocal: res.Q, R: res.R, Perm: res.Perm, Rank: res.Rank, Iterations: res.Iterations}
 }

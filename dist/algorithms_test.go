@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -33,55 +32,11 @@ func gather(blocks []*mat.Dense, l Layout) *mat.Dense {
 	return g
 }
 
-func TestDistCholQRMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(131))
-	m, n := 240, 12
-	a := testmat.GenerateWellConditioned(rng, m, n, 100)
-	serial, err := core.CholQR(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4, 6} {
-		l := Layout{M: m, P: p}
-		blocks := scatter(a, l)
-		rs := make([]*mat.Dense, p)
-		var mu sync.Mutex
-		Run(p, func(c Comm) {
-			r, err := CholQR(c, blocks[c.Rank()])
-			if err != nil {
-				t.Errorf("rank %d: %v", c.Rank(), err)
-				return
-			}
-			mu.Lock()
-			rs[c.Rank()] = r
-			mu.Unlock()
-		})
-		q := gather(blocks, l)
-		if e := metrics.Orthogonality(q); e > 1e-12 {
-			t.Fatalf("p=%d: orthogonality %g", p, e)
-		}
-		if res := metrics.Residual(a, q, rs[0], mat.IdentityPerm(n)); res > 1e-13 {
-			t.Fatalf("p=%d: residual %g", p, res)
-		}
-		// All ranks must hold the same replicated R.
-		for r := 1; r < p; r++ {
-			if !mat.EqualApprox(rs[r], rs[0], 0) {
-				t.Fatalf("p=%d: replicated R differs on rank %d", p, r)
-			}
-		}
-		// The deterministic reduction should reproduce the serial result
-		// closely (identical when p=1).
-		if p == 1 && !mat.EqualApprox(rs[0], serial.R, 0) {
-			t.Fatal("p=1 must be bit-identical to serial CholQR")
-		}
-	}
-}
-
 func TestDistIteCholQRCPMatchesSerialPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	m, n, r := 400, 20, 16
 	a := testmat.Generate(rng, m, n, r, 1e-10)
-	serialRes, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol)
+	serialRes, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,24 +161,13 @@ func TestDistHQRCPNoQ(t *testing.T) {
 // TestDistUnevenRows: layouts whose rank blocks are uneven (m not a
 // multiple of P) or shorter than n (30×12 at P = 3, ten rows a rank)
 // factor like the in-core routines through every entry point: the same
-// pivots, Q orthonormal, and R reproducing A·P (the truncated R matching
-// the in-core truncated R, since a rank-k factor of a full-rank A leaves
-// a σ_(k+1) residual).
+// pivots, Q orthonormal, and R reproducing A·P.
 func TestDistUnevenRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(135))
 	for _, tc := range []struct{ m, n, p int }{{101, 7, 4}, {30, 12, 3}} {
 		a := testmat.GenerateWellConditioned(rng, tc.m, tc.n, 50)
 		l := Layout{M: tc.m, P: tc.p}
-		k := tc.n / 2
-		ite, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trunc, err := core.IteCholQRCPPartial(nil, a, core.DefaultPivotTol, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chol, err := core.CholQR(nil, a)
+		ite, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,16 +179,9 @@ func TestDistUnevenRows(t *testing.T) {
 			{"IteCholQRCP", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
 				return IteCholQRCP(c, b, core.DefaultPivotTol)
 			}, ite},
-			{"IteCholQRCPTruncated", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
-				return IteCholQRCPTruncated(c, b, core.DefaultPivotTol, k)
-			}, trunc},
 			{"HQRCP", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
 				return HQRCP(c, b, l, true), nil
 			}, core.HQRCP(nil, a)},
-			{"CholQR", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
-				r, err := CholQR(c, b)
-				return &QRCPResult{QLocal: b, R: r, Perm: mat.IdentityPerm(tc.n), Rank: tc.n}, err
-			}, &core.CPResult{Q: chol.Q, R: chol.R, Perm: mat.IdentityPerm(tc.n), Rank: tc.n}},
 		} {
 			label := fmt.Sprintf("%s %d×%d P=%d", ep.name, tc.m, tc.n, tc.p)
 			blocks := scatter(a, l)
@@ -272,11 +209,7 @@ func TestDistUnevenRows(t *testing.T) {
 			if e := metrics.Orthogonality(q); e > 1e-12 {
 				t.Fatalf("%s: orthogonality %g", label, e)
 			}
-			if got.Rank < tc.n {
-				if !mat.EqualApprox(got.R, ep.want.R, 1e-10*ep.want.R.MaxAbs()) {
-					t.Fatalf("%s: truncated R differs from in-core", label)
-				}
-			} else if res := metrics.Residual(a, q, got.R, got.Perm); res > 1e-12 {
+			if res := metrics.Residual(a, q, got.R, got.Perm); res > 1e-12 {
 				t.Fatalf("%s: residual %g", label, res)
 			}
 		}
@@ -344,9 +277,9 @@ func TestDistCollectiveCounts(t *testing.T) {
 		t.Fatalf("HQR-CP used %d collectives, want ≥ 3n = %d", hqrColl, 3*n)
 	}
 
-	// Collapse: with a zero column the trailing block collapses before
-	// the rank cap n, and the reorthogonalization reuses the leading
-	// block of the last fused pass's Gram — no extra collective.
+	// Collapse: with a zero column the trailing block collapses at rank
+	// n − 1, and the reorthogonalization reuses the leading block of the
+	// last fused pass's Gram — no extra collective.
 	z := a.Clone()
 	for i := 0; i < m; i++ {
 		z.Set(i, 5, 0)
@@ -356,7 +289,7 @@ func TestDistCollectiveCounts(t *testing.T) {
 	iteTrace = nil
 	Run(4, func(c Comm) {
 		ic := Instrument(c)
-		res, err := IteCholQRCPTruncated(ic, blocks[c.Rank()], core.DefaultPivotTol, n)
+		res, err := IteCholQRCP(ic, blocks[c.Rank()], core.DefaultPivotTol)
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
@@ -370,55 +303,5 @@ func TestDistCollectiveCounts(t *testing.T) {
 	}
 	if len(iteTrace) != iters+1 {
 		t.Fatalf("collapse: %d collectives, want iterations+1 = %d", len(iteTrace), iters+1)
-	}
-}
-
-func TestDistIteCholQRCPTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(137))
-	m, n, k := 320, 20, 8
-	a := testmat.Generate(rng, m, n, 16, 1e-8)
-	serial, err := core.IteCholQRCPPartial(nil, a, core.DefaultPivotTol, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{1, 4} {
-		l := Layout{M: m, P: p}
-		blocks := scatter(a, l)
-		results := make([]*QRCPResult, p)
-		Run(p, func(c Comm) {
-			res, err := IteCholQRCPTruncated(c, blocks[c.Rank()], core.DefaultPivotTol, k)
-			if err != nil {
-				t.Errorf("rank %d: %v", c.Rank(), err)
-				return
-			}
-			results[c.Rank()] = res
-		})
-		if results[0] == nil {
-			t.FailNow()
-		}
-		if results[0].Rank != serial.Rank {
-			t.Fatalf("p=%d: distributed rank %d != serial %d", p, results[0].Rank, serial.Rank)
-		}
-		for j := 0; j < results[0].Rank; j++ {
-			if results[0].Perm[j] != serial.Perm[j] {
-				t.Fatalf("p=%d: pivot %d differs from serial", p, j)
-			}
-		}
-		qblocks := make([]*mat.Dense, p)
-		for r := 0; r < p; r++ {
-			qblocks[r] = results[r].QLocal
-		}
-		q := gather(qblocks, l)
-		if e := metrics.Orthogonality(q); e > 1e-13 {
-			t.Fatalf("p=%d: orthogonality %g", p, e)
-		}
-		// k = 8 is below the numerical rank 16, so the residual is not at
-		// roundoff; compare against the serial truncated factor instead:
-		// bit for bit on one rank, to roundoff across ranks.
-		if p == 1 {
-			requireSameFactors(t, "p=1", q, results[0].R, results[0].Perm, serial.Q, serial.R, serial.Perm)
-		} else if !mat.EqualApprox(results[0].R, serial.R, 1e-10*serial.R.MaxAbs()) {
-			t.Fatalf("p=%d: distributed truncated R differs from serial", p)
-		}
 	}
 }

@@ -29,6 +29,13 @@
 // condition numbers at Householder-level orthogonality and ran 3–6×
 // faster at every κ₂ measured (DESIGN.md §9).
 //
+// Migration: ErrStall is removed. QRCP returns the rank as a result:
+// where an exactly rank-deficient input (a zero or repeated column) used
+// to fail with ErrStall, it now returns a Factorization with f.Rank < n,
+// Q m×Rank and R Rank×n, so check f.Rank < a.Cols instead. A zero
+// matrix has Rank 0. Options.ZeroTol is removed too; the ε = 0 variant
+// of the paper's Figs. 2–3 stays reachable through the figure drivers.
+//
 // For very tall matrices, StrategyCQRRPT decides the pivots on a small
 // sparse-sign sketch and spends a single preconditioned Cholesky QR pass
 // on the full matrix — measurably faster than the iterated loop at the

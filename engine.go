@@ -76,13 +76,13 @@ func (e *Engine) QRCP(a *mat.Dense, opts *Options) (*Factorization, error) {
 	if opts.strategy() == StrategyCQRRPT {
 		res, err = core.CQRRPT(pe, a, opts.tol(), opts.seed())
 	} else {
-		res, err = core.IteCholQRCP(pe, a, opts.tol())
+		res, err = core.IteCholQRCP(pe, a, opts.tol(), a.Cols)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return &Factorization{Q: res.Q, R: res.R, Perm: res.Perm,
-		Rank: a.Cols, Iterations: res.Iterations}, nil
+		Rank: res.Rank, Iterations: res.Iterations}, nil
 }
 
 // HouseholderQRCP computes the pivoted factorization with the blocked
@@ -102,7 +102,7 @@ func (e *Engine) QRCPTruncated(a *mat.Dense, k int, opts *Options) (*Factorizati
 	pe := e.eng()
 	sp := trace.Region(trace.StageTotal)
 	defer sp.End()
-	res, err := core.IteCholQRCPPartial(pe, a, opts.tol(), k)
+	res, err := core.IteCholQRCP(pe, a, opts.tol(), k)
 	if err != nil {
 		return nil, err
 	}

@@ -100,8 +100,8 @@ func TestQRCPBatch(t *testing.T) {
 	for i := range problems {
 		problems[i] = testmat.Generate(rng, 150+10*i, 12, 10, 1e-8)
 	}
-	// Problem 4 has a zero column: exactly rank-deficient, must fail with
-	// ErrStall without disturbing its neighbors.
+	// Problem 4 has a zero column: exactly rank-deficient, it factors at
+	// rank n − 1 without disturbing its neighbors.
 	for i := 0; i < problems[4].Rows; i++ {
 		problems[4].Set(i, 3, 0)
 	}
@@ -123,8 +123,8 @@ func TestQRCPBatch(t *testing.T) {
 	for i, res := range results {
 		switch i {
 		case 4:
-			if !errors.Is(res.Err, ErrStall) {
-				t.Errorf("problem 4: err = %v, want ErrStall", res.Err)
+			if res.Err != nil || res.F.Rank != 11 {
+				t.Errorf("problem 4: err = %v, want rank 11 of 12", res.Err)
 			}
 		case 7:
 			if res.Err == nil {
@@ -202,26 +202,6 @@ func TestQRCPBatchEmpty(t *testing.T) {
 	}
 	if len(results) != 0 {
 		t.Fatalf("got %d results for empty batch", len(results))
-	}
-}
-
-func TestOptionsZeroTol(t *testing.T) {
-	rng := rand.New(rand.NewSource(406))
-	a := testmat.Generate(rng, 300, 16, 16, 1e-2) // well-conditioned
-	f, err := QRCP(a, &Options{ZeroTol: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := metrics.Orthogonality(f.Q); e > 1e-12 {
-		t.Fatalf("ε=0 orthogonality %g on a well-conditioned matrix", e)
-	}
-	if r := metrics.Residual(a, f.Q, f.R, f.Perm); r > 1e-12 {
-		t.Fatalf("ε=0 residual %g", r)
-	}
-	// The whole point of ε = 0: every completable pivot is accepted at
-	// once, so a well-conditioned matrix finishes in a single iteration.
-	if f.Iterations != 1 {
-		t.Fatalf("ε=0 took %d iterations on a well-conditioned matrix, want 1", f.Iterations)
 	}
 }
 

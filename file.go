@@ -15,8 +15,9 @@ type FileOptions struct {
 	// The value never changes the result bits — only the resident set
 	// (two panels of PanelRows×n float64s) and the I/O granularity.
 	PanelRows int
-	// QPath, when non-empty, streams the orthonormal factor to this path
-	// in the binary matrix format (mat.ReadBinaryFile reads it back).
+	// QPath, when non-empty, streams the m×Rank orthonormal factor to
+	// this path in the binary matrix format (mat.ReadBinaryFile reads it
+	// back); a rank-0 result leaves no file there.
 	// When empty, Q is not materialized at all and the final
 	// reorthogonalization sweep's TRSM is skipped — one fewer full
 	// read+write of the matrix when only R and the pivots are needed.
@@ -72,7 +73,7 @@ func (e *Engine) QRCPFile(path string, opts *FileOptions) (*Factorization, error
 		return nil, err
 	}
 	return &Factorization{R: res.R, Perm: res.Perm,
-		Rank: res.R.Cols, Iterations: res.Iterations}, nil
+		Rank: res.Rank, Iterations: res.Iterations}, nil
 }
 
 // QRCPFile runs the out-of-core factorization on the default engine;

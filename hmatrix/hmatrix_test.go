@@ -78,9 +78,8 @@ func TestHMatrixMatVecAccuracy(t *testing.T) {
 }
 
 // TestHMatrixRepeatedPoints: every point twice makes each admissible
-// block exactly rank deficient (equal row pairs), which Cholesky-based
-// QRCP reports as a breakdown; the compression must still succeed and
-// stay accurate.
+// block exactly rank deficient (equal row pairs), which QRCP factors at
+// its rank; the compression must succeed and stay accurate.
 func TestHMatrixRepeatedPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(276))
 	pts := sortedPoints(rng, 200)

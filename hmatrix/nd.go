@@ -1,7 +1,6 @@
 package hmatrix
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -225,16 +224,11 @@ func compressDense(dense *mat.Dense, tol float64, u, v **mat.Dense) error {
 		tall = dense.T()
 	}
 	f, err := tsqrcp.QRCP(tall, nil)
-	if errors.Is(err, tsqrcp.ErrBreakdown) || errors.Is(err, tsqrcp.ErrStall) {
-		// Exactly rank-deficient blocks (repeated points give equal rows
-		// or columns) can defeat the Cholesky-based QRCP; Householder
-		// QRCP factors them regardless.
-		f, err = tsqrcp.HouseholderQRCP(tall, nil), nil
-	}
 	if err != nil {
 		return fmt.Errorf("hmatrix: block (%d×%d): %w", dense.Rows, dense.Cols, err)
 	}
-	rank := max(f.NumericalRank(tol), 1)
+	// At least one column, unless the block is zero (Rank 0).
+	rank := min(max(f.NumericalRank(tol), 1), f.Rank)
 	rperm := mat.NewDense(rank, tall.Cols)
 	mat.PermuteCols(rperm, f.R.Slice(0, rank, 0, tall.Cols), f.Perm.Inverse())
 	q := f.Q.Slice(0, tall.Rows, 0, rank)

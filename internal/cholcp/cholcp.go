@@ -33,8 +33,8 @@ type Result struct {
 	NPiv int
 	// Breakdown reports that the factorization stopped because the best
 	// remaining diagonal was ≤ 0 (loss of positive semidefiniteness to
-	// roundoff) rather than by the ε tolerance or by completing all n
-	// columns.
+	// roundoff) or at or below its floor, rather than by the ε tolerance
+	// or by completing all n columns.
 	Breakdown bool
 }
 
@@ -47,11 +47,16 @@ type Result struct {
 // bounds the parallel width of the trailing downdates (nil selects the
 // default engine).
 func PCholCP(e *parallel.Engine, w *mat.Dense, eps float64) Result {
-	return PCholCPMax(e, w, eps, w.Rows)
+	return PCholCPMax(e, w, eps, w.Rows, nil)
 }
 
-// PCholCPMax is PCholCP with an additional cap on the number of pivots
-// factored, used by truncated QRCP to stop exactly at the requested rank.
+// PCholCPMax is PCholCP with a cap on the number of pivots factored,
+// which stops Ite-CholQR-CP exactly at its rank cap, and an optional
+// per-index floor: a trailing diagonal at or below floor[l] is rounding
+// noise — what is left of index l after cancellation — and is never
+// chosen as a pivot, not even as the first one, which the ε rule does
+// not test. floor is nil or has an entry per index; it is permuted in
+// place along with the pivots.
 //
 // It is blocked the way LAPACK's DPSTRF is. The trailing diagonal d is
 // kept up to date after every pivot, d[l] = fma(−R[k][l], R[k][l], d[l]),
@@ -69,7 +74,7 @@ func PCholCP(e *parallel.Engine, w *mat.Dense, eps float64) Result {
 // follows; its diagonal chains are d's. When n − k₀ ≤ pcholcpBlock no
 // SYRK runs: that is the unblocked form. The SYRK partitions output
 // rows only, so the result is bit-identical for every engine width.
-func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Result {
+func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int, floor []float64) Result {
 	if w.Rows != w.Cols {
 		panic(fmt.Sprintf("cholcp: PCholCP on %d×%d", w.Rows, w.Cols))
 	}
@@ -99,7 +104,12 @@ func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Resul
 	var w11 float64 // diagonal of the first pivot (the paper's W(1,1))
 	k0 := 0         // first pivot of the current block
 	for k := 0; k < maxPiv; k++ {
-		// Select the largest remaining diagonal.
+		// Select the largest remaining diagonal above its floor.
+		for l := k; l < len(floor); l++ {
+			if d[l] <= floor[l] {
+				d[l] = 0
+			}
+		}
 		p := k
 		for l := k + 1; l < n; l++ {
 			if d[l] > d[p] {
@@ -127,6 +137,9 @@ func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int) Resul
 			}
 			perm.Swap(k, p)
 			d[k], d[p] = d[p], d[k]
+			if floor != nil {
+				floor[k], floor[p] = floor[p], floor[k]
+			}
 		}
 		if k == k0+pcholcpBlock {
 			// The last block's rows are final: downdate S by them,

@@ -179,6 +179,27 @@ func TestPCholCPBreakdown(t *testing.T) {
 	}
 }
 
+// TestPCholCPMaxFloor: a diagonal at or below its floor is never a
+// pivot — not as a later one, and not as the first, which the ε rule
+// does not test — and the floor is permuted along with the pivots.
+func TestPCholCPMaxFloor(t *testing.T) {
+	w := mat.NewDense(3, 3)
+	w.Set(0, 0, 1e-20)
+	w.Set(1, 1, 4)
+	w.Set(2, 2, 1)
+	floor := []float64{1e-18, 0, 1}
+	res := PCholCPMax(nil, w, 0, 3, floor)
+	if res.NPiv != 1 || res.Perm[0] != 1 {
+		t.Fatalf("NPiv %d perm %v, want index 1 alone: indices 0 and 2 sit at their floors", res.NPiv, res.Perm)
+	}
+	if floor[0] != 0 || floor[1] != 1e-18 {
+		t.Fatalf("floor %v not permuted with the pivots", floor)
+	}
+	if res := PCholCPMax(nil, w, 0, 3, []float64{1e-18, 4, 1}); res.NPiv != 0 {
+		t.Fatalf("NPiv %d with every diagonal at its floor, want 0", res.NPiv)
+	}
+}
+
 func TestPCholCPZeroMatrix(t *testing.T) {
 	w := mat.NewDense(5, 5)
 	res := PCholCP(nil, w, 1e-5)
@@ -310,7 +331,7 @@ func pcholcpUnblocked(w *mat.Dense, eps float64, maxPiv int) Result {
 func requireSameDecisions(t *testing.T, label string, w *mat.Dense, eps float64, maxPiv int) {
 	t.Helper()
 	n := w.Rows
-	got := PCholCPMax(nil, w, eps, maxPiv)
+	got := PCholCPMax(nil, w, eps, maxPiv, nil)
 	want := pcholcpUnblocked(w, eps, maxPiv)
 	if got.NPiv != want.NPiv || got.Breakdown != want.Breakdown {
 		t.Fatalf("%s: NPiv %d breakdown %v, oracle %d %v", label, got.NPiv, got.Breakdown, want.NPiv, want.Breakdown)

@@ -50,11 +50,15 @@ func CholQR(e *parallel.Engine, a *mat.Dense) (*QR, error) {
 	return &QR{Q: q, R: r}, nil
 }
 
-// cholQRInPlace overwrites a with Q and returns R: one CholQRSweep over
+// cholQRInPlace overwrites a with Q and returns R: one CholQR pass over
 // the in-core sweeper.
 func cholQRInPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
 	r := mat.NewDense(a.Cols, a.Cols)
-	if err := CholQRSweep(e, NewDenseSweeper(e, a), r); err != nil {
+	sw := NewDenseSweeper(e, a)
+	if err := sw.Gram(r); err != nil {
+		return nil, err
+	}
+	if err := cholFinish(e, sw, r); err != nil {
 		return nil, err
 	}
 	return r, nil

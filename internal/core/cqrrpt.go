@@ -104,7 +104,7 @@ func CQRRPT(e *parallel.Engine, a *mat.Dense, eps float64, seed uint64) (*CPResu
 		return res, err
 	}
 	trace.Inc(trace.CtrSketchFallbacks)
-	return FullRank(iteCholQRCP(e, a, eps, a.Cols))
+	return IteCholQRCP(e, a, eps, a.Cols)
 }
 
 // cqrrptGaussianDomain separates the Gaussian retry's random stream from
@@ -247,5 +247,5 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 		mat.CheckFinite("core", "CQRRPT orthonormal factor", aw)
 		mat.CheckFinite("core", "CQRRPT triangular factor", rsk)
 	}
-	return &CPResult{Q: aw, R: rsk, Perm: jpvt, Iterations: passes}, nil
+	return &CPResult{Q: aw, R: rsk, Perm: jpvt, Iterations: passes, Rank: n}, nil
 }

@@ -35,10 +35,10 @@ func (s unfusedSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 	return s.Gram(w)
 }
 
-// iteCholQRCPUnfused is iteCholQRCP over the unfused reference sweeper.
+// iteCholQRCPUnfused is IteCholQRCP over the unfused reference sweeper.
 func iteCholQRCPUnfused(e *parallel.Engine, a *mat.Dense, eps float64) (*CPResult, error) {
 	sw := unfusedSweeper{NewDenseSweeper(e, a.Clone())}
-	res, err := FullRank(IteCholQRCPSweeps(e, a.Cols, sw, eps, a.Cols))
+	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, a.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func TestIteCholQRCPFusedMatchesUnfused(t *testing.T) {
 		// A multi-worker engine exercises the fused kernel's parallel
 		// reduction path even on a single-core test machine.
 		e := parallel.NewEngine(4)
-		fused, err := IteCholQRCP(e, tc.a, tc.eps)
+		fused, err := IteCholQRCP(e, tc.a, tc.eps, tc.a.Cols)
 		if err != nil {
 			t.Fatalf("%s fused: %v", tc.name, err)
 		}
@@ -102,8 +102,8 @@ func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 		name string
 		run  func() (*CPResult, error)
 	}{
-		{"full", func() (*CPResult, error) { return IteCholQRCP(nil, a, DefaultPivotTol) }},
-		{"truncated", func() (*CPResult, error) { return IteCholQRCPPartial(nil, a, DefaultPivotTol, 20) }},
+		{"full", func() (*CPResult, error) { return IteCholQRCP(nil, a, DefaultPivotTol, a.Cols) }},
+		{"truncated", func() (*CPResult, error) { return IteCholQRCP(nil, a, DefaultPivotTol, 20) }},
 	}
 	for _, tc := range cases {
 		trace.Reset()

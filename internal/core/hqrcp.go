@@ -45,7 +45,7 @@ func HQRCPNoQ(e *parallel.Engine, a *mat.Dense) *CPResult {
 
 // HQRCPTruncated computes the rank-k truncated Householder QRCP
 // A·P ≈ Q₁·R₁ (Q₁ m×k, R₁ k×n) by stopping DGEQP3 after k pivots — the
-// conventional-baseline counterpart of IteCholQRCPPartial for the
+// conventional-baseline counterpart of IteCholQRCP's rank cap for the
 // low-rank comparison of §V.
 func HQRCPTruncated(e *parallel.Engine, a *mat.Dense, k int) *CPResult {
 	m, n := a.Rows, a.Cols

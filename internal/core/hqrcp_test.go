@@ -113,7 +113,7 @@ func TestHQRCPTruncatedMatchesIteTruncatedPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	a := testmat.Generate(rng, 400, 24, 20, 1e-8)
 	h := HQRCPTruncated(nil, a, 10)
-	ite, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, 10)
+	ite, err := IteCholQRCP(nil, a, DefaultPivotTol, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

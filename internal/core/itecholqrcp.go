@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -15,21 +14,11 @@ import (
 // reorthogonalization pass for κ₂(A) up to ~10¹⁶.
 const DefaultPivotTol = 1e-5
 
-// DefaultMaxIterations bounds the number of pivoting iterations; the
-// expected count is ⌈log κ₂(A) / log(1/ε)⌉ ≲ 4, so hitting this bound
-// indicates a stall (e.g. a structurally zero trailing block).
-const DefaultMaxIterations = 64
-
-// ErrStall reports that an Ite-CholQR-CP iteration could not fix any new
-// pivot, which happens only when the remaining columns are exactly
-// (not just numerically) linearly dependent or zero.
-var ErrStall = errors.New("core: Ite-CholQR-CP stalled: remaining columns are exactly rank deficient")
-
 // CPResult is a QR factorization with column pivoting A·P = Q·R.
 type CPResult struct {
-	// Q is m×n with orthonormal columns.
+	// Q is m×Rank with orthonormal columns.
 	Q *mat.Dense
-	// R is n×n upper triangular.
+	// R is Rank×n upper triangular.
 	R *mat.Dense
 	// Perm maps position j to the original column: (A·P)(:,j) = A(:,Perm[j]).
 	Perm mat.Perm
@@ -38,15 +27,16 @@ type CPResult struct {
 	// counted). The factorization computes Iterations+1 Gram matrices.
 	Iterations int
 	// PivotCounts[i] is the number of pivots fixed in iteration i
-	// (Ite-CholQR-CP only).
+	// (Ite-CholQR-CP only); 0 for a pass that only reorthogonalized the
+	// fixed columns after the trailing block collapsed.
 	PivotCounts []int
 	// PivotIter[j] is the (0-based) iteration in which position j's pivot
 	// was fixed (Ite-CholQR-CP only). Used to reproduce Fig. 3.
 	PivotIter []int
-	// Rank is the number of columns factored (Ite-CholQR-CP and the
-	// truncated factorizations only): n for a full factorization, fewer
-	// when a rank cap or a collapsed trailing block stopped the
-	// iteration. Q then has Rank columns and R has Rank rows.
+	// Rank is the number of columns factored (Ite-CholQR-CP, CQRRPT and
+	// HQRCPTruncated only): the rank cap, or fewer when the trailing
+	// block collapsed first — 0 for a zero matrix. Q then has Rank
+	// columns and R has Rank rows.
 	Rank int
 }
 
@@ -85,22 +75,27 @@ func NumericalRank(r *mat.Dense, tol float64) int {
 // already-fixed leading block, eliminates its coupling to the remainder,
 // runs P-Chol-CP on the trailing Schur complement to fix the next batch of
 // trustworthy pivots, and applies the inverse of the combined triangular
-// factor to A (one TRSM). After all n pivots are fixed, one plain CholQR
+// factor to A (one TRSM). Once the pivots are fixed, one plain CholQR
 // pass reorthogonalizes the result, exactly as in CholeskyQR2.
-func IteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64) (*CPResult, error) {
+//
+// The iteration stops at rankCap ∈ [1, n] pivots (n for a full
+// factorization), or earlier when the trailing block collapses: the
+// rank is a result, not an error. A result of Rank k has Q m×k and R
+// k×n, and is the truncated factorization
+//
+//	A·P ≈ Q·R,   ‖A·P − Q·R‖₂ ≈ σ_(k+1)(A),
+//
+// which a rank cap below n reaches without ever orthogonalizing the
+// trailing columns — the structural advantage the paper highlights
+// (§V).
+func IteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int) (*CPResult, error) {
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: IteCholQRCP needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	return FullRank(iteCholQRCP(e, a, eps, a.Cols))
-}
-
-// iteCholQRCP is the in-core entry point: it runs the shared sweep
-// driver over a DenseSweeper on a copy of a (the first Gram reads a
-// itself, the first writing sweep fills the working matrix) and
-// attaches the working matrix (now Q) to the result. All algorithm
-// logic lives in IteCholQRCPSweeps so the out-of-core and distributed
-// paths replay the exact same replicated steps.
-func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int) (*CPResult, error) {
+	// The sweeps read a until the first FusedPivot gathers it into a
+	// fresh working matrix, which becomes Q. All algorithm logic lives
+	// in IteCholQRCPSweeps so the out-of-core and distributed paths
+	// replay the exact same replicated steps.
 	sw := NewDenseSweeperCopy(e, a)
 	res, err := IteCholQRCPSweeps(e, a.Cols, sw, eps, rankCap)
 	if err != nil {
@@ -108,16 +103,6 @@ func iteCholQRCP(e *parallel.Engine, a *mat.Dense, eps float64, rankCap int) (*C
 	}
 	res.Q = sw.Q(res.Rank)
 	return res, nil
-}
-
-// FullRank passes a full-rank run through and reports one that a
-// collapsed trailing block stopped short of n pivots as ErrStall — the
-// contract of every untruncated Ite-CholQR-CP entry point.
-func FullRank(res *CPResult, err error) (*CPResult, error) {
-	if err == nil && res.Rank < len(res.Perm) {
-		return nil, ErrStall
-	}
-	return res, err
 }
 
 // applyTrailingPerm computes p := p·P″ where P″ = diag(I_k, tp):

@@ -33,7 +33,7 @@ func checkCP(t *testing.T, name string, a *mat.Dense, res *CPResult, orthTol, re
 func TestIteCholQRCPWellConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	a := testmat.GenerateWellConditioned(rng, 200, 20, 100)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestIteCholQRCPMatchesHQRCPPivots(t *testing.T) {
 	for _, sigma := range []float64{1e-2, 1e-6, 1e-10, 1e-14} {
 		a := testmat.Generate(rng, m, n, r, sigma)
 		ref := HQRCP(nil, a)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Fatalf("σ=%g: %v", sigma, err)
 		}
@@ -73,7 +73,7 @@ func TestIteCholQRCPEps0UnstableForIllConditioned(t *testing.T) {
 	for _, sigma := range []float64{1e-10, 1e-12, 1e-14} {
 		a := testmat.Generate(rng, m, n, r, sigma)
 		ref := HQRCP(nil, a)
-		res, err := IteCholQRCP(nil, a, 0)
+		res, err := IteCholQRCP(nil, a, 0, a.Cols)
 		if err != nil {
 			// Breakdown also demonstrates the instability; accept it.
 			diverged = true
@@ -88,13 +88,35 @@ func TestIteCholQRCPEps0UnstableForIllConditioned(t *testing.T) {
 	}
 }
 
+// TestIteCholQRCPEps0CollapseStaysOrthogonal: with ε = 0 the first
+// iteration can fix pivots that leave the fixed columns ill-conditioned.
+// When the trailing block then collapses, the closing CholQR pass alone
+// would return a Q far from orthonormal (orthogonality up to 11 on
+// these inputs); the run must reorthogonalize first or fail with
+// ErrBreakdown, never return such a Q.
+func TestIteCholQRCPEps0CollapseStaysOrthogonal(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		a := testmat.Generate(rand.New(rand.NewSource(seed)), 2000, 32, 26, 1e-8)
+		res, err := IteCholQRCP(nil, a, 0, a.Cols)
+		if err != nil {
+			if !errors.Is(err, ErrBreakdown) {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			continue
+		}
+		if o, r := metrics.Orthogonality(res.Q), metrics.Residual(a, res.Q, res.R, res.Perm); o > 1e-13 || r > 1e-13 {
+			t.Fatalf("seed %d: rank %d orthogonality %g residual %g", seed, res.Rank, o, r)
+		}
+	}
+}
+
 func TestIteCholQRCPAccuracySweep(t *testing.T) {
 	// Fig. 2: orthogonality and residual at Householder level for all σ.
 	rng := rand.New(rand.NewSource(114))
 	m, n, r := 500, 30, 24
 	for _, sigma := range []float64{1e-2, 1e-8, 1e-14} {
 		a := testmat.Generate(rng, m, n, r, sigma)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Fatalf("σ=%g: %v", sigma, err)
 		}
@@ -117,7 +139,7 @@ func TestIteCholQRCPIterationCount(t *testing.T) {
 	// pivoting completes in 3 iterations.
 	rng := rand.New(rand.NewSource(115))
 	a := testmat.Generate(rng, 1000, 32, 26, 1e-12)
-	res, err := IteCholQRCP(nil, a, 1e-5)
+	res, err := IteCholQRCP(nil, a, 1e-5, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +166,7 @@ func TestIteCholQRCPFullRankNoGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(117))
 	a := testmat.Generate(rng, 400, 24, 24, 1e-9)
 	ref := HQRCP(nil, a)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +182,7 @@ func TestIteCholQRCPSingleColumn(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = rng.NormFloat64()
 	}
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,25 +192,47 @@ func TestIteCholQRCPSingleColumn(t *testing.T) {
 	}
 }
 
+// TestIteCholQRCPZeroMatrixStalls: the iteration stalls at once —
+// P-Chol-CP fixes no pivot of a zero Gram — and that is a result, not
+// an error: rank 0, Q 20×0, R 0×3, and no pass over A but the first Gram.
 func TestIteCholQRCPZeroMatrixStalls(t *testing.T) {
 	a := mat.NewDense(20, 3)
-	_, err := IteCholQRCP(nil, a, DefaultPivotTol)
-	if !errors.Is(err, ErrStall) {
-		t.Fatalf("zero matrix: err = %v, want ErrStall", err)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rank != 0 || res.Iterations != 0 || res.Q.Rows != 20 || res.Q.Cols != 0 || res.R.Rows != 0 || res.R.Cols != 3 {
+		t.Fatalf("zero matrix: rank %d after %d iterations, Q %d×%d, R %d×%d; want rank 0, Q 20×0, R 0×3",
+			res.Rank, res.Iterations, res.Q.Rows, res.Q.Cols, res.R.Rows, res.R.Cols)
+	}
+}
+
+// TestNoiseFloorAllocatesNothing: the collapse test — the per-iteration
+// noise floor and the check of the fixed columns' Gram — runs on the
+// driver's preallocated buffers. (P-Chol-CP permutes the floor in place.)
+func TestNoiseFloorAllocatesNothing(t *testing.T) {
+	w := mat.Identity(16)
+	w22 := w.Slice(4, 16, 4, 16)
+	floor := make([]float64, 16)
+	if a := testing.AllocsPerRun(10, func() {
+		setNoiseFloor(floor, w22)
+		gramNearIdentity(w, 4)
+	}); a != 0 {
+		t.Fatalf("%v allocations per iteration", a)
 	}
 }
 
 func TestIteCholQRCPPanics(t *testing.T) {
-	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(3, 5), 1e-5) }) //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(5, 3), 1.5) })  //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(5, 3), -1) })   //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(3, 5), 1e-5, 3) }) //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(5, 3), 1.5, 3) })  //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(5, 3), -1, 3) })   //nolint:errcheck
 }
 
 func TestIteCholQRCPDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(119))
 	a := testmat.Generate(rng, 100, 8, 6, 1e-6)
 	orig := a.Clone()
-	if _, err := IteCholQRCP(nil, a, DefaultPivotTol); err != nil {
+	if _, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols); err != nil {
 		t.Fatal(err)
 	}
 	if !mat.EqualApprox(a, orig, 0) {
@@ -201,7 +245,7 @@ func TestIteCholQRCPDiagonalDecreasing(t *testing.T) {
 	// for any greedy column-pivoted QR.
 	rng := rand.New(rand.NewSource(120))
 	a := testmat.Generate(rng, 600, 20, 16, 1e-10)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +276,11 @@ func TestIteCholQRCPNaNInputFailsCleanly(t *testing.T) {
 	rng := rand.New(rand.NewSource(128))
 	a := testmat.GenerateWellConditioned(rng, 100, 8, 10)
 	a.Set(50, 3, math.NaN())
-	if _, err := IteCholQRCP(nil, a, DefaultPivotTol); err == nil {
+	if _, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols); err == nil {
 		t.Fatal("NaN input must error")
 	}
 	a.Set(50, 3, math.Inf(1))
-	if _, err := IteCholQRCP(nil, a, DefaultPivotTol); err == nil {
+	if _, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols); err == nil {
 		t.Fatal("Inf input must error")
 	}
 }
@@ -257,11 +301,11 @@ func TestIteCholQRCPTiesAreDeterministic(t *testing.T) {
 		a.Set(i, 4, rng.NormFloat64())
 		a.Set(i, 5, 0.25*rng.NormFloat64())
 	}
-	r1, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	r1, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	r2, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +330,7 @@ func TestIteCholQRCPWidthInvariant(t *testing.T) {
 		a := testmat.Generate(rng, sh.m, sh.n, sh.n-sh.n/4, 1e-10)
 		var ref *CPResult
 		for _, w := range []int{1, 2, 3, 8} {
-			res, err := IteCholQRCP(parallel.NewEngine(w), a, DefaultPivotTol)
+			res, err := IteCholQRCP(parallel.NewEngine(w), a, DefaultPivotTol, a.Cols)
 			if err != nil {
 				t.Fatalf("m=%d n=%d width %d: %v", sh.m, sh.n, w, err)
 			}

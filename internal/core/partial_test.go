@@ -18,7 +18,7 @@ func TestPartialTruncatedApproximation(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	m, n, r := 400, 24, 10
 	a := testmat.Generate(rng, m, n, r, 1e-3)
-	res, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, r)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPartialLowRankErrorTracksSigma(t *testing.T) {
 	a := testmat.Generate(rng, m, n, n, sigma)
 	sv := testmat.SigmaProfile(n, n, sigma)
 	k := 8
-	res, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, k)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestPartialFullRankEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	m, n := 200, 12
 	a := testmat.Generate(rng, m, n, n, 1e-6)
-	full, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	full, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, n)
+	part, err := IteCholQRCP(nil, a, DefaultPivotTol, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPartialStopsEarlyOnNumericalRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(144))
 	m, n, r := 300, 20, 6
 	a := testmat.Generate(rng, m, n, r, 1e-2)
-	res, err := IteCholQRCPPartial(nil, a, 1e-5, n)
+	res, err := IteCholQRCP(nil, a, 1e-5, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestPartialCheaperThanFull(t *testing.T) {
 	// factorization.
 	rng := rand.New(rand.NewSource(145))
 	a := testmat.Generate(rng, 500, 32, 32, 1e-12)
-	full, err := IteCholQRCP(nil, a, DefaultPivotTol)
+	full, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, 4)
+	part, err := IteCholQRCP(nil, a, DefaultPivotTol, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +130,16 @@ func TestPartialCheaperThanFull(t *testing.T) {
 
 func TestPartialPanics(t *testing.T) {
 	a := mat.NewDense(10, 5)
-	mustPanicC(t, func() { IteCholQRCPPartial(nil, a, 1e-5, 0) })                  //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCPPartial(nil, a, 1e-5, 6) })                  //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCPPartial(nil, a, -1, 3) })                    //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCPPartial(nil, mat.NewDense(3, 5), 1e-5, 2) }) //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(nil, a, 1e-5, 0) })                  //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(nil, a, 1e-5, 6) })                  //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(nil, a, -1, 3) })                    //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(3, 5), 1e-5, 2) }) //nolint:errcheck
 }
 
 func TestPartialQShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(146))
 	a := testmat.Generate(rng, 100, 10, 10, 1e-4)
-	res, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, 3)
+	res, err := IteCholQRCP(nil, a, DefaultPivotTol, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

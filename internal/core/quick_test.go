@@ -39,7 +39,7 @@ func TestQuickIteCholQRCPInvariants(t *testing.T) {
 		m := n + 1 + int(mRaw)%200
 		cond := math.Pow(10, float64(condExp%13)) // κ₂ up to 1e12
 		a := testmat.GenerateWellConditioned(rng, m, n, cond)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Logf("seed=%d m=%d n=%d κ=%g: %v", seed, m, n, cond, err)
 			return false
@@ -71,7 +71,7 @@ func TestQuickPivotAgreementWithHouseholder(t *testing.T) {
 		m := 8 * n
 		cond := math.Pow(10, 1+float64(condExp%11)) // 1e1..1e11
 		a := testmat.GenerateWellConditioned(rng, m, n, cond)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			return false
 		}
@@ -128,7 +128,7 @@ func TestQuickTruncationErrorBounded(t *testing.T) {
 		k := 1 + int(kRaw)%n
 		sv := testmat.SigmaProfile(n, n, 1e-6)
 		a := testmat.WithSingularValues(rng, m, n, sv)
-		res, err := IteCholQRCPPartial(nil, a, DefaultPivotTol, k)
+		res, err := IteCholQRCP(nil, a, DefaultPivotTol, k)
 		if err != nil {
 			return false
 		}
@@ -159,7 +159,7 @@ func TestQuickPermutationRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(uint(seed)%14)
 		a := testmat.GenerateWellConditioned(rng, 6*n, n, 1e4)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol)
+		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			return false
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/blas"
 	"repro/internal/cholcp"
@@ -31,7 +32,7 @@ import (
 type Sweeper interface {
 	// Gram computes w := AₖᵀAₖ (full symmetric) for the leading
 	// k = w.Rows columns Aₖ = A[:, :k]: Algorithm 4 line 3 (k = n) and
-	// the Gram of every unpivoted CholQR pass.
+	// the Gram of the unpivoted CholQR pass.
 	Gram(w *mat.Dense) error
 	// FusedPivot applies one pivoting pass: A := (A·P)·R′⁻¹ with
 	// w := AₖᵀAₖ of the updated A streamed out of the same row
@@ -44,24 +45,14 @@ type Sweeper interface {
 	// leading k = r.Rows columns, which turns them into Q. Implementations
 	// that do not materialize Q (the out-of-core sweeper without a Q
 	// destination) may skip the traversal — R and the pivots are already
-	// final.
+	// final. k is 0 when A is zero; then no FusedPivot ran.
 	Finish(r *mat.Dense) error
-}
-
-// CholQRSweep runs one plain CholQR pass (Algorithm 2) over the leading
-// k = w.Rows columns of the sweeper's matrix: w := AₖᵀAₖ, then
-// cholFinish. It is the whole of every unpivoted CholQR pass, in-core
-// and distributed.
-func CholQRSweep(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
-	if err := sw.Gram(w); err != nil {
-		return err
-	}
-	return cholFinish(e, sw, w)
 }
 
 // cholFinish is the tail of a CholQR pass on the Gram w of the leading
 // k = w.Rows columns: w := chol(w) (upper triangle, lower zeroed), then
-// Aₖ := Aₖ·w⁻¹ through sw.Finish.
+// Aₖ := Aₖ·w⁻¹ through sw.Finish. The whole of the unpivoted pass is
+// sw.Gram(w) followed by cholFinish.
 func cholFinish(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 	if mat.DebugChecks {
 		mat.CheckFinite("core", "CholQR Gram matrix", w)
@@ -87,10 +78,12 @@ func cholFinish(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 // once rankCap ∈ [1, n] pivots are fixed, or earlier when the trailing
 // block collapses below the pivot tolerance; either way only the k fixed
 // columns are reorthogonalized, on the k×k Gram the last pivoting pass
-// emitted, and the result has Rank k, a k×n R and Perm. Full-rank
-// callers pass rankCap = n and treat Rank < n as ErrStall. Returns a
-// CPResult without Q — the sweeper owns the working matrix, so the
-// caller attaches (or streams) Q itself.
+// emitted, and the result has Rank k, a k×n R and Perm. Every iteration
+// fixes at least one pivot, ends the loop, or reorthogonalizes the fixed
+// columns when the trailing block collapsed while their Gram was far
+// from I — never twice in a row — so there are at most 2·rankCap
+// iterations. Returns a CPResult without Q — the sweeper owns the
+// working matrix, so the caller attaches (or streams) Q itself.
 func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankCap int) (*CPResult, error) {
 	if eps < 0 || eps >= 1 {
 		panic(fmt.Sprintf("core: IteCholQRCP tolerance %g outside [0,1)", eps))
@@ -103,13 +96,12 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 	w := mat.NewDense(n, n)       // Gram workspace
 	rp := mat.NewDense(n, n)      // R′ workspace, reused across iterations
 	fullPerm := make(mat.Perm, n) // full-width permutation scratch for the fused pass
+	floor := make([]float64, n)   // P-Chol-CP's noise floor for the trailing block
 	res := &CPResult{PivotIter: make([]int, n)}
 
 	k := 0
+	reorth := false // the last pass fixed no pivot, only reorthogonalized
 	for iter := 0; k < rankCap; iter++ {
-		if iter >= DefaultMaxIterations {
-			return nil, ErrStall
-		}
 		// Cooperative cancellation: give up between iterations, never
 		// inside a kernel.
 		if err := e.Err(); err != nil {
@@ -122,12 +114,21 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 			if err := sw.Gram(w); err != nil {
 				return nil, err
 			}
+			// A column holding a NaN or Inf (or overflowing) has a
+			// non-finite Gram diagonal. Without this check P-Chol-CP
+			// would never pivot it, and the run would end as a collapse.
+			for j := range n {
+				if d := w.Data[j*w.Stride+j]; math.IsNaN(d) || math.IsInf(d, 0) {
+					return nil, fmt.Errorf("%w: column %d of A is not finite", ErrBreakdown, j)
+				}
+			}
 		}
 
 		// Lines 4–7: all the Cholesky work on the Gram matrix — the fixed
 		// block factor/eliminate plus P-Chol-CP on the Schur complement.
 		sc := trace.Region(trace.StageCholCP)
 		rp.Zero()
+		var fl []float64 // no floor for the first call: no update has cancelled yet
 		if k > 0 {
 			// Lines 4–6: factor the fixed block and eliminate coupling.
 			r11 := rp.Slice(0, k, 0, k)
@@ -142,6 +143,8 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 			blas.TrsmLeftUpperTrans(r11, r12) // R₁₂ := R₁₁⁻ᵀ·W₁₂
 			// W̃₂₂ := W₂₂ − R₁₂ᵀ·R₁₂ (Schur complement of the fixed block).
 			w22 := w.Slice(k, n, k, n)
+			setNoiseFloor(floor, w22)
+			fl = floor[:n-k]
 			blas.Gemm(e, blas.Trans, blas.NoTrans, -1, r12, r12, 1, w22)
 			// Mirror the wrapped kernels' flop attribution at the stage
 			// level so cmd/trace-report stage and kernel totals reconcile.
@@ -153,16 +156,24 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 
 		// Line 7: P-Chol-CP on the trailing Schur complement, capped at
 		// the pivots still missing from the rank cap.
-		pres := cholcp.PCholCPMax(e, w.Slice(k, n, k, n), eps, rankCap-k)
+		pres := cholcp.PCholCPMax(e, w.Slice(k, n, k, n), eps, rankCap-k, fl)
 		trace.AddFlops(trace.StageCholCP, cholcp.Flops(n-k, pres.NPiv))
 		sc.End()
 		kNew := pres.NPiv
 		if kNew == 0 {
-			if k == 0 {
-				return nil, ErrStall
+			// The trailing block collapsed: the rank is k. The closing
+			// CholQR pass orthogonalizes the fixed columns only if their
+			// Gram is near I; ε = 0 can fix pivots that leave them
+			// ill-conditioned, and then this iteration's pass, with no new
+			// pivot, reorthogonalizes them first.
+			if k == 0 || gramNearIdentity(w, k) {
+				break
 			}
-			break // the trailing block collapsed: the rank is k
+			if reorth {
+				return nil, fmt.Errorf("%w: fixed columns stay far from orthonormal", ErrBreakdown)
+			}
 		}
+		reorth = kNew == 0
 		// Lines 8–9 (coupling-block half): permute R′'s coupling block by
 		// P″ — the column permutation of A itself rides in the sweep.
 		ss := trace.Region(trace.StageSwap)
@@ -243,6 +254,39 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 	return res, nil
 }
 
+// setNoiseFloor sets floor[j] = n·u·w(j,j) for the trailing block w
+// before the Schur update, with n the full width: a diagonal that the
+// update W₂₂ − R₁₂ᵀR₁₂ or P-Chol-CP's own downdates cancel to that floor
+// is rounding noise, its column in the span of the pivoted ones to
+// working precision. Left in, the noise could be fixed as a pivot — the
+// ε rule skips a call's first pivot and measures the rest against it —
+// and the next fixed-block Cholesky would break down on it, or the
+// reorthogonalization would lose Q's orthogonality. Once every
+// trailing diagonal is at its floor, P-Chol-CP fixes nothing and the
+// trailing block has collapsed.
+func setNoiseFloor(floor []float64, w *mat.Dense) {
+	tol := float64(len(floor)) * mat.Eps
+	for j := range w.Rows {
+		floor[j] = tol * w.Data[j*w.Stride+j]
+	}
+}
+
+// gramNearIdentity reports whether the leading k×k block G of w, the
+// Gram of the fixed columns, has ‖G − I‖_F ≤ 1/2: then κ₂(G) ≤ 3, and one
+// CholQR pass orthogonalizes the columns to roundoff.
+func gramNearIdentity(w *mat.Dense, k int) bool {
+	s := 0.0
+	for i := range k {
+		for j, v := range w.Data[i*w.Stride : i*w.Stride+k] {
+			if i == j {
+				v--
+			}
+			s += v * v
+		}
+	}
+	return s <= 0.25
+}
+
 // DenseSweeper is the in-core Sweeper: every sweep is one kernel call on
 // the resident working matrix, which becomes Q.
 type DenseSweeper struct {
@@ -262,7 +306,8 @@ func NewDenseSweeper(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
 // which it never writes. The sweeps read a until the first FusedPivot,
 // which gathers a straight into a fresh working matrix: the copy takes
 // no sweep of its own. It serves IteCholQRCPSweeps, whose every
-// pivoting pass is a FusedPivot, so one has run before Finish or Q.
+// pivoting pass is a FusedPivot, so one has run before Finish or Q
+// unless the rank is 0, when both act on no columns of a.
 func NewDenseSweeperCopy(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
 	return &DenseSweeper{e: e, src: a}
 }
@@ -277,9 +322,9 @@ func (s *DenseSweeper) cur() *mat.Dense {
 
 // Q returns the orthonormal factor after a run of rank k: the working
 // matrix itself when k spans all its columns, otherwise a compact copy
-// of its leading k columns.
+// of its leading k columns (m×0 when A is zero).
 func (s *DenseSweeper) Q(k int) *mat.Dense {
-	a := s.a
+	a := s.cur()
 	if k == a.Cols {
 		return a
 	}
@@ -313,7 +358,7 @@ func (s *DenseSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 }
 
 func (s *DenseSweeper) Finish(r *mat.Dense) error {
-	a := s.a
+	a := s.cur()
 	m, k := a.Rows, r.Rows
 	st := trace.Region(trace.StageTrsm)
 	blas.TrsmRightUpperNoTrans(s.e, a.Slice(0, m, 0, k), r)

@@ -42,10 +42,11 @@ type Config struct {
 	// The panel size never affects the result bits, only the resident set
 	// and I/O granularity.
 	PanelRows int
-	// QPath, when non-empty, streams the orthonormal factor to this path
-	// in the binary matrix format (one extra read+write sweep). When
-	// empty the final TRSM sweep is skipped entirely — R and the pivots
-	// are already final without it.
+	// QPath, when non-empty, streams the m×Rank orthonormal factor to
+	// this path in the binary matrix format (one extra read+write sweep);
+	// a rank-0 result leaves no file there. When empty the final TRSM
+	// sweep is skipped entirely — R and the pivots are already final
+	// without it.
 	QPath string
 	// ScratchDir hosts the working-matrix scratch file, an m×n
 	// binary-format matrix; empty selects the OS temp dir. The file is
@@ -93,6 +94,7 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 		sched:      panelSchedule(m, panelRows),
 		in:         fm,
 		scratchDir: cfg.ScratchDir,
+		qPath:      cfg.QPath,
 	}
 	sw.bufs[0] = mat.NewDense(panelRows, n)
 	sw.bufs[1] = mat.NewDense(panelRows, n)
@@ -103,26 +105,26 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 	defer sw.cleanup()
 
 	if cfg.QPath != "" {
-		qw, err := mat.NewBinaryWriterFile(cfg.QPath, m, n)
+		// Fail before the sweeps when the destination cannot be written;
+		// Finish opens it again once the rank fixes Q's width.
+		f, err := os.Create(cfg.QPath)
 		if err != nil {
 			return nil, err
 		}
-		sw.qw = qw
+		f.Close()
 	}
-
 	res, err := core.IteCholQRCPSweeps(e, n, sw, cfg.Eps, n)
-	if err != nil {
-		if sw.qw != nil {
-			sw.qw.Close()
-			os.Remove(cfg.QPath)
-		}
-		return nil, err
-	}
 	if sw.qw != nil {
-		if err := sw.qw.Close(); err != nil {
-			os.Remove(cfg.QPath)
-			return nil, fmt.Errorf("ooc: finalizing %s: %w", cfg.QPath, err)
+		if cerr := sw.qw.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("ooc: finalizing %s: %w", cfg.QPath, cerr)
 		}
+	}
+	if cfg.QPath != "" && (err != nil || res.Rank == 0) {
+		// No Q: never leave a partial or stale file at the destination.
+		os.Remove(cfg.QPath)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Result{CPResult: res, PanelRows: panelRows}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/blas"
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/mat"
@@ -33,7 +32,8 @@ type fileSweeper struct {
 	scratchDir  string
 	onScratch   bool // the current A^(i) lives in scratch, not in
 
-	qw *mat.BinaryWriter // streaming Q destination; nil skips Finish
+	qPath string            // Q destination; empty skips Finish
+	qw    *mat.BinaryWriter // Q writer, opened by Finish
 }
 
 // src returns the file currently holding A^(i).
@@ -124,8 +124,8 @@ func (s *fileSweeper) Gram(w *mat.Dense) error {
 // FusedPivot runs a pivoting pass out of core: one sequential read of
 // A^(i), the permute→TRSM→Gram panel kernel, and one sequential write of
 // A^(i+1) to scratch, with the next W — on the last pass the
-// reorthogonalization Gram — reduced from the slot partials. The file
-// path factors full rank only, so w is always n×n.
+// reorthogonalization Gram — reduced from the slot partials. The rank
+// cap is always n, so w is always n×n.
 func (s *fileSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 	// Parity with blas.PermTrsmGramFused, which rejects a singular R up
 	// front instead of streaming Infs into the working matrix.
@@ -157,31 +157,34 @@ func (s *fileSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 	return nil
 }
 
-// Finish streams the reorthogonalization TRSM into the Q destination;
-// with no destination the sweep is skipped — R and the pivots are
-// already final, saving a full read+write of the matrix. The file path
-// factors full rank only, so fewer than n fixed columns — a run whose
-// trailing block collapsed — is reported as core.ErrStall without
-// reading the file.
+// Finish streams the reorthogonalization TRSM on the k = r.Rows fixed
+// columns into an m×k Q file at qPath, created here once the rank is
+// known; with no destination the sweep is skipped — R and the pivots
+// are already final, saving a full read+write of the matrix. A rank-0
+// run writes no file: the binary format holds no empty matrix.
 func (s *fileSweeper) Finish(r *mat.Dense) error {
-	if r.Rows < s.n {
-		return core.ErrStall
-	}
-	if s.qw == nil {
+	k := r.Rows
+	if s.qPath == "" || k == 0 {
 		return nil
 	}
-	err := s.runSweep(s.src(), func(p panel, pd *mat.Dense) error {
+	qw, err := mat.NewBinaryWriterFile(s.qPath, s.m, k)
+	if err != nil {
+		return err
+	}
+	s.qw = qw
+	err = s.runSweep(s.src(), func(p panel, pd *mat.Dense) error {
+		qk := pd.Slice(0, pd.Rows, 0, k)
 		st := trace.Region(trace.StageTrsm)
-		blas.TrsmRightUpperNoTrans(s.e, pd, r)
+		blas.TrsmRightUpperNoTrans(s.e, qk, r)
 		st.End()
 		sw := trace.Region(trace.StageOOCRead)
-		werr := s.qw.WriteRows(pd)
+		werr := qw.WriteRows(qk)
 		sw.End()
 		return werr
 	})
 	if err != nil {
 		return err
 	}
-	trace.AddFlops(trace.StageTrsm, int64(s.m)*int64(s.n)*int64(s.n))
+	trace.AddFlops(trace.StageTrsm, int64(s.m)*int64(k)*int64(k))
 	return nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -19,7 +20,6 @@ import (
 type shapeKey struct {
 	m, n     int
 	strategy tsqrcp.Strategy
-	zeroTol  bool
 	tolBits  uint64
 	seed     uint64
 }
@@ -137,7 +137,6 @@ func (b *bucketer) key(j *jobRequest) shapeKey {
 		m:        j.A.Rows,
 		n:        j.A.Cols,
 		strategy: j.Strategy,
-		zeroTol:  j.ZeroTol,
 		tolBits:  math.Float64bits(j.PivotTol),
 		seed:     j.Seed,
 	}
@@ -301,6 +300,9 @@ func (b *bucketer) run(key shapeKey, jobs []*pendingJob) {
 			continue
 		}
 		switch {
+		case res.Err == nil && res.F.Rank < j.req.A.Cols:
+			j.deliver(&jobResult{ID: j.req.ID, Status: StatusFailed,
+				Msg: fmt.Sprintf("service: matrix has rank %d < %d columns", res.F.Rank, j.req.A.Cols)})
 		case res.Err == nil:
 			j.deliver(&jobResult{
 				ID:         j.req.ID,

@@ -201,7 +201,6 @@ func (c *Client) Factor(ctx context.Context, req Request) (*tsqrcp.Factorization
 	job := &jobRequest{ID: id, Tenant: req.Tenant, Timeout: timeout}
 	if o := req.Options; o != nil {
 		job.Strategy = o.Strategy
-		job.ZeroTol = o.ZeroTol
 		job.Seed = o.Seed
 		job.PivotTol = o.PivotTol
 	}

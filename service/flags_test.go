@@ -26,15 +26,16 @@ func oldBackendFrame(j *jobRequest, backend string) []byte {
 	return append(frame, backend...)
 }
 
-// TestDecodeJobRejectsUnknownFlagBits: every flag bit but flagZeroTol is
-// rejected before the matrix is read, with a message naming the bit —
-// including bit 1, so an old client's backend job is never misparsed.
+// TestDecodeJobRejectsUnknownFlagBits: every flag bit is rejected before
+// the matrix is read, with a message naming the bit — including bit 0,
+// which once selected the ε = 0 variant, and bit 1, so an old client's
+// backend job is never misparsed.
 func TestDecodeJobRejectsUnknownFlagBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	j := &jobRequest{ID: 4, Tenant: "t", A: randMat(rng, 10, 4)}
-	for bit := 1; bit <= 7; bit++ {
+	for bit := 0; bit <= 7; bit++ {
 		payload := encodeJob(j)
-		payload[1+flagsOffset(j.Tenant)] |= flagZeroTol | 1<<bit
+		payload[1+flagsOffset(j.Tenant)] |= 1 << bit
 		_, err := decodeJob(payload[1:], testLimits())
 		if err == nil {
 			t.Fatalf("bit %d: decode accepted an unknown flag bit", bit)
@@ -51,10 +52,8 @@ func TestDecodeJobRejectsUnknownFlagBits(t *testing.T) {
 	if _, err := decodeJob(oldBackendFrame(j, "mixed32")[1:], testLimits()); err == nil {
 		t.Fatal("decode accepted an old client's backend frame")
 	}
-	j.ZeroTol = true
-	out, err := decodeJob(encodeJob(j)[1:], testLimits())
-	if err != nil || !out.ZeroTol {
-		t.Fatalf("flagZeroTol alone: %v (ZeroTol %v)", err, out != nil && out.ZeroTol)
+	if _, err := decodeJob(encodeJob(j)[1:], testLimits()); err != nil {
+		t.Fatalf("no flag bits: %v", err)
 	}
 }
 

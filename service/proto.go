@@ -26,7 +26,7 @@ import (
 //	uint16   tenant length, then tenant bytes (≤ MaxTenantLen)
 //	int64    relative deadline in nanoseconds (0 = none)
 //	uint8    strategy (tsqrcp.Strategy)
-//	uint8    flags (flagZeroTol)
+//	uint8    flags (no bit assigned: must be 0)
 //	uint64   seed
 //	float64  pivot tolerance (0 = DefaultPivotTol)
 //	uint32   m, uint32 n (tall-skinny: m ≥ n ≥ 1)
@@ -44,22 +44,17 @@ import (
 // timestamp, so client and server clocks need not agree; the server
 // anchors it to the moment the frame is decoded.
 //
-// A job that sets any flag bit other than flagZeroTol is rejected with
-// StatusInvalid before its matrix is read, so a future extension
-// announced by a flag bit fails cleanly on a server that predates it.
+// A job that sets any flag bit is rejected with StatusInvalid before its
+// matrix is read, so a future extension announced by a flag bit fails
+// cleanly on a server that predates it. Bits 0 and 1 once selected the
+// ε = 0 variant and announced a backend-name field; reusing either
+// would misparse frames from clients that still set them.
 
 const (
 	msgJob         = 1
 	msgResult      = 2
 	msgStats       = 3
 	msgStatsResult = 4
-)
-
-const (
-	// flagZeroTol selects the ε = 0 P-Chol-CP variant (Options.ZeroTol).
-	// Bit 1 stays unassigned: it once announced a backend-name field, and
-	// reusing it would misparse frames from clients that still set it.
-	flagZeroTol = 1 << 0
 )
 
 // MaxTenantLen bounds the tenant identifier.
@@ -87,7 +82,9 @@ const (
 	// limits.
 	StatusInvalid
 	// StatusFailed: the factorization itself failed numerically
-	// (ErrStall/ErrBreakdown).
+	// (ErrBreakdown), or found the matrix rank-deficient: the result
+	// frame has no rank field, so a Rank < n factorization is answered
+	// with this status and a message naming the rank.
 	StatusFailed
 	// StatusShuttingDown: the server is draining and admits no new jobs.
 	StatusShuttingDown
@@ -155,7 +152,6 @@ type jobRequest struct {
 	Tenant   string
 	Timeout  time.Duration // relative deadline; 0 = none
 	Strategy tsqrcp.Strategy
-	ZeroTol  bool
 	Seed     uint64
 	PivotTol float64
 	A        *mat.Dense
@@ -165,7 +161,6 @@ type jobRequest struct {
 func (j *jobRequest) options() *tsqrcp.Options {
 	return &tsqrcp.Options{
 		PivotTol: j.PivotTol,
-		ZeroTol:  j.ZeroTol,
 		Strategy: j.Strategy,
 		Seed:     j.Seed,
 	}
@@ -320,11 +315,7 @@ func encodeJob(j *jobRequest) []byte {
 	buf = append(buf, j.Tenant...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(j.Timeout))
 	buf = append(buf, uint8(j.Strategy))
-	var flags uint8
-	if j.ZeroTol {
-		flags |= flagZeroTol
-	}
-	buf = append(buf, flags)
+	buf = append(buf, 0) // flags
 	buf = binary.LittleEndian.AppendUint64(buf, j.Seed)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(j.PivotTol))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m))
@@ -356,7 +347,6 @@ func decodeJob(payload []byte, lim Limits) (*jobRequest, error) {
 	j.Timeout = time.Duration(d.u64())
 	j.Strategy = tsqrcp.Strategy(d.u8())
 	flags := d.u8()
-	j.ZeroTol = flags&flagZeroTol != 0
 	j.Seed = d.u64()
 	j.PivotTol = d.f64()
 	m := int(d.u32())
@@ -364,8 +354,8 @@ func decodeJob(payload []byte, lim Limits) (*jobRequest, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if unknown := flags &^ flagZeroTol; unknown != 0 {
-		return nil, fmt.Errorf("service: job sets unknown flag bits %s", flagBits(unknown))
+	if flags != 0 {
+		return nil, fmt.Errorf("service: job sets unknown flag bits %s", flagBits(flags))
 	}
 	if j.Strategy != tsqrcp.StrategyIteCholQRCP && j.Strategy != tsqrcp.StrategyCQRRPT {
 		return nil, fmt.Errorf("service: unknown strategy %d", j.Strategy)

@@ -47,7 +47,6 @@ func TestJobRoundTrip(t *testing.T) {
 		Tenant:   "team-a",
 		Timeout:  150 * time.Millisecond,
 		Strategy: tsqrcp.StrategyCQRRPT,
-		ZeroTol:  true,
 		Seed:     7,
 		PivotTol: 1e-6,
 		A:        randMat(rng, 40, 8),
@@ -61,8 +60,7 @@ func TestJobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.ID != in.ID || out.Tenant != in.Tenant || out.Timeout != in.Timeout ||
-		out.Strategy != in.Strategy || out.ZeroTol != in.ZeroTol ||
-		out.Seed != in.Seed || out.PivotTol != in.PivotTol {
+		out.Strategy != in.Strategy || out.Seed != in.Seed || out.PivotTol != in.PivotTol {
 		t.Fatalf("header mismatch: %+v vs %+v", out, in)
 	}
 	if !sameBits(out.A, in.A) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -376,7 +377,8 @@ func TestStatsOverWire(t *testing.T) {
 }
 
 // TestNumericalFailure: a singular input fails with ErrFailed for that
-// job only.
+// job only: the result frame has no rank field, so a rank-deficient
+// factorization is answered with a message naming the rank.
 func TestNumericalFailure(t *testing.T) {
 	srv := startServer(t, Config{BatchSize: 2, FlushInterval: time.Millisecond})
 	c := dialServer(t, srv)
@@ -392,8 +394,8 @@ func TestNumericalFailure(t *testing.T) {
 	go func() { defer wg.Done(); _, goodErr = c.Factor(context.Background(), Request{A: good}) }()
 	wg.Wait()
 
-	if !errors.Is(badErr, ErrFailed) {
-		t.Errorf("singular job = %v, want ErrFailed", badErr)
+	if !errors.Is(badErr, ErrFailed) || !strings.Contains(badErr.Error(), "rank 0 < 4") {
+		t.Errorf("singular job = %v, want ErrFailed naming rank 0 < 4", badErr)
 	}
 	if goodErr != nil {
 		t.Errorf("healthy neighbor failed: %v", goodErr)

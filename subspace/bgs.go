@@ -105,7 +105,7 @@ func (b *BasisBuilder) Append(x *mat.Dense) (added int, err error) {
 	if _, err := core.CholQR2InPlace(nil, kept); err != nil {
 		// Mutually dependent survivors: pivoted QR sorts the independent
 		// directions first and reveals the usable rank.
-		res, err2 := core.IteCholQRCP(nil, kept, core.DefaultPivotTol)
+		res, err2 := core.IteCholQRCP(nil, kept, core.DefaultPivotTol, kept.Cols)
 		if err2 != nil {
 			return 0, nil
 		}

@@ -145,28 +145,22 @@ func orthonormalize(x *mat.Dense, rng *rand.Rand) error {
 	}
 	// Rank collapse: pivoted QR + replenishment.
 	for attempt := 0; attempt < 8; attempt++ {
-		res, err := core.IteCholQRCP(nil, x, core.DefaultPivotTol)
-		if err == nil {
-			rank := core.NumericalRank(res.R, 1e-12)
+		res, err := core.IteCholQRCP(nil, x, core.DefaultPivotTol, x.Cols)
+		if err != nil {
+			return err
+		}
+		rank := core.NumericalRank(res.R, 1e-12)
+		if rank == x.Cols {
 			x.Copy(res.Q)
-			if rank == x.Cols {
-				return nil
-			}
-			// Replace the trailing (dead) columns with random vectors and
-			// try again; the next CholeskyQR2 orthogonalizes them against
-			// the surviving basis.
-			for j := rank; j < x.Cols; j++ {
-				for i := 0; i < x.Rows; i++ {
-					x.Set(i, j, rng.NormFloat64())
-				}
-			}
-		} else {
-			// Even pivoted QR failed (exactly dependent block): randomize
-			// everything but the first column and retry.
-			for j := 1; j < x.Cols; j++ {
-				for i := 0; i < x.Rows; i++ {
-					x.Set(i, j, rng.NormFloat64())
-				}
+			return nil
+		}
+		// Keep the surviving directions, replace the dead columns with
+		// random vectors and try again; the next CholeskyQR2
+		// orthogonalizes them against the surviving basis.
+		x.Slice(0, x.Rows, 0, rank).Copy(res.Q.Slice(0, x.Rows, 0, rank))
+		for j := rank; j < x.Cols; j++ {
+			for i := 0; i < x.Rows; i++ {
+				x.Set(i, j, rng.NormFloat64())
 			}
 		}
 		if _, err := core.CholQR2InPlace(nil, x); err == nil {

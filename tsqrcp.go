@@ -1,6 +1,7 @@
 package tsqrcp
 
 import (
+	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/mat"
 )
@@ -14,10 +15,6 @@ const DefaultPivotTol = core.DefaultPivotTol
 // (κ₂(A) ≳ 10⁸ for plain CholeskyQR/CholeskyQR2). Use ShiftedCholeskyQR3
 // or QRCP instead.
 var ErrBreakdown = core.ErrBreakdown
-
-// ErrStall is returned by QRCP when the input has exactly (not just
-// numerically) dependent columns, e.g. a zero column.
-var ErrStall = core.ErrStall
 
 // Strategy selects the algorithm behind QRCP and QRCPBatch.
 type Strategy int
@@ -44,16 +41,8 @@ const (
 // Options control the pivoted factorizations.
 type Options struct {
 	// PivotTol is the P-Chol-CP tolerance ε. Zero value selects
-	// DefaultPivotTol; see ZeroTol for the literal ε = 0 variant.
+	// DefaultPivotTol.
 	PivotTol float64
-	// ZeroTol selects the paper's ε = 0 variant of P-Chol-CP: every pivot
-	// the partial Cholesky can numerically complete is accepted, so the
-	// factorization finishes in very few iterations. The paper (§III-D2,
-	// Fig. 2) shows this is unstable: accepted pivots may carry O(1)
-	// relative error for ill-conditioned matrices, and the pivot sequence
-	// can diverge from Householder QRCP. Provided for experimentation;
-	// production callers should keep ε at DefaultPivotTol.
-	ZeroTol bool
 	// Strategy selects the pivoting algorithm; the zero value is
 	// StrategyIteCholQRCP.
 	Strategy Strategy
@@ -79,13 +68,7 @@ func (o *Options) seed() uint64 {
 }
 
 func (o *Options) tol() float64 {
-	if o == nil {
-		return DefaultPivotTol
-	}
-	if o.ZeroTol {
-		return 0
-	}
-	if o.PivotTol == 0 {
+	if o == nil || o.PivotTol == 0 {
 		return DefaultPivotTol
 	}
 	return o.PivotTol
@@ -97,10 +80,11 @@ func (o *Options) tol() float64 {
 //
 // with Q having orthonormal columns, R upper triangular with
 // non-increasing |R(j,j)|, and P the permutation that makes the
-// factorization rank-revealing. A full factorization (QRCP,
-// HouseholderQRCP, StrongRRQR) has Q m×n, R n×n, and Rank = n; a
-// truncated one (QRCPTruncated) has Q m×k, R k×n, and Rank = k with
-// A·P ≈ Q·R a rank-k approximation.
+// factorization rank-revealing. A factorization of Rank k has Q m×k and
+// R k×n, with A·P ≈ Q·R a rank-k approximation: HouseholderQRCP and
+// StrongRRQR always have Rank = n; QRCP has Rank = n unless the
+// trailing columns collapsed to rounding noise, and QRCPTruncated stops
+// at Rank ≤ k.
 type Factorization struct {
 	// Q has orthonormal columns.
 	Q *mat.Dense
@@ -110,8 +94,9 @@ type Factorization struct {
 	// (A·P)(:, j) = A(:, Perm[j]).
 	Perm mat.Perm
 	// Rank is the number of columns actually factored: n for a full
-	// factorization, or the (possibly smaller than requested) truncation
-	// rank for QRCPTruncated.
+	// factorization, fewer when the pivoting found the remaining columns
+	// exactly dependent (a zero or repeated column) or QRCPTruncated's
+	// cap stopped it; 0 for a zero matrix.
 	Rank int
 	// Iterations is the number of pivoting iterations Ite-CholQR-CP used
 	// (0 for the Householder baseline).
@@ -131,7 +116,7 @@ func (f *Factorization) NumericalRank(tol float64) int {
 func (f *Factorization) Reconstruct() *mat.Dense {
 	m, n := f.Q.Rows, f.R.Cols
 	qr := mat.NewDense(m, n)
-	mulInto(qr, f.Q, f.R)
+	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, f.Q, f.R, 0, qr)
 	out := mat.NewDense(m, n)
 	mat.PermuteCols(out, qr, f.Perm.Inverse())
 	return out
@@ -141,6 +126,9 @@ func (f *Factorization) Reconstruct() *mat.Dense {
 // matrix (m ≥ n) using the paper's Ite-CholQR-CP algorithm on the default
 // engine. The input is not modified. Accuracy matches Householder QRCP
 // (including the pivot sequence) for condition numbers up to ~10¹⁶.
+// The rank is a result: when the trailing columns are exactly dependent
+// on the pivoted ones (a zero or repeated column), the factorization
+// stops with Rank k < n, Q m×k and R k×n.
 //
 // Equivalent to DefaultEngine().QRCP(a, opts); use an explicit Engine for
 // cancellation or to pin a width for the engine's lifetime.
@@ -224,25 +212,4 @@ func StrongRRQR(a *mat.Dense, k int, f float64) (*Factorization, error) {
 		return nil, err
 	}
 	return &Factorization{Q: res.Q, R: res.R, Perm: res.Perm, Rank: a.Cols}, nil
-}
-
-// mulInto computes dst = a·b with dst pre-shaped (helper that avoids
-// exporting the internal blas package).
-func mulInto(dst, a, b *mat.Dense) {
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-		drow := dst.Data[i*dst.Stride : i*dst.Stride+dst.Cols]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for l, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[l*b.Stride : l*b.Stride+b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
 }

@@ -140,35 +140,17 @@ func TestCholeskyQRBreakdownSurfacesTypedError(t *testing.T) {
 	}
 }
 
-func TestQRCPZeroColumnError(t *testing.T) {
-	a := mat.NewDense(50, 4) // all-zero
-	if _, err := QRCP(a, nil); err == nil {
-		t.Fatal("expected error for zero matrix")
-	}
-}
-
-func TestMulIntoMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(157))
-	a := mat.NewDense(4, 3)
-	b := mat.NewDense(3, 5)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	dst := mat.NewDense(4, 5)
-	mulInto(dst, a, b)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			s := 0.0
-			for l := 0; l < 3; l++ {
-				s += a.At(i, l) * b.At(l, j)
-			}
-			if math.Abs(dst.At(i, j)-s) > 1e-14 {
-				t.Fatalf("mulInto wrong at (%d,%d)", i, j)
-			}
-		}
+// TestReconstructInfTimesZeroIsNaN: Reconstruct is a plain GEMM, so a
+// zero entry of Q times an infinite entry of R gives NaN, as IEEE
+// arithmetic has it, instead of being skipped as a zero.
+func TestReconstructInfTimesZeroIsNaN(t *testing.T) {
+	q := mat.NewDense(2, 1)
+	q.Set(1, 0, 1)
+	r := mat.NewDense(1, 1)
+	r.Set(0, 0, math.Inf(1))
+	got := (&Factorization{Q: q, R: r, Perm: mat.IdentityPerm(1), Rank: 1}).Reconstruct()
+	if !math.IsNaN(got.At(0, 0)) || !math.IsInf(got.At(1, 0), 1) {
+		t.Fatalf("Q·R = [%g; %g], want [NaN; +Inf]", got.At(0, 0), got.At(1, 0))
 	}
 }
 
