@@ -14,11 +14,11 @@ all: build vet test
 
 # Everything the CI workflow runs, in the same order: the lint job
 # (fmt-check + vet + repolint + escapecheck), the test job (with its
-# debugchecks, purego and arm64 cross-build steps), the race job, the
+# debugchecks, purego, arm64 cross-build and examples steps), the race job, the
 # fuzz job, the coverage gate, and the benchmark smoke gate. Green here ⇒ green on CI
 # (modulo runner noise on bench-smoke, which CI loosens via
 # BENCH_TOLERANCE).
-ci: lint build test test-debug test-purego cross-arm64 race fuzz cover-gate bench-smoke
+ci: lint build test test-debug test-purego cross-arm64 examples race fuzz cover-gate bench-smoke
 
 # Formatting, go vet, the repo-specific static analyzer, and the
 # compiler escape gate (DESIGN.md §7).
@@ -157,6 +157,8 @@ repro-paper:
 	$(GO) run ./cmd/report -paper -o report-paper.txt
 	@echo "wrote report-paper.txt"
 
+# Run every example program end to end; an example whose factorization
+# returns an unexpected error panics, which fails the target.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/lowrank

@@ -9,17 +9,6 @@ import (
 	"repro/mat"
 )
 
-// BatchOptions control QRCPBatch.
-type BatchOptions struct {
-	// Options apply to every problem in the batch; the engine's width
-	// is divided evenly among the concurrent shards.
-	Options
-	// Concurrency is the number of problems factored at once. 0 selects
-	// min(len(problems), engine width): small batches get one shard per
-	// problem, large batches one shard per core.
-	Concurrency int
-}
-
 // BatchResult is the outcome of one problem in a QRCPBatch call.
 type BatchResult struct {
 	// F is the factorization, nil if the problem failed or was skipped.
@@ -34,9 +23,11 @@ type BatchResult struct {
 
 // QRCPBatch factors a slice of independent tall-skinny problems — the
 // many-small-matrices serving workload — by sharding them across the
-// persistent worker pool. Problems are claimed dynamically (an atomic
-// cursor, so a slow problem never blocks the rest of the batch) and each
-// factorization runs with 1/Concurrency of the engine's width.
+// persistent worker pool. opts apply to every problem. min(len(problems),
+// engine width) shards — one per problem in a small batch, one per core
+// in a large one — claim problems dynamically (an atomic cursor, so a
+// slow problem never blocks the rest of the batch), and each
+// factorization runs with an even share of the engine's width.
 //
 // Errors are per-problem: one singular or invalid matrix does not abort
 // its neighbors, it just sets results[i].Err. Cancellation is
@@ -45,7 +36,7 @@ type BatchResult struct {
 // problems are skipped with results[i].Err = ctx.Err(), and QRCPBatch
 // itself returns ctx.Err() alongside the partial results. A nil ctx is
 // treated as context.Background().
-func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *BatchOptions) ([]BatchResult, error) {
+func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Options) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -55,16 +46,7 @@ func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Bat
 	}
 
 	width := e.Workers()
-	conc := 0
-	var o *Options
-	if opts != nil {
-		conc = opts.Concurrency
-		o = &opts.Options
-	}
-	if conc < 1 {
-		conc = min(len(problems), width)
-	}
-	conc = min(conc, len(problems))
+	conc := min(len(problems), width)
 	perProblem := max(1, width/conc)
 	shard := &Engine{pe: e.eng().WithContext(ctx).WithWorkers(perProblem)}
 
@@ -83,7 +65,7 @@ func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Bat
 					results[i].Err = err
 					continue
 				}
-				results[i].F, results[i].Err = factorOne(shard, problems[i], o, i)
+				results[i].F, results[i].Err = factorOne(shard, problems[i], opts, i)
 			}
 		}()
 	}
@@ -92,7 +74,7 @@ func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Bat
 }
 
 // QRCPBatch runs the batch on the default engine; see Engine.QRCPBatch.
-func QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *BatchOptions) ([]BatchResult, error) {
+func QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Options) ([]BatchResult, error) {
 	return DefaultEngine().QRCPBatch(ctx, problems, opts)
 }
 

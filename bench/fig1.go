@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/mat"
 	"repro/metrics"
+	"repro/testmat"
 )
 
 // PivotRecord is one pivot position of a Chol-CP vs HQR-CP comparison:
@@ -51,7 +52,7 @@ func CholCPPivotExperiment(a *mat.Dense) []PivotRecord {
 // σ=1e-12; pass smaller shapes for quick runs).
 func Fig1a(seed int64, m, n, r int, sigma float64) []PivotRecord {
 	rng := rand.New(rand.NewSource(seed))
-	a := generate(rng, m, n, r, sigma)
+	a := testmat.Generate(rng, m, n, r, sigma)
 	return CholCPPivotExperiment(a)
 }
 
@@ -71,7 +72,7 @@ func Fig1b(seed int64, m, n int, kappas []float64) []Fig1bRow {
 		if sigma > 1 {
 			sigma = 1
 		}
-		a := generate(rng, m, n, n, sigma)
+		a := testmat.Generate(rng, m, n, n, sigma)
 		rows = append(rows, Fig1bRow{Kappa: kappa, Records: CholCPPivotExperiment(a)})
 	}
 	return rows
@@ -103,7 +104,7 @@ func Fig1c(seed int64, count, m, n int) Fig1cStats {
 	for i := 0; i < count; i++ {
 		gamma := 1 + 15*rng.Float64() // κ = 10^γ, γ ∈ [1,16]
 		sigma := math.Pow(10, -gamma)
-		a := generate(rng, m, n, n, sigma)
+		a := testmat.Generate(rng, m, n, n, sigma)
 		for _, rec := range CholCPPivotExperiment(a) {
 			d := decadeOf(rec.DiagRatio, decades)
 			switch rec.Outcome {

@@ -11,10 +11,6 @@ import (
 	"repro/testmat"
 )
 
-func generate(rng *rand.Rand, m, n, r int, sigma float64) *mat.Dense {
-	return testmat.Generate(rng, m, n, r, sigma)
-}
-
 // MethodAccuracy is one (σ, method) cell of Fig. 2: the four accuracy
 // metrics of §IV-B.
 type MethodAccuracy struct {
@@ -36,7 +32,7 @@ func Fig2(seed int64, m, n, r int, sigmas []float64) []MethodAccuracy {
 	rng := rand.New(rand.NewSource(seed))
 	var rows []MethodAccuracy
 	for _, sigma := range sigmas {
-		a := generate(rng, m, n, r, sigma)
+		a := testmat.Generate(rng, m, n, r, sigma)
 		ref := core.HQRCP(nil, a)
 		rows = append(rows, accuracyRow(sigma, "HQR-CP", a, ref, r))
 		for _, ite := range []struct {
@@ -113,7 +109,7 @@ func Fig3(seed int64, m, n, r int, sigmas []float64, eps float64) []Fig3Row {
 	rng := rand.New(rand.NewSource(seed))
 	var rows []Fig3Row
 	for _, sigma := range sigmas {
-		a := generate(rng, m, n, r, sigma)
+		a := testmat.Generate(rng, m, n, r, sigma)
 		ref := core.HQRCPNoQ(nil, a)
 		res, err := core.IteCholQRCP(nil, a, eps, n)
 		if err != nil {

@@ -36,6 +36,10 @@
 // matrix has Rank 0. Options.ZeroTol is removed too; the ε = 0 variant
 // of the paper's Figs. 2–3 stays reachable through the figure drivers.
 //
+// Migration: BatchOptions is removed; QRCPBatch takes the *Options
+// applied to every problem. Its Concurrency field is gone too: the batch
+// always runs min(len(problems), engine width) shards, the old default.
+//
 // For very tall matrices, StrategyCQRRPT decides the pivots on a small
 // sparse-sign sketch and spends a single preconditioned Cholesky QR pass
 // on the full matrix — measurably faster than the iterated loop at the

@@ -148,12 +148,9 @@ func TestQRCPBatchOptions(t *testing.T) {
 		testmat.Generate(rng, 200, 10, 8, 1e-6),
 		testmat.Generate(rng, 200, 10, 8, 1e-6),
 	}
-	// Width 2 over 2 concurrent problems: each factorization runs at width 1.
-	opts := &BatchOptions{
-		Options:     Options{PivotTol: 1e-4},
-		Concurrency: 2,
-	}
-	results, err := NewEngine(2).QRCPBatch(context.Background(), problems, opts)
+	// Width 2 over 2 problems: 2 concurrent shards, each factorization at
+	// width 1.
+	results, err := NewEngine(2).QRCPBatch(context.Background(), problems, &Options{PivotTol: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestQRCPBatchCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the batch starts: nothing should be factored
-	results, err := QRCPBatch(ctx, problems, &BatchOptions{Concurrency: 2})
+	results, err := QRCPBatch(ctx, problems, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("QRCPBatch err = %v, want context.Canceled", err)
 	}

@@ -8,12 +8,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/blas"
 	"repro/internal/lapack"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 	"repro/mat"
 )
 
@@ -43,25 +40,15 @@ type QR struct {
 // u·κ₂(A)² and the factorization breaks down for κ₂(A) ≳ u^(−1/2).
 func CholQR(e *parallel.Engine, a *mat.Dense) (*QR, error) {
 	q := a.Clone()
-	r, err := cholQRInPlace(e, q)
-	if err != nil {
-		return nil, err
-	}
-	return &QR{Q: q, R: r}, nil
-}
-
-// cholQRInPlace overwrites a with Q and returns R: one CholQR pass over
-// the in-core sweeper.
-func cholQRInPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
+	sw := NewDenseSweeper(e, q)
 	r := mat.NewDense(a.Cols, a.Cols)
-	sw := NewDenseSweeper(e, a)
 	if err := sw.Gram(r); err != nil {
 		return nil, err
 	}
 	if err := cholFinish(e, sw, r); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &QR{Q: q, R: r}, nil
 }
 
 // CholQR2InPlace overwrites a with the orthonormal factor of its thin QR
@@ -79,65 +66,36 @@ func cholQRInPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
 // leaves a untouched, a second-pass failure leaves the once-orthogonalized
 // block, which spans the same space.
 func CholQR2InPlace(e *parallel.Engine, a *mat.Dense) (*mat.Dense, error) {
-	n := a.Cols
-	w := mat.NewDense(n, n)
-	sg := trace.Region(trace.StageGram)
-	blas.Gram(e, w, a)
-	sg.End()
-	trace.AddFlops(trace.StageGram, int64(a.Rows)*int64(n)*int64(n+1))
-	if mat.DebugChecks {
-		mat.CheckFinite("core", "CholQR Gram matrix", w)
-	}
-	sc := trace.Region(trace.StageCholCP)
-	err := lapack.PotrfUpper(e, w)
-	sc.End()
-	trace.AddFlops(trace.StageCholCP, int64(n)*int64(n)*int64(n)/3)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBreakdown, err)
-	}
-	lapack.ZeroLower(w)
-	r1 := w
-
-	// First TRSM fused with the second Gram: one pass over a instead of
-	// two (write of the solve, then re-read by the next SYRK sweep).
-	w2 := mat.NewDense(n, n)
-	sf := trace.Region(trace.StageFused)
-	blas.PermTrsmGramFused(e, a, nil, r1, w2)
-	sf.End()
-	trace.AddFlops(trace.StageFused,
-		int64(a.Rows)*int64(n)*int64(n)+int64(a.Rows)*int64(n)*int64(n+1))
-	trace.AddBytes(trace.StageFused, 2*8*int64(a.Rows)*int64(n))
-	if mat.DebugChecks {
-		mat.CheckFinite("core", "CholQR Gram matrix", w2)
-	}
-
-	sc2 := trace.Region(trace.StageCholCP)
-	err = lapack.PotrfUpper(e, w2)
-	sc2.End()
-	trace.AddFlops(trace.StageCholCP, int64(n)*int64(n)*int64(n)/3)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBreakdown, err)
-	}
-	lapack.ZeroLower(w2)
-	st := trace.Region(trace.StageTrsm)
-	blas.TrsmRightUpperNoTrans(e, a, w2)
-	st.End()
-	trace.AddFlops(trace.StageTrsm, int64(a.Rows)*int64(n)*int64(n))
-	blas.TrmmLeftUpperNoTrans(w2, r1) // R := R₂·R₁
-	return r1, nil
+	return cholQR2(e, NewDenseSweeper(e, a), a.Cols)
 }
 
 // CholQR2 computes the thin QR factorization by Cholesky QR with
 // reorthogonalization (CholeskyQR2 of Fukaya et al. 2014): two CholQR
 // passes, with R accumulated as R = R₂·R₁. For κ₂(A) ≲ u^(−1/2) the
-// result is as accurate as Householder QR.
+// result is as accurate as Householder QR. The fused pass gathers a
+// into the working matrix that becomes Q, so a is only read.
 func CholQR2(e *parallel.Engine, a *mat.Dense) (*QR, error) {
-	q := a.Clone()
-	r1, err := CholQR2InPlace(e, q)
+	sw := NewDenseSweeperCopy(e, a)
+	r, err := cholQR2(e, sw, a.Cols)
 	if err != nil {
 		return nil, err
 	}
-	return &QR{Q: q, R: r1}, nil
+	return &QR{Q: sw.Q(a.Cols), R: r}, nil
+}
+
+// cholQR2 runs CholeskyQR2 over the n columns of sw and returns R.
+func cholQR2(e *parallel.Engine, sw Sweeper, n int) (*mat.Dense, error) {
+	r := mat.NewDense(n, n)
+	if err := sw.Gram(r); err != nil {
+		return nil, err
+	}
+	if err := chol(e, r); err != nil {
+		return nil, err
+	}
+	if err := reorthogonalize(e, sw, r, r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // maxShiftedPasses bounds the preconditioning passes of ShiftedCholQR3.
@@ -154,47 +112,46 @@ const maxShiftedPasses = 8
 // u^(−1/2). For inputs beyond κ₂ ≈ 10¹⁰ a single shifted pass is not
 // enough, so the preconditioning step repeats (the natural iterated
 // extension of the original shiftedCholeskyQR3). R accumulates across
-// all passes.
+// all passes. Each pass's TRSM is fused with the next pass's Gram, so a
+// single-shift run reads A four times and writes it three times.
 func ShiftedCholQR3(e *parallel.Engine, a *mat.Dense) (*QR, error) {
 	m, n := a.Rows, a.Cols
-	q := a.Clone()
-	rAcc := mat.Identity(n)
+	sw := NewDenseSweeperCopy(e, a)
+	r := mat.Identity(n)
+	w1, w2 := mat.NewDense(n, n), mat.NewDense(n, n)
 	for pass := 0; pass < maxShiftedPasses; pass++ {
 		if err := e.Err(); err != nil {
 			return nil, err
 		}
-		// Shifted preconditioning pass: R₁ = chol(QᵀQ + s·I), Q := Q·R₁⁻¹.
-		w := mat.NewDense(n, n)
-		blas.Gram(e, w, q)
+		// Shifted preconditioning pass: R₁ = chol(AᵀA + s·I), R := R₁·R.
+		if err := sw.Gram(w1); err != nil {
+			return nil, err
+		}
 		// ‖A‖₂² ≤ ‖A‖_F² = trace(W), a cheap safe over-estimate.
 		normF2 := 0.0
 		for i := 0; i < n; i++ {
-			normF2 += w.At(i, i)
+			normF2 += w1.At(i, i)
 		}
 		shift := 11 * float64(m*n+n*(n+1)) * unitRoundoff * normF2
 		for i := 0; i < n; i++ {
-			w.Set(i, i, w.At(i, i)+shift)
+			w1.Set(i, i, w1.At(i, i)+shift)
 		}
-		if err := lapack.PotrfUpper(e, w); err != nil {
-			return nil, fmt.Errorf("%w: shifted pass %d: %v", ErrBreakdown, pass, err)
+		if err := chol(e, w1); err != nil {
+			return nil, fmt.Errorf("shifted pass %d: %w", pass, err)
 		}
-		lapack.ZeroLower(w)
-		blas.TrsmRightUpperNoTrans(e, q, w)
-		blas.TrmmLeftUpperNoTrans(w, rAcc) // R := R₁·R
+		accumulate(w1, r)
 
-		// Try to finish with CholeskyQR2; on breakdown the condition
-		// number is still above u^(−1/2) — precondition again.
-		r2, err := cholQRInPlace(e, q)
-		if err != nil {
+		// Try to finish with CholeskyQR2 on A·R₁⁻¹, whose Gram the fused
+		// pass streams out; on breakdown the condition number is still
+		// above u^(−1/2) — precondition again.
+		if err := fusedChol(e, sw, w1, w2); err != nil {
 			continue
 		}
-		r3, err := cholQRInPlace(e, q)
-		if err != nil {
+		accumulate(w2, r)
+		if err := reorthogonalize(e, sw, w2, r); err != nil {
 			return nil, err
 		}
-		blas.TrmmLeftUpperNoTrans(r2, rAcc)
-		blas.TrmmLeftUpperNoTrans(r3, rAcc)
-		return &QR{Q: q, R: rAcc}, nil
+		return &QR{Q: sw.Q(n), R: r}, nil
 	}
 	return nil, fmt.Errorf("%w: condition number not reduced after %d shifted passes", ErrBreakdown, maxShiftedPasses)
 }
@@ -212,15 +169,4 @@ func HouseholderQR(e *parallel.Engine, a *mat.Dense) *QR {
 	r := lapack.ExtractR(fac)
 	lapack.Orgqr(e, fac, tau)
 	return &QR{Q: fac, R: r}
-}
-
-// orthogonality returns ‖QᵀQ − I‖_F/√n, the paper's Fig. 2(a) metric.
-func orthogonality(q *mat.Dense) float64 {
-	n := q.Cols
-	g := mat.NewDense(n, n)
-	blas.Gram(nil, g, q)
-	for i := 0; i < n; i++ {
-		g.Set(i, i, g.At(i, i)-1)
-	}
-	return g.FrobeniusNorm() / math.Sqrt(float64(n))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -121,13 +120,5 @@ func TestCholQRDoesNotModifyInput(t *testing.T) {
 	HouseholderQR(nil, a)
 	if !mat.EqualApprox(a, orig, 0) {
 		t.Fatal("input matrix was modified")
-	}
-}
-
-func TestOrthogonalityHelperMatchesMetrics(t *testing.T) {
-	rng := rand.New(rand.NewSource(108))
-	q := testmat.RandomOrtho(rng, 60, 8)
-	if d := math.Abs(orthogonality(q) - metrics.Orthogonality(q)); d > 1e-18 {
-		t.Fatalf("internal and public orthogonality differ by %g", d)
 	}
 }

@@ -176,73 +176,39 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	trace.AddBytes(trace.StagePrecond, 2*8*int64(m)*int64(n))
 	if mat.DebugChecks {
 		mat.CheckFinite("core", "CQRRPT preconditioned matrix", aw)
-		mat.CheckFinite("core", "CQRRPT preconditioned Gram matrix", w)
 	}
 
-	// One CholQR on the preconditioned matrix: R_e = chol(W), Q = A_p·R_e⁻¹.
-	// The stage also times the condition estimate of R_e.
-	sc := trace.Region(trace.StageCholCP)
-	err := lapack.PotrfUpper(e, w)
-	var condRe float64
-	if err == nil {
-		lapack.ZeroLower(w)
-		condRe = lapack.TrconUpper1(w)
-	}
-	sc.End()
-	trace.AddFlops(trace.StageCholCP, int64(n)*int64(n)*int64(n)/3)
-	if err != nil {
+	// One CholQR on the preconditioned matrix: R_e = chol(W), Q = A_p·R_e⁻¹,
+	// with the condition estimate of R_e timed as Cholesky work too.
+	sw := NewDenseSweeper(e, aw)
+	if err := chol(e, w); err != nil {
 		return nil, fmt.Errorf("%w: preconditioned Gram lost definiteness: %v",
 			errSketchRejected, err)
 	}
+	sc := trace.Region(trace.StageCholCP)
+	condRe := lapack.TrconUpper1(w)
+	sc.End()
 
 	passes := 1
 	if condRe <= reorthCond {
-		// Healthy preconditioner: finish with the solve. Q = A_p·R_e⁻¹.
-		st := trace.Region(trace.StageTrsm)
-		blas.TrsmRightUpperNoTrans(e, aw, w)
-		st.End()
-		trace.AddFlops(trace.StageTrsm, int64(m)*int64(n)*int64(n))
+		// Healthy preconditioner: finish with the solve.
+		if err := sw.Finish(w); err != nil {
+			return nil, err
+		}
 	} else {
 		// Marginal preconditioner: one CholeskyQR2-style pass restores
 		// u-level orthogonality, far cheaper than abandoning the pivots
-		// for the iterated path. The first solve fuses with the second
-		// Gram in one width-invariant streaming pass (a plain Gram sweep
-		// would break the bit-identical-across-widths contract).
+		// for the iterated path. R_e := R_e2·R_e.
 		if err := e.Err(); err != nil {
 			return nil, err
 		}
-		w2 := mat.NewDense(n, n)
-		sf := trace.Region(trace.StageFused)
-		blas.PermTrsmGramFused(e, aw, nil, w, w2)
-		sf.End()
-		trace.AddFlops(trace.StageFused,
-			int64(m)*int64(n)*int64(n)+int64(m)*int64(n)*int64(n+1))
-		trace.AddBytes(trace.StageFused, 2*8*int64(m)*int64(n))
-		sc2 := trace.Region(trace.StageCholCP)
-		err := lapack.PotrfUpper(e, w2)
-		sc2.End()
-		trace.AddFlops(trace.StageCholCP, int64(n)*int64(n)*int64(n)/3)
-		if err != nil {
+		if err := reorthogonalize(e, sw, w, w); err != nil {
 			return nil, fmt.Errorf("%w: reorthogonalization pass: %v", errSketchRejected, err)
 		}
-		lapack.ZeroLower(w2)
-		st := trace.Region(trace.StageTrsm)
-		blas.TrsmRightUpperNoTrans(e, aw, w2)
-		st.End()
-		trace.AddFlops(trace.StageTrsm, int64(m)*int64(n)*int64(n))
-		// Fold the second pass into R_e: R_e := R_e2·R_e.
-		sm2 := trace.Region(trace.StageTrmm)
-		blas.TrmmLeftUpperNoTrans(w2, w)
-		sm2.End()
-		trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(n, n))
 		passes = 2
 	}
 
-	// R := R_e·R_sk.
-	sm := trace.Region(trace.StageTrmm)
-	blas.TrmmLeftUpperNoTrans(w, rsk)
-	sm.End()
-	trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(n, n))
+	accumulate(w, rsk) // R := R_e·R_sk
 	if mat.DebugChecks {
 		mat.CheckFinite("core", "CQRRPT orthonormal factor", aw)
 		mat.CheckFinite("core", "CQRRPT triangular factor", rsk)

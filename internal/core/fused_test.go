@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,13 +25,16 @@ func permEqual(a, b mat.Perm) bool {
 }
 
 // unfusedSweeper is the reference the fused pass is checked against: its
-// FusedPivot runs the sweeps the fused kernel replaces — permute, TRSM,
-// then Gram — one after another, each a direct kernel call.
+// FusedPivot runs the sweeps the fused kernel replaces — permute (none
+// for a nil perm), TRSM, then Gram — one after another, each a direct
+// kernel call.
 type unfusedSweeper struct{ *DenseSweeper }
 
 func (s unfusedSweeper) FusedPivot(perm mat.Perm, rp, w *mat.Dense) error {
 	a := s.a
-	mat.PermuteColsInPlaceEngine(s.e, a, perm)
+	if perm != nil {
+		mat.PermuteColsInPlaceEngine(s.e, a, perm)
+	}
 	blas.TrsmRightUpperNoTrans(s.e, a, rp)
 	return s.Gram(w)
 }
@@ -145,6 +149,100 @@ func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 		if fusedStage != want || fusedStage != byName[trace.KernelFusedTrsmGram.String()] {
 			t.Fatalf("%s: StageFused flops %d, KernelFusedTrsmGram flops %d, want %d (%d iterations, rank %d)",
 				tc.name, fusedStage, byName[trace.KernelFusedTrsmGram.String()], want, it, k)
+		}
+		if kernelNs > stageNs {
+			t.Fatalf("%s: kernel time %d ns exceeds enclosing stage time %d ns",
+				tc.name, kernelNs, stageNs)
+		}
+	}
+	trace.Reset()
+}
+
+// TestCholQR2FusedMatchesUnfused extends the fused/unfused contract to
+// the CholeskyQR2 step: run over the unfused reference sweeper, whose
+// first pass's TRSM and second pass's Gram are separate sweeps, it gives
+// CholQR2's R and Q bits.
+func TestCholQR2FusedMatchesUnfused(t *testing.T) {
+	rng := rand.New(rand.NewSource(2025))
+	e := parallel.NewEngine(4)
+	for _, cond := range []float64{1e2, 1e5, 1e7} {
+		a := testmat.GenerateWellConditioned(rng, 1500, 32, cond)
+		fused, err := CholQR2(e, a)
+		if err != nil {
+			t.Fatalf("κ=%g fused: %v", cond, err)
+		}
+		q := a.Clone()
+		r, err := cholQR2(e, unfusedSweeper{NewDenseSweeper(e, q)}, a.Cols)
+		if err != nil {
+			t.Fatalf("κ=%g unfused: %v", cond, err)
+		}
+		requireSameCP(t, fmt.Sprintf("κ=%g fused vs unfused", cond),
+			&CPResult{Q: fused.Q, R: fused.R}, &CPResult{Q: q, R: r})
+	}
+}
+
+// TestCholQRFamilyStageKernelFlopAttributionReconciles extends the trace
+// contract to the unpivoted CholQR family, whose every pass runs on the
+// sweeper steps: each stage's flops equal those of the kernel it wraps
+// (n is below the blocked-Potrf panel width), and summed kernel time
+// never exceeds summed stage time. A run is one Gram sweep, p fused
+// passes and one TRSM, with p+1 Cholesky factors folded into R by p+1
+// TRMMs (none for CholQR): p = 1 for CholeskyQR2 and p = 2 for a
+// single-shift ShiftedCholQR3.
+func TestCholQRFamilyStageKernelFlopAttributionReconciles(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	well := testmat.GenerateWellConditioned(rng, 700, 28, 1e3)
+	ill := testmat.GenerateWellConditioned(rng, 700, 28, 1e8)
+	m, n := int64(700), int64(28)
+	cases := []struct {
+		name  string
+		run   func() (*QR, error)
+		fused int64
+		trmms int64
+	}{
+		{"CholQR", func() (*QR, error) { return CholQR(nil, well) }, 0, 0},
+		{"CholQR2", func() (*QR, error) { return CholQR2(nil, well) }, 1, 1},
+		{"ShiftedCholQR3", func() (*QR, error) { return ShiftedCholQR3(nil, ill) }, 2, 3},
+	}
+	for _, tc := range cases {
+		trace.Reset()
+		trace.Enable()
+		_, err := tc.run()
+		trace.Disable()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		rep := trace.Snapshot()
+		var stageFlops, kernelFlops, stageNs, kernelNs int64
+		byName := map[string]int64{}
+		for _, row := range rep.Stages {
+			byName[row.Stage] = row.Flops
+			if row.Kernel {
+				kernelFlops += row.Flops
+				kernelNs += row.TotalNs
+			} else if row.Stage != trace.StageTotal.String() {
+				stageFlops += row.Flops
+				stageNs += row.TotalNs
+			}
+		}
+		if stageFlops != kernelFlops {
+			t.Fatalf("%s: stage flops %d != kernel flops %d", tc.name, stageFlops, kernelFlops)
+		}
+		for _, sk := range []struct {
+			stage, kernel trace.Stage
+			want          int64
+		}{
+			{trace.StageGram, trace.KernelSyrk, m * n * (n + 1)},
+			{trace.StageFused, trace.KernelFusedTrsmGram, tc.fused * (m*n*n + m*n*(n+1))},
+			{trace.StageTrsm, trace.KernelTrsm, m * n * n},
+			{trace.StageCholCP, trace.KernelPotrf, (tc.fused + 1) * (n * n * n / 3)},
+			{trace.StageTrmm, trace.KernelTrmm, tc.trmms * blas.TrmmFlops(int(n), int(n))},
+		} {
+			got, kern := byName[sk.stage.String()], byName[sk.kernel.String()]
+			if got != sk.want || got != kern {
+				t.Fatalf("%s: %s flops %d, %s flops %d, want %d",
+					tc.name, sk.stage, got, sk.kernel, kern, sk.want)
+			}
 		}
 		if kernelNs > stageNs {
 			t.Fatalf("%s: kernel time %d ns exceeds enclosing stage time %d ns",

@@ -27,6 +27,11 @@ import (
 // all of them produce bit-identical R, pivots, and Q on the same input,
 // across engine widths.
 //
+// Every CholQR pass in this package runs on the same seam, through the
+// steps chol, cholFinish, fusedChol and reorthogonalize: CholQR,
+// CholeskyQR2 (CholQR2, CholQR2InPlace), ShiftedCholQR3, and CQRRPT
+// after its preconditioner, all on a DenseSweeper.
+//
 // Methods return an error instead of panicking because the file-backed
 // implementation can fail on I/O; the in-core sweeper never errors.
 type Sweeper interface {
@@ -38,8 +43,8 @@ type Sweeper interface {
 	// w := AₖᵀAₖ of the updated A streamed out of the same row
 	// traversal (lines 8–11 fused with the next line 3, or on the last
 	// pass with line 17's reorthogonalization Gram). perm is the
-	// full-width column permutation; rp the assembled R′; w is k×k and
-	// compact, k ≤ n.
+	// full-width column permutation, nil for none (the unpivoted CholQR
+	// passes); rp the assembled R′; w is k×k and compact, k ≤ n.
 	FusedPivot(perm mat.Perm, rp, w *mat.Dense) error
 	// Finish applies the reorthogonalization TRSM Aₖ := Aₖ·r⁻¹ on the
 	// leading k = r.Rows columns, which turns them into Q. Implementations
@@ -49,11 +54,10 @@ type Sweeper interface {
 	Finish(r *mat.Dense) error
 }
 
-// cholFinish is the tail of a CholQR pass on the Gram w of the leading
-// k = w.Rows columns: w := chol(w) (upper triangle, lower zeroed), then
-// Aₖ := Aₖ·w⁻¹ through sw.Finish. The whole of the unpivoted pass is
-// sw.Gram(w) followed by cholFinish.
-func cholFinish(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
+// chol factors the Gram w of a CholQR pass in place: w := chol(w), its
+// upper triangle, with the lower one zeroed. A Gram that is not positive
+// definite is an ErrBreakdown.
+func chol(e *parallel.Engine, w *mat.Dense) error {
 	if mat.DebugChecks {
 		mat.CheckFinite("core", "CholQR Gram matrix", w)
 	}
@@ -66,7 +70,52 @@ func cholFinish(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
 		return fmt.Errorf("%w: %v", ErrBreakdown, err)
 	}
 	lapack.ZeroLower(w)
+	return nil
+}
+
+// cholFinish is the tail of a CholQR pass on the Gram w of the leading
+// k = w.Rows columns: w := chol(w), then Aₖ := Aₖ·w⁻¹ through sw.Finish.
+// The whole of the unpivoted pass is sw.Gram(w) followed by cholFinish.
+func cholFinish(e *parallel.Engine, sw Sweeper, w *mat.Dense) error {
+	if err := chol(e, w); err != nil {
+		return err
+	}
 	return sw.Finish(w)
+}
+
+// fusedChol applies A := A·r⁻¹ to sw's n columns in one fused sweep that
+// streams out the Gram of the updated A into the n×n w, then factors it:
+// w := chol(w). r and w must not share storage.
+func fusedChol(e *parallel.Engine, sw Sweeper, r, w *mat.Dense) error {
+	if err := sw.FusedPivot(nil, r, w); err != nil {
+		return err
+	}
+	return chol(e, w)
+}
+
+// reorthogonalize is the second half of CholeskyQR2 on sw, after a
+// CholQR pass whose factor r is not yet applied to A: the fused sweep
+// A := A·r⁻¹ streams out W₂, a CholQR pass on W₂ turns A into Q, and
+// acc := R₂·acc folds R₂ into the accumulated R (acc may be r itself).
+func reorthogonalize(e *parallel.Engine, sw Sweeper, r, acc *mat.Dense) error {
+	w := mat.NewDense(r.Rows, r.Rows)
+	if err := fusedChol(e, sw, r, w); err != nil {
+		return err
+	}
+	if err := sw.Finish(w); err != nil {
+		return err
+	}
+	accumulate(w, acc)
+	return nil
+}
+
+// accumulate folds a pass's triangular factor into the accumulated R:
+// acc := r·acc.
+func accumulate(r, acc *mat.Dense) {
+	sm := trace.Region(trace.StageTrmm)
+	blas.TrmmLeftUpperNoTrans(r, acc)
+	sm.End()
+	trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(acc.Rows, acc.Cols))
 }
 
 // IteCholQRCPSweeps runs the Ite-CholQR-CP driver loop over a Sweeper:
@@ -244,10 +293,7 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 		return nil, err
 	}
 	rk := rTotal.Slice(0, k, 0, n)
-	sm := trace.Region(trace.StageTrmm)
-	blas.TrmmLeftUpperNoTrans(wk, rk) // R := R_reortho·R
-	sm.End()
-	trace.AddFlops(trace.StageTrmm, blas.TrmmFlops(k, n))
+	accumulate(wk, rk) // R := R_reortho·R
 	res.R = rk
 	res.Perm = perm
 	res.Rank = k
@@ -305,9 +351,10 @@ func NewDenseSweeper(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
 // NewDenseSweeperCopy returns the in-core sweeper over a copy of a,
 // which it never writes. The sweeps read a until the first FusedPivot,
 // which gathers a straight into a fresh working matrix: the copy takes
-// no sweep of its own. It serves IteCholQRCPSweeps, whose every
-// pivoting pass is a FusedPivot, so one has run before Finish or Q
-// unless the rank is 0, when both act on no columns of a.
+// no sweep of its own. It serves the runs whose every Finish follows a
+// FusedPivot: IteCholQRCPSweeps, where none has run only at rank 0, when
+// Finish and Q act on no columns of a, and CholeskyQR2 and
+// ShiftedCholQR3.
 func NewDenseSweeperCopy(e *parallel.Engine, a *mat.Dense) *DenseSweeper {
 	return &DenseSweeper{e: e, src: a}
 }

@@ -39,8 +39,8 @@ import (
 type Stage uint8
 
 const (
-	// StageGram is W := AᵀA (Algorithm 4 line 3 + the reorthogonalization
-	// pass), the dominant Level-3 phase.
+	// StageGram is W := AᵀA outside the fused pass: Algorithm 4 line 3,
+	// and the first Gram of each CholQR-family run.
 	StageGram Stage = iota
 	// StageCholCP is the Cholesky work on the Gram matrix: the fixed-block
 	// factor/eliminate (lines 4–6), P-Chol-CP on the Schur complement
@@ -57,8 +57,10 @@ const (
 	StageTrmm
 	// StageFused is the fused permute→TRSM→Gram streaming pass: one
 	// row-block traversal that replaces a StageSwap + StageTrsm pair plus
-	// the following StageGram on every Ite-CholQR-CP pivoting pass (and
-	// CholeskyQR2's first TRSM + second Gram).
+	// the following StageGram on every Ite-CholQR-CP pivoting pass, and a
+	// CholQR pass's TRSM plus the next pass's Gram wherever one pass
+	// follows another: CholeskyQR2, each pass of shifted CholeskyQR3, and
+	// CQRRPT's reorthogonalization.
 	StageFused
 	// StageSketch is the randomized embedding pass of the CQRRPT path:
 	// SA := S·A for the sparse-sign (or Gaussian fallback) sketch, plus

@@ -289,8 +289,7 @@ func (b *bucketer) run(key shapeKey, jobs []*pendingJob) {
 	for i, j := range live {
 		problems[i] = j.req.A
 	}
-	opts := &tsqrcp.BatchOptions{Options: *live[0].req.options()}
-	results, _ := b.eng.QRCPBatch(ctx, problems, opts)
+	results, _ := b.eng.QRCPBatch(ctx, problems, live[0].req.options())
 
 	now = time.Now()
 	for i, j := range live {

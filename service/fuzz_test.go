@@ -15,7 +15,11 @@ package service
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -106,4 +110,38 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("accepted frame re-encodes to %x, consumed %x", enc.Bytes(), consumed)
 		}
 	})
+}
+
+// TestSeedNamesMatchDecoding keeps the seed corpora honest: a seed whose
+// name starts with "valid-" decodes, and every other seed is rejected,
+// so a protocol change that flips a seed's outcome shows up as a wrong
+// name instead of a silently weaker corpus.
+func TestSeedNamesMatchDecoding(t *testing.T) {
+	decoders := map[string]func([]byte) error{
+		"FuzzDecodeJob":    func(p []byte) error { _, err := decodeJob(p, fuzzLimits); return err },
+		"FuzzDecodeResult": func(p []byte) error { _, err := decodeResult(p); return err },
+	}
+	for target, decode := range decoders {
+		dir := filepath.Join("testdata", "fuzz", target)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(strings.TrimSpace(string(b)), "go test fuzz v1\n[]byte(")
+			lit, ok2 := strings.CutSuffix(lit, ")")
+			payload, err := strconv.Unquote(lit)
+			if !ok || !ok2 || err != nil {
+				t.Fatalf("%s/%s: not a one-[]byte corpus file", target, ent.Name())
+			}
+			valid := strings.HasPrefix(ent.Name(), "valid-")
+			if err := decode([]byte(payload)); (err == nil) != valid {
+				t.Errorf("%s/%s: decode error %v, but the name says valid = %t", target, ent.Name(), err, valid)
+			}
+		}
+	}
 }

@@ -71,7 +71,7 @@ func TestQRCPBatchStrategyCQRRPT(t *testing.T) {
 		problems[i] = testmat.Generate(rng, 1500+100*i, 16, 13, 1e-9)
 	}
 	results, err := QRCPBatch(context.Background(), problems,
-		&BatchOptions{Options: Options{Strategy: StrategyCQRRPT, Seed: 11}})
+		&Options{Strategy: StrategyCQRRPT, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
