@@ -640,7 +640,8 @@ const (
 // serviceClients connections until jobs jobs completed, each row from
 // that single run:
 //
-//	{Name: "ServiceQRCP", m, n}                   jobs/sec (problems_per_sec) + mean latency (ns_per_op)
+//	{Name: "ServiceQRCP", m, n}                   jobs/sec (problems_per_sec), mean latency (ns_per_op)
+//	                                              and bytes allocated per job, both ends (bytes_per_op)
 //	{Name: "ServiceQRCP", Stage: "latency_p50"}   p50 latency (ns_per_op)
 //	{Name: "ServiceQRCP", Stage: "latency_p99"}   p99 latency (ns_per_op)
 func serviceRows(addr string, m, n, jobs int) ([]metrics.Record, error) {
@@ -673,6 +674,8 @@ func serviceRows(addr string, m, n, jobs int) ([]metrics.Record, error) {
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	start := time.Now()
 	for _, c := range conns {
 		wg.Add(1)
@@ -706,6 +709,10 @@ func serviceRows(addr string, m, n, jobs int) ([]metrics.Record, error) {
 		return nil, firstErr
 	}
 	wall := time.Since(start)
+	runtime.ReadMemStats(&ms1)
+	// Server and clients share this process, so the delta covers both
+	// ends of the wire.
+	bytesPerJob := int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(jobs)
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	quantile := func(q float64) float64 {
@@ -719,10 +726,10 @@ func serviceRows(addr string, m, n, jobs int) ([]metrics.Record, error) {
 	jobsPerSec := float64(jobs) / wall.Seconds()
 	p50, p99 := quantile(0.50), quantile(0.99)
 
-	fmt.Fprintf(os.Stderr, "%-24s m=%-7d n=%-4d %10.1f jobs/s  p50 %8.2fms  p99 %8.2fms  mean %8.2fms  (%d jobs, %d clients)\n",
-		"ServiceQRCP", m, n, jobsPerSec, p50/1e6, p99/1e6, mean/1e6, jobs, serviceClients)
+	fmt.Fprintf(os.Stderr, "%-24s m=%-7d n=%-4d %10.1f jobs/s  p50 %8.2fms  p99 %8.2fms  mean %8.2fms  %8d B/job  (%d jobs, %d clients)\n",
+		"ServiceQRCP", m, n, jobsPerSec, p50/1e6, p99/1e6, mean/1e6, bytesPerJob, jobs, serviceClients)
 	return []metrics.Record{
-		{Name: "ServiceQRCP", M: m, N: n, Iters: jobs, NsPerOp: mean, ProblemsPerSec: jobsPerSec},
+		{Name: "ServiceQRCP", M: m, N: n, Iters: jobs, NsPerOp: mean, BytesPerOp: bytesPerJob, ProblemsPerSec: jobsPerSec},
 		{Name: "ServiceQRCP", Stage: "latency_p50", M: m, N: n, Iters: jobs, NsPerOp: p50},
 		{Name: "ServiceQRCP", Stage: "latency_p99", M: m, N: n, Iters: jobs, NsPerOp: p99},
 	}, nil

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 
 	tsqrcp "repro"
 	"repro/mat"
@@ -46,16 +47,19 @@ func main() {
 		}
 	}
 
-	// Plain Cholesky QR cannot orthogonalize this block.
-	if _, err := tsqrcp.CholeskyQR(krylov); err != nil {
-		fmt.Printf("CholeskyQR : breakdown, as expected (%v)\n",
-			errors.Is(err, tsqrcp.ErrBreakdown))
-	} else {
-		fmt.Println("CholeskyQR : unexpectedly survived")
+	// Neither Cholesky QR nor CholeskyQR2 can orthogonalize this block;
+	// either surviving it breaks the contract this program shows, so it
+	// exits 1.
+	if _, err := tsqrcp.CholeskyQR(krylov); !errors.Is(err, tsqrcp.ErrBreakdown) {
+		fmt.Fprintf(os.Stderr, "CholeskyQR : expected ErrBreakdown, got %v\n", err)
+		os.Exit(1)
 	}
-	if _, err := tsqrcp.CholeskyQR2(krylov); err != nil {
-		fmt.Println("CholeskyQR2: breakdown, as expected")
+	fmt.Println("CholeskyQR : breakdown, as expected")
+	if _, err := tsqrcp.CholeskyQR2(krylov); !errors.Is(err, tsqrcp.ErrBreakdown) {
+		fmt.Fprintf(os.Stderr, "CholeskyQR2: expected ErrBreakdown, got %v\n", err)
+		os.Exit(1)
 	}
+	fmt.Println("CholeskyQR2: breakdown, as expected")
 
 	// QRCP handles it, reveals the usable rank, and the leading columns of
 	// Q form a well-conditioned orthonormal basis of the Krylov space.

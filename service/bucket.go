@@ -241,15 +241,21 @@ func (b *bucketer) spawn(key shapeKey, jobs []*pendingJob) {
 
 // run executes one flushed batch: drop already-expired jobs, factor the
 // rest through Engine.QRCPBatch with the jobs' deadlines propagated into
-// the engine context, and deliver per-job results.
+// the engine context, and deliver per-job results. Once every job is
+// answered, their decoded matrices go back to the workspace pool.
 func (b *bucketer) run(key shapeKey, jobs []*pendingJob) {
 	defer b.dispatch.Done()
 	b.stats.batches.Add(1)
+	defer func() {
+		for _, j := range jobs {
+			mat.PutWorkspace(j.req.A)
+		}
+	}()
 
 	// Admission-queue deadline check: a job whose deadline passed while
 	// it waited in the bucket is rejected without compute.
 	now := time.Now()
-	live := jobs[:0]
+	live := make([]*pendingJob, 0, len(jobs))
 	for _, j := range jobs {
 		if !j.deadline.IsZero() && now.After(j.deadline) {
 			b.expire(j)

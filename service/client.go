@@ -62,7 +62,7 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:     conn,
-		w:        &connWriter{bw: bufio.NewWriter(conn)},
+		w:        &connWriter{conn: conn},
 		waiters:  make(map[uint64]chan clientMsg),
 		maxFrame: DefaultMaxFrameBytes,
 	}
@@ -89,13 +89,17 @@ func (c *Client) readLoop() {
 		}
 		switch payload[0] {
 		case msgResult:
+			// decodeResult copies Q, R and Perm out, so the frame is free.
 			res, err := decodeResult(payload[1:])
+			putFrame(payload)
 			if err != nil {
 				c.failAll(err)
 				return
 			}
 			c.route(res.ID, clientMsg{res: res})
 		case msgStatsResult:
+			// The blob is the frame's own tail and goes to the caller: this
+			// frame is never returned to the pool.
 			r := &reader{buf: payload[1:]}
 			id := r.u64()
 			if r.err != nil {
@@ -103,6 +107,8 @@ func (c *Client) readLoop() {
 				return
 			}
 			c.route(id, clientMsg{stats: payload[9:]})
+		default:
+			putFrame(payload)
 		}
 	}
 }
@@ -205,11 +211,7 @@ func (c *Client) Factor(ctx context.Context, req Request) (*tsqrcp.Factorization
 		job.PivotTol = o.PivotTol
 	}
 	job.A = req.A
-	c.w.send(encodeJob(job))
-	c.w.mu.Lock()
-	werr := c.w.err
-	c.w.mu.Unlock()
-	if werr != nil {
+	if werr := c.w.send(encodeJob(job)); werr != nil {
 		c.unregister(id)
 		return nil, fmt.Errorf("service: send: %w", werr)
 	}

@@ -15,6 +15,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -89,27 +92,59 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
+// hostileFrame is a header claiming 2³⁰−1 payload bytes followed by ten
+// of them: under DefaultMaxFrameBytes the claim passes the limit check.
+var hostileFrame = []byte{0xff, 0xff, 0xff, 0x3f, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+
+// TestReadFrameHostileLength: a length field under the frame limit but
+// far beyond the bytes that follow costs an allocation sized by the
+// bytes, not by the claim.
+func TestReadFrameHostileLength(t *testing.T) {
+	var err error
+	alloc := allocBytes(func() { _, err = readFrame(bytes.NewReader(hostileFrame), DefaultMaxFrameBytes) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("readFrame = %v, want io.ErrUnexpectedEOF", err)
+	}
+	checkAllocBound(t, "readFrame", alloc, len(hostileFrame))
+}
+
+// FuzzReadFrame reads each input under fuzzMaxFrame. An input whose
+// length field that limit rejects before any read is read again under
+// DefaultMaxFrameBytes, where the field can claim up to 1 GiB and only
+// the bytes that follow may size the buffer.
 func FuzzReadFrame(f *testing.F) {
+	f.Add(hostileFrame)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		src := bytes.NewReader(in)
-		var payload []byte
-		var err error
-		alloc := allocBytes(func() { payload, err = readFrame(src, fuzzMaxFrame) })
-		checkAllocBound(t, "readFrame", alloc, len(in))
-		if err != nil {
-			return
-		}
-		if len(payload) > fuzzMaxFrame {
-			t.Fatalf("accepted a %d-byte frame over the %d-byte limit", len(payload), fuzzMaxFrame)
-		}
-		var enc bytes.Buffer
-		if err := writeFrame(&enc, payload); err != nil {
-			t.Fatal(err)
-		}
-		if consumed := in[:len(in)-src.Len()]; !bytes.Equal(enc.Bytes(), consumed) {
-			t.Fatalf("accepted frame re-encodes to %x, consumed %x", enc.Bytes(), consumed)
+		checkReadFrame(t, in, fuzzMaxFrame)
+		if len(in) >= 4 && binary.LittleEndian.Uint32(in) > fuzzMaxFrame {
+			checkReadFrame(t, in, DefaultMaxFrameBytes)
 		}
 	})
+}
+
+// checkReadFrame reads one frame from in under maxBytes and checks the
+// allocation bound, the limit, and that an accepted frame re-encodes to
+// the bytes consumed.
+func checkReadFrame(t *testing.T, in []byte, maxBytes int) {
+	t.Helper()
+	src := bytes.NewReader(in)
+	var payload []byte
+	var err error
+	alloc := allocBytes(func() { payload, err = readFrame(src, maxBytes) })
+	checkAllocBound(t, "readFrame", alloc, len(in))
+	if err != nil {
+		return
+	}
+	if len(payload) > maxBytes {
+		t.Fatalf("accepted a %d-byte frame over the %d-byte limit", len(payload), maxBytes)
+	}
+	var enc bytes.Buffer
+	if err := writeFrame(&enc, payload); err != nil {
+		t.Fatal(err)
+	}
+	if consumed := in[:len(in)-src.Len()]; !bytes.Equal(enc.Bytes(), consumed) {
+		t.Fatalf("accepted frame re-encodes to %x, consumed %x", enc.Bytes(), consumed)
+	}
 }
 
 // TestSeedNamesMatchDecoding keeps the seed corpora honest: a seed whose

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	tsqrcp "repro"
@@ -184,33 +187,100 @@ type Limits struct {
 
 var errFrameTooLarge = errors.New("service: frame exceeds size limit")
 
-// writeFrame emits one length-prefixed frame.
+// Frame pool. Request and response frames are recycled through
+// size-classed sync.Pools: class k holds byte slices of capacity 2^k,
+// so a frame re-enters the class it can always serve. Whoever ends a
+// frame's life returns it: the reader once the frame is decoded, and
+// connWriter.send once it is written. A frame whose bytes escape to a
+// caller (a stats blob) is never returned.
+var framePools [64]sync.Pool // *[]byte, cap ≥ 2^k
+
+// frameClass returns the smallest k with 2^k ≥ n (n ≥ 1).
+func frameClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// pooledFrame returns a length-n frame from the pool, or nil when the
+// pool holds none of n's class; it never allocates.
+func pooledFrame(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	if v := framePools[frameClass(n)].Get(); v != nil {
+		return (*v.(*[]byte))[:n]
+	}
+	return nil
+}
+
+// getFrame returns a length-n frame, from the pool when it holds one.
+func getFrame(n int) []byte {
+	if b := pooledFrame(n); b != nil || n == 0 {
+		return b
+	}
+	return make([]byte, n, 1<<frameClass(n))
+}
+
+// putFrame returns a frame to the pool; the caller must not retain it
+// or any slice of it.
+func putFrame(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:0]
+	framePools[bits.Len(uint(cap(b)))-1].Put(&b)
+}
+
+// frameStep is the first buffer of a frame the pool cannot serve. The
+// buffer then doubles as bytes arrive, so a frame that stops short of its
+// claimed length has cost at most frameStep plus four times the bytes it
+// delivered.
+const frameStep = 64 << 10
+
+// writeFrame emits one length-prefixed frame in a single write: on a
+// TCP connection net.Buffers is one writev.
 func writeFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	bufs := net.Buffers{hdr[:], payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// readFrame reads one frame, rejecting payloads over maxBytes before
-// allocating for them.
+// readFrame reads one frame into a pooled buffer, rejecting payloads
+// over maxBytes before reading them. The length field picks a pooled
+// buffer only when one is idle; otherwise the buffer grows from
+// frameStep with the bytes received, so a length field never sizes an
+// allocation. Return the payload with putFrame once it is decoded.
 func readFrame(r io.Reader, maxBytes int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int64(n) > int64(maxBytes) {
-		return nil, fmt.Errorf("%w: %d > %d bytes", errFrameTooLarge, n, maxBytes)
+	claim := binary.LittleEndian.Uint32(hdr[:])
+	if int64(claim) > int64(maxBytes) {
+		return nil, fmt.Errorf("%w: %d > %d bytes", errFrameTooLarge, claim, maxBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	n := int(claim)
+	buf := pooledFrame(n)
+	if buf == nil {
+		buf = getFrame(min(n, frameStep))
 	}
-	return payload, nil
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		got += k
+		if err != nil {
+			putFrame(buf)
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		next := getFrame(min(2*len(buf), n))
+		copy(next, buf)
+		putFrame(buf)
+		buf = next
+	}
 }
 
 // appendDense appends m's rows (row-major, stride-compacted) to buf.
@@ -305,10 +375,10 @@ func (d *reader) rest() error {
 	return nil
 }
 
-// encodeJob serializes a job frame payload.
+// encodeJob serializes a job frame payload into a pooled frame.
 func encodeJob(j *jobRequest) []byte {
 	m, n := j.A.Rows, j.A.Cols
-	buf := make([]byte, 0, 1+8+2+len(j.Tenant)+8+1+1+8+8+4+4+m*n*8)
+	buf := getFrame(1 + 8 + 2 + len(j.Tenant) + 8 + 1 + 1 + 8 + 8 + 4 + 4 + m*n*8)[:0]
 	buf = append(buf, msgJob)
 	buf = binary.LittleEndian.AppendUint64(buf, j.ID)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(j.Tenant)))
@@ -338,7 +408,8 @@ func flagBits(flags uint8) string {
 // decodeJob parses a job payload (after the type byte) and validates it
 // against lim. A shape outside the limits is an error here — before the
 // matrix is materialized — so oversized jobs cost decode-header time
-// only.
+// only. A is drawn from mat's workspace pool; its owner returns it with
+// mat.PutWorkspace.
 func decodeJob(payload []byte, lim Limits) (*jobRequest, error) {
 	d := &reader{buf: payload}
 	j := &jobRequest{}
@@ -372,17 +443,19 @@ func decodeJob(payload []byte, lim Limits) (*jobRequest, error) {
 	if m > lim.MaxRows || n > lim.MaxCols {
 		return nil, fmt.Errorf("service: shape %dx%d exceeds server limits %dx%d", m, n, lim.MaxRows, lim.MaxCols)
 	}
-	j.A = d.dense(m, n)
+	data := d.need(m * n * 8)
 	if err := d.rest(); err != nil {
 		return nil, err
 	}
+	j.A = mat.GetWorkspace(m, n, false)
+	mat.DecodeFloat64s(j.A.Data, data)
 	return j, nil
 }
 
-// encodeResult serializes a result frame payload.
+// encodeResult serializes a result frame payload into a pooled frame.
 func encodeResult(r *jobResult) []byte {
 	if r.Status != StatusOK {
-		buf := make([]byte, 0, 1+8+1+2+len(r.Msg))
+		buf := getFrame(1 + 8 + 1 + 2 + len(r.Msg))[:0]
 		buf = append(buf, msgResult)
 		buf = binary.LittleEndian.AppendUint64(buf, r.ID)
 		buf = append(buf, uint8(r.Status))
@@ -390,7 +463,7 @@ func encodeResult(r *jobResult) []byte {
 		return append(buf, r.Msg...)
 	}
 	m, n := r.Q.Rows, r.Q.Cols
-	buf := make([]byte, 0, 1+8+1+4+4+4*n+4+m*n*8+n*n*8)
+	buf := getFrame(1 + 8 + 1 + 4 + 4 + 4*n + 4 + m*n*8 + n*n*8)[:0]
 	buf = append(buf, msgResult)
 	buf = binary.LittleEndian.AppendUint64(buf, r.ID)
 	buf = append(buf, uint8(StatusOK))
@@ -449,14 +522,14 @@ func decodeResult(payload []byte) (*jobResult, error) {
 
 // encodeStatsRequest serializes a stats query.
 func encodeStatsRequest(id uint64) []byte {
-	buf := make([]byte, 0, 9)
+	buf := getFrame(9)[:0]
 	buf = append(buf, msgStats)
 	return binary.LittleEndian.AppendUint64(buf, id)
 }
 
 // encodeStatsResult wraps a JSON stats blob.
 func encodeStatsResult(id uint64, blob []byte) []byte {
-	buf := make([]byte, 0, 9+len(blob))
+	buf := getFrame(9 + len(blob))[:0]
 	buf = append(buf, msgStatsResult)
 	buf = binary.LittleEndian.AppendUint64(buf, id)
 	return append(buf, blob...)

@@ -29,12 +29,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	tsqrcp "repro"
+	"repro/mat"
 )
 
 // Config parameterizes a Server. The zero value of every field selects
@@ -287,26 +289,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// connWriter serializes response frames onto one connection.
+// connWriter serializes frames onto one connection.
 type connWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	err error
+	mu   sync.Mutex
+	conn io.Writer
+	err  error
 }
 
-// send writes and flushes one frame; after a write error the connection
-// is dead and further sends are dropped.
-func (w *connWriter) send(payload []byte) {
+// send writes one frame, then returns it to the frame pool; after a
+// write error the connection is dead and further sends are dropped. It
+// reports the connection's write error, if any.
+func (w *connWriter) send(payload []byte) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return
+	if w.err == nil {
+		w.err = writeFrame(w.conn, payload)
 	}
-	if err := writeFrame(w.bw, payload); err != nil {
-		w.err = err
-		return
-	}
-	w.err = w.bw.Flush()
+	err := w.err
+	w.mu.Unlock()
+	putFrame(payload)
+	return err
 }
 
 // handleConn runs one connection: decode frames, admit or reject jobs,
@@ -319,7 +320,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	w := &connWriter{bw: bufio.NewWriter(conn)}
+	w := &connWriter{conn: conn}
 	br := bufio.NewReader(conn)
 	var inflight sync.WaitGroup
 	lim := Limits{MaxRows: s.cfg.MaxRows, MaxCols: s.cfg.MaxCols, MaxFrameBytes: s.cfg.MaxFrameBytes}
@@ -341,28 +342,32 @@ func (s *Server) handleConn(conn net.Conn) {
 		if len(payload) == 0 {
 			break
 		}
-		switch payload[0] {
+		// Every branch is done with the payload once it is decoded: a
+		// job's matrix is copied into a workspace.
+		switch msg := payload[0]; msg {
 		case msgJob:
 			job, err := decodeJob(payload[1:], lim)
+			// The id is the first body field; echo it when present so
+			// the client can match the rejection to its call.
+			id := (&reader{buf: payload[1:]}).u64()
+			putFrame(payload)
 			if err != nil {
-				// The id is the first body field; echo it when present so
-				// the client can match the rejection to its call.
-				id := (&reader{buf: payload[1:]}).u64()
 				w.send(encodeResult(&jobResult{ID: id, Status: StatusInvalid, Msg: err.Error()}))
 				continue
 			}
 			s.admit(job, w, &inflight)
 		case msgStats:
-			r := &reader{buf: payload[1:]}
-			id := r.u64()
+			id := (&reader{buf: payload[1:]}).u64()
+			putFrame(payload)
 			blob, err := json.Marshal(s.Stats())
 			if err != nil {
 				blob = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
 			}
 			w.send(encodeStatsResult(id, blob))
 		default:
+			putFrame(payload)
 			w.send(encodeResult(&jobResult{Status: StatusInvalid,
-				Msg: fmt.Sprintf("service: unknown message type %d", payload[0])}))
+				Msg: fmt.Sprintf("service: unknown message type %d", msg)}))
 		}
 	}
 	// Don't tear down the connection state while responses for admitted
@@ -375,6 +380,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // either rejects it immediately or enqueues it into its size bucket.
 func (s *Server) admit(job *jobRequest, w *connWriter, inflight *sync.WaitGroup) {
 	reject := func(st Status, msg string) {
+		mat.PutWorkspace(job.A)
 		w.send(encodeResult(&jobResult{ID: job.ID, Status: st, Msg: msg}))
 	}
 	if s.draining.Load() {
