@@ -95,28 +95,36 @@ func TestShapesBucketSeparately(t *testing.T) {
 }
 
 // TestManyConcurrentClients hammers the server with mixed bucket shapes
-// from many pipelined connections — the -race workload of the CI race
-// job — and checks every result bit-for-bit.
+// and both strategies from many pipelined connections — the -race
+// workload of the CI race job, where every job's frames and decoded
+// matrix come from pools the others share — and checks every result
+// bit-for-bit against the in-process factorization.
 func TestManyConcurrentClients(t *testing.T) {
 	srv := startServer(t, Config{BatchSize: 8, FlushInterval: time.Millisecond})
 	rng := rand.New(rand.NewSource(24))
 
-	shapes := []struct{ m, n int }{{200, 8}, {400, 16}, {600, 8}}
-	inputs := make([]*mat.Dense, len(shapes))
-	want := make([]*tsqrcp.Factorization, len(shapes))
-	for i, sh := range shapes {
-		inputs[i] = testmat.Generate(rng, sh.m, sh.n, (sh.n*3)/4, 1e-10)
-		f, err := tsqrcp.QRCP(inputs[i], nil)
-		if err != nil {
-			t.Fatal(err)
+	type jobCase struct {
+		a    *mat.Dense
+		opts *tsqrcp.Options
+		want *tsqrcp.Factorization
+	}
+	var cases []jobCase
+	for _, sh := range []struct{ m, n int }{{200, 8}, {400, 16}, {600, 8}} {
+		a := testmat.Generate(rng, sh.m, sh.n, (sh.n*3)/4, 1e-10)
+		for _, opts := range []*tsqrcp.Options{nil, {Strategy: tsqrcp.StrategyCQRRPT, Seed: 5}} {
+			f, err := tsqrcp.QRCP(a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, jobCase{a, opts, f})
 		}
-		want[i] = f
 	}
 
 	const clients = 4
 	const jobsPerClient = 12
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients*jobsPerClient)
+	got := make([]*tsqrcp.Factorization, clients*jobsPerClient)
 	for ci := 0; ci < clients; ci++ {
 		wg.Add(1)
 		go func(ci int) {
@@ -132,16 +140,14 @@ func TestManyConcurrentClients(t *testing.T) {
 				jw.Add(1)
 				go func(j int) {
 					defer jw.Done()
-					k := (ci + j) % len(shapes)
+					tc := cases[(ci+j)%len(cases)]
 					f, err := c.Factor(context.Background(), Request{
-						Tenant: fmt.Sprintf("client-%d", ci), A: inputs[k]})
+						Tenant: fmt.Sprintf("client-%d", ci), A: tc.a, Options: tc.opts})
 					if err != nil {
 						errCh <- fmt.Errorf("client %d job %d: %w", ci, j, err)
 						return
 					}
-					if !sameBits(f.Q, want[k].Q) || !sameBits(f.R, want[k].R) {
-						errCh <- fmt.Errorf("client %d job %d: served factors differ from in-process", ci, j)
-					}
+					got[ci*jobsPerClient+j] = f
 				}(j)
 			}
 			jw.Wait()
@@ -151,6 +157,12 @@ func TestManyConcurrentClients(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+	for i, f := range got {
+		if f != nil {
+			ci, j := i/jobsPerClient, i%jobsPerClient
+			factsEqual(t, f, cases[(ci+j)%len(cases)].want, fmt.Sprintf("client %d job %d", ci, j))
+		}
 	}
 	st := srv.Stats()
 	if st.Accepted != clients*jobsPerClient {

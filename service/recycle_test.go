@@ -2,6 +2,7 @@ package service
 
 // Ownership tests for the recycled buffers of a served job: request and
 // response frames on both ends, and the server's decoded matrix.
+// TestManyConcurrentClients runs the shared pools under -race.
 
 import (
 	"bytes"
@@ -16,8 +17,6 @@ import (
 	"time"
 
 	tsqrcp "repro"
-	"repro/mat"
-	"repro/testmat"
 )
 
 // TestServedJobAllocation: once the pools are warm, a served job
@@ -118,50 +117,4 @@ func TestStatsBlobSurvivesTraffic(t *testing.T) {
 	if !bytes.Equal(blob, want) {
 		t.Fatalf("stats blob changed under later traffic:\n got %s\nwant %s", blob, want)
 	}
-}
-
-// TestRecycledBuffersMatchInProcess: many clients over mixed shapes
-// (powers of two and not) and both strategies share the frame and
-// workspace pools; each result stays bit-identical to Engine.QRCP in
-// process. Under -race this also checks that no pooled buffer is used
-// after its return.
-func TestRecycledBuffersMatchInProcess(t *testing.T) {
-	srv := startServer(t, Config{BatchSize: 4, FlushInterval: time.Millisecond})
-	rng := rand.New(rand.NewSource(33))
-	type jobCase struct {
-		a    *mat.Dense
-		opts *tsqrcp.Options
-		want *tsqrcp.Factorization
-	}
-	var cases []jobCase
-	eng := tsqrcp.DefaultEngine()
-	for _, sh := range []struct{ m, n int }{{128, 8}, {200, 8}, {256, 16}, {300, 12}, {1000, 32}} {
-		a := testmat.Generate(rng, sh.m, sh.n, sh.n, 1e-10)
-		for _, opts := range []*tsqrcp.Options{nil, {Strategy: tsqrcp.StrategyCQRRPT, Seed: 5}} {
-			f, err := eng.QRCP(a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cases = append(cases, jobCase{a, opts, f})
-		}
-	}
-
-	const clients, jobsPerClient = 4, 10
-	var wg sync.WaitGroup
-	for ci := 0; ci < clients; ci++ {
-		c := dialServer(t, srv)
-		for j := 0; j < jobsPerClient; j++ {
-			wg.Add(1)
-			go func(tc jobCase, label string) {
-				defer wg.Done()
-				got, err := c.Factor(context.Background(), Request{A: tc.a, Options: tc.opts})
-				if err != nil {
-					t.Errorf("%s: %v", label, err)
-					return
-				}
-				factsEqual(t, got, tc.want, label)
-			}(cases[(ci*jobsPerClient+j)%len(cases)], fmt.Sprintf("client %d job %d", ci, j))
-		}
-	}
-	wg.Wait()
 }
