@@ -31,7 +31,7 @@ func reportGFLOPS(b *testing.B, flopsPerOp float64) {
 		n = 1
 	}
 	per := b.Elapsed() / time.Duration(n)
-	if per > 0 {
+	if per > 0 && flopsPerOp > 0 {
 		b.ReportMetric(flopsPerOp/per.Seconds()/1e9, "GFLOPS")
 	}
 }
@@ -107,13 +107,17 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelVariants measures the AVX2 kernels ("simd") against the
-// Go reference loops they reproduce bit for bit ("generic") at the
+// BenchmarkKernelVariants measures the assembly kernels ("simd": zmm
+// where they run; "avx2": the ymm ones on such a CPU) against the Go
+// reference loops they reproduce bit for bit ("generic") at the
 // ite-tall shape, 4096×64, on a width-1 engine: the tiled SYRK through
-// Gram, the left-looking TRSM through TrsmRightUpperNoTrans, and the
-// fused pass that runs both. The row scatter runs at the cqrrpt-vtall sketch
-// shape: 8192 rows of 32 columns, each added into 8 of 64 accumulator
-// rows. "simd" is skipped on builds and CPUs without the assembly.
+// Gram, the left-looking TRSM through TrsmRightUpperNoTrans, the fused
+// pass that runs both, and the fused pass's column gather with p0 = 16
+// leading columns fixed, in place and out of place, 64 rows a call as
+// the pass takes it (its MB/s counts each row read and written once).
+// The row scatter runs at the cqrrpt-vtall sketch shape: 8192 rows of
+// 32 columns, each added into 8 of 64 accumulator rows. "simd" is
+// skipped on builds and CPUs without the assembly.
 func BenchmarkKernelVariants(b *testing.B) {
 	const m, n = 4096, 64
 	e := parallel.NewEngine(1)
@@ -135,6 +139,24 @@ func BenchmarkKernelVariants(b *testing.B) {
 		weights[i] = float64(2*rng.Intn(2)-1) / math.Sqrt(nnz)
 	}
 	scatterFlops := 2 * float64(sm) * float64(sn) * float64(nnz)
+	const p0 = 16
+	gperm := mat.IdentityPerm(n)
+	gtail := gperm[p0:]
+	rng.Shuffle(len(gtail), func(i, j int) { gtail[i], gtail[j] = gtail[j], gtail[i] })
+	if gtail[0] == p0 {
+		gtail[0], gtail[1] = gtail[1], gtail[0]
+	}
+	tmp := make([]float64, n)
+	gather := func(dst, src *mat.Dense) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(2 * 8 * m * n)
+			for i := 0; i < b.N; i++ {
+				for q := 0; q < m; q += fusedBlockRows {
+					gatherRows(dst, src, gperm, q, min(q+fusedBlockRows, m), tmp)
+				}
+			}
+		}
+	}
 	kernels := []struct {
 		name  string
 		flops float64
@@ -161,6 +183,8 @@ func BenchmarkKernelVariants(b *testing.B) {
 				PermTrsmGramFused(e, work, perm, r, g)
 			}
 		}},
+		{"GatherInPlace", 0, gather(work, work)},
+		{"GatherOutOfPlace", 0, gather(work, a)},
 		{"ScatterRows", scatterFlops, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for row := 0; row < sm; row++ {

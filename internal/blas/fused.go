@@ -16,7 +16,10 @@ import (
 // pass performs the column gather in L1, solves the block against R while
 // it is cache resident, and immediately accumulates its Gram
 // contribution, collapsing the five traversals to two (one read, one
-// write). See DESIGN.md §10 for the traffic model.
+// write). Each stage runs a loop of quad.go, which has an assembly form
+// on amd64: the gather (gatherCols, zmm vector gathers), the solve
+// (trsmTile) and the Gram (tileTN). See DESIGN.md §10 for the traffic
+// model.
 const (
 	// fusedBlockRows is the micro-block height: one block of B rows is
 	// gathered, solved, and Gram-accumulated while it stays cache
@@ -121,9 +124,9 @@ func PermTrsmGramFusedInto(e *parallel.Engine, dst, b *mat.Dense, perm mat.Perm,
 }
 
 // fusedRows is the reduceRows kernel of PermTrsmGramFusedInto: job.b is
-// the source, job.a the destination. The gather scratch is a pooled 1×n
-// Dense (PutFloats heap-escapes its header), keeping the width-1 path
-// allocation free.
+// the source, job.a the destination. The gather's scratch row (which
+// the Go loop goes through in place) is a pooled 1×n Dense (PutFloats
+// heap-escapes its header), keeping the width-1 path allocation free.
 func fusedRows(job rowJob, lo, hi int, acc *mat.Dense) {
 	tmp := mat.GetWorkspace(1, job.b.Cols, false)
 	fusedSlotRange(job.a, job.b, job.r, job.perm, lo, hi, acc, tmp.Data)
@@ -135,8 +138,8 @@ func fusedRows(job rowJob, lo, hi int, acc *mat.Dense) {
 // dst(i, j) = src(i, perm[j]) (nil perm: the identity); dst is src or
 // does not overlap it. The leading columns perm leaves in place
 // (perm[j] = j for j < p0, the pivots an Ite-CholQR-CP sweep has already
-// fixed) are copied out of place and skipped in place, where the rest of
-// each row goes through the scratch row tmp (n long).
+// fixed) are copied out of place and skipped in place; the rest of each
+// row is gathered by gatherCols (tmp is its n-length scratch row).
 //
 //repolint:hotpath
 func gatherRows(dst, src *mat.Dense, perm mat.Perm, lo, hi int, tmp []float64) {
@@ -148,22 +151,13 @@ func gatherRows(dst, src *mat.Dense, perm mat.Perm, lo, hi int, tmp []float64) {
 	if perm == nil {
 		p0 = n
 	}
-	inPlace := dst == src
-	if inPlace && p0 == n {
-		return
+	if dst != src {
+		for i := lo; i < hi; i++ {
+			copy(dst.Data[i*dst.Stride:i*dst.Stride+p0], src.Data[i*src.Stride:i*src.Stride+n])
+		}
 	}
-	for i := lo; i < hi; i++ {
-		d := dst.Data[i*dst.Stride : i*dst.Stride+n]
-		s := src.Data[i*src.Stride : i*src.Stride+n]
-		if inPlace {
-			copy(tmp[p0:n], s[p0:])
-			s = tmp
-		} else {
-			copy(d[:p0], s)
-		}
-		for j := p0; j < n; j++ {
-			d[j] = s[perm[j]]
-		}
+	if p0 < n {
+		gatherCols(dst, src, perm, p0, lo, hi, tmp)
 	}
 }
 
@@ -182,7 +176,7 @@ func fusedSlotBounds(m, slots, si int) (lo, hi int) {
 
 // fusedSlotRange streams rows [lo, hi) of src through the three fused
 // stages one micro-block at a time: gather the column permutation into
-// the block of dst (gatherRows; tmp is an n-length scratch row), solve
+// the block of dst (gatherRows; tmp is its n-length scratch row), solve
 // the block against R with the left-looking TRSM, and accumulate the
 // Gram contribution of the block's leading k = acc.Cols columns into acc
 // (upper triangle) with the register-tiled SYRK. The blocks only set

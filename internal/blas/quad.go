@@ -1,25 +1,31 @@
 package blas
 
-import "math"
+import (
+	"math"
+
+	"repro/mat"
+)
 
 // The inner loops that hold the time of every GEMM, SYRK, TRMM, B·R⁻¹
-// and R⁻ᵀ·B solve and of the sparse sketch, written once in Go. They
-// fix the package's one rounding rule: every Level-3 output element is
-// a single fused multiply-add chain over its summation index t, in
-// ascending order,
+// and R⁻ᵀ·B solve, of the fused pass's column gather and of the sparse
+// sketch, written once in Go. They fix the package's one rounding rule:
+// every Level-3 output element is a single fused multiply-add chain
+// over its summation index t, in ascending order,
 //
 //	Gram, SYRK, Aᵀ·B:          c = fma(a[t][i], b[t][j], c)
 //	A·B, TRMM, B·R⁻¹, R⁻ᵀ·B:   c = fma(−v[i][t], b[t][j], c),   then x = c·(1/R[j][j]) for a solve
 //
-// and the row scatter is one fma per element. Loads and stores are
-// exact, so an element's bits depend only on where its chain starts
-// (the slot partition of reduceRows) and never on tile shapes, row
-// grouping or blocking. On amd64 (without the purego build tag) the
-// tiles run register-tiled assembly instead (quad_amd64.s), which
-// performs the same chains: 8-row zmm tiles up to 24 columns wide where
-// the CPU has AVX512F and AVX512VL and the OS saves the ZMM state, else
-// 4-row ymm tiles up to 12 wide where it has AVX2 and FMA, chosen once
-// at start-up. Anything else runs these loops. See DESIGN.md §10.
+// the row scatter is one fma per element, and the gather moves entries
+// unchanged. Loads and stores are exact, so an element's bits depend
+// only on where its chain starts (the slot partition of reduceRows) and
+// never on tile shapes, row grouping or blocking. On amd64 (without the
+// purego build tag) these loops run assembly instead (quad_amd64.s),
+// which performs the same chains: the tiles as 8-row zmm tiles up to 24
+// columns wide where the CPU has AVX512F and AVX512VL and the OS saves
+// the ZMM state, else as 4-row ymm tiles up to 12 wide where it has
+// AVX2 and FMA, chosen once at start-up; the row scatter on ymm, and
+// the gather on zmm only (zmm VGATHERQPD). Anything else runs these
+// loops. See DESIGN.md §10.
 
 // tileRows is the row count of a tile: 8 on the zmm tiles, 4 otherwise.
 // maxTileRows bounds it, for the drivers' packed operands.
@@ -134,6 +140,32 @@ func scatterRowsGo(acc []float64, accStride int, row []float64, t []int, w []flo
 		dst := acc[tk*accStride : tk*accStride+n]
 		for j, v := range row {
 			dst[j] = math.FMA(wk, v, dst[j])
+		}
+	}
+}
+
+// gatherColsGo sets columns [p0, n) of rows [lo, hi) of dst, n =
+// dst.Cols, to the same rows of src with their columns taken through
+// the permutation perm:
+//
+//	dst(i, j) = src(i, perm[j]),   p0 ≤ j < n,
+//
+// with dst src itself or not overlapping it. In place each row's tail
+// is first copied to the scratch row tmp (n long), so no entry is read
+// after it has been overwritten.
+//
+//repolint:hotpath
+func gatherColsGo(dst, src *mat.Dense, perm mat.Perm, p0, lo, hi int, tmp []float64) {
+	n := dst.Cols
+	for i := lo; i < hi; i++ {
+		d := dst.Data[i*dst.Stride : i*dst.Stride+n]
+		s := src.Data[i*src.Stride : i*src.Stride+n]
+		if dst == src {
+			copy(tmp[p0:n], s[p0:])
+			s = tmp[:n]
+		}
+		for j := p0; j < n; j++ {
+			d[j] = s[perm[j]]
 		}
 	}
 }

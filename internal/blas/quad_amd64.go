@@ -2,6 +2,8 @@
 
 package blas
 
+import "repro/mat"
+
 // useAVX2 reports whether the tiles and the row scatter run the assembly:
 // the CPU has AVX2 and FMA and the OS saves the YMM registers. Detected
 // once.
@@ -55,6 +57,19 @@ func tileNNAVX2(c *float64, ldc int, v *float64, ldv int, b *float64, ldb int, k
 //
 //go:noescape
 func trsmTileAVX2(x *float64, ldx int, r *float64, ldr int, inv *float64, j0, nc int)
+
+// gatherRowsAVX512 is the column gather of gatherColsGo on raw pointers
+// for rows ≥ 1 rows and 1 ≤ w ≤ gatherMaxCols columns: dst points at
+// row 0 of the w destination columns, src at row 0, column 0, and idx at
+// their w source columns. dst may be src.
+//
+//go:noescape
+func gatherRowsAVX512(dst *float64, ldd int, src *float64, lds int, idx *int, w, rows int)
+
+// gatherMaxCols is the widest gather gatherRowsAVX512 takes in one call:
+// eight zmm vectors, every one of a row's entries held in registers
+// before any is stored.
+const gatherMaxCols = 64
 
 // scatterRowsAVX2 is scatterRowsGo on raw pointers: acc points at
 // accumulator row 0, row at the n source entries, and t and w at the
@@ -176,4 +191,40 @@ func scatterRows(acc []float64, accStride int, row []float64, t []int, w []float
 		}
 	}
 	scatterRowsGo(acc, accStride, row, t, w)
+}
+
+// gatherCols sets columns [p0, n) of rows [lo, hi) of dst through perm
+// (see gatherColsGo). The zmm gather takes the call only when every
+// index perm[p0:n] lies in [0, n) and rows lo..hi−1 lie inside both dst's
+// and src's slices; else the Go loop runs, and its bounds checks report
+// a bad index or row. Out of place it takes the columns gatherMaxCols at
+// a time; in place it takes a tail of up to gatherMaxCols columns, which
+// it holds in registers, and leaves a wider one to the Go loop and its
+// scratch row. Loads and stores are exact, so the paths agree bit for
+// bit.
+//
+//repolint:hotpath
+func gatherCols(dst, src *mat.Dense, perm mat.Perm, p0, lo, hi int, tmp []float64) {
+	n := dst.Cols
+	if !useAVX512 || (dst == src && n-p0 > gatherMaxCols) || p0 < 0 || p0 >= n || len(perm) < n ||
+		!rowsInside(dst.Data, dst.Stride, n, lo, hi) || !rowsInside(src.Data, src.Stride, n, lo, hi) {
+		gatherColsGo(dst, src, perm, p0, lo, hi, tmp)
+		return
+	}
+	for _, v := range perm[p0:n] {
+		if uint(v) >= uint(n) {
+			gatherColsGo(dst, src, perm, p0, lo, hi, tmp)
+			return
+		}
+	}
+	for j := p0; j < n; j += gatherMaxCols {
+		gatherRowsAVX512(&dst.Data[lo*dst.Stride+j], dst.Stride, &src.Data[lo*src.Stride], src.Stride,
+			&perm[j], min(gatherMaxCols, n-j), hi-lo)
+	}
+}
+
+// rowsInside reports whether rows [lo, hi), hi > lo, of n ≥ 1 elements
+// at stride ld lie inside data, without overflowing the products.
+func rowsInside(data []float64, ld, n, lo, hi int) bool {
+	return lo >= 0 && hi > lo && ld >= 0 && n <= len(data) && (ld == 0 || hi-1 <= (len(data)-n)/ld)
 }

@@ -1444,6 +1444,123 @@ tszstore1:
 	VZEROUPPER
 	RET
 
+// func gatherRowsAVX512(dst *float64, ldd int, src *float64, lds int, idx *int, w, rows int)
+//
+// Sets dst[i·ldd + v] = src[i·lds + idx[v]] for rows i < rows and
+// columns v < w, 1 ≤ w ≤ 64: the column gather of gatherColsGo, eight
+// lanes a VGATHERQPD. The w columns split into nf = ⌈w/8⌉−1 full
+// vectors, whose indices Z16–Z22 and data Z0–Z6 hold, and a last vector
+// at byte offset R11 = 64·nf under the mask K1, index Z23 and data Z7;
+// its index load is zero-masked and its store merge-masked, so nothing
+// past idx or the row's w columns is touched. The indices are loaded
+// once a call. Each row is gathered whole into Z0–Z7 before any of it
+// is stored, so dst may be src (in place). A gather clears its mask as
+// it goes, so each one takes a copy in K2 (of K1, or of the full mask
+// K3), and its destination is zeroed first so it does not wait on the
+// previous row's gather into the same register. Registers: DI and SI
+// the dst and src rows, R8 and R9 their strides in bytes, BX nf, CX the
+// rows left.
+#define GATHERFULL(idx, z) \
+	KMOVW      K3, K2; \
+	VPXORQ     z, z, z; \
+	VGATHERQPD (SI)(idx*8), K2, z
+
+TEXT ·gatherRowsAVX512(SB), NOSPLIT, $0-56
+	MOVQ      w+40(FP), BX
+	TAILMASK
+	MOVQ      dst+0(FP), DI
+	MOVQ      ldd+8(FP), R8
+	SHLQ      $3, R8
+	MOVQ      src+16(FP), SI
+	MOVQ      lds+24(FP), R9
+	SHLQ      $3, R9
+	MOVQ      idx+32(FP), DX
+	MOVQ      rows+48(FP), CX
+	MOVQ      BX, R11
+	SHLQ      $6, R11
+	MOVL      $0xff, AX
+	KMOVW     AX, K3
+	VMOVDQU64.Z (DX)(R11*1), K1, Z23
+	CMPQ      BX, $1
+	JLT       gatherrow
+	VMOVDQU64 (DX), Z16
+	CMPQ      BX, $2
+	JLT       gatherrow
+	VMOVDQU64 64(DX), Z17
+	CMPQ      BX, $3
+	JLT       gatherrow
+	VMOVDQU64 128(DX), Z18
+	CMPQ      BX, $4
+	JLT       gatherrow
+	VMOVDQU64 192(DX), Z19
+	CMPQ      BX, $5
+	JLT       gatherrow
+	VMOVDQU64 256(DX), Z20
+	CMPQ      BX, $6
+	JLT       gatherrow
+	VMOVDQU64 320(DX), Z21
+	CMPQ      BX, $7
+	JLT       gatherrow
+	VMOVDQU64 384(DX), Z22
+
+gatherrow:
+	KMOVW      K1, K2
+	VPXORQ     Z7, Z7, Z7
+	VGATHERQPD (SI)(Z23*8), K2, Z7
+	CMPQ       BX, $1
+	JLT        gatherstore
+	GATHERFULL(Z16, Z0)
+	CMPQ       BX, $2
+	JLT        gatherstore
+	GATHERFULL(Z17, Z1)
+	CMPQ       BX, $3
+	JLT        gatherstore
+	GATHERFULL(Z18, Z2)
+	CMPQ       BX, $4
+	JLT        gatherstore
+	GATHERFULL(Z19, Z3)
+	CMPQ       BX, $5
+	JLT        gatherstore
+	GATHERFULL(Z20, Z4)
+	CMPQ       BX, $6
+	JLT        gatherstore
+	GATHERFULL(Z21, Z5)
+	CMPQ       BX, $7
+	JLT        gatherstore
+	GATHERFULL(Z22, Z6)
+
+gatherstore:
+	VMOVUPD Z7, K1, (DI)(R11*1)
+	CMPQ    BX, $1
+	JLT     gathernext
+	VMOVUPD Z0, (DI)
+	CMPQ    BX, $2
+	JLT     gathernext
+	VMOVUPD Z1, 64(DI)
+	CMPQ    BX, $3
+	JLT     gathernext
+	VMOVUPD Z2, 128(DI)
+	CMPQ    BX, $4
+	JLT     gathernext
+	VMOVUPD Z3, 192(DI)
+	CMPQ    BX, $5
+	JLT     gathernext
+	VMOVUPD Z4, 256(DI)
+	CMPQ    BX, $6
+	JLT     gathernext
+	VMOVUPD Z5, 320(DI)
+	CMPQ    BX, $7
+	JLT     gathernext
+	VMOVUPD Z6, 384(DI)
+
+gathernext:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ CX
+	JNZ  gatherrow
+	VZEROUPPER
+	RET
+
 // func fmaPeakAVX512(iters int)
 //
 // fmaPeakAVX2 on zmm registers: 192 flops a step.

@@ -315,11 +315,12 @@ func TestScatterRowsOutOfBoundsFallsBack(t *testing.T) {
 }
 
 // TestFusedKernelsAVX2MatchGo runs the kernels built on the tiles (the
-// left-looking TRSM, the Gram accumulation, Gemm A·B, Aᵀ·B and A·Bᵀ, and
-// SyrkUpperTrans) on Slice'd views (Stride > Cols) whose row counts leave
-// ragged rows after the last 4- and 8-row blocks, on the default tiles
-// (zmm where they run), on the ymm tiles and on the Go loops. With
-// specials set the inputs also hold signed zeros.
+// left-looking TRSM, the fused pass with its column gather, the Gram
+// accumulation, Gemm A·B, Aᵀ·B and A·Bᵀ, and SyrkUpperTrans) on Slice'd
+// views (Stride > Cols) whose row counts leave ragged rows after the
+// last 4- and 8-row blocks, on the default tiles (zmm where they run),
+// on the ymm tiles and on the Go loops. With specials set the inputs
+// also hold signed zeros.
 func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(73))
@@ -335,6 +336,7 @@ func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 				}
 				b := big.Slice(1, 1+m, 2, 2+n)
 				r := randUpperWellCond(rng, n)
+				perm := gatherTestPerm(rng, n, n/4)
 
 				for _, k := range []struct {
 					name string
@@ -343,6 +345,11 @@ func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 					{"fusedTrsmRange", func() *mat.Dense {
 						x := b.Clone()
 						fusedTrsmRange(x, r, 0, m)
+						return x
+					}},
+					{"PermTrsmGramFused", func() *mat.Dense {
+						x := b.Clone()
+						PermTrsmGramFused(nil, x, perm, r, mat.NewDense(n, n))
 						return x
 					}},
 					{"fusedSyrkCols", func() *mat.Dense {
@@ -380,6 +387,123 @@ func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 					requireSameBits(t, label+" ymm", gotAVX2.Data, want.Data)
 				}
 			}
+		}
+	}
+}
+
+// gatherTestPerm returns a permutation of length n that fixes the
+// columns j < p0 and moves column p0 whenever it can.
+func gatherTestPerm(rng *rand.Rand, n, p0 int) mat.Perm {
+	p := mat.IdentityPerm(n)
+	tail := p[p0:]
+	rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+	if len(tail) > 1 && tail[0] == p0 {
+		tail[0], tail[1] = tail[1], tail[0]
+	}
+	return p
+}
+
+// TestGatherRowsMatchesGo runs the column gather of the fused pass on
+// the zmm kernel and on the Go loop over every width of quadTestNs and
+// the three-chunk width 130, with p0 ∈ {0, 1, n/2, n−1} fixed leading
+// columns and with a nil perm, in place and out of place (out of place
+// also on column maps with repeated indices), on Slice'd views
+// (Stride > Cols), in blocks of fusedBlockRows rows as fusedSlotRange
+// calls it, so the row counts leave ragged blocks.
+func TestGatherRowsMatchesGo(t *testing.T) {
+	requireAVX512(t)
+	rng := rand.New(rand.NewSource(79))
+	for _, n := range append(quadTestNs, 130) {
+		perms := []mat.Perm{nil}
+		var maps []mat.Perm
+		for _, p0 := range []int{0, 1, n / 2, n - 1} {
+			perms = append(perms, gatherTestPerm(rng, n, p0))
+			p := mat.IdentityPerm(n)
+			for j := p0; j < n; j++ {
+				p[j] = rng.Intn(n)
+			}
+			maps = append(maps, p)
+		}
+		for _, m := range []int{1, 7, 70, 131} {
+			srcBig := mat.NewDense(m+2, n+3)
+			copy(srcBig.Data, quadFill(rng, len(srcBig.Data), true))
+			dstBig := mat.NewDense(m+1, n+5)
+			copy(dstBig.Data, quadFill(rng, len(dstBig.Data), false))
+			check := func(p mat.Perm, inPlace bool) {
+				// run returns the gathered storage: srcBig's copy in
+				// place, dstBig's out of place.
+				run := func() (*mat.Dense, *mat.Dense) {
+					sb, db := srcBig.Clone(), dstBig.Clone()
+					s, d := sb.Slice(1, 1+m, 2, 2+n), db.Slice(1, 1+m, 1, 1+n)
+					if inPlace {
+						d, db = s, sb
+					}
+					tmp := make([]float64, n)
+					for q := 0; q < m; q += fusedBlockRows {
+						gatherRows(d, s, p, q, min(q+fusedBlockRows, m), tmp)
+					}
+					return db, sb
+				}
+				got, gotSrc := run()
+				var want *mat.Dense
+				withGoKernels(func() { want, _ = run() })
+				label := fmt.Sprintf("gatherRows n=%d m=%d perm=%v inPlace=%v", n, m, p, inPlace)
+				requireSameBits(t, label, got.Data, want.Data)
+				if !inPlace {
+					requireSameBits(t, label+" src", gotSrc.Data, srcBig.Data)
+				}
+			}
+			for _, p := range perms {
+				check(p, true)
+				check(p, false)
+			}
+			for _, p := range maps {
+				check(p, false)
+			}
+		}
+	}
+}
+
+// TestGatherRowsOutOfRangeFallsBack checks the dispatch guard of
+// gatherRows' column gather: an index outside [0, n) or a row past the
+// end of either slice must reach the Go loop, whose bounds checks panic,
+// instead of the assembly reading or writing past the slice. It calls
+// the dispatcher itself, since out of place gatherRows' prefix copy
+// slices every source row first.
+func TestGatherRowsOutOfRangeFallsBack(t *testing.T) {
+	requireAVX512(t)
+	const n, rows = 8, 4
+	shuffled := mat.Perm{0, 3, 1, 2, 7, 6, 5, 4}
+	for _, tc := range []struct {
+		name    string
+		perm    mat.Perm
+		dstLen  int
+		srcLen  int
+		inPlace bool
+		panics  bool
+	}{
+		{"index n", mat.Perm{0, 1, 8, 3, 4, 5, 6, 2}, rows * n, rows * n, false, true},
+		{"negative index", mat.Perm{0, -1, 2, 3, 4, 5, 6, 1}, rows * n, rows * n, false, true},
+		{"index n in place", mat.Perm{0, 1, 8, 3, 4, 5, 6, 2}, rows * n, rows * n, true, true},
+		{"last dst row short", shuffled, rows*n - 1, rows * n, false, true},
+		{"last src row short", shuffled, rows * n, rows*n - 1, false, true},
+		{"last row short in place", shuffled, rows*n - 1, rows*n - 1, true, true},
+		{"in range", shuffled, rows * n, rows * n, false, false},
+		{"in range in place", shuffled, rows * n, rows * n, true, false},
+	} {
+		dst := &mat.Dense{Rows: rows, Cols: n, Stride: n, Data: make([]float64, tc.dstLen)}
+		src := &mat.Dense{Rows: rows, Cols: n, Stride: n, Data: make([]float64, tc.srcLen)}
+		if tc.inPlace {
+			src = dst
+		}
+		tmp := make([]float64, n)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			gatherCols(dst, src, tc.perm, 0, 0, rows, tmp)
+			return false
+		}()
+		if panicked != tc.panics {
+			t.Errorf("%s: panicked = %v, want %v", tc.name, panicked, tc.panics)
 		}
 	}
 }

@@ -2,6 +2,8 @@
 
 package blas
 
+import "repro/mat"
+
 // useAVX2 and useAVX512 are false: this build has no assembly kernels.
 // That is so off amd64 and under the purego tag.
 var useAVX2, useAVX512 = false, false
@@ -35,4 +37,12 @@ func trsmTile(x []float64, ldx, mr int, r []float64, ldr int, inv []float64, j0,
 //repolint:hotpath
 func scatterRows(acc []float64, accStride int, row []float64, t []int, w []float64) {
 	scatterRowsGo(acc, accStride, row, t, w)
+}
+
+// gatherCols sets columns [p0, n) of rows [lo, hi) of dst through perm
+// (see gatherColsGo).
+//
+//repolint:hotpath
+func gatherCols(dst, src *mat.Dense, perm mat.Perm, p0, lo, hi int, tmp []float64) {
+	gatherColsGo(dst, src, perm, p0, lo, hi, tmp)
 }

@@ -142,10 +142,15 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 	}
 	rTotal := mat.Identity(n)     // accumulated R
 	perm := mat.IdentityPerm(n)   // accumulated P
-	w := mat.NewDense(n, n)       // Gram workspace
-	rp := mat.NewDense(n, n)      // R′ workspace, reused across iterations
 	fullPerm := make(mat.Perm, n) // full-width permutation scratch for the fused pass
 	floor := make([]float64, n)   // P-Chol-CP's noise floor for the trailing block
+	// The two n×n workspaces are pooled and go back on every path: the
+	// result holds no view of them. w is compact (Stride n), which the
+	// k×k views of its leading storage below rely on.
+	w := mat.GetWorkspace(n, n, true) // Gram workspace
+	defer mat.PutWorkspace(w)
+	rp := mat.GetWorkspace(n, n, false) // R′ workspace, zeroed each iteration
+	defer mat.PutWorkspace(rp)
 	res := &CPResult{PivotIter: make([]int, n)}
 
 	k := 0

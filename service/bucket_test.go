@@ -269,7 +269,7 @@ func TestDrainTimeoutCancels(t *testing.T) {
 	srv := startServer(t, Config{BatchSize: 1})
 	c := dialServer(t, srv)
 	rng := rand.New(rand.NewSource(25))
-	a := testmat.Generate(rng, 200000, 64, 50, 1e-10)
+	a := randMat(rng, 200000, 64)
 
 	var wg sync.WaitGroup
 	var jobErr error

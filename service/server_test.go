@@ -169,7 +169,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	// Big enough that the factorization cannot finish within the
 	// deadline on any plausible machine; the deadline itself is long
 	// enough to survive admission and flush.
-	a := testmat.Generate(rng, 200000, 64, 50, 1e-10)
+	a := randMat(rng, 200000, 64)
 
 	start := time.Now()
 	_, err := c.Factor(context.Background(), Request{A: a, Timeout: 20 * time.Millisecond})
