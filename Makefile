@@ -158,7 +158,9 @@ repro-paper:
 	@echo "wrote report-paper.txt"
 
 # Run every example program end to end; an example whose factorization
-# returns an unexpected error panics, which fails the target.
+# returns an unexpected error panics, which fails the target. The two
+# traced qrcp runs print the stage breakdown of the CQRRPT and the
+# Householder paths.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/lowrank
@@ -167,7 +169,9 @@ examples:
 	$(GO) run ./examples/tensortrain
 	$(GO) run ./examples/polyfit
 	$(GO) run ./examples/spectral
+	$(GO) run ./cmd/qrcp -m 4000 -n 64 -method cqrrpt -trace
+	$(GO) run ./cmd/qrcp -m 4000 -n 64 -method hqrcp -trace
 
 clean:
 	rm -f report.txt report-paper.txt test_output.txt bench_output.txt \
-		cover.out bench_candidate.json cpu.out heap.out runtime.trace
+		cover.out bench_candidate.json cpu.out runtime.trace

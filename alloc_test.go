@@ -14,14 +14,15 @@ import (
 
 // TestQRCPAllocation bounds the bytes one warm in-process QRCP allocates
 // at 1000×32: the exact-size Q (m·n·8 bytes) and the n-sized results and
-// bookkeeping, within 32 KiB. The driver loop's two n×n workspaces come
+// bookkeeping, within 20 KiB. The driver loop's two n×n workspaces come
 // from the workspace pool, so they no longer count (allocated, they
-// were 2·8·n² = 16 KiB of the Q + 41.6 KB the loop took). The collector
+// were 2·8·n² = 16 KiB of the Q + 41.6 KB the loop took), and P-Chol-CP
+// factors into the R′ workspace rather than a fresh (n−k)² R. The collector
 // is off and GOMAXPROCS 1, so the pools keep what they are given, and
 // the least of a few calls is taken. The race build skips it: its
 // sync.Pool drops puts at random.
 func TestQRCPAllocation(t *testing.T) {
-	const m, n, slack = 1000, 32, 32 << 10
+	const m, n, slack = 1000, 32, 20 << 10
 	rng := rand.New(rand.NewSource(37))
 	a := mat.NewDense(m, n)
 	for i := range a.Data {

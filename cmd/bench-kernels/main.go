@@ -180,7 +180,6 @@ func fail(err error) {
 func main() {
 	out := flag.String("o", "BENCH_kernels.json", "output JSON path")
 	quick := flag.Bool("quick", false, "the CI smoke preset: no m=1e5 shapes, end-to-end rows at m=4000, 120 service jobs per shape")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	rtracePath := flag.String("runtime-trace", "", "write a runtime/trace execution trace to this file")
 	flag.Parse()
@@ -189,7 +188,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	stopProf, err := trace.StartProfiles(*pprofAddr, *cpuProfile, *rtracePath)
+	stopProf, err := trace.StartProfiles(*cpuProfile, *rtracePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench-kernels:", err)
 		os.Exit(2)

@@ -8,12 +8,19 @@
 //	qrcp -m 10000 -n 50 -r 40 -sigma 1e-12            # synthetic
 //	qrcp -in matrix.txt                               # from file
 //	qrcp -m 4000 -n 64 -r 50 -method hqrcp            # baseline
+//	qrcp -m 4000 -n 64 -method cqrrpt -trace          # stage breakdown
 //	qrcp -m 4000 -n 64 -r 50 -truncate 10             # low-rank
 //	qrcp -file big.tsqrmat -panel-rows 0              # out of core
 //
 // -file streams a binary matrix (see cmd/matconv) through the
 // out-of-core path instead of loading it: the resident set is two row
 // panels plus n×n state, so it factorizes datasets bigger than RAM.
+//
+// -trace prints where the time went after the run: the stage rows
+// (Gram, CholCP, TRSM, Swap, Trmm, Fused, plus Sketch and Precond on
+// the CQRRPT path), the kernel rows nested inside them, the event
+// counters and per-worker utilization. -cpuprofile writes a pprof CPU
+// profile of the whole run.
 package main
 
 import (
@@ -39,7 +46,7 @@ func main() {
 		sigma      = flag.Float64("sigma", 1e-12, "smallest leading singular value (κ₂ = 1/σ)")
 		seed       = flag.Int64("seed", 1, "RNG seed")
 		in         = flag.String("in", "", "read the matrix from this file instead of generating one")
-		method     = flag.String("method", "ite", "algorithm: ite (Ite-CholQR-CP) or hqrcp (Householder)")
+		method     = flag.String("method", "ite", "algorithm: ite (Ite-CholQR-CP), cqrrpt (sketch-preconditioned CQRRPT) or hqrcp (Householder)")
 		eps        = flag.Float64("eps", tsqrcp.DefaultPivotTol, "P-Chol-CP pivot tolerance ε")
 		truncate   = flag.Int("truncate", 0, "if > 0, compute a rank-k truncated factorization")
 		out        = flag.String("out", "", "write factors to <out>.Q.txt, <out>.R.txt, <out>.perm.txt")
@@ -47,16 +54,29 @@ func main() {
 		panelRows  = flag.Int("panel-rows", 0, "out-of-core resident panel height; 0 auto-tunes from available memory")
 		qOut       = flag.String("q-out", "", "out-of-core only: stream Q to this binary file (omitted ⇒ Q is never materialized)")
 		scratchDir = flag.String("scratch-dir", "", "out-of-core only: directory for the working scratch file (default: OS temp dir)")
+		traced     = flag.Bool("trace", false, "print the stage and kernel time breakdown after the run")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
+	switch *method {
+	case "ite", "cqrrpt", "hqrcp":
+	default:
+		fmt.Fprintf(os.Stderr, "qrcp: unknown -method %q (want ite, cqrrpt or hqrcp)\n", *method)
+		os.Exit(2)
+	}
+	stopProf, err := trace.StartProfiles(*cpuProfile, "")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qrcp: %v\n", err)
+		os.Exit(2)
+	}
+	defer stopProf()
 
 	if *file != "" {
-		runFile(*file, *eps, *panelRows, *qOut, *scratchDir)
+		runFile(*file, *eps, *panelRows, *qOut, *scratchDir, *traced)
 		return
 	}
 
 	var a *mat.Dense
-	var err error
 	if *in != "" {
 		a, err = mat.ReadFile(*in)
 		if err != nil {
@@ -70,35 +90,45 @@ func main() {
 	}
 
 	opts := &tsqrcp.Options{PivotTol: *eps}
+	if *method == "cqrrpt" {
+		opts.Strategy, opts.Seed = tsqrcp.StrategyCQRRPT, uint64(*seed)
+	}
+	if *traced {
+		trace.Reset()
+		trace.Enable()
+	}
 	start := time.Now()
+	var f *tsqrcp.Factorization
 	switch {
 	case *truncate > 0:
-		tf, err := tsqrcp.QRCPTruncated(a, *truncate, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qrcp: %v\n", err)
-			os.Exit(1)
-		}
-		elapsed := time.Since(start)
-		fmt.Printf("rank-%d truncated QRCP in %v (%d iterations)\n", tf.Rank, elapsed, tf.Iterations)
-		fmt.Printf("orthogonality ‖QᵀQ−I‖_F/√k : %.2e\n", metrics.Orthogonality(tf.Q))
-		approx := tf.Reconstruct()
+		f, err = tsqrcp.QRCPTruncated(a, *truncate, opts)
+	case *method == "hqrcp":
+		f = tsqrcp.HouseholderQRCP(a, opts)
+	default:
+		f, err = tsqrcp.QRCP(a, opts)
+	}
+	elapsed := time.Since(start)
+	rep := trace.Snapshot()
+	trace.Disable()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qrcp: %v\n", err)
+		os.Exit(1)
+	}
+	if *truncate > 0 {
+		fmt.Printf("rank-%d truncated QRCP in %v (%d iterations)\n", f.Rank, elapsed, f.Iterations)
+		fmt.Printf("orthogonality ‖QᵀQ−I‖_F/√k : %.2e\n", metrics.Orthogonality(f.Q))
+		approx := f.Reconstruct()
 		diff := a.Clone()
 		for i := range diff.Data {
 			diff.Data[i] -= approx.Data[i]
 		}
 		fmt.Printf("approx error ‖A−Ã‖_F/‖A‖_F : %.2e\n", diff.FrobeniusNorm()/a.FrobeniusNorm())
-	case *method == "hqrcp":
-		f := tsqrcp.HouseholderQRCP(a, opts)
-		report(a, f, time.Since(start))
+	} else {
+		report(a, f, elapsed)
 		writeFactors(*out, f)
-	default:
-		f, err := tsqrcp.QRCP(a, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qrcp: %v\n", err)
-			os.Exit(1)
-		}
-		report(a, f, time.Since(start))
-		writeFactors(*out, f)
+	}
+	if *traced {
+		printBreakdown(rep)
 	}
 }
 
@@ -107,7 +137,7 @@ func main() {
 // the disk-side trace counters instead of the in-memory accuracy
 // metrics (computing those would require materializing A and Q — the
 // thing this mode exists to avoid).
-func runFile(path string, eps float64, panelRows int, qOut, scratchDir string) {
+func runFile(path string, eps float64, panelRows int, qOut, scratchDir string, traced bool) {
 	trace.Reset()
 	trace.Enable()
 	start := time.Now()
@@ -146,6 +176,18 @@ func runFile(path string, eps float64, panelRows int, qOut, scratchDir string) {
 	fmt.Printf("first pivots                : %v\n", f.Perm[:show])
 	if qOut != "" {
 		fmt.Printf("Q streamed to               : %s\n", qOut)
+	}
+	if traced {
+		printBreakdown(rep)
+	}
+}
+
+// printBreakdown prints a traced run's stage and kernel table.
+func printBreakdown(rep trace.Report) {
+	fmt.Println()
+	if err := metrics.WriteBreakdown(os.Stdout, rep); err != nil {
+		fmt.Fprintf(os.Stderr, "qrcp: %v\n", err)
+		os.Exit(1)
 	}
 }
 

@@ -72,10 +72,3 @@ func (l Layout) Owner(i int) int {
 	}
 	return rem + (i-big)/chunk
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

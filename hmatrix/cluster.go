@@ -8,9 +8,6 @@ import (
 	"repro/mat"
 )
 
-// KernelND evaluates the interaction between two d-dimensional points.
-type KernelND func(x, y []float64) float64
-
 // cluster is a node of a bounding-box cluster tree over a permuted
 // index range of the point set.
 type cluster struct {
@@ -19,7 +16,6 @@ type cluster struct {
 	left, right *cluster
 }
 
-func (c *cluster) size() int  { return c.hi - c.lo }
 func (c *cluster) leaf() bool { return c.left == nil }
 
 func (c *cluster) diam() float64 {
@@ -113,34 +109,10 @@ type block struct {
 	children []*block   // subdivided block
 }
 
-// BuildND compresses the kernel matrix K[i][j] = k(xs[i], ys[j]) over
-// d-dimensional point sets (all points must share a dimension ≥ 1).
-func BuildND(xs, ys [][]float64, k KernelND, opts *Options) (*HMatrix, error) {
-	if len(xs) == 0 || len(ys) == 0 {
-		panic("hmatrix: empty point set")
-	}
-	dims := len(xs[0])
-	if dims < 1 {
-		panic("hmatrix: zero-dimensional points")
-	}
-	for _, p := range xs {
-		if len(p) != dims {
-			panic("hmatrix: inconsistent point dimensions")
-		}
-	}
-	for _, p := range ys {
-		if len(p) != dims {
-			panic("hmatrix: inconsistent point dimensions")
-		}
-	}
-	return build(xs, ys, xs, ys, k, opts)
-}
-
-// build clusters the points xpts and ypts and compresses the kernel k
-// over the point values xs and ys, indexed like the points. Build passes
-// its coordinates as float64 values, so that each entry costs one
-// kernel call in 1-D too.
-func build[P any](xs, ys []P, xpts, ypts [][]float64, k func(x, y P) float64, opts *Options) (*HMatrix, error) {
+// build clusters the points xs and ys, each viewed as a one-coordinate
+// point, and compresses the kernel k over them.
+func build(xs, ys []float64, k Kernel, opts *Options) (*HMatrix, error) {
+	xpts, ypts := points1D(xs), points1D(ys)
 	ridx, cidx := identityIdx(len(xpts)), identityIdx(len(ypts))
 	rt := buildCluster(xpts, ridx, 0, len(xpts), opts.leafSize())
 	ct := buildCluster(ypts, cidx, 0, len(ypts), opts.leafSize())
@@ -205,7 +177,7 @@ func buildBlock(r, c *cluster, eval func(r, c *cluster) *mat.Dense, opts *Option
 }
 
 // evalBlock evaluates the kernel on the given row and column points.
-func evalBlock[P any](xs, ys []P, rows, cols []int, k func(x, y P) float64) *mat.Dense {
+func evalBlock(xs, ys []float64, rows, cols []int, k Kernel) *mat.Dense {
 	m := mat.NewDense(len(rows), len(cols))
 	for i, p := range rows {
 		x, row := xs[p], m.Row(i)[:len(cols)]

@@ -8,15 +8,10 @@
 // over the source and target points (widest-dimension bisection), a
 // block cluster tree with the η-admissibility condition, dense storage
 // for small inadmissible leaves and truncated pivoted-QR factors U·V for
-// admissible blocks. BuildND handles point clouds in any dimension;
-// Build is its 1-D form over sorted points.
+// admissible blocks. Build compresses a kernel over sorted 1-D points.
 package hmatrix
 
-import (
-	"fmt"
-
-	"repro/mat"
-)
+import "fmt"
 
 // Kernel evaluates the interaction between a source point x and a target
 // point y.
@@ -56,10 +51,9 @@ func (o *Options) tol() float64 {
 }
 
 // Build compresses the kernel matrix K[i][j] = k(xs[i], ys[j]) over 1-D
-// source (rows) and target (columns) points, on the N-D builder with
-// one-coordinate points. Both slices must be sorted ascending; the
-// cluster trees then keep the given order, so MatVec needs no
-// permutation.
+// source (rows) and target (columns) points. Both slices must be sorted
+// ascending; the cluster trees then keep the given order, so MatVec
+// needs no permutation.
 func Build(xs, ys []float64, k Kernel, opts *Options) (*HMatrix, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		panic("hmatrix: empty point set")
@@ -71,7 +65,7 @@ func Build(xs, ys []float64, k Kernel, opts *Options) (*HMatrix, error) {
 			}
 		}
 	}
-	return build(xs, ys, points1D(xs), points1D(ys), k, opts)
+	return build(xs, ys, k, opts)
 }
 
 // points1D views each coordinate as a one-coordinate point.
@@ -83,7 +77,7 @@ func points1D(xs []float64) [][]float64 {
 	return pts
 }
 
-// HMatrix is a compressed kernel matrix over d-dimensional point sets.
+// HMatrix is a compressed kernel matrix over 1-D point sets.
 // Internally rows and columns are in cluster-tree order; MatVec
 // operates in the original point ordering.
 type HMatrix struct {
@@ -93,9 +87,6 @@ type HMatrix struct {
 	// when the tree order is the original order.
 	rowIdx, colIdx []int
 }
-
-// HMatrixND is HMatrix under the name BuildND's callers know.
-type HMatrixND = HMatrix
 
 // MatVec computes dst = K·x for a length-cols vector, in O(storage) time.
 func (h *HMatrix) MatVec(dst, x []float64) {
@@ -139,20 +130,4 @@ func (h *HMatrix) Stats() Stats {
 	st := Stats{DenseFloats: h.rows * h.cols}
 	h.root.stats(&st)
 	return st
-}
-
-// Dense materializes the compressed matrix (testing/diagnostics only).
-func (h *HMatrix) Dense() *mat.Dense {
-	out := mat.NewDense(h.rows, h.cols)
-	x := make([]float64, h.cols)
-	col := make([]float64, h.rows)
-	for j := 0; j < h.cols; j++ {
-		x[j] = 1
-		h.MatVec(col, x)
-		x[j] = 0
-		for i := 0; i < h.rows; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out
 }

@@ -58,31 +58,6 @@ func Nrm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// SumSquares returns Σ xᵢ² without scaling; callers that may overflow
-// should use Nrm2 instead.
-func SumSquares(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-// Iamax returns the index of the element with the largest absolute value,
-// or -1 for an empty vector. Ties break toward the lower index.
-func Iamax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bv := 0, math.Abs(x[0])
-	for i := 1; i < len(x); i++ {
-		if av := math.Abs(x[i]); av > bv {
-			best, bv = i, av
-		}
-	}
-	return best
-}
-
 // Swap exchanges the contents of x and y.
 func Swap(x, y []float64) {
 	if len(x) != len(y) {

@@ -47,7 +47,7 @@ type Result struct {
 // bounds the parallel width of the trailing downdates (nil selects the
 // default engine).
 func PCholCP(e *parallel.Engine, w *mat.Dense, eps float64) Result {
-	return PCholCPMax(e, w, eps, w.Rows, nil)
+	return PCholCPMax(e, w, eps, w.Rows, nil, mat.NewDense(w.Rows, w.Rows))
 }
 
 // PCholCPMax is PCholCP with a cap on the number of pivots factored,
@@ -56,7 +56,8 @@ func PCholCP(e *parallel.Engine, w *mat.Dense, eps float64) Result {
 // noise — what is left of index l after cancellation — and is never
 // chosen as a pivot, not even as the first one, which the ε rule does
 // not test. floor is nil or has an entry per index; it is permuted in
-// place along with the pivots.
+// place along with the pivots. R is factored into r, an n×n matrix or
+// view that PCholCPMax zeroes first, and Result.R is r.
 //
 // It is blocked the way LAPACK's DPSTRF is. The trailing diagonal d is
 // kept up to date after every pivot, d[l] = fma(−R[k][l], R[k][l], d[l]),
@@ -74,9 +75,9 @@ func PCholCP(e *parallel.Engine, w *mat.Dense, eps float64) Result {
 // follows; its diagonal chains are d's. When n − k₀ ≤ pcholcpBlock no
 // SYRK runs: that is the unblocked form. The SYRK partitions output
 // rows only, so the result is bit-identical for every engine width.
-func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int, floor []float64) Result {
-	if w.Rows != w.Cols {
-		panic(fmt.Sprintf("cholcp: PCholCP on %d×%d", w.Rows, w.Cols))
+func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int, floor []float64, r *mat.Dense) Result {
+	if w.Rows != w.Cols || r.Rows != w.Rows || r.Cols != w.Cols {
+		panic(fmt.Sprintf("cholcp: PCholCP on %d×%d into %d×%d", w.Rows, w.Cols, r.Rows, r.Cols))
 	}
 	n := w.Rows
 	if maxPiv > n {
@@ -97,7 +98,7 @@ func PCholCPMax(e *parallel.Engine, w *mat.Dense, eps float64, maxPiv int, floor
 		}
 		d[i] = wi[0]
 	}
-	r := mat.NewDense(n, n)
+	r.Zero() // the pivot swaps below rely on rows ≥ k of R being zero
 	perm := mat.IdentityPerm(n)
 	res := Result{R: r, Perm: perm}
 

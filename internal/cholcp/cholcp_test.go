@@ -188,14 +188,14 @@ func TestPCholCPMaxFloor(t *testing.T) {
 	w.Set(1, 1, 4)
 	w.Set(2, 2, 1)
 	floor := []float64{1e-18, 0, 1}
-	res := PCholCPMax(nil, w, 0, 3, floor)
+	res := PCholCPMax(nil, w, 0, 3, floor, mat.NewDense(3, 3))
 	if res.NPiv != 1 || res.Perm[0] != 1 {
 		t.Fatalf("NPiv %d perm %v, want index 1 alone: indices 0 and 2 sit at their floors", res.NPiv, res.Perm)
 	}
 	if floor[0] != 0 || floor[1] != 1e-18 {
 		t.Fatalf("floor %v not permuted with the pivots", floor)
 	}
-	if res := PCholCPMax(nil, w, 0, 3, []float64{1e-18, 4, 1}); res.NPiv != 0 {
+	if res := PCholCPMax(nil, w, 0, 3, []float64{1e-18, 4, 1}, mat.NewDense(3, 3)); res.NPiv != 0 {
 		t.Fatalf("NPiv %d with every diagonal at its floor, want 0", res.NPiv)
 	}
 }
@@ -327,11 +327,17 @@ func pcholcpUnblocked(w *mat.Dense, eps float64, maxPiv int) Result {
 // requireSameDecisions checks the blocked factorization against the
 // oracle: the same pivots, the same count, the same exit, and leading
 // rows of RᵀR (the factored part of PᵀWP) within a few n·u·‖W‖, NaN
-// where the oracle's are.
+// where the oracle's are. R is factored into a strided view whose
+// storage starts out NaN, so a stale entry PCholCPMax fails to zero
+// shows.
 func requireSameDecisions(t *testing.T, label string, w *mat.Dense, eps float64, maxPiv int) {
 	t.Helper()
 	n := w.Rows
-	got := PCholCPMax(nil, w, eps, maxPiv, nil)
+	dst := mat.NewDense(n+2, n+3)
+	for i := range dst.Data {
+		dst.Data[i] = math.NaN()
+	}
+	got := PCholCPMax(nil, w, eps, maxPiv, nil, dst.Slice(1, n+1, 2, n+2))
 	want := pcholcpUnblocked(w, eps, maxPiv)
 	if got.NPiv != want.NPiv || got.Breakdown != want.Breakdown {
 		t.Fatalf("%s: NPiv %d breakdown %v, oracle %d %v", label, got.NPiv, got.Breakdown, want.NPiv, want.Breakdown)

@@ -75,7 +75,7 @@ func TestQuickPCholCPMaxCap(t *testing.T) {
 		n := 12
 		w := gram(rng, 50, n, nil)
 		cap := 1 + int(capRaw)%n
-		res := PCholCPMax(nil, w, 0, cap, nil)
+		res := PCholCPMax(nil, w, 0, cap, nil, mat.NewDense(n, n))
 		if res.NPiv > cap {
 			return false
 		}

@@ -131,7 +131,7 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	// Sketch stage: SA := S·A, the Householder QRCP of the d×n sketch and
 	// the condition estimate of its R.
 	// Stage flop/byte attribution mirrors the wrapped kernels (sketch,
-	// geqp3) so stage and kernel totals reconcile in cmd/trace-report.
+	// geqp3) so stage and kernel totals reconcile in a -trace table.
 	sa := mat.NewDense(d, n)
 	ss := trace.Region(trace.StageSketch)
 	switch kind {

@@ -67,10 +67,3 @@ func HQRCPTruncated(e *parallel.Engine, a *mat.Dense, k int) *CPResult {
 	lapack.Orgqr(e, q1, tau)
 	return &CPResult{Q: q1, R: r1, Perm: jpvt, Rank: k}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

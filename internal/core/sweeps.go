@@ -201,7 +201,7 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 			fl = floor[:n-k]
 			blas.Gemm(e, blas.Trans, blas.NoTrans, -1, r12, r12, 1, w22)
 			// Mirror the wrapped kernels' flop attribution at the stage
-			// level so cmd/trace-report stage and kernel totals reconcile.
+			// level so the stage and kernel totals of a -trace table reconcile.
 			trace.AddFlops(trace.StageCholCP,
 				int64(k)*int64(k)*int64(k)/3+ // PotrfUpper
 					blas.TrsmLeftFlops(k, n-k)+ // TrsmLeftUpperTrans
@@ -209,8 +209,10 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 		}
 
 		// Line 7: P-Chol-CP on the trailing Schur complement, capped at
-		// the pivots still missing from the rank cap.
-		pres := cholcp.PCholCPMax(e, w.Slice(k, n, k, n), eps, rankCap-k, fl)
+		// the pivots still missing from the rank cap. It factors R₂₂
+		// straight into R′'s trailing block, which is line 10's assembly
+		// R′ = [R₁₁ R₁₂; 0 R₂₂].
+		pres := cholcp.PCholCPMax(e, w.Slice(k, n, k, n), eps, rankCap-k, fl, rp.Slice(k, n, k, n))
 		trace.AddFlops(trace.StageCholCP, cholcp.Flops(n-k, pres.NPiv))
 		sc.End()
 		kNew := pres.NPiv
@@ -235,8 +237,6 @@ func IteCholQRCPSweeps(e *parallel.Engine, n int, sw Sweeper, eps float64, rankC
 			mat.PermuteColsInPlaceEngine(e, rp.Slice(0, k, k, n), pres.Perm)
 		}
 		ss.End()
-		// Line 10: assemble R′ = [R₁₁ R₁₂; 0 R₂₂].
-		rp.Slice(k, n, k, n).Copy(pres.R)
 		// Lines 8–11 fused with the next Gram in one traversal: the next
 		// iteration's line 3 W := AᵀA, or, once the rank cap is reached,
 		// line 17's reorthogonalization Gram of the k+kNew fixed columns,

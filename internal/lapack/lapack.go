@@ -24,10 +24,3 @@ type NotPositiveDefiniteError struct {
 func (e *NotPositiveDefiniteError) Error() string {
 	return fmt.Sprintf("lapack: matrix not positive definite at pivot %d", e.Index)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

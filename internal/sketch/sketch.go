@@ -300,10 +300,3 @@ func addInto(dst, src *mat.Dense) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

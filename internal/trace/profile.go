@@ -1,36 +1,19 @@
 package trace
 
 import (
-	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers the /debug/pprof handlers
 	"os"
-	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 )
 
-// Profiling hooks for the bench drivers: net/http/pprof behind a flag,
-// plus file-based CPU/heap profiles and runtime execution traces. These
-// wrap the stdlib so every cmd exposes the same flags without repeating
-// the lifecycle plumbing.
+// Profiling hooks for the command-line tools: a CPU profile and a
+// runtime execution trace, each written to a file. These wrap the stdlib
+// so every cmd exposes the same flags without repeating the lifecycle
+// plumbing.
 
-// ServePprof starts an HTTP server exposing /debug/pprof on addr in a
-// background goroutine (the standard net/http/pprof mux). Returns once
-// the listener is requested; server errors are reported on stderr because
-// profiling must never take the benchmark down.
-func ServePprof(addr string) {
-	//repolint:allow ctxcancel — process-lifetime pprof listener, intentionally never shut down
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: pprof server on %s: %v\n", addr, err)
-		}
-	}()
-}
-
-// StartCPUProfile begins a CPU profile to path and returns the function
+// startCPUProfile begins a CPU profile to path and returns the function
 // that stops it and closes the file.
-func StartCPUProfile(path string) (stop func(), err error) {
+func startCPUProfile(path string) (stop func(), err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -45,35 +28,20 @@ func StartCPUProfile(path string) (stop func(), err error) {
 	}, nil
 }
 
-// WriteHeapProfile forces a GC and writes the heap profile to path.
-func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.WriteHeapProfile(f)
-}
-
-// StartProfiles wires up the three profiling hooks the bench drivers
-// share — net/http/pprof on pprofAddr, a CPU profile to cpuProfile, and a
-// runtime execution trace to rtracePath (each skipped when empty) — and
-// returns one stop function for the caller to defer.
-func StartProfiles(pprofAddr, cpuProfile, rtracePath string) (stop func(), err error) {
+// StartProfiles starts a CPU profile to cpuProfile and a runtime
+// execution trace to rtracePath (each skipped when empty) and returns
+// one stop function for the caller to defer.
+func StartProfiles(cpuProfile, rtracePath string) (stop func(), err error) {
 	var stops []func()
-	if pprofAddr != "" {
-		ServePprof(pprofAddr)
-	}
 	if cpuProfile != "" {
-		s, err := StartCPUProfile(cpuProfile)
+		s, err := startCPUProfile(cpuProfile)
 		if err != nil {
 			return nil, err
 		}
 		stops = append(stops, s)
 	}
 	if rtracePath != "" {
-		s, err := StartRuntimeTrace(rtracePath)
+		s, err := startRuntimeTrace(rtracePath)
 		if err != nil {
 			for _, f := range stops {
 				f()
@@ -89,9 +57,9 @@ func StartProfiles(pprofAddr, cpuProfile, rtracePath string) (stop func(), err e
 	}, nil
 }
 
-// StartRuntimeTrace begins a runtime execution trace (go tool trace) to
+// startRuntimeTrace begins a runtime execution trace (go tool trace) to
 // path and returns the function that stops it and closes the file.
-func StartRuntimeTrace(path string) (stop func(), err error) {
+func startRuntimeTrace(path string) (stop func(), err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err

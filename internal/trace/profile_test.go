@@ -7,7 +7,7 @@ import (
 )
 
 func TestStartProfilesNoop(t *testing.T) {
-	stop, err := StartProfiles("", "", "")
+	stop, err := StartProfiles("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestStartProfilesWritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	rt := filepath.Join(dir, "runtime.trace")
-	stop, err := StartProfiles("", cpu, rt)
+	stop, err := StartProfiles(cpu, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,20 +42,10 @@ func TestStartProfilesWritesFiles(t *testing.T) {
 }
 
 func TestStartProfilesBadPath(t *testing.T) {
-	if _, err := StartProfiles("", filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out"), ""); err == nil {
+	if _, err := StartProfiles(filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out"), ""); err == nil {
 		t.Error("unwritable cpu profile path should error")
 	}
-	if _, err := StartProfiles("", "", filepath.Join(t.TempDir(), "no", "such", "dir", "rt.out")); err == nil {
+	if _, err := StartProfiles("", filepath.Join(t.TempDir(), "no", "such", "dir", "rt.out")); err == nil {
 		t.Error("unwritable runtime-trace path should error")
-	}
-}
-
-func TestWriteHeapProfile(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "heap.out")
-	if err := WriteHeapProfile(p); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := os.Stat(p); err != nil || st.Size() == 0 {
-		t.Errorf("heap profile missing or empty: %v", err)
 	}
 }

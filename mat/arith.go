@@ -26,31 +26,6 @@ func (m *Dense) Sub(b *Dense) {
 	}
 }
 
-// Scale computes m *= alpha element-wise.
-func (m *Dense) Scale(alpha float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		for j := range row {
-			row[j] *= alpha
-		}
-	}
-}
-
-// AddScaled computes m += alpha·b element-wise.
-func (m *Dense) AddScaled(alpha float64, b *Dense) {
-	checkSameShape(m, b, "AddScaled")
-	if alpha == 0 {
-		return
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		brow := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-		for j := range row {
-			row[j] += alpha * brow[j]
-		}
-	}
-}
-
 // Mul computes the product a·b into a new compact matrix. It is a
 // convenience for examples and small problems; performance-critical code
 // should use the blocked kernels through the algorithm APIs.

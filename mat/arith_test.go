@@ -17,22 +17,8 @@ func TestAddSubScale(t *testing.T) {
 	if a.At(0, 0) != 1 || a.At(1, 1) != 4 {
 		t.Fatalf("Sub: %v", a.Data)
 	}
-	a.Scale(-2)
-	if a.At(0, 1) != -4 {
-		t.Fatalf("Scale: %v", a.Data)
-	}
-	a.AddScaled(0.5, b)
-	if a.At(0, 0) != 3 {
-		t.Fatalf("AddScaled: %v", a.Data)
-	}
-	before := a.Clone()
-	a.AddScaled(0, b)
-	if !EqualApprox(a, before, 0) {
-		t.Fatal("AddScaled(0) must be a no-op")
-	}
 	mustPanic(t, func() { a.Add(NewDense(3, 2)) })
 	mustPanic(t, func() { a.Sub(NewDense(2, 3)) })
-	mustPanic(t, func() { a.AddScaled(1, NewDense(1, 1)) })
 }
 
 func TestArithOnViews(t *testing.T) {

@@ -78,22 +78,6 @@ func (m *Dense) OneNorm() float64 {
 	return max
 }
 
-// InfNorm returns the maximum absolute row sum ‖m‖_∞.
-func (m *Dense) InfNorm() float64 {
-	max := 0.0
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		s := 0.0
-		for _, v := range row {
-			s += math.Abs(v)
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // EqualApprox reports whether a and b have the same shape and agree
 // element-wise within absolute tolerance tol.
 func EqualApprox(a, b *Dense, tol float64) bool {

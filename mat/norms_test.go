@@ -45,9 +45,6 @@ func TestOneInfMaxNorms(t *testing.T) {
 	if got := m.OneNorm(); got != 9 {
 		t.Fatalf("‖m‖₁ = %v, want 9", got)
 	}
-	if got := m.InfNorm(); got != 15 {
-		t.Fatalf("‖m‖_∞ = %v, want 15", got)
-	}
 	if got := m.MaxAbs(); got != 6 {
 		t.Fatalf("max|m| = %v, want 6", got)
 	}

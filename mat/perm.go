@@ -59,16 +59,6 @@ func (p Perm) Inverse() Perm {
 	return out
 }
 
-// Matrix materializes p as a dense permutation matrix.
-func (p Perm) Matrix() *Dense {
-	n := len(p)
-	m := NewDense(n, n)
-	for j, v := range p {
-		m.Data[v*m.Stride+j] = 1
-	}
-	return m
-}
-
 // Clone returns a copy of p.
 func (p Perm) Clone() Perm {
 	out := make(Perm, len(p))

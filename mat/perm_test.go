@@ -48,7 +48,7 @@ func TestComposeMatchesMatrixProduct(t *testing.T) {
 			t.Fatal("composition invalid")
 		}
 		// Check P·Q as matrices.
-		pm, qm := p.Matrix(), q.Matrix()
+		pm, qm := permMatrix(p), permMatrix(q)
 		prod := NewDense(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -59,7 +59,7 @@ func TestComposeMatchesMatrixProduct(t *testing.T) {
 				prod.Set(i, j, s)
 			}
 		}
-		if !EqualApprox(prod, pq.Matrix(), 0) {
+		if !EqualApprox(prod, permMatrix(pq), 0) {
 			t.Fatalf("Compose != matrix product for p=%v q=%v", p, q)
 		}
 	}
@@ -143,7 +143,7 @@ func TestPermMatrixOrthogonal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(12)
 		p := randPerm(rng, n)
-		pm := p.Matrix()
+		pm := permMatrix(p)
 		// PᵀP should be the identity.
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -175,7 +175,7 @@ func TestPermuteColsAgainstMatrixProduct(t *testing.T) {
 		a.Data[i] = rng.NormFloat64()
 	}
 	p := randPerm(rng, n)
-	pm := p.Matrix()
+	pm := permMatrix(p)
 	want := NewDense(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -191,4 +191,15 @@ func TestPermuteColsAgainstMatrixProduct(t *testing.T) {
 	if !EqualApprox(got, want, 1e-15) {
 		t.Fatal("PermuteCols disagrees with dense A·P")
 	}
+}
+
+// permMatrix materializes p as the dense permutation matrix P, with a 1
+// in row p[j] of column j.
+func permMatrix(p Perm) *Dense {
+	n := len(p)
+	m := NewDense(n, n)
+	for j, v := range p {
+		m.Set(v, j, 1)
+	}
+	return m
 }

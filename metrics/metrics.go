@@ -126,11 +126,3 @@ func AllCorrect(got, ref mat.Perm, upto int) bool {
 	}
 	return CountCorrectPrefix(got[:upto], ref[:upto]) == upto
 }
-
-// CondR11Est estimates κ₁ of the leading k×k block of R in O(k²) time
-// (Higham's 1-norm estimator) — a cheap surrogate for CondR11 when the
-// O(k³) Jacobi-based κ₂ is too expensive, e.g. inside adaptive-rank
-// loops. κ₁ and κ₂ agree within a factor of k.
-func CondR11Est(r *mat.Dense, k int) float64 {
-	return lapack.TrconUpper1(r.Slice(0, k, 0, k))
-}

@@ -123,16 +123,3 @@ func TestCountCorrectPrefix(t *testing.T) {
 		t.Fatal("AllCorrect beyond length must be false")
 	}
 }
-
-func TestCondR11EstTracksExact(t *testing.T) {
-	r := mat.NewDense(4, 4)
-	r.Set(0, 0, 1e4)
-	r.Set(1, 1, 1e2)
-	r.Set(2, 2, 1)
-	r.Set(3, 3, 1e-8)
-	exact := CondR11(r, 3) // 1e4
-	est := CondR11Est(r, 3)
-	if est < exact/3 || est > exact*3 {
-		t.Fatalf("estimate %g vs exact %g", est, exact)
-	}
-}

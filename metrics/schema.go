@@ -19,8 +19,9 @@ import (
 const SchemaVersion = "repro-metrics/11"
 
 // Record is the one row shape for everything the repo measures: the
-// rows of BENCH_kernels.json (bench/SCHEMA.md), timing breakdowns from
-// internal/trace and the accuracy metrics of this package. Every field
+// rows of BENCH_kernels.json (bench/SCHEMA.md), timed whole-run, stage
+// and kernel rows and metric rows such as the parity records of this
+// package. Every field
 // past Stage is omitted from JSON when zero, so each kind of row writes
 // only the fields it sets, and a missing field reads back as zero.
 type Record struct {
@@ -52,9 +53,8 @@ type Record struct {
 	ProblemsPerSec float64 `json:"problems_per_sec,omitempty"`
 	// Value is the measurement in Unit.
 	Value float64 `json:"value,omitempty"`
-	// Unit is the measurement unit: "ns", "gflops", "count", "bytes", or
-	// "" for dimensionless accuracy ratios. In a bench File a row with a
-	// Unit is a metric row ("ratio", "GFLOP/s"), one without a timed row.
+	// Unit is the measurement unit. In a bench File a row with a Unit is
+	// a metric row ("ratio", "GFLOP/s"), one without a timed row.
 	Unit string `json:"unit,omitempty"`
 	// PctPeak is the executed flop rate of a Level-3 kernel row as a
 	// percentage of the FMAPeak row times GOMAXPROCS.
@@ -110,48 +110,6 @@ func (f *File) Write(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// TraceRecords flattens a trace snapshot into the shared Record schema:
-// one "ns" row per stage/kernel with attributed time, one "gflops" row per
-// stage with flop attribution, and one "count" row per counter.
-func TraceRecords(name string, r trace.Report) []Record {
-	var out []Record
-	for _, s := range r.Stages {
-		out = append(out, Record{Name: name, Stage: s.Stage, Value: float64(s.TotalNs), Unit: "ns"})
-		if s.GFLOPS > 0 {
-			out = append(out, Record{Name: name, Stage: s.Stage, Value: s.GFLOPS, Unit: "gflops"})
-		}
-		if s.Bytes > 0 {
-			out = append(out, Record{Name: name, Stage: s.Stage, Value: float64(s.Bytes), Unit: "bytes"})
-		}
-	}
-	ctrs := make([]string, 0, len(r.Counters))
-	for c := range r.Counters {
-		ctrs = append(ctrs, c)
-	}
-	sort.Strings(ctrs)
-	for _, c := range ctrs {
-		out = append(out, Record{Name: name, Stage: c, Value: float64(r.Counters[c]), Unit: "count"})
-	}
-	return out
-}
-
-// AccuracyRecords wraps the paper's accuracy metrics (§IV-B) in the shared
-// Record schema. Pass NaN for a metric that was not computed; it is
-// skipped.
-func AccuracyRecords(name string, orth, resid, condR11, normR22 float64) []Record {
-	var out []Record
-	add := func(metric string, v float64) {
-		if v == v { // skip NaN
-			out = append(out, Record{Name: name, Stage: metric, Value: v})
-		}
-	}
-	add("orthogonality", orth)
-	add("residual", resid)
-	add("cond_r11", condR11)
-	add("norm_r22", normR22)
-	return out
 }
 
 // WriteBreakdown renders a trace snapshot as a human-readable stage table:

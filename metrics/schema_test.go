@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -59,15 +58,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestTraceRecordsGolden(t *testing.T) {
-	recs := TraceRecords("IteCholQRCP", sampleReport())
-	out, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "trace_records.json", append(out, '\n'))
-}
-
 func TestWriteBreakdownGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBreakdown(&buf, sampleReport()); err != nil {
@@ -83,51 +73,6 @@ func TestWriteBreakdownDisabled(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "tracing disabled") {
 		t.Errorf("disabled report should say so, got %q", buf.String())
-	}
-}
-
-func TestAccuracyRecords(t *testing.T) {
-	nan := 0.0
-	nan /= nan
-	recs := AccuracyRecords("IteCholQRCP", 1e-15, 2e-16, 12.5, nan)
-	if len(recs) != 3 {
-		t.Fatalf("want 3 records (NaN skipped), got %d: %+v", len(recs), recs)
-	}
-	want := []struct {
-		stage string
-		value float64
-	}{
-		{"orthogonality", 1e-15},
-		{"residual", 2e-16},
-		{"cond_r11", 12.5},
-	}
-	for i, w := range want {
-		if recs[i].Stage != w.stage || recs[i].Value != w.value {
-			t.Errorf("record %d = %+v, want stage %s value %g", i, recs[i], w.stage, w.value)
-		}
-		if recs[i].Name != "IteCholQRCP" || recs[i].Unit != "" {
-			t.Errorf("record %d name/unit = %q/%q", i, recs[i].Name, recs[i].Unit)
-		}
-	}
-}
-
-func TestTraceRecordsRoundTrip(t *testing.T) {
-	recs := TraceRecords("x", sampleReport())
-	out, err := json.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []Record
-	if err := json.Unmarshal(out, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(recs) {
-		t.Fatalf("round trip length %d != %d", len(back), len(recs))
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Errorf("record %d: %+v != %+v", i, back[i], recs[i])
-		}
 	}
 }
 

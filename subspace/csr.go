@@ -7,9 +7,9 @@ import (
 	"repro/mat"
 )
 
-// CSR is a compressed sparse row matrix, provided so the eigensolver and
-// basis builders can run on large sparse operators (graph Laplacians,
-// discretized PDEs) without densifying them.
+// CSR is a compressed sparse row matrix, provided so the eigensolver
+// can run on large sparse operators (graph Laplacians, discretized PDEs)
+// without densifying them.
 type CSR struct {
 	N      int // square dimension
 	RowPtr []int
@@ -60,9 +60,6 @@ func NewCSR(n int, entries []Triplet) *CSR {
 	return c
 }
 
-// NNZ reports the number of stored entries.
-func (c *CSR) NNZ() int { return len(c.Val) }
-
 // Dim implements Operator.
 func (c *CSR) Dim() int { return c.N }
 
@@ -84,20 +81,6 @@ func (c *CSR) Apply(dst, x *mat.Dense) {
 				drow[j] += v * xv
 			}
 		}
-	}
-}
-
-// MatVec is the single-vector convenience form.
-func (c *CSR) MatVec(dst, x []float64) {
-	if len(dst) != c.N || len(x) != c.N {
-		panic(fmt.Sprintf("subspace: CSR.MatVec dims %d, %d for n=%d", len(dst), len(x), c.N))
-	}
-	for i := 0; i < c.N; i++ {
-		s := 0.0
-		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			s += c.Val[p] * x[c.ColIdx[p]]
-		}
-		dst[i] = s
 	}
 }
 

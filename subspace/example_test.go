@@ -28,24 +28,6 @@ func ExampleSymEigs() {
 	// λ = 3.0000, 3.0000
 }
 
-// ExampleBasisBuilder grows an orthonormal Krylov basis block by block,
-// dropping directions that become numerically dependent.
-func ExampleBasisBuilder() {
-	n := 50
-	bb := subspace.NewBasisBuilder(n, 8)
-	rng := rand.New(rand.NewSource(2))
-	x := mat.NewDense(n, 3)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	added1, _ := bb.Append(x)
-	// Appending the very same block again adds nothing new.
-	added2, _ := bb.Append(x)
-	fmt.Println("first append:", added1, "second append:", added2, "basis:", bb.Len())
-	// Output:
-	// first append: 3 second append: 0 basis: 3
-}
-
 // ExampleRandSVD compresses a low-rank matrix with the randomized
 // truncated SVD.
 func ExampleRandSVD() {

@@ -228,10 +228,3 @@ func RangeFinder(a *mat.Dense, k, power int, rng *rand.Rand) (*mat.Dense, error)
 	}
 	return y, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
