@@ -158,8 +158,9 @@ repro-paper:
 	@echo "wrote report-paper.txt"
 
 # Run every example program end to end; an example whose factorization
-# returns an unexpected error panics, which fails the target. The two
-# traced qrcp runs print the stage breakdown of the CQRRPT and the
+# returns an unexpected error panics, which fails the target. The qrcp
+# runs cover its default rank at a width below 40 columns, and the two
+# traced ones print the stage breakdown of the CQRRPT and the
 # Householder paths.
 examples:
 	$(GO) run ./examples/quickstart
@@ -169,6 +170,7 @@ examples:
 	$(GO) run ./examples/tensortrain
 	$(GO) run ./examples/polyfit
 	$(GO) run ./examples/spectral
+	$(GO) run ./cmd/qrcp -m 2000 -n 32
 	$(GO) run ./cmd/qrcp -m 4000 -n 64 -method cqrrpt -trace
 	$(GO) run ./cmd/qrcp -m 4000 -n 64 -method hqrcp -trace
 

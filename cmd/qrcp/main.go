@@ -42,7 +42,7 @@ func main() {
 	var (
 		m          = flag.Int("m", 10000, "rows of the synthetic test matrix")
 		n          = flag.Int("n", 50, "columns of the synthetic test matrix")
-		r          = flag.Int("r", 40, "numerical rank of the synthetic test matrix")
+		r          = flag.Int("r", 0, "numerical rank of the synthetic test matrix, 0 = 4n/5")
 		sigma      = flag.Float64("sigma", 1e-12, "smallest leading singular value (κ₂ = 1/σ)")
 		seed       = flag.Int64("seed", 1, "RNG seed")
 		in         = flag.String("in", "", "read the matrix from this file instead of generating one")
@@ -63,6 +63,16 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "qrcp: unknown -method %q (want ite, cqrrpt or hqrcp)\n", *method)
 		os.Exit(2)
+	}
+	if *in == "" && *file == "" {
+		if *r == 0 {
+			*r = 4 * *n / 5
+		}
+		if *r < 1 || *r > *n {
+			fmt.Fprintf(os.Stderr, "qrcp: rank -r %d outside [1,%d]\n", *r, *n)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	stopProf, err := trace.StartProfiles(*cpuProfile, "")
 	if err != nil {

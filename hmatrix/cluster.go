@@ -3,101 +3,44 @@ package hmatrix
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	tsqrcp "repro"
 	"repro/mat"
 )
 
-// cluster is a node of a bounding-box cluster tree over a permuted
-// index range of the point set.
+// cluster is a node of the bisection tree over sorted 1-D points: the
+// index range [lo, hi), which is also its row (or column) range in the
+// matrix, and the interval [min, max] the points span.
 type cluster struct {
-	lo, hi      int // range into the permutation array
-	bmin, bmax  []float64
+	lo, hi      int
+	min, max    float64
 	left, right *cluster
 }
 
 func (c *cluster) leaf() bool { return c.left == nil }
 
-func (c *cluster) diam() float64 {
-	s := 0.0
-	for d := range c.bmin {
-		e := c.bmax[d] - c.bmin[d]
-		s += e * e
-	}
-	return math.Sqrt(s)
-}
+func (c *cluster) diam() float64 { return c.max - c.min }
 
-func dist(a, b *cluster) float64 {
-	s := 0.0
-	for d := range a.bmin {
-		gap := 0.0
-		if a.bmax[d] < b.bmin[d] {
-			gap = b.bmin[d] - a.bmax[d]
-		} else if b.bmax[d] < a.bmin[d] {
-			gap = a.bmin[d] - b.bmax[d]
-		}
-		s += gap * gap
-	}
-	return math.Sqrt(s)
-}
+// dist is the gap between two intervals, 0 when they overlap.
+func dist(a, b *cluster) float64 { return max(b.min-a.max, a.min-b.max, 0) }
 
-// buildCluster recursively splits the index range along the widest
-// bounding-box dimension, permuting idx in place.
-func buildCluster(pts [][]float64, idx []int, lo, hi, leafSize int) *cluster {
-	dims := len(pts[0])
-	c := &cluster{lo: lo, hi: hi, bmin: make([]float64, dims), bmax: make([]float64, dims)}
-	for d := 0; d < dims; d++ {
-		c.bmin[d] = math.Inf(1)
-		c.bmax[d] = math.Inf(-1)
-	}
-	for _, p := range idx[lo:hi] {
-		for d, v := range pts[p] {
-			if v < c.bmin[d] {
-				c.bmin[d] = v
-			}
-			if v > c.bmax[d] {
-				c.bmax[d] = v
-			}
-		}
-	}
+// buildCluster recursively bisects the sorted points pts[lo:hi] at the
+// midpoint of their interval, halving the count instead when every point
+// falls on one side.
+func buildCluster(pts []float64, lo, hi, leafSize int) *cluster {
+	c := &cluster{lo: lo, hi: hi, min: pts[lo], max: pts[hi-1]}
 	if hi-lo <= leafSize {
 		return c
 	}
-	// Widest dimension; split at its midpoint, cardinality fallback.
-	wd, wext := 0, -1.0
-	for d := 0; d < dims; d++ {
-		if e := c.bmax[d] - c.bmin[d]; e > wext {
-			wd, wext = d, e
-		}
-	}
-	mid := 0.5 * (c.bmin[wd] + c.bmax[wd])
-	split := partitionIdx(pts, idx, lo, hi, wd, mid)
+	mid := 0.5 * (c.min + c.max)
+	split := lo + sort.Search(hi-lo, func(i int) bool { return pts[lo+i] > mid })
 	if split == lo || split == hi {
 		split = (lo + hi) / 2
 	}
-	c.left = buildCluster(pts, idx, lo, split, leafSize)
-	c.right = buildCluster(pts, idx, split, hi, leafSize)
+	c.left = buildCluster(pts, lo, split, leafSize)
+	c.right = buildCluster(pts, split, hi, leafSize)
 	return c
-}
-
-// partitionIdx reorders idx[lo:hi] so points with coordinate ≤ mid along
-// dim come first; returns the boundary.
-func partitionIdx(pts [][]float64, idx []int, lo, hi, dim int, mid float64) int {
-	i, j := lo, hi-1
-	for i <= j {
-		for i <= j && pts[idx[i]][dim] <= mid {
-			i++
-		}
-		for i <= j && pts[idx[j]][dim] > mid {
-			j--
-		}
-		if i < j {
-			idx[i], idx[j] = idx[j], idx[i]
-			i++
-			j--
-		}
-	}
-	return i
 }
 
 // block is one node of the block cluster tree.
@@ -109,40 +52,19 @@ type block struct {
 	children []*block   // subdivided block
 }
 
-// build clusters the points xs and ys, each viewed as a one-coordinate
-// point, and compresses the kernel k over them.
+// build clusters the sorted points xs and ys and compresses the kernel
+// k over them.
 func build(xs, ys []float64, k Kernel, opts *Options) (*HMatrix, error) {
-	xpts, ypts := points1D(xs), points1D(ys)
-	ridx, cidx := identityIdx(len(xpts)), identityIdx(len(ypts))
-	rt := buildCluster(xpts, ridx, 0, len(xpts), opts.leafSize())
-	ct := buildCluster(ypts, cidx, 0, len(ypts), opts.leafSize())
+	rt := buildCluster(xs, 0, len(xs), opts.leafSize())
+	ct := buildCluster(ys, 0, len(ys), opts.leafSize())
 	eval := func(r, c *cluster) *mat.Dense {
-		return evalBlock(xs, ys, ridx[r.lo:r.hi], cidx[c.lo:c.hi], k)
+		return evalBlock(xs[r.lo:r.hi], ys[c.lo:c.hi], k)
 	}
 	root, err := buildBlock(rt, ct, eval, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &HMatrix{root: root, rows: len(xs), cols: len(ys), rowIdx: nilIfIdentity(ridx), colIdx: nilIfIdentity(cidx)}, nil
-}
-
-func identityIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// nilIfIdentity drops a tree order that is the original order, so
-// MatVec skips its gather or scatter.
-func nilIfIdentity(idx []int) []int {
-	for i, v := range idx {
-		if i != v {
-			return idx
-		}
-	}
-	return nil
+	return &HMatrix{root: root, rows: len(xs), cols: len(ys)}, nil
 }
 
 func admissible(r, c *cluster, eta float64) bool {
@@ -177,12 +99,12 @@ func buildBlock(r, c *cluster, eval func(r, c *cluster) *mat.Dense, opts *Option
 }
 
 // evalBlock evaluates the kernel on the given row and column points.
-func evalBlock(xs, ys []float64, rows, cols []int, k Kernel) *mat.Dense {
-	m := mat.NewDense(len(rows), len(cols))
-	for i, p := range rows {
-		x, row := xs[p], m.Row(i)[:len(cols)]
-		for j, q := range cols {
-			row[j] = k(x, ys[q])
+func evalBlock(xs, ys []float64, k Kernel) *mat.Dense {
+	m := mat.NewDense(len(xs), len(ys))
+	for i, x := range xs {
+		row := m.Row(i)[:len(ys)]
+		for j, y := range ys {
+			row[j] = k(x, y)
 		}
 	}
 	return m

@@ -4,8 +4,8 @@
 // many off-diagonal blocks by low-rank factorization, each one a
 // rank-revealing QR of a tall-skinny or short-wide block).
 //
-// The structure is the classical one: binary bounding-box cluster trees
-// over the source and target points (widest-dimension bisection), a
+// The structure is the classical one: binary cluster trees over the
+// source and target points (bisection at the interval midpoint), a
 // block cluster tree with the η-admissibility condition, dense storage
 // for small inadmissible leaves and truncated pivoted-QR factors U·V for
 // admissible blocks. Build compresses a kernel over sorted 1-D points.
@@ -52,8 +52,8 @@ func (o *Options) tol() float64 {
 
 // Build compresses the kernel matrix K[i][j] = k(xs[i], ys[j]) over 1-D
 // source (rows) and target (columns) points. Both slices must be sorted
-// ascending; the cluster trees then keep the given order, so MatVec
-// needs no permutation.
+// ascending: every cluster is then an index range of the points, so the
+// compressed matrix keeps the given row and column order.
 func Build(xs, ys []float64, k Kernel, opts *Options) (*HMatrix, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		panic("hmatrix: empty point set")
@@ -68,24 +68,10 @@ func Build(xs, ys []float64, k Kernel, opts *Options) (*HMatrix, error) {
 	return build(xs, ys, k, opts)
 }
 
-// points1D views each coordinate as a one-coordinate point.
-func points1D(xs []float64) [][]float64 {
-	pts := make([][]float64, len(xs))
-	for i := range xs {
-		pts[i] = xs[i : i+1 : i+1]
-	}
-	return pts
-}
-
-// HMatrix is a compressed kernel matrix over 1-D point sets.
-// Internally rows and columns are in cluster-tree order; MatVec
-// operates in the original point ordering.
+// HMatrix is a compressed kernel matrix over sorted 1-D point sets.
 type HMatrix struct {
 	root       *block
 	rows, cols int
-	// rowIdx and colIdx map a tree position to the original index; nil
-	// when the tree order is the original order.
-	rowIdx, colIdx []int
 }
 
 // MatVec computes dst = K·x for a length-cols vector, in O(storage) time.
@@ -93,22 +79,8 @@ func (h *HMatrix) MatVec(dst, x []float64) {
 	if len(dst) != h.rows || len(x) != h.cols {
 		panic(fmt.Sprintf("hmatrix: MatVec dims dst[%d], x[%d] for %d×%d", len(dst), len(x), h.rows, h.cols))
 	}
-	xp, dp := x, dst
-	if h.colIdx != nil {
-		xp = make([]float64, h.cols)
-		for p, orig := range h.colIdx {
-			xp[p] = x[orig]
-		}
-	}
-	if h.rowIdx != nil {
-		dp = make([]float64, h.rows)
-	} else {
-		clear(dst)
-	}
-	h.root.matvec(dp, xp)
-	for p, orig := range h.rowIdx {
-		dst[orig] = dp[p]
-	}
+	clear(dst)
+	h.root.matvec(dst, x)
 }
 
 // Stats summarizes the compression.

@@ -116,19 +116,15 @@ func TestHMatrixRepeatedPoints(t *testing.T) {
 	}
 }
 
-// TestHMatrixSortedMatVecNoPermutation: on sorted 1-D points the tree
-// order is the input order, so MatVec allocates nothing beyond one rank-
-// sized temporary per low-rank block — no gathered input, no scattered
-// output.
+// TestHMatrixSortedMatVecNoPermutation: the clusters are index ranges of
+// the sorted points, so MatVec allocates nothing beyond one rank-sized
+// temporary per low-rank block — no gathered input, no scattered output.
 func TestHMatrixSortedMatVecNoPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(277))
 	xs := sortedPoints(rng, 1000)
 	h, err := Build(xs, xs, logKernel, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if h.rowIdx != nil || h.colIdx != nil {
-		t.Fatal("sorted points produced a non-identity tree order")
 	}
 	x, dst := make([]float64, len(xs)), make([]float64, len(xs))
 	allocs := testing.AllocsPerRun(5, func() { h.MatVec(dst, x) })

@@ -26,7 +26,7 @@ var fmaRefNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 
 var fmaRefWidths = []int{1, 2, 3, 8}
 
 // refRowSum runs chain(lo, hi, dst) over the slot partition of k
-// summation rows into c, as reduceRows does: one slot accumulates into c
+// summation rows into c, as ReduceRows does: one slot accumulates into c
 // directly, several into zeroed partials that are added to c (its upper
 // triangle when upper is set) in slot order.
 func refRowSum(k int, c *mat.Dense, upper bool, chain func(lo, hi int, dst *mat.Dense)) {

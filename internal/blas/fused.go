@@ -37,10 +37,11 @@ const (
 	fusedMinSlotRows = 2048
 )
 
-// fusedSlots returns the reduction fan-out for an m-row pass: a function
-// of m alone, so the reduction shape (and hence the floating-point
-// summation order) is identical for every engine width.
-func fusedSlots(m int) int {
+// FusedSlots returns the reduction fan-out of ReduceRows for an m-row
+// pass: a function of m alone, never of the engine width, so the
+// reduction shape (and hence the floating-point summation order) is
+// identical for every width.
+func FusedSlots(m int) int {
 	s := m / fusedMinSlotRows
 	if s < 1 {
 		return 1
@@ -67,7 +68,7 @@ func fusedSlots(m int) int {
 // mat.PermuteColsInPlace and the solve is TrsmRightUpperNoTrans's own
 // kernel, so B matches the unfused permute + TRSM bit for bit. G is
 // accumulated by Gram's kernel through the same fixed slot reduction
-// (reduceRows), each element's chain running over the slot's rows in
+// (ReduceRows), each element's chain running over the slot's rows in
 // order whatever the micro-blocks, so G equals Gram of the updated B bit
 // for bit too. Neither depends on the engine width, which keeps
 // distributed ranks in lockstep. G is fully symmetric on return, like
@@ -119,11 +120,11 @@ func PermTrsmGramFusedInto(e *parallel.Engine, dst, b *mat.Dense, perm mat.Perm,
 	trace.AddFlops(trace.KernelFusedTrsmGram,
 		int64(m)*int64(n)*int64(n)+int64(m)*int64(k)*int64(k+1))
 	trace.AddBytes(trace.KernelFusedTrsmGram, 2*8*int64(m)*int64(n))
-	reduceRows(e, m, mulFlops(2, m, n, n), g, true, rowJob{a: dst, b: b, r: r, perm: perm}, fusedRows)
+	ReduceRows(e, m, mulFlops(2, m, n, n), g, true, rowJob{a: dst, b: b, r: r, perm: perm}, fusedRows)
 	SymmetrizeFromUpper(g)
 }
 
-// fusedRows is the reduceRows kernel of PermTrsmGramFusedInto: job.b is
+// fusedRows is the ReduceRows kernel of PermTrsmGramFusedInto: job.b is
 // the source, job.a the destination. The gather's scratch row (which
 // the Go loop goes through in place) is a pooled 1×n Dense (PutFloats
 // heap-escapes its header), keeping the width-1 path allocation free.
@@ -161,10 +162,10 @@ func gatherRows(dst, src *mat.Dense, perm mat.Perm, lo, hi int, tmp []float64) {
 	}
 }
 
-// fusedSlotBounds returns the half-open row range of slot si out of slots,
-// matching parallel.Split(m, slots, 1) exactly without allocating the
-// range slice.
-func fusedSlotBounds(m, slots, si int) (lo, hi int) {
+// FusedSlotBounds returns the half-open row range of slot si out of slots
+// over m rows, the partition ReduceRows uses; it matches
+// parallel.Split(m, slots, 1) exactly without allocating the range slice.
+func FusedSlotBounds(m, slots, si int) (lo, hi int) {
 	chunk, rem := m/slots, m%slots
 	lo = si*chunk + min(si, rem)
 	hi = lo + chunk

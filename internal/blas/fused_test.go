@@ -252,8 +252,8 @@ func TestPermTrsmGramFusedDeterministicAcrossWidths(t *testing.T) {
 func TestPermTrsmGramFusedLeadingGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const m, n = 3*fusedMinSlotRows + 77, 20
-	if fusedSlots(m) < 3 {
-		t.Fatalf("m=%d gives %d slots, want several", m, fusedSlots(m))
+	if FusedSlots(m) < 3 {
+		t.Fatalf("m=%d gives %d slots, want several", m, FusedSlots(m))
 	}
 	b0 := randDenseStrided(rng, m, n)
 	r := randUpperWellCond(rng, n)

@@ -114,7 +114,7 @@ func gemmNNRange(alpha float64, a, b, c *mat.Dense, lo, hi int) {
 
 // gemmTN: C += alpha·Aᵀ·B, the Gram-type product that dominates Cholesky
 // QR. The summation runs over the (long) row dimension of A and B, so it
-// goes through the fixed slot reduction (reduceRows) and is bit-identical
+// goes through the fixed slot reduction (ReduceRows) and is bit-identical
 // for every engine width. An output too large for per-slot partials
 // (more than maxPrivateAcc doubles) accumulates straight into C in one
 // pass, which is width-independent too.
@@ -125,10 +125,10 @@ func gemmTN(e *parallel.Engine, alpha float64, a, b, c *mat.Dense) {
 		gemmTNRange(alpha, a, b, 0, k, c)
 		return
 	}
-	reduceRows(e, k, mulFlops(2, m, n, k), c, false, rowJob{alpha: alpha, a: a, b: b}, gemmTNRows)
+	ReduceRows(e, k, mulFlops(2, m, n, k), c, false, rowJob{alpha: alpha, a: a, b: b}, gemmTNRows)
 }
 
-// gemmTNRows is gemmTN's reduceRows kernel.
+// gemmTNRows is gemmTN's ReduceRows kernel.
 func gemmTNRows(job rowJob, lo, hi int, dst *mat.Dense) {
 	gemmTNRange(job.alpha, job.a, job.b, lo, hi, dst)
 }

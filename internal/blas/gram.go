@@ -18,21 +18,10 @@ import (
 // panels never straddle a slot bound and are fed in ascending order —
 // the whole bit-identity story of internal/ooc (DESIGN.md §14).
 
-// FusedSlots reports the fixed reduction fan-out the row-summation
-// kernels use for an m-row pass — a function of m alone, never of the
-// engine width.
-func FusedSlots(m int) int { return fusedSlots(m) }
-
-// FusedSlotBounds reports the half-open row range of slot si of slots
-// over m rows, matching the partition the kernels use internally.
-func FusedSlotBounds(m, slots, si int) (lo, hi int) {
-	return fusedSlotBounds(m, slots, si)
-}
-
 // Gram computes the full symmetric Gram matrix W = AᵀA. This is the
 // kernel on line 1 of CholQR (Algorithm 2) and line 3 of Ite-CholQR-CP
 // (Algorithm 4). Rows are partitioned into FusedSlots(m) slots
-// (reduceRows); each slot accumulates with the register-tiled SYRK
+// (ReduceRows); each slot accumulates with the register-tiled SYRK
 // (fusedSyrkCols on tileTN), one fma chain per element over the slot's
 // rows in order, and the per-slot partials reduce into W in ascending
 // slot order. Every engine width therefore produces
@@ -49,11 +38,11 @@ func Gram(e *parallel.Engine, w *mat.Dense, a *mat.Dense) {
 	sp := trace.Region(trace.KernelSyrk)
 	defer sp.End()
 	trace.AddFlops(trace.KernelSyrk, int64(m)*int64(n)*int64(n+1))
-	reduceRows(e, m, mulFlops(m, n, n), w, true, rowJob{a: a}, gramRows)
+	ReduceRows(e, m, mulFlops(m, n, n), w, true, rowJob{a: a}, gramRows)
 	SymmetrizeFromUpper(w)
 }
 
-// gramRows is Gram's reduceRows kernel.
+// gramRows is Gram's ReduceRows kernel.
 func gramRows(job rowJob, lo, hi int, acc *mat.Dense) {
 	fusedSyrkCols(job.a, lo, hi, 0, job.a.Cols, acc)
 }

@@ -2,35 +2,6 @@ package blas
 
 import "math"
 
-// Dot returns xᵀy for equal-length contiguous vectors.
-//
-//repolint:hotpath
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("blas: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// Axpy computes y += alpha·x.
-//
-//repolint:hotpath
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Axpy length mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scal computes x *= alpha.
 func Scal(alpha float64, x []float64) {
 	for i := range x {
@@ -56,22 +27,4 @@ func Nrm2(x []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Swap exchanges the contents of x and y.
-func Swap(x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Swap length mismatch")
-	}
-	for i := range x {
-		x[i], y[i] = y[i], x[i]
-	}
-}
-
-// Copy copies x into y.
-func Copy(x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Copy length mismatch")
-	}
-	copy(y, x)
 }

@@ -6,34 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-	if got := Dot(nil, nil); got != 0 {
-		t.Fatalf("Dot(nil,nil) = %v, want 0", got)
-	}
-	mustPanicB(t, func() { Dot([]float64{1}, []float64{1, 2}) })
-}
-
-func TestAxpy(t *testing.T) {
-	y := []float64{1, 1, 1}
-	Axpy(2, []float64{1, 2, 3}, y)
-	want := []float64{3, 5, 7}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("Axpy y = %v, want %v", y, want)
-		}
-	}
-	Axpy(0, []float64{9, 9, 9}, y)
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatal("Axpy with alpha=0 must be a no-op")
-		}
-	}
-	mustPanicB(t, func() { Axpy(1, []float64{1}, []float64{1, 2}) })
-}
-
 func TestScal(t *testing.T) {
 	x := []float64{1, -2, 3}
 	Scal(-2, x)
@@ -91,20 +63,6 @@ func TestNrm2MatchesSumSquares(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestSwapCopy(t *testing.T) {
-	x, y := []float64{1, 2}, []float64{3, 4}
-	Swap(x, y)
-	if x[0] != 3 || y[1] != 2 {
-		t.Fatalf("Swap: x=%v y=%v", x, y)
-	}
-	Copy(x, y)
-	if y[0] != 3 || y[1] != 4 {
-		t.Fatalf("Copy: y=%v", y)
-	}
-	mustPanicB(t, func() { Swap([]float64{1}, []float64{1, 2}) })
-	mustPanicB(t, func() { Copy([]float64{1}, []float64{1, 2}) })
 }
 
 func mustPanicB(t *testing.T, f func()) {

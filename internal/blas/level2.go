@@ -54,19 +54,19 @@ func gemvN(e *parallel.Engine, alpha float64, a *mat.Dense, x []float64, beta fl
 }
 
 // gemvT: y = alpha·Aᵀ·x + beta·y. The summation runs over the rows of A,
-// so it goes through the fixed slot reduction (reduceRows) with y as a
+// so it goes through the fixed slot reduction (ReduceRows) with y as a
 // pooled 1×n partial and is bit-identical for every engine width.
 func gemvT(e *parallel.Engine, alpha float64, a *mat.Dense, x []float64, beta float64, y []float64) {
 	acc := mat.GetWorkspace(1, len(y), false)
 	for j, v := range y {
 		acc.Data[j] = beta * v
 	}
-	reduceRows(e, a.Rows, mulFlops(2, a.Rows, a.Cols), acc, false, rowJob{alpha: alpha, a: a, x: x}, gemvTRows)
+	ReduceRows(e, a.Rows, mulFlops(2, a.Rows, a.Cols), acc, false, rowJob{alpha: alpha, a: a, x: x}, gemvTRows)
 	copy(y, acc.Data)
 	mat.PutWorkspace(acc)
 }
 
-// gemvTRows is gemvT's reduceRows kernel: dst += alpha·x(lo:hi)ᵀ·A(lo:hi,:).
+// gemvTRows is gemvT's ReduceRows kernel: dst += alpha·x(lo:hi)ᵀ·A(lo:hi,:).
 func gemvTRows(job rowJob, lo, hi int, dst *mat.Dense) {
 	a, y := job.a, dst.Data[:dst.Cols]
 	for i := lo; i < hi; i++ {
@@ -129,25 +129,4 @@ func ScatterRows(a *mat.Dense, row []float64, t []int, w []float64) {
 		data = a.Data[:end:end]
 	}
 	scatterRows(data, a.Stride, row[:a.Cols], t, w[:len(t)])
-}
-
-// SyrUpper computes the upper triangle of W += alpha·x·xᵀ for symmetric W.
-// Only elements W[i][j] with j ≥ i are touched.
-func SyrUpper(alpha float64, x []float64, w *mat.Dense) {
-	if w.Rows != w.Cols || len(x) != w.Rows {
-		panic(fmt.Sprintf("blas: SyrUpper W %d×%d with x[%d]", w.Rows, w.Cols, len(x)))
-	}
-	if alpha == 0 {
-		return
-	}
-	for i, xi := range x {
-		axi := alpha * xi
-		if axi == 0 {
-			continue
-		}
-		row := w.Data[i*w.Stride : i*w.Stride+w.Cols]
-		for j := i; j < len(x); j++ {
-			row[j] += axi * x[j]
-		}
-	}
 }

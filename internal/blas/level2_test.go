@@ -97,19 +97,3 @@ func TestGerLarge(t *testing.T) {
 		t.Fatal("large parallel Ger disagrees with naive")
 	}
 }
-
-func TestSyrUpper(t *testing.T) {
-	w := mat.NewDense(3, 3)
-	w.Set(2, 0, 99) // below-diagonal sentinel must survive
-	SyrUpper(2, []float64{1, 2, 3}, w)
-	if w.At(0, 0) != 2 || w.At(0, 2) != 6 || w.At(1, 2) != 12 || w.At(2, 2) != 18 {
-		t.Fatalf("SyrUpper w = %v", w)
-	}
-	if w.At(2, 0) != 99 {
-		t.Fatal("SyrUpper must not touch the strict lower triangle")
-	}
-	if w.At(1, 0) != 0 {
-		t.Fatal("SyrUpper wrote below the diagonal")
-	}
-	mustPanicB(t, func() { SyrUpper(1, []float64{1, 2}, w) })
-}

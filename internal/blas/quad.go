@@ -17,7 +17,7 @@ import (
 //
 // the row scatter is one fma per element, and the gather moves entries
 // unchanged. Loads and stores are exact, so an element's bits depend
-// only on where its chain starts (the slot partition of reduceRows) and
+// only on where its chain starts (the slot partition of ReduceRows) and
 // never on tile shapes, row grouping or blocking. On amd64 (without the
 // purego build tag) these loops run assembly instead (quad_amd64.s),
 // which performs the same chains: the tiles as 8-row zmm tiles up to 24

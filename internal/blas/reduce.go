@@ -5,9 +5,8 @@ import (
 	"repro/mat"
 )
 
-// rowJob carries the operands of one row-summation kernel through
-// reduceRows; each kernel reads the fields it needs. It travels by value
-// so the width-1 path never moves it to the heap.
+// rowJob carries the operands of one row-summation kernel of this package
+// through ReduceRows; each kernel reads the fields it needs.
 type rowJob struct {
 	alpha   float64
 	a, b, r *mat.Dense
@@ -15,26 +14,27 @@ type rowJob struct {
 	perm    mat.Perm
 }
 
-// rowKernel accumulates the contribution of summation rows [lo, hi) of
-// job into dst. Its summation order must be a function of (lo, hi)
-// alone, never of which goroutine runs it.
-type rowKernel func(job rowJob, lo, hi int, dst *mat.Dense)
-
-// reduceRows is the package's one reduction over a summation dimension
-// of length k: it computes C += Σ kernel(job, rows) for every kernel
-// that sums over rows (Gram, SYRK, Aᵀ·B, Aᵀ·x, the fused pass). The k
-// rows are cut into fusedSlots(k) slots, a function of k alone; every slot
+// ReduceRows is the one reduction over a summation dimension of length
+// k: it computes C += Σ kernel(job, rows) for every kernel that sums over
+// rows (Gram, SYRK, Aᵀ·B, Aᵀ·x, the fused pass, the sketch). The k rows
+// are cut into FusedSlots(k) slots, a function of k alone; every slot
 // accumulates into its own partial, and the partials reduce into C in
 // ascending slot order (upper triangle only when upper is set). Engine
 // width only decides how many slots run at once, so every width produces
 // the same bits. With a single slot (k < 2·fusedMinSlotRows) the kernel
 // accumulates straight into C.
 //
+// kernel accumulates the contribution of summation rows [lo, hi) of job
+// into its last argument; its summation order must be a function of
+// (lo, hi) alone, never of which goroutine runs it. The job travels by
+// value and kernel should be a top-level func, so the width-1 path never
+// moves either to the heap.
+//
 // flops is the multiply-add count of the whole job; below
 // gemmParallelFlops the slots run one after another on the caller with
 // one reused partial, which keeps the width-1 path allocation free.
-func reduceRows(e *parallel.Engine, k, flops int, c *mat.Dense, upper bool, job rowJob, kernel rowKernel) {
-	slots := fusedSlots(k)
+func ReduceRows[J any](e *parallel.Engine, k, flops int, c *mat.Dense, upper bool, job J, kernel func(J, int, int, *mat.Dense)) {
+	slots := FusedSlots(k)
 	if slots == 1 {
 		kernel(job, 0, k, c)
 		return
@@ -43,7 +43,7 @@ func reduceRows(e *parallel.Engine, k, flops int, c *mat.Dense, upper bool, job 
 	if w == 1 || flops < gemmParallelFlops {
 		acc := mat.GetWorkspace(c.Rows, c.Cols, false)
 		for si := 0; si < slots; si++ {
-			lo, hi := fusedSlotBounds(k, slots, si)
+			lo, hi := FusedSlotBounds(k, slots, si)
 			acc.Zero()
 			kernel(job, lo, hi, acc)
 			addPartial(c, acc, upper)
@@ -61,7 +61,7 @@ func reduceRows(e *parallel.Engine, k, flops int, c *mat.Dense, upper bool, job 
 		tasks[ti] = func() {
 			for si := tr.Lo; si < tr.Hi; si++ {
 				acc := mat.GetWorkspace(c.Rows, c.Cols, true)
-				lo, hi := fusedSlotBounds(k, slots, si)
+				lo, hi := FusedSlotBounds(k, slots, si)
 				kernel(job, lo, hi, acc)
 				accs[si] = acc
 			}

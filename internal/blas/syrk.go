@@ -12,7 +12,7 @@ import (
 // (n×n) and A (m×n): the trailing update of the blocked Cholesky
 // (PotrfUpper). Elements strictly below the diagonal of C are left
 // untouched. It runs Gram's kernel (gramRows, on tileTN) through
-// the fixed slot reduction (reduceRows) on the negated upper triangle and
+// the fixed slot reduction (ReduceRows) on the negated upper triangle and
 // negates it back. Negation is exact and rounding is symmetric in sign,
 // so −(−C + AᵀA) has exactly the bits of C − AᵀA accumulated directly,
 // and like Gram the result is bit-identical for every engine width.
@@ -28,7 +28,7 @@ func SyrkUpperTrans(e *parallel.Engine, a, c *mat.Dense) {
 	defer sp.End()
 	trace.AddFlops(trace.KernelSyrk, int64(a.Rows)*int64(n)*int64(n+1))
 	negateUpper(c)
-	reduceRows(e, a.Rows, mulFlops(a.Rows, n, n), c, true, rowJob{a: a}, gramRows)
+	ReduceRows(e, a.Rows, mulFlops(a.Rows, n, n), c, true, rowJob{a: a}, gramRows)
 	negateUpper(c)
 }
 

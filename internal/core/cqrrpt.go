@@ -12,18 +12,6 @@ import (
 	"repro/mat"
 )
 
-// SketchKind selects the randomized embedding of the CQRRPT path.
-type SketchKind int
-
-const (
-	// SketchSparse is the sparse-sign (CountSketch-style) embedding — the
-	// default: one streaming read of A at 2·m·n·nnz flops.
-	SketchSparse SketchKind = iota
-	// SketchGaussian is the dense Gaussian embedding — the statistically
-	// safest fallback, at 2·d·m·n flops.
-	SketchGaussian
-)
-
 const (
 	// CQRRPTSketchFactor is the embedding-dimension multiplier: the sketch
 	// has d = min(m, CQRRPTSketchFactor·n) rows. d = 2n gives a subspace
@@ -61,7 +49,7 @@ const (
 
 // errSketchRejected reports that a CQRRPT attempt rejected its sketch
 // preconditioner (condition-estimate guard or Cholesky breakdown). The
-// driver reacts by escalating: sparse → Gaussian → iterated path.
+// caller, CQRRPT, falls back to the iterated path.
 var errSketchRejected = errors.New("core: CQRRPT sketch preconditioner rejected")
 
 // CQRRPT computes the QR factorization with column pivoting by randomized
@@ -78,14 +66,14 @@ var errSketchRejected = errors.New("core: CQRRPT sketch preconditioner rejected"
 // flops and five DRAM traversals against the iterated path's ~8mn².
 //
 // Robustness is layered: a condition-estimate guard on R_sk rejects
-// numerically singular sketches (retrying with a Gaussian embedding
-// before falling back to IteCholQRCP, counted by CtrSketchFallbacks), a
-// Cholesky breakdown of the preconditioned Gram likewise rejects, and a
+// numerically singular sketches and a Cholesky breakdown of the
+// preconditioned Gram likewise rejects — either way the factorization
+// falls back to IteCholQRCP, counted by CtrSketchFallbacks — and a
 // marginal preconditioner (κ₁(R_e) > CQRRPTReorthCond) gets one extra
 // CholQR pass instead of a full fallback.
 //
 // The result is a deterministic function of (a, eps, seed) — bit-identical
-// across engine widths — because the sketch kernels, the fused pass, and
+// across engine widths — because the sketch kernel, the fused pass, and
 // every factorization step use width-invariant reductions. Iterations
 // reports the number of CholQR passes on the preconditioned matrix (1, or
 // 2 after reorthogonalization); on fallback the fields are those of the
@@ -94,12 +82,7 @@ func CQRRPT(e *parallel.Engine, a *mat.Dense, eps float64, seed uint64) (*CPResu
 	if a.Rows < a.Cols {
 		panic(fmt.Sprintf("core: CQRRPT needs a tall matrix, got %d×%d", a.Rows, a.Cols))
 	}
-	res, err := cqrrptAttempt(e, a, SketchSparse, seed, CQRRPTReorthCond)
-	if err == nil || !errors.Is(err, errSketchRejected) {
-		return res, err
-	}
-	trace.Inc(trace.CtrSketchFallbacks)
-	res, err = cqrrptAttempt(e, a, SketchGaussian, seed, CQRRPTReorthCond)
+	res, err := cqrrptAttempt(e, a, seed, CQRRPTReorthCond)
 	if err == nil || !errors.Is(err, errSketchRejected) {
 		return res, err
 	}
@@ -107,18 +90,13 @@ func CQRRPT(e *parallel.Engine, a *mat.Dense, eps float64, seed uint64) (*CPResu
 	return IteCholQRCP(e, a, eps, a.Cols)
 }
 
-// cqrrptGaussianDomain separates the Gaussian retry's random stream from
-// the sparse attempt's, so the retry is not correlated with the sketch
-// that was just rejected.
-const cqrrptGaussianDomain = 0x9e3779b97f4a7c15
-
-// cqrrptAttempt runs one sketch→QRCP→precondition→CholQR pipeline with
-// the given embedding. It returns errSketchRejected (wrapped with the
-// cause) when the guards decide the preconditioner cannot be trusted.
-// reorthCond is the κ̂₁(R_e) bound above which the result gets a second
-// CholQR pass (CQRRPTReorthCond in production; tests lower it to force
-// the reorthogonalization path).
-func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint64, reorthCond float64) (*CPResult, error) {
+// cqrrptAttempt runs one sketch→QRCP→precondition→CholQR pipeline. It
+// returns errSketchRejected (wrapped with the cause) when the guards
+// decide the preconditioner cannot be trusted. reorthCond is the
+// κ̂₁(R_e) bound above which the result gets a second CholQR pass
+// (CQRRPTReorthCond in production; tests lower it to force the
+// reorthogonalization path).
+func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, seed uint64, reorthCond float64) (*CPResult, error) {
 	m, n := a.Rows, a.Cols
 	if err := e.Err(); err != nil {
 		return nil, err
@@ -134,15 +112,9 @@ func cqrrptAttempt(e *parallel.Engine, a *mat.Dense, kind SketchKind, seed uint6
 	// geqp3) so stage and kernel totals reconcile in a -trace table.
 	sa := mat.NewDense(d, n)
 	ss := trace.Region(trace.StageSketch)
-	switch kind {
-	case SketchGaussian:
-		sketch.ApplyGaussian(e, sa, a, seed^cqrrptGaussianDomain)
-		trace.AddFlops(trace.StageSketch, 2*int64(d)*int64(m)*int64(n))
-	default:
-		nnz := min(sketch.DefaultNNZ, d)
-		sketch.ApplySparse(e, sa, a, nnz, seed)
-		trace.AddFlops(trace.StageSketch, 2*int64(m)*int64(n)*int64(nnz))
-	}
+	nnz := min(sketch.DefaultNNZ, d)
+	sketch.ApplySparse(e, sa, a, nnz, seed)
+	trace.AddFlops(trace.StageSketch, 2*int64(m)*int64(n)*int64(nnz))
 	trace.AddBytes(trace.StageSketch, 8*int64(m)*int64(n))
 	tau := make([]float64, n)
 	jpvt := make(mat.Perm, n)

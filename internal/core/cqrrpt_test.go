@@ -128,10 +128,10 @@ func TestCQRRPTSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestCQRRPTExactRankDeficientFallsBack: a zero input makes every sketch
-// exactly singular (κ̂ = +Inf), so both embedding attempts must be
-// rejected by the condition guard (counted on CtrSketchFallbacks) and the
-// iterated fallback path then returns its rank, 0.
+// TestCQRRPTExactRankDeficientFallsBack: a zero input makes the sketch
+// exactly singular (κ̂ = +Inf), so the condition guard must reject it
+// (counted once on CtrSketchFallbacks) and the iterated fallback path
+// then returns its rank, 0.
 func TestCQRRPTExactRankDeficientFallsBack(t *testing.T) {
 	a := mat.NewDense(300, 4)
 	trace.Reset()
@@ -142,21 +142,20 @@ func TestCQRRPTExactRankDeficientFallsBack(t *testing.T) {
 		t.Fatalf("err = %v, want rank 0 from the iterated fallback", err)
 	}
 	rep := trace.Snapshot()
-	if got := rep.Counters[trace.CtrSketchFallbacks.String()]; got != 2 {
-		t.Fatalf("sketch_fallbacks = %d, want 2 (sparse and Gaussian rejections)", got)
+	if got := rep.Counters[trace.CtrSketchFallbacks.String()]; got != 1 {
+		t.Fatalf("sketch_fallbacks = %d, want 1 (the sparse sketch's rejection)", got)
 	}
 	trace.Reset()
 }
 
 // TestCQRRPTDoesNotModifyInput: the sketch, the preconditioning pass
 // and the iterated fallback all read A in place, and none may write it —
-// on the sparse path, the Gaussian attempt, the reorthogonalized attempt
-// and the fallback a sketch-rejected input takes, for a compact matrix
-// and a strided view.
+// on the sparse path, the reorthogonalized attempt and the fallback a
+// sketch-rejected input takes, for a compact matrix and a strided view.
 func TestCQRRPTDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
 	// graded has columns scaled from 1 down to 1e-30 and then mixed: its
-	// sketches fail the condition guard, the iterated path factors it.
+	// sketch fails the condition guard, the iterated path factors it.
 	graded := mat.NewDense(400, 6)
 	for i := 0; i < graded.Rows; i++ {
 		for j := 0; j < graded.Cols; j++ {
@@ -177,13 +176,10 @@ func TestCQRRPTDoesNotModifyInput(t *testing.T) {
 			run       func(a *mat.Dense) (*CPResult, error)
 		}{
 			{"sparse", a, 0, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(nil, a, DefaultPivotTol, 1) }},
-			{"gaussian", a, 0, func(a *mat.Dense) (*CPResult, error) {
-				return cqrrptAttempt(nil, a, SketchGaussian, 1, CQRRPTReorthCond)
-			}},
 			{"reorthogonalized", a, 0, func(a *mat.Dense) (*CPResult, error) {
-				return cqrrptAttempt(parallel.NewEngine(2), a, SketchSparse, 1, 0)
+				return cqrrptAttempt(parallel.NewEngine(2), a, 1, 0)
 			}},
-			{"fallback", graded, 2, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(nil, a, DefaultPivotTol, 1) }},
+			{"fallback", graded, 1, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(nil, a, DefaultPivotTol, 1) }},
 		} {
 			orig := tc.a.Clone()
 			trace.Reset()
@@ -212,14 +208,43 @@ func TestCQRRPTAttemptRejectsSingularSketch(t *testing.T) {
 		a.Set(i, 1, 2*float64(i+1))
 		a.Set(i, 2, -float64(i+1))
 	}
-	_, err := cqrrptAttempt(nil, a, SketchSparse, 1, CQRRPTReorthCond)
+	_, err := cqrrptAttempt(nil, a, 1, CQRRPTReorthCond)
 	if !errors.Is(err, errSketchRejected) {
 		t.Fatalf("err = %v, want errSketchRejected", err)
 	}
-	_, err = cqrrptAttempt(nil, a, SketchGaussian, 1, CQRRPTReorthCond)
-	if !errors.Is(err, errSketchRejected) {
-		t.Fatalf("Gaussian: err = %v, want errSketchRejected", err)
+}
+
+// TestCQRRPTRejectedSketchIsIteCholQRCP: a full-rank input whose sketch
+// is rejected gets exactly the iterated path's factorization. The 200×4
+// matrix has one nonzero per column, so column j of its d = 8 sketch is
+// a scaled column of S; at seed 0 two of those are parallel and the
+// condition guard rejects the sketch, although A itself is orthogonal.
+func TestCQRRPTRejectedSketchIsIteCholQRCP(t *testing.T) {
+	a := mat.NewDense(200, 4)
+	for j, i := range []int{95, 156, 135, 94} {
+		a.Set(i, j, float64(j+1))
 	}
+	trace.Reset()
+	trace.Enable()
+	res, err := CQRRPT(nil, a, DefaultPivotTol, 0)
+	trace.Disable()
+	fallbacks := trace.Snapshot().Counters[trace.CtrSketchFallbacks.String()]
+	trace.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fallbacks != 1 {
+		t.Fatalf("%d sketch fallbacks, want 1", fallbacks)
+	}
+	ref, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rank != ref.Rank || res.Iterations != ref.Iterations {
+		t.Fatalf("rank %d in %d iterations, IteCholQRCP gives rank %d in %d",
+			res.Rank, res.Iterations, ref.Rank, ref.Iterations)
+	}
+	requireSameCP(t, "rejected sketch", res, ref)
 }
 
 // TestCQRRPTReorthogonalization forces the marginal-preconditioner branch
@@ -232,7 +257,7 @@ func TestCQRRPTReorthogonalization(t *testing.T) {
 	a := testmat.Generate(rng, 5000, 24, 19, 1e-10)
 	var ref *CPResult
 	for _, w := range []int{1, 8} {
-		res, err := cqrrptAttempt(parallel.NewEngine(w), a, SketchSparse, 21, 0)
+		res, err := cqrrptAttempt(parallel.NewEngine(w), a, 21, 0)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}

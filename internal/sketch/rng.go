@@ -59,10 +59,3 @@ func (s *Source) Intn(n int) int {
 	hi, _ := bits.Mul64(s.Uint64(), uint64(n))
 	return int(hi)
 }
-
-// Float64 draws a uniform float in [0, 1) with 53 random bits.
-//
-//repolint:hotpath
-func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
-}

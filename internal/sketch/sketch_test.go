@@ -59,41 +59,10 @@ func refSparse(sa, a *mat.Dense, nnz int, seed uint64) {
 	}
 }
 
-// refGaussian replays the Gaussian kernel's stream consumption row by
-// row in ascending order, one Box–Muller pair per two targets, each
-// target updated by a plain fma loop as soon as its weight is drawn.
-func refGaussian(sa, a *mat.Dense, seed uint64) {
-	d, n := sa.Rows, sa.Cols
-	sa.Zero()
-	scale := 1 / math.Sqrt(float64(d))
-	for i := 0; i < a.Rows; i++ {
-		src := rowSource(seed, i)
-		row := a.Data[i*a.Stride : i*a.Stride+n]
-		for r := 0; r < d; r += 2 {
-			u1 := float64(src.Uint64()>>11+1) * (1.0 / (1 << 53))
-			u2 := src.Float64()
-			rad := math.Sqrt(-2 * math.Log(u1))
-			sin, cos := math.Sincos(2 * math.Pi * u2)
-			g0 := scale * rad * cos
-			dst := sa.Data[r*sa.Stride : r*sa.Stride+n]
-			for j, v := range row {
-				dst[j] = math.FMA(g0, v, dst[j])
-			}
-			if r+1 < d {
-				g1 := scale * rad * sin
-				dst = sa.Data[(r+1)*sa.Stride : (r+1)*sa.Stride+n]
-				for j, v := range row {
-					dst[j] = math.FMA(g1, v, dst[j])
-				}
-			}
-		}
-	}
-}
-
-// sketchShapes are below the two-slot threshold (m < 2·sketchMinSlotRows),
-// where the replayed references take the kernels' summation order. They
+// sketchShapes are below blas.ReduceRows's two-slot threshold (m < 4096),
+// where the replayed reference takes the kernel's summation order. They
 // cover widths on both sides of the 4- and 16-wide vector loops, d past
-// the 64-bit duplicate mask and the Gaussian chunk, odd d, and nnz = d.
+// the 64-bit duplicate mask, odd d, and nnz = d.
 var sketchShapes = []struct{ m, n, d, nnz int }{
 	{1, 1, 2, 1}, {7, 3, 6, 2}, {100, 8, 16, 4}, {1999, 24, 48, 8},
 	{300, 1, 8, 8}, {300, 4, 7, 7}, {300, 5, 64, 64}, {300, 31, 62, 8},
@@ -135,18 +104,6 @@ func TestApplySparseMatchesReference(t *testing.T) {
 	}
 }
 
-func TestApplyGaussianMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, sh := range sketchShapes {
-		a := stridedDense(rng, min(sh.m, 500), sh.n)
-		sa := mat.NewDense(sh.d, sh.n)
-		ApplyGaussian(nil, sa, a, 43)
-		ref := mat.NewDense(sh.d, sh.n)
-		refGaussian(ref, a, 43)
-		requireSameSketch(t, fmt.Sprintf("m=%d n=%d d=%d", a.Rows, sh.n, sh.d), sa, ref)
-	}
-}
-
 // TestApplySparseDeterministicAcrossWidths is the CQRRPT reproducibility
 // contract: the sketch must be bit-identical for every engine width,
 // because the downstream Geqp3 pivot selection diverges on any single-bit
@@ -170,27 +127,6 @@ func TestApplySparseDeterministicAcrossWidths(t *testing.T) {
 					t.Fatalf("m=%d n=%d width %d: sketch differs from width 1 at flat index %d",
 						sh.m, sh.n, w, i)
 				}
-			}
-		}
-	}
-}
-
-func TestApplyGaussianDeterministicAcrossWidths(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randDense(rng, 20000, 12)
-	d := 24
-	var ref *mat.Dense
-	for _, w := range []int{1, 2, 8} {
-		e := parallel.NewEngine(w)
-		sa := mat.NewDense(d, 12)
-		ApplyGaussian(e, sa, a, 11)
-		if ref == nil {
-			ref = sa
-			continue
-		}
-		for i := range sa.Data {
-			if math.Float64bits(sa.Data[i]) != math.Float64bits(ref.Data[i]) {
-				t.Fatalf("width %d: Gaussian sketch differs from width 1 at flat index %d", w, i)
 			}
 		}
 	}
@@ -227,17 +163,6 @@ func TestApplySparseNormPreservation(t *testing.T) {
 	ratio := sa.FrobeniusNorm() / a.FrobeniusNorm()
 	if ratio < 0.7 || ratio > 1.3 {
 		t.Fatalf("‖SA‖_F/‖A‖_F = %g, want ≈ 1 (sparse-sign embedding distorted)", ratio)
-	}
-}
-
-func TestApplyGaussianNormPreservation(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randDense(rng, 5000, 16)
-	sa := mat.NewDense(64, 16)
-	ApplyGaussian(nil, sa, a, 13)
-	ratio := sa.FrobeniusNorm() / a.FrobeniusNorm()
-	if ratio < 0.7 || ratio > 1.3 {
-		t.Fatalf("‖GA‖_F/‖A‖_F = %g, want ≈ 1 (Gaussian embedding distorted)", ratio)
 	}
 }
 
@@ -294,9 +219,6 @@ func TestSourceBasics(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if v := s.Intn(7); v < 0 || v >= 7 {
 			t.Fatalf("Intn(7) = %d out of range", v)
-		}
-		if f := s.Float64(); f < 0 || f >= 1 {
-			t.Fatalf("Float64 = %g out of [0,1)", f)
 		}
 	}
 	// Same seed, same stream.

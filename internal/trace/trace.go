@@ -63,8 +63,8 @@ const (
 	// CQRRPT's reorthogonalization.
 	StageFused
 	// StageSketch is the randomized embedding pass of the CQRRPT path:
-	// SA := S·A for the sparse-sign (or Gaussian fallback) sketch, plus
-	// the small pivoted QR of the sketch.
+	// SA := S·A for the sparse-sign sketch, plus the small pivoted QR of
+	// the sketch.
 	StageSketch
 	// StagePrecond is CQRRPT's preconditioner application: the fused
 	// permute→TRSM→Gram pass A := (A·P)·R_sk⁻¹ with W := AᵀA streamed out
@@ -98,10 +98,10 @@ const (
 	// attribution is the two DRAM traversals of the single pass (16·m·n),
 	// versus the five traversals of the unfused sequence.
 	KernelFusedTrsmGram
-	// KernelSketch is the randomized embedding kernel (sketch.ApplySparse
-	// / sketch.ApplyGaussian): flop attribution is 2·m·n·nnz for the
-	// sparse-sign embedding and 2·d·m·n for the Gaussian fallback; byte
-	// attribution is the single read traversal of A (8·m·n).
+	// KernelSketch is the randomized embedding kernel
+	// (sketch.ApplySparse): flop attribution is 2·m·n·nnz for the
+	// sparse-sign embedding; byte attribution is the single read
+	// traversal of A (8·m·n).
 	KernelSketch
 
 	numStages
@@ -157,9 +157,9 @@ const (
 	// CtrWorkerInline counts chunks run inline on the calling goroutine
 	// (chunk 0 of every region, plus pool-exhausted overflow).
 	CtrWorkerInline
-	// CtrSketchFallbacks counts CQRRPT runs whose condition-estimate
-	// guard rejected the sketch preconditioner (the run retried with the
-	// Gaussian sketch or fell back to the iterated path).
+	// CtrSketchFallbacks counts CQRRPT runs that rejected the sketch
+	// preconditioner (its condition-estimate guard or the preconditioned
+	// Gram's Cholesky) and fell back to the iterated path.
 	CtrSketchFallbacks
 	// CtrOOCBytesRead counts payload bytes read from disk by the
 	// out-of-core path (input file + scratch re-reads). One full Gram

@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestAddSubScale(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
@@ -34,35 +30,5 @@ func TestArithOnViews(t *testing.T) {
 	}
 	if big.At(0, 0) != 0 || big.At(3, 3) != 0 {
 		t.Fatal("Add leaked outside the view")
-	}
-}
-
-func TestMul(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := Mul(a, b)
-	want := []float64{58, 64, 139, 154}
-	for i, v := range c.Data {
-		if v != want[i] {
-			t.Fatalf("Mul: %v, want %v", c.Data, want)
-		}
-	}
-	mustPanic(t, func() { Mul(a, NewDense(2, 2)) })
-}
-
-func TestMulIdentityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		m := 1 + rng.Intn(8)
-		a := NewDense(m, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		return EqualApprox(Mul(a, Identity(n)), a, 0) &&
-			EqualApprox(Mul(Identity(m), a), a, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

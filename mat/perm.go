@@ -37,19 +37,6 @@ func (p Perm) IsValid() bool {
 // Swap exchanges the images of positions i and j, i.e. p := p · P_(i,j).
 func (p Perm) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
 
-// Compose returns the permutation of P·Q where q is applied after p:
-// (P·Q)(:, j) = P(:, q[j]) = column p[q[j]] of the identity.
-func (p Perm) Compose(q Perm) Perm {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("mat: Compose length mismatch %d vs %d", len(p), len(q)))
-	}
-	out := make(Perm, len(p))
-	for j, v := range q {
-		out[j] = p[v]
-	}
-	return out
-}
-
 // Inverse returns the permutation of Pᵀ (= P⁻¹).
 func (p Perm) Inverse() Perm {
 	out := make(Perm, len(p))

@@ -33,8 +33,8 @@ const (
 	// QRCP's greedy sequence (they optimize sketched norms) but reveal
 	// the same rank profile, and |R(j,j)| is only approximately
 	// non-increasing. Seeded by Options.Seed; if the sketch fails its
-	// condition-estimate guard the call transparently retries with a
-	// Gaussian sketch and then falls back to the iterated path.
+	// condition-estimate guard or the preconditioned Gram its Cholesky,
+	// the call transparently falls back to the iterated path.
 	StrategyCQRRPT
 )
 
