@@ -7,18 +7,18 @@ FUZZTIME ?= 10s
 
 .PHONY: all ci build lint fmt-check vet repolint escapecheck \
 	lint-fix-baseline test test-debug test-purego cross-arm64 \
-	race fuzz bench bench-json bench-smoke cover cover-gate repro \
+	race fuzz bench bench-once bench-json bench-smoke cover cover-gate repro \
 	repro-paper e2e-ooc examples clean
 
 all: build vet test
 
 # Everything the CI workflow runs, in the same order: the lint job
 # (fmt-check + vet + repolint + escapecheck), the test job (with its
-# debugchecks, purego, arm64 cross-build and examples steps), the race job, the
+# debugchecks, purego, arm64 cross-build, examples and bench-once steps), the race job, the
 # fuzz job, the coverage gate, and the benchmark smoke gate. Green here ⇒ green on CI
 # (modulo runner noise on bench-smoke, which CI loosens via
 # BENCH_TOLERANCE).
-ci: lint build test test-debug test-purego cross-arm64 examples race fuzz cover-gate bench-smoke
+ci: lint build test test-debug test-purego cross-arm64 examples bench-once race fuzz cover-gate bench-smoke
 
 # Formatting, go vet, the repo-specific static analyzer, and the
 # compiler escape gate (DESIGN.md §7).
@@ -96,6 +96,11 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# Every benchmark for one iteration: a smoke run of the bench drivers,
+# which the plain test run never executes.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # Kernel regression numbers (Gram/TRSM/GEMM, end-to-end IteCholQRCP with
 # per-stage trace rows, and the service-layer jobs/sec + latency
 # quantiles) as JSON, for diffing against the committed
@@ -115,8 +120,8 @@ bench-smoke:
 
 # End-to-end out-of-core gate: generate a ~1 GiB binary matrix
 # (2M×64 float64), factorize it through the streaming QRCPFile path with
-# Q written back to disk, under a 256 MiB GOMEMLIMIT (which also drives
-# the panel autotuner) and an aggressive GOGC so the collector cannot
+# Q written back to disk, under a 256 MiB GOMEMLIMIT (the default panel
+# height holds 32 MiB of panels) and an aggressive GOGC so the collector cannot
 # paper over a materialized matrix. The gate greps the tool's peak-heap
 # line and fails above 512 MiB — half the input, so any code path that
 # loads A (or Q) whole trips it with a wide margin.

@@ -61,7 +61,7 @@ type method struct {
 // unpivoted adapts an unpivoted QR to a method's signature.
 func unpivoted(qr func(*parallel.Engine, *mat.Dense) (*core.QR, error)) func(a *mat.Dense) (*core.CPResult, error) {
 	return func(a *mat.Dense) (*core.CPResult, error) {
-		res, err := qr(nil, a)
+		res, err := qr(parallel.Default, a)
 		if err != nil {
 			return nil, err
 		}
@@ -78,30 +78,30 @@ func unpivoted(qr func(*parallel.Engine, *mat.Dense) (*core.QR, error)) func(a *
 func Comparators(seed int64, pc PivotedCase, uc UnpivotedCase, repeats int) []ComparatorTable {
 	r := pc.R
 	a := testmat.Generate(rand.New(rand.NewSource(seed)), pc.M, pc.N, r, pc.Sigma)
-	ref := core.HQRCP(nil, a)
+	ref := core.HQRCP(parallel.Default, a)
 	piv := ComparatorTable{
 		Title:   fmt.Sprintf("Comparators (§V), pivoted: %d×%d, r = %d, σ = %.0e", pc.M, pc.N, r, pc.Sigma),
 		Pivoted: true,
 	}
 	for _, m := range []method{
 		{"Ite-CholQR-CP", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
+			return core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols)
 		}},
 		{"Ite-CholQR-CP k=r", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.IteCholQRCP(nil, a, core.DefaultPivotTol, r)
+			return core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, r)
 		}},
-		{"HQR-CP", func(a *mat.Dense) (*core.CPResult, error) { return core.HQRCP(nil, a), nil }},
+		{"HQR-CP", func(a *mat.Dense) (*core.CPResult, error) { return core.HQRCP(parallel.Default, a), nil }},
 		{"QR+QRCP(TSQR)", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.QRThenQRCP(nil, a, core.Infallible(core.TSQR))
+			return core.QRThenQRCP(parallel.Default, a, core.Infallible(core.TSQR))
 		}},
 		{"QR+QRCP(sChQR3)", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.QRThenQRCP(nil, a, core.ShiftedCholQR3)
+			return core.QRThenQRCP(parallel.Default, a, core.ShiftedCholQR3)
 		}},
 		{"CQRRPT", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.CQRRPT(nil, a, core.DefaultPivotTol, uint64(seed))
+			return core.CQRRPT(parallel.Default, a, core.DefaultPivotTol, uint64(seed))
 		}},
 		{"StrongRRQR k=r", func(a *mat.Dense) (*core.CPResult, error) {
-			return core.StrongRRQR(nil, a, r, core.DefaultStrongRRQRF)
+			return core.StrongRRQR(parallel.Default, a, r, core.DefaultStrongRRQRF)
 		}},
 	} {
 		row, res := measure(m, a, repeats)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/blas"
 	"repro/internal/cholcp"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -30,10 +31,10 @@ type PivotRecord struct {
 // single matrix; called in a sweep for Fig. 1(b,c)).
 func CholCPPivotExperiment(a *mat.Dense) []PivotRecord {
 	n := a.Cols
-	ref := core.HQRCPNoQ(nil, a)
+	ref := core.HQRCPNoQ(parallel.Default, a)
 	w := mat.NewDense(n, n)
-	blas.Gram(nil, w, a)
-	res := cholcp.CholCP(nil, w)
+	blas.Gram(parallel.Default, w, a)
+	res := cholcp.CholCP(parallel.Default, w)
 	out := metrics.ClassifyPivots(res.Perm, ref.Perm, res.NPiv, n)
 	r11 := math.Abs(ref.R.At(0, 0))
 	recs := make([]PivotRecord, n)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -33,13 +34,13 @@ func Fig2(seed int64, m, n, r int, sigmas []float64) []MethodAccuracy {
 	var rows []MethodAccuracy
 	for _, sigma := range sigmas {
 		a := testmat.Generate(rng, m, n, r, sigma)
-		ref := core.HQRCP(nil, a)
+		ref := core.HQRCP(parallel.Default, a)
 		rows = append(rows, accuracyRow(sigma, "HQR-CP", a, ref, r))
 		for _, ite := range []struct {
 			method string
 			eps    float64
 		}{{"Ite-CholQR-CP(1e-5)", 1e-5}, {"Ite-CholQR-CP(0)", 0}} {
-			res, err := core.IteCholQRCP(nil, a, ite.eps, n)
+			res, err := core.IteCholQRCP(parallel.Default, a, ite.eps, n)
 			if err != nil {
 				rows = append(rows, MethodAccuracy{Sigma: sigma, Method: ite.method, Failed: true})
 				continue
@@ -110,8 +111,8 @@ func Fig3(seed int64, m, n, r int, sigmas []float64, eps float64) []Fig3Row {
 	var rows []Fig3Row
 	for _, sigma := range sigmas {
 		a := testmat.Generate(rng, m, n, r, sigma)
-		ref := core.HQRCPNoQ(nil, a)
-		res, err := core.IteCholQRCP(nil, a, eps, n)
+		ref := core.HQRCPNoQ(parallel.Default, a)
+		res, err := core.IteCholQRCP(parallel.Default, a, eps, n)
 		if err != nil {
 			rows = append(rows, Fig3Row{Sigma: sigma, Eps: eps, Failed: true})
 			continue

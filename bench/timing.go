@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/testmat"
 )
 
@@ -45,14 +46,14 @@ func timeOneShape(seed int64, m int, nr NR, sigma float64, repeats int) TimingRo
 	a := testmat.Generate(rng, m, nr.N, nr.R, sigma)
 	var iters int
 	tIte := bestOf(repeats, func() {
-		res, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
+		res, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols)
 		if err != nil {
 			panic(fmt.Sprintf("bench: Ite-CholQR-CP failed on m=%d n=%d: %v", m, nr.N, err))
 		}
 		iters = res.Iterations
 	})
 	tHQR := bestOf(repeats, func() {
-		core.HQRCP(nil, a)
+		core.HQRCP(parallel.Default, a)
 	})
 	return TimingRow{
 		M: m, N: nr.N, R: nr.R,
@@ -99,11 +100,11 @@ type AblationEpsRow struct {
 func AblationEps(seed int64, m, n, r int, sigma float64, epss []float64) []AblationEpsRow {
 	rng := rand.New(rand.NewSource(seed))
 	a := testmat.Generate(rng, m, n, r, sigma)
-	ref := core.HQRCPNoQ(nil, a)
+	ref := core.HQRCPNoQ(parallel.Default, a)
 	var rows []AblationEpsRow
 	for _, eps := range epss {
 		start := time.Now()
-		res, err := core.IteCholQRCP(nil, a, eps, a.Cols)
+		res, err := core.IteCholQRCP(parallel.Default, a, eps, a.Cols)
 		elapsed := time.Since(start)
 		if err != nil {
 			rows = append(rows, AblationEpsRow{Eps: eps, Failed: true, Time: elapsed})

@@ -17,6 +17,7 @@ import (
 	"repro/dist"
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/testmat"
 )
@@ -94,7 +95,7 @@ func BenchmarkFig4SingleNode(b *testing.B) {
 		a := benchMatrix(sh.m, sh.n, sh.r, 1e-12)
 		b.Run(fmt.Sprintf("IteCholQRCP/m=%d/n=%d", sh.m, sh.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
+				if _, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,7 +103,7 @@ func BenchmarkFig4SingleNode(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("HQRCP/m=%d/n=%d", sh.m, sh.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.HQRCP(nil, a)
+				core.HQRCP(parallel.Default, a)
 			}
 			b.ReportMetric(bench.Flops(sh.m, sh.n, b.Elapsed()/time.Duration(safeN(b.N)))/1e9, "effGFLOPS")
 		})
@@ -120,7 +121,7 @@ func BenchmarkIteCholQRCP(b *testing.B) {
 		b.Run(fmt.Sprintf("m=%d/n=%d", sh.m, sh.n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
+				if _, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -145,7 +146,7 @@ func BenchmarkFig5Flops(b *testing.B) {
 	w := mat.NewDense(n, n)
 	b.Run("Level3Gram", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			blas.Gram(nil, w, a)
+			blas.Gram(parallel.Default, w, a)
 		}
 		flops := 2 * float64(m) * float64(n) * float64(n)
 		b.ReportMetric(flops/(b.Elapsed().Seconds()/float64(safeN(b.N)))/1e9, "GFLOPS")
@@ -157,7 +158,7 @@ func BenchmarkFig5Flops(b *testing.B) {
 			x[i] = 1
 		}
 		for i := 0; i < b.N; i++ {
-			blas.Gemv(nil, blas.Trans, 1, a, x, 0, y)
+			blas.Gemv(parallel.Default, blas.Trans, 1, a, x, 0, y)
 		}
 		flops := 2 * float64(m) * float64(n)
 		b.ReportMetric(flops/(b.Elapsed().Seconds()/float64(safeN(b.N)))/1e9, "GFLOPS")
@@ -246,7 +247,7 @@ func BenchmarkAblationEps(b *testing.B) {
 	for _, eps := range []float64{1e-2, 1e-5, 1e-8} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, eps, a.Cols); err != nil {
+				if _, err := core.IteCholQRCP(parallel.Default, a, eps, a.Cols); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -262,7 +263,7 @@ func BenchmarkAblationHQRCPBlocking(b *testing.B) {
 	a := benchMatrix(8000, 64, 51, 1e-12)
 	b.Run("Geqp3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.HQRCP(nil, a)
+			core.HQRCP(parallel.Default, a)
 		}
 	})
 }
@@ -273,21 +274,21 @@ func BenchmarkAblationTruncated(b *testing.B) {
 	a := benchMatrix(10000, 64, 51, 1e-12)
 	b.Run("Full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
+			if _, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Rank8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, 8); err != nil {
+			if _, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, 8); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Rank8-HQRCP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.HQRCPTruncated(nil, a, 8)
+			core.HQRCPTruncated(parallel.Default, a, 8)
 		}
 	})
 }
@@ -298,26 +299,26 @@ func BenchmarkComparatorQRCP(b *testing.B) {
 	a := benchMatrix(10000, 32, 26, 1e-12)
 	b.Run("IteCholQRCP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
+			if _, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("HQRCP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.HQRCP(nil, a)
+			core.HQRCP(parallel.Default, a)
 		}
 	})
 	b.Run("QRThenQRCP-TSQR", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.QRThenQRCP(nil, a, core.Infallible(core.TSQR)); err != nil {
+			if _, err := core.QRThenQRCP(parallel.Default, a, core.Infallible(core.TSQR)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("QRThenQRCP-ShiftedCholQR3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.QRThenQRCP(nil, a, core.ShiftedCholQR3); err != nil {
+			if _, err := core.QRThenQRCP(parallel.Default, a, core.ShiftedCholQR3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -334,11 +335,11 @@ func BenchmarkComparatorUnpivotedQR(b *testing.B) {
 		run  func() error
 	}
 	entries := []entry{
-		{"CholQR", func() error { _, err := core.CholQR(nil, a); return err }},
-		{"CholeskyQR2", func() error { _, err := core.CholQR2(nil, a); return err }},
-		{"ShiftedCholQR3", func() error { _, err := core.ShiftedCholQR3(nil, a); return err }},
-		{"TSQR", func() error { core.TSQR(nil, a); return nil }},
-		{"HouseholderQR", func() error { core.HouseholderQR(nil, a); return nil }},
+		{"CholQR", func() error { _, err := core.CholQR(parallel.Default, a); return err }},
+		{"CholeskyQR2", func() error { _, err := core.CholQR2(parallel.Default, a); return err }},
+		{"ShiftedCholQR3", func() error { _, err := core.ShiftedCholQR3(parallel.Default, a); return err }},
+		{"TSQR", func() error { core.TSQR(parallel.Default, a); return nil }},
+		{"HouseholderQR", func() error { core.HouseholderQR(parallel.Default, a); return nil }},
 	}
 	for _, e := range entries {
 		b.Run(e.name, func(b *testing.B) {
@@ -358,12 +359,12 @@ func BenchmarkAblationStrongRRQR(b *testing.B) {
 	a := benchMatrix(5000, 32, 32, 1e-8)
 	b.Run("GreedyQRCP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.HQRCP(nil, a)
+			core.HQRCP(parallel.Default, a)
 		}
 	})
 	b.Run("StrongRRQR", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.StrongRRQR(nil, a, 24, core.DefaultStrongRRQRF); err != nil {
+			if _, err := core.StrongRRQR(parallel.Default, a, 24, core.DefaultStrongRRQRF); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,6 +39,7 @@ import (
 	"repro/internal/blas"
 	"repro/internal/cholcp"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/sketch"
 	"repro/internal/trace"
 	"repro/mat"
@@ -251,7 +252,7 @@ func main() {
 				func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						blas.Gram(nil, w, a)
+						blas.Gram(parallel.Default, w, a)
 					}
 				}), float64(m)*float64(n)*float64(n+1)))
 
@@ -265,7 +266,7 @@ func main() {
 						b.StopTimer()
 						work.Copy(a)
 						b.StartTimer()
-						blas.TrsmRightUpperNoTrans(nil, work, r)
+						blas.TrsmRightUpperNoTrans(parallel.Default, work, r)
 					}
 				}), float64(m)*float64(n)*float64(n)))
 
@@ -276,7 +277,7 @@ func main() {
 				func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, a, bb, 0, c)
+						blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, a, bb, 0, c)
 					}
 				}), 2*float64(m)*float64(n)*float64(n)))
 		}
@@ -298,13 +299,13 @@ func main() {
 		rep.Records = append(rep.Records, atPeak(run("GemmTN", hm, hn, flops, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, v, c, 0, w)
+				blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, v, c, 0, w)
 			}
 		}), flops))
 		rep.Records = append(rep.Records, atPeak(run("GemmNT", hm, hn, flops, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				blas.Gemm(nil, blas.NoTrans, blas.Trans, -1, v, f, 1, c)
+				blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, -1, v, f, 1, c)
 			}
 		}), flops))
 	}
@@ -341,11 +342,11 @@ func main() {
 				}
 			}), float64(blas.TrsmLeftFlops(n, n))))
 			w := mat.NewDense(n, n)
-			blas.Gram(nil, w, randDense(trng, 2*n, n))
+			blas.Gram(parallel.Default, w, randDense(trng, 2*n, n))
 			rep.Records = append(rep.Records, atPeak(run("PCholCP", n, n, nominal/3, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					cholcp.PCholCP(nil, w, 0)
+					cholcp.PCholCP(parallel.Default, w, 0)
 				}
 			}), float64(cholcp.Flops(n, n))))
 		}
@@ -359,14 +360,14 @@ func main() {
 			func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
+					if _, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols); err != nil {
 						fmt.Fprintln(os.Stderr, "IteCholQRCP:", err)
 						os.Exit(1)
 					}
 				}
 			}))
 		rep.Records = append(rep.Records, stageRows("IteCholQRCP", m, n, 3, func() error {
-			_, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
+			_, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols)
 			return err
 		})...)
 	}
@@ -395,7 +396,7 @@ func main() {
 				b.StopTimer()
 				work.Copy(a)
 				b.StartTimer()
-				blas.PermTrsmGramFused(nil, work, perm, r, g)
+				blas.PermTrsmGramFused(parallel.Default, work, perm, r, g)
 			}
 		})
 		fused.Gbps = 16 * float64(fusedM) * float64(fusedN) / fused.NsPerOp
@@ -407,9 +408,9 @@ func main() {
 				b.StopTimer()
 				work.Copy(a)
 				b.StartTimer()
-				mat.PermuteColsInPlace(work, perm)
-				blas.TrsmRightUpperNoTrans(nil, work, r)
-				blas.Gram(nil, g, work)
+				mat.PermuteColsInPlaceEngine(parallel.Default, work, perm)
+				blas.TrsmRightUpperNoTrans(parallel.Default, work, r)
+				blas.Gram(parallel.Default, g, work)
 			}
 		})
 		unfused.Gbps = 40 * float64(fusedM) * float64(fusedN) / unfused.NsPerOp
@@ -439,14 +440,14 @@ func main() {
 			func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					sketch.ApplySparse(nil, sa, a, nnz, cqSeed)
+					sketch.ApplySparse(parallel.Default, sa, a, nnz, cqSeed)
 				}
 			}))
 
 		cq := run("CQRRPT", cqM, cqN, 0, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.CQRRPT(nil, a, core.DefaultPivotTol, cqSeed); err != nil {
+				if _, err := core.CQRRPT(parallel.Default, a, core.DefaultPivotTol, cqSeed); err != nil {
 					fmt.Fprintln(os.Stderr, "CQRRPT:", err)
 					os.Exit(1)
 				}
@@ -457,7 +458,7 @@ func main() {
 		ite := run("IteCholQRCP", cqM, cqN, 0, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols); err != nil {
+				if _, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols); err != nil {
 					fmt.Fprintln(os.Stderr, "IteCholQRCP:", err)
 					os.Exit(1)
 				}
@@ -477,12 +478,12 @@ func main() {
 		const pM, pN = 20000, 64
 		const pRank = (pN * 4) / 5
 		a := testmat.Generate(rng, pM, pN, pRank, 1e-12)
-		res, err := core.CQRRPT(nil, a, core.DefaultPivotTol, 42)
+		res, err := core.CQRRPT(parallel.Default, a, core.DefaultPivotTol, 42)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "CQRRPT (parity):", err)
 			os.Exit(1)
 		}
-		ref := core.HQRCP(nil, a.Clone())
+		ref := core.HQRCP(parallel.Default, a.Clone())
 		orth := metrics.Orthogonality(res.Q)
 		resid := metrics.Residual(a, res.Q, res.R, res.Perm)
 		pq := metrics.PivotQuality(res.R, ref.R, pRank)
@@ -495,7 +496,7 @@ func main() {
 				pr.Name+"/"+pr.Stage, pM, pN, pr.Value)
 		}
 		rep.Records = append(rep.Records, stageRows("CQRRPT", pM, pN, 3, func() error {
-			_, err := core.CQRRPT(nil, a, core.DefaultPivotTol, 42)
+			_, err := core.CQRRPT(parallel.Default, a, core.DefaultPivotTol, 42)
 			return err
 		})...)
 	}

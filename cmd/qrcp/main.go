@@ -51,7 +51,7 @@ func main() {
 		truncate   = flag.Int("truncate", 0, "if > 0, compute a rank-k truncated factorization")
 		out        = flag.String("out", "", "write factors to <out>.Q.txt, <out>.R.txt, <out>.perm.txt")
 		file       = flag.String("file", "", "factor this binary matrix file out of core (streaming; see cmd/matconv)")
-		panelRows  = flag.Int("panel-rows", 0, "out-of-core resident panel height; 0 auto-tunes from available memory")
+		panelRows  = flag.Int("panel-rows", 0, "out-of-core resident panel height; 0 sizes the two panel buffers at 32 MiB together")
 		qOut       = flag.String("q-out", "", "out-of-core only: stream Q to this binary file (omitted ⇒ Q is never materialized)")
 		scratchDir = flag.String("scratch-dir", "", "out-of-core only: directory for the working scratch file (default: OS temp dir)")
 		traced     = flag.Bool("trace", false, "print the stage and kernel time breakdown after the run")

@@ -28,12 +28,9 @@ type balanceRule struct {
 
 func checkWorkspaceBalance(p *Pass) {
 	runBalance(p, balanceRule{
-		pkgRel: "mat",
-		acquires: map[string]string{
-			"GetWorkspace": "PutWorkspace",
-			"GetFloats":    "PutFloats",
-		},
-		noun: "pooled workspace",
+		pkgRel:   "mat",
+		acquires: map[string]string{"GetWorkspace": "PutWorkspace"},
+		noun:     "pooled workspace",
 	})
 }
 
@@ -63,7 +60,7 @@ func runBalance(p *Pass, rule balanceRule) {
 type acquisition struct {
 	obj     types.Object
 	name    string // acquire function name, for diagnostics
-	release string // expected release: "PutFloats" or method "End"
+	release string // expected release: "PutWorkspace" or method "End"
 	pos     token.Pos
 }
 

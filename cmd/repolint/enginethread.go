@@ -6,8 +6,10 @@ package main
 // engine methods or any function whose signature threads a
 // *parallel.Engine — must themselves accept a *parallel.Engine
 // parameter, so callers keep per-call control of width and
-// cancellation. internal/parallel has no package-level For, Do or width
-// knob, so the compiler already rejects any other route to parallelism.
+// cancellation. internal/parallel has no package-level For or Do, but a
+// kernel can still fan out on a package-global engine (parallel.Default
+// or one of its own) and hide the width from its caller; this check
+// reports that.
 
 import (
 	"go/ast"

@@ -3,7 +3,7 @@
 // and enforces the load-bearing conventions nothing else checks
 // mechanically:
 //
-//	workspacebalance  pooled workspaces (mat.GetWorkspace/GetFloats) are
+//	workspacebalance  pooled workspaces (mat.GetWorkspace) are
 //	                  released on every return path
 //	spanbalance       trace.Region spans always reach .End()
 //	enginethread      exported kernels that fan out accept a

@@ -17,12 +17,3 @@ func GetWorkspace(r, c int, clear bool) *Dense {
 
 // PutWorkspace mimics the pooled workspace release.
 func PutWorkspace(d *Dense) { _ = d }
-
-// GetFloats mimics the pooled float-slice acquire.
-func GetFloats(n int, clear bool) []float64 {
-	_ = clear
-	return make([]float64, n)
-}
-
-// PutFloats mimics the pooled float-slice release.
-func PutFloats(s []float64) { _ = s }

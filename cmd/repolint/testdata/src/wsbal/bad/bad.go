@@ -8,23 +8,23 @@ func discardedResult(r, c int) {
 }
 
 func blankAssigned(n int) {
-	_ = mat.GetFloats(n, true) // want "result of mat.GetFloats is discarded"
+	_ = mat.GetWorkspace(1, n, true) // want "result of mat.GetWorkspace is discarded"
 }
 
 func neverReleased(n int) float64 {
-	buf := mat.GetFloats(n, true) // want "pooled workspace \"buf\" acquired by mat.GetFloats is never released"
+	buf := mat.GetWorkspace(1, n, true) // want "pooled workspace \"buf\" acquired by mat.GetWorkspace is never released"
 	s := 0.0
-	for _, v := range buf {
+	for _, v := range buf.Data {
 		s += v
 	}
 	return s
 }
 
 func leakOnEarlyReturn(n int) int {
-	buf := mat.GetFloats(n, false)
+	buf := mat.GetWorkspace(1, n, false)
 	if n > 10 {
 		return 0 // want "return leaks pooled workspace \"buf\""
 	}
-	mat.PutFloats(buf)
+	mat.PutWorkspace(buf)
 	return 1
 }

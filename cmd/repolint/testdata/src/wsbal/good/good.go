@@ -4,10 +4,10 @@ package good
 import "repro/mat"
 
 func deferredRelease(n int) float64 {
-	buf := mat.GetFloats(n, true)
-	defer mat.PutFloats(buf)
+	buf := mat.GetWorkspace(1, n, true)
+	defer mat.PutWorkspace(buf)
 	s := 0.0
-	for _, v := range buf {
+	for _, v := range buf.Data {
 		s += v
 	}
 	return s
@@ -20,18 +20,18 @@ func straightLineRelease(r, c int) {
 }
 
 func releaseBeforeEveryReturn(n int) int {
-	buf := mat.GetFloats(n, false)
+	buf := mat.GetWorkspace(1, n, false)
 	if n > 10 {
-		mat.PutFloats(buf)
+		mat.PutWorkspace(buf)
 		return 0
 	}
-	mat.PutFloats(buf)
+	mat.PutWorkspace(buf)
 	return 1
 }
 
 // ownershipTransferred returns the buffer: the caller now owns the
 // release, so the acquiring function is not flagged.
-func ownershipTransferred(n int) []float64 {
-	buf := mat.GetFloats(n, true)
+func ownershipTransferred(n int) *mat.Dense {
+	buf := mat.GetWorkspace(1, n, true)
 	return buf
 }

@@ -70,16 +70,16 @@ func (s sweeper) allreduce(w *mat.Dense) {
 // Iterations+1 collectives, O(1) independent of n. When the trailing
 // block collapses, the reorthogonalization reuses the leading block of
 // the last n×n Gram: no extra collective. The row sweeps are the in-core
-// ones, fused permute→TRSM→Gram pass included, run on a copy of this
-// rank's block (see core.NewDenseSweeperCopy), so with one rank the
-// result is bit-identical to core.IteCholQRCP.
+// ones, fused permute→TRSM→Gram pass included, run on comm.Engine() over
+// a copy of this rank's block (see core.NewDenseSweeperCopy), so with one
+// rank the result is bit-identical to core.IteCholQRCP.
 //
 // aLocal is not modified. The result's QLocal is this rank's block of Q,
 // with Rank columns; R (Rank×n), Perm and Rank are replicated and
 // identical on all ranks.
 func IteCholQRCP(comm Comm, aLocal *mat.Dense, eps float64) (*QRCPResult, error) {
-	sw := sweeper{DenseSweeper: core.NewDenseSweeperCopy(nil, aLocal), comm: comm}
-	res, err := core.IteCholQRCPSweeps(nil, aLocal.Cols, sw, eps, aLocal.Cols)
+	sw := sweeper{DenseSweeper: core.NewDenseSweeperCopy(comm.Engine(), aLocal), comm: comm}
+	res, err := core.IteCholQRCPSweeps(comm.Engine(), aLocal.Cols, sw, eps, aLocal.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -337,15 +337,15 @@ func formQDist(comm Comm, a *mat.Dense, tau []float64, layout Layout, rowLo int)
 		}
 		// Global S = VᵀV via one Allreduce, then T from S and tau.
 		s := mat.NewDense(jb, jb)
-		blas.Gram(nil, s, v)
+		blas.Gram(comm.Engine(), s, v)
 		comm.AllreduceSum(s.Data)
 		t := buildT(s, tau[j:j+jb])
 		// W = Vᵀ·Q (global), then Q −= V·(T·W).
 		w := mat.NewDense(jb, n)
-		blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, v, q, 0, w)
+		blas.Gemm(comm.Engine(), blas.Trans, blas.NoTrans, 1, v, q, 0, w)
 		comm.AllreduceSum(w.Data)
 		blas.TrmmLeftUpperNoTrans(t, w)
-		blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, v, w, 1, q)
+		blas.Gemm(comm.Engine(), blas.NoTrans, blas.NoTrans, -1, v, w, 1, q)
 	}
 	return q
 }

@@ -3,9 +3,11 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 	"repro/mat"
 	"repro/metrics"
@@ -36,7 +38,7 @@ func TestDistIteCholQRCPMatchesSerialPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	m, n, r := 400, 20, 16
 	a := testmat.Generate(rng, m, n, r, 1e-10)
-	serialRes, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
+	serialRes, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,11 @@ func TestDistIteCholQRCPMatchesSerialPivots(t *testing.T) {
 		l := Layout{M: m, P: p}
 		blocks := scatter(a, l)
 		results := make([]*QRCPResult, p)
+		width := max(1, runtime.GOMAXPROCS(0)/p)
 		Run(p, func(c Comm) {
+			if got := c.Engine().Workers(); got != width {
+				t.Errorf("p=%d rank %d: engine width %d, want max(1, W/P) = %d", p, c.Rank(), got, width)
+			}
 			res, err := IteCholQRCP(c, blocks[c.Rank()], core.DefaultPivotTol)
 			if err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
@@ -52,6 +58,24 @@ func TestDistIteCholQRCPMatchesSerialPivots(t *testing.T) {
 			}
 			results[c.Rank()] = res
 		})
+		// The rank width never moves a bit: every rank on one core, or
+		// on four, reproduces the run above.
+		for _, w := range []int{1, 4} {
+			again := make([]*QRCPResult, p)
+			Run(p, func(c Comm) {
+				res, err := IteCholQRCP(widthComm{c, parallel.NewEngine(w)}, blocks[c.Rank()], core.DefaultPivotTol)
+				if err != nil {
+					t.Errorf("rank %d width %d: %v", c.Rank(), w, err)
+					return
+				}
+				again[c.Rank()] = res
+			})
+			for rk, res := range again {
+				want := results[rk]
+				requireSameFactors(t, fmt.Sprintf("p=%d rank %d width %d", p, rk, w),
+					res.QLocal, res.R, res.Perm, want.QLocal, want.R, want.Perm)
+			}
+		}
 		// Pivots must agree across ranks and with the serial essential ones.
 		for rk := 1; rk < p; rk++ {
 			for j := range results[0].Perm {
@@ -86,6 +110,14 @@ func TestDistIteCholQRCPMatchesSerialPivots(t *testing.T) {
 	}
 }
 
+// widthComm runs a rank on an engine of a chosen width.
+type widthComm struct {
+	Comm
+	e *parallel.Engine
+}
+
+func (c widthComm) Engine() *parallel.Engine { return c.e }
+
 // requireSameFactors fails unless the two factorizations carry the same
 // pivots and bit-identical Q and R.
 func requireSameFactors(t *testing.T, label string, q, r *mat.Dense, perm mat.Perm, wantQ, wantR *mat.Dense, wantPerm mat.Perm) {
@@ -99,7 +131,7 @@ func requireSameFactors(t *testing.T, label string, q, r *mat.Dense, perm mat.Pe
 		}
 	}
 	if !mat.EqualApprox(q, wantQ, 0) || !mat.EqualApprox(r, wantR, 0) {
-		t.Fatalf("%s: Q or R not bit-identical to in-core", label)
+		t.Fatalf("%s: Q or R not bit-identical", label)
 	}
 }
 
@@ -107,7 +139,7 @@ func TestDistHQRCPMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(133))
 	m, n, rk := 300, 18, 14
 	a := testmat.Generate(rng, m, n, rk, 1e-8)
-	serial := core.HQRCP(nil, a)
+	serial := core.HQRCP(parallel.Default, a)
 	for _, p := range []int{1, 3, 5} {
 		l := Layout{M: m, P: p}
 		blocks := scatter(a, l)
@@ -147,7 +179,7 @@ func TestDistHQRCPNoQ(t *testing.T) {
 	if results[0].QLocal != nil {
 		t.Fatal("formQ=false must not build Q")
 	}
-	serial := core.HQRCP(nil, a)
+	serial := core.HQRCP(parallel.Default, a)
 	for j := range serial.Perm {
 		if results[0].Perm[j] != serial.Perm[j] {
 			t.Fatalf("pivots differ at %d", j)
@@ -167,7 +199,7 @@ func TestDistUnevenRows(t *testing.T) {
 	for _, tc := range []struct{ m, n, p int }{{101, 7, 4}, {30, 12, 3}} {
 		a := testmat.GenerateWellConditioned(rng, tc.m, tc.n, 50)
 		l := Layout{M: tc.m, P: tc.p}
-		ite, err := core.IteCholQRCP(nil, a, core.DefaultPivotTol, a.Cols)
+		ite, err := core.IteCholQRCP(parallel.Default, a, core.DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +213,7 @@ func TestDistUnevenRows(t *testing.T) {
 			}, ite},
 			{"HQRCP", func(c Comm, b *mat.Dense) (*QRCPResult, error) {
 				return HQRCP(c, b, l, true), nil
-			}, core.HQRCP(nil, a)},
+			}, core.HQRCP(parallel.Default, a)},
 		} {
 			label := fmt.Sprintf("%s %d×%d P=%d", ep.name, tc.m, tc.n, tc.p)
 			blocks := scatter(a, l)

@@ -21,15 +21,21 @@
 // row block A_p of the tall matrix.
 package dist
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/parallel"
+)
 
 // Comm is the per-rank communicator handle, the minimal MPI subset the
-// tall-skinny algorithms need.
+// tall-skinny algorithms need, plus the engine the rank computes on.
 type Comm interface {
 	// Rank returns this process's 0-based rank.
 	Rank() int
 	// Size returns the number of ranks in the group.
 	Size() int
+	// Engine returns the engine this rank's local kernels run on.
+	Engine() *parallel.Engine
 	// AllreduceSum replaces buf on every rank with the element-wise sum
 	// of all ranks' buffers. All ranks must pass equal-length buffers.
 	AllreduceSum(buf []float64)

@@ -3,6 +3,8 @@ package dist
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/parallel"
 )
 
 // LocalGroup is an in-process communicator group: P goroutine "ranks"
@@ -20,7 +22,8 @@ type LocalGroup struct {
 type reduceRange struct{ lo, hi int }
 
 // NewLocalGroup creates a group of p ranks and returns one Comm per rank.
-// Each returned Comm must be used by exactly one goroutine.
+// Each returned Comm must be used by exactly one goroutine, and computes
+// on its own max(1, W/p) of the process's W = GOMAXPROCS cores.
 func NewLocalGroup(p int) []Comm {
 	if p < 1 {
 		panic(fmt.Sprintf("dist: group size %d < 1", p))
@@ -33,7 +36,7 @@ func NewLocalGroup(p int) []Comm {
 	}
 	comms := make([]Comm, p)
 	for r := 0; r < p; r++ {
-		comms[r] = &localComm{g: g, rank: r}
+		comms[r] = &localComm{g: g, rank: r, eng: parallel.NewEngine(max(1, parallel.Default.Workers()/p))}
 	}
 	return comms
 }
@@ -41,10 +44,12 @@ func NewLocalGroup(p int) []Comm {
 type localComm struct {
 	g    *LocalGroup
 	rank int
+	eng  *parallel.Engine
 }
 
-func (c *localComm) Rank() int { return c.rank }
-func (c *localComm) Size() int { return c.g.p }
+func (c *localComm) Rank() int                { return c.rank }
+func (c *localComm) Size() int                { return c.g.p }
+func (c *localComm) Engine() *parallel.Engine { return c.eng }
 
 // AllreduceSum: every rank registers its buffer; after a barrier each rank
 // reduces a disjoint index range of the result (in fixed rank order, so

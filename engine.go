@@ -33,9 +33,11 @@ func NewEngine(workers int) *Engine {
 	return &Engine{pe: parallel.NewEngine(workers)}
 }
 
+var defaultEngine = &Engine{pe: parallel.Default}
+
 // DefaultEngine returns the engine the package-level functions run on:
 // full parallel width (tracking GOMAXPROCS), no cancellation.
-func DefaultEngine() *Engine { return nil }
+func DefaultEngine() *Engine { return defaultEngine }
 
 // WithContext returns a derived engine with the same width whose
 // factorizations stop cooperatively once ctx is cancelled or past its
@@ -46,7 +48,7 @@ func (e *Engine) WithContext(ctx context.Context) *Engine {
 }
 
 // WithWorkers returns a derived engine with the same context and a new
-// width bound. n < 1 selects all available cores.
+// width bound. n < 1 selects all available cores, tracking GOMAXPROCS.
 func (e *Engine) WithWorkers(n int) *Engine {
 	return &Engine{pe: e.eng().WithWorkers(n)}
 }
@@ -54,11 +56,11 @@ func (e *Engine) WithWorkers(n int) *Engine {
 // Workers reports the engine's parallel width bound.
 func (e *Engine) Workers() int { return e.eng().Workers() }
 
-// eng unwraps the internal engine; nil public engines map to the nil
-// (default) internal engine.
+// eng unwraps the internal engine; the nil and zero public engines map
+// to the runtime's default engine.
 func (e *Engine) eng() *parallel.Engine {
-	if e == nil {
-		return nil
+	if e == nil || e.pe == nil {
+		return parallel.Default
 	}
 	return e.pe
 }

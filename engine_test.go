@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -71,8 +72,16 @@ func TestEngineWorkers(t *testing.T) {
 	if got := NewEngine(0).Workers(); got < 1 {
 		t.Fatalf("NewEngine(0).Workers() = %d", got)
 	}
-	if got := DefaultEngine().Workers(); got < 1 {
-		t.Fatalf("DefaultEngine().Workers() = %d", got)
+	// DefaultEngine is a real engine, and the documented nil and zero
+	// engines stand for it: all cores, tracking GOMAXPROCS.
+	var nilEngine *Engine
+	for name, e := range map[string]*Engine{"DefaultEngine()": DefaultEngine(), "nil": nilEngine, "zero": {}} {
+		if got, want := e.Workers(), runtime.GOMAXPROCS(0); got != want {
+			t.Fatalf("%s.Workers() = %d, want GOMAXPROCS = %d", name, got, want)
+		}
+	}
+	if DefaultEngine() == nil {
+		t.Fatal("DefaultEngine() is nil")
 	}
 	if got := NewEngine(8).WithWorkers(2).Workers(); got != 2 {
 		t.Fatalf("WithWorkers(2).Workers() = %d", got)

@@ -10,10 +10,10 @@ import (
 // FileOptions extends Options for the out-of-core QRCPFile path.
 type FileOptions struct {
 	Options
-	// PanelRows is the resident row-panel height; 0 auto-tunes from
-	// available memory (GOMEMLIMIT, then the OS's availability signal).
-	// The value never changes the result bits — only the resident set
-	// (two panels of PanelRows×n float64s) and the I/O granularity.
+	// PanelRows is the resident row-panel height; 0 picks the height
+	// whose two panels of PanelRows×n float64s take 32 MiB together,
+	// 32 MiB/(16·n) rows, at most the row count. The value never changes
+	// the result bits — only the resident set and the I/O granularity.
 	PanelRows int
 	// QPath, when non-empty, streams the m×Rank orthonormal factor to
 	// this path in the binary matrix format (mat.ReadBinaryFile reads it

@@ -42,7 +42,7 @@ func BenchmarkGram(b *testing.B) {
 		w := mat.NewDense(sh.n, sh.n)
 		b.Run(fmt.Sprintf("m=%d/n=%d", sh.m, sh.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Gram(nil, w, a)
+				Gram(parallel.Default, w, a)
 			}
 			reportGFLOPS(b, 2*float64(sh.m)*float64(sh.n)*float64(sh.n))
 		})
@@ -58,7 +58,7 @@ func BenchmarkTrsmRight(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				work := a.Clone()
 				b.StartTimer()
-				TrsmRightUpperNoTrans(nil, work, r)
+				TrsmRightUpperNoTrans(parallel.Default, work, r)
 				b.StopTimer()
 			}
 			b.StartTimer()
@@ -87,7 +87,7 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			work := a.Clone()
 			b.StartTimer()
-			PermTrsmGramFused(nil, work, perm, r, g)
+			PermTrsmGramFused(parallel.Default, work, perm, r, g)
 			b.StopTimer()
 		}
 		b.StartTimer()
@@ -97,9 +97,9 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			work := a.Clone()
 			b.StartTimer()
-			mat.PermuteColsInPlace(work, perm)
-			TrsmRightUpperNoTrans(nil, work, r)
-			Gram(nil, g, work)
+			mat.PermuteColsInPlaceEngine(parallel.Default, work, perm)
+			TrsmRightUpperNoTrans(parallel.Default, work, r)
+			Gram(parallel.Default, g, work)
 			b.StopTimer()
 		}
 		b.StartTimer()
@@ -223,7 +223,7 @@ func BenchmarkGemmNN(b *testing.B) {
 	c := mat.NewDense(m, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(nil, NoTrans, NoTrans, 1, a, bb, 0, c)
+		Gemm(parallel.Default, NoTrans, NoTrans, 1, a, bb, 0, c)
 	}
 	reportGFLOPS(b, 2*float64(m)*float64(k)*float64(n))
 }
@@ -238,7 +238,7 @@ func BenchmarkGemvTrans(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemv(nil, Trans, 1, a, x, 0, y)
+		Gemv(parallel.Default, Trans, 1, a, x, 0, y)
 	}
 	reportGFLOPS(b, 2*float64(m)*float64(n))
 }
@@ -256,7 +256,7 @@ func BenchmarkGer(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Ger(nil, 1, x, y, a)
+		Ger(parallel.Default, 1, x, y, a)
 	}
 	reportGFLOPS(b, 2*float64(m)*float64(n))
 }

@@ -211,7 +211,7 @@ func TestLevel3MatchesFMAReference(t *testing.T) {
 			wantX := a.Clone()
 			refTrsm(wantX, r)
 			wantPX := a.Clone()
-			mat.PermuteColsInPlace(wantPX, perm)
+			mat.PermuteColsInPlaceEngine(parallel.Default, wantPX, perm)
 			refTrsm(wantPX, r)
 			wantPG := refGram(wantPX)
 			wantNN := cm.Clone()
@@ -315,7 +315,7 @@ func checkGramZeroTimesInf(t *testing.T) {
 			a.Set(i, 1, 1)
 		}
 		w := mat.NewDense(2, 2)
-		Gram(nil, w, a)
+		Gram(parallel.Default, w, a)
 		if !math.IsNaN(w.At(0, 1)) || !math.IsNaN(w.At(1, 0)) {
 			t.Fatalf("m=%d: W[0][1] = %v, want NaN from 0·Inf", m, w.At(0, 1))
 		}

@@ -65,7 +65,7 @@ func FusedSlots(m int) int {
 // permute + TRSM + SYRK sequence.
 //
 // The per-row permute is elementwise identical to
-// mat.PermuteColsInPlace and the solve is TrsmRightUpperNoTrans's own
+// mat.PermuteColsInPlaceEngine and the solve is TrsmRightUpperNoTrans's own
 // kernel, so B matches the unfused permute + TRSM bit for bit. G is
 // accumulated by Gram's kernel through the same fixed slot reduction
 // (ReduceRows), each element's chain running over the slot's rows in
@@ -76,7 +76,7 @@ func FusedSlots(m int) int {
 //
 // Panics if R has a zero diagonal entry, if perm is non-nil with a
 // length other than B's column count, or if G is not k×k with k ≤ n. The
-// engine e bounds the parallel width (nil selects the default engine).
+// engine e bounds the parallel width.
 func PermTrsmGramFused(e *parallel.Engine, b *mat.Dense, perm mat.Perm, r, g *mat.Dense) {
 	PermTrsmGramFusedInto(e, b, b, perm, r, g)
 }
@@ -126,8 +126,8 @@ func PermTrsmGramFusedInto(e *parallel.Engine, dst, b *mat.Dense, perm mat.Perm,
 
 // fusedRows is the ReduceRows kernel of PermTrsmGramFusedInto: job.b is
 // the source, job.a the destination. The gather's scratch row (which
-// the Go loop goes through in place) is a pooled 1×n Dense (PutFloats
-// heap-escapes its header), keeping the width-1 path allocation free.
+// the Go loop goes through in place) is a pooled 1×n Dense, keeping the
+// width-1 path allocation free.
 func fusedRows(job rowJob, lo, hi int, acc *mat.Dense) {
 	tmp := mat.GetWorkspace(1, job.b.Cols, false)
 	fusedSlotRange(job.a, job.b, job.r, job.perm, lo, hi, acc, tmp.Data)

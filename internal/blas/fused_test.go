@@ -273,6 +273,6 @@ func TestPermTrsmGramFusedLeadingGram(t *testing.T) {
 		}
 	}
 	b := b0.Clone()
-	mustPanicB(t, func() { PermTrsmGramFused(nil, b, perm, r, mat.NewDense(n+1, n+1)) })
-	mustPanicB(t, func() { PermTrsmGramFused(nil, b, perm, r, mat.NewDense(5, 6)) })
+	mustPanicB(t, func() { PermTrsmGramFused(parallel.Default, b, perm, r, mat.NewDense(n+1, n+1)) })
+	mustPanicB(t, func() { PermTrsmGramFused(parallel.Default, b, perm, r, mat.NewDense(5, 6)) })
 }

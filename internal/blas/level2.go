@@ -13,7 +13,7 @@ import (
 const gemvParallelThreshold = 1 << 15
 
 // Gemv computes y = alpha·op(A)·x + beta·y. The engine e bounds the
-// parallel width (nil selects the default engine).
+// parallel width.
 func Gemv(e *parallel.Engine, t Transpose, alpha float64, a *mat.Dense, x []float64, beta float64, y []float64) {
 	rows, cols := dims(t, a)
 	if len(x) != cols || len(y) != rows {
@@ -80,8 +80,7 @@ func gemvTRows(job rowJob, lo, hi int, dst *mat.Dense) {
 	}
 }
 
-// Ger computes A += alpha·x·yᵀ. The engine e bounds the parallel width
-// (nil selects the default engine).
+// Ger computes A += alpha·x·yᵀ. The engine e bounds the parallel width.
 func Ger(e *parallel.Engine, alpha float64, x, y []float64, a *mat.Dense) {
 	if len(x) != a.Rows || len(y) != a.Cols {
 		panic(fmt.Sprintf("blas: Ger A %d×%d with x[%d], y[%d]", a.Rows, a.Cols, len(x), len(y)))

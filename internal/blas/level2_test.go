@@ -11,7 +11,7 @@ import (
 func TestGemvNoTrans(t *testing.T) {
 	a := mat.NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	y := []float64{10, 20}
-	Gemv(nil, NoTrans, 2, a, []float64{1, 1, 1}, 3, y)
+	Gemv(parallel.Default, NoTrans, 2, a, []float64{1, 1, 1}, 3, y)
 	// y = 2*A*[1,1,1] + 3*y = [2*6+30, 2*15+60]
 	if y[0] != 42 || y[1] != 90 {
 		t.Fatalf("Gemv N: y = %v", y)
@@ -21,7 +21,7 @@ func TestGemvNoTrans(t *testing.T) {
 func TestGemvTrans(t *testing.T) {
 	a := mat.NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	y := []float64{1, 1, 1}
-	Gemv(nil, Trans, 1, a, []float64{1, 2}, 0, y)
+	Gemv(parallel.Default, Trans, 1, a, []float64{1, 2}, 0, y)
 	// Aᵀ[1,2] = [1+8, 2+10, 3+12]
 	want := []float64{9, 12, 15}
 	for i := range y {
@@ -33,8 +33,8 @@ func TestGemvTrans(t *testing.T) {
 
 func TestGemvShapePanics(t *testing.T) {
 	a := mat.NewDense(2, 3)
-	mustPanicB(t, func() { Gemv(nil, NoTrans, 1, a, []float64{1, 2}, 0, []float64{0, 0}) })
-	mustPanicB(t, func() { Gemv(nil, Trans, 1, a, []float64{1, 2, 3}, 0, []float64{0, 0}) })
+	mustPanicB(t, func() { Gemv(parallel.Default, NoTrans, 1, a, []float64{1, 2}, 0, []float64{0, 0}) })
+	mustPanicB(t, func() { Gemv(parallel.Default, Trans, 1, a, []float64{1, 2, 3}, 0, []float64{0, 0}) })
 }
 
 func TestGemvLargeParallelMatchesSequential(t *testing.T) {
@@ -57,7 +57,7 @@ func TestGemvLargeParallelMatchesSequential(t *testing.T) {
 
 func TestGer(t *testing.T) {
 	a := mat.NewDense(2, 2)
-	Ger(nil, 2, []float64{1, 2}, []float64{3, 4}, a)
+	Ger(parallel.Default, 2, []float64{1, 2}, []float64{3, 4}, a)
 	want := [][]float64{{6, 8}, {12, 16}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -67,11 +67,11 @@ func TestGer(t *testing.T) {
 		}
 	}
 	before := a.Clone()
-	Ger(nil, 0, []float64{1, 2}, []float64{3, 4}, a)
+	Ger(parallel.Default, 0, []float64{1, 2}, []float64{3, 4}, a)
 	if !mat.EqualApprox(a, before, 0) {
 		t.Fatal("Ger alpha=0 must be a no-op")
 	}
-	mustPanicB(t, func() { Ger(nil, 1, []float64{1}, []float64{1, 2}, a) })
+	mustPanicB(t, func() { Ger(parallel.Default, 1, []float64{1}, []float64{1, 2}, a) })
 }
 
 func TestGerLarge(t *testing.T) {
@@ -92,7 +92,7 @@ func TestGerLarge(t *testing.T) {
 			want.Set(i, j, want.At(i, j)+0.5*x[i]*y[j])
 		}
 	}
-	Ger(nil, 0.5, x, y, a)
+	Ger(parallel.Default, 0.5, x, y, a)
 	if !mat.EqualApprox(a, want, 1e-12) {
 		t.Fatal("large parallel Ger disagrees with naive")
 	}

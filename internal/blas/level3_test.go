@@ -33,7 +33,7 @@ func TestGemmAllTransCombos(t *testing.T) {
 			c := randDenseStrided(rng, sh.m, sh.n)
 			want := c.Clone()
 			naiveGemm(cb.tA, cb.tB, 1.3, a, b, -0.7, want)
-			Gemm(nil, cb.tA, cb.tB, 1.3, a, b, -0.7, c)
+			Gemm(parallel.Default, cb.tA, cb.tB, 1.3, a, b, -0.7, c)
 			if !mat.EqualApprox(c, want, 1e-10) {
 				t.Fatalf("Gemm(nil, tA=%v,tB=%v) shape %+v disagrees with naive", cb.tA, cb.tB, sh)
 			}
@@ -51,7 +51,7 @@ func TestGemmBetaZeroOverwritesGarbage(t *testing.T) {
 	}
 	want := mat.NewDense(4, 5)
 	naiveGemm(NoTrans, NoTrans, 1, a, b, 0, want)
-	Gemm(nil, NoTrans, NoTrans, 1, a, b, 0, c)
+	Gemm(parallel.Default, NoTrans, NoTrans, 1, a, b, 0, c)
 	if !mat.EqualApprox(c, want, 1e-12) {
 		t.Fatal("beta=0 must fully overwrite C")
 	}
@@ -66,7 +66,7 @@ func TestGemmAlphaZeroScalesOnly(t *testing.T) {
 	for i := range want.Data {
 		want.Data[i] *= 2
 	}
-	Gemm(nil, NoTrans, NoTrans, 0, a, b, 2, c)
+	Gemm(parallel.Default, NoTrans, NoTrans, 0, a, b, 2, c)
 	if !mat.EqualApprox(c, want, 1e-14) {
 		t.Fatal("alpha=0 must only scale C by beta")
 	}
@@ -74,14 +74,14 @@ func TestGemmAlphaZeroScalesOnly(t *testing.T) {
 
 func TestGemmDimensionPanics(t *testing.T) {
 	mustPanicB(t, func() {
-		Gemm(nil, NoTrans, NoTrans, 1, mat.NewDense(2, 3), mat.NewDense(4, 2), 0, mat.NewDense(2, 2))
+		Gemm(parallel.Default, NoTrans, NoTrans, 1, mat.NewDense(2, 3), mat.NewDense(4, 2), 0, mat.NewDense(2, 2))
 	})
 	mustPanicB(t, func() {
-		Gemm(nil, NoTrans, NoTrans, 1, mat.NewDense(2, 3), mat.NewDense(3, 2), 0, mat.NewDense(3, 2))
+		Gemm(parallel.Default, NoTrans, NoTrans, 1, mat.NewDense(2, 3), mat.NewDense(3, 2), 0, mat.NewDense(3, 2))
 	})
 	// Aᵀ·Bᵀ is not supported.
 	mustPanicB(t, func() {
-		Gemm(nil, Trans, Trans, 1, mat.NewDense(3, 2), mat.NewDense(2, 3), 0, mat.NewDense(2, 2))
+		Gemm(parallel.Default, Trans, Trans, 1, mat.NewDense(3, 2), mat.NewDense(2, 3), 0, mat.NewDense(2, 2))
 	})
 }
 
@@ -106,7 +106,7 @@ func TestGemmZeroBlockNotSkipped(t *testing.T) {
 		}
 		c.Set(3, 0, 7)
 		want := c.Clone()
-		Gemm(nil, tA, NoTrans, 1, a, b, 1, c)
+		Gemm(parallel.Default, tA, NoTrans, 1, a, b, 1, c)
 		for i := 0; i < 4; i++ {
 			for j, bj := range cols {
 				got, old := c.At(i, j), want.At(i, j)
@@ -166,7 +166,7 @@ func TestSyrkUpperTrans(t *testing.T) {
 			c := randDenseStrided(rng, n, n)
 			want := c.Clone()
 			naiveSyrkUpper(-1, a, 1, want)
-			SyrkUpperTrans(nil, a, c)
+			SyrkUpperTrans(parallel.Default, a, c)
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					got, exp := c.At(i, j), want.At(i, j)
@@ -191,7 +191,7 @@ func TestSyrkLowerUntouched(t *testing.T) {
 	c := mat.NewDense(4, 4)
 	c.Set(2, 0, 123)
 	c.Set(3, 1, -7)
-	SyrkUpperTrans(nil, a, c)
+	SyrkUpperTrans(parallel.Default, a, c)
 	if c.At(2, 0) != 123 || c.At(3, 1) != -7 {
 		t.Fatal("SyrkUpperTrans modified the strict lower triangle")
 	}
@@ -201,7 +201,7 @@ func TestGramSymmetricPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	a := randDense(rng, 300, 12)
 	w := mat.NewDense(12, 12)
-	Gram(nil, w, a)
+	Gram(parallel.Default, w, a)
 	for i := 0; i < 12; i++ {
 		if w.At(i, i) < 0 {
 			t.Fatalf("Gram diagonal negative at %d", i)
@@ -226,7 +226,7 @@ func TestTrsmRightUpperNoTrans(t *testing.T) {
 			r := upperTriangular(rng, n)
 			b := randDenseStrided(rng, m, n)
 			orig := b.Clone()
-			TrsmRightUpperNoTrans(nil, b, r)
+			TrsmRightUpperNoTrans(parallel.Default, b, r)
 			// Check B_new · R == B_old.
 			prod := mat.NewDense(m, n)
 			naiveGemm(NoTrans, NoTrans, 1, b, r, 0, prod)
@@ -292,7 +292,7 @@ func TestTrsmSingularPanics(t *testing.T) {
 	r := mat.Identity(3)
 	r.Set(1, 1, 0)
 	b := mat.NewDense(4, 3)
-	mustPanicB(t, func() { TrsmRightUpperNoTrans(nil, b, r) })
+	mustPanicB(t, func() { TrsmRightUpperNoTrans(parallel.Default, b, r) })
 	c := mat.NewDense(3, 2)
 	mustPanicB(t, func() { TrsmLeftUpperTrans(r, c) })
 	mustPanicB(t, func() { TrsmLeftUpperNoTrans(r, c) })

@@ -43,14 +43,14 @@ func TestGemmNNPackedWideN(t *testing.T) {
 		b := randDenseStrided(rng, sh.k, sh.n)
 		c := randDense(rng, sh.m, sh.n)
 		want := c.Clone()
-		Gemm(nil, NoTrans, NoTrans, 1.5, a, b, 0.5, c)
+		Gemm(parallel.Default, NoTrans, NoTrans, 1.5, a, b, 0.5, c)
 		naiveGemm(NoTrans, NoTrans, 1.5, a, b, 0.5, want)
 		matsClose(t, c, want, 1e-12*float64(sh.k), "gemm NN")
 
 		bt := randDenseStrided(rng, sh.n, sh.k)
 		c = randDense(rng, sh.m, sh.n)
 		want = c.Clone()
-		Gemm(nil, NoTrans, Trans, -0.75, a, bt, 1, c)
+		Gemm(parallel.Default, NoTrans, Trans, -0.75, a, bt, 1, c)
 		naiveGemm(NoTrans, Trans, -0.75, a, bt, 1, want)
 		matsClose(t, c, want, 1e-12*float64(sh.k), "gemm NT")
 	}
@@ -63,7 +63,7 @@ func TestSyrkWideNBlockedPath(t *testing.T) {
 		a := randDenseStrided(rng, m, n)
 		c := randDense(rng, n, n)
 		want := c.Clone()
-		SyrkUpperTrans(nil, a, c)
+		SyrkUpperTrans(parallel.Default, a, c)
 		naiveSyrkUpper(-1, a, 1, want)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -349,7 +350,7 @@ func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 					}},
 					{"PermTrsmGramFused", func() *mat.Dense {
 						x := b.Clone()
-						PermTrsmGramFused(nil, x, perm, r, mat.NewDense(n, n))
+						PermTrsmGramFused(parallel.Default, x, perm, r, mat.NewDense(n, n))
 						return x
 					}},
 					{"fusedSyrkCols", func() *mat.Dense {
@@ -359,22 +360,22 @@ func TestFusedKernelsAVX2MatchGo(t *testing.T) {
 					}},
 					{"Gemm NN", func() *mat.Dense {
 						c := b.Clone()
-						Gemm(nil, NoTrans, NoTrans, -1.25, b, r, 1, c)
+						Gemm(parallel.Default, NoTrans, NoTrans, -1.25, b, r, 1, c)
 						return c
 					}},
 					{"Gemm TN", func() *mat.Dense {
 						c := r.Clone()
-						Gemm(nil, Trans, NoTrans, -1.25, b, b, 1, c)
+						Gemm(parallel.Default, Trans, NoTrans, -1.25, b, b, 1, c)
 						return c
 					}},
 					{"Gemm NT", func() *mat.Dense {
 						c := mat.NewDense(m, m)
-						Gemm(nil, NoTrans, Trans, -1.25, b, b, 1, c)
+						Gemm(parallel.Default, NoTrans, Trans, -1.25, b, b, 1, c)
 						return c
 					}},
 					{"SyrkUpperTrans", func() *mat.Dense {
 						c := r.Clone()
-						SyrkUpperTrans(nil, b, c)
+						SyrkUpperTrans(parallel.Default, b, c)
 						return c
 					}},
 				} {

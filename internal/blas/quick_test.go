@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -35,7 +36,7 @@ func TestQuickGemmMatchesNaive(t *testing.T) {
 		c := randDenseStrided(rng, m, n)
 		want := c.Clone()
 		naiveGemm(Transpose(tA), Transpose(tB), alpha, a, b, beta, want)
-		Gemm(nil, Transpose(tA), Transpose(tB), alpha, a, b, beta, c)
+		Gemm(parallel.Default, Transpose(tA), Transpose(tB), alpha, a, b, beta, c)
 		return mat.EqualApprox(c, want, 1e-11)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -52,7 +53,7 @@ func TestQuickSyrkMatchesNaive(t *testing.T) {
 		c := randDenseStrided(rng, n, n)
 		want := c.Clone()
 		naiveSyrkUpper(-1, a, 1, want)
-		SyrkUpperTrans(nil, a, c)
+		SyrkUpperTrans(parallel.Default, a, c)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				d := c.At(i, j) - want.At(i, j)
@@ -80,7 +81,7 @@ func TestQuickTrsmRightInvertsTrmm(t *testing.T) {
 		// X := X·R via gemm, then solve back.
 		prod := mat.NewDense(m, n)
 		naiveGemm(NoTrans, NoTrans, 1, x, r, 0, prod)
-		TrsmRightUpperNoTrans(nil, prod, r)
+		TrsmRightUpperNoTrans(parallel.Default, prod, r)
 		return mat.EqualApprox(prod, orig, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -104,7 +105,7 @@ func TestQuickGemvConsistentWithGemm(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		y := make([]float64, yl)
-		Gemv(nil, Transpose(trans), 1.3, a, x, 0, y)
+		Gemv(parallel.Default, Transpose(trans), 1.3, a, x, 0, y)
 		xm := mat.NewDenseData(xl, 1, append([]float64(nil), x...))
 		ym := mat.NewDense(yl, 1)
 		naiveGemm(Transpose(trans), NoTrans, 1.3, a, xm, 0, ym)

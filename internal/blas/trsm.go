@@ -23,7 +23,7 @@ func checkTriangular(r *mat.Dense, n int, who string) {
 // part of the determinism contract of the CQRRPT path.
 //
 // Panics if R has a zero diagonal entry. The engine e bounds the parallel
-// width (nil selects the default engine).
+// width.
 func TrsmRightUpperNoTrans(e *parallel.Engine, b, r *mat.Dense) {
 	n := b.Cols
 	checkTriangular(r, n, "TrsmRightUpperNoTrans")

@@ -44,8 +44,7 @@ type Result struct {
 //
 // eps = 0 reproduces the paper's "ε = 0" variant, which only stops to
 // avoid outright breakdown (a non-positive pivot diagonal). The engine e
-// bounds the parallel width of the trailing downdates (nil selects the
-// default engine).
+// bounds the parallel width of the trailing downdates.
 func PCholCP(e *parallel.Engine, w *mat.Dense, eps float64) Result {
 	return PCholCPMax(e, w, eps, w.Rows, nil, mat.NewDense(w.Rows, w.Rows))
 }

@@ -25,7 +25,7 @@ func gram(rng *rand.Rand, m, n int, colScale func(j int) float64) *mat.Dense {
 		}
 	}
 	w := mat.NewDense(n, n)
-	blas.Gram(nil, w, b)
+	blas.Gram(parallel.Default, w, b)
 	return w
 }
 
@@ -48,7 +48,7 @@ func checkFactorization(t *testing.T, w *mat.Dense, res Result) {
 		}
 	}
 	rtr := mat.NewDense(n, n)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, res.R, res.R, 0, rtr)
+	blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, res.R, res.R, 0, rtr)
 	scale := w.MaxAbs()
 	np := res.NPiv
 	// Leading block and coupling block must match exactly (up to roundoff):
@@ -66,7 +66,7 @@ func TestCholCPFullRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, n := range []int{1, 2, 5, 20, 64} {
 		w := gram(rng, n+10, n, nil)
-		res := CholCP(nil, w)
+		res := CholCP(parallel.Default, w)
 		if res.NPiv != n {
 			t.Fatalf("n=%d: NPiv = %d, want full %d", n, res.NPiv, n)
 		}
@@ -84,7 +84,7 @@ func TestCholCPPivotOrderIsDiagonalGreedy(t *testing.T) {
 	for i, v := range diag {
 		w.Set(i, i, v)
 	}
-	res := CholCP(nil, w)
+	res := CholCP(parallel.Default, w)
 	want := mat.Perm{1, 3, 0, 2}
 	for j, v := range want {
 		if res.Perm[j] != v {
@@ -105,7 +105,7 @@ func TestPCholCPToleranceStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	n := 10
 	w := gram(rng, 200, n, func(j int) float64 { return math.Pow(10, -float64(j)) })
-	res := PCholCP(nil, w, 1e-3)
+	res := PCholCP(parallel.Default, w, 1e-3)
 	if res.NPiv == 0 || res.NPiv >= n {
 		t.Fatalf("NPiv = %d, want partial stop in (0,%d)", res.NPiv, n)
 	}
@@ -158,8 +158,8 @@ func TestPCholCPBreakdown(t *testing.T) {
 		}
 	}
 	w := mat.NewDense(n, n)
-	blas.Gram(nil, w, b)
-	res := PCholCP(nil, w, 0)
+	blas.Gram(parallel.Default, w, b)
+	res := PCholCP(parallel.Default, w, 0)
 	if res.NPiv < rank {
 		t.Fatalf("NPiv = %d, want ≥ rank %d", res.NPiv, rank)
 	}
@@ -188,21 +188,21 @@ func TestPCholCPMaxFloor(t *testing.T) {
 	w.Set(1, 1, 4)
 	w.Set(2, 2, 1)
 	floor := []float64{1e-18, 0, 1}
-	res := PCholCPMax(nil, w, 0, 3, floor, mat.NewDense(3, 3))
+	res := PCholCPMax(parallel.Default, w, 0, 3, floor, mat.NewDense(3, 3))
 	if res.NPiv != 1 || res.Perm[0] != 1 {
 		t.Fatalf("NPiv %d perm %v, want index 1 alone: indices 0 and 2 sit at their floors", res.NPiv, res.Perm)
 	}
 	if floor[0] != 0 || floor[1] != 1e-18 {
 		t.Fatalf("floor %v not permuted with the pivots", floor)
 	}
-	if res := PCholCPMax(nil, w, 0, 3, []float64{1e-18, 4, 1}, mat.NewDense(3, 3)); res.NPiv != 0 {
+	if res := PCholCPMax(parallel.Default, w, 0, 3, []float64{1e-18, 4, 1}, mat.NewDense(3, 3)); res.NPiv != 0 {
 		t.Fatalf("NPiv %d with every diagonal at its floor, want 0", res.NPiv)
 	}
 }
 
 func TestPCholCPZeroMatrix(t *testing.T) {
 	w := mat.NewDense(5, 5)
-	res := PCholCP(nil, w, 1e-5)
+	res := PCholCP(parallel.Default, w, 1e-5)
 	if res.NPiv != 0 || !res.Breakdown {
 		t.Fatalf("zero matrix: NPiv=%d breakdown=%v, want 0/true", res.NPiv, res.Breakdown)
 	}
@@ -216,7 +216,7 @@ func TestPCholCPDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	w := gram(rng, 50, 6, nil)
 	orig := w.Clone()
-	PCholCP(nil, w, 1e-5)
+	PCholCP(parallel.Default, w, 1e-5)
 	if !mat.EqualApprox(w, orig, 0) {
 		t.Fatal("PCholCP modified its input")
 	}
@@ -224,7 +224,7 @@ func TestPCholCPDoesNotModifyInput(t *testing.T) {
 
 func TestPCholCPMatchesUnpivotedOnIdentityGram(t *testing.T) {
 	// For W = I, no pivoting happens and R = I.
-	res := PCholCP(nil, mat.Identity(6), 1e-5)
+	res := PCholCP(parallel.Default, mat.Identity(6), 1e-5)
 	if res.NPiv != 6 {
 		t.Fatalf("NPiv = %d, want 6", res.NPiv)
 	}
@@ -244,7 +244,7 @@ func TestPCholCPNonSquarePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	PCholCP(nil, mat.NewDense(3, 4), 0)
+	PCholCP(parallel.Default, mat.NewDense(3, 4), 0)
 }
 
 func TestPCholCPEpsilonMonotone(t *testing.T) {
@@ -254,7 +254,7 @@ func TestPCholCPEpsilonMonotone(t *testing.T) {
 	w := gram(rng, 300, 12, func(j int) float64 { return math.Pow(10, -float64(j)/2) })
 	prev := 0
 	for _, eps := range []float64{1e-1, 1e-3, 1e-6, 1e-12, 0} {
-		res := PCholCP(nil, w, eps)
+		res := PCholCP(parallel.Default, w, eps)
 		if res.NPiv < prev {
 			t.Fatalf("NPiv not monotone in ε: eps=%g gives %d < previous %d", eps, res.NPiv, prev)
 		}
@@ -337,7 +337,7 @@ func requireSameDecisions(t *testing.T, label string, w *mat.Dense, eps float64,
 	for i := range dst.Data {
 		dst.Data[i] = math.NaN()
 	}
-	got := PCholCPMax(nil, w, eps, maxPiv, nil, dst.Slice(1, n+1, 2, n+2))
+	got := PCholCPMax(parallel.Default, w, eps, maxPiv, nil, dst.Slice(1, n+1, 2, n+2))
 	want := pcholcpUnblocked(w, eps, maxPiv)
 	if got.NPiv != want.NPiv || got.Breakdown != want.Breakdown {
 		t.Fatalf("%s: NPiv %d breakdown %v, oracle %d %v", label, got.NPiv, got.Breakdown, want.NPiv, want.Breakdown)
@@ -348,8 +348,8 @@ func requireSameDecisions(t *testing.T, label string, w *mat.Dense, eps float64,
 		}
 	}
 	gotG, wantG := mat.NewDense(n, n), mat.NewDense(n, n)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, got.R, got.R, 0, gotG)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, want.R, want.R, 0, wantG)
+	blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, got.R, got.R, 0, gotG)
+	blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, want.R, want.R, 0, wantG)
 	tol := 4 * float64(n) * 0x1p-52 * w.MaxAbs()
 	for i := 0; i < got.NPiv; i++ {
 		for j := 0; j < n; j++ {
@@ -373,7 +373,7 @@ func TestPCholCPBlockedMatchesUnblocked(t *testing.T) {
 	} {
 		a := testmat.Generate(rng, 3*c.n, c.n, c.r, c.sigma)
 		w := mat.NewDense(c.n, c.n)
-		blas.Gram(nil, w, a)
+		blas.Gram(parallel.Default, w, a)
 		for _, eps := range []float64{1e-5, 1e-3} {
 			for _, maxPiv := range []int{c.n, c.r / 2, 9, 1, 0} {
 				requireSameDecisions(t, fmt.Sprintf("n=%d r=%d σ=%g ε=%g cap=%d", c.n, c.r, c.sigma, eps, maxPiv), w, eps, maxPiv)
@@ -403,7 +403,7 @@ func TestPCholCPBlockedMatchesUnblocked(t *testing.T) {
 				b.Set(i, j, rng.NormFloat64())
 			}
 		}
-		blas.Gram(nil, w, b)
+		blas.Gram(parallel.Default, w, b)
 		for _, eps := range []float64{0, 1e-5} {
 			requireSameDecisions(t, fmt.Sprintf("zero columns n=%d ε=%g", n, eps), w, eps, n)
 		}

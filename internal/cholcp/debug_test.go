@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -20,5 +21,5 @@ func TestPCholCPNaNInputPanicsUnderDebugChecks(t *testing.T) {
 			t.Fatal("PCholCP on NaN input: expected debugchecks panic")
 		}
 	}()
-	PCholCP(nil, w, 0)
+	PCholCP(parallel.Default, w, 0)
 }

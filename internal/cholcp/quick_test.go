@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -19,7 +20,7 @@ func TestQuickPCholCPInvariants(t *testing.T) {
 		m := n + int(mRaw)%60
 		eps := math.Pow(10, -float64(1+epsExp%8))
 		w := gram(rng, m, n, func(j int) float64 { return math.Pow(10, -float64(j%7)) })
-		res := PCholCP(nil, w, eps)
+		res := PCholCP(parallel.Default, w, eps)
 		if !res.Perm.IsValid() {
 			t.Logf("seed=%d: invalid perm", seed)
 			return false
@@ -51,7 +52,7 @@ func TestQuickPCholCPInvariants(t *testing.T) {
 		}
 		// Eq. (6): leading NPiv rows of PᵀWP equal those of RᵀR.
 		rtr := mat.NewDense(n, n)
-		blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, res.R, res.R, 0, rtr)
+		blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, res.R, res.R, 0, rtr)
 		scale := w.MaxAbs() + 1
 		for i := 0; i < res.NPiv; i++ {
 			for j := 0; j < n; j++ {
@@ -75,7 +76,7 @@ func TestQuickPCholCPMaxCap(t *testing.T) {
 		n := 12
 		w := gram(rng, 50, n, nil)
 		cap := 1 + int(capRaw)%n
-		res := PCholCPMax(nil, w, 0, cap, nil, mat.NewDense(n, n))
+		res := PCholCPMax(parallel.Default, w, 0, cap, nil, mat.NewDense(n, n))
 		if res.NPiv > cap {
 			return false
 		}

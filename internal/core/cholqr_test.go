@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -14,7 +15,7 @@ func TestCholQRWellConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, sh := range []struct{ m, n int }{{10, 3}, {100, 20}, {500, 50}} {
 		a := testmat.GenerateWellConditioned(rng, sh.m, sh.n, 10)
-		qr, err := CholQR(nil, a)
+		qr, err := CholQR(parallel.Default, a)
 		if err != nil {
 			t.Fatalf("%d×%d: %v", sh.m, sh.n, err)
 		}
@@ -35,11 +36,11 @@ func TestCholQROrthogonalityDegradesWithCondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	a4 := testmat.GenerateWellConditioned(rng, 300, 10, 1e4)
 	a6 := testmat.GenerateWellConditioned(rng, 300, 10, 1e6)
-	q4, err := CholQR(nil, a4)
+	q4, err := CholQR(parallel.Default, a4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q6, err := CholQR(nil, a6)
+	q6, err := CholQR(parallel.Default, a6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCholQROrthogonalityDegradesWithCondition(t *testing.T) {
 func TestCholQRBreaksDownWhenVeryIllConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	a := testmat.GenerateWellConditioned(rng, 200, 10, 1e14)
-	_, err := CholQR(nil, a)
+	_, err := CholQR(parallel.Default, a)
 	if !errors.Is(err, ErrBreakdown) {
 		t.Fatalf("κ=1e14 CholQR should break down, got err=%v", err)
 	}
@@ -62,7 +63,7 @@ func TestCholQR2AccurateUpToSqrtU(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	for _, cond := range []float64{1e2, 1e5, 1e7} {
 		a := testmat.GenerateWellConditioned(rng, 400, 15, cond)
-		qr, err := CholQR2(nil, a)
+		qr, err := CholQR2(parallel.Default, a)
 		if err != nil {
 			t.Fatalf("κ=%g: %v", cond, err)
 		}
@@ -79,7 +80,7 @@ func TestShiftedCholQR3IllConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	for _, cond := range []float64{1e10, 1e13} {
 		a := testmat.GenerateWellConditioned(rng, 500, 12, cond)
-		qr, err := ShiftedCholQR3(nil, a)
+		qr, err := ShiftedCholQR3(parallel.Default, a)
 		if err != nil {
 			t.Fatalf("κ=%g: %v", cond, err)
 		}
@@ -95,7 +96,7 @@ func TestShiftedCholQR3IllConditioned(t *testing.T) {
 func TestHouseholderQRReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	a := testmat.GenerateWellConditioned(rng, 150, 40, 1e8)
-	qr := HouseholderQR(nil, a)
+	qr := HouseholderQR(parallel.Default, a)
 	if e := metrics.Orthogonality(qr.Q); e > 1e-14 {
 		t.Fatalf("orthogonality %g", e)
 	}
@@ -108,16 +109,16 @@ func TestCholQRDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	a := testmat.GenerateWellConditioned(rng, 50, 5, 10)
 	orig := a.Clone()
-	if _, err := CholQR(nil, a); err != nil {
+	if _, err := CholQR(parallel.Default, a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CholQR2(nil, a); err != nil {
+	if _, err := CholQR2(parallel.Default, a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ShiftedCholQR3(nil, a); err != nil {
+	if _, err := ShiftedCholQR3(parallel.Default, a); err != nil {
 		t.Fatal(err)
 	}
-	HouseholderQR(nil, a)
+	HouseholderQR(parallel.Default, a)
 	if !mat.EqualApprox(a, orig, 0) {
 		t.Fatal("input matrix was modified")
 	}

@@ -19,7 +19,7 @@ func TestTSQRMatchesHouseholder(t *testing.T) {
 		{4097, 33}, // odd row count
 	} {
 		a := testmat.GenerateWellConditioned(rng, sh.m, sh.n, 1e6)
-		qr := TSQR(nil, a)
+		qr := TSQR(parallel.Default, a)
 		if e := metrics.Orthogonality(qr.Q); e > 1e-13 {
 			t.Fatalf("%dx%d: orthogonality %g", sh.m, sh.n, e)
 		}
@@ -37,17 +37,17 @@ func TestTSQRIllConditioned(t *testing.T) {
 	// breaks down.
 	rng := rand.New(rand.NewSource(162))
 	a := testmat.GenerateWellConditioned(rng, 6000, 12, 1e14)
-	if _, err := CholQR2(nil, a); err == nil {
+	if _, err := CholQR2(parallel.Default, a); err == nil {
 		t.Log("CholQR2 survived 1e14 (unusual but possible); continuing")
 	}
-	qr := TSQR(nil, a)
+	qr := TSQR(parallel.Default, a)
 	if e := metrics.Orthogonality(qr.Q); e > 1e-13 {
 		t.Fatalf("TSQR orthogonality %g at κ=1e14", e)
 	}
 }
 
 func TestTSQRPanicsOnWide(t *testing.T) {
-	mustPanicC(t, func() { TSQR(nil, mat.NewDense(3, 5)) })
+	mustPanicC(t, func() { TSQR(parallel.Default, mat.NewDense(3, 5)) })
 }
 
 func TestQRThenQRCPMatchesHQRCPPivots(t *testing.T) {
@@ -61,8 +61,8 @@ func TestQRThenQRCPMatchesHQRCPPivots(t *testing.T) {
 		qr   func(*parallel.Engine, *mat.Dense) (*QR, error)
 	}{{"CholQR2", CholQR2}, {"TSQR", Infallible(TSQR)}, {"HouseholderQR", Infallible(HouseholderQR)}} {
 		a := testmat.Generate(rng, 2000, 24, 24, 1e-6)
-		ref := HQRCP(nil, a)
-		res, err := QRThenQRCP(nil, a, inner.qr)
+		ref := HQRCP(parallel.Default, a)
+		res, err := QRThenQRCP(parallel.Default, a, inner.qr)
 		if err != nil {
 			t.Fatalf("inner=%s: %v", inner.name, err)
 		}
@@ -77,7 +77,7 @@ func TestQRThenQRCPIllConditionedNeedsRobustInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(164))
 	a := testmat.Generate(rng, 3000, 16, 16, 1e-13)
 	// CholQR2 inner breaks down...
-	if _, err := QRThenQRCP(nil, a, CholQR2); err == nil {
+	if _, err := QRThenQRCP(parallel.Default, a, CholQR2); err == nil {
 		t.Log("CholQR2 inner unexpectedly survived κ=1e13")
 	}
 	// ...shifted CholQR3 and TSQR handle it.
@@ -85,7 +85,7 @@ func TestQRThenQRCPIllConditionedNeedsRobustInner(t *testing.T) {
 		name string
 		qr   func(*parallel.Engine, *mat.Dense) (*QR, error)
 	}{{"ShiftedCholQR3", ShiftedCholQR3}, {"TSQR", Infallible(TSQR)}} {
-		res, err := QRThenQRCP(nil, a, inner.qr)
+		res, err := QRThenQRCP(parallel.Default, a, inner.qr)
 		if err != nil {
 			t.Fatalf("inner=%s: %v", inner.name, err)
 		}

@@ -17,7 +17,7 @@ import (
 func TestCQRRPTWellConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	a := testmat.GenerateWellConditioned(rng, 500, 20, 100)
-	res, err := CQRRPT(nil, a, DefaultPivotTol, 42)
+	res, err := CQRRPT(parallel.Default, a, DefaultPivotTol, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +39,12 @@ func TestCQRRPTAcrossConditioning(t *testing.T) {
 	r := (n * 4) / 5
 	for _, sigma := range []float64{1e-2, 1e-6, 1e-10, 1e-12, 1e-14} {
 		a := testmat.Generate(rng, m, n, r, sigma)
-		res, err := CQRRPT(nil, a, DefaultPivotTol, 7)
+		res, err := CQRRPT(parallel.Default, a, DefaultPivotTol, 7)
 		if err != nil {
 			t.Fatalf("σ=%g: %v", sigma, err)
 		}
 		checkCP(t, "cqrrpt", a, res, 1e-13, 1e-13)
-		ref := HQRCP(nil, a)
+		ref := HQRCP(parallel.Default, a)
 		for i := 0; i < r; i++ {
 			got := math.Abs(res.R.At(i, i))
 			want := math.Abs(ref.R.At(i, i))
@@ -110,14 +110,14 @@ func TestCQRRPTSeedSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(304))
 	a := testmat.Generate(rng, 2500, 24, 19, 1e-8)
 	for _, seed := range []uint64{0, 1, 0xdeadbeef} {
-		res, err := CQRRPT(nil, a, DefaultPivotTol, seed)
+		res, err := CQRRPT(parallel.Default, a, DefaultPivotTol, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		checkCP(t, "cqrrpt", a, res, 1e-13, 1e-13)
 	}
-	r1, err1 := CQRRPT(nil, a, DefaultPivotTol, 9)
-	r2, err2 := CQRRPT(nil, a, DefaultPivotTol, 9)
+	r1, err1 := CQRRPT(parallel.Default, a, DefaultPivotTol, 9)
+	r2, err2 := CQRRPT(parallel.Default, a, DefaultPivotTol, 9)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -136,7 +136,7 @@ func TestCQRRPTExactRankDeficientFallsBack(t *testing.T) {
 	a := mat.NewDense(300, 4)
 	trace.Reset()
 	trace.Enable()
-	res, err := CQRRPT(nil, a, DefaultPivotTol, 3)
+	res, err := CQRRPT(parallel.Default, a, DefaultPivotTol, 3)
 	trace.Disable()
 	if err != nil || res.Rank != 0 {
 		t.Fatalf("err = %v, want rank 0 from the iterated fallback", err)
@@ -175,11 +175,11 @@ func TestCQRRPTDoesNotModifyInput(t *testing.T) {
 			fallbacks int64
 			run       func(a *mat.Dense) (*CPResult, error)
 		}{
-			{"sparse", a, 0, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(nil, a, DefaultPivotTol, 1) }},
+			{"sparse", a, 0, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(parallel.Default, a, DefaultPivotTol, 1) }},
 			{"reorthogonalized", a, 0, func(a *mat.Dense) (*CPResult, error) {
 				return cqrrptAttempt(parallel.NewEngine(2), a, 1, 0)
 			}},
-			{"fallback", graded, 1, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(nil, a, DefaultPivotTol, 1) }},
+			{"fallback", graded, 1, func(a *mat.Dense) (*CPResult, error) { return CQRRPT(parallel.Default, a, DefaultPivotTol, 1) }},
 		} {
 			orig := tc.a.Clone()
 			trace.Reset()
@@ -208,7 +208,7 @@ func TestCQRRPTAttemptRejectsSingularSketch(t *testing.T) {
 		a.Set(i, 1, 2*float64(i+1))
 		a.Set(i, 2, -float64(i+1))
 	}
-	_, err := cqrrptAttempt(nil, a, 1, CQRRPTReorthCond)
+	_, err := cqrrptAttempt(parallel.Default, a, 1, CQRRPTReorthCond)
 	if !errors.Is(err, errSketchRejected) {
 		t.Fatalf("err = %v, want errSketchRejected", err)
 	}
@@ -226,7 +226,7 @@ func TestCQRRPTRejectedSketchIsIteCholQRCP(t *testing.T) {
 	}
 	trace.Reset()
 	trace.Enable()
-	res, err := CQRRPT(nil, a, DefaultPivotTol, 0)
+	res, err := CQRRPT(parallel.Default, a, DefaultPivotTol, 0)
 	trace.Disable()
 	fallbacks := trace.Snapshot().Counters[trace.CtrSketchFallbacks.String()]
 	trace.Reset()
@@ -236,7 +236,7 @@ func TestCQRRPTRejectedSketchIsIteCholQRCP(t *testing.T) {
 	if fallbacks != 1 {
 		t.Fatalf("%d sketch fallbacks, want 1", fallbacks)
 	}
-	ref, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	ref, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestCQRRPTCancelled(t *testing.T) {
 }
 
 func TestCQRRPTWideInputPanics(t *testing.T) {
-	mustPanicC(t, func() { CQRRPT(nil, mat.NewDense(3, 5), DefaultPivotTol, 0) })
+	mustPanicC(t, func() { CQRRPT(parallel.Default, mat.NewDense(3, 5), DefaultPivotTol, 0) })
 }
 
 // TestCQRRPTStageKernelFlopAttributionReconciles extends the trace
@@ -306,7 +306,7 @@ func TestCQRRPTStageKernelFlopAttributionReconciles(t *testing.T) {
 	a := testmat.Generate(rng, 900, 28, 28, 1e-9)
 	trace.Reset()
 	trace.Enable()
-	_, err := CQRRPT(nil, a, DefaultPivotTol, 5)
+	_, err := CQRRPT(parallel.Default, a, DefaultPivotTol, 5)
 	trace.Disable()
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -22,5 +23,5 @@ func TestCholQRNaNInputPanicsUnderDebugChecks(t *testing.T) {
 			t.Fatal("CholQR on Inf input: expected debugchecks panic")
 		}
 	}()
-	CholQR(nil, a)
+	CholQR(parallel.Default, a)
 }

@@ -106,8 +106,8 @@ func TestStageKernelFlopAttributionReconciles(t *testing.T) {
 		name string
 		run  func() (*CPResult, error)
 	}{
-		{"full", func() (*CPResult, error) { return IteCholQRCP(nil, a, DefaultPivotTol, a.Cols) }},
-		{"truncated", func() (*CPResult, error) { return IteCholQRCP(nil, a, DefaultPivotTol, 20) }},
+		{"full", func() (*CPResult, error) { return IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols) }},
+		{"truncated", func() (*CPResult, error) { return IteCholQRCP(parallel.Default, a, DefaultPivotTol, 20) }},
 	}
 	for _, tc := range cases {
 		trace.Reset()
@@ -200,9 +200,9 @@ func TestCholQRFamilyStageKernelFlopAttributionReconciles(t *testing.T) {
 		fused int64
 		trmms int64
 	}{
-		{"CholQR", func() (*QR, error) { return CholQR(nil, well) }, 0, 0},
-		{"CholQR2", func() (*QR, error) { return CholQR2(nil, well) }, 1, 1},
-		{"ShiftedCholQR3", func() (*QR, error) { return ShiftedCholQR3(nil, ill) }, 2, 3},
+		{"CholQR", func() (*QR, error) { return CholQR(parallel.Default, well) }, 0, 0},
+		{"CholQR2", func() (*QR, error) { return CholQR2(parallel.Default, well) }, 1, 1},
+		{"ShiftedCholQR3", func() (*QR, error) { return ShiftedCholQR3(parallel.Default, ill) }, 2, 3},
 	}
 	for _, tc := range cases {
 		trace.Reset()

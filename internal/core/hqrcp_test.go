@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -13,7 +14,7 @@ func TestHQRCPContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	for _, sigma := range []float64{1e-3, 1e-12} {
 		a := testmat.Generate(rng, 300, 24, 20, sigma)
-		res := HQRCP(nil, a)
+		res := HQRCP(parallel.Default, a)
 		checkCP(t, "hqrcp", a, res, 1e-13, 1e-13)
 	}
 }
@@ -21,8 +22,8 @@ func TestHQRCPContract(t *testing.T) {
 func TestHQRCPNoQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	a := testmat.Generate(rng, 150, 12, 10, 1e-6)
-	full := HQRCP(nil, a)
-	noq := HQRCPNoQ(nil, a)
+	full := HQRCP(parallel.Default, a)
+	noq := HQRCPNoQ(parallel.Default, a)
 	if noq.Q != nil {
 		t.Fatal("HQRCPNoQ must not form Q")
 	}
@@ -48,7 +49,7 @@ func TestHQRCPPivotsAreNormGreedy(t *testing.T) {
 	for i := 0; i < m; i++ {
 		a.Set(i, 4, 100*a.At(i, 4))
 	}
-	res := HQRCP(nil, a)
+	res := HQRCP(parallel.Default, a)
 	if res.Perm[0] != 4 {
 		t.Fatalf("first pivot %d, want 4", res.Perm[0])
 	}
@@ -58,7 +59,7 @@ func TestHQRCPRankRevealing(t *testing.T) {
 	rng := rand.New(rand.NewSource(125))
 	m, n, r := 400, 20, 12
 	a := testmat.Generate(rng, m, n, r, 1e-4)
-	res := HQRCP(nil, a)
+	res := HQRCP(parallel.Default, a)
 	// κ₂(R₁₁) ≈ 1/σ = 1e4 and ‖R₂₂‖₂ tiny.
 	c := metrics.CondR11(res.R, r)
 	if c > 1e5 {
@@ -70,14 +71,14 @@ func TestHQRCPRankRevealing(t *testing.T) {
 }
 
 func TestHQRCPPanicsOnWide(t *testing.T) {
-	mustPanicC(t, func() { HQRCP(nil, mat.NewDense(3, 5)) })
+	mustPanicC(t, func() { HQRCP(parallel.Default, mat.NewDense(3, 5)) })
 }
 
 func TestHQRCPTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(126))
 	m, n, r := 300, 20, 8
 	a := testmat.Generate(rng, m, n, r, 1e-2)
-	res := HQRCPTruncated(nil, a, r)
+	res := HQRCPTruncated(parallel.Default, a, r)
 	if res.Rank != r || res.Q.Cols != r || res.R.Rows != r {
 		t.Fatalf("shape: rank=%d Q %d×%d R %d×%d", res.Rank, res.Q.Rows, res.Q.Cols, res.R.Rows, res.R.Cols)
 	}
@@ -101,7 +102,7 @@ func TestHQRCPTruncated(t *testing.T) {
 		t.Fatalf("truncated residual %g", rel)
 	}
 	// Pivots must match the full factorization's prefix.
-	full := HQRCPNoQ(nil, a)
+	full := HQRCPNoQ(parallel.Default, a)
 	for j := 0; j < r; j++ {
 		if res.Perm[j] != full.Perm[j] {
 			t.Fatalf("truncated pivots diverge from full at %d", j)
@@ -112,8 +113,8 @@ func TestHQRCPTruncated(t *testing.T) {
 func TestHQRCPTruncatedMatchesIteTruncatedPivots(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	a := testmat.Generate(rng, 400, 24, 20, 1e-8)
-	h := HQRCPTruncated(nil, a, 10)
-	ite, err := IteCholQRCP(nil, a, DefaultPivotTol, 10)
+	h := HQRCPTruncated(parallel.Default, a, 10)
+	ite, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestHQRCPTruncatedMatchesIteTruncatedPivots(t *testing.T) {
 
 func TestHQRCPTruncatedPanics(t *testing.T) {
 	a := mat.NewDense(10, 5)
-	mustPanicC(t, func() { HQRCPTruncated(nil, a, 0) })
-	mustPanicC(t, func() { HQRCPTruncated(nil, a, 6) })
-	mustPanicC(t, func() { HQRCPTruncated(nil, mat.NewDense(3, 5), 2) })
+	mustPanicC(t, func() { HQRCPTruncated(parallel.Default, a, 0) })
+	mustPanicC(t, func() { HQRCPTruncated(parallel.Default, a, 6) })
+	mustPanicC(t, func() { HQRCPTruncated(parallel.Default, mat.NewDense(3, 5), 2) })
 }

@@ -33,7 +33,7 @@ func checkCP(t *testing.T, name string, a *mat.Dense, res *CPResult, orthTol, re
 func TestIteCholQRCPWellConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	a := testmat.GenerateWellConditioned(rng, 200, 20, 100)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestIteCholQRCPMatchesHQRCPPivots(t *testing.T) {
 	m, n, r := 800, 25, 20
 	for _, sigma := range []float64{1e-2, 1e-6, 1e-10, 1e-14} {
 		a := testmat.Generate(rng, m, n, r, sigma)
-		ref := HQRCP(nil, a)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+		ref := HQRCP(parallel.Default, a)
+		res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Fatalf("σ=%g: %v", sigma, err)
 		}
@@ -72,8 +72,8 @@ func TestIteCholQRCPEps0UnstableForIllConditioned(t *testing.T) {
 	diverged := false
 	for _, sigma := range []float64{1e-10, 1e-12, 1e-14} {
 		a := testmat.Generate(rng, m, n, r, sigma)
-		ref := HQRCP(nil, a)
-		res, err := IteCholQRCP(nil, a, 0, a.Cols)
+		ref := HQRCP(parallel.Default, a)
+		res, err := IteCholQRCP(parallel.Default, a, 0, a.Cols)
 		if err != nil {
 			// Breakdown also demonstrates the instability; accept it.
 			diverged = true
@@ -97,7 +97,7 @@ func TestIteCholQRCPEps0UnstableForIllConditioned(t *testing.T) {
 func TestIteCholQRCPEps0CollapseStaysOrthogonal(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		a := testmat.Generate(rand.New(rand.NewSource(seed)), 2000, 32, 26, 1e-8)
-		res, err := IteCholQRCP(nil, a, 0, a.Cols)
+		res, err := IteCholQRCP(parallel.Default, a, 0, a.Cols)
 		if err != nil {
 			if !errors.Is(err, ErrBreakdown) {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -116,7 +116,7 @@ func TestIteCholQRCPAccuracySweep(t *testing.T) {
 	m, n, r := 500, 30, 24
 	for _, sigma := range []float64{1e-2, 1e-8, 1e-14} {
 		a := testmat.Generate(rng, m, n, r, sigma)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+		res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Fatalf("σ=%g: %v", sigma, err)
 		}
@@ -139,7 +139,7 @@ func TestIteCholQRCPIterationCount(t *testing.T) {
 	// pivoting completes in 3 iterations.
 	rng := rand.New(rand.NewSource(115))
 	a := testmat.Generate(rng, 1000, 32, 26, 1e-12)
-	res, err := IteCholQRCP(nil, a, 1e-5, a.Cols)
+	res, err := IteCholQRCP(parallel.Default, a, 1e-5, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestIteCholQRCPFullRankNoGap(t *testing.T) {
 	// n = r (no trailing roundoff directions), moderately conditioned.
 	rng := rand.New(rand.NewSource(117))
 	a := testmat.Generate(rng, 400, 24, 24, 1e-9)
-	ref := HQRCP(nil, a)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	ref := HQRCP(parallel.Default, a)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestIteCholQRCPSingleColumn(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = rng.NormFloat64()
 	}
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestIteCholQRCPSingleColumn(t *testing.T) {
 // an error: rank 0, Q 20×0, R 0×3, and no pass over A but the first Gram.
 func TestIteCholQRCPZeroMatrixStalls(t *testing.T) {
 	a := mat.NewDense(20, 3)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,16 +223,16 @@ func TestNoiseFloorAllocatesNothing(t *testing.T) {
 }
 
 func TestIteCholQRCPPanics(t *testing.T) {
-	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(3, 5), 1e-5, 3) }) //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(5, 3), 1.5, 3) })  //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(5, 3), -1, 3) })   //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(parallel.Default, mat.NewDense(3, 5), 1e-5, 3) }) //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(parallel.Default, mat.NewDense(5, 3), 1.5, 3) })  //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(parallel.Default, mat.NewDense(5, 3), -1, 3) })   //nolint:errcheck
 }
 
 func TestIteCholQRCPDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(119))
 	a := testmat.Generate(rng, 100, 8, 6, 1e-6)
 	orig := a.Clone()
-	if _, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols); err != nil {
+	if _, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols); err != nil {
 		t.Fatal(err)
 	}
 	if !mat.EqualApprox(a, orig, 0) {
@@ -245,7 +245,7 @@ func TestIteCholQRCPDiagonalDecreasing(t *testing.T) {
 	// for any greedy column-pivoted QR.
 	rng := rand.New(rand.NewSource(120))
 	a := testmat.Generate(rng, 600, 20, 16, 1e-10)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +276,11 @@ func TestIteCholQRCPNaNInputFailsCleanly(t *testing.T) {
 	rng := rand.New(rand.NewSource(128))
 	a := testmat.GenerateWellConditioned(rng, 100, 8, 10)
 	a.Set(50, 3, math.NaN())
-	if _, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols); err == nil {
+	if _, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols); err == nil {
 		t.Fatal("NaN input must error")
 	}
 	a.Set(50, 3, math.Inf(1))
-	if _, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols); err == nil {
+	if _, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols); err == nil {
 		t.Fatal("Inf input must error")
 	}
 }
@@ -301,11 +301,11 @@ func TestIteCholQRCPTiesAreDeterministic(t *testing.T) {
 		a.Set(i, 4, rng.NormFloat64())
 		a.Set(i, 5, 0.25*rng.NormFloat64())
 	}
-	r1, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	r1, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	r2, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -18,7 +19,7 @@ func TestPartialTruncatedApproximation(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	m, n, r := 400, 24, 10
 	a := testmat.Generate(rng, m, n, r, 1e-3)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, r)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestPartialTruncatedApproximation(t *testing.T) {
 	// ‖A·P − Q₁·R₁‖_F/‖A‖_F should be at trailing-σ level.
 	ap := mat.NewDense(m, n)
 	mat.PermuteCols(ap, a, res.Perm)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
 	if rel := ap.FrobeniusNorm() / a.FrobeniusNorm(); rel > 1e-12 {
 		t.Fatalf("truncated residual %g, want roundoff", rel)
 	}
@@ -45,13 +46,13 @@ func TestPartialLowRankErrorTracksSigma(t *testing.T) {
 	a := testmat.Generate(rng, m, n, n, sigma)
 	sv := testmat.SigmaProfile(n, n, sigma)
 	k := 8
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, k)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ap := mat.NewDense(m, n)
 	mat.PermuteCols(ap, a, res.Perm)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
 	errNorm := lapack.Norm2(ap)
 	// Column-pivoted QR is rank-revealing up to a modest factor; the error
 	// must sit within two orders of σ_(k+1) and below σ_k.
@@ -64,11 +65,11 @@ func TestPartialFullRankEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	m, n := 200, 12
 	a := testmat.Generate(rng, m, n, n, 1e-6)
-	full, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	full, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := IteCholQRCP(nil, a, DefaultPivotTol, n)
+	part, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestPartialStopsEarlyOnNumericalRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(144))
 	m, n, r := 300, 20, 6
 	a := testmat.Generate(rng, m, n, r, 1e-2)
-	res, err := IteCholQRCP(nil, a, 1e-5, n)
+	res, err := IteCholQRCP(parallel.Default, a, 1e-5, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestPartialStopsEarlyOnNumericalRank(t *testing.T) {
 	// Whatever rank it settled on, the factorization must be accurate.
 	ap := mat.NewDense(m, n)
 	mat.PermuteCols(ap, a, res.Perm)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
 	if rel := ap.FrobeniusNorm() / a.FrobeniusNorm(); rel > 1e-10 {
 		t.Fatalf("residual %g after early stop", rel)
 	}
@@ -112,11 +113,11 @@ func TestPartialCheaperThanFull(t *testing.T) {
 	// factorization.
 	rng := rand.New(rand.NewSource(145))
 	a := testmat.Generate(rng, 500, 32, 32, 1e-12)
-	full, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+	full, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := IteCholQRCP(nil, a, DefaultPivotTol, 4)
+	part, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +131,16 @@ func TestPartialCheaperThanFull(t *testing.T) {
 
 func TestPartialPanics(t *testing.T) {
 	a := mat.NewDense(10, 5)
-	mustPanicC(t, func() { IteCholQRCP(nil, a, 1e-5, 0) })                  //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCP(nil, a, 1e-5, 6) })                  //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCP(nil, a, -1, 3) })                    //nolint:errcheck
-	mustPanicC(t, func() { IteCholQRCP(nil, mat.NewDense(3, 5), 1e-5, 2) }) //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(parallel.Default, a, 1e-5, 0) })                  //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(parallel.Default, a, 1e-5, 6) })                  //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(parallel.Default, a, -1, 3) })                    //nolint:errcheck
+	mustPanicC(t, func() { IteCholQRCP(parallel.Default, mat.NewDense(3, 5), 1e-5, 2) }) //nolint:errcheck
 }
 
 func TestPartialQShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(146))
 	a := testmat.Generate(rng, 100, 10, 10, 1e-4)
-	res, err := IteCholQRCP(nil, a, DefaultPivotTol, 3)
+	res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -39,7 +40,7 @@ func TestQuickIteCholQRCPInvariants(t *testing.T) {
 		m := n + 1 + int(mRaw)%200
 		cond := math.Pow(10, float64(condExp%13)) // κ₂ up to 1e12
 		a := testmat.GenerateWellConditioned(rng, m, n, cond)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+		res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			t.Logf("seed=%d m=%d n=%d κ=%g: %v", seed, m, n, cond, err)
 			return false
@@ -71,11 +72,11 @@ func TestQuickPivotAgreementWithHouseholder(t *testing.T) {
 		m := 8 * n
 		cond := math.Pow(10, 1+float64(condExp%11)) // 1e1..1e11
 		a := testmat.GenerateWellConditioned(rng, m, n, cond)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+		res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			return false
 		}
-		ref := HQRCPNoQ(nil, a)
+		ref := HQRCPNoQ(parallel.Default, a)
 		if !metrics.AllCorrect(res.Perm, ref.Perm, n) {
 			t.Logf("seed=%d n=%d κ=%g:\n ite %v\n hqr %v", seed, n, cond, res.Perm, ref.Perm)
 			return false
@@ -95,11 +96,11 @@ func TestQuickCholQR2MatchesHouseholderR(t *testing.T) {
 		n := 1 + int(nRaw)%16
 		m := 4*n + 10
 		a := testmat.GenerateWellConditioned(rng, m, n, 1e5)
-		cq, err := CholQR2(nil, a)
+		cq, err := CholQR2(parallel.Default, a)
 		if err != nil {
 			return false
 		}
-		hq := HouseholderQR(nil, a)
+		hq := HouseholderQR(parallel.Default, a)
 		scale := hq.R.MaxAbs()
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
@@ -128,13 +129,13 @@ func TestQuickTruncationErrorBounded(t *testing.T) {
 		k := 1 + int(kRaw)%n
 		sv := testmat.SigmaProfile(n, n, 1e-6)
 		a := testmat.WithSingularValues(rng, m, n, sv)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol, k)
+		res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, k)
 		if err != nil {
 			return false
 		}
 		ap := mat.NewDense(m, n)
 		mat.PermuteCols(ap, a, res.Perm)
-		blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
+		blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, -1, res.Q, res.R, 1, ap)
 		errF := ap.FrobeniusNorm()
 		var tail float64
 		for i := res.Rank; i < n; i++ {
@@ -159,7 +160,7 @@ func TestQuickPermutationRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(uint(seed)%14)
 		a := testmat.GenerateWellConditioned(rng, 6*n, n, 1e4)
-		res, err := IteCholQRCP(nil, a, DefaultPivotTol, a.Cols)
+		res, err := IteCholQRCP(parallel.Default, a, DefaultPivotTol, a.Cols)
 		if err != nil {
 			return false
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -26,7 +27,7 @@ func kahanTall(rng *rand.Rand, m, n int, theta float64) *mat.Dense {
 	}
 	u := testmat.RandomOrtho(rng, m, n)
 	a := mat.NewDense(m, n)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, u, k, 0, a)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, u, k, 0, a)
 	return a
 }
 
@@ -34,7 +35,7 @@ func TestStrongRRQRInvariantsAndBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(221))
 	m, n, k := 300, 20, 12
 	a := testmat.Generate(rng, m, n, n, 1e-6)
-	res, err := StrongRRQR(nil, a, k, DefaultStrongRRQRF)
+	res, err := StrongRRQR(parallel.Default, a, k, DefaultStrongRRQRF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestStrongRRQRImprovesKahan(t *testing.T) {
 	m, n := 200, 40
 	k := n - 1
 	a := kahanTall(rng, m, n, 1.25)
-	res, err := StrongRRQR(nil, a, k, DefaultStrongRRQRF)
+	res, err := StrongRRQR(parallel.Default, a, k, DefaultStrongRRQRF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestStrongRRQRNoSwapsOnCleanMatrix(t *testing.T) {
 	// criterion; strong RRQR must return the same permutation as HQR-CP.
 	rng := rand.New(rand.NewSource(223))
 	a := testmat.Generate(rng, 250, 16, 16, 1e-4)
-	ref := HQRCPNoQ(nil, a)
-	res, err := StrongRRQR(nil, a, 8, 10) // generous f: no swaps expected
+	ref := HQRCPNoQ(parallel.Default, a)
+	res, err := StrongRRQR(parallel.Default, a, 8, 10) // generous f: no swaps expected
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +99,8 @@ func TestStrongRRQRNoSwapsOnCleanMatrix(t *testing.T) {
 
 func TestStrongRRQRPanics(t *testing.T) {
 	a := mat.NewDense(10, 5)
-	mustPanicC(t, func() { StrongRRQR(nil, a, 0, 2) })                  //nolint:errcheck
-	mustPanicC(t, func() { StrongRRQR(nil, a, 6, 2) })                  //nolint:errcheck
-	mustPanicC(t, func() { StrongRRQR(nil, a, 3, 1) })                  //nolint:errcheck
-	mustPanicC(t, func() { StrongRRQR(nil, mat.NewDense(3, 5), 2, 2) }) //nolint:errcheck
+	mustPanicC(t, func() { StrongRRQR(parallel.Default, a, 0, 2) })                  //nolint:errcheck
+	mustPanicC(t, func() { StrongRRQR(parallel.Default, a, 6, 2) })                  //nolint:errcheck
+	mustPanicC(t, func() { StrongRRQR(parallel.Default, a, 3, 1) })                  //nolint:errcheck
+	mustPanicC(t, func() { StrongRRQR(parallel.Default, mat.NewDense(3, 5), 2, 2) }) //nolint:errcheck
 }

@@ -24,7 +24,7 @@ const qp3Block = 32
 // On return a holds R in its upper triangle and the reflectors below, tau
 // the reflector scales, and jpvt (length n, overwritten) maps position j
 // to the original column index: (A·P)(:, j) = A(:, jpvt[j]). The engine e bounds the
-// parallel width (nil selects the default engine).
+// parallel width.
 func Geqp3(e *parallel.Engine, a *mat.Dense, tau []float64, jpvt mat.Perm) {
 	Geqp3Partial(e, a, tau, jpvt, min(a.Rows, a.Cols))
 }
@@ -90,11 +90,12 @@ func (st *qp3State) laqps(j0, jb int) (kb int) {
 	a, tau, jpvt, vn1, vn2 := st.a, st.tau, st.jpvt, st.vn1, st.vn2
 	m, n := a.Rows, a.Cols
 	f := mat.GetWorkspace(n-j0, jb, true)
-	auxv := mat.GetFloats(jb, false)
-	wrow := mat.GetFloats(n, false)
+	aux := mat.GetWorkspace(1, jb, false)
+	wr := mat.GetWorkspace(1, n, false)
 	defer mat.PutWorkspace(f)
-	defer mat.PutFloats(auxv)
-	defer mat.PutFloats(wrow)
+	defer mat.PutWorkspace(aux)
+	defer mat.PutWorkspace(wr)
+	auxv, wrow := aux.Data, wr.Data
 	sticky := false
 
 	k := 0

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -18,7 +19,7 @@ func checkQRCP(t *testing.T, name string, a, fac *mat.Dense, tau []float64, jpvt
 	}
 	r := ExtractR(fac)
 	q := fac.Clone()
-	Orgqr(nil, q, tau)
+	Orgqr(parallel.Default, q, tau)
 	if e := orthoError(q); e > 1e-12*math.Sqrt(float64(n)) {
 		t.Fatalf("%s: ‖QᵀQ−I‖ = %g", name, e)
 	}
@@ -44,7 +45,7 @@ func TestGeqpfRandom(t *testing.T) {
 		fac := a.Clone()
 		tau := make([]float64, min(sh.m, sh.n))
 		jpvt := make(mat.Perm, sh.n)
-		Geqpf(nil, fac, tau, jpvt)
+		Geqpf(parallel.Default, fac, tau, jpvt)
 		checkQRCP(t, "Geqpf", a, fac, tau, jpvt, 1e-10)
 	}
 }
@@ -59,7 +60,7 @@ func TestGeqp3Random(t *testing.T) {
 		fac := a.Clone()
 		tau := make([]float64, min(sh.m, sh.n))
 		jpvt := make(mat.Perm, sh.n)
-		Geqp3(nil, fac, tau, jpvt)
+		Geqp3(parallel.Default, fac, tau, jpvt)
 		checkQRCP(t, "Geqp3", a, fac, tau, jpvt, 1e-10)
 	}
 }
@@ -78,8 +79,8 @@ func TestGeqp3MatchesGeqpfPivots(t *testing.T) {
 		f1, f2 := a.Clone(), a.Clone()
 		t1, t2 := make([]float64, n), make([]float64, n)
 		p1, p2 := make(mat.Perm, n), make(mat.Perm, n)
-		Geqpf(nil, f1, t1, p1)
-		Geqp3(nil, f2, t2, p2)
+		Geqpf(parallel.Default, f1, t1, p1)
+		Geqp3(parallel.Default, f2, t2, p2)
 		for j := range p1 {
 			if p1[j] != p2[j] {
 				t.Fatalf("trial %d (m=%d n=%d): pivot %d differs: %v vs %v",
@@ -117,7 +118,7 @@ func TestGeqp3RankDeficient(t *testing.T) {
 	fac := a.Clone()
 	tau := make([]float64, n)
 	jpvt := make(mat.Perm, n)
-	Geqp3(nil, fac, tau, jpvt)
+	Geqp3(parallel.Default, fac, tau, jpvt)
 	rr := ExtractR(fac)
 	lead := math.Abs(rr.At(0, 0))
 	for j := 0; j < r; j++ {
@@ -146,7 +147,7 @@ func TestGeqp3GradedColumns(t *testing.T) {
 	fac := a.Clone()
 	tau := make([]float64, n)
 	jpvt := make(mat.Perm, n)
-	Geqp3(nil, fac, tau, jpvt)
+	Geqp3(parallel.Default, fac, tau, jpvt)
 	if jpvt[0] != n-1 {
 		t.Fatalf("first pivot should be the largest column %d, got %d", n-1, jpvt[0])
 	}
@@ -165,7 +166,7 @@ func TestGeqpfDuplicateColumns(t *testing.T) {
 	fac := a.Clone()
 	tau := make([]float64, n)
 	jpvt := make(mat.Perm, n)
-	Geqpf(nil, fac, tau, jpvt)
+	Geqpf(parallel.Default, fac, tau, jpvt)
 	checkQRCP(t, "dup", a, fac, tau, jpvt, 1e-8)
 	r := ExtractR(fac)
 	zeros := 0
@@ -183,7 +184,7 @@ func TestGeqp3ZeroMatrix(t *testing.T) {
 	a := mat.NewDense(10, 4)
 	tau := make([]float64, 4)
 	jpvt := make(mat.Perm, 4)
-	Geqp3(nil, a, tau, jpvt) // must not panic or produce NaN
+	Geqp3(parallel.Default, a, tau, jpvt) // must not panic or produce NaN
 	for _, v := range a.Data {
 		if math.IsNaN(v) {
 			t.Fatal("NaN in factorization of zero matrix")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/testmat"
 )
@@ -21,8 +22,8 @@ func TestGeqp3MatchesGeqpfRankDeficient(t *testing.T) {
 	a := testmat.Generate(rng, m, n, r, 1e-8)
 	fb, fu := a.Clone(), a.Clone()
 	pb, pu := make(mat.Perm, n), make(mat.Perm, n)
-	lapack.Geqp3(nil, fb, make([]float64, n), pb)
-	lapack.Geqpf(nil, fu, make([]float64, n), pu)
+	lapack.Geqp3(parallel.Default, fb, make([]float64, n), pb)
+	lapack.Geqpf(parallel.Default, fu, make([]float64, n), pu)
 	for j := 0; j < r; j++ {
 		if pb[j] != pu[j] {
 			t.Fatalf("Geqp3 vs Geqpf pivots differ at %d (< rank %d): %v vs %v", j, r, pb[:r], pu[:r])

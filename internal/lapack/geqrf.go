@@ -15,8 +15,7 @@ const qrBlock = 32
 // transformations (DGEQRF). On return the upper triangle of a holds R and
 // the strict lower triangle holds the reflector vectors; tau (length
 // min(m,n)) holds the reflector scales. Use Orgqr to materialize Q or
-// ExtractR to copy out R. The engine e bounds the parallel width (nil
-// selects the default engine).
+// ExtractR to copy out R. The engine e bounds the parallel width.
 func Geqrf(e *parallel.Engine, a *mat.Dense, tau []float64) {
 	m, n := a.Rows, a.Cols
 	k := min(m, n)
@@ -28,10 +27,11 @@ func Geqrf(e *parallel.Engine, a *mat.Dense, tau []float64) {
 	// 2mnk − (m+n)k² + (2/3)k³ flops of the Householder QR (k = min(m,n)).
 	trace.AddFlops(trace.KernelGeqrf,
 		2*int64(m)*int64(n)*int64(k)-int64(m+n)*int64(k)*int64(k)+2*int64(k)*int64(k)*int64(k)/3)
-	colBuf := mat.GetFloats(m, false)
-	work := mat.GetFloats(n, false)
-	defer mat.PutFloats(colBuf)
-	defer mat.PutFloats(work)
+	col := mat.GetWorkspace(1, m, false)
+	wk := mat.GetWorkspace(1, n, false)
+	defer mat.PutWorkspace(col)
+	defer mat.PutWorkspace(wk)
+	colBuf, work := col.Data, wk.Data
 	for j := 0; j < k; j += qrBlock {
 		jb := min(qrBlock, k-j)
 		// Factor the panel a(j:m, j:j+jb) with Level-2 updates.
@@ -66,7 +66,7 @@ func Geqrf(e *parallel.Engine, a *mat.Dense, tau []float64) {
 // Orgqr overwrites a (holding a Geqrf result in its first k = len(tau)
 // columns) with the explicit m×n orthonormal factor Q = H₁…H_k·[I; 0]
 // (DORGQR with the thin-Q convention n = a.Cols). The engine e bounds the
-// parallel width (nil selects the default engine).
+// parallel width.
 func Orgqr(e *parallel.Engine, a *mat.Dense, tau []float64) {
 	m, n := a.Rows, a.Cols
 	k := len(tau)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -21,7 +22,7 @@ func randMat(rng *rand.Rand, m, n int) *mat.Dense {
 func orthoError(q *mat.Dense) float64 {
 	n := q.Cols
 	g := mat.NewDense(n, n)
-	blas.Gram(nil, g, q)
+	blas.Gram(parallel.Default, g, q)
 	for i := 0; i < n; i++ {
 		g.Set(i, i, g.At(i, i)-1)
 	}
@@ -31,7 +32,7 @@ func orthoError(q *mat.Dense) float64 {
 // residual returns ‖A − Q·R‖_F / ‖A‖_F.
 func residual(a, q, r *mat.Dense) float64 {
 	diff := a.Clone()
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, q, r, 1, diff)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, -1, q, r, 1, diff)
 	return diff.FrobeniusNorm() / a.FrobeniusNorm()
 }
 
@@ -115,13 +116,13 @@ func TestGeqrfOrgqr(t *testing.T) {
 		a := randMat(rng, sh.m, sh.n)
 		fac := a.Clone()
 		tau := make([]float64, min(sh.m, sh.n))
-		Geqrf(nil, fac, tau)
+		Geqrf(parallel.Default, fac, tau)
 		r := ExtractR(fac)
 		if !r.IsUpperTriangular(0) {
 			t.Fatalf("%dx%d: R not upper triangular", sh.m, sh.n)
 		}
 		q := fac // Orgqr overwrites in place
-		Orgqr(nil, q, tau)
+		Orgqr(parallel.Default, q, tau)
 		if e := orthoError(q); e > 1e-13*math.Sqrt(float64(sh.n)) {
 			t.Fatalf("%dx%d: ‖QᵀQ−I‖ = %g", sh.m, sh.n, e)
 		}
@@ -137,7 +138,7 @@ func TestGeqrfWideMatrix(t *testing.T) {
 	a := randMat(rng, m, n)
 	fac := a.Clone()
 	tau := make([]float64, m)
-	Geqrf(nil, fac, tau)
+	Geqrf(parallel.Default, fac, tau)
 	// R is the upper trapezoid; Q from the first m columns.
 	r := mat.NewDense(m, n)
 	for i := 0; i < m; i++ {
@@ -146,7 +147,7 @@ func TestGeqrfWideMatrix(t *testing.T) {
 		}
 	}
 	qfac := fac.Slice(0, m, 0, m).Clone()
-	Orgqr(nil, qfac, tau)
+	Orgqr(parallel.Default, qfac, tau)
 	if e := orthoError(qfac); e > 1e-13 {
 		t.Fatalf("wide: ‖QᵀQ−I‖ = %g", e)
 	}
@@ -160,8 +161,8 @@ func TestGeqrfDeterministic(t *testing.T) {
 	a := randMat(rng, 40, 10)
 	f1, f2 := a.Clone(), a.Clone()
 	t1, t2 := make([]float64, 10), make([]float64, 10)
-	Geqrf(nil, f1, t1)
-	Geqrf(nil, f2, t2)
+	Geqrf(parallel.Default, f1, t1)
+	Geqrf(parallel.Default, f2, t2)
 	if !mat.EqualApprox(f1, f2, 0) {
 		t.Fatal("Geqrf must be deterministic")
 	}
@@ -174,7 +175,7 @@ func TestGeqrfPositiveDiagonalSignConvention(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	a := randMat(rng, 30, 8)
 	tau := make([]float64, 8)
-	Geqrf(nil, a, tau)
+	Geqrf(parallel.Default, a, tau)
 	for i := 0; i < 8; i++ {
 		if a.At(i, i) == 0 {
 			t.Fatalf("zero diagonal at %d for full-rank input", i)

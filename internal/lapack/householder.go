@@ -82,8 +82,9 @@ func applyReflectorLeft(e *parallel.Engine, tau float64, v []float64, c *mat.Den
 // diagonal and zeros above it. T must be k×k.
 func larft(v *mat.Dense, tau []float64, t *mat.Dense) {
 	k := v.Cols
-	scratch := mat.GetFloats(k, false)
-	defer mat.PutFloats(scratch)
+	ws := mat.GetWorkspace(1, k, false)
+	defer mat.PutWorkspace(ws)
+	scratch := ws.Data
 	for i := 0; i < k; i++ {
 		t.Set(i, i, tau[i])
 		if i == 0 || tau[i] == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -56,13 +57,13 @@ func TestJacobiEigSymReconstructs(t *testing.T) {
 			}
 		}
 		rec := mat.NewDense(n, n)
-		blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, vd, vecs, 0, rec)
+		blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, 1, vd, vecs, 0, rec)
 		if !mat.EqualApprox(rec, a, 1e-11*(1+a.MaxAbs())) {
 			t.Fatalf("n=%d: V·Λ·Vᵀ != A", n)
 		}
 		// V orthogonal.
 		g := mat.NewDense(n, n)
-		blas.Gram(nil, g, vecs)
+		blas.Gram(parallel.Default, g, vecs)
 		if !mat.EqualApprox(g, mat.Identity(n), 1e-12) {
 			t.Fatalf("n=%d: V not orthogonal", n)
 		}
@@ -92,7 +93,7 @@ func TestJacobiEigSymMatchesSVDOnPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(262))
 	a := randMat(rng, 40, 8)
 	w := mat.NewDense(8, 8)
-	blas.Gram(nil, w, a)
+	blas.Gram(parallel.Default, w, a)
 	vals, _ := JacobiEigSym(w)
 	sv := JacobiSVDValues(a)
 	for i := range sv {

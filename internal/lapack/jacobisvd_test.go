@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -40,7 +41,7 @@ func TestJacobiSVDKnownSingularValues(t *testing.T) {
 			ud.Set(i, j, ud.At(i, j)*sigma[j])
 		}
 	}
-	blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, ud, v, 0, a)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, 1, ud, v, 0, a)
 	sv := JacobiSVDValues(a)
 	for i, want := range sigma {
 		if math.Abs(sv[i]-want) > 1e-12*sigma[0] && math.Abs(sv[i]-want)/want > 1e-8 {
@@ -90,7 +91,7 @@ func TestJacobiOrthogonalInvariance(t *testing.T) {
 	a := randMat(rng, 20, 6)
 	q := randomOrtho(rng, 20, 20)
 	qa := mat.NewDense(20, 6)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, q, a, 0, qa)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, q, a, 0, qa)
 	s1 := JacobiSVDValues(a)
 	s2 := JacobiSVDValues(qa)
 	for i := range s1 {
@@ -104,8 +105,8 @@ func TestJacobiOrthogonalInvariance(t *testing.T) {
 func randomOrtho(rng *rand.Rand, m, n int) *mat.Dense {
 	g := randMat(rng, m, n)
 	tau := make([]float64, n)
-	Geqrf(nil, g, tau)
-	Orgqr(nil, g, tau)
+	Geqrf(parallel.Default, g, tau)
+	Orgqr(parallel.Default, g, tau)
 	return g
 }
 
@@ -134,12 +135,12 @@ func TestJacobiSVDFactors(t *testing.T) {
 		}
 	}
 	rec := mat.NewDense(m, n)
-	blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, us, v, 0, rec)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, 1, us, v, 0, rec)
 	if !mat.EqualApprox(rec, a, 1e-12) {
 		t.Fatal("U·diag(s)·Vᵀ does not reconstruct a")
 	}
 	vtv := mat.NewDense(n, n)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, v, v, 0, vtv)
+	blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, v, v, 0, vtv)
 	if !mat.EqualApprox(vtv, mat.Identity(n), 1e-13) {
 		t.Fatal("V is not orthogonal")
 	}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -39,7 +40,7 @@ func TestGeqp3KahanRankRevealing(t *testing.T) {
 		fac := k.Clone()
 		tau := make([]float64, n)
 		jpvt := make(mat.Perm, n)
-		Geqp3(nil, fac, tau, jpvt)
+		Geqp3(parallel.Default, fac, tau, jpvt)
 		r := ExtractR(fac)
 		// Kahan is the matrix on which QRCP's |R(n,n)| famously
 		// *overestimates* σ_min, but with a working safeguard the final
@@ -67,8 +68,8 @@ func TestGeqpfGeqp3AgreeOnKahan(t *testing.T) {
 	f1, f2 := k.Clone(), k.Clone()
 	t1, t2 := make([]float64, n), make([]float64, n)
 	p1, p2 := make(mat.Perm, n), make(mat.Perm, n)
-	Geqpf(nil, f1, t1, p1)
-	Geqp3(nil, f2, t2, p2)
+	Geqpf(parallel.Default, f1, t1, p1)
+	Geqp3(parallel.Default, f2, t2, p2)
 	r1, r2 := ExtractR(f1), ExtractR(f2)
 	// Diagonal magnitudes must agree closely even if noise-level tails
 	// permute differently.
@@ -100,8 +101,8 @@ func TestGeqp3PerturbedKahanReconstruction(t *testing.T) {
 	// Random orthogonal row mixing (Householder on a Gaussian).
 	g := randMat(rng, m, m)
 	gt := make([]float64, m)
-	Geqrf(nil, g, gt)
-	Orgqr(nil, g, gt)
+	Geqrf(parallel.Default, g, gt)
+	Orgqr(parallel.Default, g, gt)
 	mixed := mat.NewDense(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -115,6 +116,6 @@ func TestGeqp3PerturbedKahanReconstruction(t *testing.T) {
 	fac := mixed.Clone()
 	tau := make([]float64, n)
 	jpvt := make(mat.Perm, n)
-	Geqp3(nil, fac, tau, jpvt)
+	Geqp3(parallel.Default, fac, tau, jpvt)
 	checkQRCP(t, "kahan-tall", mixed, fac, tau, jpvt, 1e-6)
 }

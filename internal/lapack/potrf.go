@@ -20,7 +20,7 @@ const potrfBlock = 64
 // DPOTRF('U') semantics). On breakdown it returns
 // *NotPositiveDefiniteError with the failing pivot index; the contents of
 // a are then unspecified. The engine e bounds the parallel width of the
-// trailing Level-3 updates (nil selects the default engine).
+// trailing Level-3 updates.
 func PotrfUpper(e *parallel.Engine, a *mat.Dense) error {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("lapack: PotrfUpper on %d×%d", a.Rows, a.Cols))

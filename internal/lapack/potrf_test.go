@@ -19,7 +19,7 @@ func randSPD(rng *rand.Rand, n int) *mat.Dense {
 		b.Data[i] = rng.NormFloat64()
 	}
 	w := mat.NewDense(n, n)
-	blas.Gram(nil, w, b)
+	blas.Gram(parallel.Default, w, b)
 	for i := 0; i < n; i++ {
 		w.Set(i, i, w.At(i, i)+float64(n))
 	}
@@ -31,13 +31,13 @@ func TestPotrfUpperReconstructs(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 63, 64, 65, 130, 200} {
 		w := randSPD(rng, n)
 		r := w.Clone()
-		if err := PotrfUpper(nil, r); err != nil {
+		if err := PotrfUpper(parallel.Default, r); err != nil {
 			t.Fatalf("n=%d: unexpected error %v", n, err)
 		}
 		ZeroLower(r)
 		// Check RᵀR == W.
 		chk := mat.NewDense(n, n)
-		blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, r, r, 0, chk)
+		blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, r, r, 0, chk)
 		scale := w.MaxAbs()
 		if !mat.EqualApprox(chk, w, 1e-12*scale) {
 			t.Fatalf("n=%d: RᵀR != W (max err scale %g)", n, scale)
@@ -80,7 +80,7 @@ func TestPotrfLowerUntouched(t *testing.T) {
 	w := randSPD(rng, n)
 	w.Set(n-1, 0, 12345) // poison the strict lower triangle
 	r := w.Clone()
-	if err := PotrfUpper(nil, r); err != nil {
+	if err := PotrfUpper(parallel.Default, r); err != nil {
 		t.Fatal(err)
 	}
 	if r.At(n-1, 0) != 12345 {
@@ -91,7 +91,7 @@ func TestPotrfLowerUntouched(t *testing.T) {
 func TestPotrfNotPSD(t *testing.T) {
 	w := mat.Identity(4)
 	w.Set(2, 2, -1)
-	err := PotrfUpper(nil, w.Clone())
+	err := PotrfUpper(parallel.Default, w.Clone())
 	var perr *NotPositiveDefiniteError
 	if !errors.As(err, &perr) {
 		t.Fatalf("want NotPositiveDefiniteError, got %v", err)
@@ -118,8 +118,8 @@ func TestPotrfBreakdownIndexAcrossBlocks(t *testing.T) {
 		b.Set(i, dup, b.At(i, 0))
 	}
 	w := mat.NewDense(n, n)
-	blas.Gram(nil, w, b)
-	err := PotrfUpper(nil, w)
+	blas.Gram(parallel.Default, w, b)
+	err := PotrfUpper(parallel.Default, w)
 	var perr *NotPositiveDefiniteError
 	if !errors.As(err, &perr) {
 		t.Fatalf("want breakdown, got %v", err)
@@ -135,7 +135,7 @@ func TestPotrfPanicsNonSquare(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	PotrfUpper(nil, mat.NewDense(3, 4)) //nolint:errcheck
+	PotrfUpper(parallel.Default, mat.NewDense(3, 4)) //nolint:errcheck
 }
 
 func TestZeroLower(t *testing.T) {

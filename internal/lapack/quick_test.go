@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -21,12 +22,12 @@ func TestQuickGeqrfContract(t *testing.T) {
 		a := randMat(rng, m, n)
 		fac := a.Clone()
 		tau := make([]float64, n)
-		Geqrf(nil, fac, tau)
+		Geqrf(parallel.Default, fac, tau)
 		r := ExtractR(fac)
 		if !r.IsUpperTriangular(0) {
 			return false
 		}
-		Orgqr(nil, fac, tau)
+		Orgqr(parallel.Default, fac, tau)
 		if orthoError(fac) > 1e-12*math.Sqrt(float64(n)) {
 			return false
 		}
@@ -43,17 +44,17 @@ func TestQuickPotrfRoundTrip(t *testing.T) {
 		n := 1 + int(nRaw)%40
 		b := randMat(rng, n+5, n)
 		w := mat.NewDense(n, n)
-		blas.Gram(nil, w, b)
+		blas.Gram(parallel.Default, w, b)
 		for i := 0; i < n; i++ {
 			w.Set(i, i, w.At(i, i)+1)
 		}
 		r := w.Clone()
-		if err := PotrfUpper(nil, r); err != nil {
+		if err := PotrfUpper(parallel.Default, r); err != nil {
 			return false
 		}
 		ZeroLower(r)
 		chk := mat.NewDense(n, n)
-		blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, r, r, 0, chk)
+		blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, r, r, 0, chk)
 		return mat.EqualApprox(chk, w, 1e-10*(1+w.MaxAbs()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -73,7 +74,7 @@ func TestQuickGeqp3DiagonalDominance(t *testing.T) {
 		fac := a.Clone()
 		tau := make([]float64, n)
 		jpvt := make(mat.Perm, n)
-		Geqp3(nil, fac, tau, jpvt)
+		Geqp3(parallel.Default, fac, tau, jpvt)
 		r := ExtractR(fac)
 		for j := 0; j < n; j++ {
 			d2 := r.At(j, j) * r.At(j, j)

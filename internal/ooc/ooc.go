@@ -31,14 +31,16 @@ import (
 
 // Config controls an out-of-core factorization. The zero value is valid:
 // default tolerance semantics are owned by the caller (tsqrcp resolves
-// Options before calling down), panel size is auto-tuned from available
-// memory, Q is not materialized, and scratch goes to the OS temp dir.
+// Options before calling down), the panel height is derived from the
+// matrix width (see autoPanelRows), Q is not materialized, and scratch
+// goes to the OS temp dir.
 type Config struct {
 	// Eps is the P-Chol-CP tolerance ε ∈ [0, 1). Callers resolve their
 	// default before passing it down (tsqrcp uses Options.tol()).
 	Eps float64
 	// PanelRows is the requested resident panel height, capped at the
-	// row count; 0 auto-tunes from available memory (see autoPanelRows).
+	// row count; 0 sizes the two panel buffers at 32 MiB together (see
+	// autoPanelRows).
 	// The panel size never affects the result bits, only the resident set
 	// and I/O granularity.
 	PanelRows int
@@ -54,20 +56,12 @@ type Config struct {
 	ScratchDir string
 }
 
-// Result is an out-of-core factorization: the usual pivoted-QR outputs
-// (Q is nil — it lives in Config.QPath if requested) plus the effective
-// panel height the run used.
-type Result struct {
-	*core.CPResult
-	// PanelRows is the resident panel height after auto-tuning and capping.
-	PanelRows int
-}
-
 // QRCP factorizes the binary-format matrix at path with Ite-CholQR-CP,
 // never holding more than two row panels of it in memory. Results are
-// bit-identical to the in-core core.IteCholQRCP on the same data. The
-// engine e bounds parallel width and carries cancellation.
-func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
+// bit-identical to the in-core core.IteCholQRCP on the same data; the
+// result's Q is nil (it lives in Config.QPath if requested). The engine
+// e bounds parallel width and carries cancellation.
+func QRCP(e *parallel.Engine, path string, cfg Config) (*core.CPResult, error) {
 	fm, err := mat.OpenBinary(path)
 	if err != nil {
 		return nil, err
@@ -78,14 +72,12 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("ooc: QRCP needs a tall matrix, %s is %d×%d", path, m, n)
 	}
 
-	panelRows := cfg.PanelRows
-	if panelRows <= 0 {
-		panelRows = autoPanelRows(n)
-	}
 	// No panel can be taller than the matrix: clamp so the two resident
-	// buffers never outweigh a small input (the auto-tuned height is
-	// sized for matrices that dwarf memory, not 20k-row files).
-	panelRows = min(panelRows, m)
+	// buffers never outweigh a small input.
+	panelRows := min(cfg.PanelRows, m)
+	if panelRows <= 0 {
+		panelRows = autoPanelRows(m, n)
+	}
 
 	sw := &fileSweeper{
 		e:          e,
@@ -126,5 +118,5 @@ func QRCP(e *parallel.Engine, path string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{CPResult: res, PanelRows: panelRows}, nil
+	return res, nil
 }

@@ -43,16 +43,20 @@ func TestPanelSchedule(t *testing.T) {
 	}
 }
 
-// TestAutoPanelRows: whatever the machine's memory signals say, the
-// tuned height is positive and bounded.
+// TestAutoPanelRows pins the default height to its formula,
+// 32 MiB/(2·8·n) clamped to [1, m]: the height depends on the matrix
+// alone, never on the machine.
 func TestAutoPanelRows(t *testing.T) {
-	for _, n := range []int{1, 16, 64, 1024} {
-		rows := autoPanelRows(n)
-		if rows < 1 {
-			t.Fatalf("n=%d: rows=%d not positive", n, rows)
-		}
-		if rows > autotuneMaxPanelRows {
-			t.Fatalf("n=%d: rows=%d above the cap", n, rows)
+	for _, c := range []struct{ m, n, want int }{
+		{2000000, 64, 32768}, // the e2e-ooc gate's 1 GiB matrix
+		{200000, 64, 32768},
+		{10000, 64, 10000}, // clamped to m
+		{1 << 30, 1, 2 << 20},
+		{1 << 30, 3, 699050},
+		{100, 4 << 20, 1}, // wider than the budget: one row
+	} {
+		if got := autoPanelRows(c.m, c.n); got != c.want {
+			t.Errorf("autoPanelRows(%d, %d) = %d, want %d", c.m, c.n, got, c.want)
 		}
 	}
 }

@@ -1,14 +1,6 @@
 package ooc
 
-import (
-	"math"
-	"os"
-	"runtime/debug"
-	"strconv"
-	"strings"
-
-	"repro/internal/blas"
-)
+import "repro/internal/blas"
 
 // panel is one row range of a sweep, tagged with the fused-kernel slot
 // it belongs to so its Gram contribution accumulates into the right
@@ -44,69 +36,16 @@ func panelSchedule(m, panelRows int) []panel {
 	return ps
 }
 
-// Panel auto-tuning: the resident set of a sweep is two panel buffers
-// (double buffering) plus n-sized state, so the panel height is chosen
-// as budget/(2·8·n) where the budget is a fraction of the tightest
-// available-memory signal — GOMEMLIMIT when set, /proc/meminfo
-// MemAvailable on Linux, a conservative constant otherwise. The choice
-// never affects result bits; taller panels only amortize per-panel
-// overhead and give the prefetcher longer read runs.
-const (
-	// autotuneMemFraction divides the memory signal so the panel buffers
-	// leave room for the Go heap, page cache, and everything else sharing
-	// the machine.
-	autotuneMemFraction = 8
-	// autotuneMaxPanelRows bounds the buffer allocation when memory is
-	// plentiful — beyond ~2M rows per panel the sequential-read runs are
-	// long past the point of amortizing seek latency.
-	autotuneMaxPanelRows = 2 << 20
-	// autotuneDefaultBudget stands in when no memory signal exists.
-	autotuneDefaultBudget = 4 << 30
-)
+// panelBudget is the memory, in bytes, of a sweep's two panel buffers
+// (double buffering) when Config.PanelRows is 0. The height never
+// affects result bits; taller panels only amortize per-panel overhead
+// and give the prefetcher longer read runs, and 32 MiB already makes
+// each read a multi-megabyte sequential run.
+const panelBudget = 32 << 20
 
-func autoPanelRows(n int) int {
-	budget := memBudget() / autotuneMemFraction
-	rows := budget / (2 * 8 * int64(n))
-	return int(min(max(rows, 1), autotuneMaxPanelRows))
-}
-
-// memBudget returns the tightest known bound on usable memory in bytes.
-func memBudget() int64 {
-	b := int64(math.MaxInt64)
-	// debug.SetMemoryLimit(-1) reads the current limit (GOMEMLIMIT)
-	// without changing it; MaxInt64 means unset.
-	if lim := debug.SetMemoryLimit(-1); lim > 0 && lim < b {
-		b = lim
-	}
-	if avail := readMemAvailable(); avail > 0 && avail < b {
-		b = avail
-	}
-	if b == math.MaxInt64 {
-		b = autotuneDefaultBudget
-	}
-	return b
-}
-
-// readMemAvailable parses MemAvailable from /proc/meminfo, returning 0
-// on platforms or failures where the signal does not exist.
-func readMemAvailable() int64 {
-	data, err := os.ReadFile("/proc/meminfo")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "MemAvailable:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil || kb <= 0 || kb > math.MaxInt64/1024 {
-			return 0
-		}
-		return kb * 1024
-	}
-	return 0
+// autoPanelRows is the panel height of an m×n matrix whose two n-column
+// float64 buffers fill panelBudget: panelBudget/(2·8·n), clamped to
+// [1, m].
+func autoPanelRows(m, n int) int {
+	return min(max(panelBudget/(2*8*max(n, 1)), 1), m)
 }

@@ -15,27 +15,24 @@ import (
 // engines with different widths partition their work independently and
 // race-free.
 //
-// All engines share the persistent worker pool and the pooled workspaces
-// (mat.GetWorkspace/GetFloats); an engine only decides how many ways a
-// single region fans out, so creating one is free — it is three words —
-// and engines are safe for concurrent use by multiple goroutines.
+// All engines share the persistent worker pool and the pooled
+// workspaces; an engine only bounds how many ways a region fans out, so
+// creating one is free and engines are safe for concurrent use.
 //
-// The zero value and the nil pointer are both valid and mean "default
-// engine": the width is GOMAXPROCS and there is no cancellation. Every
-// kernel in internal/blas, internal/lapack, internal/cholcp and
-// internal/core accepts a nil engine.
+// Every kernel takes its engine explicitly; a call that names no width
+// passes Default. A nil engine is a bug and panics on first use.
 type Engine struct {
-	workers int
+	workers int // 0 tracks GOMAXPROCS
 	ctx     context.Context
 }
 
+// Default is the engine of calls that name no width: all cores, no cancellation.
+var Default = &Engine{}
+
 // NewEngine returns an engine bounded to the given parallel width.
-// workers < 1 selects all available cores (GOMAXPROCS).
+// workers < 1 selects all available cores, tracking GOMAXPROCS.
 func NewEngine(workers int) *Engine {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Engine{workers: workers}
+	return &Engine{workers: max(workers, 0)}
 }
 
 // WithContext returns a derived engine with the same width whose Err
@@ -43,49 +40,29 @@ func NewEngine(workers int) *Engine {
 // Algorithms check Err at stage boundaries, so cancellation is
 // cooperative: in-flight kernels finish, the next stage does not start.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
-	ne := &Engine{ctx: ctx}
-	if e != nil {
-		ne.workers = e.workers
-	}
-	return ne
+	return &Engine{workers: e.workers, ctx: ctx}
 }
 
 // WithWorkers returns a derived engine with the same context and the new
-// width bound. n < 1 selects all available cores.
+// width bound. n < 1 selects all available cores, tracking GOMAXPROCS.
 func (e *Engine) WithWorkers(n int) *Engine {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	ne := &Engine{workers: n}
-	if e != nil {
-		ne.ctx = e.ctx
-	}
-	return ne
+	return &Engine{workers: max(n, 0), ctx: e.ctx}
 }
 
-// Workers reports the engine's parallel width bound. A nil or zero-width
-// engine uses all available cores (GOMAXPROCS).
+// Workers reports the engine's parallel width bound. An engine built
+// for all available cores reports the current GOMAXPROCS.
 func (e *Engine) Workers() int {
-	if e == nil || e.workers == 0 {
+	if e.workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return e.workers
-}
-
-// Context returns the engine's context, or context.Background for an
-// engine without one.
-func (e *Engine) Context() context.Context {
-	if e == nil || e.ctx == nil {
-		return context.Background()
-	}
-	return e.ctx
 }
 
 // Err reports the engine's cancellation state: nil while live, the
 // context's error once cancelled or past its deadline. Engines without a
 // context never report an error.
 func (e *Engine) Err() error {
-	if e == nil || e.ctx == nil {
+	if e.ctx == nil {
 		return nil
 	}
 	return e.ctx.Err()

@@ -23,9 +23,6 @@ type Range struct {
 	Lo, Hi int
 }
 
-// Len reports the number of indices in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
 // Split partitions [0, n) into at most parts near-equal contiguous ranges,
 // each at least minChunk wide (except possibly when n < minChunk, in which
 // case a single range covers everything). It never returns empty ranges.

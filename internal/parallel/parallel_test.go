@@ -2,13 +2,11 @@ package parallel
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-// defaultEngine is the nil engine: GOMAXPROCS wide, no cancellation.
-var defaultEngine *Engine
 
 func TestSplitCoversRange(t *testing.T) {
 	cases := []struct {
@@ -30,7 +28,7 @@ func TestSplitCoversRange(t *testing.T) {
 			if r.Lo != lo {
 				t.Fatalf("Split(%d,%d,%d): gap or overlap at %v", c.n, c.parts, c.minChunk, r)
 			}
-			if r.Len() <= 0 {
+			if r.Hi <= r.Lo {
 				t.Fatalf("Split(%d,%d,%d): empty range %v", c.n, c.parts, c.minChunk, r)
 			}
 			lo = r.Hi
@@ -47,7 +45,7 @@ func TestSplitRespectsMinChunk(t *testing.T) {
 		t.Fatalf("got %d parts, want <= 10 for minChunk 10", len(rs))
 	}
 	for _, r := range rs[:len(rs)-1] {
-		if r.Len() < 10 {
+		if r.Hi-r.Lo < 10 {
 			t.Fatalf("range %v shorter than minChunk", r)
 		}
 	}
@@ -58,10 +56,10 @@ func TestSplitProperty(t *testing.T) {
 		rs := Split(int(n), int(parts), int(minChunk))
 		total := 0
 		for _, r := range rs {
-			if r.Len() <= 0 {
+			if r.Hi <= r.Lo {
 				return false
 			}
-			total += r.Len()
+			total += r.Hi - r.Lo
 		}
 		return total == int(n)
 	}
@@ -73,7 +71,7 @@ func TestSplitProperty(t *testing.T) {
 func TestForVisitsEveryIndexOnce(t *testing.T) {
 	const n = 10007
 	var hits [n]int32
-	defaultEngine.For(n, 1, func(lo, hi int) {
+	Default.For(n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -87,7 +85,7 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 
 func TestForSmallRunsInline(t *testing.T) {
 	calls := 0
-	defaultEngine.For(3, 100, func(lo, hi int) {
+	Default.For(3, 100, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 3 {
 			t.Fatalf("got [%d,%d), want [0,3)", lo, hi)
@@ -99,7 +97,7 @@ func TestForSmallRunsInline(t *testing.T) {
 }
 
 func TestForZero(t *testing.T) {
-	defaultEngine.For(0, 1, func(lo, hi int) { t.Fatal("body must not run for n=0") })
+	Default.For(0, 1, func(lo, hi int) { t.Fatal("body must not run for n=0") })
 }
 
 func TestEngineWidthBound(t *testing.T) {
@@ -133,15 +131,49 @@ func TestEngineDerivationsKeepWidthAndContext(t *testing.T) {
 	if w.Err() == nil {
 		t.Fatal("WithWorkers dropped the context")
 	}
+}
+
+// A nil engine is a bug below the facade: every method that reads the
+// engine panics instead of standing in for Default.
+func TestNilEnginePanics(t *testing.T) {
 	var nilEngine *Engine
-	if got := nilEngine.WithWorkers(3).Workers(); got != 3 {
-		t.Fatalf("nil-engine WithWorkers width = %d, want 3", got)
+	for name, use := range map[string]func(){
+		"For":         func() { nilEngine.For(10, 1, func(lo, hi int) {}) },
+		"Workers":     func() { nilEngine.Workers() },
+		"WithContext": func() { nilEngine.WithContext(context.Background()) },
+		"WithWorkers": func() { nilEngine.WithWorkers(3) },
+		"Err":         func() { _ = nilEngine.Err() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("nil engine %s did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// "All cores" has one meaning: NewEngine(0), WithWorkers(0) and Default
+// all track GOMAXPROCS rather than freezing it at construction.
+func TestAllCoresTracksGOMAXPROCS(t *testing.T) {
+	e, w := NewEngine(0), NewEngine(2).WithWorkers(-1)
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, procs := range []int{old + 1, 1} {
+		runtime.GOMAXPROCS(procs)
+		for name, eng := range map[string]*Engine{"NewEngine(0)": e, "WithWorkers(-1)": w, "Default": Default} {
+			if got := eng.Workers(); got != procs {
+				t.Errorf("GOMAXPROCS=%d: %s.Workers() = %d", procs, name, got)
+			}
+		}
 	}
 }
 
 func TestDo(t *testing.T) {
 	var sum int64
-	defaultEngine.Do(
+	Default.Do(
 		func() { atomic.AddInt64(&sum, 1) },
 		func() { atomic.AddInt64(&sum, 10) },
 		func() { atomic.AddInt64(&sum, 100) },
@@ -149,8 +181,8 @@ func TestDo(t *testing.T) {
 	if sum != 111 {
 		t.Fatalf("sum = %d, want 111", sum)
 	}
-	defaultEngine.Do() // must not panic
-	defaultEngine.Do(func() { atomic.AddInt64(&sum, 1) })
+	Default.Do() // must not panic
+	Default.Do(func() { atomic.AddInt64(&sum, 1) })
 	if sum != 112 {
 		t.Fatalf("sum = %d, want 112", sum)
 	}

@@ -131,7 +131,7 @@ func TestDoTasksTrulyConcurrent(t *testing.T) {
 // the pool limit across many regions.
 func TestWorkerReuse(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		defaultEngine.For(1<<12, 1, func(lo, hi int) {})
+		Default.For(1<<12, 1, func(lo, hi int) {})
 	}
 	spawned, idle := poolStats()
 	if limit := runtime.GOMAXPROCS(0) - 1; spawned > limit {
@@ -160,10 +160,10 @@ func TestSplitPropertyMinChunk(t *testing.T) {
 		}
 		lo := 0
 		for _, r := range rs {
-			if r.Lo != lo || r.Len() <= 0 {
+			if r.Lo != lo || r.Hi <= r.Lo {
 				return false
 			}
-			if r.Len() < minChunk {
+			if r.Hi-r.Lo < minChunk {
 				return false
 			}
 			lo = r.Hi

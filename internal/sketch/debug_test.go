@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -30,5 +31,5 @@ func TestApplySparseDebugChecksPanicOnNaN(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	ApplySparse(nil, sa, a, 4, 1)
+	ApplySparse(parallel.Default, sa, a, 4, 1)
 }

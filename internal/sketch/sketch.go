@@ -44,8 +44,7 @@ const DefaultNNZ = 8
 //
 // The result is a deterministic function of (seed, a, d, nnz): the slot
 // reduction has a fixed shape, so engines of any width produce
-// bit-identical sketches. The engine e bounds the parallel width (nil
-// selects the default engine).
+// bit-identical sketches. The engine e bounds the parallel width.
 func ApplySparse(e *parallel.Engine, sa, a *mat.Dense, nnz int, seed uint64) {
 	m, n := a.Rows, a.Cols
 	d := sa.Rows

@@ -95,7 +95,7 @@ func TestApplySparseMatchesReference(t *testing.T) {
 				a = stridedDense(rng, sh.m, sh.n)
 			}
 			sa := mat.NewDense(sh.d, sh.n)
-			ApplySparse(nil, sa, a, sh.nnz, 42)
+			ApplySparse(parallel.Default, sa, a, sh.nnz, 42)
 			ref := mat.NewDense(sh.d, sh.n)
 			refSparse(ref, a, sh.nnz, 42)
 			requireSameSketch(t, fmt.Sprintf("m=%d n=%d d=%d nnz=%d strided=%v",
@@ -137,8 +137,8 @@ func TestApplySparseSeedChangesSketch(t *testing.T) {
 	a := randDense(rng, 500, 8)
 	s1 := mat.NewDense(16, 8)
 	s2 := mat.NewDense(16, 8)
-	ApplySparse(nil, s1, a, 4, 1)
-	ApplySparse(nil, s2, a, 4, 2)
+	ApplySparse(parallel.Default, s1, a, 4, 1)
+	ApplySparse(parallel.Default, s2, a, 4, 2)
 	same := true
 	for i := range s1.Data {
 		if s1.Data[i] != s2.Data[i] {
@@ -159,7 +159,7 @@ func TestApplySparseNormPreservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randDense(rng, 20000, 16)
 	sa := mat.NewDense(64, 16)
-	ApplySparse(nil, sa, a, DefaultNNZ, 9)
+	ApplySparse(parallel.Default, sa, a, DefaultNNZ, 9)
 	ratio := sa.FrobeniusNorm() / a.FrobeniusNorm()
 	if ratio < 0.7 || ratio > 1.3 {
 		t.Fatalf("‖SA‖_F/‖A‖_F = %g, want ≈ 1 (sparse-sign embedding distorted)", ratio)
@@ -201,7 +201,7 @@ func TestApplySparsePanics(t *testing.T) {
 					t.Errorf("%s: no panic", tc.name)
 				}
 			}()
-			ApplySparse(nil, tc.sa, a, tc.nnz, 0)
+			ApplySparse(parallel.Default, tc.sa, a, tc.nnz, 0)
 		}()
 	}
 }

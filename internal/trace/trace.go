@@ -146,8 +146,8 @@ const (
 	CtrEpsExits
 	// CtrBreakdowns counts P-Chol-CP exits on a non-positive pivot.
 	CtrBreakdowns
-	// CtrWorkspaceGets counts pooled-workspace requests (mat.GetWorkspace
-	// and mat.GetFloats).
+	// CtrWorkspaceGets counts pooled-workspace requests
+	// (mat.GetWorkspace).
 	CtrWorkspaceGets
 	// CtrWorkspaceMisses counts requests the pool could not serve (a fresh
 	// heap allocation). Steady state should show ~0 misses.

@@ -30,11 +30,16 @@ type LstsqResult struct {
 //
 // rcond ≤ 0 selects the default threshold n·u. opts as in QRCP.
 func Lstsq(a, b *mat.Dense, rcond float64, opts *Options) (*LstsqResult, error) {
+	return DefaultEngine().Lstsq(a, b, rcond, opts)
+}
+
+// Lstsq is the package-level Lstsq on this engine.
+func (e *Engine) Lstsq(a, b *mat.Dense, rcond float64, opts *Options) (*LstsqResult, error) {
 	m, n := a.Rows, a.Cols
 	if b.Rows != m {
 		panic(fmt.Sprintf("tsqrcp: Lstsq A has %d rows, B has %d", m, b.Rows))
 	}
-	f, err := QRCP(a, opts)
+	f, err := e.QRCP(a, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +50,7 @@ func Lstsq(a, b *mat.Dense, rcond float64, opts *Options) (*LstsqResult, error) 
 	// y = Q₁ᵀ·B (r×k).
 	q1 := f.Q.Slice(0, m, 0, r)
 	y := mat.NewDense(r, b.Cols)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, q1, b, 0, y)
+	blas.Gemm(e.eng(), blas.Trans, blas.NoTrans, 1, q1, b, 0, y)
 	// Solve R₁₁·y = Q₁ᵀ·B in place.
 	r11 := f.R.Slice(0, r, 0, r)
 	blas.TrsmLeftUpperNoTrans(r11, y)
@@ -56,14 +61,14 @@ func Lstsq(a, b *mat.Dense, rcond float64, opts *Options) (*LstsqResult, error) 
 	}
 	// Residuals ‖A·x − B‖ per column.
 	res := b.Clone()
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, a, x, -1, res)
+	blas.Gemm(e.eng(), blas.NoTrans, blas.NoTrans, 1, a, x, -1, res)
 	return &LstsqResult{X: x, Rank: r, Resid: colNorms(res)}, nil
 }
 
 // LstsqVec is Lstsq for a single right-hand side vector.
 func LstsqVec(a *mat.Dense, b []float64, rcond float64, opts *Options) ([]float64, int, error) {
 	bm := mat.NewDenseData(len(b), 1, append([]float64(nil), b...))
-	res, err := Lstsq(a, bm, rcond, opts)
+	res, err := DefaultEngine().Lstsq(a, bm, rcond, opts)
 	if err != nil {
 		return nil, 0, err
 	}

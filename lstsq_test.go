@@ -139,6 +139,15 @@ func TestLstsqMultipleRHS(t *testing.T) {
 	if res.X.Rows != n || res.X.Cols != k || len(res.Resid) != k {
 		t.Fatalf("shape mismatch: X %d×%d, %d residuals", res.X.Rows, res.X.Cols, len(res.Resid))
 	}
+	// The package-level form runs on the default engine; a width-1
+	// engine gives the same bits.
+	one, err := NewEngine(1).Lstsq(a, b, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mat.EqualApprox(one.X, res.X, 0) || one.Rank != res.Rank {
+		t.Fatal("Engine.Lstsq at width 1 differs from Lstsq")
+	}
 	// Each column must match the single-RHS solve.
 	for j := 0; j < k; j++ {
 		col := b.Col(j, nil)

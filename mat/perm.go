@@ -76,13 +76,6 @@ func PermuteCols(dst, a *Dense, p Perm) {
 // workers for a few cache lines of data costs more than the gather.
 const permParallelElems = 1 << 16
 
-// PermuteColsInPlace rearranges the columns of A in place so that
-// afterwards A_new(:, j) = A_old(:, p[j]), using the default engine's
-// parallel width. See PermuteColsInPlaceEngine.
-func PermuteColsInPlace(a *Dense, p Perm) {
-	PermuteColsInPlaceEngine(nil, a, p)
-}
-
 // PermuteColsInPlaceEngine rearranges the columns of A in place so that
 // afterwards A_new(:, j) = A_old(:, p[j]). Each row is gathered through a
 // pooled row buffer — a contiguous, cache-friendly sweep that visits
@@ -90,10 +83,10 @@ func PermuteColsInPlace(a *Dense, p Perm) {
 // pool workers. This replaces the historical cycle-chasing walk, whose
 // column-strided access pattern touched one cache line per element and
 // allocated a rows-length scratch column on every call. The engine e
-// bounds the parallel width (nil selects the default engine).
+// bounds the parallel width.
 func PermuteColsInPlaceEngine(e *parallel.Engine, a *Dense, p Perm) {
 	if len(p) != a.Cols {
-		panic(fmt.Sprintf("mat: PermuteColsInPlace perm length %d != cols %d", len(p), a.Cols))
+		panic(fmt.Sprintf("mat: PermuteColsInPlaceEngine perm length %d != cols %d", len(p), a.Cols))
 	}
 	n := a.Cols
 	if n == 0 || a.Rows == 0 {
@@ -101,7 +94,8 @@ func PermuteColsInPlaceEngine(e *parallel.Engine, a *Dense, p Perm) {
 	}
 	minChunk := permParallelElems/n + 1
 	e.For(a.Rows, minChunk, func(lo, hi int) {
-		tmp := GetFloats(n, false)
+		ws := GetWorkspace(1, n, false)
+		tmp := ws.Data
 		for i := lo; i < hi; i++ {
 			row := a.Data[i*a.Stride : i*a.Stride+n]
 			copy(tmp, row)
@@ -109,6 +103,6 @@ func PermuteColsInPlaceEngine(e *parallel.Engine, a *Dense, p Perm) {
 				row[j] = tmp[v]
 			}
 		}
-		PutFloats(tmp)
+		PutWorkspace(ws)
 	})
 }

@@ -78,7 +78,7 @@ func TestPermuteColsInPlaceMatchesOutOfPlace(t *testing.T) {
 		want := NewDense(m, n)
 		PermuteCols(want, a, p)
 		got := a.Clone()
-		PermuteColsInPlace(got, p)
+		PermuteColsInPlaceEngine(parallel.Default, got, p)
 		if !EqualApprox(got, want, 0) {
 			t.Fatalf("in-place != out-of-place for p=%v", p)
 		}

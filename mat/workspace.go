@@ -18,10 +18,7 @@ import (
 
 const maxPoolClass = 63
 
-var (
-	densePools [maxPoolClass + 1]sync.Pool // *Dense, cap(Data) ≥ 2^k
-	slicePools [maxPoolClass + 1]sync.Pool // *[]float64, cap ≥ 2^k
-)
+var densePools [maxPoolClass + 1]sync.Pool // *Dense, cap(Data) ≥ 2^k
 
 // classFor returns the smallest k with 2^k ≥ size (size ≥ 1).
 func classFor(size int) int { return bits.Len(uint(size - 1)) }
@@ -72,40 +69,4 @@ func PutWorkspace(d *Dense) {
 	d.Data = d.Data[:0]
 	d.Rows, d.Cols, d.Stride = 0, 0, 0
 	densePools[k].Put(d)
-}
-
-// GetFloats returns a length-n float64 scratch slice from the pool. If
-// clear is true the slice is zeroed; otherwise its contents are
-// unspecified. Return it with PutFloats when done.
-func GetFloats(n int, clear bool) []float64 {
-	if n < 0 {
-		panic("mat: GetFloats negative length")
-	}
-	if n == 0 {
-		return nil
-	}
-	k := classFor(n)
-	trace.Inc(trace.CtrWorkspaceGets)
-	if v := slicePools[k].Get(); v != nil {
-		s := (*v.(*[]float64))[:n]
-		if clear {
-			for i := range s {
-				s[i] = 0
-			}
-		}
-		return s
-	}
-	trace.Inc(trace.CtrWorkspaceMisses)
-	return make([]float64, n, 1<<k)
-}
-
-// PutFloats returns a slice obtained from GetFloats to the pool. The
-// caller must not retain the slice afterwards.
-func PutFloats(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	k := classHolding(cap(s))
-	s = s[:0]
-	slicePools[k].Put(&s)
 }

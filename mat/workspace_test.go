@@ -65,30 +65,6 @@ func TestPutWorkspaceRejectsViews(t *testing.T) {
 	PutWorkspace(w)
 }
 
-func TestGetFloatsSizingAndZeroing(t *testing.T) {
-	s := GetFloats(100, true)
-	if len(s) != 100 {
-		t.Fatalf("len = %d, want 100", len(s))
-	}
-	for i := range s {
-		s[i] = 1
-	}
-	PutFloats(s)
-	s2 := GetFloats(70, true)
-	if len(s2) != 70 {
-		t.Fatalf("len = %d, want 70", len(s2))
-	}
-	for i, v := range s2 {
-		if v != 0 {
-			t.Fatalf("reused slice leaked at %d: %g", i, v)
-		}
-	}
-	PutFloats(s2)
-	if GetFloats(0, true) != nil {
-		t.Fatal("GetFloats(0) should be nil")
-	}
-}
-
 // TestWorkspaceClassProperty: any requested size receives a buffer of at
 // least that size, with the invariant preserved through a Put/Get cycle.
 func TestWorkspaceClassProperty(t *testing.T) {
@@ -127,11 +103,6 @@ func TestWorkspacePoolConcurrent(t *testing.T) {
 					}
 				}
 				PutWorkspace(w)
-				s := GetFloats((seed+i)%97+1, true)
-				for k := range s {
-					s[k] = fill
-				}
-				PutFloats(s)
 			}
 		}(g)
 	}

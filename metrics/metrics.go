@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -23,7 +24,7 @@ import (
 func Orthogonality(q *mat.Dense) float64 {
 	n := q.Cols
 	g := mat.NewDense(n, n)
-	blas.Gram(nil, g, q)
+	blas.Gram(parallel.Default, g, q)
 	for i := 0; i < n; i++ {
 		g.Set(i, i, g.At(i, i)-1)
 	}
@@ -38,7 +39,7 @@ func Residual(a, q, r *mat.Dense, perm mat.Perm) float64 {
 	}
 	ap := mat.NewDense(a.Rows, a.Cols)
 	mat.PermuteCols(ap, a, perm)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, q, r, 1, ap)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, -1, q, r, 1, ap)
 	return ap.FrobeniusNorm() / a.FrobeniusNorm()
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -41,7 +42,7 @@ func (m MatOperator) Dim() int { return m.A.Rows }
 
 // Apply computes dst = A·x.
 func (m MatOperator) Apply(dst, x *mat.Dense) {
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, m.A, x, 0, dst)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, m.A, x, 0, dst)
 }
 
 // EigOptions configure SymEigs.
@@ -117,7 +118,7 @@ func SymEigs(op Operator, k int, opts *EigOptions) (vals []float64, vecs *mat.De
 	// Rayleigh–Ritz: T = Xᵀ·A·X, eigendecompose, rotate.
 	op.Apply(y, x)
 	t := mat.NewDense(b, b)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, x, y, 0, t)
+	blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, x, y, 0, t)
 	symmetrize(t)
 	tv, tz := lapack.JacobiEigSym(t)
 	// Sort by |λ| descending to honor "largest magnitude".
@@ -131,7 +132,7 @@ func SymEigs(op Operator, k int, opts *EigOptions) (vals []float64, vecs *mat.De
 		}
 	}
 	vecs = mat.NewDense(n, k)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, x, sel, 0, vecs)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, x, sel, 0, vecs)
 	return vals, vecs, nil
 }
 
@@ -140,12 +141,12 @@ func SymEigs(op Operator, k int, opts *EigOptions) (vals []float64, vecs *mat.De
 // (numerically) collapsed, pivoted QR identifies the surviving directions
 // and dead columns are replaced by fresh random vectors, re-orthogonalized.
 func orthonormalize(x *mat.Dense, rng *rand.Rand) error {
-	if _, err := core.CholQR2InPlace(nil, x); err == nil {
+	if _, err := core.CholQR2InPlace(parallel.Default, x); err == nil {
 		return nil
 	}
 	// Rank collapse: pivoted QR + replenishment.
 	for attempt := 0; attempt < 8; attempt++ {
-		res, err := core.IteCholQRCP(nil, x, core.DefaultPivotTol, x.Cols)
+		res, err := core.IteCholQRCP(parallel.Default, x, core.DefaultPivotTol, x.Cols)
 		if err != nil {
 			return err
 		}
@@ -163,7 +164,7 @@ func orthonormalize(x *mat.Dense, rng *rand.Rand) error {
 				x.Set(i, j, rng.NormFloat64())
 			}
 		}
-		if _, err := core.CholQR2InPlace(nil, x); err == nil {
+		if _, err := core.CholQR2InPlace(parallel.Default, x); err == nil {
 			return nil
 		}
 	}
@@ -214,14 +215,14 @@ func RangeFinder(a *mat.Dense, k, power int, rng *rand.Rand) (*mat.Dense, error)
 		omega.Data[i] = rng.NormFloat64()
 	}
 	y := mat.NewDense(m, k)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, a, omega, 0, y)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, a, omega, 0, y)
 	for q := 0; q < power; q++ {
 		if err := orthonormalize(y, rng); err != nil {
 			return nil, err
 		}
 		z := mat.NewDense(n, k)
-		blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, a, y, 0, z)
-		blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, a, z, 0, y)
+		blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, a, y, 0, z)
+		blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, a, z, 0, y)
 	}
 	if err := orthonormalize(y, rng); err != nil {
 		return nil, err

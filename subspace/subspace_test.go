@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -22,7 +23,7 @@ func symWithSpectrum(rng *rand.Rand, vals []float64) *mat.Dense {
 		}
 	}
 	a := mat.NewDense(n, n)
-	blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, vd, v, 0, a)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, 1, vd, v, 0, a)
 	return a
 }
 
@@ -43,7 +44,7 @@ func TestSymEigsRecoversSpectrum(t *testing.T) {
 	}
 	// Eigenvector residuals ‖A·v − λ·v‖.
 	av := mat.NewDense(a.Rows, k)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, a, vecs, 0, av)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, a, vecs, 0, av)
 	for j := 0; j < k; j++ {
 		res := 0.0
 		for i := 0; i < a.Rows; i++ {
@@ -120,9 +121,9 @@ func TestRangeFinderCapturesDominantSpace(t *testing.T) {
 	}
 	// ‖A − Q·Qᵀ·A‖ should be at the σ_(k+1) level.
 	qta := mat.NewDense(k, n)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, q, a, 0, qta)
+	blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, q, a, 0, qta)
 	diff := a.Clone()
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, -1, q, qta, 1, diff)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, -1, q, qta, 1, diff)
 	if rel := diff.FrobeniusNorm() / a.FrobeniusNorm(); rel > 1e-10 {
 		t.Fatalf("range capture error %g for exact-rank matrix", rel)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -37,11 +38,11 @@ func RandSVD(a *mat.Dense, k, power int, rng *rand.Rand) (*SVDResult, error) {
 	}
 	// B = Qᵀ·A (k×n).
 	b := mat.NewDense(k, n)
-	blas.Gemm(nil, blas.Trans, blas.NoTrans, 1, q, a, 0, b)
+	blas.Gemm(parallel.Default, blas.Trans, blas.NoTrans, 1, q, a, 0, b)
 	// Small exact SVD of Bᵀ (n×k, tall): Bᵀ = V·S·U_Bᵀ.
 	v, s, ub := lapack.JacobiSVD(b.T())
 	// U = Q·U_B.
 	u := mat.NewDense(m, k)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, q, ub, 0, u)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, q, ub, 0, u)
 	return &SVDResult{U: u, S: s, V: v}, nil
 }

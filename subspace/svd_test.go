@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -42,7 +43,7 @@ func TestRandSVDExactRank(t *testing.T) {
 		}
 	}
 	rec := mat.NewDense(m, n)
-	blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, us, res.V, 0, rec)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, 1, us, res.V, 0, rec)
 	diff := a.Clone()
 	for i := range diff.Data {
 		diff.Data[i] -= rec.Data[i]
@@ -71,7 +72,7 @@ func TestRandSVDNearOptimalError(t *testing.T) {
 		}
 	}
 	rec := mat.NewDense(m, n)
-	blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, us, res.V, 0, rec)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, 1, us, res.V, 0, rec)
 	diff := a.Clone()
 	for i := range diff.Data {
 		diff.Data[i] -= rec.Data[i]

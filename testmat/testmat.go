@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -58,7 +59,7 @@ func RandomOrtho(rng *rand.Rand, m, n int) *mat.Dense {
 		g.Data[i] = rng.NormFloat64()
 	}
 	tau := make([]float64, n)
-	lapack.Geqrf(nil, g, tau)
+	lapack.Geqrf(parallel.Default, g, tau)
 	signs := make([]float64, n)
 	for j := 0; j < n; j++ {
 		if g.At(j, j) < 0 {
@@ -67,7 +68,7 @@ func RandomOrtho(rng *rand.Rand, m, n int) *mat.Dense {
 			signs[j] = 1
 		}
 	}
-	lapack.Orgqr(nil, g, tau)
+	lapack.Orgqr(parallel.Default, g, tau)
 	for i := 0; i < m; i++ {
 		row := g.Data[i*g.Stride : i*g.Stride+n]
 		for j := range row {
@@ -94,7 +95,7 @@ func WithSingularValues(rng *rand.Rand, m, n int, sv []float64) *mat.Dense {
 		}
 	}
 	a := mat.NewDense(m, n)
-	blas.Gemm(nil, blas.NoTrans, blas.Trans, 1, u, v, 0, a)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.Trans, 1, u, v, 0, a)
 	return a
 }
 
@@ -142,6 +143,6 @@ func KahanTall(rng *rand.Rand, m, n int, theta, perturb float64) *mat.Dense {
 	k := Kahan(rng, n, theta, perturb)
 	u := RandomOrtho(rng, m, n)
 	a := mat.NewDense(m, n)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, u, k, 0, a)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, u, k, 0, a)
 	return a
 }

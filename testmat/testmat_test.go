@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/lapack"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -47,7 +48,7 @@ func TestRandomOrthoIsOrthonormal(t *testing.T) {
 	for _, sh := range []struct{ m, n int }{{10, 10}, {50, 7}, {200, 33}} {
 		q := RandomOrtho(rng, sh.m, sh.n)
 		g := mat.NewDense(sh.n, sh.n)
-		blas.Gram(nil, g, q)
+		blas.Gram(parallel.Default, g, q)
 		for i := 0; i < sh.n; i++ {
 			g.Set(i, i, g.At(i, i)-1)
 		}

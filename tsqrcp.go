@@ -3,6 +3,7 @@ package tsqrcp
 import (
 	"repro/internal/blas"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/mat"
 )
 
@@ -116,7 +117,7 @@ func (f *Factorization) NumericalRank(tol float64) int {
 func (f *Factorization) Reconstruct() *mat.Dense {
 	m, n := f.Q.Rows, f.R.Cols
 	qr := mat.NewDense(m, n)
-	blas.Gemm(nil, blas.NoTrans, blas.NoTrans, 1, f.Q, f.R, 0, qr)
+	blas.Gemm(parallel.Default, blas.NoTrans, blas.NoTrans, 1, f.Q, f.R, 0, qr)
 	out := mat.NewDense(m, n)
 	mat.PermuteCols(out, qr, f.Perm.Inverse())
 	return out
@@ -204,10 +205,15 @@ func TSQR(a *mat.Dense) *QR {
 // conventional f = 2. Use this when greedy pivoting's worst cases
 // (Kahan-type matrices) must be excluded by construction.
 func StrongRRQR(a *mat.Dense, k int, f float64) (*Factorization, error) {
+	return DefaultEngine().StrongRRQR(a, k, f)
+}
+
+// StrongRRQR is the package-level StrongRRQR on this engine.
+func (e *Engine) StrongRRQR(a *mat.Dense, k int, f float64) (*Factorization, error) {
 	if f <= 0 {
 		f = core.DefaultStrongRRQRF
 	}
-	res, err := core.StrongRRQR(nil, a, k, f)
+	res, err := core.StrongRRQR(e.eng(), a, k, f)
 	if err != nil {
 		return nil, err
 	}

@@ -193,6 +193,13 @@ func TestPublicStrongRRQR(t *testing.T) {
 	if !f.Perm.IsValid() {
 		t.Fatal("invalid perm")
 	}
+	one, err := NewEngine(1).StrongRRQR(a, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mat.EqualApprox(one.Q, f.Q, 0) || !mat.EqualApprox(one.R, f.R, 0) {
+		t.Fatal("Engine.StrongRRQR at width 1 differs from StrongRRQR")
+	}
 }
 
 func TestQRCPConcurrentUse(t *testing.T) {
