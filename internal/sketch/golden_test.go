@@ -12,7 +12,9 @@ import (
 
 // sketchGolden pins the bits of ApplySparse: FNV-64a of the d = 2n sketch
 // of an exact LCG-filled m×n view, at DefaultNNZ and seed 7. 1000×16 is
-// one reduction slot; 40000×32 is the full fan-out of 16 slots. The
+// one reduction slot; 40000×32 is the full fan-out of 16 slots; 5000×64
+// (d = 128) takes targets past the 64-bit duplicate mask; 3000×13 has an
+// odd width and an even d = 26 that is no power of two. The
 // inputs are integers times 2⁻⁵², so they are the same bits on every
 // build, and so must the sketch be at every engine width.
 var sketchGolden = []struct {
@@ -21,6 +23,8 @@ var sketchGolden = []struct {
 }{
 	{1000, 16, "6dd8254a64b323a4"},
 	{40000, 32, "f570b3a2a7b82c69"},
+	{5000, 64, "dc1f2029ba8cf01d"},
+	{3000, 13, "e9f6cd89601e7d2e"},
 }
 
 // lcgDense fills an m×n view (Stride > Cols) with exact values in

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/parallel"
 	"repro/mat"
 )
@@ -19,15 +20,37 @@ func randDense(rng *rand.Rand, m, n int) *mat.Dense {
 }
 
 // refSparse replays the sparse-sign kernel's stream consumption row by
-// row in ascending order — for m below the slot threshold this is
-// exactly the sequential path's summation order, so the comparison is
-// bitwise.
+// row in ascending order, and blas.ReduceRows's slot partition: each
+// slot of blas.FusedSlots(m) sums its rows into a zeroed partial (into sa
+// itself when there is one slot), and the partials add into sa in slot
+// order. That is the kernel's summation order at every engine width, so
+// the comparison is bitwise.
 func refSparse(sa, a *mat.Dense, nnz int, seed uint64) {
-	d, n := sa.Rows, sa.Cols
 	sa.Zero()
+	slots := blas.FusedSlots(a.Rows)
+	if slots == 1 {
+		refSparseRows(sa, a, nnz, seed, 0, a.Rows)
+		return
+	}
+	part := mat.NewDense(sa.Rows, sa.Cols)
+	for si := 0; si < slots; si++ {
+		lo, hi := blas.FusedSlotBounds(a.Rows, slots, si)
+		part.Zero()
+		refSparseRows(part, a, nnz, seed, lo, hi)
+		for i := range sa.Data {
+			sa.Data[i] += part.Data[i]
+		}
+	}
+}
+
+// refSparseRows adds rows [lo, hi) of a into acc the textbook way: per
+// row, nnz distinct targets drawn by Intn(d) with redraws, then one sign
+// draw per target, then one fma per element, targets in draw order.
+func refSparseRows(acc, a *mat.Dense, nnz int, seed uint64, lo, hi int) {
+	d, n := acc.Rows, acc.Cols
 	scale := 1 / math.Sqrt(float64(nnz))
 	targets := make([]int, nnz)
-	for i := 0; i < a.Rows; i++ {
+	for i := lo; i < hi; i++ {
 		src := rowSource(seed, i)
 		for t := 0; t < nnz; t++ {
 			for {
@@ -51,7 +74,7 @@ func refSparse(sa, a *mat.Dense, nnz int, seed uint64) {
 			if src.Uint64()&1 == 1 {
 				s = -scale
 			}
-			dst := sa.Data[targets[t]*sa.Stride : targets[t]*sa.Stride+n]
+			dst := acc.Data[targets[t]*acc.Stride : targets[t]*acc.Stride+n]
 			for j, v := range row {
 				dst[j] = math.FMA(s, v, dst[j])
 			}
@@ -59,14 +82,14 @@ func refSparse(sa, a *mat.Dense, nnz int, seed uint64) {
 	}
 }
 
-// sketchShapes are below blas.ReduceRows's two-slot threshold (m < 4096),
-// where the replayed reference takes the kernel's summation order. They
-// cover widths on both sides of the 4- and 16-wide vector loops, d past
-// the 64-bit duplicate mask, odd d, and nnz = d.
+// sketchShapes cover widths on both sides of the vector loops, d past
+// the 64-bit duplicate mask, odd d, nnz = d, and (m ≥ 4096) the
+// multi-slot reduction at d = 64 and d = 129.
 var sketchShapes = []struct{ m, n, d, nnz int }{
 	{1, 1, 2, 1}, {7, 3, 6, 2}, {100, 8, 16, 4}, {1999, 24, 48, 8},
 	{300, 1, 8, 8}, {300, 4, 7, 7}, {300, 5, 64, 64}, {300, 31, 62, 8},
 	{300, 32, 64, 8}, {300, 33, 130, 8}, {300, 64, 128, 8}, {4000, 64, 129, 3},
+	{8192, 32, 64, 8}, {6000, 9, 64, 8}, {4096, 17, 129, 8}, {9000, 40, 129, 5},
 }
 
 // stridedDense returns an m×n view with Stride > Cols and normal entries.
@@ -94,12 +117,14 @@ func TestApplySparseMatchesReference(t *testing.T) {
 			if strided {
 				a = stridedDense(rng, sh.m, sh.n)
 			}
-			sa := mat.NewDense(sh.d, sh.n)
-			ApplySparse(parallel.Default, sa, a, sh.nnz, 42)
 			ref := mat.NewDense(sh.d, sh.n)
 			refSparse(ref, a, sh.nnz, 42)
-			requireSameSketch(t, fmt.Sprintf("m=%d n=%d d=%d nnz=%d strided=%v",
-				sh.m, sh.n, sh.d, sh.nnz, strided), sa, ref)
+			for _, w := range []int{1, 2} {
+				sa := mat.NewDense(sh.d, sh.n)
+				ApplySparse(parallel.NewEngine(w), sa, a, sh.nnz, 42)
+				requireSameSketch(t, fmt.Sprintf("m=%d n=%d d=%d nnz=%d strided=%v width %d",
+					sh.m, sh.n, sh.d, sh.nnz, strided, w), sa, ref)
+			}
 		}
 	}
 }
