@@ -115,9 +115,10 @@ func BenchmarkPermTrsmGramFused(b *testing.B) {
 // pass that runs both, and the fused pass's column gather with p0 = 16
 // leading columns fixed, in place and out of place, 64 rows a call as
 // the pass takes it (its MB/s counts each row read and written once).
-// The row scatter runs at the cqrrpt-vtall sketch shape: 8192 rows of
-// 32 columns, each added into 8 of 64 accumulator rows. "simd" is
-// skipped on builds and CPUs without the assembly.
+// The sign-matrix product runs at the cqrrpt-vtall sketch shape: 8192
+// rows of 32 columns, each added into 8 of 64 accumulator rows, one call
+// per block of 64 rows, as the sketch takes them. "simd" is skipped on builds and CPUs without the
+// assembly.
 func BenchmarkKernelVariants(b *testing.B) {
 	const m, n = 4096, 64
 	e := parallel.NewEngine(1)
@@ -132,13 +133,25 @@ func BenchmarkKernelVariants(b *testing.B) {
 	const sm, sn, sd, nnz = 8192, 32, 64, 8
 	src := benchDense(sm, sn)
 	acc := mat.NewDense(sd, sn)
-	targets := make([]int, sm*nnz)
-	weights := make([]float64, sm*nnz)
-	for i := range targets {
-		targets[i] = rng.Intn(sd)
-		weights[i] = float64(2*rng.Intn(2)-1) / math.Sqrt(nnz)
+	// Per block of 64 rows, rows[t] has bit i set where row i drew t
+	// (neg too where its weight is negative).
+	type signBlock struct{ rows, neg [sd]uint64 }
+	var blocks []signBlock
+	for lo := 0; lo < sm; lo += 64 {
+		var blk signBlock
+		for i := 0; i < 64; i++ {
+			for _, t := range rng.Perm(sd)[:nnz] {
+				blk.rows[t] |= 1 << i
+				blk.neg[t] |= uint64(rng.Intn(2)) << i
+			}
+		}
+		blocks = append(blocks, blk)
 	}
-	scatterFlops := 2 * float64(sm) * float64(sn) * float64(nnz)
+	views := make([]*mat.Dense, len(blocks))
+	for q := range views {
+		views[q] = src.Slice(64*q, 64*q+64, 0, sn)
+	}
+	signFlops := 2 * float64(sm) * float64(sn) * float64(nnz)
 	const p0 = 16
 	gperm := mat.IdentityPerm(n)
 	gtail := gperm[p0:]
@@ -185,11 +198,10 @@ func BenchmarkKernelVariants(b *testing.B) {
 		}},
 		{"GatherInPlace", 0, gather(work, work)},
 		{"GatherOutOfPlace", 0, gather(work, a)},
-		{"ScatterRows", scatterFlops, func(b *testing.B) {
+		{"SparseSignMulAdd", signFlops, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for row := 0; row < sm; row++ {
-					ScatterRows(acc, src.Data[row*sn:(row+1)*sn],
-						targets[row*nnz:(row+1)*nnz], weights[row*nnz:(row+1)*nnz])
+				for q := range blocks {
+					SparseSignMulAdd(acc, blocks[q].rows[:], blocks[q].neg[:], 1/math.Sqrt(nnz), views[q])
 				}
 			}
 		}},

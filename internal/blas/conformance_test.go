@@ -33,7 +33,7 @@ func TestKernelConformance(t *testing.T) {
 	t.Run("Syrk", testKernelSyrk)
 	t.Run("Trsm", testKernelTrsm)
 	t.Run("Fused", testKernelFused)
-	t.Run("Scatter", testKernelScatter)
+	t.Run("SparseSign", testKernelSparseSign)
 	t.Run("WidthDeterminism", testKernelWidthDeterminism)
 	t.Run("SequentialAllocFree", testKernelAllocFree)
 }
@@ -139,39 +139,47 @@ func testKernelFused(t *testing.T) {
 	}
 }
 
-// testKernelScatter checks ScatterRows on a strided view against the
-// elementwise reference bit for bit (both take one multiply and one add
-// per element, in target order), with repeated and unsorted targets and
-// widths on both sides of the 4- and 16-wide vector loops.
-func testKernelScatter(t *testing.T) {
+// testKernelSparseSign checks SparseSignMulAdd on strided views
+// against the elementwise reference bit for bit (w is a power of two, so
+// each product is exact and one fma is one multiply and one add), with
+// an empty row, a row of every input row, and masks of both signs, on
+// widths on both sides of the 4-, 16- and 64-wide vector loops.
+func testKernelSparseSign(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{1, 3, 16, 33, 64} {
-		acc := randDenseStrided(rng, 12, n)
-		want := acc.Clone()
-		row := make([]float64, n)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		targets := []int{7, 0, 11, 7, 3, 7}
-		weights := []float64{0.5, -0.5, 2, -1, 0.25, 1e-3}
-		ScatterRows(acc, row, targets, weights)
-		for k, tk := range targets {
-			for j, v := range row {
-				want.Set(tk, j, want.At(tk, j)+weights[k]*v)
+	rows := []uint64{0x8c1, 0, 0xfff, 0x804}
+	neg := []uint64{0x881, 0x3, 0x5a5, 0}
+	const w = 0.25
+	for _, n := range []int{1, 3, 16, 33, 64, 70} {
+		c := randDenseStrided(rng, 4, n)
+		b := randDenseStrided(rng, 12, n)
+		want := c.Clone()
+		SparseSignMulAdd(c, rows, neg, w, b)
+		for r, m := range rows {
+			for i := 0; i < b.Rows; i++ {
+				if m>>i&1 == 0 {
+					continue
+				}
+				wi := w
+				if neg[r]>>i&1 == 1 {
+					wi = -w
+				}
+				for j := 0; j < n; j++ {
+					want.Set(r, j, want.At(r, j)+wi*b.At(i, j))
+				}
 			}
 		}
-		sameBits(t, "ScatterRows", acc, want)
+		sameBits(t, "SparseSignMulAdd", c, want)
 	}
-	// A target past the view's last row panics even where the parent
-	// matrix's storage continues.
+	// A bit past B's last row panics even where the parent matrix's
+	// storage continues.
 	parent := mat.NewDense(6, 4)
 	view := parent.Slice(1, 4, 0, 4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ScatterRows target past the view did not panic")
+			t.Fatal("SparseSignMulAdd bit past the view did not panic")
 		}
 	}()
-	ScatterRows(view, make([]float64, 4), []int{3}, []float64{1})
+	SparseSignMulAdd(mat.NewDense(1, 4), []uint64{1 << 3}, []uint64{0}, 1, view)
 }
 
 // testKernelWidthDeterminism checks the determinism contract: every
@@ -243,6 +251,7 @@ func testKernelAllocFree(t *testing.T) {
 		r := randUpperWellCond(rng, n)
 		perm := randPerm(rng, n)
 		c := mat.NewDense(n, n)
+		c2, a64 := c.Slice(0, 2, 0, n), a.Slice(0, 64, 0, n)
 		g := mat.NewDense(n, n)
 
 		kernels := []struct {
@@ -255,7 +264,7 @@ func testKernelAllocFree(t *testing.T) {
 			{"GemvT", func() { Gemv(e, Trans, 1, a, b.Data[:m], 0, c.Data[:n]) }},
 			{"Trsm", func() { TrsmRightUpperNoTrans(e, b, r) }},
 			{"Fused", func() { PermTrsmGramFused(e, b, perm, r, g) }},
-			{"Scatter", func() { ScatterRows(c, a.Data[:n], []int{3, 0, 3}, []float64{1, -1, 0.5}) }},
+			{"SparseSign", func() { SparseSignMulAdd(c2, []uint64{0x9, 1 << 63}, []uint64{1, 0}, 0.5, a64) }},
 		}
 		for _, k := range kernels {
 			k.run() // warm the pools

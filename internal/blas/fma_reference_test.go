@@ -279,27 +279,38 @@ func TestLevel3MatchesFMAReference(t *testing.T) {
 			}
 		}
 	}
-	checkScatterRowsFMA(t, rng)
+	checkSparseSignFMA(t, rng)
 	checkGramZeroTimesInf(t)
 }
 
-// checkScatterRowsFMA: every target row takes
-// acc[j] = fma(w, row[j], acc[j]), targets in order.
-func checkScatterRowsFMA(t *testing.T, rng *rand.Rand) {
-	for _, n := range fmaRefNs {
-		for _, specials := range []bool{false, true} {
-			acc := fmaRefFill(rng, 9, n, specials)
-			row := fmaRefFill(rng, 1, n, specials).Data[:n]
-			targets := []int{4, 0, 8, 4, 3}
-			w := []float64{0.5, -1.25, math.Copysign(0, -1), math.Inf(1), 3e300}
-			want := acc.Clone()
-			for k, tk := range targets {
-				for j, v := range row {
-					want.Set(tk, j, math.FMA(w[k], v, want.At(tk, j)))
+// checkSparseSignFMA: every output row takes
+// c[j] = fma(±w, b[i][j], c[j]) over its set bits i in ascending order.
+func checkSparseSignFMA(t *testing.T, rng *rand.Rand) {
+	rows := []uint64{0x111, 0, 0x1ff}
+	neg := []uint64{0x100, 0x1, 0x0aa}
+	for _, w := range []float64{0.5, -1.25, math.Copysign(0, -1), math.Inf(1), 3e300} {
+		for _, n := range fmaRefNs {
+			for _, specials := range []bool{false, true} {
+				c := fmaRefFill(rng, 3, n, specials)
+				b := fmaRefFill(rng, 9, n, specials)
+				want := c.Clone()
+				for r, m := range rows {
+					for i := 0; i < b.Rows; i++ {
+						if m>>i&1 == 0 {
+							continue
+						}
+						wi := w
+						if neg[r]>>i&1 == 1 {
+							wi = -w
+						}
+						for j := 0; j < n; j++ {
+							want.Set(r, j, math.FMA(wi, b.At(i, j), want.At(r, j)))
+						}
+					}
 				}
+				SparseSignMulAdd(c, rows, neg, w, b)
+				requireSameDense(t, fmt.Sprintf("SparseSignMulAdd w=%v n=%d specials=%v", w, n, specials), c, want)
 			}
-			ScatterRows(acc, row, targets, w)
-			requireSameDense(t, fmt.Sprintf("ScatterRows n=%d specials=%v", n, specials), acc, want)
 		}
 	}
 }

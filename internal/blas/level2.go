@@ -108,24 +108,42 @@ func Ger(e *parallel.Engine, alpha float64, x, y []float64, a *mat.Dense) {
 	e.For(a.Rows, minChunk+1, body)
 }
 
-// ScatterRows adds weighted copies of row into rows of A:
+// SparseSignMulAdd computes C += S·B for the c.Rows × b.Rows sparse
+// sign matrix S, b.Rows ≤ 64, held as two bit masks a row: S[t][i] is w
+// where bit i of rows[t] is set, −w where bit i of neg[t] is set too,
+// and 0 elsewhere. Each element of C is one fused multiply-add chain
+// over its row's set bits in ascending order,
 //
-//	A[t[k], :] += w[k]·row,   k = 0, 1, …, len(t)−1 in order,
+//	C[t][j] = fma(±w, B[i][j], C[t][j]),   i ascending over the bits of rows[t],
 //
-// a Ger whose x is nonzero only at the target rows t, which may repeat.
-// It is the inner loop of both sketch embeddings (internal/sketch). Each
-// element takes one fused multiply-add, fma(w[k], row[j], A[t[k], j]), so
-// the AVX2 and Go forms give the same bits. row holds A.Cols entries and w at least len(t); a target
-// outside [0, A.Rows) panics.
+// so the zmm, ymm and Go forms give the same bits. A bit naming a row
+// outside B panics. c must not overlap b. It is the accumulation of the
+// sparse sketch (internal/sketch), one block of up to 64 input rows a
+// call: row t of C is held in registers across all of row t of S.
 //
 //repolint:hotpath
-func ScatterRows(a *mat.Dense, row []float64, t []int, w []float64) {
-	// Cap the storage at the last row, so a target past it panics even
-	// where a view's parent continues.
-	var data []float64
-	if a.Rows > 0 {
-		end := (a.Rows-1)*a.Stride + a.Cols
-		data = a.Data[:end:end]
+func SparseSignMulAdd(c *mat.Dense, rows, neg []uint64, w float64, b *mat.Dense) {
+	if len(rows) != c.Rows || len(neg) != c.Rows || b.Rows > 64 || c.Cols != b.Cols {
+		sparseSignShapePanic(c, rows, neg, b)
 	}
-	scatterRows(data, a.Stride, row[:a.Cols], t, w[:len(t)])
+	ws := [2]float64{w, -w}
+	// Cap the storage at the last row, so a bit past B's last row
+	// panics even where a view's parent continues.
+	signRows(rowsData(c), c.Stride, rowsData(b), b.Stride, c.Cols, rows, neg, &ws)
+}
+
+// sparseSignShapePanic reports SparseSignMulAdd operands of the wrong
+// shape, off the hot path.
+func sparseSignShapePanic(c *mat.Dense, rows, neg []uint64, b *mat.Dense) {
+	panic(fmt.Sprintf("blas: SparseSignMulAdd C %d×%d with %d and %d masks and B %d×%d",
+		c.Rows, c.Cols, len(rows), len(neg), b.Rows, b.Cols))
+}
+
+// rowsData returns a's storage up to the end of its last row.
+func rowsData(a *mat.Dense) []float64 {
+	if a.Rows == 0 {
+		return nil
+	}
+	end := (a.Rows-1)*a.Stride + a.Cols
+	return a.Data[:end:end]
 }

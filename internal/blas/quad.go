@@ -2,30 +2,32 @@ package blas
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/mat"
 )
 
 // The inner loops that hold the time of every GEMM, SYRK, TRMM, B·R⁻¹
 // and R⁻ᵀ·B solve, of the fused pass's column gather and of the sparse
-// sketch, written once in Go. They fix the package's one rounding rule:
+// sketch's sign-matrix product, written once in Go. They fix the package's one rounding rule:
 // every Level-3 output element is a single fused multiply-add chain
 // over its summation index t, in ascending order,
 //
 //	Gram, SYRK, Aᵀ·B:          c = fma(a[t][i], b[t][j], c)
 //	A·B, TRMM, B·R⁻¹, R⁻ᵀ·B:   c = fma(−v[i][t], b[t][j], c),   then x = c·(1/R[j][j]) for a solve
 //
-// the row scatter is one fma per element, and the gather moves entries
-// unchanged. Loads and stores are exact, so an element's bits depend
+// the row scatter is one fma per element, the sign-matrix product one
+// fma chain per element over its row's set bits in ascending order, and
+// the gather moves entries unchanged. Loads and stores are exact, so an element's bits depend
 // only on where its chain starts (the slot partition of ReduceRows) and
 // never on tile shapes, row grouping or blocking. On amd64 (without the
 // purego build tag) these loops run assembly instead (quad_amd64.s),
 // which performs the same chains: the tiles as 8-row zmm tiles up to 24
 // columns wide where the CPU has AVX512F and AVX512VL and the OS saves
 // the ZMM state, else as 4-row ymm tiles up to 12 wide where it has
-// AVX2 and FMA, chosen once at start-up; the row scatter on ymm, and
-// the gather on zmm only (zmm VGATHERQPD). Anything else runs these
-// loops. See DESIGN.md §10.
+// AVX2 and FMA, chosen once at start-up; the row scatter on ymm, the
+// sign-matrix product on zmm or ymm, and the gather on zmm only (zmm
+// VGATHERQPD). Anything else runs these loops. See DESIGN.md §10.
 
 // tileRows is the row count of a tile: 8 on the zmm tiles, 4 otherwise.
 // maxTileRows bounds it, for the drivers' packed operands.
@@ -140,6 +142,32 @@ func scatterRowsGo(acc []float64, accStride int, row []float64, t []int, w []flo
 		dst := acc[tk*accStride : tk*accStride+n]
 		for j, v := range row {
 			dst[j] = math.FMA(wk, v, dst[j])
+		}
+	}
+}
+
+// signRowsGo adds the product of a sparse sign matrix S, held as two
+// bit masks a row, and the rows of B into the rows of C: for output row
+// t < len(rows) and each set bit i of rows[t], ascending,
+//
+//	C[t][j] = fma(w[neg[t]>>i & 1], B[i][j], C[t][j]),   0 ≤ j < n,
+//
+// with C's row t at c[t·ldc:] and B's row i at b[i·ldb:]. c must not
+// overlap b.
+//
+//repolint:hotpath
+func signRowsGo(c []float64, ldc int, b []float64, ldb, n int, rows, neg []uint64, w *[2]float64) {
+	for t, m := range rows {
+		ct := c[t*ldc : t*ldc+n]
+		nt := neg[t]
+		for ; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			wi := w[nt>>i&1]
+			bi := b[i*ldb : i*ldb+n]
+			bi = bi[:len(ct)]
+			for j, v := range bi {
+				ct[j] = math.FMA(wi, v, ct[j])
+			}
 		}
 	}
 }

@@ -2,15 +2,19 @@
 
 package blas
 
-import "repro/mat"
+import (
+	"math/bits"
+
+	"repro/mat"
+)
 
 // useAVX2 reports whether the tiles and the row scatter run the assembly:
-// the CPU has AVX2 and FMA and the OS saves the YMM registers. Detected
-// once.
+// the CPU has AVX2, FMA and BMI1 (the sign-matrix product's bit scans)
+// and the OS saves the YMM registers. Detected once.
 var useAVX2 = cpuHasAVX2()
 
-// cpuHasAVX2 checks CPUID for AVX2 and FMA and XGETBV for OS support of
-// the YMM state.
+// cpuHasAVX2 checks CPUID for AVX2, FMA and BMI1 and XGETBV for OS
+// support of the YMM state.
 func cpuHasAVX2() bool
 
 // useAVX512 reports whether the tiles run their AVX-512 forms: on top of
@@ -21,6 +25,25 @@ var useAVX512 = useAVX2 && cpuHasAVX512()
 // cpuHasAVX512 checks CPUID for AVX512F and AVX512VL and XGETBV for OS
 // support of the opmask and ZMM state.
 func cpuHasAVX512() bool
+
+// useAVX512DQ reports whether zmm kernels may also use AVX512DQ's
+// 64-bit lane multiply (VPMULLQ): on top of useAVX512, the CPU has
+// AVX512DQ. Detected once.
+var useAVX512DQ = useAVX512 && cpuHasAVX512DQ()
+
+// cpuHasAVX512DQ checks CPUID for AVX512DQ; call it only where
+// cpuHasAVX512 holds.
+func cpuHasAVX512DQ() bool
+
+// HasAVX512DQ reports whether this build and CPU run zmm kernels with
+// 64-bit integer lane multiplies (see useAVX512DQ). Packages with
+// assembly of their own take their dispatch flag from here, so the
+// machine is probed once.
+func HasAVX512DQ() bool { return useAVX512DQ }
+
+// HasAVX512 reports whether this build and CPU run the zmm kernels (see
+// useAVX512), for packages with zmm assembly of their own.
+func HasAVX512() bool { return useAVX512 }
 
 // tileTNAVX512 is tileTNGo on raw pointers for an 8-row tile,
 // 1 ≤ nc ≤ 24 and k ≥ 1.
@@ -77,6 +100,16 @@ const gatherMaxCols = 64
 //
 //go:noescape
 func scatterRowsAVX2(acc *float64, accStride int, row *float64, n int, t *int, w *float64, count int)
+
+// signRowsAVX512 and signRowsAVX2 are signRowsGo on raw pointers for
+// count ≥ 1 output rows and n ≥ 1 columns: c and b point at row 0 of C
+// and B, rows and neg at the count masks, and w at the two weights.
+//
+//go:noescape
+func signRowsAVX512(c *float64, ldc int, b *float64, ldb, n int, rows, neg *uint64, w *[2]float64, count int)
+
+//go:noescape
+func signRowsAVX2(c *float64, ldc int, b *float64, ldb, n int, rows, neg *uint64, w *[2]float64, count int)
 
 // fmaPeakAVX2 and fmaPeakAVX512 run iters ≥ 1 steps of the FMAPeak
 // loop on ymm and zmm registers.
@@ -191,6 +224,30 @@ func scatterRows(acc []float64, accStride int, row []float64, t []int, w []float
 		}
 	}
 	scatterRowsGo(acc, accStride, row, t, w)
+}
+
+// signRows runs the sign-matrix product (see signRowsGo), on zmm or
+// ymm like the tiles, only when every row it reads and every element it
+// writes is provably inside the slices: the output rows lie inside c
+// and the highest bit set in any mask names a row inside b. Else the Go
+// loop runs, and its bounds checks report a bad bit.
+//
+//repolint:hotpath
+func signRows(c []float64, ldc int, b []float64, ldb, n int, rows, neg []uint64, w *[2]float64) {
+	var all uint64
+	for _, m := range rows {
+		all |= m
+	}
+	if count := len(rows); useAVX2 && count > 0 && all != 0 && len(neg) >= count && n > 0 &&
+		rowsInside(c, ldc, n, 0, count) && rowsInside(b, ldb, n, 0, 64-bits.LeadingZeros64(all)) {
+		if useAVX512 {
+			signRowsAVX512(&c[0], ldc, &b[0], ldb, n, &rows[0], &neg[0], w, count)
+		} else {
+			signRowsAVX2(&c[0], ldc, &b[0], ldb, n, &rows[0], &neg[0], w, count)
+		}
+		return
+	}
+	signRowsGo(c, ldc, b, ldb, n, rows, neg, w)
 }
 
 // gatherCols sets columns [p0, n) of rows [lo, hi) of dst through perm

@@ -38,10 +38,10 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	// EBX bit 5: AVX2.
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
+	// EBX bit 3: BMI1, bit 5: AVX2.
+	ANDL  $0x28, BX
+	CMPL  BX, $0x28
+	SETEQ ret+0(FP)
 
 noavx2:
 	RET
@@ -517,6 +517,132 @@ scatternext:
 	VZEROUPPER
 	RET
 
+// func signRowsAVX2(c *float64, ldc int, b *float64, ldb, n int, rows, neg *uint64, w *[2]float64, count int)
+//
+// For each output row with a set bit, the columns go 16 at a time
+// (Y0–Y3), then 4 (Y0), then 1 (X0); each group of columns of C is
+// loaded once, takes every set bit of the row in ascending order, and is
+// stored once. Each element becomes fma(w[s], B[i][j], C[t][j])
+// (VFMADD231PD), s the bit i of neg[t]. Registers: DI row t of C and R13
+// its current columns, R8 and R9 the strides of C and B in bytes, SI B
+// and DX its current columns, R10 and R11 rows[t] and neg[t], AX neg[t]
+// itself, R12 w, BX the bits left, CX the lowest (TZCNT, then cleared
+// by BLSR) and then the offset of B's row i, R14 the offset of its
+// weight, and Y8 the weight in every lane. The end of rows is kept in count's argument slot.
+#define SIGNENTRY(z) \
+	TZCNTQ       BX, CX; \
+	BLSRQ        BX, BX; \
+	BTQ          CX, AX; \
+	SBBQ         R14, R14; \
+	ANDQ         $8, R14; \
+	VBROADCASTSD (R12)(R14*1), z; \
+	IMULQ        R9, CX
+
+TEXT ·signRowsAVX2(SB), NOSPLIT, $0-72
+// SIGNROW points R13 and DX at column 0 of the row, loads neg[t] and
+// leaves n in bytes in R14. SIGNLEFT sets R14 to the columns left, in
+// bytes, past R13.
+#define SIGNROW \
+	MOVQ DI, R13; \
+	MOVQ SI, DX; \
+	MOVQ (R11), AX
+
+#define SIGNLEFT \
+	MOVQ n+32(FP), R14; \
+	SHLQ $3, R14; \
+	ADDQ DI, R14; \
+	SUBQ R13, R14
+
+#define SIGNNEXT(loop) \
+	ADDQ R8, DI; \
+	ADDQ $8, R10; \
+	ADDQ $8, R11; \
+	CMPQ R10, count+64(FP); \
+	JLT  loop
+
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $3, R8
+	MOVQ b+16(FP), SI
+	MOVQ ldb+24(FP), R9
+	SHLQ $3, R9
+	MOVQ rows+40(FP), R10
+	MOVQ neg+48(FP), R11
+	MOVQ w+56(FP), R12
+	MOVQ count+64(FP), R13
+	LEAQ (R10)(R13*8), R13
+	MOVQ R13, count+64(FP)
+
+ysignrow:
+	CMPQ (R10), $0
+	JEQ  ysignnext
+	SIGNROW
+
+ysign16:
+	SIGNLEFT
+	CMPQ    R14, $128
+	JLT     ysign4
+	VMOVUPD (R13), Y0
+	VMOVUPD 32(R13), Y1
+	VMOVUPD 64(R13), Y2
+	VMOVUPD 96(R13), Y3
+	MOVQ    (R10), BX
+
+ysign16k:
+	SIGNENTRY(Y8)
+	VFMADD231PD (DX)(CX*1), Y8, Y0
+	VFMADD231PD 32(DX)(CX*1), Y8, Y1
+	VFMADD231PD 64(DX)(CX*1), Y8, Y2
+	VFMADD231PD 96(DX)(CX*1), Y8, Y3
+	TESTQ       BX, BX
+	JNZ         ysign16k
+	VMOVUPD     Y0, (R13)
+	VMOVUPD     Y1, 32(R13)
+	VMOVUPD     Y2, 64(R13)
+	VMOVUPD     Y3, 96(R13)
+	ADDQ        $128, R13
+	ADDQ        $128, DX
+	JMP         ysign16
+
+ysign4:
+	CMPQ    R14, $32
+	JLT     ysign1
+	VMOVUPD (R13), Y0
+	MOVQ    (R10), BX
+
+ysign4k:
+	SIGNENTRY(Y8)
+	VFMADD231PD (DX)(CX*1), Y8, Y0
+	TESTQ       BX, BX
+	JNZ         ysign4k
+	VMOVUPD     Y0, (R13)
+	ADDQ        $32, R13
+	ADDQ        $32, DX
+	SIGNLEFT
+	JMP         ysign4
+
+ysign1:
+	CMPQ   R14, $0
+	JEQ    ysignnext
+	VMOVSD (R13), X0
+	MOVQ   (R10), BX
+
+ysign1k:
+	SIGNENTRY(Y8)
+	VFMADD231SD (DX)(CX*1), X8, X0
+	TESTQ       BX, BX
+	JNZ         ysign1k
+	VMOVSD      X0, (R13)
+	ADDQ        $8, R13
+	ADDQ        $8, DX
+	SIGNLEFT
+	JMP         ysign1
+
+ysignnext:
+	SIGNNEXT(ysignrow)
+	VZEROUPPER
+	RET
+
 // func fmaPeakAVX2(iters int)
 //
 // iters steps of 12 independent VFMADD231PD chains (Y0–Y11 += Y12·Y13,
@@ -589,6 +715,17 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	MOVB $1, ret+0(FP)
 
 noavx512:
+	RET
+
+// func cpuHasAVX512DQ() bool
+TEXT ·cpuHasAVX512DQ(SB), NOSPLIT, $0-1
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	// EBX bit 17: AVX512DQ.
+	SHRL $17, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
 	RET
 
 // The AVX-512 tiles hold an 8-row tile of C in Z0–Z23: register Z(3s+q)
@@ -1558,6 +1695,263 @@ gathernext:
 	ADDQ R9, SI
 	DECQ CX
 	JNZ  gatherrow
+	VZEROUPPER
+	RET
+
+// func signRowsAVX512(c *float64, ldc int, b *float64, ldb, n int, rows, neg *uint64, w *[2]float64, count int)
+//
+// signRowsAVX2 on zmm: the columns of an output row go 64 at a time, nv
+// = 1 to 8 vectors held in Z0–Z7, the last one under the mask K1 (its
+// loads zero-masked, with their faults suppressed, its store
+// merge-masked, so nothing past the row is touched). Z8 holds the
+// weight. Registers as in signRowsAVX2.
+#define ZSIGNLOAD(off, z) VMOVUPD off(R13), z
+#define ZSIGNLOADM(off, z) VMOVUPD.Z off(R13), K1, z
+#define ZSIGNSTORE(off, z) VMOVUPD z, off(R13)
+#define ZSIGNSTOREM(off, z) VMOVUPD z, K1, off(R13)
+#define ZSIGNFMA(off, z) VFMADD231PD off(DX)(CX*1), Z8, z
+#define ZSIGNFMAM(off, z) VFMADD231PD.Z off(DX)(CX*1), Z8, K1, z
+
+TEXT ·signRowsAVX512(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $3, R8
+	MOVQ b+16(FP), SI
+	MOVQ ldb+24(FP), R9
+	SHLQ $3, R9
+	MOVQ rows+40(FP), R10
+	MOVQ neg+48(FP), R11
+	MOVQ w+56(FP), R12
+	MOVQ count+64(FP), R13
+	LEAQ (R10)(R13*8), R13
+	MOVQ R13, count+64(FP)
+
+zsignrow:
+	CMPQ (R10), $0
+	JEQ  zsignnext
+	SIGNROW
+
+zsignchunk:
+	// CX = the columns left; a full chunk of 64 takes eight vectors.
+	SIGNLEFT
+	MOVQ  R14, CX
+	SHRQ  $3, CX
+	CMPQ  CX, $64
+	JLT   zsignpart
+	MOVL  $0xff, BX
+	KMOVW BX, K1
+	JMP   zsign8
+
+zsignpart:
+	// K1 = the lanes of the last of nv = ⌈CX/8⌉ vectors, R14 = nv−1.
+	DECQ  CX
+	MOVQ  CX, R14
+	ANDQ  $7, CX
+	MOVL  $2, BX
+	SHLL  CX, BX
+	DECL  BX
+	KMOVW BX, K1
+	SHRQ  $3, R14
+	CMPQ  R14, $1
+	JLT   zsign1
+	JEQ   zsign2
+	CMPQ  R14, $3
+	JLT   zsign3
+	JEQ   zsign4
+	CMPQ  R14, $5
+	JLT   zsign5
+	JEQ   zsign6
+	CMPQ  R14, $7
+	JLT   zsign7
+	JMP   zsign8
+
+zsign1:
+	ZSIGNLOADM(0, Z0)
+	MOVQ (R10), BX
+
+zsign1k:
+	SIGNENTRY(Z8)
+	ZSIGNFMAM(0, Z0)
+	TESTQ BX, BX
+	JNZ   zsign1k
+	ZSIGNSTOREM(0, Z0)
+	JMP zsignnext
+
+zsign2:
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOADM(64, Z1)
+	MOVQ (R10), BX
+
+zsign2k:
+	SIGNENTRY(Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMAM(64, Z1)
+	TESTQ BX, BX
+	JNZ   zsign2k
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTOREM(64, Z1)
+	JMP zsignnext
+
+zsign3:
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOADM(128, Z2)
+	MOVQ (R10), BX
+
+zsign3k:
+	SIGNENTRY(Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMAM(128, Z2)
+	TESTQ BX, BX
+	JNZ   zsign3k
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTOREM(128, Z2)
+	JMP zsignnext
+
+zsign4:
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOAD(128, Z2)
+	ZSIGNLOADM(192, Z3)
+	MOVQ (R10), BX
+
+zsign4k:
+	SIGNENTRY(Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMA(128, Z2)
+	ZSIGNFMAM(192, Z3)
+	TESTQ BX, BX
+	JNZ   zsign4k
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTORE(128, Z2)
+	ZSIGNSTOREM(192, Z3)
+	JMP zsignnext
+
+zsign5:
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOAD(128, Z2)
+	ZSIGNLOAD(192, Z3)
+	ZSIGNLOADM(256, Z4)
+	MOVQ (R10), BX
+
+zsign5k:
+	SIGNENTRY(Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMA(128, Z2)
+	ZSIGNFMA(192, Z3)
+	ZSIGNFMAM(256, Z4)
+	TESTQ BX, BX
+	JNZ   zsign5k
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTORE(128, Z2)
+	ZSIGNSTORE(192, Z3)
+	ZSIGNSTOREM(256, Z4)
+	JMP zsignnext
+
+zsign6:
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOAD(128, Z2)
+	ZSIGNLOAD(192, Z3)
+	ZSIGNLOAD(256, Z4)
+	ZSIGNLOADM(320, Z5)
+	MOVQ (R10), BX
+
+zsign6k:
+	SIGNENTRY(Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMA(128, Z2)
+	ZSIGNFMA(192, Z3)
+	ZSIGNFMA(256, Z4)
+	ZSIGNFMAM(320, Z5)
+	TESTQ BX, BX
+	JNZ   zsign6k
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTORE(128, Z2)
+	ZSIGNSTORE(192, Z3)
+	ZSIGNSTORE(256, Z4)
+	ZSIGNSTOREM(320, Z5)
+	JMP zsignnext
+
+zsign7:
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOAD(128, Z2)
+	ZSIGNLOAD(192, Z3)
+	ZSIGNLOAD(256, Z4)
+	ZSIGNLOAD(320, Z5)
+	ZSIGNLOADM(384, Z6)
+	MOVQ (R10), BX
+
+zsign7k:
+	SIGNENTRY(Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMA(128, Z2)
+	ZSIGNFMA(192, Z3)
+	ZSIGNFMA(256, Z4)
+	ZSIGNFMA(320, Z5)
+	ZSIGNFMAM(384, Z6)
+	TESTQ BX, BX
+	JNZ   zsign7k
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTORE(128, Z2)
+	ZSIGNSTORE(192, Z3)
+	ZSIGNSTORE(256, Z4)
+	ZSIGNSTORE(320, Z5)
+	ZSIGNSTOREM(384, Z6)
+	JMP zsignnext
+
+zsign8:
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOAD(128, Z2)
+	ZSIGNLOAD(192, Z3)
+	ZSIGNLOAD(256, Z4)
+	ZSIGNLOAD(320, Z5)
+	ZSIGNLOAD(384, Z6)
+	ZSIGNLOADM(448, Z7)
+	MOVQ (R10), BX
+
+zsign8k:
+	SIGNENTRY(Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMA(128, Z2)
+	ZSIGNFMA(192, Z3)
+	ZSIGNFMA(256, Z4)
+	ZSIGNFMA(320, Z5)
+	ZSIGNFMA(384, Z6)
+	ZSIGNFMAM(448, Z7)
+	TESTQ BX, BX
+	JNZ   zsign8k
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTORE(128, Z2)
+	ZSIGNSTORE(192, Z3)
+	ZSIGNSTORE(256, Z4)
+	ZSIGNSTORE(320, Z5)
+	ZSIGNSTORE(384, Z6)
+	ZSIGNSTOREM(448, Z7)
+	ADDQ $512, R13
+	ADDQ $512, DX
+	SIGNLEFT
+	CMPQ R14, $0
+	JGT  zsignchunk
+	JMP  zsignnext
+
+zsignnext:
+	SIGNNEXT(zsignrow)
 	VZEROUPPER
 	RET
 

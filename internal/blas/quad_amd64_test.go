@@ -315,6 +315,88 @@ func TestScatterRowsOutOfBoundsFallsBack(t *testing.T) {
 	}
 }
 
+// TestSignRowsAVXMatchesGo runs the zmm and the ymm sign-matrix product
+// and their dispatch on the same inputs as the Go loop, every width of
+// quadTestNs (masked zmm tails, 64-column chunks, ymm 16/4/1 columns),
+// with every weight of scatterTestWeights, on strided rows holding ±Inf
+// and NaN, with empty masks and masks reaching B's 64th row.
+func TestSignRowsAVXMatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(75))
+	const count, bRows = 6, 64
+	for _, n := range quadTestNs {
+		for _, specials := range []bool{false, true} {
+			ldc, ldb := n+5, n+2
+			c0 := quadFill(rng, (count-1)*ldc+n, specials)
+			b := quadFill(rng, (bRows-1)*ldb+n, specials)
+			rows := []uint64{rng.Uint64(), 0, 1 << 63, rng.Uint64() & rng.Uint64(), 1, rng.Uint64() | 1}
+			neg := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), 0, ^uint64(0), rng.Uint64()}
+			wv := scatterTestWeights[rng.Intn(len(scatterTestWeights))]
+			w := [2]float64{wv, -wv}
+			want := append([]float64(nil), c0...)
+			signRowsGo(want, ldc, b, ldb, n, rows, neg, &w)
+			kernels := []struct {
+				label string
+				run   func(c []float64)
+			}{
+				{"signRowsAVX2", func(c []float64) {
+					signRowsAVX2(&c[0], ldc, &b[0], ldb, n, &rows[0], &neg[0], &w, count)
+				}},
+				{"signRows dispatch", func(c []float64) { signRows(c, ldc, b, ldb, n, rows, neg, &w) }},
+				{"signRows ymm dispatch", func(c []float64) {
+					withAVX2Kernels(func() { signRows(c, ldc, b, ldb, n, rows, neg, &w) })
+				}},
+			}
+			if useAVX512 {
+				kernels = append(kernels, struct {
+					label string
+					run   func(c []float64)
+				}{"signRowsAVX512", func(c []float64) {
+					signRowsAVX512(&c[0], ldc, &b[0], ldb, n, &rows[0], &neg[0], &w, count)
+				}})
+			}
+			for _, k := range kernels {
+				got := append([]float64(nil), c0...)
+				k.run(got)
+				requireSameBits(t, fmt.Sprintf("%s n=%d specials=%v w=%v", k.label, n, specials, wv), got, want)
+			}
+		}
+	}
+}
+
+// TestSignRowsOutOfBoundsFallsBack checks the dispatch guard: a bit
+// naming a row outside b, or an output row outside c, must reach the Go
+// loop, whose bounds checks panic, instead of the assembly reading or
+// writing past a slice.
+func TestSignRowsOutOfBoundsFallsBack(t *testing.T) {
+	requireAVX2(t)
+	const n, bRows = 8, 4
+	w := [2]float64{1, -1}
+	for _, tc := range []struct {
+		name   string
+		cLen   int
+		rows   []uint64
+		panics bool
+	}{
+		{"bit past the last row", 2 * n, []uint64{1, 1 << bRows}, true},
+		{"top bit", 2 * n, []uint64{1 << 63, 0}, true},
+		{"last output row short", 2*n - 1, []uint64{1, 1}, true},
+		{"last input row", 2 * n, []uint64{1 << (bRows - 1), 0}, false},
+	} {
+		c := make([]float64, tc.cLen)
+		b := make([]float64, bRows*n)
+		neg := make([]uint64, len(tc.rows))
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			signRows(c, n, b, n, n, tc.rows, neg, &w)
+			return false
+		}()
+		if panicked != tc.panics {
+			t.Errorf("%s: panicked = %v, want %v", tc.name, panicked, tc.panics)
+		}
+	}
+}
+
 // TestFusedKernelsAVX2MatchGo runs the kernels built on the tiles (the
 // left-looking TRSM, the fused pass with its column gather, the Gram
 // accumulation, Gemm A·B, Aᵀ·B and A·Bᵀ, and SyrkUpperTrans) on Slice'd

@@ -8,6 +8,12 @@ import "repro/mat"
 // That is so off amd64 and under the purego tag.
 var useAVX2, useAVX512 = false, false
 
+// HasAVX512 reports false: this build has no assembly kernels.
+func HasAVX512() bool { return false }
+
+// HasAVX512DQ reports false: this build has no assembly kernels.
+func HasAVX512DQ() bool { return false }
+
 // FMAPeak reports 0: this build has no assembly loop to measure.
 func FMAPeak(iters int) (lanes int) { return 0 }
 
@@ -37,6 +43,13 @@ func trsmTile(x []float64, ldx, mr int, r []float64, ldr int, inv []float64, j0,
 //repolint:hotpath
 func scatterRows(acc []float64, accStride int, row []float64, t []int, w []float64) {
 	scatterRowsGo(acc, accStride, row, t, w)
+}
+
+// signRows runs the sign-matrix product (see signRowsGo).
+//
+//repolint:hotpath
+func signRows(c []float64, ldc int, b []float64, ldb, n int, rows, neg []uint64, w *[2]float64) {
+	signRowsGo(c, ldc, b, ldb, n, rows, neg, w)
 }
 
 // gatherCols sets columns [p0, n) of rows [lo, hi) of dst through perm

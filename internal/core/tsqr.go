@@ -40,7 +40,7 @@ func tsqrNode(e *parallel.Engine, a *mat.Dense) (q, r *mat.Dense) {
 	}
 	mid := a.Rows / 2
 	var q1, r1, q2, r2 *mat.Dense
-	e.Do(
+	both(e,
 		func() { q1, r1 = tsqrNode(e, a.RowSlice(0, mid)) },
 		func() { q2, r2 = tsqrNode(e, a.RowSlice(mid, a.Rows)) },
 	)
@@ -56,9 +56,21 @@ func tsqrNode(e *parallel.Engine, a *mat.Dense) (q, r *mat.Dense) {
 	q = mat.NewDense(a.Rows, n)
 	qsTop := stack.Slice(0, n, 0, n)
 	qsBot := stack.Slice(n, 2*n, 0, n)
-	e.Do(
+	both(e,
 		func() { blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, q1, qsTop, 0, q.RowSlice(0, mid)) },
 		func() { blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, q2, qsBot, 0, q.RowSlice(mid, a.Rows)) },
 	)
 	return q, r
+}
+
+// both runs the two halves of a node: one after the other on a width-1
+// engine, which grants no second worker, else concurrently through e.Do.
+// The halves write disjoint results, so the order changes no bit.
+func both(e *parallel.Engine, f, g func()) {
+	if e.Workers() == 1 {
+		f()
+		g()
+		return
+	}
+	e.Do(f, g)
 }

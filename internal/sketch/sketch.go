@@ -12,16 +12,22 @@
 // the whole CQRRPT pipeline reproducible and keeps distributed replicas
 // in lockstep.
 //
-// The kernel adds its input rows through one loop, blas.ScatterRows: per
-// input row it draws the targets and weights from the row's stream, then
-// adds the weighted row into those accumulator rows in one call. On amd64
-// that loop runs as AVX2 assembly bit-identical to its Go form, so the
-// sketch bits do not depend on the build or the CPU either.
+// The kernel takes its input rows 64 at a time in two phases. The draws:
+// every row's stream is computed eight rows a zmm register (the draws of
+// a SplitMix64 stream do not depend on one another), and each row's
+// targets and signs are picked from them, eight rows a register too.
+// The accumulation: the block's rows are bucketed by target as bit
+// masks, and blas.SparseSignMulAdd adds each target's rows in ascending
+// order with the accumulator row held in registers. Every sketch element is
+// still one fma chain over its target's input rows in ascending order,
+// and the assembly and Go forms of both phases give the same bits, so
+// the sketch bits do not depend on the build or the CPU either.
 package sketch
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/blas"
 	"repro/internal/parallel"
@@ -59,7 +65,8 @@ func ApplySparse(e *parallel.Engine, sa, a *mat.Dense, nnz int, seed uint64) {
 	trace.AddFlops(trace.KernelSketch, 2*int64(m)*int64(n)*int64(nnz))
 	trace.AddBytes(trace.KernelSketch, 8*int64(m)*int64(n))
 	sa.Zero()
-	blas.ReduceRows(e, m, m*n*nnz, sa, false, sparseJob{a: a, nnz: nnz, seed: seed}, sparseSlotRange)
+	job := sparseJob{a: a, nnz: nnz, k: candidateDraws(nnz, d), seed: seed}
+	blas.ReduceRows(e, m, m*n*nnz, sa, false, job, sparseSlotRange)
 	if mat.DebugChecks {
 		mat.CheckFinite("sketch", "sparse-sign sketch output", sa)
 	}
@@ -67,57 +74,231 @@ func ApplySparse(e *parallel.Engine, sa, a *mat.Dense, nnz int, seed uint64) {
 
 // sparseJob carries the operands of sparseSlotRange through
 // blas.ReduceRows by value, so the sequential path stays allocation-free.
+// k is the number of draws per row the draw phase computes.
 type sparseJob struct {
-	a    *mat.Dense
-	nnz  int
-	seed uint64
+	a      *mat.Dense
+	nnz, k int
+	seed   uint64
+}
+
+const (
+	// maxNNZ bounds nnz: the kernel holds a block's targets on the stack.
+	maxNNZ = 64
+	// blockRows bounds a block: one bit per row in the target masks.
+	blockRows = 64
+	// candidateCap bounds the draws one block computes: a block is
+	// min(blockRows, candidateCap/k) rows, a multiple of eight.
+	candidateCap = 4096
+	// windowRows bounds the accumulator rows one SparseSignMulAdd call
+	// covers; a larger d takes the block's targets a window at a time.
+	windowRows = 1024
+)
+
+// candidateDraws returns k, the draws per row the draw phase computes:
+// the nnz sign draws plus the mean and three standard deviations of the
+// draws it takes to find nnz distinct targets among d (a draw is new
+// with chance (d−t)/d once t are taken), capped so a block holds eight
+// rows. A row whose targets and signs do not fit in its k draws is
+// drawn again from its scalar stream, so k changes no bit.
+func candidateDraws(nnz, d int) int {
+	var mean, variance float64
+	for t := 0; t < nnz; t++ {
+		p := float64(d-t) / float64(d)
+		mean += 1 / p
+		variance += (1 - p) / (p * p)
+	}
+	k := nnz + int(math.Ceil(mean+3*math.Sqrt(variance)))
+	return min(k, candidateCap/8)
 }
 
 // sparseSlotRange accumulates rows [lo, hi) of job.a into acc through the
-// sparse-sign embedding: row i of a is scattered, scaled by ±1/√nnz, onto
-// the nnz accumulator rows drawn from the (seed, i) stream. Rows are
-// consumed in ascending order, so the summation order inside a slot is
-// fixed by the slot bounds alone.
+// sparse-sign embedding: row i of a is added, scaled by ±1/√nnz, into the
+// nnz accumulator rows drawn from the (seed, i) stream. Every element of
+// acc is one fma chain over its target's rows in ascending order, so the
+// summation order inside a slot is fixed by the slot bounds alone.
 //
 // The (seed, i) stream is consumed as nnz targets (each redrawn until it
 // is new to the row) and then one sign draw per target, whose low bit
-// becomes the weight's sign bit. The row then goes to acc in one
-// blas.ScatterRows call.
+// becomes the weight's sign bit. A block of up to 64 rows takes two
+// phases. The draws: every row gets its first k draws at once (draws),
+// and its targets and signs are picked from them (pick for d ≤ 64,
+// pickTargets past that, scalarTargets from the stream where they run
+// out). The accumulation: per target, a bit mask of the block's rows
+// that drew it and of those with a negative weight, and
+// blas.SparseSignMulAdd adds each target's rows in ascending order, one
+// load and one store of each accumulator row per block.
 //
 //repolint:hotpath
 func sparseSlotRange(job sparseJob, lo, hi int, acc *mat.Dense) {
-	a, nnz, d := job.a, job.nnz, acc.Rows
-	n := a.Cols
-	scale := math.Float64bits(1 / math.Sqrt(float64(nnz)))
-	// Targets and weights of one input row; nnz is a small constant
-	// (DefaultNNZ), so the stack buffers cost nothing.
-	var targetBuf [64]int
-	var weightBuf [64]float64
-	if nnz > len(targetBuf) {
+	a, nnz, k, d := job.a, job.nnz, job.k, acc.Rows
+	if nnz > maxNNZ {
 		panic("sketch: nnz exceeds the sparse kernel's target buffer")
 	}
-	targets, weights := targetBuf[:nnz], weightBuf[:nnz]
-	for i := lo; i < hi; i++ {
-		src := rowSource(job.seed, i)
-		// taken has bit r mod 64 set once a target r is drawn; only a
-		// set bit needs the scan of the targets drawn so far.
-		var taken uint64
-		for t := range targets {
-			for {
-				r := src.Intn(d)
-				bit := uint64(1) << (uint(r) & 63)
-				if taken&bit == 0 || !contains(targets[:t], r) {
-					taken |= bit
-					targets[t] = r
-					break
+	w := 1 / math.Sqrt(float64(nnz))
+	// The block's draws; its rows' targets, nnz a row, and sign bits
+	// (bit u for target u); the target masks, by row for d ≤ 64 until
+	// transposed, else by target for one window.
+	var cand [candidateCap]uint64
+	var tg [blockRows * maxNNZ]int
+	var sg [blockRows]uint64
+	var rows, neg [windowRows]uint64
+	block := min(blockRows, max(8, candidateCap/k&^7))
+	for b0 := lo; b0 < hi; b0 += block {
+		nb := min(block, hi-b0)
+		groups := (nb + 7) / 8
+		draws(cand[:groups*8*k], job.seed, b0, groups, k)
+		blk := mat.Dense{Rows: nb, Cols: a.Cols, Stride: a.Stride, Data: a.Data[b0*a.Stride:]}
+		if d <= 64 {
+			set, ng := (*[64]uint64)(rows[:64]), (*[64]uint64)(neg[:64])
+			failed := pick(cand[:groups*8*k], tg[:], set[:groups*8], ng[:groups*8], k, d, nnz)
+			for r := 0; r < nb; r++ {
+				if failed>>r&1 != 0 {
+					t := tg[:nnz]
+					set[r], ng[r] = listMasks(t, scalarTargets(job.seed, b0+r, d, t))
 				}
 			}
+			clear(set[nb:])
+			clear(ng[nb:])
+			transpose64(set)
+			transpose64(ng)
+			blas.SparseSignMulAdd(acc, set[:d], ng[:d], w, &blk)
+			continue
 		}
-		for t := range weights {
-			weights[t] = math.Float64frombits(scale | src.Uint64()<<63)
+		for r := 0; r < nb; r++ {
+			g := (r/8)*8*k + r%8
+			t := tg[r*nnz : (r+1)*nnz]
+			s, ok := pickTargets(cand[g:g+8*(k-1)+1], d, t)
+			if !ok {
+				s = scalarTargets(job.seed, b0+r, d, t)
+			}
+			sg[r] = s
 		}
-		blas.ScatterRows(acc, a.Data[i*a.Stride:i*a.Stride+n], targets, weights)
+		for t0 := 0; t0 < d; t0 += windowRows {
+			tw := min(windowRows, d-t0)
+			masks(rows[:tw], neg[:tw], tg[:nb*nnz], sg[:nb], t0)
+			win := mat.Dense{Rows: tw, Cols: a.Cols, Stride: acc.Stride, Data: acc.Data[t0*acc.Stride:]}
+			blas.SparseSignMulAdd(&win, rows[:tw], neg[:tw], w, &blk)
+		}
 	}
+}
+
+// pickGo sets, for d ≤ 64, the target masks of the len(set) rows of a
+// block from their draws in cand (laid out by draws, k a row): bit t of
+// set[r] where row r's nnz targets include t, and of neg[r] where its
+// weight for t is negative. Bit r of the result is set where row r's
+// draws ran out first; its masks are then unset. slots is scratch for
+// nnz targets. It is the Go form of pickAVX512.
+//
+//repolint:hotpath
+func pickGo(cand []uint64, slots []int, set, neg []uint64, k, d, nnz int) (failed uint64) {
+	t := slots[:nnz]
+	for r := range set {
+		g := (r/8)*8*k + r%8
+		s, ok := pickTargets(cand[g:g+8*(k-1)+1], d, t)
+		set[r], neg[r] = listMasks(t, s)
+		if !ok {
+			failed |= 1 << r
+		}
+	}
+	return failed
+}
+
+// listMasks returns, for d ≤ 64, the bit masks of a row's targets tg and
+// of those whose sign bit (bit u of sg for target u) is set.
+//
+//repolint:hotpath
+func listMasks(tg []int, sg uint64) (set, neg uint64) {
+	for _, t := range tg {
+		bit := uint64(1) << (uint(t) & 63)
+		set |= bit
+		neg |= bit & -(sg & 1)
+		sg >>= 1
+	}
+	return set, neg
+}
+
+// transpose64Go transposes the 64×64 bit matrix m, bit c of m[r] being
+// entry (r, c): it swaps the off-diagonal 32×32 blocks, then the
+// off-diagonal 16×16 blocks of each diagonal one, and so on down to
+// single bits. It is the Go form of transpose64AVX512.
+//
+//repolint:hotpath
+func transpose64Go(m *[64]uint64) {
+	mask := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j >>= 1 {
+		for r := 0; r < 64; r = (r + j + 1) &^ j {
+			t := (m[r]>>j ^ m[r+j]) & mask
+			m[r] ^= t << j
+			m[r+j] ^= t
+		}
+		mask ^= mask << (j / 2)
+	}
+}
+
+// pickTargets sets a row's targets tg from its draws, draw j at c[8j],
+// and returns its sign bits, or reports false when the draws run out
+// first. A target is hi(draw·d) (Lemire's multiply-shift), taken unless
+// the row has it already; for d ≤ 64 the bit mask of taken targets is
+// exact and the pick is branch-free, past that a set bit is confirmed
+// by a scan.
+//
+//repolint:hotpath
+func pickTargets(c []uint64, d int, tg []int) (uint64, bool) {
+	nnz, k := len(tg), (len(c)+7)/8
+	var taken uint64
+	j, t := 0, 0
+	if d <= 64 {
+		for ; t < nnz && j < k; j++ {
+			r, _ := bits.Mul64(c[8*j], uint64(d))
+			tg[t] = int(r)
+			t += int(^taken >> r & 1)
+			taken |= 1 << r
+		}
+	} else {
+		for ; t < nnz && j < k; j++ {
+			r, _ := bits.Mul64(c[8*j], uint64(d))
+			bit := uint64(1) << (r & 63)
+			if taken&bit == 0 || !contains(tg[:t], int(r)) {
+				taken |= bit
+				tg[t] = int(r)
+				t++
+			}
+		}
+	}
+	if t < nnz || j+nnz > k {
+		return 0, false
+	}
+	var sg uint64
+	for u := range nnz {
+		sg |= (c[8*(j+u)] & 1) << u
+	}
+	return sg, true
+}
+
+// scalarTargets sets a row's targets from its stream, one draw at a
+// time, and returns its sign bits: the definition the vector draws and
+// picks reproduce.
+func scalarTargets(seed uint64, i, d int, tg []int) uint64 {
+	src := rowSource(seed, i)
+	// taken has bit r mod 64 set once a target r is drawn; only a set
+	// bit needs the scan of the targets drawn so far.
+	var taken uint64
+	for t := range tg {
+		for {
+			r := src.Intn(d)
+			bit := uint64(1) << (uint(r) & 63)
+			if taken&bit == 0 || !contains(tg[:t], r) {
+				taken |= bit
+				tg[t] = r
+				break
+			}
+		}
+	}
+	var sg uint64
+	for u := range tg {
+		sg |= (src.Uint64() & 1) << u
+	}
+	return sg
 }
 
 // contains reports whether r is one of the targets.
@@ -130,4 +311,27 @@ func contains(targets []int, r int) bool {
 		}
 	}
 	return false
+}
+
+// masks sets rows[u] to the bit mask of the block's rows whose targets
+// include t0+u, u < len(rows), and neg[u] to those of them whose weight
+// for it is negative: bit r for row r, whose targets are tg[r·nnz:] and
+// sign bits sg[r].
+//
+//repolint:hotpath
+func masks(rows, neg []uint64, tg []int, sg []uint64, t0 int) {
+	clear(rows)
+	clear(neg)
+	tw := uint(len(rows))
+	nnz := len(tg) / len(sg)
+	for r, s := range sg {
+		bit := uint64(1) << r
+		for _, t := range tg[r*nnz : (r+1)*nnz] {
+			if u := uint(t - t0); u < tw {
+				rows[u] |= bit
+				neg[u] |= bit & -(s & 1)
+			}
+			s >>= 1
+		}
+	}
 }

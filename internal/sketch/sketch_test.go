@@ -254,3 +254,22 @@ func TestSourceBasics(t *testing.T) {
 		}
 	}
 }
+
+// TestTranspose64 checks the bit-matrix transpose against the
+// definition: bit c of row r moves to bit r of row c.
+func TestTranspose64(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var m [64]uint64
+	for i := range m {
+		m[i] = rng.Uint64()
+	}
+	want := m
+	transpose64(&m)
+	for r := range 64 {
+		for c := range 64 {
+			if m[c]>>r&1 != want[r]>>c&1 {
+				t.Fatalf("bit (%d,%d) not transposed", r, c)
+			}
+		}
+	}
+}
