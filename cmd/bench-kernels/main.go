@@ -430,19 +430,23 @@ func main() {
 		const cqSeed = 42
 		a := testmat.Generate(rng, cqM, cqN, (cqN*4)/5, 1e-12)
 
-		nnz := sketch.DefaultNNZ
-		if d := core.CQRRPTSketchFactor * cqN; nnz > d {
-			nnz = d
-		}
-		sa := mat.NewDense(core.CQRRPTSketchFactor*cqN, cqN)
-		rep.Records = append(rep.Records, run(
-			"SketchSparse", cqM, cqN, 2*float64(cqM)*float64(cqN)*float64(nnz),
-			func(b *testing.B) {
+		// The sketch kernel at the A/B shape (d = 128) and at the
+		// cqrrpt-vtall workload's 8192×32 (d = 64); gbps counts the one
+		// read of A.
+		sketchRow := func(a *mat.Dense) metrics.Record {
+			m, n := a.Rows, a.Cols
+			nnz := min(sketch.DefaultNNZ, core.CQRRPTSketchFactor*n)
+			sa := mat.NewDense(core.CQRRPTSketchFactor*n, n)
+			r := run("SketchSparse", m, n, 2*float64(m)*float64(n)*float64(nnz), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					sketch.ApplySparse(parallel.Default, sa, a, nnz, cqSeed)
 				}
-			}))
+			})
+			r.Gbps = 8 * float64(m) * float64(n) / r.NsPerOp
+			return r
+		}
+		rep.Records = append(rep.Records, sketchRow(a), sketchRow(randDense(rng, 8192, 32)))
 
 		cq := run("CQRRPT", cqM, cqN, 0, func(b *testing.B) {
 			b.ReportAllocs()

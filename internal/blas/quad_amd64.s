@@ -529,10 +529,15 @@ scatternext:
 // itself, R12 w, BX the bits left, CX the lowest (TZCNT, then cleared
 // by BLSR) and then the offset of B's row i, R14 the offset of its
 // weight, and Y8 the weight in every lane. The end of rows is kept in count's argument slot.
-#define SIGNENTRY(z) \
-	TZCNTQ       BX, CX; \
-	BLSRQ        BX, BX; \
-	BTQ          CX, AX; \
+#define SIGNENTRY(z) SIGNENTRYOF(BX, AX, z)
+
+// SIGNENTRYOF takes the lowest set bit i of bits, clears it, broadcasts
+// the weight that bit i of negw selects into z, and leaves the offset of
+// B's row i in CX.
+#define SIGNENTRYOF(bits, negw, z) \
+	TZCNTQ       bits, CX; \
+	BLSRQ        bits, bits; \
+	BTQ          CX, negw; \
 	SBBQ         R14, R14; \
 	ANDQ         $8, R14; \
 	VBROADCASTSD (R12)(R14*1), z; \
@@ -1700,41 +1705,55 @@ gathernext:
 
 // func signRowsAVX512(c *float64, ldc int, b *float64, ldb, n int, rows, neg *uint64, w *[2]float64, count int)
 //
-// signRowsAVX2 on zmm: the columns of an output row go 64 at a time, nv
-// = 1 to 8 vectors held in Z0–Z7, the last one under the mask K1 (its
-// loads zero-masked, with their faults suppressed, its store
-// merge-masked, so nothing past the row is touched). Z8 holds the
-// weight. Registers as in signRowsAVX2.
+// signRowsAVX2 on zmm, with the loops the other way round: the columns
+// go 64 at a time, and each chunk of nv = 1 to 8 vectors runs over all
+// output rows, so the chunk's shape is set up once a call for n ≤ 64.
+// The last vector of a chunk is under the mask K1 (its loads
+// zero-masked, with their faults suppressed, its store merge-masked, so
+// nothing past the row is touched). One row's chain of fmas waits on
+// the fma latency when it holds few vectors, so for nv ≤ 4 the output
+// rows go in pairs, t in Z0–Z3 and t+1 in Z4–Z7, their bits taken in
+// turn while both have some, then the rest of either; each element's
+// chain is unchanged. Z8 and Z9 hold the weights. Registers as in
+// signRowsAVX2, with R13 the chunk of row t of C, DX the chunk of B, R10
+// and R11 starting over from the arguments each chunk, and for a pair
+// SI and DI rows[t+1] and neg[t+1] themselves.
 #define ZSIGNLOAD(off, z) VMOVUPD off(R13), z
 #define ZSIGNLOADM(off, z) VMOVUPD.Z off(R13), K1, z
 #define ZSIGNSTORE(off, z) VMOVUPD z, off(R13)
 #define ZSIGNSTOREM(off, z) VMOVUPD z, K1, off(R13)
 #define ZSIGNFMA(off, z) VFMADD231PD off(DX)(CX*1), Z8, z
 #define ZSIGNFMAM(off, z) VFMADD231PD.Z off(DX)(CX*1), Z8, K1, z
+#define ZSIGNLOAD2(off, z) VMOVUPD off(R13)(R8*1), z
+#define ZSIGNLOADM2(off, z) VMOVUPD.Z off(R13)(R8*1), K1, z
+#define ZSIGNSTORE2(off, z) VMOVUPD z, off(R13)(R8*1)
+#define ZSIGNSTOREM2(off, z) VMOVUPD z, K1, off(R13)(R8*1)
+#define ZSIGNFMA2(off, z) VFMADD231PD off(DX)(CX*1), Z9, z
+#define ZSIGNFMAM2(off, z) VFMADD231PD.Z off(DX)(CX*1), Z9, K1, z
 
 TEXT ·signRowsAVX512(SB), NOSPLIT, $0-72
-	MOVQ c+0(FP), DI
 	MOVQ ldc+8(FP), R8
 	SHLQ $3, R8
-	MOVQ b+16(FP), SI
 	MOVQ ldb+24(FP), R9
 	SHLQ $3, R9
-	MOVQ rows+40(FP), R10
-	MOVQ neg+48(FP), R11
 	MOVQ w+56(FP), R12
+	MOVQ rows+40(FP), R10
 	MOVQ count+64(FP), R13
 	LEAQ (R10)(R13*8), R13
 	MOVQ R13, count+64(FP)
-
-zsignrow:
-	CMPQ (R10), $0
-	JEQ  zsignnext
-	SIGNROW
+	MOVQ c+0(FP), R13
+	MOVQ b+16(FP), DX
 
 zsignchunk:
-	// CX = the columns left; a full chunk of 64 takes eight vectors.
-	SIGNLEFT
-	MOVQ  R14, CX
+	// R13 and DX at the chunk's column in row 0 of C and of B; R10 and
+	// R11 at the first masks. CX = the columns left; a full chunk of 64
+	// takes eight vectors.
+	MOVQ  rows+40(FP), R10
+	MOVQ  neg+48(FP), R11
+	MOVQ  n+32(FP), CX
+	SHLQ  $3, CX
+	ADDQ  b+16(FP), CX
+	SUBQ  DX, CX
 	SHRQ  $3, CX
 	CMPQ  CX, $64
 	JLT   zsignpart
@@ -1753,11 +1772,11 @@ zsignpart:
 	KMOVW BX, K1
 	SHRQ  $3, R14
 	CMPQ  R14, $1
-	JLT   zsign1
-	JEQ   zsign2
+	JLT   zpair1
+	JEQ   zpair2
 	CMPQ  R14, $3
-	JLT   zsign3
-	JEQ   zsign4
+	JLT   zpair3
+	JEQ   zpair4
 	CMPQ  R14, $5
 	JLT   zsign5
 	JEQ   zsign6
@@ -1765,9 +1784,272 @@ zsignpart:
 	JLT   zsign7
 	JMP   zsign8
 
-zsign1:
-	ZSIGNLOADM(0, Z0)
+zpair1:
+	// A pair needs rows t and t+1; a last single row goes on its own.
+	LEAQ 8(R10), CX
+	CMPQ CX, count+64(FP)
+	JGE  zsign1
 	MOVQ (R10), BX
+	MOVQ 8(R10), SI
+	MOVQ (R11), AX
+	MOVQ 8(R11), DI
+	ZSIGNLOADM(0, Z0)
+	ZSIGNLOADM2(0, Z4)
+	TESTQ BX, BX
+	JZ    zpair1b
+	TESTQ SI, SI
+	JZ    zpair1a
+
+zpair1ab:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMAM(0, Z0)
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMAM2(0, Z4)
+	TESTQ BX, BX
+	JZ    zpair1b
+	TESTQ SI, SI
+	JNZ   zpair1ab
+
+zpair1a:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMAM(0, Z0)
+	TESTQ BX, BX
+	JNZ   zpair1a
+	JMP   zpair1store
+
+zpair1b:
+	TESTQ SI, SI
+	JZ    zpair1store
+
+zpair1bk:
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMAM2(0, Z4)
+	TESTQ SI, SI
+	JNZ   zpair1bk
+
+zpair1store:
+	ZSIGNSTOREM(0, Z0)
+	ZSIGNSTOREM2(0, Z4)
+	LEAQ (R13)(R8*2), R13
+	ADDQ $16, R10
+	ADDQ $16, R11
+	CMPQ R10, count+64(FP)
+	JLT  zpair1
+	JMP  zsignchunkdone
+
+zpair2:
+	// A pair needs rows t and t+1; a last single row goes on its own.
+	LEAQ 8(R10), CX
+	CMPQ CX, count+64(FP)
+	JGE  zsign2
+	MOVQ (R10), BX
+	MOVQ 8(R10), SI
+	MOVQ (R11), AX
+	MOVQ 8(R11), DI
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD2(0, Z4)
+	ZSIGNLOADM(64, Z1)
+	ZSIGNLOADM2(64, Z5)
+	TESTQ BX, BX
+	JZ    zpair2b
+	TESTQ SI, SI
+	JZ    zpair2a
+
+zpair2ab:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMAM(64, Z1)
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMA2(0, Z4)
+	ZSIGNFMAM2(64, Z5)
+	TESTQ BX, BX
+	JZ    zpair2b
+	TESTQ SI, SI
+	JNZ   zpair2ab
+
+zpair2a:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMAM(64, Z1)
+	TESTQ BX, BX
+	JNZ   zpair2a
+	JMP   zpair2store
+
+zpair2b:
+	TESTQ SI, SI
+	JZ    zpair2store
+
+zpair2bk:
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMA2(0, Z4)
+	ZSIGNFMAM2(64, Z5)
+	TESTQ SI, SI
+	JNZ   zpair2bk
+
+zpair2store:
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE2(0, Z4)
+	ZSIGNSTOREM(64, Z1)
+	ZSIGNSTOREM2(64, Z5)
+	LEAQ (R13)(R8*2), R13
+	ADDQ $16, R10
+	ADDQ $16, R11
+	CMPQ R10, count+64(FP)
+	JLT  zpair2
+	JMP  zsignchunkdone
+
+zpair3:
+	// A pair needs rows t and t+1; a last single row goes on its own.
+	LEAQ 8(R10), CX
+	CMPQ CX, count+64(FP)
+	JGE  zsign3
+	MOVQ (R10), BX
+	MOVQ 8(R10), SI
+	MOVQ (R11), AX
+	MOVQ 8(R11), DI
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD2(0, Z4)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOAD2(64, Z5)
+	ZSIGNLOADM(128, Z2)
+	ZSIGNLOADM2(128, Z6)
+	TESTQ BX, BX
+	JZ    zpair3b
+	TESTQ SI, SI
+	JZ    zpair3a
+
+zpair3ab:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMAM(128, Z2)
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMA2(0, Z4)
+	ZSIGNFMA2(64, Z5)
+	ZSIGNFMAM2(128, Z6)
+	TESTQ BX, BX
+	JZ    zpair3b
+	TESTQ SI, SI
+	JNZ   zpair3ab
+
+zpair3a:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMAM(128, Z2)
+	TESTQ BX, BX
+	JNZ   zpair3a
+	JMP   zpair3store
+
+zpair3b:
+	TESTQ SI, SI
+	JZ    zpair3store
+
+zpair3bk:
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMA2(0, Z4)
+	ZSIGNFMA2(64, Z5)
+	ZSIGNFMAM2(128, Z6)
+	TESTQ SI, SI
+	JNZ   zpair3bk
+
+zpair3store:
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE2(0, Z4)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTORE2(64, Z5)
+	ZSIGNSTOREM(128, Z2)
+	ZSIGNSTOREM2(128, Z6)
+	LEAQ (R13)(R8*2), R13
+	ADDQ $16, R10
+	ADDQ $16, R11
+	CMPQ R10, count+64(FP)
+	JLT  zpair3
+	JMP  zsignchunkdone
+
+zpair4:
+	// A pair needs rows t and t+1; a last single row goes on its own.
+	LEAQ 8(R10), CX
+	CMPQ CX, count+64(FP)
+	JGE  zsign4
+	MOVQ (R10), BX
+	MOVQ 8(R10), SI
+	MOVQ (R11), AX
+	MOVQ 8(R11), DI
+	ZSIGNLOAD(0, Z0)
+	ZSIGNLOAD2(0, Z4)
+	ZSIGNLOAD(64, Z1)
+	ZSIGNLOAD2(64, Z5)
+	ZSIGNLOAD(128, Z2)
+	ZSIGNLOAD2(128, Z6)
+	ZSIGNLOADM(192, Z3)
+	ZSIGNLOADM2(192, Z7)
+	TESTQ BX, BX
+	JZ    zpair4b
+	TESTQ SI, SI
+	JZ    zpair4a
+
+zpair4ab:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMA(128, Z2)
+	ZSIGNFMAM(192, Z3)
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMA2(0, Z4)
+	ZSIGNFMA2(64, Z5)
+	ZSIGNFMA2(128, Z6)
+	ZSIGNFMAM2(192, Z7)
+	TESTQ BX, BX
+	JZ    zpair4b
+	TESTQ SI, SI
+	JNZ   zpair4ab
+
+zpair4a:
+	SIGNENTRYOF(BX, AX, Z8)
+	ZSIGNFMA(0, Z0)
+	ZSIGNFMA(64, Z1)
+	ZSIGNFMA(128, Z2)
+	ZSIGNFMAM(192, Z3)
+	TESTQ BX, BX
+	JNZ   zpair4a
+	JMP   zpair4store
+
+zpair4b:
+	TESTQ SI, SI
+	JZ    zpair4store
+
+zpair4bk:
+	SIGNENTRYOF(SI, DI, Z9)
+	ZSIGNFMA2(0, Z4)
+	ZSIGNFMA2(64, Z5)
+	ZSIGNFMA2(128, Z6)
+	ZSIGNFMAM2(192, Z7)
+	TESTQ SI, SI
+	JNZ   zpair4bk
+
+zpair4store:
+	ZSIGNSTORE(0, Z0)
+	ZSIGNSTORE2(0, Z4)
+	ZSIGNSTORE(64, Z1)
+	ZSIGNSTORE2(64, Z5)
+	ZSIGNSTORE(128, Z2)
+	ZSIGNSTORE2(128, Z6)
+	ZSIGNSTOREM(192, Z3)
+	ZSIGNSTOREM2(192, Z7)
+	LEAQ (R13)(R8*2), R13
+	ADDQ $16, R10
+	ADDQ $16, R11
+	CMPQ R10, count+64(FP)
+	JLT  zpair4
+	JMP  zsignchunkdone
+
+zsign1:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign1next
+	MOVQ  (R11), AX
+	ZSIGNLOADM(0, Z0)
 
 zsign1k:
 	SIGNENTRY(Z8)
@@ -1775,12 +2057,22 @@ zsign1k:
 	TESTQ BX, BX
 	JNZ   zsign1k
 	ZSIGNSTOREM(0, Z0)
-	JMP zsignnext
+
+zsign1next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign1
+	JMP  zsignchunkdone
 
 zsign2:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign2next
+	MOVQ  (R11), AX
 	ZSIGNLOAD(0, Z0)
 	ZSIGNLOADM(64, Z1)
-	MOVQ (R10), BX
 
 zsign2k:
 	SIGNENTRY(Z8)
@@ -1790,13 +2082,23 @@ zsign2k:
 	JNZ   zsign2k
 	ZSIGNSTORE(0, Z0)
 	ZSIGNSTOREM(64, Z1)
-	JMP zsignnext
+
+zsign2next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign2
+	JMP  zsignchunkdone
 
 zsign3:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign3next
+	MOVQ  (R11), AX
 	ZSIGNLOAD(0, Z0)
 	ZSIGNLOAD(64, Z1)
 	ZSIGNLOADM(128, Z2)
-	MOVQ (R10), BX
 
 zsign3k:
 	SIGNENTRY(Z8)
@@ -1808,14 +2110,24 @@ zsign3k:
 	ZSIGNSTORE(0, Z0)
 	ZSIGNSTORE(64, Z1)
 	ZSIGNSTOREM(128, Z2)
-	JMP zsignnext
+
+zsign3next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign3
+	JMP  zsignchunkdone
 
 zsign4:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign4next
+	MOVQ  (R11), AX
 	ZSIGNLOAD(0, Z0)
 	ZSIGNLOAD(64, Z1)
 	ZSIGNLOAD(128, Z2)
 	ZSIGNLOADM(192, Z3)
-	MOVQ (R10), BX
 
 zsign4k:
 	SIGNENTRY(Z8)
@@ -1829,15 +2141,25 @@ zsign4k:
 	ZSIGNSTORE(64, Z1)
 	ZSIGNSTORE(128, Z2)
 	ZSIGNSTOREM(192, Z3)
-	JMP zsignnext
+
+zsign4next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign4
+	JMP  zsignchunkdone
 
 zsign5:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign5next
+	MOVQ  (R11), AX
 	ZSIGNLOAD(0, Z0)
 	ZSIGNLOAD(64, Z1)
 	ZSIGNLOAD(128, Z2)
 	ZSIGNLOAD(192, Z3)
 	ZSIGNLOADM(256, Z4)
-	MOVQ (R10), BX
 
 zsign5k:
 	SIGNENTRY(Z8)
@@ -1853,16 +2175,26 @@ zsign5k:
 	ZSIGNSTORE(128, Z2)
 	ZSIGNSTORE(192, Z3)
 	ZSIGNSTOREM(256, Z4)
-	JMP zsignnext
+
+zsign5next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign5
+	JMP  zsignchunkdone
 
 zsign6:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign6next
+	MOVQ  (R11), AX
 	ZSIGNLOAD(0, Z0)
 	ZSIGNLOAD(64, Z1)
 	ZSIGNLOAD(128, Z2)
 	ZSIGNLOAD(192, Z3)
 	ZSIGNLOAD(256, Z4)
 	ZSIGNLOADM(320, Z5)
-	MOVQ (R10), BX
 
 zsign6k:
 	SIGNENTRY(Z8)
@@ -1880,9 +2212,20 @@ zsign6k:
 	ZSIGNSTORE(192, Z3)
 	ZSIGNSTORE(256, Z4)
 	ZSIGNSTOREM(320, Z5)
-	JMP zsignnext
+
+zsign6next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign6
+	JMP  zsignchunkdone
 
 zsign7:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign7next
+	MOVQ  (R11), AX
 	ZSIGNLOAD(0, Z0)
 	ZSIGNLOAD(64, Z1)
 	ZSIGNLOAD(128, Z2)
@@ -1890,7 +2233,6 @@ zsign7:
 	ZSIGNLOAD(256, Z4)
 	ZSIGNLOAD(320, Z5)
 	ZSIGNLOADM(384, Z6)
-	MOVQ (R10), BX
 
 zsign7k:
 	SIGNENTRY(Z8)
@@ -1910,9 +2252,20 @@ zsign7k:
 	ZSIGNSTORE(256, Z4)
 	ZSIGNSTORE(320, Z5)
 	ZSIGNSTOREM(384, Z6)
-	JMP zsignnext
+
+zsign7next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign7
+	JMP  zsignchunkdone
 
 zsign8:
+	MOVQ  (R10), BX
+	TESTQ BX, BX
+	JZ    zsign8next
+	MOVQ  (R11), AX
 	ZSIGNLOAD(0, Z0)
 	ZSIGNLOAD(64, Z1)
 	ZSIGNLOAD(128, Z2)
@@ -1921,7 +2274,6 @@ zsign8:
 	ZSIGNLOAD(320, Z5)
 	ZSIGNLOAD(384, Z6)
 	ZSIGNLOADM(448, Z7)
-	MOVQ (R10), BX
 
 zsign8k:
 	SIGNENTRY(Z8)
@@ -1943,15 +2295,28 @@ zsign8k:
 	ZSIGNSTORE(320, Z5)
 	ZSIGNSTORE(384, Z6)
 	ZSIGNSTOREM(448, Z7)
-	ADDQ $512, R13
-	ADDQ $512, DX
-	SIGNLEFT
-	CMPQ R14, $0
-	JGT  zsignchunk
-	JMP  zsignnext
 
-zsignnext:
-	SIGNNEXT(zsignrow)
+zsign8next:
+	ADDQ R8, R13
+	ADDQ $8, R10
+	ADDQ $8, R11
+	CMPQ R10, count+64(FP)
+	JLT  zsign8
+	JMP  zsignchunkdone
+
+zsignchunkdone:
+	// Step to the next chunk: 64 columns on from this one, if any left.
+	ADDQ $512, DX
+	MOVQ DX, R13
+	SUBQ b+16(FP), R13
+	MOVQ n+32(FP), CX
+	SHLQ $3, CX
+	CMPQ R13, CX
+	JGE  zsigndone
+	ADDQ c+0(FP), R13
+	JMP  zsignchunk
+
+zsigndone:
 	VZEROUPPER
 	RET
 

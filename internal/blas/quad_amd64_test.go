@@ -323,14 +323,22 @@ func TestScatterRowsOutOfBoundsFallsBack(t *testing.T) {
 func TestSignRowsAVXMatchesGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(75))
-	const count, bRows = 6, 64
+	const count, bRows = 9, 64
 	for _, n := range quadTestNs {
 		for _, specials := range []bool{false, true} {
 			ldc, ldb := n+5, n+2
 			c0 := quadFill(rng, (count-1)*ldc+n, specials)
 			b := quadFill(rng, (bRows-1)*ldb+n, specials)
-			rows := []uint64{rng.Uint64(), 0, 1 << 63, rng.Uint64() & rng.Uint64(), 1, rng.Uint64() | 1}
-			neg := []uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), 0, ^uint64(0), rng.Uint64()}
+			// The zmm product takes rows in pairs: the first in a pair
+			// empty, the second empty, both full, one running out first,
+			// and a last row on its own.
+			rows := []uint64{0, rng.Uint64(), rng.Uint64(), 0, 1 << 63, rng.Uint64() & rng.Uint64(), 1,
+				rng.Uint64() | 1, rng.Uint64()}
+			neg := make([]uint64, count)
+			for i := range neg {
+				neg[i] = rng.Uint64()
+			}
+			neg[3], neg[6] = 0, ^uint64(0)
 			wv := scatterTestWeights[rng.Intn(len(scatterTestWeights))]
 			w := [2]float64{wv, -wv}
 			want := append([]float64(nil), c0...)

@@ -26,26 +26,33 @@ func draws(dst []uint64, seed uint64, i0, groups, k int) {
 	drawsGo(dst, seed, i0, groups, k)
 }
 
-// pickAVX512 is pickGo on raw pointers for groups of eight rows, 1 ≤
-// groups ≤ 8, k ≥ 1, 1 ≤ d ≤ 64 and 1 ≤ nnz ≤ 64; slots is scratch for
-// 8·nnz targets.
+// pickAVX512 and pick2AVX512 are pickGo on a raw scratch pointer for
+// groups of eight rows, 1 ≤ groups ≤ 8, 1 ≤ nnz ≤ 32, and d ≤ 64 and
+// 64 < d ≤ 128; scratch holds 16·(64−nnz) words. A row whose targets
+// take more than 64−nnz draws is reported in failed.
 //
 //go:noescape
-func pickAVX512(cand *uint64, slots *int, set, neg *uint64, groups, k, d, nnz int) (failed uint64)
+func pickAVX512(seed uint64, i0 int, scratch *int, set, neg *uint64, groups, d, nnz int) (failed uint64)
 
-// pick sets the target masks of a block's rows from their draws (see
-// pickGo), on zmm registers where they run and the slices hold the
-// groups.
+//go:noescape
+func pick2AVX512(seed uint64, i0 int, scratch *int, set, neg *uint64, groups, d, nnz int) (failed uint64)
+
+// pick sets the target masks of rows i0 … i0+rows−1 (see pickGo), on
+// zmm registers where they run and the slices hold them, rows rounded
+// up to whole groups of eight. Bit r of the result is set where row
+// i0+r is left to scalarTargets.
 //
 //repolint:hotpath
-func pick(cand []uint64, slots []int, set, neg []uint64, k, d, nnz int) uint64 {
-	groups := len(set) / 8
-	if useVectorDraws && d >= 1 && d <= 64 && k >= 1 && groups >= 1 && groups <= 8 &&
-		len(set) == 8*groups && len(neg) >= len(set) && nnz >= 1 && nnz <= 64 && len(slots) >= 8*nnz &&
-		groups <= len(cand)/(8*k) {
-		return pickAVX512(&cand[0], &slots[0], &set[0], &neg[0], groups, k, d, nnz)
+func pick(seed uint64, i0, rows int, scratch []int, set, neg []uint64, d, nnz int) uint64 {
+	groups := (rows + 7) / 8
+	if words := (d + 63) / 64; useVectorDraws && d >= 1 && words <= 2 && groups >= 1 && groups <= 8 &&
+		len(set) >= 64*words && len(neg) >= 64*words && nnz >= 1 && nnz <= 32 && len(scratch) >= 16*(64-nnz) {
+		if words == 1 {
+			return pickAVX512(seed, i0, &scratch[0], &set[0], &neg[0], groups, d, nnz)
+		}
+		return pick2AVX512(seed, i0, &scratch[0], &set[0], &neg[0], groups, d, nnz)
 	}
-	return pickGo(cand, slots, set, neg, k, d, nnz)
+	return pickGo(seed, i0, rows, scratch, set, neg, d, nnz)
 }
 
 // useZMM reports whether transpose64 runs transpose64AVX512: the

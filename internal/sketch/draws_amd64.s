@@ -76,114 +76,296 @@ drawstep:
 	VZEROUPPER
 	RET
 
-// func pickAVX512(cand *uint64, slots *int, set, neg *uint64, groups, k, d, nnz int) (failed uint64)
+// func pickAVX512(seed uint64, i0 int, scratch *int, set, neg *uint64, groups, d, nnz int) (failed uint64)
 //
-// pickGo for d ≤ 64 and groups ≤ 8, lane r of every register on row r
-// of a group, as draws leaves them. Per draw j, while any row still
-// lacks targets: the candidate targets hi(draw·d) in Z4 (two VPMULUDQ
-// halves: d < 2³² makes hi(v·d) = (hi32(v)·d + lo32(v)·d / 2³²) / 2³²),
-// their bits 1 << target in Z5, and the rows that take them, K2: still
-// short of nnz (K1) and new to the row (VPTESTNMQ against the row's
-// taken mask Z10). Those rows' targets are scattered to their next
-// slot, slots[count·8 + r], and their masks and counts (Z11) updated;
-// every row still short counts the draw (Z12). A row is done, K4, when
-// it has nnz targets and its nnz sign draws lie inside its k: sign u is
-// the low bit of draw count+u, gathered, and sets the bit of slot u's
-// target in the row's negative mask Z13. The other rows are reported in
-// failed, bit 8g+r. Z20 holds the lanes 0…7, Z21 one, Z22 d, Z23 nnz
-// and Z24 k in every lane. Registers: SI the group's draws, DI slots,
-// R8 and R11 the group's set and neg words, R9 the next draw or slot
-// vector, BX the groups left, CX 8g, R10 failed, R12 the bytes of a
-// group's draws, R13 the draws or signs left.
+// pickGo for d ≤ 64, nnz ≤ 32 and groups ≤ 8 groups of eight rows, lane
+// r of every register on row i0+8g+r, drawing from the rows' streams as
+// drawsAVX512 does (Z16 the stream states). Per draw j, while any row
+// still lacks targets and j < 64−nnz: the draw's low bit goes to bit j
+// of Z14; the candidate targets hi(draw·d) in Z4 (two VPMULUDQ halves:
+// d < 2³² makes hi(v·d) = (hi32(v)·d + lo32(v)·d / 2³²) / 2³²), their
+// bits 1 << target in Z5, and the rows that take them, K2: still short
+// of nnz (K1) and new to the row (VPTESTNMQ against the row's taken mask
+// Z10). Those rows' masks and counts (Z11) are updated, and every row
+// still short counts the draw (Z12). Each step stores its targets and,
+// for the rows that took them, their slot (the count before; 64 for the
+// other rows) to scratch. Then nnz more draws give their low bits, so
+// Z14 holds every row's sign draws. A row is done, K4, when it has nnz
+// targets: its sign bits are Z14 >> count, bit u for slot u, and the
+// stored steps set the bit of each taken target whose slot's sign bit is
+// set in the row's negative mask Z13. The other rows are reported in
+// failed, bit 8g+r. Z15 holds j, Z21 one, Z22 d, Z23 nnz and Z24 64 in
+// every lane, the rest as in drawsAVX512. Registers: DI scratch, R8 and
+// R11 the group's set and neg words, R9 the next stored step, R14 the
+// end of the stored steps, BX the groups left, CX 8g, R10 failed, R13
+// the draws left.
 TEXT ·pickAVX512(SB), NOSPLIT, $0-72
-	MOVQ         cand+0(FP), SI
-	MOVQ         slots+8(FP), DI
-	MOVQ         set+16(FP), R8
-	MOVQ         neg+24(FP), R11
-	MOVQ         groups+32(FP), BX
-	VMOVDQU64    drawLanes<>(SB), Z20
+	MOVQ         scratch+16(FP), DI
+	MOVQ         set+24(FP), R8
+	MOVQ         neg+32(FP), R11
+	MOVQ         groups+40(FP), BX
+	MOVQ         $0xbf58476d1ce4e5b9, AX
+	VPBROADCASTQ AX, Z30
+	MOVQ         $0x94d049bb133111eb, AX
+	VPBROADCASTQ AX, Z31
+	MOVQ         $0x9e3779b97f4a7c15, AX
+	VPBROADCASTQ AX, Z29
+	MOVQ         $0x6a09e667f3bcc909, CX
+	ADDQ         AX, CX
+	VPBROADCASTQ CX, Z28
+	VPBROADCASTQ seed+0(FP), Z27
+	VPBROADCASTQ i0+8(FP), Z26
+	VPADDQ       drawLanes<>(SB), Z26, Z26
+	MOVL         $8, AX
+	VPBROADCASTQ AX, Z25
 	MOVL         $1, AX
 	VPBROADCASTQ AX, Z21
 	VPBROADCASTQ d+48(FP), Z22
 	VPBROADCASTQ nnz+56(FP), Z23
-	VPBROADCASTQ k+40(FP), Z24
-	MOVQ         k+40(FP), R12
-	SHLQ         $6, R12
+	MOVL         $64, AX
+	VPBROADCASTQ AX, Z24
 	XORQ         CX, CX
 	XORQ         R10, R10
 
 pickgroup:
+	VPADDQ Z28, Z26, Z16
+	MIX(Z16, Z1)
+	VPXORQ Z27, Z16, Z16
+	VPADDQ Z29, Z16, Z16
+	MIX(Z16, Z1)
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
 	VPXORQ Z10, Z10, Z10
 	VPXORQ Z11, Z11, Z11
 	VPXORQ Z12, Z12, Z12
 	MOVL   $0xff, AX
 	KMOVW  AX, K1
-	MOVQ   SI, R9
-	MOVQ   k+40(FP), R13
+	MOVQ   DI, R14
+	MOVQ   $64, R13
+	SUBQ   nnz+56(FP), R13
 
 pickdraw:
-	VMOVDQU64   (R9), Z0
-	VPSRLQ      $32, Z0, Z1
-	VPMULUDQ    Z22, Z0, Z2
-	VPMULUDQ    Z22, Z1, Z1
-	VPSRLQ      $32, Z2, Z2
-	VPADDQ      Z2, Z1, Z1
-	VPSRLQ      $32, Z1, Z4
-	VPSLLVQ     Z4, Z21, Z5
-	VPTESTNMQ   Z10, Z5, K2
-	KANDW       K1, K2, K2
-	VPSLLQ      $3, Z11, Z6
-	VPADDQ      Z20, Z6, Z6
-	KMOVW       K2, K3
-	VPSCATTERQQ Z4, K3, (DI)(Z6*8)
-	VPORQ       Z5, Z10, K2, Z10
-	VPADDQ      Z21, Z11, K2, Z11
-	VPADDQ      Z21, Z12, K1, Z12
-	VPCMPUQ     $1, Z23, Z11, K1
-	ADDQ        $64, R9
-	KORTESTW    K1, K1
-	JZ          picksigns
-	DECQ        R13
-	JNZ         pickdraw
+	VPADDQ    Z29, Z16, Z16
+	VMOVDQU64 Z16, Z0
+	MIX(Z0, Z1)
+	VPANDQ    Z21, Z0, Z2
+	VPSLLVQ   Z15, Z2, Z2
+	VPORQ     Z2, Z14, Z14
+	VPADDQ    Z21, Z15, Z15
+	VPSRLQ    $32, Z0, Z1
+	VPMULUDQ  Z22, Z0, Z2
+	VPMULUDQ  Z22, Z1, Z1
+	VPSRLQ    $32, Z2, Z2
+	VPADDQ    Z2, Z1, Z1
+	VPSRLQ    $32, Z1, Z4
+	VPSLLVQ   Z4, Z21, Z5
+	VPTESTNMQ Z10, Z5, K2
+	KANDW     K1, K2, K2
+	VMOVDQA64 Z24, Z6
+	VMOVDQA64 Z11, K2, Z6
+	VMOVDQU64 Z4, (R14)
+	VMOVDQU64 Z6, 64(R14)
+	VPORQ     Z5, Z10, K2, Z10
+	VPADDQ    Z21, Z11, K2, Z11
+	VPADDQ    Z21, Z12, K1, Z12
+	VPCMPUQ   $1, Z23, Z11, K1
+	ADDQ      $128, R14
+	KORTESTW  K1, K1
+	JZ        picksigndraws
+	DECQ      R13
+	JNZ       pickdraw
 
-picksigns:
-	// K4: count = nnz and count draws + nnz ≤ k.
-	VPCMPUQ  $0, Z23, Z11, K4
-	VPADDQ   Z23, Z12, Z7
-	VPCMPUQ  $2, Z24, Z7, K5
-	KANDW    K5, K4, K4
-	VPSLLQ   $3, Z12, Z6
-	VPADDQ   Z20, Z6, Z6
-	VPSLLQ   $3, Z21, Z8
-	VPXORQ   Z13, Z13, Z13
-	MOVQ     DI, R9
-	MOVQ     nnz+56(FP), R13
+picksigndraws:
+	// The nnz draws past the last target step hold every done row's
+	// sign draws.
+	MOVQ nnz+56(FP), R13
+
+picksigndraw:
+	VPADDQ    Z29, Z16, Z16
+	VMOVDQU64 Z16, Z0
+	MIX(Z0, Z1)
+	VPANDQ    Z21, Z0, Z2
+	VPSLLVQ   Z15, Z2, Z2
+	VPORQ     Z2, Z14, Z14
+	VPADDQ    Z21, Z15, Z15
+	DECQ      R13
+	JNZ       picksigndraw
+	VPCMPUQ   $0, Z23, Z11, K4
+	VPSRLVQ   Z12, Z14, Z7
+	VPXORQ    Z13, Z13, Z13
+	MOVQ      DI, R9
 
 picksign:
-	KMOVW      K4, K3
-	VPXORQ     Z0, Z0, Z0
-	VPGATHERQQ (SI)(Z6*8), K3, Z0
-	VPANDQ     Z21, Z0, Z0
-	VPSLLVQ    (R9), Z0, Z0
-	VPORQ      Z0, Z13, Z13
-	VPADDQ     Z8, Z6, Z6
-	ADDQ       $64, R9
-	DECQ       R13
-	JNZ        picksign
-	VMOVDQU64  Z10, (R8)
-	VMOVDQU64  Z13, (R11)
-	KNOTW      K4, K4
-	KMOVW      K4, AX
-	ANDQ       $0xff, AX
-	SHLQ       CX, AX
-	ORQ        AX, R10
-	ADDQ       R12, SI
-	ADDQ       $64, R8
-	ADDQ       $64, R11
-	ADDQ       $8, CX
-	DECQ       BX
-	JNZ        pickgroup
-	MOVQ       R10, failed+64(FP)
+	VPSRLVQ   64(R9), Z7, Z0
+	VPANDQ    Z21, Z0, Z0
+	VPSLLVQ   (R9), Z0, Z0
+	VPORQ     Z0, Z13, Z13
+	ADDQ      $128, R9
+	CMPQ      R9, R14
+	JLT       picksign
+	VMOVDQU64 Z10, (R8)
+	VMOVDQU64 Z13, (R11)
+	KNOTW     K4, K4
+	KMOVW     K4, AX
+	ANDQ      $0xff, AX
+	SHLQ      CX, AX
+	ORQ       AX, R10
+	VPADDQ    Z25, Z26, Z26
+	ADDQ      $64, R8
+	ADDQ      $64, R11
+	ADDQ      $8, CX
+	DECQ      BX
+	JNZ       pickgroup
+	MOVQ      R10, failed+64(FP)
+	VZEROUPPER
+	RET
+
+// func pick2AVX512(seed uint64, i0 int, scratch *int, set, neg *uint64, groups, d, nnz int) (failed uint64)
+//
+// pickAVX512 for 64 < d ≤ 128: a row's taken and negative masks are two
+// words each, Z10 and Z17, Z13 and Z18 (targets 64 and up in the second,
+// stored 64 words on, at set[64+r] and neg[64+r]). A candidate target's
+// bit is 1 << (target mod 64) (Z19 holds 63), tested against the word
+// K6 (target ≥ 64) selects, and set in that word.
+//
+TEXT ·pick2AVX512(SB), NOSPLIT, $0-72
+	MOVQ         scratch+16(FP), DI
+	MOVQ         set+24(FP), R8
+	MOVQ         neg+32(FP), R11
+	MOVQ         groups+40(FP), BX
+	MOVQ         $0xbf58476d1ce4e5b9, AX
+	VPBROADCASTQ AX, Z30
+	MOVQ         $0x94d049bb133111eb, AX
+	VPBROADCASTQ AX, Z31
+	MOVQ         $0x9e3779b97f4a7c15, AX
+	VPBROADCASTQ AX, Z29
+	MOVQ         $0x6a09e667f3bcc909, CX
+	ADDQ         AX, CX
+	VPBROADCASTQ CX, Z28
+	VPBROADCASTQ seed+0(FP), Z27
+	VPBROADCASTQ i0+8(FP), Z26
+	VPADDQ       drawLanes<>(SB), Z26, Z26
+	MOVL         $8, AX
+	VPBROADCASTQ AX, Z25
+	MOVL         $1, AX
+	VPBROADCASTQ AX, Z21
+	VPBROADCASTQ d+48(FP), Z22
+	VPBROADCASTQ nnz+56(FP), Z23
+	MOVL         $64, AX
+	VPBROADCASTQ AX, Z24
+	MOVL         $63, AX
+	VPBROADCASTQ AX, Z19
+	XORQ         CX, CX
+	XORQ         R10, R10
+
+p2group:
+	VPADDQ Z28, Z26, Z16
+	MIX(Z16, Z1)
+	VPXORQ Z27, Z16, Z16
+	VPADDQ Z29, Z16, Z16
+	MIX(Z16, Z1)
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	MOVL   $0xff, AX
+	KMOVW  AX, K1
+	MOVQ   DI, R14
+	MOVQ   $64, R13
+	SUBQ   nnz+56(FP), R13
+
+p2draw:
+	VPADDQ    Z29, Z16, Z16
+	VMOVDQU64 Z16, Z0
+	MIX(Z0, Z1)
+	VPANDQ    Z21, Z0, Z2
+	VPSLLVQ   Z15, Z2, Z2
+	VPORQ     Z2, Z14, Z14
+	VPADDQ    Z21, Z15, Z15
+	VPSRLQ    $32, Z0, Z1
+	VPMULUDQ  Z22, Z0, Z2
+	VPMULUDQ  Z22, Z1, Z1
+	VPSRLQ    $32, Z2, Z2
+	VPADDQ    Z2, Z1, Z1
+	VPSRLQ    $32, Z1, Z4
+	VPANDQ    Z19, Z4, Z3
+	VPSLLVQ   Z3, Z21, Z5
+	VPCMPUQ   $5, Z24, Z4, K6
+	VPTESTNMQ Z10, Z5, K2
+	VPTESTNMQ Z17, Z5, K3
+	KANDNW    K2, K6, K2
+	KANDW     K3, K6, K3
+	KORW      K3, K2, K2
+	KANDW     K1, K2, K2
+	VMOVDQA64 Z24, Z6
+	VMOVDQA64 Z11, K2, Z6
+	VMOVDQU64 Z4, (R14)
+	VMOVDQU64 Z6, 64(R14)
+	KANDNW    K2, K6, K3
+	VPORQ     Z5, Z10, K3, Z10
+	KANDW     K2, K6, K3
+	VPORQ     Z5, Z17, K3, Z17
+	VPADDQ    Z21, Z11, K2, Z11
+	VPADDQ    Z21, Z12, K1, Z12
+	VPCMPUQ   $1, Z23, Z11, K1
+	ADDQ      $128, R14
+	KORTESTW  K1, K1
+	JZ        p2signdraws
+	DECQ      R13
+	JNZ       p2draw
+
+p2signdraws:
+	// The nnz draws past the last target step hold every done row's
+	// sign draws.
+	MOVQ nnz+56(FP), R13
+
+p2signdraw:
+	VPADDQ    Z29, Z16, Z16
+	VMOVDQU64 Z16, Z0
+	MIX(Z0, Z1)
+	VPANDQ    Z21, Z0, Z2
+	VPSLLVQ   Z15, Z2, Z2
+	VPORQ     Z2, Z14, Z14
+	VPADDQ    Z21, Z15, Z15
+	DECQ      R13
+	JNZ       p2signdraw
+	VPCMPUQ   $0, Z23, Z11, K4
+	VPSRLVQ   Z12, Z14, Z7
+	VPXORQ    Z13, Z13, Z13
+	VPXORQ    Z18, Z18, Z18
+	MOVQ      DI, R9
+
+p2sign:
+	VMOVDQU64 (R9), Z3
+	VPCMPUQ   $5, Z24, Z3, K6
+	KNOTW     K6, K7
+	VPANDQ    Z19, Z3, Z3
+	VPSRLVQ   64(R9), Z7, Z0
+	VPANDQ    Z21, Z0, Z0
+	VPSLLVQ   Z3, Z0, Z0
+	VPORQ     Z0, Z13, K7, Z13
+	VPORQ     Z0, Z18, K6, Z18
+	ADDQ      $128, R9
+	CMPQ      R9, R14
+	JLT       p2sign
+	VMOVDQU64 Z10, (R8)
+	VMOVDQU64 Z17, 512(R8)
+	VMOVDQU64 Z13, (R11)
+	VMOVDQU64 Z18, 512(R11)
+	KNOTW     K4, K4
+	KMOVW     K4, AX
+	ANDQ      $0xff, AX
+	SHLQ      CX, AX
+	ORQ       AX, R10
+	VPADDQ    Z25, Z26, Z26
+	ADDQ      $64, R8
+	ADDQ      $64, R11
+	ADDQ      $8, CX
+	DECQ      BX
+	JNZ       p2group
+	MOVQ      R10, failed+64(FP)
 	VZEROUPPER
 	RET
 

@@ -13,8 +13,8 @@ import (
 
 // The differential tests of the sketch's assembly: the vector draws,
 // the vector pick and the zmm transpose must reproduce their Go forms
-// bit for bit, and ApplySparse must give the same sketch with all three
-// switched off.
+// bit for bit, and ApplySparse must give the same sketch with all of
+// them switched off.
 
 func requireVectorDraws(t *testing.T) {
 	t.Helper()
@@ -48,31 +48,32 @@ func TestDrawsAVX512MatchesGo(t *testing.T) {
 	}
 }
 
-// TestPickAVX512MatchesGo compares the masks of every row both forms
-// pick and the rows they report as run out, with k from candidateDraws
-// and k too small for most rows.
+// TestPickAVX512MatchesGo compares the masks of every row the vector
+// picks (one word and two) do not leave over with the Go form's, and
+// checks that they leave none over where 64−nnz draws are plenty.
 func TestPickAVX512MatchesGo(t *testing.T) {
 	requireVectorDraws(t)
 	rng := rand.New(rand.NewSource(92))
 	for _, tc := range []struct{ d, nnz int }{
-		{1, 1}, {2, 2}, {7, 3}, {16, 8}, {26, 8}, {33, 5}, {63, 1}, {64, 8}, {64, 64},
+		{1, 1}, {2, 2}, {7, 3}, {16, 8}, {26, 8}, {33, 5}, {63, 1}, {64, 8}, {40, 32}, {32, 32},
+		{65, 8}, {66, 1}, {100, 3}, {127, 8}, {128, 8}, {128, 32},
 	} {
-		for _, k := range []int{candidateDraws(tc.nnz, tc.d), tc.nnz + 1} {
-			for _, groups := range []int{1, 5, 8} {
-				cand := make([]uint64, groups*8*k)
-				drawsGo(cand, rng.Uint64(), rng.Intn(1<<20), groups, k)
-				slots := make([]int, 8*tc.nnz)
-				set, neg := make([]uint64, groups*8), make([]uint64, groups*8)
-				failed := pick(cand, slots, set, neg, k, tc.d, tc.nnz)
-				wantSet, wantNeg := make([]uint64, groups*8), make([]uint64, groups*8)
-				wantFailed := pickGo(cand, slots, wantSet, wantNeg, k, tc.d, tc.nnz)
-				label := fmt.Sprintf("d=%d nnz=%d k=%d groups=%d", tc.d, tc.nnz, k, groups)
-				if failed != wantFailed {
-					t.Fatalf("%s: failed rows %#x, Go %#x", label, failed, wantFailed)
-				}
-				for r := range set {
-					if failed>>r&1 == 0 && (set[r] != wantSet[r] || neg[r] != wantNeg[r]) {
-						t.Fatalf("%s: row %d masks %#x/%#x, Go %#x/%#x", label, r, set[r], neg[r], wantSet[r], wantNeg[r])
+		for _, rows := range []int{1, 8, 37, 64} {
+			seed, i0 := rng.Uint64(), rng.Intn(1<<30)
+			scratch := make([]int, 16*(64-tc.nnz))
+			set, neg := make([]uint64, 128), make([]uint64, 128)
+			failed := pick(seed, i0, rows, scratch, set, neg, tc.d, tc.nnz)
+			wantSet, wantNeg := make([]uint64, 128), make([]uint64, 128)
+			pickGo(seed, i0, rows, scratch, wantSet, wantNeg, tc.d, tc.nnz)
+			label := fmt.Sprintf("d=%d nnz=%d rows=%d", tc.d, tc.nnz, rows)
+			if tc.nnz <= 8 && tc.nnz < tc.d && failed != 0 {
+				t.Fatalf("%s: rows %#x left over", label, failed)
+			}
+			for r := range (rows + 7) &^ 7 {
+				for p := r; p < (tc.d+63)/64*64; p += 64 {
+					if failed>>r&1 == 0 && (set[p] != wantSet[p] || neg[p] != wantNeg[p]) {
+						t.Fatalf("%s: row %d plane %d masks %#x/%#x, Go %#x/%#x",
+							label, r, p/64, set[p], neg[p], wantSet[p], wantNeg[p])
 					}
 				}
 			}

@@ -9,12 +9,11 @@ func draws(dst []uint64, seed uint64, i0, groups, k int) {
 	drawsGo(dst, seed, i0, groups, k)
 }
 
-// pick sets the target masks of a block's rows from their draws (see
-// pickGo).
+// pick sets the target masks of rows i0 … i0+rows−1 (see pickGo).
 //
 //repolint:hotpath
-func pick(cand []uint64, slots []int, set, neg []uint64, k, d, nnz int) uint64 {
-	return pickGo(cand, slots, set, neg, k, d, nnz)
+func pick(seed uint64, i0, rows int, scratch []int, set, neg []uint64, d, nnz int) uint64 {
+	return pickGo(seed, i0, rows, scratch, set, neg, d, nnz)
 }
 
 // transpose64 transposes the 64×64 bit matrix m (see transpose64Go).

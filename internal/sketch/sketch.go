@@ -15,13 +15,14 @@
 // The kernel takes its input rows 64 at a time in two phases. The draws:
 // every row's stream is computed eight rows a zmm register (the draws of
 // a SplitMix64 stream do not depend on one another), and each row's
-// targets and signs are picked from them, eight rows a register too.
-// The accumulation: the block's rows are bucketed by target as bit
-// masks, and blas.SparseSignMulAdd adds each target's rows in ascending
-// order with the accumulator row held in registers. Every sketch element is
-// still one fma chain over its target's input rows in ascending order,
-// and the assembly and Go forms of both phases give the same bits, so
-// the sketch bits do not depend on the build or the CPU either.
+// targets and signs are picked from them, for d ≤ 128 eight rows a
+// register too. The accumulation: the block's rows are bucketed by
+// target as bit masks, and blas.SparseSignMulAdd adds each target's rows
+// in ascending order with the accumulator row held in registers. Every
+// sketch element is still one fma chain over its target's input rows in
+// ascending order, and the assembly and Go forms of both phases give the
+// same bits, so the sketch bits do not depend on the build or the CPU
+// either.
 package sketch
 
 import (
@@ -74,7 +75,7 @@ func ApplySparse(e *parallel.Engine, sa, a *mat.Dense, nnz int, seed uint64) {
 
 // sparseJob carries the operands of sparseSlotRange through
 // blas.ReduceRows by value, so the sequential path stays allocation-free.
-// k is the number of draws per row the draw phase computes.
+// k is the number of draws per row the draws phase computes for d > 128.
 type sparseJob struct {
 	a      *mat.Dense
 	nnz, k int
@@ -86,20 +87,21 @@ const (
 	maxNNZ = 64
 	// blockRows bounds a block: one bit per row in the target masks.
 	blockRows = 64
-	// candidateCap bounds the draws one block computes: a block is
-	// min(blockRows, candidateCap/k) rows, a multiple of eight.
+	// candidateCap bounds the draws one block computes for d > 128: a
+	// block is min(blockRows, candidateCap/k) rows, a multiple of eight.
 	candidateCap = 4096
 	// windowRows bounds the accumulator rows one SparseSignMulAdd call
 	// covers; a larger d takes the block's targets a window at a time.
 	windowRows = 1024
 )
 
-// candidateDraws returns k, the draws per row the draw phase computes:
-// the nnz sign draws plus the mean and three standard deviations of the
-// draws it takes to find nnz distinct targets among d (a draw is new
-// with chance (d−t)/d once t are taken), capped so a block holds eight
-// rows. A row whose targets and signs do not fit in its k draws is
-// drawn again from its scalar stream, so k changes no bit.
+// candidateDraws returns k, the draws per row the draws phase computes
+// for d > 128: the nnz sign draws plus the mean and three standard
+// deviations of the draws it takes to find nnz distinct targets among d
+// (a draw is new with chance (d−t)/d once t are taken), capped so a
+// block holds eight rows. A row whose targets and signs do not fit in
+// its k draws is drawn again from its scalar stream, so k changes no
+// bit.
 func candidateDraws(nnz, d int) int {
 	var mean, variance float64
 	for t := 0; t < nnz; t++ {
@@ -119,25 +121,71 @@ func candidateDraws(nnz, d int) int {
 //
 // The (seed, i) stream is consumed as nnz targets (each redrawn until it
 // is new to the row) and then one sign draw per target, whose low bit
-// becomes the weight's sign bit. A block of up to 64 rows takes two
-// phases. The draws: every row gets its first k draws at once (draws),
-// and its targets and signs are picked from them (pick for d ≤ 64,
-// pickTargets past that, scalarTargets from the stream where they run
-// out). The accumulation: per target, a bit mask of the block's rows
-// that drew it and of those with a negative weight, and
-// blas.SparseSignMulAdd adds each target's rows in ascending order, one
-// load and one store of each accumulator row per block.
+// becomes the weight's sign bit; scalarTargets is the definition. A
+// block of up to 64 rows takes two phases: the draws give each row's
+// targets and signs, and the accumulation takes, per target, a bit mask
+// of the block's rows that drew it and of those with a negative weight,
+// and blas.SparseSignMulAdd adds each target's rows in ascending order,
+// one load and one store of each accumulator row per block.
 //
 //repolint:hotpath
 func sparseSlotRange(job sparseJob, lo, hi int, acc *mat.Dense) {
-	a, nnz, k, d := job.a, job.nnz, job.k, acc.Rows
-	if nnz > maxNNZ {
+	if job.nnz > maxNNZ {
 		panic("sketch: nnz exceeds the sparse kernel's target buffer")
 	}
+	if acc.Rows <= 2*blockRows {
+		sparseRowsMasked(job, lo, hi, acc)
+		return
+	}
+	sparseRowsWide(job, lo, hi, acc)
+}
+
+// sparseRowsMasked is sparseSlotRange for d ≤ 128, where a row's targets
+// fit two 64-bit masks: per block, pick draws every row's stream and
+// sets its masks of targets and of negative weights (eight rows a zmm
+// register), one plane of 64 rows per 64 targets, and a bit-matrix
+// transpose of each plane turns them into each target's masks over the
+// block's rows.
+//
+//repolint:hotpath
+func sparseRowsMasked(job sparseJob, lo, hi int, acc *mat.Dense) {
+	a, nnz, d := job.a, job.nnz, acc.Rows
+	w := 1 / math.Sqrt(float64(nnz))
+	planes := (d + 63) / 64
+	var scratch [16 * blockRows]int
+	var set, neg [2 * blockRows]uint64
+	for b0 := lo; b0 < hi; b0 += blockRows {
+		nb := min(blockRows, hi-b0)
+		failed := pick(job.seed, b0, nb, scratch[:], set[:], neg[:], d, nnz)
+		for r := 0; r < nb; r++ {
+			if failed>>r&1 != 0 {
+				t := scratch[:nnz]
+				listMasks(set[:], neg[:], r, t, scalarTargets(job.seed, b0+r, d, t))
+			}
+		}
+		for p := 0; p < planes; p++ {
+			s, g := set[p*blockRows:(p+1)*blockRows], neg[p*blockRows:(p+1)*blockRows]
+			clear(s[nb:])
+			clear(g[nb:])
+			transpose64((*[blockRows]uint64)(s))
+			transpose64((*[blockRows]uint64)(g))
+		}
+		blk := mat.Dense{Rows: nb, Cols: a.Cols, Stride: a.Stride, Data: a.Data[b0*a.Stride:]}
+		blas.SparseSignMulAdd(acc, set[:d], neg[:d], w, &blk)
+	}
+}
+
+// sparseRowsWide is sparseSlotRange for d > 128: per block, draws gives
+// every row its first k draws (eight rows a zmm register), pickTargets
+// picks the row's targets and signs from them with the taken-target
+// mask and a scan, and masks buckets the targets window by window.
+//
+//repolint:hotpath
+func sparseRowsWide(job sparseJob, lo, hi int, acc *mat.Dense) {
+	a, nnz, k, d := job.a, job.nnz, job.k, acc.Rows
 	w := 1 / math.Sqrt(float64(nnz))
 	// The block's draws; its rows' targets, nnz a row, and sign bits
-	// (bit u for target u); the target masks, by row for d ≤ 64 until
-	// transposed, else by target for one window.
+	// (bit u for target u); one window's target masks.
 	var cand [candidateCap]uint64
 	var tg [blockRows * maxNNZ]int
 	var sg [blockRows]uint64
@@ -147,23 +195,6 @@ func sparseSlotRange(job sparseJob, lo, hi int, acc *mat.Dense) {
 		nb := min(block, hi-b0)
 		groups := (nb + 7) / 8
 		draws(cand[:groups*8*k], job.seed, b0, groups, k)
-		blk := mat.Dense{Rows: nb, Cols: a.Cols, Stride: a.Stride, Data: a.Data[b0*a.Stride:]}
-		if d <= 64 {
-			set, ng := (*[64]uint64)(rows[:64]), (*[64]uint64)(neg[:64])
-			failed := pick(cand[:groups*8*k], tg[:], set[:groups*8], ng[:groups*8], k, d, nnz)
-			for r := 0; r < nb; r++ {
-				if failed>>r&1 != 0 {
-					t := tg[:nnz]
-					set[r], ng[r] = listMasks(t, scalarTargets(job.seed, b0+r, d, t))
-				}
-			}
-			clear(set[nb:])
-			clear(ng[nb:])
-			transpose64(set)
-			transpose64(ng)
-			blas.SparseSignMulAdd(acc, set[:d], ng[:d], w, &blk)
-			continue
-		}
 		for r := 0; r < nb; r++ {
 			g := (r/8)*8*k + r%8
 			t := tg[r*nnz : (r+1)*nnz]
@@ -173,6 +204,7 @@ func sparseSlotRange(job sparseJob, lo, hi int, acc *mat.Dense) {
 			}
 			sg[r] = s
 		}
+		blk := mat.Dense{Rows: nb, Cols: a.Cols, Stride: a.Stride, Data: a.Data[b0*a.Stride:]}
 		for t0 := 0; t0 < d; t0 += windowRows {
 			tw := min(windowRows, d-t0)
 			masks(rows[:tw], neg[:tw], tg[:nb*nnz], sg[:nb], t0)
@@ -182,39 +214,38 @@ func sparseSlotRange(job sparseJob, lo, hi int, acc *mat.Dense) {
 	}
 }
 
-// pickGo sets, for d ≤ 64, the target masks of the len(set) rows of a
-// block from their draws in cand (laid out by draws, k a row): bit t of
-// set[r] where row r's nnz targets include t, and of neg[r] where its
-// weight for t is negative. Bit r of the result is set where row r's
-// draws ran out first; its masks are then unset. slots is scratch for
-// nnz targets. It is the Go form of pickAVX512.
+// pickGo sets, for d ≤ 128, the target masks of rows i0 … i0+rows−1,
+// rows rounded up to whole groups of eight: bit t mod 64 of
+// set[64·(t/64)+r] where row i0+r's nnz targets include t, and of
+// neg[64·(t/64)+r] where its weight for t is negative. It draws each
+// row's stream one draw at a time (scalarTargets, with scratch for its
+// nnz targets), so no row is left over: it returns 0. It is the Go form
+// of pickAVX512 and pick2AVX512.
 //
 //repolint:hotpath
-func pickGo(cand []uint64, slots []int, set, neg []uint64, k, d, nnz int) (failed uint64) {
-	t := slots[:nnz]
-	for r := range set {
-		g := (r/8)*8*k + r%8
-		s, ok := pickTargets(cand[g:g+8*(k-1)+1], d, t)
-		set[r], neg[r] = listMasks(t, s)
-		if !ok {
-			failed |= 1 << r
-		}
+func pickGo(seed uint64, i0, rows int, scratch []int, set, neg []uint64, d, nnz int) uint64 {
+	t := scratch[:nnz]
+	for r := range (rows + 7) &^ 7 {
+		listMasks(set, neg, r, t, scalarTargets(seed, i0+r, d, t))
 	}
-	return failed
+	return 0
 }
 
-// listMasks returns, for d ≤ 64, the bit masks of a row's targets tg and
-// of those whose sign bit (bit u of sg for target u) is set.
+// listMasks sets row r's masks in set and neg (see pickGo) to its
+// targets tg and, where its sign bit (bit u of sg for target u) is set,
+// to those targets with a negative weight.
 //
 //repolint:hotpath
-func listMasks(tg []int, sg uint64) (set, neg uint64) {
+func listMasks(set, neg []uint64, r int, tg []int, sg uint64) {
+	for p := r; p < len(set); p += blockRows {
+		set[p], neg[p] = 0, 0
+	}
 	for _, t := range tg {
-		bit := uint64(1) << (uint(t) & 63)
-		set |= bit
-		neg |= bit & -(sg & 1)
+		p, bit := blockRows*(t/64)+r, uint64(1)<<(uint(t)&63)
+		set[p] |= bit
+		neg[p] |= bit & -(sg & 1)
 		sg >>= 1
 	}
-	return set, neg
 }
 
 // transpose64Go transposes the 64×64 bit matrix m, bit c of m[r] being
@@ -238,31 +269,21 @@ func transpose64Go(m *[64]uint64) {
 // pickTargets sets a row's targets tg from its draws, draw j at c[8j],
 // and returns its sign bits, or reports false when the draws run out
 // first. A target is hi(draw·d) (Lemire's multiply-shift), taken unless
-// the row has it already; for d ≤ 64 the bit mask of taken targets is
-// exact and the pick is branch-free, past that a set bit is confirmed
-// by a scan.
+// the row has it already: a clear bit of the mask of taken targets (bit
+// r mod 64) says it is new, a set one is confirmed by a scan.
 //
 //repolint:hotpath
 func pickTargets(c []uint64, d int, tg []int) (uint64, bool) {
 	nnz, k := len(tg), (len(c)+7)/8
 	var taken uint64
 	j, t := 0, 0
-	if d <= 64 {
-		for ; t < nnz && j < k; j++ {
-			r, _ := bits.Mul64(c[8*j], uint64(d))
+	for ; t < nnz && j < k; j++ {
+		r, _ := bits.Mul64(c[8*j], uint64(d))
+		bit := uint64(1) << (r & 63)
+		if taken&bit == 0 || !contains(tg[:t], int(r)) {
+			taken |= bit
 			tg[t] = int(r)
-			t += int(^taken >> r & 1)
-			taken |= 1 << r
-		}
-	} else {
-		for ; t < nnz && j < k; j++ {
-			r, _ := bits.Mul64(c[8*j], uint64(d))
-			bit := uint64(1) << (r & 63)
-			if taken&bit == 0 || !contains(tg[:t], int(r)) {
-				taken |= bit
-				tg[t] = int(r)
-				t++
-			}
+			t++
 		}
 	}
 	if t < nnz || j+nnz > k {

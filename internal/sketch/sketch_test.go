@@ -83,12 +83,14 @@ func refSparseRows(acc, a *mat.Dense, nnz int, seed uint64, lo, hi int) {
 }
 
 // sketchShapes cover widths on both sides of the vector loops, d past
-// the 64-bit duplicate mask, odd d, nnz = d, and (m ≥ 4096) the
-// multi-slot reduction at d = 64 and d = 129.
+// the 64-bit duplicate mask, odd d, nnz = d, d past one target window
+// (1024 rows), and (m ≥ 4096) the multi-slot reduction at d = 64 and
+// d = 129.
 var sketchShapes = []struct{ m, n, d, nnz int }{
 	{1, 1, 2, 1}, {7, 3, 6, 2}, {100, 8, 16, 4}, {1999, 24, 48, 8},
 	{300, 1, 8, 8}, {300, 4, 7, 7}, {300, 5, 64, 64}, {300, 31, 62, 8},
 	{300, 32, 64, 8}, {300, 33, 130, 8}, {300, 64, 128, 8}, {4000, 64, 129, 3},
+	{200, 5, 2100, 8}, {70, 3, 65, 64},
 	{8192, 32, 64, 8}, {6000, 9, 64, 8}, {4096, 17, 129, 8}, {9000, 40, 129, 5},
 }
 
