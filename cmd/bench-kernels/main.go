@@ -430,23 +430,24 @@ func main() {
 		const cqSeed = 42
 		a := testmat.Generate(rng, cqM, cqN, (cqN*4)/5, 1e-12)
 
-		// The sketch kernel at the A/B shape (d = 128) and at the
-		// cqrrpt-vtall workload's 8192×32 (d = 64); gbps counts the one
-		// read of A.
-		sketchRow := func(a *mat.Dense) metrics.Record {
+		// The sketch kernel at the A/B shape (d = 128, all cores) and at
+		// the cqrrpt-vtall workload's 8192×32 (d = 64) on one core, as
+		// that workload runs it; gbps counts the one read of A.
+		sketchRow := func(e *parallel.Engine, a *mat.Dense) metrics.Record {
 			m, n := a.Rows, a.Cols
 			nnz := min(sketch.DefaultNNZ, core.CQRRPTSketchFactor*n)
 			sa := mat.NewDense(core.CQRRPTSketchFactor*n, n)
 			r := run("SketchSparse", m, n, 2*float64(m)*float64(n)*float64(nnz), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					sketch.ApplySparse(parallel.Default, sa, a, nnz, cqSeed)
+					sketch.ApplySparse(e, sa, a, nnz, cqSeed)
 				}
 			})
 			r.Gbps = 8 * float64(m) * float64(n) / r.NsPerOp
 			return r
 		}
-		rep.Records = append(rep.Records, sketchRow(a), sketchRow(randDense(rng, 8192, 32)))
+		rep.Records = append(rep.Records,
+			sketchRow(parallel.Default, a), sketchRow(parallel.NewEngine(1), randDense(rng, 8192, 32)))
 
 		cq := run("CQRRPT", cqM, cqN, 0, func(b *testing.B) {
 			b.ReportAllocs()

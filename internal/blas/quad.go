@@ -9,25 +9,27 @@ import (
 
 // The inner loops that hold the time of every GEMM, SYRK, TRMM, B·R⁻¹
 // and R⁻ᵀ·B solve, of the fused pass's column gather and of the sparse
-// sketch's sign-matrix product, written once in Go. They fix the package's one rounding rule:
-// every Level-3 output element is a single fused multiply-add chain
-// over its summation index t, in ascending order,
+// sketch's sign-matrix product, written once in Go. They fix the
+// package's one rounding rule: every Level-3 output element is a single
+// fused multiply-add chain over its summation index t, in ascending
+// order,
 //
 //	Gram, SYRK, Aᵀ·B:          c = fma(a[t][i], b[t][j], c)
 //	A·B, TRMM, B·R⁻¹, R⁻ᵀ·B:   c = fma(−v[i][t], b[t][j], c),   then x = c·(1/R[j][j]) for a solve
 //
 // the row scatter is one fma per element, the sign-matrix product one
 // fma chain per element over its row's set bits in ascending order, and
-// the gather moves entries unchanged. Loads and stores are exact, so an element's bits depend
-// only on where its chain starts (the slot partition of ReduceRows) and
-// never on tile shapes, row grouping or blocking. On amd64 (without the
-// purego build tag) these loops run assembly instead (quad_amd64.s),
-// which performs the same chains: the tiles as 8-row zmm tiles up to 24
-// columns wide where the CPU has AVX512F and AVX512VL and the OS saves
-// the ZMM state, else as 4-row ymm tiles up to 12 wide where it has
-// AVX2 and FMA, chosen once at start-up; the row scatter on ymm, the
-// sign-matrix product on zmm or ymm, and the gather on zmm only (zmm
-// VGATHERQPD). Anything else runs these loops. See DESIGN.md §10.
+// the gather moves entries unchanged. Loads and stores are exact, so an
+// element's bits depend only on where its chain starts (the slot
+// partition of ReduceRows) and never on tile shapes, row grouping or
+// blocking. On amd64 (without the purego build tag) these loops run
+// assembly instead (quad_amd64.s), which performs the same chains: the
+// tiles as 8-row zmm tiles up to 24 columns wide where the CPU has
+// AVX512F and AVX512VL and the OS saves the ZMM state, else as 4-row
+// ymm tiles up to 12 wide where it has AVX2 and FMA, chosen once at
+// start-up; the row scatter on ymm, the sign-matrix product on zmm or
+// ymm, and the gather on zmm only (zmm VGATHERQPD). Anything else runs
+// these loops. See DESIGN.md §10.
 
 // tileRows is the row count of a tile: 8 on the zmm tiles, 4 otherwise.
 // maxTileRows bounds it, for the drivers' packed operands.

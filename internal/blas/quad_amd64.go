@@ -41,10 +41,6 @@ func cpuHasAVX512DQ() bool
 // machine is probed once.
 func HasAVX512DQ() bool { return useAVX512DQ }
 
-// HasAVX512 reports whether this build and CPU run the zmm kernels (see
-// useAVX512), for packages with zmm assembly of their own.
-func HasAVX512() bool { return useAVX512 }
-
 // tileTNAVX512 is tileTNGo on raw pointers for an 8-row tile,
 // 1 ≤ nc ≤ 24 and k ≥ 1.
 //

@@ -528,7 +528,8 @@ scatternext:
 // and DX its current columns, R10 and R11 rows[t] and neg[t], AX neg[t]
 // itself, R12 w, BX the bits left, CX the lowest (TZCNT, then cleared
 // by BLSR) and then the offset of B's row i, R14 the offset of its
-// weight, and Y8 the weight in every lane. The end of rows is kept in count's argument slot.
+// weight, and Y8 the weight in every lane. The end of rows is kept in
+// count's argument slot.
 #define SIGNENTRY(z) SIGNENTRYOF(BX, AX, z)
 
 // SIGNENTRYOF takes the lowest set bit i of bits, clears it, broadcasts
@@ -544,9 +545,10 @@ scatternext:
 	IMULQ        R9, CX
 
 TEXT ·signRowsAVX2(SB), NOSPLIT, $0-72
-// SIGNROW points R13 and DX at column 0 of the row, loads neg[t] and
-// leaves n in bytes in R14. SIGNLEFT sets R14 to the columns left, in
-// bytes, past R13.
+// SIGNROW points R13 and DX at column 0 of the row and loads neg[t];
+// SIGNLEFT sets R14 to the columns left, in bytes, past R13; SIGNNEXT
+// steps to the next row. They read arguments, so they are defined
+// inside the function, where go vet checks the offsets.
 #define SIGNROW \
 	MOVQ DI, R13; \
 	MOVQ SI, DX; \

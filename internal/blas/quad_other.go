@@ -8,9 +8,6 @@ import "repro/mat"
 // That is so off amd64 and under the purego tag.
 var useAVX2, useAVX512 = false, false
 
-// HasAVX512 reports false: this build has no assembly kernels.
-func HasAVX512() bool { return false }
-
 // HasAVX512DQ reports false: this build has no assembly kernels.
 func HasAVX512DQ() bool { return false }
 

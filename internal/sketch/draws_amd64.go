@@ -4,27 +4,10 @@ package sketch
 
 import "repro/internal/blas"
 
-// useVectorDraws reports whether the draws run drawsAVX512: the machine
-// runs the zmm kernels and has AVX512DQ's 64-bit lane multiply, by
-// internal/blas's one CPU probe.
-var useVectorDraws = blas.HasAVX512DQ()
-
-// drawsAVX512 is drawsGo on a raw pointer, groups ≥ 1 and k ≥ 1.
-//
-//go:noescape
-func drawsAVX512(dst *uint64, seed uint64, i0, groups, k int)
-
-// draws sets dst to the lane-interleaved draws of drawsGo, on zmm
-// registers where they run and dst holds all of them.
-//
-//repolint:hotpath
-func draws(dst []uint64, seed uint64, i0, groups, k int) {
-	if useVectorDraws && groups > 0 && k > 0 && groups <= len(dst)/(8*k) {
-		drawsAVX512(&dst[0], seed, i0, groups, k)
-		return
-	}
-	drawsGo(dst, seed, i0, groups, k)
-}
+// useZMM reports whether pick and transpose64 run their zmm forms: the
+// machine runs the zmm kernels and has AVX512DQ's 64-bit lane multiply
+// (the draws' VPMULLQ), by internal/blas's one CPU probe.
+var useZMM = blas.HasAVX512DQ()
 
 // pickAVX512 and pick2AVX512 are pickGo on a raw scratch pointer for
 // groups of eight rows, 1 ≤ groups ≤ 8, 1 ≤ nnz ≤ 32, and d ≤ 64 and
@@ -45,7 +28,7 @@ func pick2AVX512(seed uint64, i0 int, scratch *int, set, neg *uint64, groups, d,
 //repolint:hotpath
 func pick(seed uint64, i0, rows int, scratch []int, set, neg []uint64, d, nnz int) uint64 {
 	groups := (rows + 7) / 8
-	if words := (d + 63) / 64; useVectorDraws && d >= 1 && words <= 2 && groups >= 1 && groups <= 8 &&
+	if words := (d + 63) / 64; useZMM && d >= 1 && words <= 2 && groups >= 1 && groups <= 8 &&
 		len(set) >= 64*words && len(neg) >= 64*words && nnz >= 1 && nnz <= 32 && len(scratch) >= 16*(64-nnz) {
 		if words == 1 {
 			return pickAVX512(seed, i0, &scratch[0], &set[0], &neg[0], groups, d, nnz)
@@ -54,10 +37,6 @@ func pick(seed uint64, i0, rows int, scratch []int, set, neg []uint64, d, nnz in
 	}
 	return pickGo(seed, i0, rows, scratch, set, neg, d, nnz)
 }
-
-// useZMM reports whether transpose64 runs transpose64AVX512: the
-// machine runs the zmm kernels, by internal/blas's probe.
-var useZMM = blas.HasAVX512()
 
 // transpose64AVX512 is transpose64Go on zmm registers.
 //

@@ -26,63 +26,15 @@ GLOBL drawLanes<>(SB), RODATA|NOPTR, $64
 	VPSRLQ  $31, x, t; \
 	VPXORQ  t, x, x
 
-// func drawsAVX512(dst *uint64, seed uint64, i0, groups, k int)
-//
-// drawsGo with lane r of every register on row i0+8g+r. Per group, Z0
-// takes the rows' start states, mix(seed ^ mix(i + c + γ) + γ) as in
-// rowSource, then steps by γ once per draw; each draw is mixed in Z2
-// and stored, so consecutive draws do not wait on one another. Z26
-// holds the group's row indices, Z25 eight in every lane, Z29 γ, Z28
-// c + γ and Z27 the seed. Registers: DI the next store, BX the groups
-// left, DX k, CX the draws left in the group.
-TEXT ·drawsAVX512(SB), NOSPLIT, $0-40
-	MOVQ         dst+0(FP), DI
-	MOVQ         groups+24(FP), BX
-	MOVQ         k+32(FP), DX
-	MOVQ         $0xbf58476d1ce4e5b9, AX
-	VPBROADCASTQ AX, Z30
-	MOVQ         $0x94d049bb133111eb, AX
-	VPBROADCASTQ AX, Z31
-	MOVQ         $0x9e3779b97f4a7c15, AX
-	VPBROADCASTQ AX, Z29
-	MOVQ         $0x6a09e667f3bcc909, CX
-	ADDQ         AX, CX
-	VPBROADCASTQ CX, Z28
-	VPBROADCASTQ seed+8(FP), Z27
-	VPBROADCASTQ i0+16(FP), Z26
-	VPADDQ       drawLanes<>(SB), Z26, Z26
-	MOVL         $8, AX
-	VPBROADCASTQ AX, Z25
-
-drawgroup:
-	VPADDQ Z28, Z26, Z0
-	MIX(Z0, Z1)
-	VPXORQ Z27, Z0, Z0
-	VPADDQ Z29, Z0, Z0
-	MIX(Z0, Z1)
-	MOVQ   DX, CX
-
-drawstep:
-	VPADDQ    Z29, Z0, Z0
-	VMOVDQU64 Z0, Z2
-	MIX(Z2, Z3)
-	VMOVDQU64 Z2, (DI)
-	ADDQ      $64, DI
-	DECQ      CX
-	JNZ       drawstep
-	VPADDQ    Z25, Z26, Z26
-	DECQ      BX
-	JNZ       drawgroup
-	VZEROUPPER
-	RET
-
 // func pickAVX512(seed uint64, i0 int, scratch *int, set, neg *uint64, groups, d, nnz int) (failed uint64)
 //
 // pickGo for d ≤ 64, nnz ≤ 32 and groups ≤ 8 groups of eight rows, lane
-// r of every register on row i0+8g+r, drawing from the rows' streams as
-// drawsAVX512 does (Z16 the stream states). Per draw j, while any row
-// still lacks targets and j < 64−nnz: the draw's low bit goes to bit j
-// of Z14; the candidate targets hi(draw·d) in Z4 (two VPMULUDQ halves:
+// r of every register on row i0+8g+r. Z16 takes the rows' stream
+// states, mix(seed ^ mix(i + c + γ) + γ) as in rowSource, and steps by
+// γ once per draw (c is rowSource's constant); each draw is mixed in a
+// copy, so consecutive draws do not wait on one another. Per draw j,
+// while any row still lacks targets and j < 64−nnz: the draw's low bit
+// goes to bit j of Z14; the candidate targets hi(draw·d) in Z4 (two VPMULUDQ halves:
 // d < 2³² makes hi(v·d) = (hi32(v)·d + lo32(v)·d / 2³²) / 2³²), their
 // bits 1 << target in Z5, and the rows that take them, K2: still short
 // of nnz (K1) and new to the row (VPTESTNMQ against the row's taken mask
@@ -95,8 +47,9 @@ drawstep:
 // stored steps set the bit of each taken target whose slot's sign bit is
 // set in the row's negative mask Z13. The other rows are reported in
 // failed, bit 8g+r. Z15 holds j, Z21 one, Z22 d, Z23 nnz and Z24 64 in
-// every lane, the rest as in drawsAVX512. Registers: DI scratch, R8 and
-// R11 the group's set and neg words, R9 the next stored step, R14 the
+// every lane, Z26 the group's row indices, Z25 eight in every lane, Z29
+// γ, Z28 c + γ and Z27 the seed. Registers: DI scratch, R8 and R11
+// the group's set and neg words, R9 the next stored step, R14 the
 // end of the stored steps, BX the groups left, CX 8g, R10 failed, R13
 // the draws left.
 TEXT ·pickAVX512(SB), NOSPLIT, $0-72

@@ -11,48 +11,30 @@ import (
 	"repro/mat"
 )
 
-// The differential tests of the sketch's assembly: the vector draws,
-// the vector pick and the zmm transpose must reproduce their Go forms
-// bit for bit, and ApplySparse must give the same sketch with all of
-// them switched off.
+// The differential tests of the sketch's assembly: the vector picks and
+// the zmm transpose must reproduce their Go forms bit for bit, and
+// ApplySparse must give the same sketch with both switched off.
 
-func requireVectorDraws(t *testing.T) {
+func requireZMM(t *testing.T) {
 	t.Helper()
-	if !useVectorDraws {
-		t.Skip("CPU without AVX-512 DQ (or OS without ZMM state): the Go draws run on this machine")
+	if !useZMM {
+		t.Skip("CPU without AVX-512 DQ (or OS without ZMM state): the Go forms run on this machine")
 	}
 }
 
-// withGoDraws runs f with the sketch's assembly switched off.
-func withGoDraws(f func()) {
-	saved, savedZMM := useVectorDraws, useZMM
-	useVectorDraws, useZMM = false, false
-	defer func() { useVectorDraws, useZMM = saved, savedZMM }()
+// withGoForms runs f with the sketch's assembly switched off.
+func withGoForms(f func()) {
+	saved := useZMM
+	useZMM = false
+	defer func() { useZMM = saved }()
 	f()
-}
-
-func TestDrawsAVX512MatchesGo(t *testing.T) {
-	requireVectorDraws(t)
-	rng := rand.New(rand.NewSource(91))
-	for _, tc := range []struct{ groups, k int }{{1, 1}, {1, 19}, {3, 7}, {8, 64}, {2, 512}} {
-		seed, i0 := rng.Uint64(), rng.Intn(1<<40)
-		want := make([]uint64, tc.groups*8*tc.k)
-		drawsGo(want, seed, i0, tc.groups, tc.k)
-		got := make([]uint64, len(want))
-		draws(got, seed, i0, tc.groups, tc.k)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("groups=%d k=%d: draw %d is %#x, Go %#x", tc.groups, tc.k, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // TestPickAVX512MatchesGo compares the masks of every row the vector
 // picks (one word and two) do not leave over with the Go form's, and
 // checks that they leave none over where 64−nnz draws are plenty.
 func TestPickAVX512MatchesGo(t *testing.T) {
-	requireVectorDraws(t)
+	requireZMM(t)
 	rng := rand.New(rand.NewSource(92))
 	for _, tc := range []struct{ d, nnz int }{
 		{1, 1}, {2, 2}, {7, 3}, {16, 8}, {26, 8}, {33, 5}, {63, 1}, {64, 8}, {40, 32}, {32, 32},
@@ -82,9 +64,7 @@ func TestPickAVX512MatchesGo(t *testing.T) {
 }
 
 func TestTranspose64AVX512MatchesGo(t *testing.T) {
-	if !useZMM {
-		t.Skip("CPU without AVX-512: the Go transpose runs on this machine")
-	}
+	requireZMM(t)
 	rng := rand.New(rand.NewSource(93))
 	for range 20 {
 		var got, want [64]uint64
@@ -101,8 +81,7 @@ func TestTranspose64AVX512MatchesGo(t *testing.T) {
 }
 
 // TestApplySparseGoFormsMatchReference runs the sketch on the Go forms
-// of the draws, the pick and the transpose against the replayed
-// reference.
+// of the pick and the transpose against the replayed reference.
 func TestApplySparseGoFormsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	for _, sh := range []struct{ m, n, d, nnz int }{{300, 32, 64, 8}, {5000, 13, 26, 8}, {700, 9, 129, 4}} {
@@ -110,7 +89,7 @@ func TestApplySparseGoFormsMatchReference(t *testing.T) {
 		ref := mat.NewDense(sh.d, sh.n)
 		refSparse(ref, a, sh.nnz, 5)
 		sa := mat.NewDense(sh.d, sh.n)
-		withGoDraws(func() { ApplySparse(parallel.NewEngine(1), sa, a, sh.nnz, 5) })
+		withGoForms(func() { ApplySparse(parallel.NewEngine(1), sa, a, sh.nnz, 5) })
 		requireSameSketch(t, fmt.Sprintf("Go forms m=%d n=%d d=%d", sh.m, sh.n, sh.d), sa, ref)
 	}
 }

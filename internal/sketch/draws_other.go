@@ -2,13 +2,6 @@
 
 package sketch
 
-// draws sets dst to the lane-interleaved draws of drawsGo.
-//
-//repolint:hotpath
-func draws(dst []uint64, seed uint64, i0, groups, k int) {
-	drawsGo(dst, seed, i0, groups, k)
-}
-
 // pick sets the target masks of rows i0 … i0+rows−1 (see pickGo).
 //
 //repolint:hotpath

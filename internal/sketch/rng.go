@@ -13,19 +13,14 @@ import "math/bits"
 // the caller supplies the seed explicitly and the stream is a pure
 // function of it (see cmd/repolint/testdata/src/norand/good).
 
-// gamma is the SplitMix64 counter increment, 2⁶⁴ over the golden ratio.
-const gamma = 0x9e3779b97f4a7c15
-
-// mix is the SplitMix64 finalizer (Steele, Lea & Flood): a bijective
-// mixer whose output passes BigCrush when driven by a counter.
-func mix(x uint64) uint64 {
+// splitmix64 is the SplitMix64 finalizer (Steele, Lea & Flood): a
+// bijective mixer whose output passes BigCrush when driven by a counter.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// splitmix64 steps the counter x once and mixes it.
-func splitmix64(x uint64) uint64 { return mix(x + gamma) }
 
 // Source is a deterministic random stream: a SplitMix64 generator whose
 // state is seeded explicitly by the caller. The zero value is a valid
@@ -46,13 +41,17 @@ func rowSource(seed uint64, i int) Source {
 }
 
 // Uint64 draws the next 64 uniform bits. Draw j (from 1) of a stream
-// whose state starts at s is mix(s + j·gamma): no draw depends on
-// another, which is what lets the sketch compute them in vectors.
+// whose state starts at s mixes s + j·0x9e3779b97f4a7c15: no draw
+// depends on another, which is what lets the sketch's pick compute them
+// eight rows a zmm register.
 //
 //repolint:hotpath
 func (s *Source) Uint64() uint64 {
-	s.state += gamma
-	return mix(s.state)
+	s.state += 0x9e3779b97f4a7c15
+	x := s.state
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Intn draws a uniform integer in [0, n) by the multiply-shift reduction

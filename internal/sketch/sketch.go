@@ -13,22 +13,20 @@
 // in lockstep.
 //
 // The kernel takes its input rows 64 at a time in two phases. The draws:
-// every row's stream is computed eight rows a zmm register (the draws of
-// a SplitMix64 stream do not depend on one another), and each row's
-// targets and signs are picked from them, for d ≤ 128 eight rows a
-// register too. The accumulation: the block's rows are bucketed by
-// target as bit masks, and blas.SparseSignMulAdd adds each target's rows
-// in ascending order with the accumulator row held in registers. Every
-// sketch element is still one fma chain over its target's input rows in
-// ascending order, and the assembly and Go forms of both phases give the
-// same bits, so the sketch bits do not depend on the build or the CPU
-// either.
+// for d ≤ 128 every row's stream is drawn eight rows a zmm register (the
+// draws of a SplitMix64 stream do not depend on one another), and each
+// row's targets and signs are picked from them in the same registers.
+// The accumulation: the block's rows are bucketed by target as bit
+// masks, and blas.SparseSignMulAdd adds each target's rows in ascending
+// order with the accumulator row held in registers. Every sketch element
+// is still one fma chain over its target's input rows in ascending
+// order, and the assembly and Go forms of both phases give the same
+// bits, so the sketch bits do not depend on the build or the CPU either.
 package sketch
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/blas"
 	"repro/internal/parallel"
@@ -66,8 +64,7 @@ func ApplySparse(e *parallel.Engine, sa, a *mat.Dense, nnz int, seed uint64) {
 	trace.AddFlops(trace.KernelSketch, 2*int64(m)*int64(n)*int64(nnz))
 	trace.AddBytes(trace.KernelSketch, 8*int64(m)*int64(n))
 	sa.Zero()
-	job := sparseJob{a: a, nnz: nnz, k: candidateDraws(nnz, d), seed: seed}
-	blas.ReduceRows(e, m, m*n*nnz, sa, false, job, sparseSlotRange)
+	blas.ReduceRows(e, m, m*n*nnz, sa, false, sparseJob{a: a, nnz: nnz, seed: seed}, sparseSlotRange)
 	if mat.DebugChecks {
 		mat.CheckFinite("sketch", "sparse-sign sketch output", sa)
 	}
@@ -75,11 +72,10 @@ func ApplySparse(e *parallel.Engine, sa, a *mat.Dense, nnz int, seed uint64) {
 
 // sparseJob carries the operands of sparseSlotRange through
 // blas.ReduceRows by value, so the sequential path stays allocation-free.
-// k is the number of draws per row the draws phase computes for d > 128.
 type sparseJob struct {
-	a      *mat.Dense
-	nnz, k int
-	seed   uint64
+	a    *mat.Dense
+	nnz  int
+	seed uint64
 }
 
 const (
@@ -87,31 +83,11 @@ const (
 	maxNNZ = 64
 	// blockRows bounds a block: one bit per row in the target masks.
 	blockRows = 64
-	// candidateCap bounds the draws one block computes for d > 128: a
-	// block is min(blockRows, candidateCap/k) rows, a multiple of eight.
-	candidateCap = 4096
 	// windowRows bounds the accumulator rows one SparseSignMulAdd call
-	// covers; a larger d takes the block's targets a window at a time.
+	// covers for d > 128; a larger d takes the block's targets a window
+	// at a time.
 	windowRows = 1024
 )
-
-// candidateDraws returns k, the draws per row the draws phase computes
-// for d > 128: the nnz sign draws plus the mean and three standard
-// deviations of the draws it takes to find nnz distinct targets among d
-// (a draw is new with chance (d−t)/d once t are taken), capped so a
-// block holds eight rows. A row whose targets and signs do not fit in
-// its k draws is drawn again from its scalar stream, so k changes no
-// bit.
-func candidateDraws(nnz, d int) int {
-	var mean, variance float64
-	for t := 0; t < nnz; t++ {
-		p := float64(d-t) / float64(d)
-		mean += 1 / p
-		variance += (1 - p) / (p * p)
-	}
-	k := nnz + int(math.Ceil(mean+3*math.Sqrt(variance)))
-	return min(k, candidateCap/8)
-}
 
 // sparseSlotRange accumulates rows [lo, hi) of job.a into acc through the
 // sparse-sign embedding: row i of a is added, scaled by ±1/√nnz, into the
@@ -175,34 +151,24 @@ func sparseRowsMasked(job sparseJob, lo, hi int, acc *mat.Dense) {
 	}
 }
 
-// sparseRowsWide is sparseSlotRange for d > 128: per block, draws gives
-// every row its first k draws (eight rows a zmm register), pickTargets
-// picks the row's targets and signs from them with the taken-target
-// mask and a scan, and masks buckets the targets window by window.
+// sparseRowsWide is sparseSlotRange for d > 128, past the vector
+// pick's two-word masks: per block, each row's targets and signs come
+// from its scalar stream (scalarTargets), and masks buckets them window
+// by window.
 //
 //repolint:hotpath
 func sparseRowsWide(job sparseJob, lo, hi int, acc *mat.Dense) {
-	a, nnz, k, d := job.a, job.nnz, job.k, acc.Rows
+	a, nnz, d := job.a, job.nnz, acc.Rows
 	w := 1 / math.Sqrt(float64(nnz))
-	// The block's draws; its rows' targets, nnz a row, and sign bits
-	// (bit u for target u); one window's target masks.
-	var cand [candidateCap]uint64
+	// The block's rows' targets, nnz a row, and sign bits (bit u for
+	// target u); one window's target masks.
 	var tg [blockRows * maxNNZ]int
 	var sg [blockRows]uint64
 	var rows, neg [windowRows]uint64
-	block := min(blockRows, max(8, candidateCap/k&^7))
-	for b0 := lo; b0 < hi; b0 += block {
-		nb := min(block, hi-b0)
-		groups := (nb + 7) / 8
-		draws(cand[:groups*8*k], job.seed, b0, groups, k)
+	for b0 := lo; b0 < hi; b0 += blockRows {
+		nb := min(blockRows, hi-b0)
 		for r := 0; r < nb; r++ {
-			g := (r/8)*8*k + r%8
-			t := tg[r*nnz : (r+1)*nnz]
-			s, ok := pickTargets(cand[g:g+8*(k-1)+1], d, t)
-			if !ok {
-				s = scalarTargets(job.seed, b0+r, d, t)
-			}
-			sg[r] = s
+			sg[r] = scalarTargets(job.seed, b0+r, d, tg[r*nnz:(r+1)*nnz])
 		}
 		blk := mat.Dense{Rows: nb, Cols: a.Cols, Stride: a.Stride, Data: a.Data[b0*a.Stride:]}
 		for t0 := 0; t0 < d; t0 += windowRows {
@@ -266,39 +232,9 @@ func transpose64Go(m *[64]uint64) {
 	}
 }
 
-// pickTargets sets a row's targets tg from its draws, draw j at c[8j],
-// and returns its sign bits, or reports false when the draws run out
-// first. A target is hi(draw·d) (Lemire's multiply-shift), taken unless
-// the row has it already: a clear bit of the mask of taken targets (bit
-// r mod 64) says it is new, a set one is confirmed by a scan.
-//
-//repolint:hotpath
-func pickTargets(c []uint64, d int, tg []int) (uint64, bool) {
-	nnz, k := len(tg), (len(c)+7)/8
-	var taken uint64
-	j, t := 0, 0
-	for ; t < nnz && j < k; j++ {
-		r, _ := bits.Mul64(c[8*j], uint64(d))
-		bit := uint64(1) << (r & 63)
-		if taken&bit == 0 || !contains(tg[:t], int(r)) {
-			taken |= bit
-			tg[t] = int(r)
-			t++
-		}
-	}
-	if t < nnz || j+nnz > k {
-		return 0, false
-	}
-	var sg uint64
-	for u := range nnz {
-		sg |= (c[8*(j+u)] & 1) << u
-	}
-	return sg, true
-}
-
 // scalarTargets sets a row's targets from its stream, one draw at a
-// time, and returns its sign bits: the definition the vector draws and
-// picks reproduce.
+// time, and returns its sign bits: the definition the vector pick
+// reproduces.
 func scalarTargets(seed uint64, i, d int, tg []int) uint64 {
 	src := rowSource(seed, i)
 	// taken has bit r mod 64 set once a target r is drawn; only a set
