@@ -519,10 +519,10 @@ scatternext:
 
 // func signRowsAVX2(c *float64, ldc int, b *float64, ldb, n int, rows, neg *uint64, w *[2]float64, count int)
 //
-// For each output row with a set bit, the columns go 16 at a time
-// (Y0–Y3), then 4 (Y0), then 1 (X0); each group of columns of C is
-// loaded once, takes every set bit of the row in ascending order, and is
-// stored once. Each element becomes fma(w[s], B[i][j], C[t][j])
+// For each output row with a set bit, the columns go 32 at a time
+// (Y0–Y7), then 16 (Y0–Y3), 4 (Y0) and 1 (X0); each group of columns of
+// C is loaded once, takes every set bit of the row in ascending order,
+// and is stored once. Each element becomes fma(w[s], B[i][j], C[t][j])
 // (VFMADD231PD), s the bit i of neg[t]. Registers: DI row t of C and R13
 // its current columns, R8 and R9 the strides of C and B in bytes, SI B
 // and DX its current columns, R10 and R11 rows[t] and neg[t], AX neg[t]
@@ -585,8 +585,45 @@ ysignrow:
 	JEQ  ysignnext
 	SIGNROW
 
-ysign16:
+ysign32:
 	SIGNLEFT
+	CMPQ    R14, $256
+	JLT     ysign16
+	VMOVUPD (R13), Y0
+	VMOVUPD 32(R13), Y1
+	VMOVUPD 64(R13), Y2
+	VMOVUPD 96(R13), Y3
+	VMOVUPD 128(R13), Y4
+	VMOVUPD 160(R13), Y5
+	VMOVUPD 192(R13), Y6
+	VMOVUPD 224(R13), Y7
+	MOVQ    (R10), BX
+
+ysign32k:
+	SIGNENTRY(Y8)
+	VFMADD231PD (DX)(CX*1), Y8, Y0
+	VFMADD231PD 32(DX)(CX*1), Y8, Y1
+	VFMADD231PD 64(DX)(CX*1), Y8, Y2
+	VFMADD231PD 96(DX)(CX*1), Y8, Y3
+	VFMADD231PD 128(DX)(CX*1), Y8, Y4
+	VFMADD231PD 160(DX)(CX*1), Y8, Y5
+	VFMADD231PD 192(DX)(CX*1), Y8, Y6
+	VFMADD231PD 224(DX)(CX*1), Y8, Y7
+	TESTQ       BX, BX
+	JNZ         ysign32k
+	VMOVUPD     Y0, (R13)
+	VMOVUPD     Y1, 32(R13)
+	VMOVUPD     Y2, 64(R13)
+	VMOVUPD     Y3, 96(R13)
+	VMOVUPD     Y4, 128(R13)
+	VMOVUPD     Y5, 160(R13)
+	VMOVUPD     Y6, 192(R13)
+	VMOVUPD     Y7, 224(R13)
+	ADDQ        $256, R13
+	ADDQ        $256, DX
+	JMP         ysign32
+
+ysign16:
 	CMPQ    R14, $128
 	JLT     ysign4
 	VMOVUPD (R13), Y0
@@ -609,7 +646,7 @@ ysign16k:
 	VMOVUPD     Y3, 96(R13)
 	ADDQ        $128, R13
 	ADDQ        $128, DX
-	JMP         ysign16
+	SIGNLEFT
 
 ysign4:
 	CMPQ    R14, $32

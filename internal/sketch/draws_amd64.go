@@ -9,6 +9,14 @@ import "repro/internal/blas"
 // (the draws' VPMULLQ), by internal/blas's one CPU probe.
 var useZMM = blas.HasAVX512DQ()
 
+// vectorPick reports whether the sketch into d rows with nnz nonzeros a
+// row runs the vector pick (sparseRowsMasked): the zmm forms run, d ≤
+// 128 and nnz ≤ 32. Elsewhere scalar draws bucketed by target
+// (sparseRowsWide) run: with the pick in Go they read about as fast as
+// the row-at-a-time kernel, and the transposes the pick needs would be
+// Go loops too.
+func vectorPick(d, nnz int) bool { return useZMM && d <= 2*blockRows && nnz <= 32 }
+
 // pickAVX512 and pick2AVX512 are pickGo on a raw scratch pointer for
 // groups of eight rows, 1 ≤ groups ≤ 8, 1 ≤ nnz ≤ 32, and d ≤ 64 and
 // 64 < d ≤ 128; scratch holds 16·(64−nnz) words. A row whose targets

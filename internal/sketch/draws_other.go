@@ -2,6 +2,10 @@
 
 package sketch
 
+// vectorPick reports false: this build has no zmm pick (see
+// sparseRowsWide).
+func vectorPick(d, nnz int) bool { return false }
+
 // pick sets the target masks of rows i0 … i0+rows−1 (see pickGo).
 //
 //repolint:hotpath

@@ -109,19 +109,19 @@ func sparseSlotRange(job sparseJob, lo, hi int, acc *mat.Dense) {
 	if job.nnz > maxNNZ {
 		panic("sketch: nnz exceeds the sparse kernel's target buffer")
 	}
-	if acc.Rows <= 2*blockRows {
+	if vectorPick(acc.Rows, job.nnz) {
 		sparseRowsMasked(job, lo, hi, acc)
 		return
 	}
 	sparseRowsWide(job, lo, hi, acc)
 }
 
-// sparseRowsMasked is sparseSlotRange for d ≤ 128, where a row's targets
-// fit two 64-bit masks: per block, pick draws every row's stream and
-// sets its masks of targets and of negative weights (eight rows a zmm
-// register), one plane of 64 rows per 64 targets, and a bit-matrix
-// transpose of each plane turns them into each target's masks over the
-// block's rows.
+// sparseRowsMasked is sparseSlotRange where the vector pick runs (see
+// vectorPick; d ≤ 128, so a row's targets fit two 64-bit masks): per
+// block, pick draws every row's stream and sets its masks of targets
+// and of negative weights eight rows a zmm register, one plane of 64
+// rows per 64 targets, and a bit-matrix transpose of each plane turns
+// them into each target's masks over the block's rows.
 //
 //repolint:hotpath
 func sparseRowsMasked(job sparseJob, lo, hi int, acc *mat.Dense) {
@@ -151,10 +151,11 @@ func sparseRowsMasked(job sparseJob, lo, hi int, acc *mat.Dense) {
 	}
 }
 
-// sparseRowsWide is sparseSlotRange for d > 128, past the vector
-// pick's two-word masks: per block, each row's targets and signs come
-// from its scalar stream (scalarTargets), and masks buckets them window
-// by window.
+// sparseRowsWide is sparseSlotRange everywhere else (d > 128, past the
+// vector pick's two-word masks, nnz > 32, or no zmm pick on the
+// machine): per block, each row's targets and signs come from its
+// scalar stream (scalarTargets), and masks buckets them by target,
+// window by window.
 //
 //repolint:hotpath
 func sparseRowsWide(job sparseJob, lo, hi int, acc *mat.Dense) {
@@ -197,38 +198,61 @@ func pickGo(seed uint64, i0, rows int, scratch []int, set, neg []uint64, d, nnz 
 	return 0
 }
 
-// listMasks sets row r's masks in set and neg (see pickGo) to its
-// targets tg and, where its sign bit (bit u of sg for target u) is set,
-// to those targets with a negative weight.
+// listMasks sets row r's masks in set and neg (see pickGo; d ≤ 128) to
+// its targets tg and, where its sign bit (bit u of sg for target u) is
+// set, to those targets with a negative weight.
 //
 //repolint:hotpath
 func listMasks(set, neg []uint64, r int, tg []int, sg uint64) {
-	for p := r; p < len(set); p += blockRows {
-		set[p], neg[p] = 0, 0
-	}
+	var s0, s1, n0, n1 uint64
 	for _, t := range tg {
-		p, bit := blockRows*(t/64)+r, uint64(1)<<(uint(t)&63)
-		set[p] |= bit
-		neg[p] |= bit & -(sg & 1)
+		bit, hi := uint64(1)<<(uint(t)&63), -(uint64(t) >> 6 & 1)
+		nb := bit & -(sg & 1)
+		s0, s1 = s0|bit&^hi, s1|bit&hi
+		n0, n1 = n0|nb&^hi, n1|nb&hi
 		sg >>= 1
 	}
+	set[r], neg[r] = s0, n0
+	set[blockRows+r], neg[blockRows+r] = s1, n1
 }
 
 // transpose64Go transposes the 64×64 bit matrix m, bit c of m[r] being
 // entry (r, c): it swaps the off-diagonal 32×32 blocks, then the
 // off-diagonal 16×16 blocks of each diagonal one, and so on down to
-// single bits. It is the Go form of transpose64AVX512.
+// single bits, each stage with its shift and mask as constants. It is
+// the Go form of transpose64AVX512.
 //
 //repolint:hotpath
 func transpose64Go(m *[64]uint64) {
-	mask := uint64(0x00000000ffffffff)
-	for j := 32; j != 0; j >>= 1 {
-		for r := 0; r < 64; r = (r + j + 1) &^ j {
-			t := (m[r]>>j ^ m[r+j]) & mask
-			m[r] ^= t << j
-			m[r+j] ^= t
+	swap := func(a, b *uint64, j uint, mask uint64) {
+		t := (*a>>j ^ *b) & mask
+		*a ^= t << j
+		*b ^= t
+	}
+	for r := 0; r < 32; r++ {
+		swap(&m[r], &m[r+32], 32, 0x00000000ffffffff)
+	}
+	for r := 0; r < 64; r += 32 {
+		for q := r; q < r+16; q++ {
+			swap(&m[q], &m[q+16], 16, 0x0000ffff0000ffff)
 		}
-		mask ^= mask << (j / 2)
+	}
+	for r := 0; r < 64; r += 16 {
+		for q := r; q < r+8; q++ {
+			swap(&m[q], &m[q+8], 8, 0x00ff00ff00ff00ff)
+		}
+	}
+	for r := 0; r < 64; r += 8 {
+		for q := r; q < r+4; q++ {
+			swap(&m[q], &m[q+4], 4, 0x0f0f0f0f0f0f0f0f)
+		}
+	}
+	for r := 0; r < 64; r += 4 {
+		swap(&m[r], &m[r+2], 2, 0x3333333333333333)
+		swap(&m[r+1], &m[r+3], 2, 0x3333333333333333)
+	}
+	for r := 0; r < 64; r += 2 {
+		swap(&m[r], &m[r+1], 1, 0x5555555555555555)
 	}
 }
 
