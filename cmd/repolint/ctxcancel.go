@@ -152,7 +152,7 @@ func loopBody(loop ast.Stmt) *ast.BlockStmt {
 }
 
 // containsKernelCall reports whether the block (outside nested literals)
-// calls an engine-threaded function or an Engine fan-out method.
+// calls an engine-threaded function or Engine.For, the one fan-out.
 func containsKernelCall(info *types.Info, body *ast.BlockStmt, parallelPath string) bool {
 	if body == nil {
 		return false
@@ -179,9 +179,7 @@ func containsKernelCall(info *types.Info, body *ast.BlockStmt, parallelPath stri
 		}
 		if recv := sig.Recv(); recv != nil {
 			if path, name := namedPath(recv.Type()); path == parallelPath && name == "Engine" {
-				if fn.Name() == "For" || fn.Name() == "Do" {
-					found = true
-				}
+				found = fn.Name() == "For"
 			}
 			return true
 		}

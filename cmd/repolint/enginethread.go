@@ -6,7 +6,7 @@ package main
 // engine methods or any function whose signature threads a
 // *parallel.Engine — must themselves accept a *parallel.Engine
 // parameter, so callers keep per-call control of width and
-// cancellation. internal/parallel has no package-level For or Do, but a
+// cancellation. internal/parallel has no package-level For, but a
 // kernel can still fan out on a package-global engine (parallel.Default
 // or one of its own) and hide the width from its caller; this check
 // reports that.

@@ -17,7 +17,7 @@
 // Each rule has one gate. Rules another tool already enforces are not
 // repeated here: cmd/escapecheck gates //repolint:hotpath functions on
 // the compiler's escape analysis, and internal/parallel offers no
-// package-level For, Do or width knob for a kernel to call.
+// package-level For or width knob for a kernel to call.
 //
 // Usage:
 //

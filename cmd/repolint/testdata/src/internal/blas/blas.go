@@ -26,9 +26,3 @@ func Axpy(e *parallel.Engine, alpha float64, x, y []float64) {
 		}
 	})
 }
-
-// splitIsAllowed uses parallel.Split, whose width is an explicit
-// argument rather than process-global state.
-func splitIsAllowed(n int) []int {
-	return parallel.Split(n, 4)
-}

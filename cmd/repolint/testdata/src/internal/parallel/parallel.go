@@ -16,30 +16,8 @@ func (e *Engine) Err() error { return nil }
 // Workers reports the engine width.
 func (e *Engine) Workers() int { return e.workers }
 
-// Range is a half-open index range, as handed to Do-task builders.
-type Range struct{ Lo, Hi int }
-
-// SplitRanges partitions n items into parts contiguous ranges.
-func SplitRanges(n, parts int) []Range {
-	_ = parts
-	return []Range{{0, n}}
-}
-
 // For partitions n items and runs body over each part.
 func (e *Engine) For(n, minGrain int, body func(lo, hi int)) {
 	_ = minGrain
 	body(0, n)
-}
-
-// Do runs the tasks, possibly concurrently.
-func (e *Engine) Do(tasks ...func()) {
-	for _, t := range tasks {
-		t()
-	}
-}
-
-// Split takes its width as an explicit argument.
-func Split(n, parts int) []int {
-	_ = parts
-	return []int{0, n}
 }

@@ -9,6 +9,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/blas"
+	"repro/internal/core"
+	"repro/internal/parallel"
+	"repro/internal/trace"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -295,6 +299,65 @@ func TestEngineOneShotsMatchPackageHelpers(t *testing.T) {
 						t.Fatalf("%s: %s[%d,%d] differs between package helper and engine method",
 							tc.name, pair.label, i, j)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestWidthOneRunsInline checks that a width-1 engine fans out to no pool
+// worker on each of Engine.For's callers that used to dispatch another
+// way (a multi-slot ReduceRows, the TSQR halves, the QRCPBatch shards)
+// and gives the bits of width 2.
+func TestWidthOneRunsInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(163))
+	tall := testmat.GenerateWellConditioned(rng, 20000, 16, 1e6)
+	problems := make([]*mat.Dense, 4)
+	for i := range problems {
+		problems[i] = testmat.Generate(rng, 512, 16, 12, 1e-8)
+	}
+	for _, c := range []struct {
+		name string
+		run  func(width int) []*mat.Dense
+	}{
+		{"Gram", func(width int) []*mat.Dense {
+			w := mat.NewDense(16, 16)
+			blas.Gram(parallel.NewEngine(width), w, tall.RowSlice(0, 8192))
+			return []*mat.Dense{w}
+		}},
+		{"TSQR", func(width int) []*mat.Dense {
+			qr := core.TSQR(parallel.NewEngine(width), tall)
+			return []*mat.Dense{qr.Q, qr.R}
+		}},
+		{"QRCPBatch", func(width int) []*mat.Dense {
+			results, err := NewEngine(width).QRCPBatch(context.Background(), problems, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []*mat.Dense
+			for i, res := range results {
+				if res.Err != nil {
+					t.Fatalf("problem %d: %v", i, res.Err)
+				}
+				out = append(out, res.F.Q, res.F.R)
+			}
+			return out
+		}},
+	} {
+		want := c.run(2)
+		trace.Reset()
+		trace.Enable()
+		got := c.run(1)
+		rep := trace.Snapshot()
+		trace.Disable()
+		trace.Reset()
+		if d := rep.Counters["worker_dispatches"]; d != 0 {
+			t.Errorf("width-1 %s dispatched %d pool tasks, want 0", c.name, d)
+		}
+		for k := range want {
+			for i, v := range want[k].Data {
+				if math.Float64bits(got[k].Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%s: output %d differs between widths 1 and 2 at flat index %d", c.name, k, i)
 				}
 			}
 		}

@@ -163,8 +163,8 @@ func gatherRows(dst, src *mat.Dense, perm mat.Perm, lo, hi int, tmp []float64) {
 }
 
 // FusedSlotBounds returns the half-open row range of slot si out of slots
-// over m rows, the partition ReduceRows uses; it matches
-// parallel.Split(m, slots, 1) exactly without allocating the range slice.
+// over m rows, the partition ReduceRows uses: slots contiguous
+// near-equal ranges, the first m%slots of them one row longer.
 func FusedSlotBounds(m, slots, si int) (lo, hi int) {
 	chunk, rem := m/slots, m%slots
 	lo = si*chunk + min(si, rem)

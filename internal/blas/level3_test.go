@@ -288,6 +288,34 @@ func TestTrsmLeftUpperNoTrans(t *testing.T) {
 	}
 }
 
+// TestTrsmLeftZeroNotSkipped pins that back substitution takes the
+// product for a zero entry of R like every other kernel here: 0·Inf and
+// 0·NaN in a solved row below give NaN, as TrmmLeftUpperNoTrans does.
+func TestTrsmLeftZeroNotSkipped(t *testing.T) {
+	for _, n := range []int{2, 9} {
+		r := mat.Identity(n) // (0, n-1) is a stored zero above the diagonal
+		b := mat.NewDense(n, 3)
+		for i := 0; i < n; i++ {
+			b.Set(i, 0, 1)
+			b.Set(i, 1, 2)
+		}
+		b.Set(n-1, 1, math.Inf(1))
+		b.Set(n-1, 2, math.NaN())
+		TrsmLeftUpperNoTrans(r, b)
+		if got := b.At(0, 0); got != 1 {
+			t.Fatalf("n=%d: (0,0) = %v, want 1", n, got)
+		}
+		for j := 1; j < 3; j++ {
+			if got := b.At(0, j); !math.IsNaN(got) {
+				t.Fatalf("n=%d: (0,%d) = %v, want NaN from 0·%v", n, j, got, b.At(n-1, j))
+			}
+		}
+		if got := b.At(n-1, 1); !math.IsInf(got, 1) {
+			t.Fatalf("n=%d: (%d,1) = %v, want +Inf", n, n-1, got)
+		}
+	}
+}
+
 func TestTrsmSingularPanics(t *testing.T) {
 	r := mat.Identity(3)
 	r.Set(1, 1, 0)

@@ -39,8 +39,7 @@ func ReduceRows[J any](e *parallel.Engine, k, flops int, c *mat.Dense, upper boo
 		kernel(job, 0, k, c)
 		return
 	}
-	w := e.Workers()
-	if w == 1 || flops < gemmParallelFlops {
+	if e.Workers() == 1 || flops < gemmParallelFlops {
 		acc := mat.GetWorkspace(c.Rows, c.Cols, false)
 		for si := 0; si < slots; si++ {
 			lo, hi := FusedSlotBounds(k, slots, si)
@@ -51,23 +50,18 @@ func ReduceRows[J any](e *parallel.Engine, k, flops int, c *mat.Dense, upper boo
 		mat.PutWorkspace(acc)
 		return
 	}
-	// Workers claim contiguous slot subranges with one partial per slot;
-	// the reduction walks the slots in ascending index order regardless
-	// of which worker filled them.
+	// Chunks of contiguous slots fill one partial per slot; the reduction
+	// walks the slots in ascending index order regardless of which worker
+	// filled them.
 	accs := make([]*mat.Dense, slots)
-	taskRanges := parallel.Split(slots, w, 1)
-	tasks := make([]func(), len(taskRanges))
-	for ti, tr := range taskRanges {
-		tasks[ti] = func() {
-			for si := tr.Lo; si < tr.Hi; si++ {
-				acc := mat.GetWorkspace(c.Rows, c.Cols, true)
-				lo, hi := FusedSlotBounds(k, slots, si)
-				kernel(job, lo, hi, acc)
-				accs[si] = acc
-			}
+	e.For(slots, 1, func(slo, shi int) {
+		for si := slo; si < shi; si++ {
+			acc := mat.GetWorkspace(c.Rows, c.Cols, true)
+			lo, hi := FusedSlotBounds(k, slots, si)
+			kernel(job, lo, hi, acc)
+			accs[si] = acc
 		}
-	}
-	e.Do(tasks...)
+	})
 	for _, acc := range accs {
 		addPartial(c, acc, upper)
 		mat.PutWorkspace(acc)

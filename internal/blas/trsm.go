@@ -123,9 +123,6 @@ func TrsmLeftUpperNoTrans(r, b *mat.Dense) {
 		rrow := r.Data[i*r.Stride : i*r.Stride+r.Cols]
 		for k := i + 1; k < n; k++ {
 			c := rrow[k]
-			if c == 0 {
-				continue
-			}
 			xk := b.Data[k*b.Stride : k*b.Stride+b.Cols]
 			for j := range xi {
 				xi[j] -= c * xk[j]

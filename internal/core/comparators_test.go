@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/parallel"
-	"repro/internal/trace"
 	"repro/mat"
 	"repro/metrics"
 	"repro/testmat"
@@ -30,34 +28,6 @@ func TestTSQRMatchesHouseholder(t *testing.T) {
 		}
 		if !qr.R.IsUpperTriangular(0) {
 			t.Fatal("R not upper triangular")
-		}
-	}
-}
-
-// TestTSQRWidthOneRunsInline checks that a width-1 engine runs every
-// TSQR node on the calling goroutine, with no pool dispatch, and gives
-// the bits of a wider engine.
-func TestTSQRWidthOneRunsInline(t *testing.T) {
-	rng := rand.New(rand.NewSource(163))
-	a := testmat.GenerateWellConditioned(rng, 20000, 16, 1e6)
-	want := TSQR(parallel.NewEngine(2), a)
-	trace.Reset()
-	trace.Enable()
-	got := TSQR(parallel.NewEngine(1), a)
-	rep := trace.Snapshot()
-	trace.Disable()
-	trace.Reset()
-	if d := rep.Counters["worker_dispatches"]; d != 0 {
-		t.Fatalf("width-1 TSQR dispatched %d pool tasks, want 0", d)
-	}
-	for _, p := range []struct {
-		name      string
-		got, want *mat.Dense
-	}{{"Q", got.Q, want.Q}, {"R", got.R, want.R}} {
-		for i, v := range p.want.Data {
-			if math.Float64bits(p.got.Data[i]) != math.Float64bits(v) {
-				t.Fatalf("%s differs between widths 1 and 2 at flat index %d", p.name, i)
-			}
 		}
 	}
 }

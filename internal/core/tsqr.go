@@ -38,39 +38,30 @@ func tsqrNode(e *parallel.Engine, a *mat.Dense) (q, r *mat.Dense) {
 		qr := HouseholderQR(e, a)
 		return qr.Q, qr.R
 	}
-	mid := a.Rows / 2
-	var q1, r1, q2, r2 *mat.Dense
-	both(e,
-		func() { q1, r1 = tsqrNode(e, a.RowSlice(0, mid)) },
-		func() { q2, r2 = tsqrNode(e, a.RowSlice(mid, a.Rows)) },
-	)
+	// The two halves, rows [half[h], half[h+1]), write disjoint results,
+	// so whether For runs them in turn or at once changes no bit.
+	half := [3]int{0, a.Rows / 2, a.Rows}
+	var qh, rh [2]*mat.Dense
+	e.For(2, 1, func(lo, hi int) {
+		for h := lo; h < hi; h++ {
+			qh[h], rh[h] = tsqrNode(e, a.RowSlice(half[h], half[h+1]))
+		}
+	})
 	// Combine: QR of the stacked [R1; R2].
 	stack := mat.NewDense(2*n, n)
-	stack.Slice(0, n, 0, n).Copy(r1)
-	stack.Slice(n, 2*n, 0, n).Copy(r2)
+	stack.Slice(0, n, 0, n).Copy(rh[0])
+	stack.Slice(n, 2*n, 0, n).Copy(rh[1])
 	tau := make([]float64, n)
 	lapack.Geqrf(e, stack, tau)
 	r = lapack.ExtractR(stack)
 	lapack.Orgqr(e, stack, tau) // stack is now the 2n×n combine factor Qs
 	// Propagate: Q = [Q1·Qs_top; Q2·Qs_bot].
 	q = mat.NewDense(a.Rows, n)
-	qsTop := stack.Slice(0, n, 0, n)
-	qsBot := stack.Slice(n, 2*n, 0, n)
-	both(e,
-		func() { blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, q1, qsTop, 0, q.RowSlice(0, mid)) },
-		func() { blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, q2, qsBot, 0, q.RowSlice(mid, a.Rows)) },
-	)
+	e.For(2, 1, func(lo, hi int) {
+		for h := lo; h < hi; h++ {
+			qs := stack.Slice(h*n, (h+1)*n, 0, n)
+			blas.Gemm(e, blas.NoTrans, blas.NoTrans, 1, qh[h], qs, 0, q.RowSlice(half[h], half[h+1]))
+		}
+	})
 	return q, r
-}
-
-// both runs the two halves of a node: one after the other on a width-1
-// engine, which grants no second worker, else concurrently through e.Do.
-// The halves write disjoint results, so the order changes no bit.
-func both(e *parallel.Engine, f, g func()) {
-	if e.Workers() == 1 {
-		f()
-		g()
-		return
-	}
-	e.Do(f, g)
 }

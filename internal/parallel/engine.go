@@ -69,19 +69,22 @@ func (e *Engine) Err() error {
 }
 
 // For runs body(lo, hi) over a partition of [0, n) using up to Workers()
-// ways of parallelism (pool workers plus the calling goroutine). minChunk
-// sets the smallest useful grain: if n/minChunk < 2 the body runs inline
-// on the calling goroutine. The body must be safe to invoke concurrently
-// on disjoint ranges.
+// ways of parallelism (pool workers plus the calling goroutine), and is
+// the runtime's one fan-out. The partition is at most Workers()
+// contiguous near-equal chunks, each at least minChunk wide: if
+// n/minChunk < 2 the body runs once, inline on the calling goroutine,
+// and chunk 0 always runs there. The body must be safe to invoke
+// concurrently on disjoint ranges; chunks must not wait on one another,
+// since any of them may run after another on the caller.
 //
 // Chunks the pool cannot absorb (all workers busy, e.g. under nested
 // parallelism or a competing engine) run inline on the caller, so For
 // never blocks on an unclaimed task and nesting cannot deadlock.
 func (e *Engine) For(n, minChunk int, body func(lo, hi int)) {
+	w := e.Workers()
 	if n <= 0 {
 		return
 	}
-	w := e.Workers()
 	if w == 1 {
 		body(0, n)
 		return
@@ -121,39 +124,6 @@ func (e *Engine) For(n, minChunk int, body func(lo, hi int)) {
 	if inlineLo < n {
 		runInline(body, inlineLo, n)
 	}
-	wg.Wait()
-	wgPool.Put(wg)
-}
-
-// Do runs each task concurrently and waits for all of them. Every task is
-// guaranteed its own flow of control (pool worker, fresh goroutine beyond
-// the pool limit, or the calling goroutine for the first task), so tasks
-// may synchronize with one another — the distributed substrate runs one
-// task per rank and the ranks exchange messages and barrier. Callers that
-// want the engine width respected pass at most Workers() tasks (Split
-// with parts = Workers() guarantees this).
-func (e *Engine) Do(tasks ...func()) {
-	switch len(tasks) {
-	case 0:
-		return
-	case 1:
-		tasks[0]()
-		return
-	}
-	wg := wgPool.Get().(*sync.WaitGroup)
-	wg.Add(len(tasks) - 1)
-	for _, t := range tasks[1:] {
-		if wk := acquire(); wk != nil {
-			trace.Inc(trace.CtrWorkerDispatches)
-			wk.ch <- task{fn: t, wg: wg}
-			continue
-		}
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(t)
-	}
-	runInlineTask(tasks[0])
 	wg.Wait()
 	wgPool.Put(wg)
 }

