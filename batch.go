@@ -3,6 +3,7 @@ package tsqrcp
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/mat"
@@ -24,11 +25,9 @@ type BatchResult struct {
 // many-small-matrices serving workload — by sharding them across the
 // persistent worker pool. opts apply to every problem. min(len(problems),
 // engine width) shards — one per problem in a small batch, one per core
-// in a large one — run as the chunks of one Engine.For, so a width-1
-// engine factors the whole batch on the calling goroutine. Shards claim
-// problems dynamically (an atomic cursor, so a slow problem never blocks
-// the rest of the batch), and each factorization runs with an even share
-// of the engine's width.
+// in a large one — claim problems dynamically (an atomic cursor, so a
+// slow problem never blocks the rest of the batch), and each
+// factorization runs with an even share of the engine's width.
 //
 // Errors are per-problem: one singular or invalid matrix does not abort
 // its neighbors, it just sets results[i].Err. Cancellation is
@@ -51,22 +50,26 @@ func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Opt
 	perProblem := max(1, width/conc)
 	shard := &Engine{pe: e.eng().WithContext(ctx).WithWorkers(perProblem)}
 
-	// Every chunk drains the cursor whatever its length; a chunk the pool
-	// cannot take runs on the caller after chunk 0 and finds it drained.
 	var cursor atomic.Int64
-	e.eng().For(conc, 1, func(int, int) {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(problems) {
-				return
+	var wg sync.WaitGroup
+	wg.Add(conc)
+	for s := 0; s < conc; s++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(problems) {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					results[i].Err = err
+					continue
+				}
+				results[i].F, results[i].Err = factorOne(shard, problems[i], opts, i)
 			}
-			if err := ctx.Err(); err != nil {
-				results[i].Err = err
-				continue
-			}
-			results[i].F, results[i].Err = factorOne(shard, problems[i], opts, i)
-		}
-	})
+		}()
+	}
+	wg.Wait()
 	return results, ctx.Err()
 }
 

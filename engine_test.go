@@ -305,10 +305,9 @@ func TestEngineOneShotsMatchPackageHelpers(t *testing.T) {
 	}
 }
 
-// TestWidthOneRunsInline checks that a width-1 engine fans out to no pool
-// worker on each of Engine.For's callers that used to dispatch another
-// way (a multi-slot ReduceRows, the TSQR halves, the QRCPBatch shards)
-// and gives the bits of width 2.
+// TestWidthOneRunsInline checks that a width-1 engine reaches no pool
+// worker through a multi-slot ReduceRows, the TSQR halves or a
+// QRCPBatch, and gives the bits of width 2.
 func TestWidthOneRunsInline(t *testing.T) {
 	rng := rand.New(rand.NewSource(163))
 	tall := testmat.GenerateWellConditioned(rng, 20000, 16, 1e6)
