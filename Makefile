@@ -75,8 +75,12 @@ cross-arm64:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 
+# The runtime's region tests repeat: the claim cursor is shared by a
+# region's caller and by the workers that join it, and a race there shows
+# only across repeated runs.
 race:
 	$(GO) test -race -timeout 10m . ./internal/... ./mat/ ./dist/ ./service/
+	$(GO) test -race -count 20 -run 'For|Split|Nested|Concurrent|Join|Mixed' ./internal/parallel
 
 # Fuzz every decoder of untrusted bytes, and QRCP on rank-deficient
 # input, for FUZZTIME each, one target per go test run (Go fuzzes one

@@ -4,7 +4,8 @@
 // probe, and the two GEMMs of the Householder QRCP
 // baseline, plus the end-to-end factorizations —
 // the iterated baseline, the randomized CQRRPT A/B pair
-// with its accuracy parity rows, batch throughput, the out-of-core path
+// with its accuracy parity rows, batch throughput alone and with
+// overlapping batches, the out-of-core path
 // and the QRCP service on a loopback server — and writes the
 // results as JSON for regression tracking (`make bench-json`). The JSON
 // layout is documented in bench/SCHEMA.md and gated in CI by
@@ -24,12 +25,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -540,6 +543,12 @@ func main() {
 		rep.Records = append(rep.Records, r)
 	}
 
+	overlapRecs, err := overlapRows(rng)
+	if err != nil {
+		fail(err)
+	}
+	rep.Records = append(rep.Records, overlapRecs...)
+
 	oocRecs, err := oocRows(rng)
 	if err != nil {
 		fail(err)
@@ -630,6 +639,89 @@ func oocRows(rng *rand.Rand) ([]metrics.Record, error) {
 		M: oocM, N: oocN, Iters: oocReps,
 		Value: stallFrac, Unit: "ratio",
 	}}, nil
+}
+
+// The overlapping-batch setup: overlapCallers goroutines each call
+// QRCPBatch on the default engine, back to back for overlapRunTime, over
+// the same overlapProblems problems of overlapM×overlapN, so batches
+// start while another batch holds the pool workers, as they do when
+// qrcpd flushes buckets concurrently.
+const (
+	overlapCallers  = 3
+	overlapProblems = 16
+	overlapM        = 512
+	overlapN        = 16
+	overlapRuns     = 5
+	overlapRunTime  = time.Second
+)
+
+// overlapRows measures overlapping batches over overlapRuns runs; each row
+// is the median of its figure over the runs:
+//
+//	{Name: "QRCPBatchOverlap", m, n}                  problems/s over all callers (problems_per_sec),
+//	                                                  mean QRCPBatch call latency (ns_per_op)
+//	{Name: "QRCPBatchOverlap", Stage: "latency_p50"}  p50 call latency (ns_per_op)
+//	{Name: "QRCPBatchOverlap", Stage: "latency_p99"}  p99 call latency (ns_per_op)
+func overlapRows(rng *rand.Rand) ([]metrics.Record, error) {
+	problems := make([]*mat.Dense, overlapProblems)
+	for i := range problems {
+		problems[i] = testmat.Generate(rng, overlapM, overlapN, (overlapN*4)/5, 1e-12)
+	}
+	var rates, means, p50s, p99s []float64
+	calls := 0
+	for run := 0; run < overlapRuns; run++ {
+		latencies := make([][]time.Duration, overlapCallers)
+		errs := make([]error, overlapCallers)
+		var wg sync.WaitGroup
+		start := time.Now()
+		for c := range latencies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for time.Since(start) < overlapRunTime {
+					t0 := time.Now()
+					results, err := tsqrcp.QRCPBatch(context.Background(), problems, nil)
+					for j := 0; err == nil && j < len(results); j++ {
+						err = results[j].Err
+					}
+					if err != nil {
+						errs[c] = fmt.Errorf("QRCPBatchOverlap: %w", err)
+						return
+					}
+					latencies[c] = append(latencies[c], time.Since(t0))
+				}
+			}()
+		}
+		wg.Wait()
+		wall := time.Since(start)
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
+		all := slices.Concat(latencies...)
+		slices.Sort(all)
+		var sum time.Duration
+		for _, l := range all {
+			sum += l
+		}
+		calls += len(all)
+		rates = append(rates, float64(len(all)*overlapProblems)/wall.Seconds())
+		means = append(means, float64(sum)/float64(len(all)))
+		p50s = append(p50s, float64(all[(len(all)-1)/2]))
+		p99s = append(p99s, float64(all[int(0.99*float64(len(all)-1))]))
+	}
+	median := func(xs []float64) float64 {
+		slices.Sort(xs)
+		return xs[len(xs)/2]
+	}
+	rate, mean, p50, p99 := median(rates), median(means), median(p50s), median(p99s)
+	iters := calls / overlapRuns
+	fmt.Fprintf(os.Stderr, "%-24s m=%-7d n=%-4d %10.1f problems/s  p50 %8.2fms  p99 %8.2fms  (%d callers, medians of %d runs)\n",
+		"QRCPBatchOverlap", overlapM, overlapN, rate, p50/1e6, p99/1e6, overlapCallers, overlapRuns)
+	return []metrics.Record{
+		{Name: "QRCPBatchOverlap", M: overlapM, N: overlapN, Iters: iters, NsPerOp: mean, ProblemsPerSec: rate},
+		{Name: "QRCPBatchOverlap", Stage: "latency_p50", M: overlapM, N: overlapN, Iters: iters, NsPerOp: p50},
+		{Name: "QRCPBatchOverlap", Stage: "latency_p99", M: overlapM, N: overlapN, Iters: iters, NsPerOp: p99},
+	}, nil
 }
 
 // The served loopback setup: serviceClients concurrent connections to a

@@ -205,6 +205,34 @@ func TestQRCPBatchCancellation(t *testing.T) {
 	}
 }
 
+// TestQRCPBatchHonorsEngineContext: a batch on an engine whose own
+// context is cancelled factors nothing, as QRCP on that engine does, even
+// though the batch's ctx is live; the context survives WithWorkers.
+func TestQRCPBatchHonorsEngineContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(406))
+	problems := make([]*mat.Dense, 4)
+	for i := range problems {
+		problems[i] = testmat.Generate(rng, 200, 10, 8, 1e-6)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := NewEngine(2).WithContext(ctx)
+	if _, err := e.QRCP(problems[0], nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QRCP err = %v, want context.Canceled", err)
+	}
+	for name, eng := range map[string]*Engine{"WithContext": e, "WithWorkers": e.WithWorkers(1)} {
+		results, err := eng.QRCPBatch(context.Background(), problems, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: QRCPBatch err = %v, want context.Canceled", name, err)
+		}
+		for i, res := range results {
+			if !errors.Is(res.Err, context.Canceled) || res.F != nil {
+				t.Errorf("%s: problem %d: F = %v, err = %v, want no factorization and context.Canceled", name, i, res.F != nil, res.Err)
+			}
+		}
+	}
+}
+
 func TestQRCPBatchEmpty(t *testing.T) {
 	results, err := QRCPBatch(context.Background(), nil, nil)
 	if err != nil {

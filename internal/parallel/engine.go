@@ -3,9 +3,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"sync"
-
-	"repro/internal/trace"
 )
 
 // Engine is an explicit execution context for the parallel runtime: a
@@ -77,53 +74,30 @@ func (e *Engine) Err() error {
 // concurrently on disjoint ranges; chunks must not wait on one another,
 // since any of them may run after another on the caller.
 //
-// Chunks the pool cannot absorb (all workers busy, e.g. under nested
-// parallelism or a competing engine) run inline on the caller, so For
-// never blocks on an unclaimed task and nesting cannot deadlock.
+// The caller claims chunks until none are left, alongside the idle
+// workers it hands chunks to and any worker that frees up while the
+// region runs (e.g. one released by a competing region), so For never
+// blocks on an unclaimed chunk and nesting cannot deadlock.
 func (e *Engine) For(n, minChunk int, body func(lo, hi int)) {
 	w := e.Workers()
 	if n <= 0 {
 		return
 	}
-	if w == 1 {
-		body(0, n)
-		return
-	}
 	parts := clampParts(n, w, minChunk)
-	if parts <= 1 {
+	if parts == 1 {
 		body(0, n)
 		return
 	}
-	chunk := n / parts
-	rem := n % parts
-	// Chunk 0 (always) and every chunk the pool cannot take (rarely) run
-	// on the calling goroutine; [inlineLo, n) tracks the latter tail.
-	wg := wgPool.Get().(*sync.WaitGroup)
-	inlineLo := n
-	lo := chunk
-	if rem > 0 {
-		lo++
+	r := regionPool.Get().(*region)
+	r.body, r.parts, r.chunk, r.rem = body, parts, n/parts, n%parts
+	r.next.Store(1)
+	r.unfinished.Add(parts)
+	opened := dispatch(r)
+	r.drain(0, 0)
+	if opened {
+		closeRegion(r)
 	}
-	hi0 := lo
-	for i := 1; i < parts; i++ {
-		hi := lo + chunk
-		if i < rem {
-			hi++
-		}
-		wk := acquire()
-		if wk == nil {
-			inlineLo = lo
-			break
-		}
-		wg.Add(1)
-		trace.Inc(trace.CtrWorkerDispatches)
-		wk.ch <- task{body: body, lo: lo, hi: hi, wg: wg}
-		lo = hi
-	}
-	runInline(body, 0, hi0)
-	if inlineLo < n {
-		runInline(body, inlineLo, n)
-	}
-	wg.Wait()
-	wgPool.Put(wg)
+	r.unfinished.Wait()
+	r.body = nil
+	regionPool.Put(r)
 }

@@ -2,9 +2,11 @@ package parallel
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestConcurrentForRegions launches many For regions from independent
@@ -112,5 +114,110 @@ func TestWorkerReuse(t *testing.T) {
 	}
 	if idle > spawned {
 		t.Fatalf("idle %d > spawned %d", idle, spawned)
+	}
+}
+
+// waitIdle waits until every live worker has parked, so a test starts
+// from a pool no straggler of an earlier region is still passing through.
+func waitIdle(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if spawned, idle := poolStats(); spawned == idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pool workers never parked")
+		}
+	}
+}
+
+// TestFreedWorkerJoinsRegion: region A holds the pool's only worker when
+// region B starts, so B finds no idle worker, and B's chunk 0 blocks until
+// its chunk 1 has run. Only the worker A frees can run that chunk; a
+// runtime that never hands a started region's chunk to a freed worker
+// runs chunk 1 after chunk 0 on B's caller and so never finishes B.
+func TestFreedWorkerJoinsRegion(t *testing.T) {
+	old := runtime.GOMAXPROCS(2) // a pool of one worker
+	defer runtime.GOMAXPROCS(old)
+	// A wide region passes every idle worker through the pool, which
+	// retires those above the one-worker bound.
+	NewEngine(64).For(64, 1, func(lo, hi int) {})
+	waitIdle(t)
+
+	e := NewEngine(2)
+	var aWorker, bWorker int
+	held, release, aDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(aDone)
+		e.For(2, 1, func(lo, _ int) {
+			if lo == 1 {
+				aWorker = goid()
+				close(held)
+				<-release
+			}
+		})
+	}()
+	<-held
+
+	bStarted, ran, bDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(bDone)
+		e.For(2, 1, func(lo, _ int) {
+			if lo == 0 {
+				close(bStarted)
+				<-ran
+				return
+			}
+			bWorker = goid()
+			close(ran)
+		})
+	}()
+	<-bStarted
+	close(release)
+	select {
+	case <-bDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("region B's chunk 1 never ran: the worker region A freed did not join B")
+	}
+	<-aDone
+	if bWorker != aWorker {
+		t.Fatalf("B's chunk 1 ran on goroutine %d, want A's freed worker %d", bWorker, aWorker)
+	}
+}
+
+// TestWorkerIDsStayUnique shrinks GOMAXPROCS until the lowest-numbered
+// worker retires while higher-numbered ones live on, then regrows it: the
+// worker spawned then must not reuse a live worker's id, or its busy time
+// would land in that worker's utilization slot.
+func TestWorkerIDsStayUnique(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	waitIdle(t)
+	var held []*worker
+	pool.mu.Lock()
+	for w := acquire(poolLimit()); w != nil; w = acquire(poolLimit()) {
+		held = append(held, w)
+	}
+	pool.mu.Unlock()
+	slices.SortFunc(held, func(a, b *worker) int { return a.id - b.id })
+
+	runtime.GOMAXPROCS(len(held)) // one worker above the bound
+	held[0].rejoin()              // retires
+	if spawned, _ := poolStats(); spawned != len(held)-1 {
+		t.Fatalf("%d live workers after one retired, want %d", spawned, len(held)-1)
+	}
+	runtime.GOMAXPROCS(len(held) + 1)
+	pool.mu.Lock()
+	fresh := acquire(poolLimit())
+	pool.mu.Unlock()
+	if fresh == nil {
+		t.Fatal("no worker spawned after GOMAXPROCS regrew")
+	}
+	held[0] = fresh
+	for _, w := range held {
+		if w != fresh && w.id == fresh.id {
+			t.Errorf("spawned worker reuses live worker id %d", w.id)
+		}
+		w.rejoin() // parks
 	}
 }

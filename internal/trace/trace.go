@@ -152,10 +152,10 @@ const (
 	// CtrWorkspaceMisses counts requests the pool could not serve (a fresh
 	// heap allocation). Steady state should show ~0 misses.
 	CtrWorkspaceMisses
-	// CtrWorkerDispatches counts chunks dispatched to pool workers.
+	// CtrWorkerDispatches counts chunks run by pool workers.
 	CtrWorkerDispatches
-	// CtrWorkerInline counts chunks run inline on the calling goroutine
-	// (chunk 0 of every region, plus pool-exhausted overflow).
+	// CtrWorkerInline counts chunks run inline on a region's calling
+	// goroutine (chunk 0 of every region, plus chunks no worker claimed).
 	CtrWorkerInline
 	// CtrSketchFallbacks counts CQRRPT runs that rejected the sketch
 	// preconditioner (its condition-estimate guard or the preconditioned
