@@ -3,7 +3,7 @@ package tsqrcp
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/mat"
@@ -22,33 +22,41 @@ type BatchResult struct {
 }
 
 // QRCPBatch factors a slice of independent tall-skinny problems — the
-// many-small-matrices serving workload — as the shards of one Engine.For
-// region, so a pool worker that another region frees joins the batch.
-// opts apply to every problem. min(len(problems), engine width) shards
-// claim problems from an atomic cursor (a slow problem never blocks the
-// rest), and each factorization runs on an even share of the width; at
-// width 1 the batch runs on the caller.
+// many-small-matrices serving workload — on min(len(problems), engine
+// width) shard goroutines: one per problem in a small batch, one per core
+// in a large one. The shards claim problems dynamically (an atomic
+// cursor, so a slow problem never blocks the rest of the batch), and
+// each factorization runs its kernels on the persistent worker pool with
+// an even share of the engine's width. opts apply to every problem.
 //
 // Errors are per-problem: one singular or invalid matrix does not abort
 // its neighbors, it just sets results[i].Err. Cancellation of ctx or of
-// the engine's own context (WithContext) is cooperative, checked at the
-// stage boundaries of the Ite-CholQR-CP loop: running factorizations
-// return early, unclaimed problems are skipped, and QRCPBatch returns the
-// partial results. The error of each stopped problem and of the call is
-// ctx.Err(), or context.Canceled when the engine's context stopped the
-// batch. A nil ctx is treated as context.Background().
+// the engine's own context (WithContext) is cooperative and checked at
+// the stage boundaries of the Ite-CholQR-CP loop: once either is done,
+// running factorizations return early, unclaimed problems are skipped
+// with the error of the context that stopped them (Canceled, or
+// DeadlineExceeded, as QRCP reports), and QRCPBatch itself returns it
+// alongside the partial results. A nil ctx is treated as
+// context.Background().
 func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Options) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ec := e.engineCtx(); ec != nil {
+	if ec := e.eng().Context(); ec != nil {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		defer context.AfterFunc(ec, cancel)()
-		if ec.Err() != nil { // AfterFunc's own goroutine could cancel too late
-			cancel()
+		if d, ok := ec.Deadline(); ok {
+			ctx, cancel = context.WithDeadline(ctx, d) // ends ctx with DeadlineExceeded
+		} else {
+			ctx, cancel = context.WithCancel(ctx)
 		}
+		defer cancel()
+		stop := func() { // an explicit cancel; call it now too, AfterFunc runs late
+			if ec.Err() == context.Canceled {
+				cancel()
+			}
+		}
+		defer context.AfterFunc(ec, stop)()
+		stop()
 	}
 	results := make([]BatchResult, len(problems))
 	if len(problems) == 0 {
@@ -57,31 +65,29 @@ func (e *Engine) QRCPBatch(ctx context.Context, problems []*mat.Dense, opts *Opt
 
 	width := e.Workers()
 	conc := min(len(problems), width)
-	shard := e.WithContext(ctx).WithWorkers(max(1, width/conc))
+	perProblem := max(1, width/conc)
+	shard := &Engine{pe: e.eng().WithContext(ctx).WithWorkers(perProblem)}
 
 	var cursor atomic.Int64
-	own := 0 // problems claimed by chunk 0, which runs on the caller
-	e.eng().For(conc, 1, func(lo, _ int) {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(problems) {
-				return
+	var wg sync.WaitGroup
+	wg.Add(conc)
+	for s := 0; s < conc; s++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(problems) {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					results[i].Err = err
+					continue
+				}
+				results[i].F, results[i].Err = factorOne(shard, problems[i], opts, i)
 			}
-			if lo == 0 {
-				own++
-			}
-			if err := ctx.Err(); err != nil {
-				results[i].Err = err
-				continue
-			}
-			results[i].F, results[i].Err = factorOne(shard, problems[i], opts, i)
-		}
-	})
-	// Shards that all ran on the caller found every processor busy; yield,
-	// or a loop of such batches holds the processor for Go's 10 ms slice.
-	if conc > 1 && own == len(problems) {
-		runtime.Gosched()
+		}()
 	}
+	wg.Wait()
 	return results, ctx.Err()
 }
 

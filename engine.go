@@ -18,14 +18,13 @@ import (
 //
 // All engines share the process-wide persistent worker pool and pooled
 // workspaces; an engine only bounds how many ways each region of its own
-// calls fans out. Engines are a few words, immutable after construction,
+// calls fans out. Engines are two words, immutable after construction,
 // and safe for concurrent use by any number of goroutines.
 //
 // The zero value and the nil pointer are both valid and behave like
 // DefaultEngine(): full width, no cancellation.
 type Engine struct {
-	pe  *parallel.Engine
-	ctx context.Context // the context pe checks, for QRCPBatch; nil if none
+	pe *parallel.Engine
 }
 
 // NewEngine returns an engine whose calls use at most workers-way
@@ -45,13 +44,13 @@ func DefaultEngine() *Engine { return defaultEngine }
 // deadline: in-flight kernels finish, the next stage of the
 // Ite-CholQR-CP loop does not start, and the call returns ctx.Err().
 func (e *Engine) WithContext(ctx context.Context) *Engine {
-	return &Engine{pe: e.eng().WithContext(ctx), ctx: ctx}
+	return &Engine{pe: e.eng().WithContext(ctx)}
 }
 
 // WithWorkers returns a derived engine with the same context and a new
 // width bound. n < 1 selects all available cores, tracking GOMAXPROCS.
 func (e *Engine) WithWorkers(n int) *Engine {
-	return &Engine{pe: e.eng().WithWorkers(n), ctx: e.engineCtx()}
+	return &Engine{pe: e.eng().WithWorkers(n)}
 }
 
 // Workers reports the engine's parallel width bound.
@@ -64,15 +63,6 @@ func (e *Engine) eng() *parallel.Engine {
 		return parallel.Default
 	}
 	return e.pe
-}
-
-// engineCtx returns the context the engine was given by WithContext, nil
-// if none.
-func (e *Engine) engineCtx() context.Context {
-	if e == nil {
-		return nil
-	}
-	return e.ctx
 }
 
 // QRCP computes the QR factorization with column pivoting of a tall-skinny

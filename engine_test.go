@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blas"
 	"repro/internal/core"
@@ -206,28 +207,41 @@ func TestQRCPBatchCancellation(t *testing.T) {
 }
 
 // TestQRCPBatchHonorsEngineContext: a batch on an engine whose own
-// context is cancelled factors nothing, as QRCP on that engine does, even
-// though the batch's ctx is live; the context survives WithWorkers.
+// context is cancelled, or past its deadline, factors nothing and reports
+// the error QRCP on that engine does, even though the batch's ctx is
+// live; the context survives WithWorkers.
 func TestQRCPBatchHonorsEngineContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(406))
 	problems := make([]*mat.Dense, 4)
 	for i := range problems {
 		problems[i] = testmat.Generate(rng, 200, 10, 8, 1e-6)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := NewEngine(2).WithContext(ctx)
-	if _, err := e.QRCP(problems[0], nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QRCP err = %v, want context.Canceled", err)
-	}
-	for name, eng := range map[string]*Engine{"WithContext": e, "WithWorkers": e.WithWorkers(1)} {
-		results, err := eng.QRCPBatch(context.Background(), problems, nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: QRCPBatch err = %v, want context.Canceled", name, err)
+	expired, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-expired.Done()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"deadline", expired, context.DeadlineExceeded},
+	} {
+		e := NewEngine(2).WithContext(tc.ctx)
+		if _, err := e.QRCP(problems[0], nil); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: QRCP err = %v, want %v", tc.name, err, tc.want)
 		}
-		for i, res := range results {
-			if !errors.Is(res.Err, context.Canceled) || res.F != nil {
-				t.Errorf("%s: problem %d: F = %v, err = %v, want no factorization and context.Canceled", name, i, res.F != nil, res.Err)
+		for name, eng := range map[string]*Engine{"WithContext": e, "WithWorkers": e.WithWorkers(1)} {
+			results, err := eng.QRCPBatch(context.Background(), problems, nil)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s/%s: QRCPBatch err = %v, want %v", tc.name, name, err, tc.want)
+			}
+			for i, res := range results {
+				if !errors.Is(res.Err, tc.want) || res.F != nil {
+					t.Errorf("%s/%s: problem %d: F = %v, err = %v, want no factorization and %v", tc.name, name, i, res.F != nil, res.Err, tc.want)
+				}
 			}
 		}
 	}

@@ -55,6 +55,9 @@ func (e *Engine) Workers() int {
 	return e.workers
 }
 
+// Context returns the engine's context, nil if it has none.
+func (e *Engine) Context() context.Context { return e.ctx }
+
 // Err reports the engine's cancellation state: nil while live, the
 // context's error once cancelled or past its deadline. Engines without a
 // context never report an error.
@@ -74,9 +77,8 @@ func (e *Engine) Err() error {
 // concurrently on disjoint ranges; chunks must not wait on one another,
 // since any of them may run after another on the caller.
 //
-// The caller claims chunks until none are left, alongside the idle
-// workers it hands chunks to and any worker that frees up while the
-// region runs (e.g. one released by a competing region), so For never
+// The caller claims chunks until none are left, alongside idle workers
+// and any worker that frees up while the region runs, so For never
 // blocks on an unclaimed chunk and nesting cannot deadlock.
 func (e *Engine) For(n, minChunk int, body func(lo, hi int)) {
 	w := e.Workers()

@@ -4,11 +4,11 @@
 //
 // The paper's reference implementation relies on vendor-threaded BLAS
 // (Intel MKL, Fujitsu SSL2). This package plays that role here: kernels
-// split their rows or outputs, and batches their problems, into chunks
-// that the caller shares with a fixed set of long-lived workers; a worker
-// that frees up joins any region with chunks left, and small problems
-// stay on the calling goroutine. Every region keeps to its engine's width
-// and to the pool bound. Workers start lazily and are reused, so the
+// and reductions split their rows or outputs, and TSQR its tree nodes,
+// into chunks that the caller shares with a fixed set of long-lived
+// workers; a worker that frees up joins any region with chunks left, and
+// small problems stay on the calling goroutine. Every region keeps to its
+// engine's width and to the pool bound. Workers start lazily and are reused, so the
 // steady-state Ite-CholQR-CP loop neither spawns goroutines nor allocates.
 package parallel
 

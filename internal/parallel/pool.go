@@ -10,14 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// The persistent worker pool: long-lived goroutines started lazily on
-// first use and shared by every region. A For region publishes its
-// partition behind an atomic next-chunk cursor; each idle worker its
-// caller finds is handed one chunk, and a region with chunks left goes on
-// the open list, which a worker that runs out of chunks scans before it
-// parks. The caller claims chunks until none are left, so every wait is
-// on a chunk some goroutine is running and nested regions (a For inside
-// a For chunk, the TSQR recursion) cannot deadlock.
+// The persistent worker pool: long-lived goroutines started lazily and
+// shared by every region. A For region publishes its partition behind an
+// atomic next-chunk cursor; each idle worker is handed one chunk, and a
+// region with chunks left goes on the open list, which a worker that runs
+// out of chunks scans before it parks. The caller claims chunks until
+// none are left, so every wait is on a running chunk and nested regions
+// (a For inside a For chunk, the TSQR recursion) cannot deadlock.
 //
 // Invariant: a worker is on the free list exactly when it is (or is about
 // to be) blocked receiving on its private channel. Both lists change only
@@ -34,8 +33,7 @@ type region struct {
 	unfinished sync.WaitGroup
 }
 
-// regionPool recycles region records so a steady-state parallel region
-// performs no heap allocation at all.
+// regionPool recycles region records: a steady-state region allocates nothing.
 var regionPool = sync.Pool{New: func() any { return new(region) }}
 
 // take claims the region's next chunk, or reports -1 when all are claimed.
@@ -53,11 +51,7 @@ func (r *region) take() int {
 // r under it.
 func (r *region) drain(i, id int) {
 	for i >= 0 {
-		lo := i*r.chunk + min(i, r.rem)
-		hi := lo + r.chunk
-		if i < r.rem {
-			hi++
-		}
+		lo, hi := i*r.chunk+min(i, r.rem), (i+1)*r.chunk+min(i+1, r.rem)
 		if trace.Enabled() {
 			start := time.Now()
 			r.body(lo, hi)
@@ -104,9 +98,8 @@ var pool struct {
 // dispatch/rejoin so a runtime.GOMAXPROCS resize is honored eventually.
 func poolLimit() int { return runtime.GOMAXPROCS(0) - 1 }
 
-// dispatch hands one chunk of r to each idle worker it can get, and puts
-// r on the open list if chunks remain unclaimed; it reports whether it
-// did.
+// dispatch hands one chunk of r to each idle worker it can get; if chunks
+// remain unclaimed it puts r on the open list and reports true.
 func dispatch(r *region) (opened bool) {
 	limit := poolLimit()
 	pool.mu.Lock()
@@ -122,8 +115,7 @@ func dispatch(r *region) (opened bool) {
 	return false
 }
 
-// closeRegion takes r off the open list once its caller has claimed the
-// last chunk.
+// closeRegion takes r off the open list once its caller has drained it.
 func closeRegion(r *region) {
 	pool.mu.Lock()
 	pool.open = slices.DeleteFunc(pool.open, func(o *region) bool { return o == r })
